@@ -46,7 +46,7 @@ import argparse
 import ast as pyast
 import sys
 from contextlib import nullcontext as _no_guard
-from typing import Any, Optional
+from typing import Optional
 
 from repro.api import compile_program
 from repro.errors import (
@@ -819,7 +819,8 @@ def serve(default_source=None, backend="vector", max_batch=64,
           stats=False, pool=0, retry=2, chaos=None,
           stdin=None, stdout=None, stderr=None) -> int:
     """The ``repro serve`` loop: JSONL requests on stdin, JSONL responses
-    on stdout, in request order (docs/SERVING.md documents the protocol).
+    on stdout, in request order, each written as soon as it and every
+    earlier one has finished (docs/SERVING.md documents the protocol).
 
     One request per line: ``{"id": .., "fname": "main", "args": [..]}``
     plus optional ``"source"`` (else the FILE argument's program),
@@ -841,6 +842,8 @@ def serve(default_source=None, backend="vector", max_batch=64,
     (:meth:`~repro.guard.faults.ChaosSpec.parse` syntax).
     """
     import json
+    import queue
+    import threading
 
     from repro.lang.types import parse_type
     from repro.serve import (
@@ -866,66 +869,68 @@ def serve(default_source=None, backend="vector", max_batch=64,
         config = ServeConfig(max_batch=max_batch, max_queue=max_queue,
                              workers=workers, backend=backend, check=check,
                              cache_capacity=cache_capacity)
-    pending: list[tuple[Any, Any]] = []   # (id, future-or-error) in order
+    # (id, future-or-error) in request order; None ends the stream
+    pending: queue.Queue = queue.Queue()
     failures = 0
 
-    def flush_done(drain: bool) -> None:
+    def write_responses() -> None:
+        """Answer each request as soon as it and all before it have
+        finished — not when the next input line arrives, which a client
+        waiting for its answer never sends."""
         nonlocal failures
-        while pending:
-            rid, fut = pending[0]
-            if isinstance(fut, BaseException):
-                resp = {"id": rid, "ok": False,
-                        "kind": _error_kind(fut), "error": str(fut)}
-            else:
-                if not drain and not fut.done():
-                    return
-                try:
-                    resp = {"id": rid, "ok": True, "result": fut.result()}
-                except BaseException as e:
-                    resp = {"id": rid, "ok": False,
-                            "kind": _error_kind(e), "error": str(e)}
-            if not resp["ok"]:
+        while (item := pending.get()) is not None:
+            rid, fut = item
+            try:
+                if isinstance(fut, BaseException):
+                    raise fut
+                resp = {"id": rid, "ok": True, "result": fut.result()}
+            except BaseException as e:
                 failures += 1
-            pending.pop(0)
+                resp = {"id": rid, "ok": False,
+                        "kind": _error_kind(e), "error": str(e)}
             print(json.dumps(resp, default=str), file=out, flush=True)
 
     executor = WorkerPool(config) if pool else BatchExecutor(config)
+    writer = threading.Thread(target=write_responses, name="serve-writer")
     with executor as ex:
-        for line in inp:
-            line = line.strip()
-            if not line:
-                continue
-            rid = None
-            try:
-                msg = json.loads(line)
-                rid = msg.get("id")
-                source = msg.get("source", default_source)
-                if source is None:
-                    raise ValueError(
-                        "request has no \"source\" and no FILE was given")
-                types = msg.get("types")
-                args = msg.get("args", [])
-                if types is not None:
-                    args = [_coerce_tuples(a, parse_type(t))
-                            for a, t in zip(args, types)]
-                budget = Budget(
-                    max_elements=msg.get("max_elements"),
-                    max_bytes=msg.get("max_bytes"),
-                    max_steps=msg.get("max_steps"),
-                    timeout_s=msg.get("timeout_s"),
-                    max_call_depth=msg.get("max_depth"))
-                fut = ex.submit(
-                    source, msg.get("fname", "main"), args,
-                    types=types, backend=msg.get("backend"),
-                    check=msg.get("check"),
-                    budget=budget if budget.any_set() else None,
-                    deadline_s=msg.get("deadline_s"),
-                    request_id=str(rid) if rid is not None else None)
-                pending.append((rid, fut))
-            except BaseException as e:
-                pending.append((rid, e))
-            flush_done(drain=False)
-        flush_done(drain=True)
+        writer.start()
+        try:
+            for line in inp:
+                line = line.strip()
+                if not line:
+                    continue
+                rid = None
+                try:
+                    msg = json.loads(line)
+                    rid = msg.get("id")
+                    source = msg.get("source", default_source)
+                    if source is None:
+                        raise ValueError(
+                            "request has no \"source\" and no FILE was given")
+                    types = msg.get("types")
+                    args = msg.get("args", [])
+                    if types is not None:
+                        args = [_coerce_tuples(a, parse_type(t))
+                                for a, t in zip(args, types)]
+                    budget = Budget(
+                        max_elements=msg.get("max_elements"),
+                        max_bytes=msg.get("max_bytes"),
+                        max_steps=msg.get("max_steps"),
+                        timeout_s=msg.get("timeout_s"),
+                        max_call_depth=msg.get("max_depth"))
+                    fut = ex.submit(
+                        source, msg.get("fname", "main"), args,
+                        types=types, backend=msg.get("backend"),
+                        check=msg.get("check"),
+                        budget=budget if budget.any_set() else None,
+                        deadline_s=msg.get("deadline_s"),
+                        request_id=str(rid) if rid is not None else None)
+                    pending.put((rid, fut))
+                except BaseException as e:
+                    pending.put((rid, e))
+        finally:
+            pending.put(None)
+            writer.join()
         if stats:
             s = ex.stats.snapshot()
             mean_batch = (s["batched_requests"] / s["batches"]

@@ -35,7 +35,9 @@ import numpy as np
 from repro.errors import VectorError
 from repro.guard import runtime as _guard
 from repro.lang import types as T
-from repro.vector.nested import FUNTABLE, NestedVector, VFun, VTuple, Value
+from repro.vector.nested import (
+    FUNTABLE, KIND_DTYPES, NestedVector, VFun, VTuple, Value,
+)
 from repro.vector.segments import INT_DTYPE
 
 __all__ = ["pack_values", "unpack_values"]
@@ -133,12 +135,8 @@ def _unpack(v: Value, t: T.Type, n: int) -> list:
             raise VectorError(f"unpack_values: batch of {v.top_length}, "
                               f"expected {n}")
         if isinstance(t, T.TFun):
-            return [VFun(FUNTABLE.name_of(int(i))) for i in v.values]
-        if kind == "int":
-            return [int(x) for x in v.values]
-        if kind == "bool":
-            return [bool(x) for x in v.values]
-        return [float(x) for x in v.values]
+            return [VFun(FUNTABLE.name_of(i)) for i in v.values.tolist()]
+        return np.asarray(v.values, dtype=KIND_DTYPES[kind]).tolist()
     if isinstance(t, T.TTuple):
         if not isinstance(v, VTuple) or len(v.items) != len(t.items):
             raise VectorError(f"unpack_values: expected VTuple, got {v!r}")
@@ -166,20 +164,20 @@ def _unpack_frames(v: Value, n: int) -> list:
                           f"expected {n}")
     # descs[1] holds the per-request top lengths; walk the levels down,
     # splitting each by the element counts accumulated one level above.
-    out_descs: list[list[np.ndarray]] = [[] for _ in range(n)]
     counts = v.descs[1]            # elements each request owns at this level
-    for i in range(n):
-        out_descs[i].append(np.array([int(counts[i])], dtype=INT_DTYPE))
-    for lvl in list(v.descs[2:]) + [None]:
-        arr = v.values if lvl is None else lvl
+    out_descs = [[counts[i:i + 1]] for i in range(n)]
+    for arr in (*v.descs[2:], v.values):
         bounds = np.concatenate(([0], np.cumsum(counts)))
         if bounds[-1] != arr.size:
             raise VectorError("unpack_values: descriptor/value size mismatch")
-        pieces = [arr[bounds[i]:bounds[i + 1]] for i in range(n)]
-        if lvl is None:
-            return [NestedVector(out_descs[i], pieces[i], v.kind)
-                    for i in range(n)]
-        for i in range(n):
-            out_descs[i].append(pieces[i])
-        counts = np.array([int(p.sum()) for p in pieces], dtype=INT_DTYPE)
+        cuts = bounds.tolist()
+        pieces = [arr[a:b] for a, b in zip(cuts, cuts[1:])]
+        if arr is v.values:
+            return [NestedVector(d, p, v.kind)
+                    for d, p in zip(out_descs, pieces)]
+        for d, p in zip(out_descs, pieces):
+            d.append(p)
+        # one segmented sum: what each request owns one level further down
+        below = np.concatenate(([0], np.cumsum(arr)))
+        counts = below[bounds[1:]] - below[bounds[:-1]]
     raise AssertionError("unreachable")  # pragma: no cover

@@ -5,17 +5,33 @@ Tuples under sequences are pushed outward (``Seq(a x b)`` becomes a
 ``VTuple`` of two parallel NestedVectors), matching the paper's multiple
 value vectors per tuple leaf.  Function values convert between
 ``FunVal``/``VFun`` by name via the global interning table.
+
+Both directions work on *layers* — every value at one position of the
+type, across all enclosing sequences, as one flat list — so the work per
+element is done by ``map``, ``chain``, ``zip`` and NumPy, not by Python
+bytecode: a sequence level is peeled with ``map(len, layer)`` (its
+descriptor) and ``chain.from_iterable(layer)`` (the next layer) and put back
+with slices over the descriptor's running sum; a tuple is peeled with one
+``map(itemgetter(i), layer)`` per component (``zip(*layer)`` would make an
+iterator per element, and the garbage collector charges for each) and put
+back with ``zip(*columns)``.  The two are exact inverses.  A layer is judged
+by its elements' exact types; only a rejected layer is scanned element by
+element, to name the first offender.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from itertools import chain, groupby
+from operator import itemgetter
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.errors import VectorError
 from repro.lang import types as T
-from repro.vector.nested import FUNTABLE, NestedVector, VFun, VTuple
+from repro.vector.nested import (
+    FUNTABLE, KIND_DTYPES, NestedVector, VFun, VTuple, first_leaf,
+)
 from repro.vector.segments import INT_DTYPE
 
 # ---------------------------------------------------------------------------
@@ -44,7 +60,7 @@ def from_python(v: Any, t: T.Type):
             raise VectorError(f"expected {len(t.items)}-tuple, got {v!r}")
         return VTuple([from_python(x, it) for x, it in zip(v, t.items)])
     if isinstance(t, T.TSeq):
-        return _seq_from_python(v, t)
+        return _layer_from_python((v,), t, [])
     raise VectorError(f"cannot convert to vector form at type {t!r}")
 
 
@@ -57,67 +73,78 @@ def _fun_name(v: Any) -> str:
     raise VectorError(f"expected a function value, got {v!r}")
 
 
-def _seq_from_python(v: Any, t: T.TSeq):
-    # find the tuple split point: Seq^d(tuple(...)) or Seq^d(scalar/fun)
-    depth = 0
-    cur: T.Type = t
-    while isinstance(cur, T.TSeq):
-        depth += 1
-        cur = cur.elem
-    if isinstance(cur, T.TTuple):
-        comps = []
-        for i, it in enumerate(cur.items):
-            proj = _project(v, depth, i)
-            comps.append(from_python(proj, T.seq_of(it, depth)))
-        return VTuple(comps)
-    return _pure_seq_from_python(v, depth, cur)
+#: scalar leaf type -> (kind, accepted classes, refused classes)
+_LEAVES = {
+    T.TInt: ("int", (int, np.integer), bool),
+    T.TBool: ("bool", (bool, np.bool_), ()),
+    T.TFloat: ("float", (float, np.floating), ()),
+}
 
 
-def _project(v: Any, depth: int, i: int) -> Any:
-    """Project component i of the tuples sitting ``depth`` levels down."""
-    if depth == 0:
-        if not isinstance(v, tuple) or i >= len(v):
-            raise VectorError(f"expected a tuple with >= {i + 1} components, got {v!r}")
-        return v[i]
-    if not isinstance(v, list):
-        raise VectorError(f"expected a sequence, got {v!r}")
-    return [_project(x, depth - 1, i) for x in v]
+def _all(layer: Sequence, base, but=()) -> bool:
+    """Every value in ``layer`` is an instance of ``base`` and of none of
+    ``but``.  ``groupby`` yields one key per run of equal exact types, so the
+    elements are passed over in C and only the distinct few types are
+    tested in Python."""
+    return all(issubclass(tp, base) and not issubclass(tp, but)
+               for tp, _ in groupby(layer, type))
 
 
-def _pure_seq_from_python(v: Any, depth: int, leaf: T.Type) -> NestedVector:
-    if not isinstance(v, list):
-        raise VectorError(f"expected a sequence, got {v!r}")
-    descs = []
-    layer: list = [v]
+def _layer_from_python(layer: Sequence, t: T.Type, descs: list):
+    """Convert ``layer``, the values of type ``t`` that sit under the
+    descriptors ``descs``, to a NestedVector (a VTuple of them where ``t``
+    holds tuples)."""
+    depth = T.seq_depth(t)
+    leaf = T.peel(t, depth)
+    root = layer
     for _ in range(depth):
-        counts = []
-        nxt: list = []
-        for x in layer:
-            if not isinstance(x, list):
-                raise VectorError(f"expected a sequence, got {x!r}")
-            counts.append(len(x))
-            nxt.extend(x)
-        descs.append(np.asarray(counts, dtype=INT_DTYPE))
-        layer = nxt
-    if isinstance(leaf, T.TInt):
-        for x in layer:
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-                raise VectorError(f"expected int element, got {x!r}")
-        return NestedVector(descs, np.asarray(layer, dtype=INT_DTYPE), "int")
-    if isinstance(leaf, T.TBool):
-        for x in layer:
-            if not isinstance(x, (bool, np.bool_)):
-                raise VectorError(f"expected bool element, got {x!r}")
-        return NestedVector(descs, np.asarray(layer, dtype=np.bool_), "bool")
-    if isinstance(leaf, T.TFloat):
-        for x in layer:
-            if not isinstance(x, (float, np.floating)):
-                raise VectorError(f"expected float element, got {x!r}")
-        return NestedVector(descs, np.asarray(layer, dtype=np.float64), "float")
+        if not _all(layer, list):
+            if isinstance(leaf, T.TTuple):
+                _tuple_misfit(root, depth, 0)
+            for x in layer:
+                if not isinstance(x, list):
+                    raise VectorError(f"expected a sequence, got {x!r}")
+        descs = [*descs, np.fromiter(map(len, layer), INT_DTYPE, len(layer))]
+        layer = (layer[0] if len(layer) == 1
+                 else list(chain.from_iterable(layer)))
+    if isinstance(leaf, T.TTuple):
+        if not _all(layer, tuple):
+            _tuple_misfit(root, depth, 0)
+        comps = []
+        for i, it in enumerate(leaf.items):
+            try:
+                column = list(map(itemgetter(i), layer))
+            except IndexError:
+                _tuple_misfit(layer, 0, i)
+                raise
+            comps.append(_layer_from_python(column, it, descs))
+        return VTuple(comps)
     if isinstance(leaf, T.TFun):
         ids = [FUNTABLE.intern(_fun_name(x)) for x in layer]
         return NestedVector(descs, np.asarray(ids, dtype=INT_DTYPE), "fun")
-    raise VectorError(f"bad sequence leaf type {leaf!r}")
+    if type(leaf) not in _LEAVES:
+        raise VectorError(f"bad sequence leaf type {leaf!r}")
+    kind, accepted, refused = _LEAVES[type(leaf)]
+    if not _all(layer, accepted, refused):
+        for x in layer:
+            if isinstance(x, refused) or not isinstance(x, accepted):
+                raise VectorError(f"expected {kind} element, got {x!r}")
+    values = np.fromiter(layer, KIND_DTYPES[kind], len(layer))
+    return NestedVector(descs, values, kind)
+
+
+def _tuple_misfit(layer: Sequence, depth: int, i: int) -> None:
+    """Error reporter for a rejected layer: raise for the first value, depth
+    first, that keeps component ``i`` from being taken out of the tuples
+    ``depth`` sequence levels below ``layer``."""
+    for v in layer:
+        if depth:
+            if not isinstance(v, list):
+                raise VectorError(f"expected a sequence, got {v!r}")
+            _tuple_misfit(v, depth - 1, i)
+        elif not isinstance(v, tuple) or i >= len(v):
+            raise VectorError(
+                f"expected a tuple with >= {i + 1} components, got {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -145,48 +172,41 @@ def to_python(v: Any, t: T.Type, fun_factory=None) -> Any:
         return tuple(to_python(x, it, fun_factory)
                      for x, it in zip(v.items, t.items))
     if isinstance(t, T.TSeq):
-        depth = 0
-        cur: T.Type = t
-        while isinstance(cur, T.TSeq):
-            depth += 1
-            cur = cur.elem
-        if isinstance(cur, T.TTuple):
-            if not isinstance(v, VTuple):
-                raise VectorError(f"expected VTuple of frames, got {v!r}")
-            comps = [to_python(x, T.seq_of(it, depth), fun_factory)
-                     for x, it in zip(v.items, cur.items)]
-            return _merge_tuples(comps, depth)
-        return _pure_seq_to_python(v, cur, fun_factory)
+        return _layer_to_python(v, t.elem, 1, fun_factory)
     raise VectorError(f"cannot convert from vector form at type {t!r}")
 
 
-def _merge_tuples(comps: list, depth: int):
-    if depth == 0:
-        return tuple(comps)
-    n = len(comps[0])
-    for c in comps:
-        if len(c) != n:
-            raise VectorError("tuple components disagree on sequence lengths")
-    return [_merge_tuples([c[i] for c in comps], depth - 1) for i in range(n)]
-
-
-def _pure_seq_to_python(v: NestedVector, leaf: T.Type, fun_factory):
-    if not isinstance(v, NestedVector):
-        raise VectorError(f"expected NestedVector, got {v!r}")
-    if isinstance(leaf, T.TFun):
-        layer = [fun_factory(FUNTABLE.name_of(int(i))) if fun_factory
-                 else VFun(FUNTABLE.name_of(int(i))) for i in v.values]
-    elif isinstance(leaf, T.TBool):
-        layer = [bool(x) for x in v.values]
-    elif isinstance(leaf, T.TFloat):
-        layer = [float(x) for x in v.values]
+def _layer_to_python(v: Any, t: T.Type, skip: int, fun_factory) -> list:
+    """The values of type ``t`` that sit ``skip`` sequence levels down in
+    ``v``, as one flat list of Python values — the inverse of
+    :func:`_layer_from_python`."""
+    depth = T.seq_depth(t)
+    leaf = T.peel(t, depth)
+    if isinstance(leaf, T.TTuple):
+        if not isinstance(v, VTuple):
+            raise VectorError(f"expected VTuple of frames, got {v!r}")
+        below = skip + depth
+        comps = v.items[:len(leaf.items)]
+        layer = list(zip(*[_layer_to_python(x, it, below, fun_factory)
+                           for x, it in zip(comps, leaf.items)]))
+        frames = [first_leaf(x).descs[:below] for x in comps]
+        for other in frames[1:]:
+            if not all(map(np.array_equal, frames[0], other)):
+                raise VectorError(
+                    "tuple components disagree on sequence lengths")
+        levels = frames[0][skip:]
     else:
-        layer = [int(x) for x in v.values]
-    for desc in reversed(v.descs[1:]):
-        grouped = []
-        pos = 0
-        for c in desc:
-            grouped.append(layer[pos:pos + int(c)])
-            pos += int(c)
-        layer = grouped
+        if not isinstance(v, NestedVector):
+            raise VectorError(f"expected NestedVector, got {v!r}")
+        if isinstance(leaf, T.TFun):
+            make = fun_factory or VFun
+            layer = [make(FUNTABLE.name_of(i)) for i in v.values.tolist()]
+        else:
+            # the P type decides what comes back, whatever kind holds it
+            kind = _LEAVES.get(type(leaf), _LEAVES[T.TInt])[0]
+            layer = np.asarray(v.values, dtype=KIND_DTYPES[kind]).tolist()
+        levels = v.descs[skip:]
+    for desc in reversed(levels):
+        bounds = np.cumsum(desc).tolist()
+        layer = [layer[a:b] for a, b in zip([0, *bounds], bounds)]
     return layer

@@ -55,8 +55,9 @@ class FunTable:
 
 FUNTABLE = FunTable()
 
-_KIND_DTYPES = {"int": INT_DTYPE, "bool": np.bool_, "fun": INT_DTYPE,
-                "float": np.float64}
+#: leaf kind -> dtype of the value vector
+KIND_DTYPES = {"int": INT_DTYPE, "bool": np.bool_, "fun": INT_DTYPE,
+               "float": np.float64}
 
 
 class NestedVector:
@@ -64,7 +65,8 @@ class NestedVector:
 
     ``descs`` is a tuple of 1-D int64 arrays; ``descs[0]`` is always a
     singleton holding the top-level length.  ``values`` is the flat leaf
-    vector; ``kind`` is ``"int"``, ``"bool"`` or ``"fun"``.
+    vector; ``kind`` is ``"int"``, ``"bool"``, ``"float"`` or ``"fun"``
+    (interned function ids).
     """
 
     __slots__ = ("descs", "values", "kind")
@@ -72,9 +74,9 @@ class NestedVector:
     def __init__(self, descs: Iterable[np.ndarray], values: np.ndarray, kind: str):
         self.descs: tuple[np.ndarray, ...] = tuple(
             np.asarray(d, dtype=INT_DTYPE) for d in descs)
-        if kind not in _KIND_DTYPES:
+        if kind not in KIND_DTYPES:
             raise VectorError(f"bad leaf kind {kind!r}")
-        self.values = np.asarray(values, dtype=_KIND_DTYPES[kind])
+        self.values = np.asarray(values, dtype=KIND_DTYPES[kind])
         self.kind = kind
         if CHECK_INVARIANTS:
             self.validate()

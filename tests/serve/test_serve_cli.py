@@ -1,8 +1,14 @@
 """The ``repro serve`` JSONL protocol, driven in-process through
-injectable streams (no subprocess needed)."""
+injectable streams (no subprocess needed, except where the test is about
+when a response reaches a client that is still holding stdin open)."""
 
 import io
 import json
+import os
+import queue
+import subprocess
+import sys
+import threading
 
 from repro.cli import EXIT_CRASH, EXIT_ERROR, EXIT_OK, EXIT_USAGE, main, serve
 from repro.errors import WorkerCrashError
@@ -154,6 +160,43 @@ class TestPoolServe:
         monkeypatch.setattr("repro.cli._dispatch", boom)
         assert main(["passes"]) == EXIT_CRASH
         assert "worker crash" in capsys.readouterr().err
+
+
+class TestLockStepClient:
+    """A client that waits for each response before sending its next
+    request: the server must answer while stdin is open and silent."""
+
+    def test_each_response_arrives_before_the_next_request(self):
+        src_dir = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (os.path.abspath(src_dir),
+                        os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve"], env=env, text=True,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL)
+        lines: queue.Queue = queue.Queue()
+        reader = threading.Thread(
+            target=lambda: [lines.put(ln) for ln in proc.stdout], daemon=True)
+        reader.start()
+        try:
+            for k in (3, 2, 4):
+                proc.stdin.write(json.dumps(
+                    {"id": k, "source": SRC, "args": [k]}) + "\n")
+                proc.stdin.flush()
+                # times out (queue.Empty) on a server that answers only
+                # when it reads its next line
+                resp = json.loads(lines.get(timeout=60))
+                assert resp == {"id": k, "ok": True,
+                                "result": [i * i for i in range(1, k + 1)]}
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == EXIT_OK
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=60)
+            reader.join(timeout=60)
+        assert not reader.is_alive() and lines.empty()
 
 
 class TestMainDispatch:
