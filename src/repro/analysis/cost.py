@@ -1048,9 +1048,13 @@ class _CostAnalyzer:
             return out(AScalar(ONE), padd(C, _lvl(a0, d)), step)
 
         if fn == "__iter":
-            # identity view: a depth-0 sequence re-viewed as a depth-1
-            # frame of its elements; no data touched
-            return out(a0, ZERO, ZERO)
+            # identity view: a sequence at frame depth d re-viewed as the
+            # depth-(d+1) frame of its elements; no data is touched at
+            # run time, but the canonical iterator the interpreter
+            # measures still indexes every element once, so the site is
+            # charged as the seq_index^(d+1) it replaced — exactly, the
+            # element total being the argument's own level d
+            return out(a0, _lvl(a0, d), pconst(d + 2))
 
         if fn == "__tuple_cons":
             return out(ATup(tuple(avals)), C, step)

@@ -281,8 +281,8 @@ class _Analyzer:
         if fn == "__iter":
             return static_result(
                 Shape(a0.sym, a0.valid),
-                "identity view: a depth-0 sequence re-viewed as the "
-                "depth-1 frame of its elements, no data touched")
+                "identity view: a sequence at frame depth j re-viewed as "
+                "the depth-(j+1) frame of its elements, no data touched")
         if fn == "__rep":
             rep = args[1] if len(args) > 1 else a0
             return static_result(

@@ -49,8 +49,9 @@ __all__ = ["verify_canonical", "verify_def", "verify_transformed"]
 #: deeper than the application depth: the iterator-entry rebindings
 #: re-view ``dist^j``/``range1^j`` results as depth-``j+1`` frames, and
 #: the R2d form re-views ``restrict^{j-1}``/``combine^{j-1}`` results at
-#: depth ``j``.  ``__iter^0`` (the fuse pass's identity-gather shortcut)
-#: re-views a depth-0 sequence as the depth-1 frame of its elements.
+#: depth ``j``.  ``__iter^j`` (the optimize pass's identity-gather view)
+#: re-views a sequence at frame depth ``j`` as the depth-``j+1`` frame of
+#: its elements.
 _VIEW_OPS = frozenset({"combine", "restrict", "dist", "range1", "__iter"})
 
 _SUBTERM_LIMIT = 200

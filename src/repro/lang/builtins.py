@@ -237,8 +237,25 @@ _def("__any", _any_scheme, "internal")
 _def("__empty", _empty_scheme, "internal")
 
 
+#: the *checked* elementwise primitives: they raise ``PValueError`` on a
+#: bad operand (division by zero, a negative square root) and the report
+#: carries the faulting operand and source position, so they may neither
+#: be fused into a kernel (``repro.transform.fuse``) nor evaluated earlier
+#: than the source does (``repro.transform.simplify`` hoisting).  Every
+#: other ``elementwise`` primitive is total.
+CHECKED_ELEMENTWISE = frozenset({"div", "mod", "fdiv", "sqrt_"})
+
+
 def is_builtin(name: str) -> bool:
     return name in _TABLE
+
+
+def is_unchecked_elementwise(name: str) -> bool:
+    """True for an elementwise primitive that cannot fail on any
+    well-typed operand (the fusable, freely movable ones)."""
+    b = _TABLE.get(name)
+    return b is not None and b.elementwise \
+        and name not in CHECKED_ELEMENTWISE
 
 
 def get_builtin(name: str) -> Builtin:

@@ -29,7 +29,8 @@ runs the native backend differentially):
   integer prefix-difference method).
 
 Checked primitives (``div``/``mod``/``fdiv``/``sqrt_``) never appear in a
-fused tree (see ``fuse._UNSAFE``), so kernels need no error paths.
+fused tree (see ``builtins.CHECKED_ELEMENTWISE``), so kernels need no
+error paths.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from repro.errors import TransformError
 from repro.lang import ast as A
 from repro.passes import invariants as INV
 from repro.passes.base import Pass, PassContext
-from repro.passes.pattern import apply_patterns, greedy_rewrite
+from repro.passes.pattern import apply_patterns
 from repro.passes.registry import register
 from repro.transform.canonical import canonicalize_program
 from repro.transform.eliminate import Eliminator
@@ -165,17 +165,20 @@ class OptimizePass(Pass):
     patterns over the iterator-free defs (:mod:`repro.transform.
     optimize`): native segmented reductions (gated by
     ``options.reduce_to_native``), then the shared/segment-shared
-    no-replication index rewrites (gated by ``options.shared_seq_index``).
-    The pass itself always runs (and re-verifies) so ablations change
-    only which patterns fire."""
+    no-replication index rewrites and the identity-gather view they
+    expose (gated by ``options.shared_seq_index``).  The pass itself
+    always runs (and re-verifies) so ablations change only which
+    patterns fire."""
 
     name = "optimize"
     requires = frozenset({INV.ITERATOR_FREE})
-    description = "§4.5 rewrites: native reductions, shared-index gathers"
+    description = ("§4.5 rewrites: native reductions, shared-index "
+                   "gathers, iteration as a view")
 
     def run(self, ctx: PassContext) -> None:
-        """Apply each enabled §4.5 pattern as its own bottom-up sweep, in
-        the documented order (reductions first, then index sharing)."""
+        """Apply each enabled §4.5 pattern as its own sweep, in the
+        documented order (reductions first, then index sharing, then the
+        identity gathers among the shared-index forms become views)."""
         from repro.transform import optimize as OPT
         if ctx.options.reduce_to_native:
             for d in ctx.defs.values():
@@ -185,26 +188,34 @@ class OptimizePass(Pass):
                 d.body = apply_patterns(d.body, [OPT.SharedIndexPattern()])
                 d.body = apply_patterns(d.body,
                                         [OPT.SegSharedIndexPattern()])
+                d.body = OPT.rewrite_identity_gather(d.body)
 
 
 @register
 class SimplifyPass(Pass):
-    """Greedy cleanup of the let-chains R2 generates — alias/literal
-    inlining and dead-binding elimination to a fixpoint
+    """Cleanup of the let-chains R2 generates, in one scoped sweep per
+    definition — repeated values shared (total bindings floated to their
+    ``If`` arm, equal builtin calls replaced by the dominating binding),
+    aliases and literals substituted, dead bindings dropped
     (:mod:`repro.transform.simplify`; the §6 "improvements ... that
-    yield more efficient code" direction).  Unconditionally sound in the
-    pure language P."""
+    yield more efficient code" direction).  Sound in the pure language
+    P: only calls that cannot fail are moved."""
 
     name = "simplify"
     requires = frozenset({INV.ITERATOR_FREE})
-    description = "alias inlining + dead-binding elimination to fixpoint"
+    description = ("let-floating + CSE, alias inlining + dead-binding "
+                   "elimination")
 
     def run(self, ctx: PassContext) -> None:
-        """Greedy-rewrite every def with the simplifier pattern set."""
-        from repro.transform import simplify as S
-        patterns = [S.AliasInlinePattern(), S.DeadBindingPattern()]
+        """Share and clean every def (§6 direction); user functions —
+        transformed or not — are never shared."""
+        from repro.transform.simplify import simplify_def
+        mono_defs = getattr(ctx.typed, "mono_defs", {})
+
+        def is_user(name: str) -> bool:
+            return name in ctx.defs or name in mono_defs
         for d in ctx.defs.values():
-            d.body = greedy_rewrite(d.body, patterns)
+            simplify_def(d, is_user)
 
 
 @register
@@ -221,19 +232,9 @@ class FusePass(Pass):
     description = "collapse elementwise chains into single fused ops"
 
     def run(self, ctx: PassContext) -> None:
-        """Fuse every def, recording op trees in ``ctx.fusion``.
-
-        Before fusing, identity iterator-entry gathers are shortcut to
-        the zero-cost ``__iter`` view (:func:`~repro.transform.fuse.
-        shortcut_iteration`); afterwards one simplifier sweep removes the
-        ``length``/``range1`` bindings the shortcut left dead."""
-        from repro.transform import simplify as S
-        from repro.transform.fuse import (
-            FusionRegistry, fuse_expr, shortcut_iteration,
-        )
+        """Fuse every def, recording op trees in ``ctx.fusion`` (the §6
+        direction; the pass fuses and does nothing else)."""
+        from repro.transform.fuse import FusionRegistry, fuse_expr
         ctx.fusion = FusionRegistry()
-        patterns = [S.AliasInlinePattern(), S.DeadBindingPattern()]
         for d in ctx.defs.values():
-            body = shortcut_iteration(d.body)
-            body = fuse_expr(body, ctx.fusion)
-            d.body = greedy_rewrite(body, patterns)
+            d.body = fuse_expr(d.body, ctx.fusion)

@@ -18,7 +18,8 @@ Fusion boundary
 
 Only genuinely elementwise primitives participate: the ``elementwise``
 flag in the builtin table, **minus the checked ops** ``div``, ``mod``,
-``fdiv`` and ``sqrt_`` (the ``_UNSAFE`` set below).  Those four raise
+``fdiv`` and ``sqrt_`` (``_UNSAFE``, the builtin table's
+``CHECKED_ELEMENTWISE``).  Those four raise
 ``PValueError`` on bad operands — division by zero, a negative square
 root — and the report must carry the *original* source location and
 operand value.  Inside a fused kernel the intermediate that feeds the
@@ -45,16 +46,14 @@ import numpy as np
 from repro.lang import ast as A
 from repro.lang import builtins as B
 
-#: elementwise primitives safe to fuse (checked ops excluded: their error
-#: reporting must fire exactly as unfused execution would — div/mod/fdiv
-#: and sqrt_ raise on bad operands, so they stay unfused)
-_UNSAFE = {"div", "mod", "fdiv", "sqrt_"}
+#: the checked ops stay unfused (their error reporting must fire exactly as
+#: unfused execution would — div/mod/fdiv and sqrt_ raise on bad operands);
+#: membership is defined once, in the builtin table, and shared with the
+#: simplifier's hoisting rule
+_UNSAFE = B.CHECKED_ELEMENTWISE
 
-
-def _fusable_prim(name: str) -> bool:
-    if name in _UNSAFE:
-        return False
-    return B.is_builtin(name) and B.get_builtin(name).elementwise
+#: elementwise primitives safe to fuse: every unchecked one
+_fusable_prim = B.is_unchecked_elementwise
 
 
 #: A fused op tree: ("arg", k) selects leaf k; ("prim", name, children)
@@ -131,77 +130,6 @@ class FusionRegistry:
                 return 0
             return 1 + sum(count(c) for c in t[2])
         return count(self.trees[name])
-
-
-# -- iteration shortcut ------------------------------------------------------
-#
-# The iterator-entry scaffolding ``let ib = length(v), iw = range1(ib),
-# x = __seq_index_shared^1(v, iw)`` gathers every element of ``v`` through
-# the identity index vector — a full-size iota plus a full-size gather that
-# produce a frame *representation-identical* to ``v`` itself (a depth-0
-# sequence value and the depth-1 frame of its elements share the same
-# descriptor chain and value pool).  ``shortcut_iteration`` recognizes the
-# pattern and replaces the gather with the internal view op
-# ``__iter^0(v)``, whose execution is literally ``return v`` (see
-# ``Applier.apply0``); the dead ``ib``/``iw`` bindings are then removed by
-# the simplifier sweep the fuse pass runs afterwards.
-
-#: let-bound scaffolding the shortcut may chase through when resolving the
-#: index operand back to ``range1(length(v))``
-_TRANSPARENT = frozenset({"length", "range1"})
-
-
-def _resolve(e: A.Expr, env: dict[str, A.Expr]) -> A.Expr:
-    """Chase a variable through transparent let bindings (bounded by the
-    environment size, so alias cycles cannot loop)."""
-    for _ in range(len(env) + 1):
-        if isinstance(e, A.Var) and e.name in env:
-            e = env[e.name]
-        else:
-            break
-    return e
-
-
-def shortcut_iteration(e: A.Expr) -> A.Expr:
-    """Rewrite identity iterator-entry gathers to ``__iter^0`` (see the
-    comment above).  Sound for any element type: an identity gather
-    returns the argument's exact level structure."""
-    return _shortcut(e, {})
-
-
-def _shortcut(e: A.Expr, env: dict[str, A.Expr]) -> A.Expr:
-    if isinstance(e, A.Let):
-        bound = _shortcut(e.bound, env)
-        # rebinding ``e.var`` invalidates every chased expression that
-        # mentions it (shadowing would otherwise alias the wrong value)
-        env2 = {k: v for k, v in env.items()
-                if e.var not in A.free_vars(v)}
-        if isinstance(bound, A.Var) or (
-                isinstance(bound, A.ExtCall) and bound.fn in _TRANSPARENT
-                and bound.depth == 0):
-            env2[e.var] = bound
-        else:
-            env2.pop(e.var, None)
-        body = _shortcut(e.body, env2)
-        out = A.Let(e.var, bound, body)
-        out.type, out.line, out.col = e.type, e.line, e.col
-        return out
-    if (isinstance(e, A.ExtCall) and e.fn == "__seq_index_shared"
-            and e.depth == 1 and len(e.args) == 2
-            and isinstance(e.args[0], A.Var)
-            and list(e.arg_depths) == [0, 1]):
-        idx = _resolve(e.args[1], env)
-        if (isinstance(idx, A.ExtCall) and idx.fn == "range1"
-                and idx.depth == 0 and len(idx.args) == 1):
-            ln = _resolve(idx.args[0], env)
-            if (isinstance(ln, A.ExtCall) and ln.fn == "length"
-                    and ln.depth == 0 and len(ln.args) == 1
-                    and isinstance(ln.args[0], A.Var)
-                    and ln.args[0].name == e.args[0].name):
-                out = A.ExtCall("__iter", [e.args[0]], 0, [0])
-                out.type, out.line, out.col = e.type, e.line, e.col
-                return out
-    return A.map_children(e, lambda c: _shortcut(c, env))
 
 
 def fuse_expr(e: A.Expr, registry: FusionRegistry) -> A.Expr:

@@ -22,12 +22,17 @@
    ``dist`` of a sequence the body only ever indexes, gathering from each
    element's own segment instead of replicating.
 
-Each rule is a :class:`~repro.passes.pattern.RewritePattern`, applied by
+4. **Iteration is a view** (:func:`rewrite_identity_gather`) — the
+   iterator-entry gather that rules 1 and 3 leave behind for ``[x <- v:
+   ...]`` indexes ``v`` by ``range1(length(v))``: the identity.  It is
+   rewritten to the zero-cost view ``__iter^j(v)``, at every depth.
+
+Rules 1-3 are :class:`~repro.passes.pattern.RewritePattern` s, applied by
 the ``optimize`` pass (:mod:`repro.passes.builtin`) as one bottom-up
-sweep per rule; all are local and type-preserving, and each can be
-toggled independently for the ablation benchmarks (E11).  The legacy
-``rewrite_*`` entry points below apply one sweep of the corresponding
-pattern.
+sweep per rule; rule 4 needs the let bindings in scope, so it is one
+scoped top-down sweep.  All are local and type-preserving, and each can
+be toggled for the ablation benchmarks (E11).  The ``rewrite_*`` entry
+points below apply one sweep of the corresponding rule.
 """
 
 from __future__ import annotations
@@ -131,6 +136,90 @@ def rewrite_segshared_index(e: A.Expr) -> A.Expr:
 def rewrite_native_reduce(e: A.Expr) -> A.Expr:
     """One bottom-up sweep of the native-reduction rewrite (§4.5 pt. 2)."""
     return apply_patterns(e, [NativeReducePattern()])
+
+
+# -- iteration is a view (§4.5 direction, rule 4) ----------------------------
+#
+# R2 opens every iterator over a sequence with ``let ib = length^j(v), iw =
+# range1^j(ib), x = seq_index^{j+1}(v, iw)``, which rules 1 and 3 above turn
+# into ``__seq_index_shared^1`` (j = 0) or ``__seq_index_segshared^{j+1}``
+# (j >= 1): a full-size iota plus a full-size gather through the identity
+# index vector.  Their result is *representation-identical* to ``v``: a
+# sequence at frame depth j and the frame of its elements at depth j+1 are
+# one ``NestedVector`` (same descriptor chain, same value pool).  The sweep
+# below replaces the gather by the view ``__iter^j(v)``, whose execution is
+# literally ``return v`` (``Applier.apply_named``); the ``ib``/``iw``
+# bindings it leaves dead are removed by ``simplify``.
+
+#: let-bound scaffolding the view rewrite chases through when resolving the
+#: index operand back to ``range1^j(length^j(v))``
+_TRANSPARENT = frozenset({"length", "range1"})
+
+
+def rewrite_identity_gather(e: A.Expr) -> A.Expr:
+    """Rewrite every identity iterator-entry gather to the view
+    ``__iter^j(v)`` (§4.5 direction; see the comment above).  Sound for
+    any element type: an identity gather returns its source's exact
+    level structure, and ``range1(length(v))`` never indexes out of
+    range, so no error is lost."""
+    return _view(e, {})
+
+
+def _view(e: A.Expr, env: dict[str, A.Expr]) -> A.Expr:
+    if isinstance(e, A.Let):
+        bound = _view(e.bound, env)
+        # rebinding ``e.var`` invalidates every chased expression that
+        # mentions it (shadowing would otherwise alias the wrong value)
+        env2 = {k: v for k, v in env.items()
+                if k != e.var and e.var not in A.free_vars(v)}
+        if (isinstance(bound, A.Var) or (
+                isinstance(bound, A.ExtCall) and bound.fn in _TRANSPARENT)) \
+                and e.var not in A.free_vars(bound):
+            env2[e.var] = bound
+        out = A.Let(e.var, bound, _view(e.body, env2))
+        out.type, out.line, out.col = e.type, e.line, e.col
+        return out
+    if isinstance(e, A.ExtCall) and _is_identity_gather(e, env):
+        j = e.depth - 1
+        out = A.ExtCall("__iter", [e.args[0]], j, [j])
+        out.type, out.line, out.col = e.type, e.line, e.col
+        return out
+    return A.map_children(e, lambda c: _view(c, env))
+
+
+def _resolve(e: A.Expr, env: dict[str, A.Expr]) -> A.Expr:
+    """Chase a variable through the transparent let bindings in scope
+    (bounded by the environment size, so alias cycles cannot loop)."""
+    for _ in range(len(env) + 1):
+        if isinstance(e, A.Var) and e.name in env:
+            e = env[e.name]
+        else:
+            break
+    return e
+
+
+def _is_identity_gather(e: A.ExtCall, env: dict[str, A.Expr]) -> bool:
+    """``__seq_index_shared^1(v, I)`` or ``__seq_index_segshared^{j+1}(v,
+    I)`` whose index ``I`` resolves to ``range1^j(length^j(v))``."""
+    j = e.depth - 1
+    gather = "__seq_index_shared" if j == 0 else "__seq_index_segshared"
+    if not (e.fn == gather and len(e.args) == 2
+            and list(e.arg_depths) == [j, j + 1]):
+        return False
+    idx = _resolve(e.args[1], env)
+    if not _is_unary(idx, "range1", j):
+        return False
+    ln = _resolve(idx.args[0], env)
+    if not _is_unary(ln, "length", j):
+        return False
+    src, counted = _resolve(e.args[0], env), _resolve(ln.args[0], env)
+    return isinstance(src, A.Var) and isinstance(counted, A.Var) \
+        and src.name == counted.name
+
+
+def _is_unary(e: A.Expr, fn: str, depth: int) -> bool:
+    return isinstance(e, A.ExtCall) and e.fn == fn and e.depth == depth \
+        and len(e.args) == 1 and list(e.arg_depths) == [depth]
 
 
 def _only_indexed(e: A.Expr, name: str, depth: int,

@@ -62,6 +62,13 @@ class Applier:
     def apply_named(self, name: str, args: list[Value], arg_depths: list[int],
                     depth: int, node_type: Optional[T.Type]) -> Value:
         """Apply ``name^depth`` (T1 reduces depth >= 2 to the depth-1 form)."""
+        if name == "__iter":
+            # iteration is a view: a sequence at frame depth j and the
+            # frame of its elements at depth j+1 are one representation,
+            # so the identity gather is literally its argument — returned
+            # before any extract/replicate (no vector op executes, so
+            # nothing is observed or charged)
+            return args[0]
         if depth == 0:
             return self.apply0(name, args, node_type)
 
@@ -170,12 +177,6 @@ class Applier:
     def apply0(self, name: str, args: list[Value],
                node_type: Optional[T.Type]) -> Value:
         """Depth-0 application: unit-frame round trip through the kernels."""
-        if name == "__iter":
-            # fuse-pass iteration shortcut: a depth-0 sequence value and
-            # the depth-1 frame of its elements share one representation,
-            # so the identity gather is literally the argument (no vector
-            # op executes, so nothing is observed or charged)
-            return args[0]
         if name == "__tuple_cons":
             return VTuple(args)
         if name.startswith("__tuple_extract_"):

@@ -86,14 +86,24 @@ class TestPaperDistTypo:
 class TestR1SubstitutionDuplication:
     """R1 as printed substitutes v[i] for every occurrence of the bound
     variable, duplicating the gather; we bind it once with a let.  The
-    observable contract: one seq_index op regardless of occurrences."""
+    observable contract: one seq_index op regardless of occurrences —
+    and none at all once ``optimize`` has seen that this one gather is
+    the identity on ``v`` (``__iter``)."""
+
+    SRC = "fun f(v) = [x <- v: x * x + x - x]"
+
+    @staticmethod
+    def gathers(prog):
+        _r, trace = prog.vector_trace("f", [list(range(10))])
+        return [op for op, _n in trace
+                if op in ("seq_index", "__seq_index_shared")]
 
     def test_single_gather(self):
-        prog = compile_program("fun f(v) = [x <- v: x * x + x - x]")
-        _r, trace = prog.vector_trace("f", [list(range(10))])
-        gathers = [op for op, _n in trace
-                   if op in ("seq_index", "__seq_index_shared")]
-        assert len(gathers) == 1
+        from repro import TransformOptions
+        unshared = compile_program(
+            self.SRC, options=TransformOptions(shared_seq_index=False))
+        assert len(self.gathers(unshared)) == 1
+        assert self.gathers(compile_program(self.SRC)) == []
 
 
 class TestUserCallTraceDoubleCount:

@@ -53,7 +53,9 @@ class TestRange1Generator:
 
 
 class TestDistGenerator:
-    """``[x <- v: x + 10]`` — R1 index form plus one replicate of 10."""
+    """``[x <- v: x + 10]`` — iterating ``v`` is a view (``__iter``: no
+    length, no range1, no gather runs), so the kernels are one replicate
+    of 10 and the add."""
 
     def setup_method(self):
         prog = compile_program("fun main(v) = [x <- v: x + 10]")
@@ -64,8 +66,7 @@ class TestDistGenerator:
 
     def test_exact_kernel_table(self):
         got = {op: c.calls for op, c in kernel_map(self.report).items()}
-        assert got == {"length": 1, "range1": 1, "seq_index_shared": 1,
-                       "replicate": 1, "add": 1}
+        assert got == {"replicate": 1, "add": 1}
 
     def test_replicate_charged_at_frame_width(self):
         rep = kernel_map(self.report)["replicate"]
@@ -73,11 +74,13 @@ class TestDistGenerator:
         assert rep.elements == 4  # the four copies of the literal 10
 
     def test_shared_index_no_dist_of_source(self):
-        # section 4.5: v is indexed in place, never replicated per index
+        # section 4.5: v is viewed in place, never replicated per index
         assert "dist" not in kernel_map(self.report)
 
     def test_totals(self):
-        assert self.report.total_calls() == 5
+        assert self.report.total_calls() == 2
+        # 4 copies of 10; add reads 4 + 4 and writes 4
+        assert self.report.total_elements() == 16
 
 
 class TestConditionalRestrictCombine:
@@ -153,3 +156,42 @@ class TestChargingRules:
         prog = compile_program("fun main(a, b) = a + b")
         _r, rep = prog.profile("main", [2, 3])
         assert rep.counter("replicate") is None
+
+
+class TestQuicksortKernelCount:
+    """The flattened quicksort of ``examples/quicksort.py`` on its fixed
+    16-key input: every iterator of the recursion ranges over a sequence
+    (a view, no kernel), and ``#s`` / ``dist(p, #s)`` are computed once
+    per level, not once per iterator.  354 kernel calls before both
+    rewrites; a change that brings the identity gathers or the repeated
+    values back shows up as a count."""
+
+    def setup_method(self):
+        from tests.passes.test_equivalence import EXAMPLES, _example_spec
+        spec = _example_spec(EXAMPLES / "quicksort.py")
+        prog = compile_program(spec["SOURCE"])
+        self.args = spec["PROFILE_ARGS"]
+        self.result, self.report = prog.profile(spec["PROFILE_ENTRY"],
+                                                self.args)
+
+    def test_result_unchanged(self):
+        assert self.result == sorted(self.args[0])
+
+    def test_total_calls(self):
+        assert self.report.total_calls() <= 173
+
+    def test_no_identity_gather_runs(self):
+        # in this program every shared-index gather and every range1 fed
+        # an identity iteration: none of them may run as a kernel
+        k = kernel_map(self.report)
+        assert not {"seq_index_shared", "seq_index_segshared",
+                    "range1"} & set(k)
+        # the pivot pick and the two sorted[..] selections per level stay
+        assert k["seq_index"].calls == 21
+
+    def test_repeated_values_computed_once_per_level(self):
+        k = kernel_map(self.report)
+        levels = k["combine"].calls          # one R2d merge per level
+        assert levels == 7
+        assert k["length"].calls == 2 * levels   # #s for the test, #s' after
+        assert k["dist"].calls <= levels         # dist(p, #s), shared by 3

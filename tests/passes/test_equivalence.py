@@ -1,90 +1,75 @@
 """Pipeline-equivalence battery: the pass-manager pipeline must produce
-*identical* transformed IR — and identical run results — to the
-pre-refactor hand-wired pipeline, on the 9 examples and 200 fuzzed
-programs.
+*identical* IR — and identical run results — to the pre-refactor
+hand-wired pipeline, on the 9 examples and 200 fuzzed programs, through
+the phases whose output is meant never to change: R1 canonicalization
+and R2 elimination.
 
-``legacy_transform`` below is a verbatim replica of the hand-wired
-driver `transform_program` replaced (eliminate worklist, then the gated
-§4.5 rewrites, then simplify, then fuse — each phase a direct function
-call).  Equality is on the pretty-printed definitions, which pin name
-choices, let structure, depths, and argument order.
+``legacy_front`` below is a verbatim replica of the hand-wired driver's
+first two phases (canonicalize, then the eliminate worklist — each a
+direct function call).  The phases after them are *meant* to move — the
+§4.5 ``optimize`` rules and the ``simplify`` cleanup grow with every
+"improvement to the transformations" — so the replica stops at
+``eliminate``: the pipeline under test runs whole, under each option
+set, and its labeled IR dumps after ``canonical`` and ``eliminate`` must
+equal the replica's.  That pins both that the front phases are
+unchanged and that no option reaches back into them.  Equality is on
+the pretty-printed definitions, which pin name choices, let structure,
+depths, and argument order; what the later passes produce is pinned by
+``tests/passes/golden/`` and the ``tests/transform`` suites, and that it
+*means* the same by ``test_options.py`` and the fuzzers.
 """
 
 import ast as pyast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 from repro import TransformOptions, compile_program
 from repro.lang import ast as A
-from repro.lang.pretty import pretty_def
+from repro.lang.parser import parse_program
+from repro.lang.prelude import merge_with_prelude
+from repro.lang.pretty import pretty_def, pretty_program
+from repro.lang.typecheck import typecheck_program
 from repro.lang.types import parse_type
 from repro.passes.builtin import _Worklist
-from repro.transform import optimize as OPT
-from repro.transform.fuse import FusionRegistry, fuse_expr
-from repro.transform.simplify import simplify_def
+from repro.passes.manager import dump_header
+from repro.transform.canonical import canonicalize_program
 from repro.transform.trace import NullTrace
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
-def legacy_transform(typed, entries, opts, ext_entries=()):
-    """The pre-pass-manager pipeline, phase calls hand-wired in the
-    original order; returns (defs, fusion)."""
+def legacy_front(source, entry, arg_types):
+    """The pre-pass-manager pipeline up to and including elimination,
+    phase calls hand-wired in the original order; returns the printed
+    canonical program and the printed iterator-free defs."""
+    canonical = canonicalize_program(merge_with_prelude(parse_program(source)))
+    typed = typecheck_program(canonical)
     wl = _Worklist(typed, NullTrace())
-    for name in entries:
-        wl.request_def(name)
-    for name in ext_entries:
-        wl.request_ext1(name)
+    wl.request_def(typed.instance(entry, tuple(arg_types)))
     wl.drain()
-    defs = wl.out_defs
-    if opts.reduce_to_native:
-        for d in defs.values():
-            d.body = OPT.rewrite_native_reduce(d.body)
-    if opts.shared_seq_index:
-        for d in defs.values():
-            d.body = OPT.rewrite_shared_index(d.body)
-            d.body = OPT.rewrite_segshared_index(d.body)
-    if opts.simplify:
-        for d in defs.values():
-            simplify_def(d)
-    fusion = None
-    if opts.fuse:
-        # mirrors FusePass: iteration shortcut, fuse, dead-binding sweep
-        from repro.passes.pattern import greedy_rewrite
-        from repro.transform import simplify as S
-        from repro.transform.fuse import shortcut_iteration
-        fusion = FusionRegistry()
-        patterns = [S.AliasInlinePattern(), S.DeadBindingPattern()]
-        for d in defs.values():
-            body = shortcut_iteration(d.body)
-            body = fuse_expr(body, fusion)
-            d.body = greedy_rewrite(body, patterns)
-    return defs, fusion
-
-
-def render(defs) -> str:
-    return "\n\n".join(pretty_def(d) for d in defs.values())
+    return (pretty_program(canonical),
+            "\n\n".join(pretty_def(d) for d in wl.out_defs.values()))
 
 
 def assert_pipelines_agree(source: str, entry: str, arg_types,
                            opts: TransformOptions, label: str):
     """Transform one entry through both pipelines and require printed-IR
-    equality.  Generated names embed a process-global counter, so each
-    pipeline gets its own compile off a reset counter — the two runs then
-    see bit-identical counter states."""
+    equality after ``canonical`` and after ``eliminate``.  Generated
+    names embed a process-global counter, so each pipeline gets its own
+    compile off a reset counter — the two runs then see bit-identical
+    counter states."""
+    dumps: list[str] = []
     A.reset_fresh_names()
-    prog = compile_program(source, options=opts)
-    new_tp = prog.prepare(entry, tuple(arg_types))[1]
+    prog = compile_program(source, options=dataclasses.replace(
+        opts, print_ir_after=("canonical", "eliminate"),
+        ir_sink=dumps.append))
+    prog.prepare(entry, tuple(arg_types))
     A.reset_fresh_names()
-    prog2 = compile_program(source, options=opts)
-    mono = prog2.typed.instance(entry, tuple(arg_types))
-    legacy_defs, legacy_fusion = legacy_transform(prog2.typed, [mono], opts)
-    assert render(new_tp.defs) == render(legacy_defs), label
-    assert list(new_tp.defs) == list(legacy_defs), label
-    if opts.fuse:
-        assert (new_tp.fusion.trees.keys()
-                == legacy_fusion.trees.keys()), label
+    canonical, defs = legacy_front(source, entry, arg_types)
+    assert dumps == [f"{dump_header('canonical')}\n{canonical}\n",
+                     f"{dump_header('eliminate')}\n{defs}\n"], label
 
 
 def _example_spec(path: Path) -> dict:

@@ -1,13 +1,21 @@
 """Every combination of the four ``TransformOptions`` switches is
 supported: the flag-derived pipeline has the documented shape (the
 option-interaction table in docs/PASSES.md), and each combination runs
-the examples to the same results as the reference interpreter."""
+the nine examples and 200 fuzzed programs to the same bits — or the
+same failure — as the pipeline with every switch off.  ``simplify``
+on/off is let-floating + CSE on/off and ``shared_seq_index`` on/off is
+the ``__iter`` view on/off, so the battery is also the differential
+test of both rewrites."""
 
+import functools
 import itertools
 
 import pytest
 
-from repro import TransformOptions, compile_program
+from repro import ReproError, TransformOptions, compile_program
+from repro.fuzz.gen import gen_case
+from tests.passes.test_equivalence import EXAMPLE_FILES, _example_spec
+from tests.vector.test_boundary import exact
 
 FLAGS = ("shared_seq_index", "reduce_to_native", "simplify", "fuse")
 COMBOS = list(itertools.product([False, True], repeat=len(FLAGS)))
@@ -54,6 +62,41 @@ def test_combination_runs_correctly(combo):
     opts = combo_opts(combo)
     prog = compile_program(SOURCE, options=opts)
     assert prog.run("main", [4]) == prog.run("main", [4], backend="interp")
+
+
+def outcome(source, entry, args, types, combo):
+    """The exact value (scalars by class, floats by bits), or the class
+    and message of the failure."""
+    prog = compile_program(source, options=combo_opts(combo))
+    try:
+        return ("ok", exact(prog.run(entry, list(args), types=types)))
+    except ReproError as e:
+        return (type(e).__name__, str(e))
+
+
+@functools.lru_cache(maxsize=None)
+def corpus():
+    """The nine examples and 200 fuzzed programs, each with the outcome
+    of the all-switches-off pipeline (built once per session)."""
+    specs = [(path.stem, _example_spec(path)) for path in EXAMPLE_FILES]
+    programs = [(name, spec["SOURCE"], spec["PROFILE_ENTRY"],
+                 tuple(spec["PROFILE_ARGS"]), None) for name, spec in specs]
+    for seed in range(200):
+        case = gen_case(seed)
+        programs.append((f"seed {seed}", case.source, case.entry,
+                         case.args, list(case.types)))
+    return [(label, src, entry, args, types,
+             outcome(src, entry, args, types, COMBOS[0]))
+            for label, src, entry, args, types in programs]
+
+
+@pytest.mark.parametrize("combo", COMBOS[1:], ids=map(combo_id, COMBOS[1:]))
+def test_combination_agrees_on_examples_and_fuzz_corpus(combo):
+    """Bit-identical values and identical failures (class and message)
+    against the all-off pipeline, on every program of the corpus."""
+    assert len(corpus()) >= 209
+    for label, src, entry, args, types, want in corpus():
+        assert outcome(src, entry, args, types, combo) == want, label
 
 
 def test_fuse_and_native_reduce_compose():

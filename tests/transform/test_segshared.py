@@ -23,14 +23,29 @@ def transformed(prog, fname, arg_types):
 
 class TestRewriteFires:
     SRC = "fun f(vv) = [v <- vv: [i <- [1..#v]: v[i] * 2]]"
+    #: the same shape with an index that is not the identity on v
+    SHIFTED = "fun f(vv) = [v <- vv: [i <- [1..#v-1]: v[i+1] * 2]]"
 
     def test_segshared_emitted(self):
-        tp = transformed(compile_program(self.SRC), "f", [seq_of(INT, 2)])
+        tp = transformed(compile_program(self.SHIFTED), "f",
+                         [seq_of(INT, 2)])
         calls = [n for d in tp.defs.values() for n in A.walk(d.body)
                  if isinstance(n, A.ExtCall)]
         assert any(c.fn == "__seq_index_segshared" for c in calls)
         # and the quadratic dist of v is gone
         assert not any(c.fn == "dist" and c.depth == 1 for c in calls)
+
+    def test_identity_index_becomes_view(self):
+        """Indexing every element in order needs no gather at all: the
+        segment-shared form of ``v[i]`` over ``[1..#v]`` is the view
+        ``__iter^1(v)``."""
+        tp = transformed(compile_program(self.SRC), "f", [seq_of(INT, 2)])
+        calls = [n for d in tp.defs.values() for n in A.walk(d.body)
+                 if isinstance(n, A.ExtCall)]
+        views = [c for c in calls if c.fn == "__iter" and c.depth == 1]
+        assert len(views) == 1 and list(views[0].arg_depths) == [1]
+        assert not any(c.fn in ("__seq_index_segshared", "range1", "dist")
+                       for c in calls)
 
     def test_disabled_with_option(self):
         prog = compile_program(self.SRC,
