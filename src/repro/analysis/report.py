@@ -161,8 +161,7 @@ def analyze_source(source: str, entry: str, args: Sequence[Any],
         {"phase": "verify:canonicalize",
          "defs": verify_canonical(prog.canonical), "status": "passed"},
     ]
-    arg_types = prog.entry_types(entry, list(args), types)
-    fun_entries = prog._fun_value_entries(list(args), arg_types)
+    arg_types, fun_entries = prog.resolve_entry(entry, list(args), types)
     _mono, tp = prog.prepare(entry, arg_types, fun_entries)
     for phase, ndefs in getattr(tp, "verified_phases", ()):
         phases.append({"phase": phase, "defs": ndefs, "status": "passed"})

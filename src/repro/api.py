@@ -21,12 +21,17 @@ reference interpreter).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import (
+    TYPE_CHECKING, Any, Callable, ContextManager, NamedTuple, Optional,
+    Sequence, Union,
+)
 
 from repro.errors import EvalError, TypeCheckError
 from repro.guard import runtime as _guard
-from repro.guard.runtime import Budget, GuardConfig
+from repro.guard.runtime import Budget, GuardConfig, GuardState
 from repro.interp.cost import CostReport
 from repro.interp.interpreter import Interpreter
 from repro.interp.values import check_value, infer_value_type
@@ -45,6 +50,7 @@ from repro.vexec.evaluator import VectorEvaluator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.cost import CostCertificate
+    from repro.obs import ProfileReport
 
 #: accepted by ``run(threads=...)``: an explicit count, ``"auto"``
 #: (pick from the cost certificate's predicted concurrency), or ``None``
@@ -58,6 +64,76 @@ ThreadSpec = Union[int, str, None]
 _COST_OPTIONS = TransformOptions(shared_seq_index=True,
                                  reduce_to_native=False, simplify=False,
                                  fuse=False, verify=False)
+
+
+# -- the back-end table --------------------------------------------------------
+#
+# T1 realizes every f^d through f^1, so a back end is two choices: the
+# transform options its program is prepared with, and the object that
+# executes the transformed program (``call(name, pyargs)`` /
+# ``call_raw(name, vargs)``).  Engine and VCODE imports stay inside the
+# builders: a back end costs nothing until it runs.
+
+def _native_executor(tp: TransformedProgram, threads: Optional[int]) -> Any:
+    from repro.native.engine import get_engine
+    return VectorEvaluator(tp, native=get_engine())
+
+
+def _parallel_executor(tp: TransformedProgram, threads: Optional[int]) -> Any:
+    from repro.parallel.engine import get_parallel_engine
+    return VectorEvaluator(tp, native=get_parallel_engine(threads))
+
+
+def _vcode_executor(tp: TransformedProgram, threads: Optional[int]) -> Any:
+    from repro.vcode.compile import compile_transformed
+    from repro.vcode.vm import VM
+    with _obs.span("vcode-compile"):
+        return VM(compile_transformed(tp), fusion=tp.fusion)
+
+
+class Backend(NamedTuple):
+    """One row of :data:`BACKENDS` (the table in docs/PIPELINE.md)."""
+
+    fused: bool     #: prepare with ``_native_options`` (fusion on)
+    #: ``(transformed program, thread count) -> executor``; ``None`` for the
+    #: reference interpreter, which runs the canonical program instead
+    executor: Optional[Callable[[TransformedProgram, Optional[int]], Any]]
+    batches: bool   #: ``run_batched`` packs the requests into one ``f^1`` call
+    static: bool    #: ``check="static"`` discharges the statically proven sites
+    threads: bool   #: ``threads=`` reaches the engine
+
+
+#: Every back end, by name: what ``run``/``run_batched`` accept, the CLI's
+#: ``--backend`` choices, the fuzzer's lanes, the serving layer's ``submit``.
+BACKENDS: dict[str, Backend] = {
+    "vector": Backend(False, lambda tp, threads: VectorEvaluator(tp),
+                      True, True, False),
+    "interp": Backend(False, None, False, False, False),
+    "vcode": Backend(False, _vcode_executor, True, True, False),
+    "native": Backend(True, _native_executor, True, True, False),
+    "parallel": Backend(True, _parallel_executor, True, True, True),
+}
+
+
+def backend_row(backend: str) -> Backend:
+    """The table row for ``backend``; an unknown name is a ``ValueError``
+    listing the known ones."""
+    try:
+        return BACKENDS[backend]
+    except KeyError:
+        raise ValueError(f"unknown backend {backend!r} (known: "
+                         f"{', '.join(BACKENDS)})") from None
+
+
+def _guard_scope(check: Union[bool, str], budget: Optional[Budget]
+                 ) -> ContextManager[Optional[GuardState]]:
+    """The guard scope of one ``run``/``run_batched`` call: a real one
+    when checking or a budget is asked for, else nothing."""
+    if check or (budget is not None and budget.any_set()):
+        return _guard.guarded(GuardConfig(check=bool(check),
+                                          budget=budget or Budget()))
+    return nullcontext()
+
 
 TypeLike = Union[str, T.Type]
 
@@ -102,6 +178,49 @@ class CompiledProgram:
             return out
         return tuple(infer_value_type(a) for a in args)
 
+    def resolve_entry(self, fname: str, args: Sequence[Any],
+                      types: Optional[Sequence[TypeLike]] = None
+                      ) -> tuple[tuple[T.Type, ...], list[str]]:
+        """``(arg_types, fun_entries)`` for an entry call — what
+        :meth:`prepare` and :meth:`cost_certificate` are keyed on: the
+        concrete argument types (:meth:`entry_types`) plus an instance of
+        every user function passed *by value* among the arguments."""
+        arg_types = self.entry_types(fname, args, types)
+        fun_entries = []
+        for v, t in zip(args, arg_types):
+            if isinstance(t, T.TFun):
+                name = v.name if hasattr(v, "name") else str(v)
+                if name in self.typed.source.defs:
+                    with self._prep_lock:
+                        fun_entries.append(self.typed.instance(name, t.params))
+        return arg_types, fun_entries
+
+    def _prepare(self, fname: str, arg_types: tuple[T.Type, ...],
+                 fun_args: Sequence[str], options: TransformOptions,
+                 batched: bool) -> tuple[str, TransformedProgram]:
+        """Monomorphize + transform ``fname`` at the given argument types
+        under ``options`` (``batched``: plus the entry's own ``f^1``),
+        once: the cache is keyed on the option *values*, so an already
+        fused program shares one transformed program between
+        :meth:`prepare` and :meth:`prepare_native`."""
+        key = (fname, arg_types, tuple(sorted(fun_args)), batched,
+               *vars(options).values())
+        hit = self._transformed.get(key)
+        if hit is not None:
+            return hit
+        with self._prep_lock:
+            hit = self._transformed.get(key)
+            if hit is not None:
+                return hit
+            with _obs.span("monomorphize"):
+                mono = self.typed.instance(fname, arg_types)
+            exts = (mono, *fun_args) if batched else tuple(fun_args)
+            with _obs.span("transform"):
+                tp = transform_program(self.typed, [mono, *fun_args], options,
+                                       ext_entries=exts)
+            self._transformed[key] = (mono, tp)
+            return mono, tp
+
     def prepare(self, fname: str, arg_types: tuple[T.Type, ...],
                 fun_args: Sequence[str] = ()) -> tuple[str, TransformedProgram]:
         """Monomorphize + transform ``fname`` at the given argument types.
@@ -110,20 +229,7 @@ class CompiledProgram:
         call; their instances are transformed too so dynamic dispatch finds
         them.
         """
-        key = (fname, arg_types, tuple(sorted(fun_args)))
-        if key in self._transformed:
-            return self._transformed[key]
-        with self._prep_lock:
-            if key in self._transformed:
-                return self._transformed[key]
-            with _obs.span("monomorphize"):
-                mono = self.typed.instance(fname, arg_types)
-            entries = [mono, *fun_args]
-            with _obs.span("transform"):
-                tp = transform_program(self.typed, entries, self.options,
-                                       ext_entries=tuple(fun_args))
-            self._transformed[key] = (mono, tp)
-            return mono, tp
+        return self._prepare(fname, arg_types, fun_args, self.options, False)
 
     def prepare_batched(self, fname: str, arg_types: tuple[T.Type, ...],
                         fun_args: Sequence[str] = ()
@@ -131,27 +237,14 @@ class CompiledProgram:
         """Like :meth:`prepare`, but additionally synthesizes the entry's
         own depth-1 parallel extension ``f^1`` — the function the serving
         layer runs once per coalesced batch (see :mod:`repro.serve`)."""
-        key = (fname, arg_types, tuple(sorted(fun_args)), "batched")
-        if key in self._transformed:
-            return self._transformed[key]
-        with self._prep_lock:
-            if key in self._transformed:
-                return self._transformed[key]
-            with _obs.span("monomorphize"):
-                mono = self.typed.instance(fname, arg_types)
-            entries = [mono, *fun_args]
-            with _obs.span("transform"):
-                tp = transform_program(self.typed, entries, self.options,
-                                       ext_entries=(mono, *fun_args))
-            self._transformed[key] = (mono, tp)
-            return mono, tp
+        return self._prepare(fname, arg_types, fun_args, self.options, True)
 
+    @cached_property
     def _native_options(self) -> TransformOptions:
         """Transform options for the native backend: fusion is what the
         native code generator compiles, so a default pipeline is upgraded
         to ``fuse=True``; explicit ``passes`` lists and already-fused
         options are respected as-is."""
-        from dataclasses import replace
         o = self.options
         if not o.fuse and o.passes is None:
             o = replace(o, fuse=True)
@@ -162,23 +255,8 @@ class CompiledProgram:
                        ) -> tuple[str, TransformedProgram]:
         """Like :meth:`prepare` (or :meth:`prepare_batched`), but with the
         native backend's fused transform options (see docs/NATIVE.md)."""
-        key = (fname, arg_types, tuple(sorted(fun_args)),
-               "native-batched" if batched else "native")
-        if key in self._transformed:
-            return self._transformed[key]
-        with self._prep_lock:
-            if key in self._transformed:
-                return self._transformed[key]
-            with _obs.span("monomorphize"):
-                mono = self.typed.instance(fname, arg_types)
-            entries = [mono, *fun_args]
-            exts = (mono, *fun_args) if batched else tuple(fun_args)
-            with _obs.span("transform"):
-                tp = transform_program(self.typed, entries,
-                                       self._native_options(),
-                                       ext_entries=exts)
-            self._transformed[key] = (mono, tp)
-            return mono, tp
+        return self._prepare(fname, arg_types, fun_args,
+                             self._native_options, batched)
 
     def cost_certificate(self, fname: str, arg_types: tuple[T.Type, ...],
                          fun_args: Sequence[str] = ()) -> "CostCertificate":
@@ -193,26 +271,15 @@ class CompiledProgram:
         default pipeline would clean away, and the bound must cover
         them)."""
         from repro.analysis.cost import cost_certificate_for
-        key = (fname, arg_types, tuple(sorted(fun_args)), "cost")
+        key = (fname, arg_types, tuple(sorted(fun_args)))
         with self._prep_lock:
             cert = self._cost_certs.get(key)
-            if cert is not None:
-                return cert
-            cached = self._transformed.get(key)
-            if cached is None:
-                with _obs.span("monomorphize"):
-                    mono = self.typed.instance(fname, arg_types)
-                entries = [mono, *fun_args]
-                with _obs.span("transform"):
-                    tp = transform_program(
-                        self.typed, entries, _COST_OPTIONS,
-                        ext_entries=tuple(fun_args))
-                cached = (mono, tp)
-                self._transformed[key] = cached
-            mono, tp = cached
-            with _obs.span("analyze:cost"):
-                cert = cost_certificate_for(tp, mono)
-            self._cost_certs[key] = cert
+            if cert is None:
+                mono, tp = self._prepare(fname, arg_types, fun_args,
+                                         _COST_OPTIONS, False)
+                with _obs.span("analyze:cost"):
+                    cert = cost_certificate_for(tp, mono)
+                self._cost_certs[key] = cert
             return cert
 
     def _resolve_threads(self, fname: str, args: Sequence[Any],
@@ -236,27 +303,36 @@ class CompiledProgram:
             return default_threads()
         return pick_threads(p["work"], p["span"])
 
-    def _fun_value_entries(self, args: Sequence[Any],
-                           arg_types: tuple[T.Type, ...]) -> list[str]:
-        """Instantiate user functions passed by value as entry arguments."""
-        out = []
-        for v, t in zip(args, arg_types):
-            if isinstance(t, T.TFun):
-                name = v.name if hasattr(v, "name") else str(v)
-                if name in self.typed.source.defs:
-                    with self._prep_lock:
-                        out.append(self.typed.instance(name, t.params))
-        return out
-
     # -- execution ---------------------------------------------------------------
+
+    def _executor(self, row: Backend, g: Optional[GuardState],
+                  check: Union[bool, str], fname: str, args: Sequence[Any],
+                  arg_types: tuple[T.Type, ...], fun_entries: Sequence[str],
+                  threads: ThreadSpec, batched: bool) -> tuple[str, Any]:
+        """``(mono-name, executor)`` for one entry on one back end: the
+        program prepared with the row's options, the static discharge
+        installed in the active guard scope, the row's executor built."""
+        assert row.executor is not None
+        mono, tp = self._prepare(
+            fname, arg_types, fun_entries,
+            self._native_options if row.fused else self.options, batched)
+        if g is not None and check == "static" and row.static:
+            from repro.analysis.shapes import analyze_shapes
+            g.discharged = analyze_shapes(tp).discharged
+        nthreads = (self._resolve_threads(fname, args, arg_types,
+                                          fun_entries, threads)
+                    if row.threads else None)
+        return mono, row.executor(tp, nthreads)
 
     def run(self, fname: str, args: Sequence[Any], backend: str = "vector",
             types: Optional[Sequence[TypeLike]] = None,
             check: Union[bool, str] = False,
             budget: Optional[Budget] = None,
             threads: ThreadSpec = None) -> Any:
-        """Run ``fname(args)``; ``backend`` is ``"vector"``, ``"vcode"``,
-        ``"native"``, ``"parallel"``, or ``"interp"``.
+        """Run ``fname(args)``; ``backend`` is a key of :data:`BACKENDS`
+        (the capability table in docs/PIPELINE.md) — ``"vector"``,
+        ``"vcode"``, ``"native"``, ``"parallel"``, or ``"interp"``; any
+        other name is a ``ValueError``.
 
         ``"native"`` executes fused elementwise regions and segmented
         primitives as compiled C kernels (bit-identical to the NumPy
@@ -278,79 +354,23 @@ class CompiledProgram:
         :mod:`repro.guard` and docs/RELIABILITY.md).  All are scoped to
         this call and cost nothing when unused.
         """
-        discharged, entry = self._discharged(fname, args, types, check,
-                                             backend)
-        if check or (budget is not None and budget.any_set()):
-            with _guard.guarded(GuardConfig(check=bool(check),
-                                            budget=budget or Budget(),
-                                            discharged=discharged)):
-                return self._run_unguarded(fname, args, backend, types,
-                                           _entry=entry, _threads=threads)
-        return self._run_unguarded(fname, args, backend, types,
-                                   _threads=threads)
+        with _guard_scope(check, budget) as g:
+            return self._run(g, fname, args, backend, types, check, threads)
 
-    def _discharged(self, fname: str, args: Sequence[Any],
-                    types: Optional[Sequence[TypeLike]],
-                    check: Union[bool, str], backend: str,
-                    batched: bool = False) -> tuple[frozenset, Optional[tuple]]:
-        """Check tags the shape analysis discharges for this entry
-        (``check="static"`` on a vector backend only; empty otherwise),
-        plus the ``(arg_types, fun_entries)`` pair it had to compute — the
-        execution path reuses it so argument types are inferred exactly
-        once per call."""
-        if check != "static" or backend not in ("vector", "vcode", "native",
-                                                "parallel"):
-            return frozenset(), None
-        arg_types = self.entry_types(fname, args, types)
-        fun_entries = self._fun_value_entries(args, arg_types)
-        if backend in ("native", "parallel"):
-            _mono, tp = self.prepare_native(fname, arg_types, fun_entries,
-                                            batched=batched)
-        else:
-            prepare = self.prepare_batched if batched else self.prepare
-            _mono, tp = prepare(fname, arg_types, fun_entries)
-        from repro.analysis.shapes import analyze_shapes
-        return analyze_shapes(tp).discharged, (arg_types, fun_entries)
-
-    def _run_unguarded(self, fname: str, args: Sequence[Any],
-                       backend: str = "vector",
-                       types: Optional[Sequence[TypeLike]] = None,
-                       _entry: Optional[tuple] = None,
-                       _threads: ThreadSpec = None) -> Any:
-        if backend == "interp":
-            with _obs.span("execute:interp"):
+    def _run(self, g: Optional[GuardState], fname: str, args: Sequence[Any],
+             backend: str, types: Optional[Sequence[TypeLike]],
+             check: Union[bool, str], threads: ThreadSpec) -> Any:
+        """:meth:`run` inside its guard scope ``g`` (also each request of
+        :meth:`run_batched`'s per-request fallback, inside the batch's)."""
+        row = backend_row(backend)
+        if row.executor is None:
+            with _obs.span(f"execute:{backend}"):
                 return Interpreter(self.canonical).call(fname, list(args))
-        if backend == "interp-raw":
-            return Interpreter(self.raw).call(fname, list(args))
-        if backend == "vcode":
-            vm, mono = self.vcode_vm(fname, args, types, _entry=_entry)
-            with _obs.span("execute:vcode"):
-                return vm.call(mono, list(args))
-        if backend not in ("vector", "native", "parallel"):
-            raise ValueError(f"unknown backend {backend!r}")
-        if _entry is not None:
-            arg_types, fun_entries = _entry
-        else:
-            arg_types = self.entry_types(fname, args, types)
-            fun_entries = self._fun_value_entries(args, arg_types)
-        if backend == "native":
-            from repro.native.engine import get_engine
-            mono, tp = self.prepare_native(fname, arg_types, fun_entries)
-            with _obs.span("execute:native"):
-                return VectorEvaluator(tp, native=get_engine()).call(
-                    mono, list(args))
-        if backend == "parallel":
-            from repro.parallel.engine import get_parallel_engine
-            mono, tp = self.prepare_native(fname, arg_types, fun_entries)
-            nthreads = self._resolve_threads(fname, args, arg_types,
-                                             fun_entries, _threads)
-            with _obs.span("execute:parallel"):
-                return VectorEvaluator(
-                    tp, native=get_parallel_engine(nthreads)).call(
-                        mono, list(args))
-        mono, tp = self.prepare(fname, arg_types, fun_entries)
-        with _obs.span("execute:vector"):
-            return VectorEvaluator(tp).call(mono, list(args))
+        arg_types, fun_entries = self.resolve_entry(fname, args, types)
+        mono, ex = self._executor(row, g, check, fname, args, arg_types,
+                                  fun_entries, threads, batched=False)
+        with _obs.span(f"execute:{backend}"):
+            return ex.call(mono, list(args))
 
     # -- segment batching ------------------------------------------------------
 
@@ -370,8 +390,9 @@ class CompiledProgram:
         paper, so the results are element-wise identical to N independent
         :meth:`run` calls (a tested property; see docs/SERVING.md).
 
-        Batching applies to the ``vector``, ``vcode`` and ``native`` back
-        ends.  The
+        Batching applies to every back end whose :data:`BACKENDS` row
+        says ``batches`` — ``vector``, ``vcode``, ``native`` and
+        ``parallel``.  The
         reference interpreter has no vector representation to pack, so
         ``backend="interp"`` — like zero-argument or function-valued-
         argument entries — falls back to a per-request loop with the same
@@ -380,80 +401,41 @@ class CompiledProgram:
         :class:`repro.serve.BatchExecutor` never coalesces budgeted
         requests).
         """
+        row = backend_row(backend)
         argsets = [list(a) for a in argsets]
         if not argsets:
             return []
-        discharged, entry = self._discharged(fname, argsets[0], types, check,
-                                             backend, batched=True)
-        if check or (budget is not None and budget.any_set()):
-            with _guard.guarded(GuardConfig(check=bool(check),
-                                            budget=budget or Budget(),
-                                            discharged=discharged)):
-                return self._run_batched_unguarded(fname, argsets, backend,
-                                                   types, _entry=entry,
-                                                   _threads=threads)
-        return self._run_batched_unguarded(fname, argsets, backend, types,
-                                           _threads=threads)
+        with _guard_scope(check, budget) as g:
+            arg_types = self.entry_types(fname, argsets[0], types)
+            if (not row.batches or not arg_types
+                    or any(isinstance(t, T.TFun) for t in arg_types)):
+                return [self._run(g, fname, args, backend, types, check,
+                                  threads) for args in argsets]
 
-    def _run_batched_unguarded(self, fname: str, argsets: list[list],
-                               backend: str,
-                               types: Optional[Sequence[TypeLike]],
-                               _entry: Optional[tuple] = None,
-                               _threads: ThreadSpec = None) -> list:
-        arg_types = (_entry[0] if _entry is not None
-                     else self.entry_types(fname, argsets[0], types))
-        if (backend == "interp" or not arg_types
-                or any(isinstance(t, T.TFun) for t in arg_types)):
-            return [self._run_unguarded(fname, args, backend, types)
-                    for args in argsets]
-        if backend not in ("vector", "vcode", "native", "parallel"):
-            raise ValueError(f"unknown backend {backend!r}")
+            from repro.transform.extensions import ext1_name
+            from repro.vector.batch import pack_values, unpack_values
 
-        from repro.transform.extensions import ext1_name
-        from repro.vector.batch import pack_values, unpack_values
-
-        if backend in ("native", "parallel"):
-            mono, tp = self.prepare_native(fname, arg_types, batched=True)
-        else:
-            mono, tp = self.prepare_batched(fname, arg_types)
-        entry_def = tp.defs[mono]
-        n = len(argsets)
-        with _obs.span(f"batch:pack[{n}]"):
-            cols = []
-            for j, t in enumerate(arg_types):
-                col = []
-                for args in argsets:
-                    if len(args) != len(arg_types):
-                        raise EvalError(
-                            f"{fname} expects {len(arg_types)} arguments, "
-                            f"got {len(args)}")
-                    col.append(from_python(args[j], t))
-                cols.append(pack_values(col, t))
-        ext = ext1_name(mono)
-        if backend in ("vector", "native", "parallel"):
-            native = None
-            if backend == "native":
-                from repro.native.engine import get_engine
-                native = get_engine()
-            elif backend == "parallel":
-                from repro.parallel.engine import get_parallel_engine
-                native = get_parallel_engine(self._resolve_threads(
-                    fname, argsets[0], arg_types, (), _threads))
-            ev = VectorEvaluator(tp, native=native)
+            mono, ex = self._executor(row, g, check, fname, argsets[0],
+                                      arg_types, (), threads, batched=True)
+            n = len(argsets)
+            with _obs.span(f"batch:pack[{n}]"):
+                cols = []
+                for j, t in enumerate(arg_types):
+                    col = []
+                    for args in argsets:
+                        if len(args) != len(arg_types):
+                            raise EvalError(
+                                f"{fname} expects {len(arg_types)} "
+                                f"arguments, got {len(args)}")
+                        col.append(from_python(args[j], t))
+                    cols.append(pack_values(col, t))
             with _guard.scoped_recursion_limit(200_000), \
                     _obs.span(f"execute:{backend}-batch[{n}]"):
-                out = ev.call_raw(ext, cols)
-        else:
-            from repro.vcode.compile import compile_transformed
-            from repro.vcode.vm import VM
-            with _obs.span("vcode-compile"):
-                vm = VM(compile_transformed(tp), fusion=tp.fusion)
-            with _guard.scoped_recursion_limit(200_000), \
-                    _obs.span(f"execute:vcode-batch[{n}]"):
-                out = vm.call_raw(ext, cols)
-        with _obs.span(f"batch:unpack[{n}]"):
-            parts = unpack_values(out, entry_def.ret_type, n)
-            return [to_python(p, entry_def.ret_type) for p in parts]
+                out = ex.call_raw(ext1_name(mono), cols)
+            ret_type = self.typed.result_type(mono)
+            with _obs.span(f"batch:unpack[{n}]"):
+                parts = unpack_values(out, ret_type, n)
+                return [to_python(p, ret_type) for p in parts]
 
     # -- VCODE / machine model ------------------------------------------------------
 
@@ -465,20 +447,10 @@ class CompiledProgram:
         return mono, compile_transformed(tp)
 
     def vcode_vm(self, fname: str, args: Sequence[Any],
-                 types: Optional[Sequence[TypeLike]] = None,
-                 _entry: Optional[tuple] = None):
+                 types: Optional[Sequence[TypeLike]] = None):
         """A fresh VM (with trace recording) for an entry; returns (vm, mono)."""
-        from repro.vcode.compile import compile_transformed
-        from repro.vcode.vm import VM
-        if _entry is not None:
-            arg_types, fun_entries = _entry
-        else:
-            arg_types = self.entry_types(fname, args, types)
-            fun_entries = self._fun_value_entries(args, arg_types)
-        mono, tp = self.prepare(fname, arg_types, fun_entries)
-        with _obs.span("vcode-compile"):
-            vm = VM(compile_transformed(tp), fusion=tp.fusion)
-        return vm, mono
+        mono, tp = self.prepare(fname, *self.resolve_entry(fname, args, types))
+        return _vcode_executor(tp, None), mono
 
     def vector_trace(self, fname: str, args: Sequence[Any],
                      types: Optional[Sequence[TypeLike]] = None
@@ -530,8 +502,10 @@ class CompiledProgram:
                 types: Optional[Sequence[TypeLike]] = None,
                 check: Union[bool, str] = False,
                 budget: Optional[Budget] = None) -> Any:
-        """Run on all three back ends (interp, vector, vcode) and assert
-        three-way agreement; returns the common value."""
+        """Run on the interpreter, the vector evaluator and the VCODE VM
+        (three of the five :data:`BACKENDS`; ``native`` and ``parallel``
+        share the vector evaluator) and assert three-way agreement;
+        returns the common value."""
         vec, ref = self.run_both(fname, args, types, check=check, budget=budget)
         vc = self.run(fname, args, "vcode", types, check=check, budget=budget)
         if vc != vec:
@@ -543,8 +517,8 @@ class CompiledProgram:
     def profile(self, fname: str, args: Sequence[Any],
                 backend: str = "vector",
                 types: Optional[Sequence[TypeLike]] = None,
-                threads: Optional[int] = None,
-                **meta) -> tuple[Any, "ProfileReport"]:
+                threads: ThreadSpec = None,
+                **meta: Any) -> tuple[Any, "ProfileReport"]:
         """Run ``fname(args)`` under the observability layer and return
         ``(result, ProfileReport)``.
 
@@ -554,9 +528,8 @@ class CompiledProgram:
         appear (profile a fresh :func:`compile_program` to see compile
         phases).  See docs/OBSERVABILITY.md.
         """
-        from repro.obs import Profiler, profiling
-        prof = Profiler()
-        with profiling(prof):
+        from repro.obs import profiling
+        with profiling() as prof:
             result = self.run(fname, args, backend, types, threads=threads)
         return result, prof.report(entry=fname, backend=backend, **meta)
 
@@ -580,9 +553,7 @@ class CompiledProgram:
                   ) -> tuple[VectorEvaluator, str, list]:
         """Lower-level access: (evaluator, mono-name, args) for callers that
         drive execution themselves (the VCODE compiler, the simulator)."""
-        arg_types = self.entry_types(fname, args, types)
-        fun_entries = self._fun_value_entries(args, arg_types)
-        mono, tp = self.prepare(fname, arg_types, fun_entries)
+        mono, tp = self.prepare(fname, *self.resolve_entry(fname, args, types))
         return VectorEvaluator(tp), mono, list(args)
 
     # -- inspection ----------------------------------------------------------------

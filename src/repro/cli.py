@@ -45,10 +45,10 @@ from __future__ import annotations
 import argparse
 import ast as pyast
 import sys
-from contextlib import nullcontext as _no_guard
+from contextlib import ExitStack
 from typing import Optional
 
-from repro.api import compile_program
+from repro.api import BACKENDS, compile_program
 from repro.errors import (
     AnalysisError, InvariantError, NativeCompileError, ReproError,
     ResourceLimitError, WorkerCrashError,
@@ -188,6 +188,17 @@ def _pass_options(ns) -> Optional[TransformOptions]:
         print_ir_all=all_, print_ir_after=after)
 
 
+def _backend_flags(sp, threads=None, threads_help=None) -> None:
+    """``--backend`` (one of :data:`repro.api.BACKENDS`) plus, when
+    ``threads`` names its value parser, ``--threads``."""
+    sp.add_argument("--backend", default="vector", choices=list(BACKENDS))
+    if threads is not None:
+        sp.add_argument("--threads", type=threads, default=None,
+                        metavar="N|auto" if threads is _threads_arg else "N",
+                        help=threads_help
+                        or "worker threads for --backend parallel")
+
+
 def _guard_flags(sp) -> None:
     g = sp.add_argument_group(
         "guard options", "strict checking and resource budgets "
@@ -208,6 +219,42 @@ def _guard_flags(sp) -> None:
                    help="abort after a wall-clock deadline")
     g.add_argument("--max-depth", type=int, metavar="N",
                    help="abort beyond N nested user-function calls")
+
+
+def _report_flags(sp, output: str, what: str) -> None:
+    """The target + JSON-report flags ``profile`` and ``analyze`` share:
+    entry and arguments default to the example's ``PROFILE_*``."""
+    sp.add_argument("file", help="P source file or examples/*.py script")
+    sp.add_argument("-e", "--entry", default=None,
+                    help="entry function (default: the example's "
+                         "PROFILE_ENTRY, else main)")
+    sp.add_argument("-a", "--arg", action="append", default=[],
+                    help="argument as a Python literal (default: the "
+                         "example's PROFILE_ARGS)")
+    sp.add_argument("-t", "--type", action="append", default=[],
+                    help="argument type in P syntax (repeatable)")
+    sp.add_argument("-o", "--output", default=output,
+                    help=f"where to write the JSON report (default: {output})")
+    sp.add_argument("--no-write", action="store_true",
+                    help=f"print the {what} only, write no JSON file")
+
+
+def _report_target(ns) -> tuple[str, str, list]:
+    """``(source, entry, args)`` of a ``profile``/``analyze`` command."""
+    src, spec = _read_source(ns.file)
+    entry = ns.entry or spec.get("PROFILE_ENTRY") or "main"
+    if ns.arg:
+        return src, entry, [_literal(a) for a in ns.arg]
+    return src, entry, list(spec.get("PROFILE_ARGS", []))
+
+
+def _save_report(report, ns) -> None:
+    if not ns.no_write:
+        try:
+            report.save(ns.output)
+        except OSError as e:
+            raise SystemExit(f"cannot write {ns.output}: {e}")
+        print(f"wrote {ns.output}")
 
 
 def _budget(ns) -> Budget:
@@ -247,15 +294,11 @@ def _parser() -> argparse.ArgumentParser:
         return sp
 
     sp = common(sub.add_parser("run", help="run an entry function"))
-    sp.add_argument("--backend", default="vector",
-                    choices=["vector", "interp", "vcode", "native",
-                             "parallel"])
-    sp.add_argument("--threads", type=_threads_arg, default=None,
-                    metavar="N|auto",
-                    help="worker threads for --backend parallel: a "
-                         "count, or 'auto' to size from the predicted "
-                         "concurrency (work/span) of the static cost "
-                         "analysis (default: all CPUs; docs/PARALLEL.md)")
+    _backend_flags(sp, _threads_arg,
+                   "worker threads for --backend parallel: a count, or "
+                   "'auto' to size from the predicted concurrency "
+                   "(work/span) of the static cost analysis (default: all "
+                   "CPUs; docs/PARALLEL.md)")
     sp.add_argument("--profile", action="store_true",
                     help="print the observability report after the result")
     _pass_flags(sp)
@@ -263,12 +306,7 @@ def _parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate a standalone expression")
     ev.add_argument("expr")
-    ev.add_argument("--backend", default="vector",
-                    choices=["vector", "interp", "vcode", "native",
-                             "parallel"])
-    ev.add_argument("--threads", type=_threads_arg, default=None,
-                    metavar="N|auto",
-                    help="worker threads for --backend parallel")
+    _backend_flags(ev, _threads_arg)
     _guard_flags(ev)
 
     ck = common(sub.add_parser(
@@ -343,46 +381,15 @@ def _parser() -> argparse.ArgumentParser:
         "profile",
         help="run under the observability layer: per-kernel counter "
              "tables, phase spans, and a profile.json")
-    pf.add_argument("file", help="P source file or examples/*.py script")
-    pf.add_argument("-e", "--entry", default=None,
-                    help="entry function (default: the example's "
-                         "PROFILE_ENTRY, else main)")
-    pf.add_argument("-a", "--arg", action="append", default=[],
-                    help="argument as a Python literal (default: the "
-                         "example's PROFILE_ARGS)")
-    pf.add_argument("-t", "--type", action="append", default=[],
-                    help="argument type in P syntax (repeatable)")
-    pf.add_argument("--backend", default="vector",
-                    choices=["vector", "vcode", "interp", "native",
-                             "parallel"])
-    pf.add_argument("--threads", type=_threads_arg, default=None,
-                    metavar="N|auto",
-                    help="worker threads for --backend parallel")
-    pf.add_argument("-o", "--output", default="profile.json",
-                    help="where to write the JSON report "
-                         "(default: profile.json)")
-    pf.add_argument("--no-write", action="store_true",
-                    help="print the tables only, write no JSON file")
+    _report_flags(pf, "profile.json", "tables")
+    _backend_flags(pf, _threads_arg)
 
     an = sub.add_parser(
         "analyze",
         help="static analysis: the phase-boundary IR verifier, the "
              "symbolic shape analysis (which guard checks are statically "
              "discharged), and the VCODE lint (docs/ANALYSIS.md)")
-    an.add_argument("file", help="P source file or examples/*.py script")
-    an.add_argument("-e", "--entry", default=None,
-                    help="entry function (default: the example's "
-                         "PROFILE_ENTRY, else main)")
-    an.add_argument("-a", "--arg", action="append", default=[],
-                    help="argument as a Python literal (default: the "
-                         "example's PROFILE_ARGS)")
-    an.add_argument("-t", "--type", action="append", default=[],
-                    help="argument type in P syntax (repeatable)")
-    an.add_argument("-o", "--output", default="analysis.json",
-                    help="where to write the JSON report "
-                         "(default: analysis.json)")
-    an.add_argument("--no-write", action="store_true",
-                    help="print the report only, write no JSON file")
+    _report_flags(an, "analysis.json", "report")
     an.add_argument("--cost", action="store_true",
                     help="also run the symbolic work/span/memory cost "
                          "analysis: per-definition bounds in the output "
@@ -413,9 +420,7 @@ def _parser() -> argparse.ArgumentParser:
                          "(docs/PARALLEL.md)")
 
     rp = sub.add_parser("repl", help="interactive read-eval-print loop")
-    rp.add_argument("--backend", default="vector",
-                    choices=["vector", "interp", "vcode", "native",
-                             "parallel"])
+    _backend_flags(rp)
 
     sv = sub.add_parser(
         "serve",
@@ -424,12 +429,8 @@ def _parser() -> argparse.ArgumentParser:
     sv.add_argument("file", nargs="?", default=None,
                     help="P source file used when a request has no "
                          "\"source\" field")
-    sv.add_argument("--backend", default="vector",
-                    choices=["vector", "interp", "vcode", "native",
-                             "parallel"])
-    sv.add_argument("--threads", type=int, default=None, metavar="N",
-                    help="worker threads per parallel-backend execution "
-                         "(default: all CPUs; docs/PARALLEL.md)")
+    _backend_flags(sv, int, "worker threads per parallel-backend execution "
+                            "(default: all CPUs; docs/PARALLEL.md)")
     sv.add_argument("--max-batch", type=int, default=64, metavar="N",
                     help="largest coalesced batch (default: 64)")
     sv.add_argument("--max-queue", type=int, default=1024, metavar="N",
@@ -509,20 +510,17 @@ def _dispatch(ns) -> int:
     if ns.cmd == "run":
         prog = _load(ns.file, options=_pass_options(ns))
         args = [_literal(a) for a in ns.arg]
-        if ns.profile:
-            cfg = _guard_config(ns)
-            with guarded(cfg) if cfg is not None else _no_guard():
-                result, report = prog.profile(ns.entry, args,
-                                              backend=ns.backend,
-                                              types=_entry_types(ns),
-                                              threads=ns.threads)
-            print(result)
-            print(report.table())
-        else:
+        with ExitStack() as stack:
+            prof = None
+            if ns.profile:
+                from repro.obs import profiling
+                prof = stack.enter_context(profiling())
             print(prog.run(ns.entry, args, backend=ns.backend,
                            types=_entry_types(ns),
                            check=ns.check or False, budget=_budget(ns),
                            threads=ns.threads))
+        if prof is not None:
+            print(prof.report(entry=ns.entry, backend=ns.backend).table())
         return 0
 
     if ns.cmd == "check":
@@ -544,80 +542,55 @@ def _dispatch(ns) -> int:
             print(f"  {backend:8s} -> {v!r}", file=sys.stderr)
         return EXIT_DISAGREE
 
-    if ns.cmd == "fuzz" and ns.cost:
-        from repro.fuzz import fuzz_cost
-        interval = max(1, ns.count // 10)
-
-        def cost_progress(i: int, report) -> None:
-            if not ns.quiet and (i + 1) % interval == 0:
-                print(f"  {i + 1}/{ns.count}: {report.summary()}")
-
-        report = fuzz_cost(ns.seed, ns.count, shrink=not ns.no_shrink,
-                           progress=cost_progress)
-        print(report.summary())
-        for v in report.violations:
-            print()
-            print(v.describe())
-        for seed, msg in report.invalid:
-            print(f"invalid program (generator bug) at seed {seed}: {msg}",
-                  file=sys.stderr)
-        if report.violations:
-            return EXIT_DISAGREE
-        return EXIT_OK if report.ok else EXIT_ERROR
-
     if ns.cmd == "fuzz":
-        from repro.fuzz import fuzz
+        from repro.fuzz import fuzz, fuzz_cost
         from repro.fuzz.differ import resolve_backends
-        try:
-            backends = resolve_backends(ns.backends)
-        except ValueError as e:
-            print(f"fuzz: {e}", file=sys.stderr)
-            return EXIT_USAGE
-        if ns.threads is not None:
-            from repro.parallel import set_default_threads
-            set_default_threads(ns.threads)
         interval = max(1, ns.count // 10)
 
         def progress(i: int, report) -> None:
             if not ns.quiet and (i + 1) % interval == 0:
                 print(f"  {i + 1}/{ns.count}: {report.summary()}")
 
-        if ns.serve_pool:
-            from contextlib import ExitStack
-
-            from repro.serve import PoolConfig, WorkerPool
-            stack = ExitStack()
-            pool = stack.enter_context(
-                WorkerPool(PoolConfig(workers=2, native_after=0)))
-            if not ns.quiet:
-                print("fuzz: vector lane served through a 2-process "
-                      "worker pool")
+        if ns.cost:
+            report = fuzz_cost(ns.seed, ns.count, shrink=not ns.no_shrink,
+                               progress=progress)
+            findings = report.violations
         else:
-            from contextlib import nullcontext
-            stack, pool = nullcontext(), None
-        with stack:
-            report = fuzz(ns.seed, ns.count, check=ns.check,
-                          shrink=not ns.no_shrink, progress=progress,
-                          backends=backends, pool=pool)
+            try:
+                backends = resolve_backends(ns.backends)
+            except ValueError as e:
+                print(f"fuzz: {e}", file=sys.stderr)
+                return EXIT_USAGE
+            if ns.threads is not None:
+                from repro.parallel import set_default_threads
+                set_default_threads(ns.threads)
+            with ExitStack() as stack:
+                pool = None
+                if ns.serve_pool:
+                    from repro.serve import PoolConfig, WorkerPool
+                    pool = stack.enter_context(
+                        WorkerPool(PoolConfig(workers=2, native_after=0)))
+                    if not ns.quiet:
+                        print("fuzz: vector lane served through a 2-process "
+                              "worker pool")
+                report = fuzz(ns.seed, ns.count, check=ns.check,
+                              shrink=not ns.no_shrink, progress=progress,
+                              backends=backends, pool=pool)
+            findings = report.disagreements
         print(report.summary())
-        for d in report.disagreements:
+        for d in findings:
             print()
             print(d.describe())
         for seed, msg in report.invalid:
             print(f"invalid program (generator bug) at seed {seed}: {msg}",
                   file=sys.stderr)
-        if report.disagreements:
+        if findings:
             return EXIT_DISAGREE
         return EXIT_OK if report.ok else EXIT_ERROR
 
     if ns.cmd == "profile":
         from repro.obs import Profiler, profiling
-        src, spec = _read_source(ns.file)
-        entry = ns.entry or spec.get("PROFILE_ENTRY") or "main"
-        if ns.arg:
-            args = [_literal(a) for a in ns.arg]
-        else:
-            args = list(spec.get("PROFILE_ARGS", []))
+        src, entry, args = _report_target(ns)
         prof = Profiler()
         with profiling(prof):
             prog = _compile(src)
@@ -626,31 +599,16 @@ def _dispatch(ns) -> int:
         report = prof.report(entry=entry, backend=ns.backend, file=ns.file)
         print(f"result: {result}")
         print(report.table())
-        if not ns.no_write:
-            try:
-                report.save(ns.output)
-            except OSError as e:
-                raise SystemExit(f"cannot write {ns.output}: {e}")
-            print(f"wrote {ns.output}")
+        _save_report(report, ns)
         return 0
 
     if ns.cmd == "analyze":
         from repro.analysis.report import analyze_source
-        src, spec = _read_source(ns.file)
-        entry = ns.entry or spec.get("PROFILE_ENTRY") or "main"
-        if ns.arg:
-            args = [_literal(a) for a in ns.arg]
-        else:
-            args = list(spec.get("PROFILE_ARGS", []))
+        src, entry, args = _report_target(ns)
         report = analyze_source(src, entry, args, types=_entry_types(ns),
                                 file=ns.file, cost=ns.cost)
         print(report.render())
-        if not ns.no_write:
-            try:
-                report.save(ns.output)
-            except OSError as e:
-                raise SystemExit(f"cannot write {ns.output}: {e}")
-            print(f"wrote {ns.output}")
+        _save_report(report, ns)
         return 0
 
     if ns.cmd == "transform":
@@ -691,17 +649,14 @@ def _dispatch(ns) -> int:
         args = [_literal(a) for a in ns.arg]
         prof = None
         cfg = _guard_config(ns)
-        guard_scope = guarded(cfg) if cfg is not None else _no_guard()
-        if ns.profile:
-            from repro.obs import Profiler, profiling
-            prof = Profiler()
-            with profiling(prof), guard_scope:
-                result, trace = prog.vector_trace(ns.entry, args,
-                                                  types=_entry_types(ns))
-        else:
-            with guard_scope:
-                result, trace = prog.vector_trace(ns.entry, args,
-                                                  types=_entry_types(ns))
+        with ExitStack() as stack:
+            if ns.profile:
+                from repro.obs import profiling
+                prof = stack.enter_context(profiling())
+            if cfg is not None:
+                stack.enter_context(guarded(cfg))
+            result, trace = prog.vector_trace(ns.entry, args,
+                                              types=_entry_types(ns))
         print(f"result: {result}")
         from repro.machine import CommMachine, VectorMachine, classify_trace, top_ops
         machine = CommMachine if ns.comm else VectorMachine
@@ -981,8 +936,7 @@ def repl(backend: str = "vector", stdin=None, stdout=None) -> int:
             say("EXPR                     evaluate an expression")
             say(":defs                    list definitions")
             say(":transform NAME          show a function's flattened form")
-            say(":backend NAME            switch "
-                "vector|interp|vcode|native|parallel")
+            say(f":backend NAME            switch {'|'.join(BACKENDS)}")
             say(":quit                    leave")
             continue
         if line == ":defs":
@@ -991,7 +945,7 @@ def repl(backend: str = "vector", stdin=None, stdout=None) -> int:
             continue
         if line.startswith(":backend"):
             cand = line.split(None, 1)[-1]
-            if cand in ("vector", "interp", "vcode", "native", "parallel"):
+            if cand in BACKENDS:
                 backend = cand
                 say(f"back end: {backend}")
             else:

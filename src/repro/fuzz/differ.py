@@ -13,9 +13,11 @@ smaller program still disagrees the same way).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro import api
 from repro.errors import ReproError
 from repro.fuzz.gen import (
     ATOMS, PARAMS, FuzzCase, Node, gen_case, leaf, replace_at, subnodes,
@@ -25,11 +27,21 @@ from repro.guard.runtime import Budget
 BACKENDS = ("interp", "vector", "vcode")
 
 #: every back end the differ can drive (the default trio plus opt-ins)
-ALL_BACKENDS = ("interp", "vector", "vcode", "native", "parallel")
+ALL_BACKENDS = tuple(api.BACKENDS)
 
-#: why an opt-in back end gets dropped up front on machines that cannot
-#: exercise it (rendered in the report summary)
-_SKIP_REASONS = {"native": "no C toolchain", "parallel": "single CPU"}
+
+def skip_reason(backend: str) -> Optional[str]:
+    """Why this machine cannot exercise a back end's lane, or None when
+    it can: ``native`` without a C toolchain is a redundant NumPy-fallback
+    lane, ``parallel`` on one CPU adds nothing over the lanes it is
+    supposed to disagree with."""
+    if backend == "native":
+        from repro.native import toolchain
+        return None if toolchain.available() else "no C toolchain"
+    if backend == "parallel" and (os.cpu_count() or 1) < 2:
+        return "single CPU"
+    return None
+
 
 #: Safety net so a fuzzer-found non-termination or blow-up fails fast
 #: instead of hanging the run (generated programs are total by
@@ -97,7 +109,7 @@ class FuzzReport:
             out += f" (invalid seeds: {seeds}…)"
         if self.skipped_backends:
             noted = ", ".join(
-                f"{b} ({_SKIP_REASONS[b]})" if b in _SKIP_REASONS else b
+                f"{b} ({why})" if (why := skip_reason(b)) else b
                 for b in self.skipped_backends)
             out += f" [skipped: {noted}]"
         return out
@@ -118,8 +130,7 @@ def run_case(case: FuzzCase, check: bool = False,
     stack's argument/result/error marshalling: a value corrupted (or an
     error retyped) on the way through a worker shows up as an ordinary
     back-end disagreement."""
-    from repro.api import compile_program
-    prog = compile_program(case.source)
+    prog = api.compile_program(case.source)
     out: dict[str, Outcome] = {}
     for backend in backends:
         try:
@@ -307,10 +318,9 @@ def _measure_cost(case: FuzzCase) -> tuple[str, Optional[CostViolation]]:
     Returns a status tag plus the violation (when there is one).
     Compile/analysis crashes propagate — those are analyzer bugs, not
     soundness outcomes."""
-    from repro.api import compile_program
     from repro.guard.runtime import GuardConfig, guarded
 
-    prog = compile_program(case.source)
+    prog = api.compile_program(case.source)
     arg_types = prog.entry_types(case.entry, list(case.args),
                                  list(case.types))
     cert = prog.cost_certificate(case.entry, arg_types)
@@ -462,24 +472,11 @@ def fuzz(seed: int, count: int, check: bool = False, shrink: bool = True,
     are shrunk (unless ``shrink=False``) and collected in the report.
 
     ``backends`` selects the back ends to differentiate; lanes a machine
-    cannot exercise are dropped up front and recorded in
-    ``report.skipped_backends``: ``native`` when no C toolchain is
-    available (a redundant NumPy-fallback lane otherwise), ``parallel``
-    on single-CPU machines (where it would add nothing over the lanes it
-    is supposed to disagree with)."""
-    backends = tuple(backends)
-    skipped: list[str] = []
-    if "native" in backends:
-        from repro.native import toolchain
-        if not toolchain.available():
-            backends = tuple(b for b in backends if b != "native")
-            skipped.append("native")
-    if "parallel" in backends:
-        import os
-        if (os.cpu_count() or 1) < 2:
-            backends = tuple(b for b in backends if b != "parallel")
-            skipped.append("parallel")
-    report = FuzzReport(skipped_backends=tuple(skipped))
+    cannot exercise (:func:`skip_reason`) are dropped up front and
+    recorded in ``report.skipped_backends``."""
+    skipped = tuple(b for b in backends if skip_reason(b))
+    backends = tuple(b for b in backends if b not in skipped)
+    report = FuzzReport(skipped_backends=skipped)
     for i in range(count):
         case = gen_case(seed + i)
         report.count += 1

@@ -13,7 +13,7 @@ calls — a property enforced by the batching test battery
 
 Coalescing rules (see docs/SERVING.md):
 
-* requests group by :func:`_batch_key` — same source, options, entry,
+* requests group by :meth:`_Request.key` — same source, options, entry,
   argument-type signature, back end, and ``check`` flag;
 * requests carrying a :class:`~repro.guard.Budget` are **never**
   coalesced: budgets are per-request ceilings, and one guard scope cannot
@@ -59,11 +59,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
+from repro.api import backend_row
 from repro.errors import NativeCompileError, ReproError, ResourceLimitError
 from repro.guard.runtime import Budget
-from repro.lang import types as T
 from repro.obs import runtime as _obs
 from repro.serve.cache import CompileCache, cache_key
+from repro.serve.policy import TierPolicy
 from repro.transform.pipeline import TransformOptions
 
 __all__ = ["ServeConfig", "ServeFuture", "ServeStats", "BatchExecutor"]
@@ -193,27 +194,57 @@ def _name_request(e: ResourceLimitError, rid: str) -> ResourceLimitError:
 
 
 class _Request:
-    """One queued unit of work."""
+    """One unit of work, as both executors queue it."""
 
     __slots__ = ("rid", "source", "fname", "args", "types", "backend",
                  "check", "budget", "options", "use_prelude", "deadline",
                  "future", "batch_key")
 
-    def __init__(self, rid, source, fname, args, types, backend, check,
-                 budget, options, use_prelude, deadline):
+    def __init__(self, rid, config, source, fname, args, types, backend,
+                 check, budget, options, use_prelude, deadline_s):
+        self.backend = backend if backend is not None else config.backend
+        backend_row(self.backend)    # an unknown name fails before any work
         self.rid = rid
         self.source = source
         self.fname = fname
         self.args = list(args)
-        self.types = types
-        self.backend = backend
-        self.check = check
+        self.types = tuple(types) if types is not None else None
+        self.check = check if check is not None else config.check
         self.budget = budget
         self.options = options
         self.use_prelude = use_prelude
-        self.deadline = deadline
+        self.deadline = (time.monotonic() + deadline_s
+                         if deadline_s is not None else None)
         self.future = ServeFuture()
         self.batch_key: Optional[tuple] = None
+
+    def key(self) -> Optional[tuple]:
+        """The coalescing key, or None when the request must run alone
+        (it carries a budget)."""
+        if self.budget is not None and self.budget.any_set():
+            return None
+        if self.batch_key is None:
+            self.batch_key = (cache_key(self.source, self.options,
+                                        self.use_prelude),
+                              self.fname, self.types, self.backend,
+                              self.check)
+        return self.batch_key
+
+
+def _coalesce(queue: deque, max_batch: int) -> list:
+    """Pop the oldest request plus every queued one with the same key, up
+    to ``max_batch`` (a budgeted request comes out alone); the rest keep
+    their order.  The caller holds the lock that guards ``queue``."""
+    head = queue.popleft()
+    group = [head]
+    key = head.key()
+    if key is not None and queue:
+        kept = []
+        while queue and len(group) < max_batch:
+            r = queue.popleft()
+            (group if r.key() == key else kept).append(r)
+        queue.extendleft(reversed(kept))
+    return group
 
 
 class BatchExecutor:
@@ -241,9 +272,9 @@ class BatchExecutor:
         self._rid = itertools.count(1)         # fallback request-id source
         self._lock = threading.Lock()          # queue + stats
         self._work = threading.Condition(self._lock)   # queue not empty / closed
-        self._tier_counts: dict = {}           # batch key -> requests served
-        self._tier_promoted: set = set()       # keys now on the native tier
-        self._breakers: dict = {}              # batch key -> CircuitBreaker
+        self.tier = TierPolicy(self.config.native_after,
+                               self.config.breaker_failures,
+                               self.config.breaker_cooldown_s, self.stats)
         self._queue: deque[_Request] = deque()
         self._idle_wakeups = 0                 # fallback-heartbeat timeouts
         self._closed = False
@@ -269,7 +300,8 @@ class BatchExecutor:
 
         Raises ``ResourceLimitError("queue-depth", ...)`` when the bounded
         queue is full — the caller sheds load instead of the server
-        accumulating unbounded work.
+        accumulating unbounded work — and ``ValueError`` for a back end
+        :data:`repro.api.BACKENDS` does not list.
 
         ``request_id`` names the request in every budget/deadline/
         backpressure :class:`~repro.errors.ResourceLimitError` it can
@@ -279,12 +311,8 @@ class BatchExecutor:
         """
         req = _Request(
             request_id if request_id is not None else f"r{next(self._rid)}",
-            source, fname, args,
-            tuple(types) if types is not None else None,
-            backend if backend is not None else self.config.backend,
-            check if check is not None else self.config.check,
-            budget, options, use_prelude,
-            time.monotonic() + deadline_s if deadline_s is not None else None)
+            self.config, source, fname, args, types, backend, check, budget,
+            options, use_prelude, deadline_s)
         if (self.config.predict_admission and budget is not None
                 and budget.any_set()):
             self._admit(req)     # may raise ResourceLimitError("predicted-…")
@@ -354,11 +382,8 @@ class BatchExecutor:
                         self._finish(req, error=e)
 
     def _take_group(self) -> Optional[list[_Request]]:
-        """The next coalescible group of requests, or None at shutdown.
-
-        Takes the oldest request, then greedily collects every other
-        queued request with the same batch key, up to ``max_batch``.
-        Single-only requests (budgeted ones) come out alone.
+        """The next coalescible group of requests (:func:`_coalesce`),
+        or None at shutdown.
 
         Idle dispatchers sleep on a condition notified by ``submit`` and
         ``close`` — no polling; ``poll_s`` is only a fallback heartbeat
@@ -368,35 +393,11 @@ class BatchExecutor:
         with self._work:
             while True:
                 if self._queue:
-                    head = self._queue.popleft()
-                    group = [head]
-                    key = self._key_of(head)
-                    if key is not None and len(self._queue) > 0:
-                        kept: deque[_Request] = deque()
-                        while self._queue and len(group) < self.config.max_batch:
-                            r = self._queue.popleft()
-                            if self._key_of(r) == key:
-                                group.append(r)
-                            else:
-                                kept.append(r)
-                        kept.extend(self._queue)
-                        self._queue = kept
-                    return group
+                    return _coalesce(self._queue, self.config.max_batch)
                 if self._closed:
                     return None
                 if not self._work.wait(self.config.poll_s):
                     self._idle_wakeups += 1
-
-    @staticmethod
-    def _key_of(req: _Request) -> Optional[tuple]:
-        """The coalescing key, or None when the request must run alone."""
-        if req.budget is not None and req.budget.any_set():
-            return None
-        if req.batch_key is None:
-            req.batch_key = (cache_key(req.source, req.options,
-                                       req.use_prelude),
-                             req.fname, req.types, req.backend, req.check)
-        return req.batch_key
 
     # -- predicted-budget admission (docs/ANALYSIS.md, docs/SERVING.md) --
 
@@ -405,9 +406,8 @@ class BatchExecutor:
         program is unbounded / prediction fails for any reason."""
         try:
             prog = self.cache.get(req.source, req.options, req.use_prelude)
-            arg_types = prog.entry_types(req.fname, req.args, req.types)
-            fun_entries = prog._fun_value_entries(req.args, arg_types)
-            cert = prog.cost_certificate(req.fname, arg_types, fun_entries)
+            cert = prog.cost_certificate(
+                req.fname, *prog.resolve_entry(req.fname, req.args, req.types))
             p = cert.predict(req.args)
         except Exception:
             return None
@@ -458,78 +458,18 @@ class BatchExecutor:
                                   // self.config.tier_unit_work))
         return total
 
-    def _tier_backend(self, req: _Request,
-                      group: Optional[list] = None) -> str:
-        """The back end this request actually runs on: the requested one,
-        or ``native`` once its batch key has served ``native_after``
-        weight units of *predicted work* on the default ``vector`` back
-        end (tiered compilation: cheap NumPy execution until a key
-        proves hot, then the compiled kernel path).  A coalesced group
-        accounts every member."""
-        if req.backend != "vector" or self.config.native_after <= 0:
-            return req.backend
-        key = self._key_of(req)
-        if key is None:                        # budgeted: runs alone, untiered
-            return req.backend
-        from repro.native import toolchain
-        if not toolchain.available():
-            return req.backend
-        weight = self._group_weight(group if group else [req])
-        promoted = False
-        with self._lock:
-            breaker = self._breakers.get(key)
-            n = self._tier_counts.get(key, 0) + weight
-            self._tier_counts[key] = n
-            if n <= self.config.native_after:
-                return req.backend
-            if key not in self._tier_promoted:
-                self._tier_promoted.add(key)
-                self.stats.promotions += 1
-                promoted = True
-        # breaker state transitions happen outside the queue lock: an
-        # open breaker keeps the key on the vector tier until its
-        # cooldown admits a half-open probe (docs/RELIABILITY.md)
-        if breaker is not None and not breaker.allow():
-            return req.backend
-        if promoted:
-            p = _obs.PROFILER
-            if p is not None:
-                p.count("serve", "tier_promotion", 1, 0, 0)
-        return "native"
-
-    def _breaker_of(self, key):
-        from repro.serve.policy import CircuitBreaker
-        with self._lock:
-            breaker = self._breakers.get(key)
-            if breaker is None:
-                breaker = self._breakers[key] = CircuitBreaker(
-                    failures=self.config.breaker_failures,
-                    cooldown_s=self.config.breaker_cooldown_s)
-            return breaker
-
-    def _demote(self, key) -> None:
-        """Record one native-tier failure for a batch key.  When the
-        failure trips the key's circuit breaker the key is *demoted*:
-        it keeps serving on the vector back end until the breaker's
-        cooldown (if any — the default is permanent, PR-7 style) lets a
-        half-open probe re-try the native tier."""
-        opened = self._breaker_of(key).record_failure()
-        if not opened:
-            return
-        with self._lock:
-            self.stats.demotions += 1
-        p = _obs.PROFILER
-        if p is not None:
-            p.count("serve", "tier_demotion", 1, 0, 0)
-            p.count("serve", "breaker_open", 1, 0, 0)
-
     def _tiered_run(self, prog, req: _Request,
                     group: Optional[list] = None):
-        """Run one request (or its coalesced group) on the tier-selected
-        back end; a native-tier compile failure demotes the key and
-        retries on the requested back end, so tiering never surfaces an
-        error the requested back end would not have raised."""
-        backend = self._tier_backend(req, group)
+        """Run one request (or its coalesced group, every member
+        weighed) on the back end ``self.tier`` selects; a native-tier
+        compile failure is reported to it and retried on the requested
+        back end, so tiering never surfaces an error the requested back
+        end would not have raised."""
+        key = req.key()
+        backend = req.backend
+        if self.tier.eligible(key, backend):
+            backend = self.tier.choose(
+                key, backend, self._group_weight(group or [req]))
 
         def go(b: str):
             if group is not None:
@@ -546,11 +486,9 @@ class BatchExecutor:
         try:
             result = go(backend)
         except NativeCompileError:
-            self._demote(req.batch_key)
+            self.tier.failed(key)
             return go(req.backend)
-        breaker = self._breakers.get(req.batch_key)
-        if breaker is not None:    # a half-open probe succeeded: close it
-            breaker.record_success()
+        self.tier.succeeded(key)
         return result
 
     # -- execution -------------------------------------------------------

@@ -20,6 +20,10 @@ of their own, so every policy is unit-testable in isolation
   the probe's outcome either closes it again or re-opens it with an
   escalated cooldown.  ``cooldown_s=None`` keeps the legacy behavior —
   open forever, i.e. a permanent demotion.
+* :class:`TierPolicy` — which back end a served request actually runs
+  on: ``vector`` until its batch key proves hot, then ``native``, with
+  one :class:`CircuitBreaker` per key guarding the native tier.  Both
+  executors ask it; each only computes its own promotion *weight*.
 * :func:`shard_of` / :class:`HashRing` — stable (non-salted) consistent
   hashing of batch keys onto worker slots, so one program key always
   lands on the same worker and its compile caches stay hot.
@@ -33,10 +37,12 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Hashable, Optional
 
-__all__ = ["RetryPolicy", "CircuitBreaker", "HashRing", "shard_of",
-           "stable_hash"]
+from repro.obs import runtime as _obs
+
+__all__ = ["RetryPolicy", "CircuitBreaker", "TierPolicy", "HashRing",
+           "shard_of", "stable_hash"]
 
 
 @dataclass(frozen=True)
@@ -163,6 +169,98 @@ class CircuitBreaker:
             return {"state": self._state, "opens": self.opens,
                     "probes": self.probes,
                     "consecutive_failures": self._consecutive}
+
+
+class TierPolicy:
+    """Tiered compilation for one executor.  A batch key starts on the
+    ``vector`` (NumPy) back end and is *promoted* to ``native``
+    (docs/NATIVE.md) once it has served ``native_after`` weight units.
+    Native failures feed the key's :class:`CircuitBreaker`: the one that
+    trips it *demotes* the key to the requested back end until a
+    half-open probe (if the cooldown ever admits one) succeeds.
+
+    Only ``vector`` requests tier, only when a C toolchain exists, and
+    never a budgeted request (``key is None``).  ``stats`` is the owning
+    executor's: its ``promotions`` / ``demotions`` fields are written
+    here and nowhere else.  Thread-safe.
+    """
+
+    def __init__(self, native_after: int, breaker_failures: int,
+                 breaker_cooldown_s: Optional[float], stats: Any):
+        self.native_after = native_after
+        self.breaker_failures = breaker_failures
+        self.breaker_cooldown_s = breaker_cooldown_s
+        self._stats = stats
+        self._lock = threading.Lock()
+        self._tier_counts: dict = {}        # batch key -> weight served
+        self._breakers: dict = {}           # batch key -> CircuitBreaker
+
+    def eligible(self, key: Optional[Hashable], requested: str) -> bool:
+        """Can this request tier at all?  (Cheap: lets an executor skip
+        computing a costly weight.)"""
+        if requested != "vector" or self.native_after <= 0 or key is None:
+            return False
+        from repro.native import toolchain
+        return toolchain.available()
+
+    def choose(self, key: Optional[Hashable], requested: str,
+               weight: int) -> str:
+        """The back end this dispatch runs on: ``native`` once the key's
+        tally, ``weight`` added, has passed ``native_after`` and its
+        breaker allows it."""
+        if not self.eligible(key, requested):
+            return requested
+        with self._lock:
+            breaker = self._breakers.get(key)
+            before = self._tier_counts.get(key, 0)
+            self._tier_counts[key] = before + weight
+            if before + weight <= self.native_after:
+                return requested
+            promoted = before <= self.native_after   # crossed on this dispatch
+            if promoted:
+                self._stats.promotions += 1
+        if promoted:
+            _count("tier_promotion")
+        # an open breaker keeps the key on the requested tier until its
+        # cooldown admits a half-open probe (docs/RELIABILITY.md)
+        if breaker is not None and not breaker.allow():
+            return requested
+        return "native"
+
+    def failed(self, key: Hashable) -> None:
+        """One native-tier failure for ``key``."""
+        with self._lock:
+            breaker = self._breakers.get(key)
+            if breaker is None:
+                breaker = self._breakers[key] = CircuitBreaker(
+                    failures=self.breaker_failures,
+                    cooldown_s=self.breaker_cooldown_s)
+        if breaker.record_failure():            # this one tripped it
+            with self._lock:
+                self._stats.demotions += 1
+            _count("tier_demotion")
+            _count("breaker_open")
+
+    def succeeded(self, key: Hashable) -> None:
+        """One native-tier success for ``key`` (closes its breaker)."""
+        breaker = self._breakers.get(key)
+        if breaker is not None:
+            breaker.record_success()
+
+    def snapshot(self) -> dict:
+        """Circuit-breaker state over all keys (for stats reporting)."""
+        with self._lock:
+            breakers = list(self._breakers.values())
+        return {"keys": len(breakers),
+                "open": sum(1 for b in breakers if b.state != "closed"),
+                "opens": sum(b.opens for b in breakers),
+                "probes": sum(b.probes for b in breakers)}
+
+
+def _count(name: str) -> None:
+    p = _obs.PROFILER
+    if p is not None:
+        p.count("serve", name, 1, 0, 0)
 
 
 def stable_hash(key) -> int:

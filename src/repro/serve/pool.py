@@ -31,7 +31,8 @@ moving parts:
   chaos site) is detected in the parent, the worker is killed, and the
   request is retried or failed typed — a poisoned worker can never
   complete a future with garbage.
-* **Degradation.**  The native tier is guarded per batch key by a
+* **Degradation.**  The native tier (the thread executor's
+  :class:`~repro.serve.policy.TierPolicy`) is guarded per batch key by a
   half-open :class:`~repro.serve.policy.CircuitBreaker` (K consecutive
   native failures demote the key to the vector back end until a cooldown
   probe succeeds), and ``submit`` sheds load with
@@ -61,7 +62,6 @@ import random
 import threading
 import time
 import zlib
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
@@ -71,9 +71,11 @@ from repro.errors import (
 from repro.guard.faults import ChaosSpec
 from repro.guard.runtime import Budget
 from repro.obs import runtime as _obs
-from repro.serve.batcher import ServeFuture, _name_request
-from repro.serve.cache import CompileCache, cache_key
-from repro.serve.policy import CircuitBreaker, HashRing, RetryPolicy
+from repro.serve.batcher import (
+    ServeFuture, _coalesce, _name_request, _Request,
+)
+from repro.serve.cache import CompileCache
+from repro.serve.policy import HashRing, RetryPolicy, TierPolicy
 from repro.serve.supervisor import Supervisor, WorkerHandle
 from repro.transform.pipeline import TransformOptions
 
@@ -157,29 +159,13 @@ class PoolStats:
         return d
 
 
-class _PoolRequest:
+class _PoolRequest(_Request):
     """One unit of work tracked by the parent."""
 
-    __slots__ = ("rid", "source", "fname", "args", "types", "backend",
-                 "check", "budget", "options", "use_prelude", "deadline",
-                 "future", "batch_key", "shard", "attempts", "tiered",
-                 "lead")
+    __slots__ = ("shard", "attempts", "tiered", "lead")
 
-    def __init__(self, rid, source, fname, args, types, backend, check,
-                 budget, options, use_prelude, deadline):
-        self.rid = rid
-        self.source = source
-        self.fname = fname
-        self.args = list(args)
-        self.types = types
-        self.backend = backend
-        self.check = check
-        self.budget = budget
-        self.options = options
-        self.use_prelude = use_prelude
-        self.deadline = deadline
-        self.future = ServeFuture()
-        self.batch_key: Optional[tuple] = None
+    def __init__(self, *args):
+        super().__init__(*args)
         self.shard = 0
         self.attempts = 0        #: completed or in-flight executions
         self.tiered = False      #: dispatched on a promoted (native) tier
@@ -398,9 +384,8 @@ class WorkerPool:
         self._inbox: _queue.Queue = _queue.Queue()
         self._rid = itertools.count(1)
         self._rng = random.Random(0x5EED)
-        self._tier_counts: dict = {}
-        self._tier_promoted: set = set()
-        self._breakers: dict = {}
+        self.tier = TierPolicy(cfg.native_after, cfg.breaker_failures,
+                               cfg.breaker_cooldown_s, self.stats)
         self._retries: list = []            # heap of (due, seq, request)
         self._retry_seq = itertools.count()
         self.handles = [WorkerHandle(i) for i in range(cfg.workers)]
@@ -444,23 +429,16 @@ class WorkerPool:
         the pending queue is full and ``ResourceLimitError
         ("healthy-workers", ...)`` when the pool is degraded below
         ``min_healthy`` live workers — a degraded pool fails fast instead
-        of accumulating work it cannot run.
+        of accumulating work it cannot run.  An unknown back end is a
+        ``ValueError``, as in :meth:`BatchExecutor.submit`.
         """
         cfg = self.config
         req = _PoolRequest(
             request_id if request_id is not None else f"p{next(self._rid)}",
-            source, fname, args,
-            tuple(types) if types is not None else None,
-            backend if backend is not None else cfg.backend,
-            check if check is not None else cfg.check,
-            budget, options, use_prelude,
-            time.monotonic() + deadline_s if deadline_s is not None else None)
-        if not (req.budget is not None and req.budget.any_set()):
-            req.batch_key = (cache_key(req.source, req.options,
-                                       req.use_prelude),
-                             req.fname, req.types, req.backend, req.check)
-        req.shard = self._ring.lookup(
-            req.batch_key if req.batch_key is not None else req.rid)
+            cfg, source, fname, args, types, backend, check, budget,
+            options, use_prelude, deadline_s)
+        key = req.key()
+        req.shard = self._ring.lookup(key if key is not None else req.rid)
         shed = None
         with self._work:
             if self.closed:
@@ -510,17 +488,6 @@ class WorkerPool:
     def healthy_workers(self) -> int:
         with self.lock:
             return sum(1 for h in self.handles if h.state == "up")
-
-    def breaker_snapshot(self) -> dict:
-        """Circuit-breaker state per batch key (for stats reporting)."""
-        with self.lock:
-            breakers = list(self._breakers.values())
-        return {
-            "keys": len(breakers),
-            "open": sum(1 for b in breakers if b.state != "closed"),
-            "opens": sum(b.opens for b in breakers),
-            "probes": sum(b.probes for b in breakers),
-        }
 
     def close(self, timeout: float = 10.0) -> None:
         """Stop accepting work, drain, stop workers, fail leftovers."""
@@ -672,7 +639,8 @@ class WorkerPool:
                         return
                     if handle.pending and handle.state == "up" \
                             and not handle.inflight:
-                        group = self._take_group_locked(handle)
+                        group = _coalesce(handle.pending,
+                                          self.config.max_batch)
                         break
                     self._work.wait(0.25)
             if group:
@@ -683,34 +651,13 @@ class WorkerPool:
                         if not r.future.done():
                             self._finish(r, error=e)
 
-    def _take_group_locked(self, handle: WorkerHandle
-                           ) -> list[_PoolRequest]:
-        """Pop the oldest pending request plus every same-key batchmate,
-        up to ``max_batch`` (budgeted requests come out alone).  Caller
-        holds the lock."""
-        head = handle.pending.popleft()
-        group = [head]
-        key = head.batch_key
-        if key is not None and handle.pending:
-            kept: deque = deque()
-            while handle.pending and len(group) < self.config.max_batch:
-                r = handle.pending.popleft()
-                if r.batch_key == key:
-                    group.append(r)
-                else:
-                    kept.append(r)
-            kept.extend(handle.pending)
-            handle.pending.clear()
-            handle.pending.extend(kept)
-        return group
-
     def _dispatch(self, handle: WorkerHandle,
                   group: list[_PoolRequest]) -> None:
         group = [r for r in group if not self._expired(r, "pool:queue")]
         if not group:
             return
         lead = group[0]
-        backend = self._tier_backend(lead, len(group))
+        backend = self.tier.choose(lead.batch_key, lead.backend, len(group))
         job = {
             "source": lead.source, "fname": lead.fname,
             "types": lead.types, "check": lead.check,
@@ -812,11 +759,9 @@ class WorkerPool:
         body = pickle.loads(payload)
         if req.lead and req.batch_key is not None:
             if flags.get("native_failed"):
-                self._native_failure(req.batch_key)
+                self.tier.failed(req.batch_key)
             elif ok and req.tiered:
-                breaker = self._breakers.get(req.batch_key)
-                if breaker is not None:      # half-open probe succeeded
-                    breaker.record_success()
+                self.tier.succeeded(req.batch_key)
             if flags.get("fallback"):
                 with self.lock:
                     self.stats.fallbacks += 1
@@ -935,59 +880,6 @@ class WorkerPool:
             "timeout", "deadline passed in queue", f"{req.deadline:.2f}",
             stage=stage, request=req.rid))
         return True
-
-    # -- tiered compilation ------------------------------------------------
-
-    def _tier_backend(self, req: _PoolRequest, weight: int) -> str:
-        """The back end a job actually runs on: the requested one, or
-        ``native`` once its batch key proves hot — unless the key's
-        circuit breaker is open (see
-        :class:`~repro.serve.policy.CircuitBreaker`)."""
-        if req.backend != "vector" or self.config.native_after <= 0:
-            return req.backend
-        key = req.batch_key
-        if key is None:
-            return req.backend
-        from repro.native import toolchain
-        if not toolchain.available():
-            return req.backend
-        promoted = False
-        with self.lock:
-            breaker = self._breakers.get(key)
-            n = self._tier_counts.get(key, 0) + weight
-            self._tier_counts[key] = n
-            if n <= self.config.native_after:
-                return req.backend
-            if key not in self._tier_promoted:
-                self._tier_promoted.add(key)
-                self.stats.promotions += 1
-                promoted = True
-        if breaker is not None and not breaker.allow():
-            return req.backend
-        if promoted:
-            p = _obs.PROFILER
-            if p is not None:
-                p.count("serve", "tier_promotion", 1, 0, 0)
-        return "native"
-
-    def _native_failure(self, key) -> None:
-        """One native-tier failure for a batch key; a breaker trip
-        demotes the key until a half-open probe succeeds."""
-        with self.lock:
-            breaker = self._breakers.get(key)
-            if breaker is None:
-                breaker = self._breakers[key] = CircuitBreaker(
-                    failures=self.config.breaker_failures,
-                    cooldown_s=self.config.breaker_cooldown_s)
-        opened = breaker.record_failure()
-        if not opened:
-            return
-        with self.lock:
-            self.stats.demotions += 1
-        p = _obs.PROFILER
-        if p is not None:
-            p.count("serve", "tier_demotion", 1, 0, 0)
-            p.count("serve", "breaker_open", 1, 0, 0)
 
     # -- completion --------------------------------------------------------
 

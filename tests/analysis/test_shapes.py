@@ -30,8 +30,7 @@ def _spec(path):
 
 def _analysis(source, entry, args):
     prog = compile_program(source)
-    at = prog.entry_types(entry, args)
-    _mono, tp = prog.prepare(entry, at, prog._fun_value_entries(args, at))
+    _mono, tp = prog.prepare(entry, *prog.resolve_entry(entry, args))
     return prog, analyze_shapes(tp)
 
 

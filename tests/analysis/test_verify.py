@@ -36,8 +36,7 @@ def test_example_passes_every_phase_postcondition(path):
     spec = _spec(path)
     prog = compile_program(spec["SOURCE"])
     entry, args = spec["PROFILE_ENTRY"], list(spec["PROFILE_ARGS"])
-    at = prog.entry_types(entry, args)
-    _mono, tp = prog.prepare(entry, at, prog._fun_value_entries(args, at))
+    _mono, tp = prog.prepare(entry, *prog.resolve_entry(entry, args))
     stages = [s for s, _n in tp.verified_phases]
     assert stages and stages[0] == "verify:eliminate"
     assert all(s.startswith("verify:") for s in stages)

@@ -39,8 +39,7 @@ def test_compiler_output_is_lint_clean(path):
     from repro.vcode.compile import compile_transformed
     prog = compile_program(spec["SOURCE"])
     entry, args = spec["PROFILE_ENTRY"], list(spec["PROFILE_ARGS"])
-    at = prog.entry_types(entry, args)
-    _mono, tp = prog.prepare(entry, at, prog._fun_value_entries(args, at))
+    _mono, tp = prog.prepare(entry, *prog.resolve_entry(entry, args))
     res = lint_program(compile_transformed(tp))
     assert res.errors == []
 

@@ -1,0 +1,189 @@
+"""One conformance battery over ``repro.api.BACKENDS``: every row of the
+table runs every example to the interpreter's answer, batched and not,
+and has exactly the capabilities its flags (and the table in
+docs/PIPELINE.md) claim."""
+
+from pathlib import Path
+
+import pytest
+
+from repro import compile_program
+from repro.api import BACKENDS, backend_row
+from repro.cli import _example_spec
+from repro.fuzz.differ import skip_reason
+from repro.guard import runtime as guard
+from repro.interp.interpreter import Interpreter
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+SPECS = {p.stem: _example_spec(p.read_text())
+         for p in sorted((REPO_ROOT / "examples").glob("*.py"))}
+SRC = "fun sqs(v) = [x <- v: x * x]"
+
+
+def _lane(name):
+    why = skip_reason(name)
+    return pytest.param(name, marks=pytest.mark.skipif(
+        why is not None, reason=f"{name}: {why}"))
+
+
+LANES = [_lane(name) for name in BACKENDS]
+
+
+@pytest.fixture(scope="module")
+def programs():
+    """Each example compiled once, with the interpreter's answer."""
+    out = {}
+    for stem, spec in SPECS.items():
+        prog = compile_program(spec["SOURCE"])
+        entry, args = spec["PROFILE_ENTRY"], list(spec["PROFILE_ARGS"])
+        out[stem] = (prog, entry, args, prog.run(entry, args, "interp"))
+    return out
+
+
+def test_every_example_names_an_entry():
+    assert len(SPECS) >= 9
+    assert all("PROFILE_ENTRY" in s for s in SPECS.values())
+
+
+@pytest.mark.parametrize("backend", LANES)
+@pytest.mark.parametrize("stem", sorted(SPECS))
+def test_run_equals_run_batched_equals_interp(programs, stem, backend):
+    prog, entry, args, want = programs[stem]
+    assert prog.run(entry, args, backend=backend) == want
+    assert prog.run_batched(entry, [args, args], backend=backend) \
+        == [want, want]
+
+
+@pytest.mark.parametrize("backend", LANES)
+def test_static_discharge_exactly_where_flagged(monkeypatch, backend):
+    """``check="static"`` installs a non-empty discharged set in the
+    guard scope exactly for rows flagged ``static`` — on ``run`` and on
+    the batched ``f^1`` call."""
+    seen = []
+    row = BACKENDS[backend]
+    if row.executor is None:
+        real = Interpreter.call
+        monkeypatch.setattr(Interpreter, "call", lambda self, *a: (
+            seen.append(guard.current().discharged), real(self, *a))[1])
+    else:
+        monkeypatch.setitem(BACKENDS, backend, row._replace(
+            executor=lambda tp, threads: (
+                seen.append(guard.current().discharged),
+                row.executor(tp, threads))[1]))
+    prog = compile_program(SRC)
+    assert prog.run("sqs", [[1, 2]], backend=backend,
+                    check="static") == [1, 4]
+    assert prog.run_batched("sqs", [[[1]], [[2, 3]]], backend=backend,
+                            check="static") == [[1], [4, 9]]
+    assert len(seen) == (2 if row.batches else 3)
+    assert all(bool(d) == row.static for d in seen)
+
+
+@pytest.mark.parametrize("backend", LANES)
+def test_threads_reach_the_engine_exactly_where_flagged(monkeypatch, backend):
+    import repro.parallel.engine as pe
+    asked = []
+    real = pe.get_parallel_engine
+    monkeypatch.setattr(pe, "get_parallel_engine",
+                        lambda threads=None: (asked.append(threads),
+                                              real(threads))[1])
+    prog = compile_program(SRC)
+    assert prog.run("sqs", [[1, 2]], backend=backend, threads=1) == [1, 4]
+    assert prog.run_batched("sqs", [[[1]], [[2]]], backend=backend,
+                            threads=1) == [[1], [4]]
+    assert asked == ([1, 1] if BACKENDS[backend].threads else [])
+
+
+def test_run_batched_fallback_passes_threads_like_run(monkeypatch):
+    """Regression: the per-request fallback of ``run_batched`` (zero
+    arguments, a function-valued argument, the interpreter) is the same
+    call as ``run`` — it used to drop ``threads`` and ask the engine for
+    the machine default."""
+    import repro.parallel.engine as pe
+    from repro import FunVal
+    asked = []
+    real = pe.get_parallel_engine
+    monkeypatch.setattr(pe, "get_parallel_engine",
+                        lambda threads=None: (asked.append(threads),
+                                              real(threads))[1])
+    prog = compile_program("""
+        fun z() = [i <- [1..3]: i * i]
+        fun double(x) = 2 * x
+        fun mapf(f, v) = [x <- v: f(x)]
+    """)
+    assert prog.run("z", [], backend="parallel", threads=1) == [1, 4, 9]
+    assert asked == [1]
+    del asked[:]
+    assert prog.run_batched("z", [[], []], backend="parallel",
+                            threads=1) == [[1, 4, 9]] * 2
+    assert asked == [1, 1]
+    del asked[:]
+    types = ["(int) -> int", "seq(int)"]
+    assert prog.run_batched(
+        "mapf", [[FunVal("double"), [1]], [FunVal("double"), [2, 3]]],
+        backend="parallel", types=types, threads=1) == [[2], [4, 6]]
+    assert asked == [1, 1]
+    del asked[:]
+    assert prog.run_batched("z", [[], []], backend="interp",
+                            threads=1) == [[1, 4, 9]] * 2
+    assert asked == []
+
+
+def test_unknown_backend_is_one_error_everywhere():
+    prog = compile_program(SRC)
+    with pytest.raises(ValueError, match="unknown backend 'bogus'") as e1:
+        prog.run("sqs", [[1]], backend="bogus")
+    with pytest.raises(ValueError) as e2:
+        prog.run_batched("sqs", [[[1]]], backend="bogus")
+    with pytest.raises(ValueError) as e3:
+        backend_row("bogus")
+    assert str(e1.value) == str(e2.value) == str(e3.value)
+    assert all(name in str(e1.value) for name in BACKENDS)
+
+
+def test_docs_capability_table_lists_every_backend():
+    """docs/PIPELINE.md's back-end table: one row per BACKENDS key, in
+    order, with the flags the code has."""
+    lines = (REPO_ROOT / "docs" / "PIPELINE.md").read_text().splitlines()
+    start = next(i for i, ln in enumerate(lines)
+                 if ln.startswith("| back end |"))
+    rows = []
+    for ln in lines[start + 2:]:
+        if not ln.startswith("|"):
+            break
+        rows.append([c.strip().strip("`") for c in ln.strip("|").split("|")])
+    assert [r[0] for r in rows] == list(BACKENDS)
+    for name, _opts, _executor, batches, static, threads, _cc in rows:
+        row = BACKENDS[name]
+        assert (batches, static, threads) == tuple(
+            "yes" if flag else "no"
+            for flag in (row.batches, row.static, row.threads)), name
+
+
+def _load_lint():
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "check_backend_literals",
+        REPO_ROOT / "tools" / "check_backend_literals.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_backend_names_are_listed_once_in_src():
+    lint = _load_lint()
+    assert lint.backend_names(REPO_ROOT) == set(BACKENDS)
+    assert lint.find_literals(REPO_ROOT) == []
+
+
+def test_lint_detects_a_retyped_backend_list(tmp_path):
+    lint = _load_lint()
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "api.py").write_text((REPO_ROOT / lint.TABLE).read_text())
+    (pkg / "copy.py").write_text(
+        'TRIO = ("interp", "vector", "vcode")\n'
+        'def f(b):\n'
+        '    return b in ("vector", "vcode", "native", "parallel")\n')
+    assert lint.find_literals(tmp_path) == [
+        ("src/repro/copy.py", 3, ["native", "parallel", "vcode", "vector"])]

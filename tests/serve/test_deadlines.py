@@ -154,3 +154,23 @@ class TestBackpressure:
         finally:
             release.set()
             ex.close()
+
+
+class TestUnknownBackend:
+    def test_submit_rejects_before_any_work(self):
+        """Regression: an unknown back end used to be queued, compiled
+        (one cache miss) and only then failed from inside the worker."""
+        with BatchExecutor(ServeConfig(workers=1)) as ex:
+            with pytest.raises(ValueError, match="unknown backend 'bogus'"):
+                ex.submit(SRC, "main", [1], backend="bogus")
+            c = ex.cache.stats()
+            assert (c["hits"], c["misses"]) == (0, 0)
+            assert ex.queue_depth() == 0 and ex.stats.requests == 0
+            assert ex.submit(SRC, "main", [2]).result(30) == expect(2)
+
+    def test_a_bad_default_backend_is_rejected_too(self):
+        with BatchExecutor(ServeConfig(backend="bogus")) as ex:
+            with pytest.raises(ValueError, match="known: .*vector"):
+                ex.submit(SRC, "main", [1])
+            assert ex.submit(SRC, "main", [1],
+                             backend="interp").result(30) == expect(1)

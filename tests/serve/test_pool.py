@@ -140,6 +140,16 @@ def test_closed_pool_rejects_submissions():
     pool.close()     # idempotent
 
 
+def test_unknown_backend_is_rejected_at_submit():
+    """Regression: it used to be pickled to a worker, compiled there and
+    only then failed."""
+    with WorkerPool(quick()) as pool:
+        with pytest.raises(ValueError, match="unknown backend 'bogus'"):
+            pool.submit(SRC, "main", [1], backend="bogus")
+        assert pool.queue_depth() == 0 and pool.stats.requests == 0
+        assert pool.submit(SRC, "main", [3]).result(60) == 10
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         WorkerPool(PoolConfig(workers=0))

@@ -50,6 +50,15 @@ class TestProtocol:
         assert resp[0]["ok"] is False and resp[0]["kind"] == "error"
         assert "source" in resp[0]["error"]
 
+    def test_unknown_backend_is_a_request_error_and_serving_goes_on(self):
+        rc, resp, _ = run_serve(
+            [{"id": 1, "source": SRC, "args": [2], "backend": "bogus"},
+             {"id": 2, "source": SRC, "args": [2], "backend": "vcode"}])
+        assert rc == EXIT_ERROR
+        assert resp[0]["ok"] is False and resp[0]["kind"] == "error"
+        assert "unknown backend 'bogus'" in resp[0]["error"]
+        assert resp[1] == {"id": 2, "ok": True, "result": [1, 4]}
+
     def test_bad_json_line_is_a_request_error(self):
         rc, resp, _ = run_serve(["{not json"])
         assert rc == EXIT_ERROR
