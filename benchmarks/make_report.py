@@ -578,14 +578,33 @@ def e19():
     t_np = timeit(lambda: ev_np.call_raw(mono_np, [vec]), reps=5)
 
     # serial baseline: native when a toolchain exists, else NumPy — the
-    # honest denominator for each machine's fastest serial path
+    # honest denominator for each machine's fastest serial path.  Every
+    # lane is built and verified first, then the lanes take turns, ten
+    # rounds of five calls each after one untimed call (libgomp resizes
+    # its thread pool on the first call at a new team size), and each
+    # keeps its best: two lanes that run the same engine (native serial
+    # and parallel x1) then read the same time, where timing each lane
+    # once, one after the other, read them up to 37% apart.
+    evs = {}
     if toolchain.available():
-        ev_ser = VectorEvaluator(tp_nat, native=get_engine())
-        assert ev_ser.call_raw(mono_nat, [vec]) == want   # warm + verify
-        t_serial = timeit(lambda: ev_ser.call_raw(mono_nat, [vec]), reps=5)
+        evs["serial"] = VectorEvaluator(tp_nat, native=get_engine())
         baseline = "native"
     else:
-        t_serial, baseline = t_np, "numpy"
+        baseline = "numpy"
+    for threads in (1, 2, 4, 8):
+        evs[threads] = VectorEvaluator(
+            tp_nat, native=get_parallel_engine(threads))
+    same = {lane: ev.call_raw(mono_nat, [vec]) == want
+            for lane, ev in evs.items()}
+    assert same.get("serial", True)
+    best = dict.fromkeys(evs, float("inf"))
+    for _ in range(10):
+        for lane, ev in evs.items():
+            ev.call_raw(mono_nat, [vec])
+            best[lane] = min(
+                best[lane], timeit(lambda: ev.call_raw(mono_nat, [vec]),
+                                   reps=5))
+    t_serial = best.get("serial", t_np)
 
     # E8's machine-model prediction for the same trace shape: predicted
     # speedup at P processors = P * utilization(P)
@@ -603,14 +622,11 @@ def e19():
     print(f"  {baseline + ' serial':>16} {t_serial * 1e3:>10.2f} "
           f"{'1.00x':>9} {'':>12}")
     for threads in (1, 2, 4, 8):
-        eng = get_parallel_engine(threads)
-        ev_par = VectorEvaluator(tp_nat, native=eng)
-        same = ev_par.call_raw(mono_nat, [vec]) == want   # warm + verify
-        identical = identical and same
-        t_par = timeit(lambda: ev_par.call_raw(mono_nat, [vec]), reps=5)
+        identical = identical and same[threads]
+        t_par = best[threads]
         lanes[threads] = {"ms": round(t_par * 1e3, 3),
                           "speedup": round(t_serial / t_par, 3),
-                          "bit_identical": same,
+                          "bit_identical": same[threads],
                           "predicted_speedup": predicted[threads]}
         print(f"  {f'parallel x{threads}':>16} {t_par * 1e3:>10.2f} "
               f"{t_serial / t_par:>8.2f}x {predicted[threads]:>11.2f}x")

@@ -69,7 +69,7 @@ def test_speedup_at_least_1_7x_at_4_threads(record):
 @pytest.mark.skipif(CPUS < 2, reason=f"need >= 2 CPUs, have {CPUS}")
 def test_two_threads_beat_one(record):
     """With real cores, 2 threads must not be slower than the 1-thread
-    lane by more than measurement noise."""
+    lane — the serial native engine — by more than measurement noise."""
     t1 = record["threads"][1]["ms"]
     t2 = record["threads"][2]["ms"]
     assert t2 <= t1 * 1.10, f"2 threads ({t2}ms) slower than 1 ({t1}ms)"

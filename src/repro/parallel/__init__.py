@@ -12,8 +12,8 @@ Two cooperating paths, chosen per process at engine construction:
 
 * **native threading** — when the C toolchain can build OpenMP shared
   objects (:func:`repro.native.toolchain.openmp_available`), fused and
-  segmented kernels are re-emitted with ``#pragma omp parallel for``
-  loops (:mod:`repro.native.codegen` with ``omp_threads``) and compiled
+  segmented kernels are re-emitted with ``#pragma omp parallel``
+  regions (:mod:`repro.native.codegen` with ``omp_threads``) and compiled
   with ``-fopenmp``; the thread count is baked into the kernel source, so
   it participates in the content-address cache key;
 * **pure-Python chunking** — otherwise, the segment-aware partitioner

@@ -9,11 +9,13 @@ differential fuzzer can run it as a fifth backend.
 
 Per engine (one per thread count) the fast path is chosen once:
 
+* one thread is the serial native engine
+  (:func:`repro.native.engine.get_engine`) — there is nothing to fan out;
 * with an OpenMP-capable toolchain, hooks delegate to
   :class:`_OmpNative`, a :class:`NativeEngine` whose kernels carry
-  ``#pragma omp parallel for`` loops over elements (fused trees) or
-  segments (reductions/scans, via precomputed per-segment start
-  offsets);
+  ``#pragma omp parallel`` regions over slices of the elements (fused
+  trees) or over segments (reductions/scans, via precomputed
+  per-segment start offsets);
 * otherwise the pure-Python chunked path plans a segment-aligned
   partition (:func:`repro.vector.partition.plan_partition`) and fans the
   chunks out to a thread pool of GIL-releasing NumPy kernel calls.
@@ -46,7 +48,7 @@ from ..guard import runtime as _guard
 from ..obs import runtime as _obs
 from ..native import toolchain
 from ..native.engine import (
-    NativeEngine, _DTYPES, _STRICT_REDUCE, _scalar_kind,
+    NativeEngine, _DTYPES, _STRICT_REDUCE, _scalar_kind, get_engine,
 )
 from ..vector import segments as S
 from ..vector.nested import NestedVector
@@ -82,12 +84,21 @@ class _OmpNative(NativeEngine):
     """A :class:`NativeEngine` whose emitted kernels are OpenMP-parallel.
 
     The two class seams do all the work: ``_omp_threads`` makes codegen
-    emit ``#pragma omp parallel for`` variants (thread count baked into
+    emit the ``#pragma omp parallel`` variants (thread count baked into
     the source, hence into the cache key), and ``_extra_cflags`` adds
     ``-fopenmp`` to both the compile command and the key.  Everything
     else — planning, hoisting, guard/obs accounting, strict-reduce
     errors — is inherited unchanged, which is why the OpenMP path is
     bit-identical to serial native by construction.
+
+    Idle OpenMP threads sleep rather than spin: libgomp reads
+    ``OMP_WAIT_POLICY`` once, when the first ``-fopenmp`` kernel is
+    loaded, so the constructor defaults it to ``passive`` (an explicit
+    setting wins).  A kernel call is a short parallel region between
+    stretches of Python on the calling thread; under the active default
+    a team the scheduler has put on the caller's CPU spins there and
+    costs a tick per region (16 ms against 1.6 ms a call at 2 threads on
+    2 CPUs, docs/PARALLEL.md).
     """
 
     _extra_cflags = ("-fopenmp",)
@@ -95,20 +106,22 @@ class _OmpNative(NativeEngine):
     def __init__(self, threads: int, cache=None):
         super().__init__(cache=cache)
         self._omp_threads = int(threads)
+        os.environ.setdefault("OMP_WAIT_POLICY", "passive")
 
 
 class ParallelEngine:
     """Multicore applier hook for one fixed thread count.
 
-    ``native`` is the :class:`_OmpNative` delegate (None on machines
-    without an OpenMP toolchain — or in tests that pin the chunked
-    path).  Every hook returns None for inputs the parallel paths do not
+    ``native`` is the delegate engine — :class:`_OmpNative`, or the
+    serial :class:`NativeEngine` at one thread (None on machines without
+    the toolchain — or in tests that pin the chunked path).  Every hook
+    returns None for inputs the parallel paths do not
     cover (threads < 2, tiny vectors, exotic kinds); the caller's NumPy
     path then serves the call, exactly like the native engine's
     fallback contract.
     """
 
-    def __init__(self, threads: int, native: Optional[_OmpNative] = None):
+    def __init__(self, threads: int, native: Optional[NativeEngine] = None):
         self.threads = max(1, int(threads))
         self._native = native
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -377,7 +390,7 @@ class ParallelEngine:
     def status(self) -> dict:
         native = self._native.status() if self._native is not None else None
         return {"threads": self.threads,
-                "openmp": self._native is not None,
+                "openmp": isinstance(self._native, _OmpNative),
                 "min_parallel": MIN_PARALLEL,
                 "native": native}
 
@@ -437,7 +450,8 @@ def get_parallel_engine(threads: Optional[int] = None) -> ParallelEngine:
     """The process-wide engine for ``threads`` (default:
     :func:`default_threads`).  Unlike the native singleton this never
     returns None — without any C toolchain the chunked pure-Python path
-    still works; the OpenMP delegate is attached only when
+    still works.  One thread is handed to the serial native engine; the
+    OpenMP delegate is attached only when
     :func:`repro.native.toolchain.openmp_available` says the probe
     compiled."""
     t = max(1, int(threads if threads is not None else default_threads()))
@@ -445,9 +459,11 @@ def get_parallel_engine(threads: Optional[int] = None) -> ParallelEngine:
         eng = _ENGINES.get(t)
         if eng is None:
             native = None
-            if t > 1 and toolchain.available() \
-                    and toolchain.openmp_available():
-                native = _OmpNative(t)
+            if toolchain.available():
+                if t == 1:
+                    native = get_engine()
+                elif toolchain.openmp_available():
+                    native = _OmpNative(t)
             eng = ParallelEngine(t, native=native)
             _ENGINES[t] = eng
         return eng

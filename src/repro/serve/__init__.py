@@ -10,13 +10,14 @@ serving subsystem:
 
 * :class:`CompileCache` — thread-safe LRU deduplication of compilation,
   keyed on ``(source, TransformOptions)``;
-* :class:`BatchExecutor` — bounded request queue, same-function
-  coalescing into segment-batched calls, per-request budget/deadline
-  isolation, batch/cache/queue statistics;
-* :class:`WorkerPool` — the same API over a supervised pool of worker
-  *processes*: crash isolation, heartbeat/deadline kills with
-  exponential-backoff respawn, bounded retries, circuit-breaker-guarded
-  native tiering, load shedding, and deterministic chaos injection (see
+* :class:`BatchExecutor` — the serve core: bounded request queue,
+  predicted-budget admission, same-function coalescing into
+  segment-batched calls, per-request budget/deadline isolation,
+  breaker-guarded native tiering, batch/cache/queue statistics;
+* :class:`WorkerPool` — that executor with each coalesced group run in
+  a supervised worker *process*: crash isolation, heartbeat/deadline
+  kills with exponential-backoff respawn, bounded retries, load
+  shedding, and deterministic chaos injection (see
   docs/RELIABILITY.md);
 * the ``repro serve`` CLI subcommand — a JSONL stdio server on top of
   either executor (see docs/SERVING.md for the protocol).

@@ -1,4 +1,5 @@
-"""The request queue and segment-batching executor behind ``repro serve``.
+"""The serve core: one request record, one ``submit``/admission path, and
+one function that executes a coalesced group.
 
 A :class:`BatchExecutor` accepts concurrent ``(source, fname, args)``
 requests, deduplicates compilation through a shared
@@ -8,8 +9,16 @@ extra descriptor level and the batch runs as a *single* vector pass of the
 synthesized depth-1 extension ``f^1``
 (:meth:`repro.api.CompiledProgram.run_batched`).  Results are unpacked and
 delivered per request, element-wise identical to N independent ``run()``
-calls — a property enforced by the batching test battery
-(``tests/serve/test_batch_equivalence.py``).
+calls (``tests/serve/test_batch_equivalence.py``).
+
+:func:`run_group` is the only code in this package that runs a program.
+The executor's dispatcher threads call it directly;
+:class:`~repro.serve.pool.WorkerPool` — this class with *where a request
+waits* and *where a group runs* overridden — calls it, unchanged, in a
+supervised worker process.  Everything in front of it (request building,
+predicted admission, queue-depth accounting, deadline expiry, completion)
+is this class's and is inherited, so the two executors cannot drift
+(``tests/serve/test_equivalence.py``).
 
 Coalescing rules (see docs/SERVING.md):
 
@@ -26,14 +35,13 @@ Coalescing rules (see docs/SERVING.md):
 * zero-argument and function-valued-argument entries fall back to the
   per-request path (no frame to enumerate / per-request dispatch tables).
 
-Tiered compilation: a batch key starts on the cheap ``vector`` (NumPy)
-back end; once it has served ``ServeConfig.native_after`` weight units of
-*predicted work* (quantized by ``tier_unit_work``; raw request counting
-when prediction is unavailable) it is *promoted* to the ``native`` back
-end (compiled fused C kernels, docs/NATIVE.md), and a key whose native
-run fails to compile is *demoted* back for good.
-``ServeStats.promotions`` / ``demotions`` and the
-``serve.tier_promotion`` observability counter track the tier moves.
+Tiered compilation (:class:`~repro.serve.policy.TierPolicy`): a batch key
+starts on the cheap ``vector`` (NumPy) back end; once it has served
+``ServeConfig.native_after`` weight units of *predicted work* (one unit
+per :data:`TIER_UNIT_WORK`, at least one per request) it is *promoted* to
+the ``native`` back end (compiled fused C kernels, docs/NATIVE.md).
+Native compile failures feed the key's circuit breaker, which *demotes*
+it until a cooldown probe succeeds (docs/RELIABILITY.md).
 
 Predicted-budget admission (``ServeConfig.predict_admission``): a
 budgeted request whose statically predicted cost
@@ -56,7 +64,7 @@ import itertools
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional, Sequence
 
 from repro.api import backend_row
@@ -67,39 +75,36 @@ from repro.serve.cache import CompileCache, cache_key
 from repro.serve.policy import TierPolicy
 from repro.transform.pipeline import TransformOptions
 
-__all__ = ["ServeConfig", "ServeFuture", "ServeStats", "BatchExecutor"]
+__all__ = ["ServeConfig", "ServeFuture", "ServeStats", "BatchExecutor",
+           "run_group", "TIER_UNIT_WORK"]
+
+#: Predicted work per tier-promotion weight unit: a request weighs
+#: ``max(1, ceil(predicted_work / TIER_UNIT_WORK))``, so a few heavy
+#: requests promote a key as fast as many light ones.
+TIER_UNIT_WORK = 4096
 
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Tunables for one :class:`BatchExecutor`."""
+    """Tunables of the serve core (docs/SERVING.md lists every field)."""
 
     max_batch: int = 64          #: largest coalesced group per vector pass
     max_queue: int = 1024        #: bounded queue depth (backpressure limit)
     workers: int = 1             #: dispatcher threads draining the queue
     backend: str = "vector"      #: default back end for requests
     check: bool = False          #: default strict-checking flag
-    cache_capacity: int = 128    #: LRU slots in the compile cache
-    #: fallback heartbeat interval for an idle dispatcher.  Wake-ups are
-    #: event-driven (``submit``/``close`` notify a condition), so this is
-    #: a belt against lost notifications, not a polling period — an idle
-    #: pool burns no CPU between heartbeats.
-    poll_s: float = 1.0
-    #: tiered compilation: after this many requests served for one batch
-    #: key on the ``vector`` back end, later requests for the key run on
-    #: the ``native`` back end (when a C toolchain exists).  ``0``
-    #: disables tiering.  A key whose native run raises
-    #: :class:`~repro.errors.NativeCompileError` is demoted back to
-    #: ``vector`` permanently (for this executor).  See docs/NATIVE.md.
+    cache_capacity: int = 128    #: LRU slots in each compile cache
+    #: tiered compilation: after this many weight units served for one
+    #: batch key on the ``vector`` back end, later requests for the key
+    #: run on ``native`` (when a C toolchain exists).  ``0`` disables
+    #: tiering.  See docs/NATIVE.md.
     native_after: int = 3
-    #: circuit breaker guarding the native tier: this many *consecutive*
-    #: native failures open the breaker (demotion).  1 keeps the PR-7
-    #: behavior of demoting on the first failure.
-    breaker_failures: int = 1
-    #: how long an open breaker waits before letting one half-open probe
-    #: re-try the native tier.  ``None`` (the default) never re-probes —
-    #: the legacy *permanent* demotion.  See docs/RELIABILITY.md.
-    breaker_cooldown_s: Optional[float] = None
+    #: this many *consecutive* native compile failures open a key's
+    #: circuit breaker (demotion to the requested back end) ...
+    breaker_failures: int = 3
+    #: ... until, this long after, one half-open probe re-tries the
+    #: native tier.  See docs/RELIABILITY.md.
+    breaker_cooldown_s: float = 5.0
     #: predicted-budget admission control: when a budgeted request's
     #: *statically predicted* cost (docs/ANALYSIS.md cost model) already
     #: exceeds its budget, ``submit`` rejects it with
@@ -107,12 +112,6 @@ class ServeConfig:
     #: executed.  Prediction failures (or unbounded programs) always
     #: admit — the runtime guard stays as the enforcement backstop.
     predict_admission: bool = True
-    #: tier promotion counts predicted *work served* instead of raw
-    #: request hits: each request weighs ``ceil(predicted_work /
-    #: tier_unit_work)`` (1 when unbounded or unpredictable), so a few
-    #: heavy requests promote a key as fast as many light ones.  ``0``
-    #: restores pure request counting.
-    tier_unit_work: int = 4096
 
 
 class ServeFuture:
@@ -162,43 +161,29 @@ class ServeStats:
     errors: int = 0              #: futures completed with an error
     rejected: int = 0            #: submissions refused (queue full)
     predicted_rejections: int = 0  #: refused by predicted-budget admission
-    expired: int = 0             #: requests whose deadline passed in queue
+    expired: int = 0             #: requests whose deadline passed
     batches: int = 0             #: coalesced vector passes executed
     batched_requests: int = 0    #: requests served by those passes
-    singles: int = 0             #: requests served individually
+    singles: int = 0             #: requests run individually
     fallbacks: int = 0           #: batches decomposed after a failure
     max_batch: int = 0           #: largest batch executed
     max_queue_depth: int = 0     #: high-water mark of the queue
     promotions: int = 0          #: batch keys promoted to the native tier
-    demotions: int = 0           #: promoted keys demoted after a failure
+    demotions: int = 0           #: breaker trips demoting a promoted key
     batch_sizes: dict = field(default_factory=dict)  #: size -> batch count
 
     def snapshot(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "requests", "responses", "errors", "rejected",
-            "predicted_rejections", "expired",
-            "batches", "batched_requests", "singles", "fallbacks",
-            "max_batch", "max_queue_depth", "promotions", "demotions")}
-        d["batch_sizes"] = dict(self.batch_sizes)
-        return d
-
-
-def _name_request(e: ResourceLimitError, rid: str) -> ResourceLimitError:
-    """The same breach, re-raised with the originating request named —
-    errors escaping a decomposed batch stay attributable."""
-    if e.request:
-        return e
-    return ResourceLimitError(e.limit, e.used, e.budget, stage=e.stage,
-                              function=e.function,
-                              frame_sizes=e.frame_sizes, request=rid)
+        """Every field by name (dict-valued ones copied)."""
+        return {f.name: dict(v) if isinstance(v := getattr(self, f.name), dict)
+                else v for f in fields(self)}
 
 
 class _Request:
-    """One unit of work, as both executors queue it."""
+    """One unit of work, as it is queued."""
 
     __slots__ = ("rid", "source", "fname", "args", "types", "backend",
                  "check", "budget", "options", "use_prelude", "deadline",
-                 "future", "batch_key")
+                 "future", "batch_key", "attempts")
 
     def __init__(self, rid, config, source, fname, args, types, backend,
                  check, budget, options, use_prelude, deadline_s):
@@ -217,6 +202,7 @@ class _Request:
                          if deadline_s is not None else None)
         self.future = ServeFuture()
         self.batch_key: Optional[tuple] = None
+        self.attempts = 0            #: executions started (pool retries)
 
     def key(self) -> Optional[tuple]:
         """The coalescing key, or None when the request must run alone
@@ -247,6 +233,116 @@ def _coalesce(queue: deque, max_batch: int) -> list:
     return group
 
 
+def _job(group: list) -> dict:
+    """What :func:`run_group` needs of a coalesced group — plain
+    picklable data, so the same job runs in this process or a worker."""
+    lead = group[0]
+    return {"source": lead.source, "options": lead.options,
+            "use_prelude": lead.use_prelude, "fname": lead.fname,
+            "types": lead.types, "check": lead.check,
+            "backend": lead.backend, "budget": lead.budget,
+            "key": lead.key(),
+            "items": [(r.rid, r.args) for r in group]}
+
+
+def _predict(prog, fname: str, args: list, types) -> Optional[dict]:
+    """The statically predicted cost of one call, or ``None`` when the
+    program is unbounded / prediction fails for any reason."""
+    try:
+        cert = prog.cost_certificate(
+            fname, *prog.resolve_entry(fname, args, types))
+        p = cert.predict(args)
+    except Exception:
+        return None
+    return p if p["bounded"] else None
+
+
+def _name_request(e: BaseException, rid: str) -> BaseException:
+    """A :class:`ResourceLimitError` re-made with the originating request
+    named (any other error as is) — a breach escaping a decomposed batch
+    stays attributable."""
+    if not isinstance(e, ResourceLimitError) or e.request:
+        return e
+    return ResourceLimitError(e.limit, e.used, e.budget, stage=e.stage,
+                              function=e.function,
+                              frame_sizes=e.frame_sizes, request=rid)
+
+
+def run_group(cache: CompileCache, tier: TierPolicy,
+              job: dict) -> tuple[list, dict]:
+    """Execute one coalesced group (:func:`_job`): ``(outcomes, flags)``
+    with one ``(ok, value-or-error)`` per item, in order.
+
+    One batched pass on the back end ``tier`` selects (a lone request
+    runs unbatched, under its budget); a native-tier compile failure is
+    reported to ``tier`` and retried on the requested back end, so
+    tiering never surfaces an error the requested back end would not
+    have raised; any other :class:`ReproError` decomposes a batch into
+    per-request runs, every :class:`ResourceLimitError` request-named.
+    ``flags`` marks what the caller accounts: ``promoted``, ``demoted``,
+    ``fallback`` (decomposed).
+    """
+    items = job["items"]
+    flags: dict = {}
+    try:
+        # every batch member is one served request, so the hit-rate
+        # measures request-level deduplication
+        prog = cache.get(job["source"], job["options"], job["use_prelude"],
+                         lookups=len(items))
+    except Exception as e:
+        return [(False, e)] * len(items), flags
+    fname, types, check = job["fname"], job["types"], job["check"]
+    requested, key = job["backend"], job["key"]
+
+    def one(args: list, backend: str):
+        return prog.run(fname, args, backend=backend, types=types,
+                        check=check, budget=job["budget"])
+
+    def whole(backend: str) -> list:
+        if len(items) == 1:
+            return [one(items[0][1], backend)]
+        return prog.run_batched(fname, [args for _, args in items],
+                                backend=backend, types=types, check=check)
+
+    def weight() -> int:
+        total = 0
+        for _, args in items:
+            pred = _predict(prog, fname, args, types)
+            total += 1 if pred is None else \
+                max(1, -(-pred["work"] // TIER_UNIT_WORK))
+        return total
+
+    backend, promoted = tier.choose(key, requested, weight)
+    if promoted:
+        flags["promoted"] = True
+    try:
+        try:
+            values = whole(backend)
+        except NativeCompileError:
+            if backend == requested:
+                raise
+            if tier.failed(key):
+                flags["demoted"] = True
+            values = whole(requested)
+        else:
+            if backend != requested:
+                tier.succeeded(key)
+        return [(True, v) for v in values], flags
+    except ReproError as e:
+        if len(items) == 1:
+            return [(False, _name_request(e, items[0][0]))], flags
+        flags["fallback"] = True
+    except Exception as e:
+        return [(False, e)] * len(items), flags
+    outcomes = []
+    for rid, args in items:
+        try:
+            outcomes.append((True, one(args, requested)))
+        except Exception as e:
+            outcomes.append((False, _name_request(e, rid)))
+    return outcomes, flags
+
+
 class BatchExecutor:
     """Queue + compile cache + coalescing dispatcher; the programmatic
     face of ``repro serve``.
@@ -258,9 +354,12 @@ class BatchExecutor:
             results = [f.result() for f in futs]
     """
 
+    _Config = ServeConfig
+    _Stats = ServeStats
+
     def __init__(self, config: Optional[ServeConfig] = None,
                  cache: Optional[CompileCache] = None):
-        self.config = config or ServeConfig()
+        self.config = config or self._Config()
         if self.config.max_batch < 1 or self.config.max_queue < 1 \
                 or self.config.workers < 1:
             raise ValueError("max_batch, max_queue and workers must be >= 1")
@@ -268,22 +367,12 @@ class BatchExecutor:
         # makes it falsy), so test against None explicitly
         self.cache = (cache if cache is not None
                       else CompileCache(self.config.cache_capacity))
-        self.stats = ServeStats()
+        self.stats = self._Stats()
         self._rid = itertools.count(1)         # fallback request-id source
-        self._lock = threading.Lock()          # queue + stats
-        self._work = threading.Condition(self._lock)   # queue not empty / closed
-        self.tier = TierPolicy(self.config.native_after,
-                               self.config.breaker_failures,
-                               self.config.breaker_cooldown_s, self.stats)
-        self._queue: deque[_Request] = deque()
-        self._idle_wakeups = 0                 # fallback-heartbeat timeouts
+        self._lock = threading.Lock()          # queues + stats
+        self._work = threading.Condition(self._lock)   # any state change
         self._closed = False
-        self._threads = [
-            threading.Thread(target=self._worker, name=f"repro-serve-{i}",
-                             daemon=True)
-            for i in range(self.config.workers)]
-        for t in self._threads:
-            t.start()
+        self._start()
 
     # -- public API ------------------------------------------------------
 
@@ -300,7 +389,9 @@ class BatchExecutor:
 
         Raises ``ResourceLimitError("queue-depth", ...)`` when the bounded
         queue is full — the caller sheds load instead of the server
-        accumulating unbounded work — and ``ValueError`` for a back end
+        accumulating unbounded work —, ``ResourceLimitError
+        ("predicted-...", ...)`` when a budgeted request's predicted cost
+        already exceeds its budget, and ``ValueError`` for a back end
         :data:`repro.api.BACKENDS` does not list.
 
         ``request_id`` names the request in every budget/deadline/
@@ -309,29 +400,27 @@ class BatchExecutor:
         the request that caused it.  Auto-assigned (``r1``, ``r2``, ...)
         when not given.
         """
+        cfg = self.config
         req = _Request(
             request_id if request_id is not None else f"r{next(self._rid)}",
-            self.config, source, fname, args, types, backend, check, budget,
+            cfg, source, fname, args, types, backend, check, budget,
             options, use_prelude, deadline_s)
-        if (self.config.predict_admission and budget is not None
-                and budget.any_set()):
+        if cfg.predict_admission and budget is not None and budget.any_set():
             self._admit(req)     # may raise ResourceLimitError("predicted-…")
-        with self._lock:
+        with self._work:
             if self._closed:
-                raise RuntimeError("BatchExecutor is closed")
-            depth = len(self._queue)
-            if depth >= self.config.max_queue:
+                raise RuntimeError(f"{type(self).__name__} is closed")
+            depth = self._depth()
+            if depth >= cfg.max_queue:
                 self.stats.rejected += 1
                 raise ResourceLimitError("queue-depth", depth + 1,
-                                         self.config.max_queue,
-                                         stage="serve:submit",
+                                         cfg.max_queue, stage="serve:submit",
                                          request=req.rid)
-            self._queue.append(req)
+            self._enqueue(req)
             depth += 1
             self.stats.requests += 1
             if depth > self.stats.max_queue_depth:
                 self.stats.max_queue_depth = depth
-            self._work.notify()
         p = _obs.PROFILER
         if p is not None:
             p.count("serve", "queue_depth", depth, 0, 0)
@@ -346,11 +435,11 @@ class BatchExecutor:
 
     def queue_depth(self) -> int:
         with self._lock:
-            return len(self._queue)
+            return self._depth()
 
     def close(self, timeout: float = 10.0) -> None:
         """Stop accepting work, drain the queue, join the workers."""
-        with self._lock:
+        with self._work:
             if self._closed:
                 return
             self._closed = True
@@ -358,60 +447,77 @@ class BatchExecutor:
         for t in self._threads:
             t.join(timeout)
 
-    def __enter__(self) -> "BatchExecutor":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> bool:
         self.close()
         return False
 
+    # -- where a request waits, where a group runs ------------------------
+    # (the four methods WorkerPool overrides, plus its start and close)
+
+    def _start(self) -> None:
+        self.tier = TierPolicy(self.config.native_after,
+                               self.config.breaker_failures,
+                               self.config.breaker_cooldown_s)
+        self._queue: deque[_Request] = deque()
+        self._threads = self._spawn_dispatchers(
+            [None] * self.config.workers, "repro-serve")
+
+    def _depth(self) -> int:
+        """Requests waiting (``self._lock`` held)."""
+        return len(self._queue)
+
+    def _enqueue(self, req: _Request) -> None:
+        """Park an accepted request and wake what drains it
+        (``self._lock`` held)."""
+        self._queue.append(req)
+        self._work.notify()
+
+    def _take_group(self, slot) -> Optional[list[_Request]]:
+        """The next coalescible group (:func:`_coalesce`), or None at
+        shutdown.  An idle dispatcher sleeps on the condition ``submit``
+        and ``close`` notify — no timeout, no polling
+        (``tests/serve/test_wakeup.py``)."""
+        with self._work:
+            while not self._queue:
+                if self._closed:
+                    return None
+                self._work.wait()
+            return _coalesce(self._queue, self.config.max_batch)
+
+    def _run(self, slot, group: list[_Request]) -> None:
+        outcomes, flags = run_group(self.cache, self.tier, _job(group))
+        self._record(len(group), flags)
+        for req, (ok, body) in zip(group, outcomes):
+            if ok:
+                self._finish(req, value=body)
+            else:
+                self._finish(req, error=body)
+
     # -- dispatcher ------------------------------------------------------
 
-    def _worker(self) -> None:
-        while True:
-            group = self._take_group()
-            if group is None:
-                return
+    def _spawn_dispatchers(self, slots: list, name: str) -> list:
+        threads = [threading.Thread(target=self._worker, args=(slot,),
+                                    name=f"{name}-{i}", daemon=True)
+                   for i, slot in enumerate(slots)]
+        for t in threads:
+            t.start()
+        return threads
+
+    def _worker(self, slot) -> None:
+        while (group := self._take_group(slot)) is not None:
+            group = [r for r in group if not self._expired(r)]
             if not group:
                 continue
             try:
-                self._execute_group(group)
-            except BaseException as e:  # never kill the worker loop
+                self._run(slot, group)
+            except BaseException as e:  # never kill the dispatcher loop
                 for req in group:
-                    if not req.future.done():
-                        self._finish(req, error=e)
-
-    def _take_group(self) -> Optional[list[_Request]]:
-        """The next coalescible group of requests (:func:`_coalesce`),
-        or None at shutdown.
-
-        Idle dispatchers sleep on a condition notified by ``submit`` and
-        ``close`` — no polling; ``poll_s`` is only a fallback heartbeat
-        (``self._idle_wakeups`` counts its timeouts, pinned near zero by
-        ``tests/serve/test_wakeup.py``).
-        """
-        with self._work:
-            while True:
-                if self._queue:
-                    return _coalesce(self._queue, self.config.max_batch)
-                if self._closed:
-                    return None
-                if not self._work.wait(self.config.poll_s):
-                    self._idle_wakeups += 1
+                    self._finish(req, error=e)
 
     # -- predicted-budget admission (docs/ANALYSIS.md, docs/SERVING.md) --
-
-    def _predict(self, req: _Request) -> Optional[dict]:
-        """The request's statically predicted cost, or ``None`` when the
-        program is unbounded / prediction fails for any reason."""
-        try:
-            prog = self.cache.get(req.source, req.options, req.use_prelude)
-            cert = prog.cost_certificate(
-                req.fname, *prog.resolve_entry(req.fname, req.args, req.types))
-            p = cert.predict(req.args)
-        except Exception:
-            return None
-        return p if p["bounded"] else None
 
     def _admit(self, req: _Request) -> None:
         """Reject a budgeted request whose *predicted* cost already
@@ -420,11 +526,14 @@ class BatchExecutor:
         steps and elements, ``8 * work`` bytes per
         ``interp/interpreter.py``); anything unpredictable is admitted
         and left to the runtime guard (the enforcement backstop)."""
-        pred = self._predict(req)
+        try:
+            prog = self.cache.get(req.source, req.options, req.use_prelude)
+        except Exception:
+            return                  # the compile error surfaces at execution
+        pred = _predict(prog, req.fname, req.args, req.types)
         if pred is None:
             return
         b = req.budget
-        assert b is not None
         for limit, used, cap in (
                 ("predicted-steps", pred["work"], b.max_steps),
                 ("predicted-elements", pred["work"], b.max_elements),
@@ -440,124 +549,43 @@ class BatchExecutor:
                                          function=req.fname,
                                          request=req.rid)
 
-    # -- tiered compilation ----------------------------------------------
-
-    def _group_weight(self, members: list) -> int:
-        """Tier-promotion weight of a request group: predicted work
-        served, quantized to ``tier_unit_work`` units (each member at
-        least 1, so unpredictable keys degrade to request counting)."""
-        if self.config.tier_unit_work <= 0:
-            return len(members)
-        total = 0
-        for r in members:
-            pred = self._predict(r)
-            if pred is None:
-                total += 1
-            else:
-                total += max(1, -(-pred["work"]
-                                  // self.config.tier_unit_work))
-        return total
-
-    def _tiered_run(self, prog, req: _Request,
-                    group: Optional[list] = None):
-        """Run one request (or its coalesced group, every member
-        weighed) on the back end ``self.tier`` selects; a native-tier
-        compile failure is reported to it and retried on the requested
-        back end, so tiering never surfaces an error the requested back
-        end would not have raised."""
-        key = req.key()
-        backend = req.backend
-        if self.tier.eligible(key, backend):
-            backend = self.tier.choose(
-                key, backend, self._group_weight(group or [req]))
-
-        def go(b: str):
-            if group is not None:
-                return prog.run_batched(req.fname,
-                                        [r.args for r in group],
-                                        backend=b, types=req.types,
-                                        check=req.check)
-            return prog.run(req.fname, req.args, backend=b,
-                            types=req.types, check=req.check,
-                            budget=req.budget)
-
-        if backend == req.backend:
-            return go(backend)
-        try:
-            result = go(backend)
-        except NativeCompileError:
-            self.tier.failed(key)
-            return go(req.backend)
-        self.tier.succeeded(key)
-        return result
-
-    # -- execution -------------------------------------------------------
-
-    def _execute_group(self, group: list[_Request]) -> None:
-        group = [r for r in group if not self._expired(r)]
-        if not group:
-            return
-        if len(group) == 1:
-            self._execute_single(group[0])
-            return
-        req = group[0]
-        try:
-            prog = self.cache.get(req.source, req.options, req.use_prelude)
-            # every batch member is one served request: record its lookup
-            # too, so the hit-rate measures request-level deduplication
-            # rather than group-level (the entry is ready — each extra
-            # get is a dict access under the lock)
-            for _ in group[1:]:
-                self.cache.get(req.source, req.options, req.use_prelude)
-            results = self._tiered_run(prog, req, group)
-        except ReproError:
-            # decompose: attribute failures to the requests that caused
-            # them, never to innocent batchmates
-            with self._lock:
-                self.stats.fallbacks += 1
-            for r in group:
-                self._execute_single(r)
-            return
-        self._note_batch(len(group))
-        for r, value in zip(group, results):
-            self._finish(r, value=value)
-
-    def _execute_single(self, req: _Request) -> None:
-        if self._expired(req):
-            return
-        try:
-            prog = self.cache.get(req.source, req.options, req.use_prelude)
-            value = self._tiered_run(prog, req)
-        except ResourceLimitError as e:
-            self._finish(req, error=_name_request(e, req.rid))
-            return
-        except BaseException as e:
-            self._finish(req, error=e)
-            return
-        with self._lock:
-            self.stats.singles += 1
-        self._finish(req, value=value)
+    # -- accounting and completion ----------------------------------------
 
     def _expired(self, req: _Request) -> bool:
-        if req.deadline is not None and time.monotonic() > req.deadline:
-            with self._lock:
-                self.stats.expired += 1
-            self._finish(req, error=ResourceLimitError(
-                "timeout", "deadline passed in queue",
-                f"{req.deadline:.2f}", stage="serve:queue",
-                request=req.rid))
-            return True
-        return False
-
-    def _note_batch(self, n: int) -> None:
+        if req.deadline is None or time.monotonic() <= req.deadline:
+            return False
         with self._lock:
-            self.stats.batches += 1
-            self.stats.batched_requests += n
-            if n > self.stats.max_batch:
-                self.stats.max_batch = n
-            self.stats.batch_sizes[n] = self.stats.batch_sizes.get(n, 0) + 1
+            self.stats.expired += 1
+        self._finish(req, error=ResourceLimitError(
+            "timeout", "deadline passed in queue", f"{req.deadline:.2f}",
+            stage="serve:queue", request=req.rid))
+        return True
+
+    def _record(self, n: int, flags: dict) -> None:
+        """Account one executed group of ``n`` requests and what
+        :func:`run_group` flagged about it."""
+        batched = n > 1 and "fallback" not in flags
+        s = self.stats
+        with self._lock:
+            s.promotions += flags.get("promoted", 0)
+            s.demotions += flags.get("demoted", 0)
+            s.fallbacks += flags.get("fallback", 0)
+            if batched:
+                s.batches += 1
+                s.batched_requests += n
+                s.max_batch = max(s.max_batch, n)
+                s.batch_sizes[n] = s.batch_sizes.get(n, 0) + 1
+            else:
+                s.singles += n
         p = _obs.PROFILER
-        if p is not None:
+        if p is None:
+            return
+        if "promoted" in flags:
+            p.count("serve", "tier_promotion", 1, 0, 0)
+        if "demoted" in flags:
+            p.count("serve", "tier_demotion", 1, 0, 0)
+            p.count("serve", "breaker_open", 1, 0, 0)
+        if batched:
             # the batch-size histogram: calls per size live in batch_sizes;
             # the aggregate cell tracks count / total size / largest batch
             p.count("serve", "batch", n, n, 0)
@@ -565,6 +593,8 @@ class BatchExecutor:
 
     def _finish(self, req: _Request, value: Any = None,
                 error: Optional[BaseException] = None) -> None:
+        if req.future.done():       # already failed by a crash or deadline
+            return
         with self._lock:
             if error is not None:
                 self.stats.errors += 1

@@ -88,26 +88,26 @@ class CompileCache:
             return self.hits / total if total else 0.0
 
     def get(self, source: str, options: Optional[TransformOptions] = None,
-            use_prelude: bool = True) -> CompiledProgram:
+            use_prelude: bool = True, lookups: int = 1) -> CompiledProgram:
         """The compiled program for ``source`` — compiled at most once per
-        key no matter how many threads ask concurrently."""
+        key no matter how many threads ask concurrently.  ``lookups`` is
+        how many requests this one call serves (a coalesced group asks
+        once for all its members), so the hit-rate stays per request."""
         key = cache_key(source, options, use_prelude)
         with self._lock:
             entry = self._map.get(key)
-            if entry is not None and entry.event.is_set():
-                self.hits += 1
-                self._map.move_to_end(key)
-                self._observe("cache_hit")
-                return entry.value
-            if entry is None:
+            owner = entry is None
+            if owner:
                 entry = self._map[key] = _Entry()
                 self.misses += 1
                 self._observe("cache_miss")
-                owner = True
-            else:           # someone is compiling this key right now
-                self.hits += 1
+                lookups -= 1
+            self.hits += lookups
+            for _ in range(lookups):
                 self._observe("cache_hit")
-                owner = False
+            if entry.event.is_set():
+                self._map.move_to_end(key)
+                return entry.value
         if not owner:
             entry.event.wait()
             if entry.error is not None:

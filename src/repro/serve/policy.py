@@ -1,9 +1,9 @@
 """Degradation policies for the serving tier: retries, circuit breaking,
 and shard placement.
 
-These are the pure decision pieces the fault-tolerant pool
-(:mod:`repro.serve.pool`) and the thread executor
-(:mod:`repro.serve.batcher`) share — no processes, no queues, no clocks
+These are the pure decision pieces of the serve core
+(:mod:`repro.serve.batcher`) and its process pool
+(:mod:`repro.serve.pool`) — no processes, no queues, no clocks
 of their own, so every policy is unit-testable in isolation
 (``tests/serve/test_policy.py``):
 
@@ -13,17 +13,16 @@ of their own, so every policy is unit-testable in isolation
   second run would charge the same budget twice (the pool enforces
   this, see docs/RELIABILITY.md).
 * :class:`CircuitBreaker` — the closed → open → half-open automaton
-  that generalizes the serve layer's permanent native-tier demotion
-  (PR 7) into a recoverable one: after ``failures`` consecutive
-  failures the breaker *opens* (callers stop trying), after
+  that makes native-tier demotion recoverable: after ``failures``
+  consecutive failures the breaker *opens* (callers stop trying), after
   ``cooldown_s`` it lets exactly one *probe* through (half-open), and
   the probe's outcome either closes it again or re-opens it with an
-  escalated cooldown.  ``cooldown_s=None`` keeps the legacy behavior —
-  open forever, i.e. a permanent demotion.
-* :class:`TierPolicy` — which back end a served request actually runs
+  escalated cooldown.
+* :class:`TierPolicy` — which back end a served group actually runs
   on: ``vector`` until its batch key proves hot, then ``native``, with
-  one :class:`CircuitBreaker` per key guarding the native tier.  Both
-  executors ask it; each only computes its own promotion *weight*.
+  one :class:`CircuitBreaker` per key guarding the native tier.  It
+  lives beside the compile cache, wherever
+  :func:`~repro.serve.batcher.run_group` runs.
 * :func:`shard_of` / :class:`HashRing` — stable (non-salted) consistent
   hashing of batch keys onto worker slots, so one program key always
   lands on the same worker and its compile caches stay hot.
@@ -37,9 +36,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Hashable, Optional
-
-from repro.obs import runtime as _obs
+from typing import Callable, Hashable, Optional
 
 __all__ = ["RetryPolicy", "CircuitBreaker", "TierPolicy", "HashRing",
            "shard_of", "stable_hash"]
@@ -87,8 +84,7 @@ class CircuitBreaker:
     * **closed** — traffic flows; ``failures`` *consecutive* failures
       trip the breaker.
     * **open** — :meth:`allow` answers False until ``cooldown_s`` has
-      elapsed (forever when ``cooldown_s`` is None — the permanent
-      demotion of PR 7).
+      elapsed.
     * **half-open** — after the cooldown exactly one caller is let
       through as a probe; its success closes the breaker, its failure
       re-opens it with the cooldown scaled by ``escalation`` (capped at
@@ -96,7 +92,7 @@ class CircuitBreaker:
     """
 
     def __init__(self, failures: int = 3,
-                 cooldown_s: Optional[float] = 5.0,
+                 cooldown_s: float = 5.0,
                  escalation: float = 2.0,
                  max_cooldown_s: float = 60.0,
                  clock=time.monotonic):
@@ -111,7 +107,7 @@ class CircuitBreaker:
         self._state = "closed"
         self._consecutive = 0
         self._opened_at = 0.0
-        self._current_cooldown = cooldown_s if cooldown_s is not None else 0.0
+        self._current_cooldown = cooldown_s
         self.opens = 0          #: transitions into the open state
         self.probes = 0         #: half-open probes admitted
 
@@ -128,8 +124,6 @@ class CircuitBreaker:
                 return True
             if self._state == "half-open":
                 return False                 # one probe already in flight
-            if self.cooldown_s is None:      # permanent: never re-probe
-                return False
             if self._clock() - self._opened_at >= self._current_cooldown:
                 self._state = "half-open"
                 self.probes += 1
@@ -140,8 +134,7 @@ class CircuitBreaker:
         with self._lock:
             self._state = "closed"
             self._consecutive = 0
-            if self.cooldown_s is not None:
-                self._current_cooldown = self.cooldown_s
+            self._current_cooldown = self.cooldown_s
 
     def record_failure(self) -> bool:
         """Record one failure; returns True when this failure *opened*
@@ -172,74 +165,70 @@ class CircuitBreaker:
 
 
 class TierPolicy:
-    """Tiered compilation for one executor.  A batch key starts on the
-    ``vector`` (NumPy) back end and is *promoted* to ``native``
+    """Tiered compilation beside one compile cache.  A batch key starts
+    on the ``vector`` (NumPy) back end and is *promoted* to ``native``
     (docs/NATIVE.md) once it has served ``native_after`` weight units.
     Native failures feed the key's :class:`CircuitBreaker`: the one that
     trips it *demotes* the key to the requested back end until a
-    half-open probe (if the cooldown ever admits one) succeeds.
+    half-open probe succeeds.
 
     Only ``vector`` requests tier, only when a C toolchain exists, and
-    never a budgeted request (``key is None``).  ``stats`` is the owning
-    executor's: its ``promotions`` / ``demotions`` fields are written
-    here and nowhere else.  Thread-safe.
+    never a budgeted request (``key is None``).  Promotions and breaker
+    trips are *returned* to the caller, who owns the statistics.
+    Thread-safe.
     """
 
     def __init__(self, native_after: int, breaker_failures: int,
-                 breaker_cooldown_s: Optional[float], stats: Any):
+                 breaker_cooldown_s: float):
         self.native_after = native_after
         self.breaker_failures = breaker_failures
         self.breaker_cooldown_s = breaker_cooldown_s
-        self._stats = stats
         self._lock = threading.Lock()
-        self._tier_counts: dict = {}        # batch key -> weight served
+        self._tally: dict = {}              # batch key -> weight served
         self._breakers: dict = {}           # batch key -> CircuitBreaker
 
     def eligible(self, key: Optional[Hashable], requested: str) -> bool:
-        """Can this request tier at all?  (Cheap: lets an executor skip
-        computing a costly weight.)"""
+        """Can this request tier at all?"""
         if requested != "vector" or self.native_after <= 0 or key is None:
             return False
         from repro.native import toolchain
         return toolchain.available()
 
     def choose(self, key: Optional[Hashable], requested: str,
-               weight: int) -> str:
-        """The back end this dispatch runs on: ``native`` once the key's
-        tally, ``weight`` added, has passed ``native_after`` and its
-        breaker allows it."""
+               weight: Callable[[], int]) -> tuple[str, bool]:
+        """``(back end this dispatch runs on, promoted by it?)``:
+        ``native`` once the key's tally has passed ``native_after`` and
+        its breaker allows it.  ``weight()`` — this dispatch's share of
+        the tally, costly to predict — is asked only while the key is
+        still unpromoted."""
         if not self.eligible(key, requested):
-            return requested
-        with self._lock:
-            breaker = self._breakers.get(key)
-            before = self._tier_counts.get(key, 0)
-            self._tier_counts[key] = before + weight
-            if before + weight <= self.native_after:
-                return requested
+            return requested, False
+        promoted = False
+        if self._tally.get(key, 0) <= self.native_after:
+            w = weight()
+            with self._lock:
+                before = self._tally.get(key, 0)
+                self._tally[key] = before + w
+            if before + w <= self.native_after:
+                return requested, False
             promoted = before <= self.native_after   # crossed on this dispatch
-            if promoted:
-                self._stats.promotions += 1
-        if promoted:
-            _count("tier_promotion")
         # an open breaker keeps the key on the requested tier until its
         # cooldown admits a half-open probe (docs/RELIABILITY.md)
+        breaker = self._breakers.get(key)
         if breaker is not None and not breaker.allow():
-            return requested
-        return "native"
+            return requested, promoted
+        return "native", promoted
 
-    def failed(self, key: Hashable) -> None:
-        """One native-tier failure for ``key``."""
+    def failed(self, key: Hashable) -> bool:
+        """One native-tier failure for ``key``; True when it tripped the
+        key's breaker (a demotion)."""
         with self._lock:
             breaker = self._breakers.get(key)
             if breaker is None:
                 breaker = self._breakers[key] = CircuitBreaker(
                     failures=self.breaker_failures,
                     cooldown_s=self.breaker_cooldown_s)
-        if breaker.record_failure():            # this one tripped it
-            with self._lock:
-                self._stats.demotions += 1
-            _count("tier_demotion")
-            _count("breaker_open")
+        return breaker.record_failure()
 
     def succeeded(self, key: Hashable) -> None:
         """One native-tier success for ``key`` (closes its breaker)."""
@@ -255,12 +244,6 @@ class TierPolicy:
                 "open": sum(1 for b in breakers if b.state != "closed"),
                 "opens": sum(b.opens for b in breakers),
                 "probes": sum(b.probes for b in breakers)}
-
-
-def _count(name: str) -> None:
-    p = _obs.PROFILER
-    if p is not None:
-        p.count("serve", name, 1, 0, 0)
 
 
 def stable_hash(key) -> int:

@@ -1,22 +1,25 @@
 """Fault-tolerant multi-process serving: the supervised worker pool.
 
-:class:`WorkerPool` speaks the same API as
-:class:`~repro.serve.batcher.BatchExecutor` (``submit`` → ``ServeFuture``,
-``run_many``, ``close``, a context manager) but executes requests in **N
-worker processes**, so a crash — a segfaulting native kernel, an OOM
-kill, a wedged C call — takes down one worker, not the server.  The
-moving parts:
+:class:`WorkerPool` *is* the :class:`~repro.serve.batcher.BatchExecutor`
+(``submit`` with predicted admission and queue-depth backpressure,
+``run_many``, deadline expiry, statistics, the context manager — all
+inherited, see :mod:`repro.serve.batcher` for the core) with two things
+overridden: **where a request waits** — the pending queue of the worker
+its batch key hashes to — and **where a group runs** — a supervised
+worker *process* that calls the same
+:func:`~repro.serve.batcher.run_group`, so a crash — a segfaulting native
+kernel, an OOM kill, a wedged C call — takes down one worker, not the
+server.  What the pool adds:
 
 * **Sharding.**  Requests are placed on workers by consistent hash of
   their batch key (:class:`~repro.serve.policy.HashRing`), so one program
-  key always lands on the same worker and its :class:`CompileCache` and
-  native-kernel handles stay hot.  Budgeted requests (no batch key)
-  spread by request id.
-* **Dispatch.**  One dispatcher thread per worker coalesces same-key
-  pending requests into segment-batched jobs (the batcher's rules) and
-  keeps at most one job in flight per worker.  Jobs are pre-pickled in
-  the parent so a non-picklable argument fails *that* request with a
-  typed error instead of wedging a queue feeder thread.
+  key always lands on the same worker and its :class:`CompileCache`,
+  tier tally and native-kernel handles stay hot.  Budgeted requests (no
+  batch key) spread by request id.
+* **Dispatch.**  One dispatcher thread per worker keeps at most one job
+  in flight on it.  Jobs are pre-pickled in the parent so a
+  non-picklable argument fails *that* request with a typed error instead
+  of wedging a queue feeder thread.
 * **Supervision.**  Every worker heartbeats from a side thread; the
   :class:`~repro.serve.supervisor.Supervisor` kills-and-respawns workers
   that die, stop heartbeating, or overrun a request deadline — with
@@ -31,13 +34,9 @@ moving parts:
   chaos site) is detected in the parent, the worker is killed, and the
   request is retried or failed typed — a poisoned worker can never
   complete a future with garbage.
-* **Degradation.**  The native tier (the thread executor's
-  :class:`~repro.serve.policy.TierPolicy`) is guarded per batch key by a
-  half-open :class:`~repro.serve.policy.CircuitBreaker` (K consecutive
-  native failures demote the key to the vector back end until a cooldown
-  probe succeeds), and ``submit`` sheds load with
-  :class:`~repro.errors.ResourceLimitError` when the queue is saturated
-  or fewer than ``min_healthy`` workers are up.
+* **Shedding.**  ``submit`` also refuses work
+  (``ResourceLimitError("healthy-workers", ...)``) while fewer than
+  ``min_healthy`` workers are up.
 * **Chaos.**  A :class:`~repro.guard.faults.ChaosSpec` pickled into every
   worker fires the process-level fault registry
   (:data:`~repro.guard.faults.PROCESS_FAULT_SITES`) deterministically per
@@ -45,9 +44,8 @@ moving parts:
   ``tools/chaos_smoke.py``.
 
 Observability counters (zero-overhead-when-off): ``serve.worker_restart``,
-``serve.retry``, ``serve.breaker_open``, ``serve.shed``.  See
-docs/RELIABILITY.md for the supervision tree and the containment
-contract.
+``serve.retry``, ``serve.shed``.  See docs/RELIABILITY.md for the
+supervision tree and the containment contract.
 """
 
 from __future__ import annotations
@@ -63,43 +61,33 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.errors import (
-    NativeCompileError, ReproError, ResourceLimitError, WorkerCrashError,
-)
+from repro.errors import ReproError, ResourceLimitError, WorkerCrashError
 from repro.guard.faults import ChaosSpec
-from repro.guard.runtime import Budget
 from repro.obs import runtime as _obs
 from repro.serve.batcher import (
-    ServeFuture, _coalesce, _name_request, _Request,
+    BatchExecutor, ServeConfig, ServeStats, _coalesce, _job, _Request,
+    run_group,
 )
 from repro.serve.cache import CompileCache
 from repro.serve.policy import HashRing, RetryPolicy, TierPolicy
 from repro.serve.supervisor import Supervisor, WorkerHandle
-from repro.transform.pipeline import TransformOptions
 
 __all__ = ["PoolConfig", "PoolStats", "WorkerPool"]
 
+#: ``fork`` is unsafe from a threaded parent
+_START_METHOD = "forkserver" \
+    if "forkserver" in mp.get_all_start_methods() else "spawn"
+_START_TIMEOUT_S = 60.0      # pool-startup deadline
+
 
 @dataclass(frozen=True)
-class PoolConfig:
-    """Tunables for one :class:`WorkerPool`."""
+class PoolConfig(ServeConfig):
+    """What one :class:`WorkerPool` can be told on top of
+    :class:`~repro.serve.batcher.ServeConfig`."""
 
-    workers: int = 2             #: worker processes
-    max_batch: int = 64          #: largest coalesced group per vector pass
-    max_queue: int = 1024        #: bounded pending depth (backpressure)
-    backend: str = "vector"      #: default back end for requests
-    check: bool = False          #: default strict-checking flag
-    cache_capacity: int = 128    #: LRU slots in each worker's compile cache
-    #: tiered compilation, as in :class:`~repro.serve.batcher.ServeConfig`
-    #: — but the pool's native tier is breaker-guarded by default.
-    native_after: int = 3
-    #: consecutive native failures that open a key's circuit breaker.
-    breaker_failures: int = 3
-    #: open-breaker cooldown before one half-open probe re-tries the
-    #: native tier (None = permanent demotion).
-    breaker_cooldown_s: Optional[float] = 5.0
+    workers: int = 2             #: worker processes, one dispatcher each
     #: retry policy for requests orphaned by a worker crash; ``None``
     #: disables retrying (every victim fails with
     #: :class:`~repro.errors.WorkerCrashError`).  Budgeted requests are
@@ -115,61 +103,19 @@ class PoolConfig:
     #: worker running it (lets near-deadline finishes land).
     deadline_grace_s: float = 0.25
     respawn_backoff_s: float = 0.05      #: first respawn delay
-    respawn_backoff_max_s: float = 2.0   #: respawn delay ceiling
-    respawn_jitter: float = 0.25         #: ± fraction on respawn delays
-    backoff_reset_s: float = 5.0         #: stable uptime that clears backoff
-    start_timeout_s: float = 60.0        #: pool-startup deadline
-    #: multiprocessing start method; ``None`` picks ``forkserver`` when
-    #: available (``fork`` is unsafe from a threaded parent) else
-    #: ``spawn``.
-    start_method: Optional[str] = None
     #: deterministic process-fault injection, pickled into every worker.
     chaos: Optional[ChaosSpec] = None
 
 
 @dataclass
-class PoolStats:
-    """Always-on pool statistics (cheap integer updates under a lock)."""
+class PoolStats(ServeStats):
+    """:class:`~repro.serve.batcher.ServeStats` plus the supervision
+    counters."""
 
-    requests: int = 0            #: accepted submissions
-    responses: int = 0           #: futures completed with a value
-    errors: int = 0              #: futures completed with an error
-    rejected: int = 0            #: submissions refused (queue full)
     shed: int = 0                #: submissions refused (below quorum)
-    expired: int = 0             #: deadline failures (queued or killed)
     retries: int = 0             #: crash victims requeued for another run
     restarts: int = 0            #: worker kill-and-respawn cycles
-    batches: int = 0             #: coalesced jobs dispatched
-    batched_requests: int = 0    #: requests inside those jobs
-    singles: int = 0             #: requests dispatched alone
-    fallbacks: int = 0           #: batches decomposed in-worker after a failure
-    max_batch: int = 0           #: largest job dispatched
-    max_queue_depth: int = 0     #: high-water mark of pending depth
-    promotions: int = 0          #: batch keys promoted to the native tier
-    demotions: int = 0           #: breaker trips demoting a promoted key
     crashes: dict = field(default_factory=dict)  #: crash reason -> count
-
-    def snapshot(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "requests", "responses", "errors", "rejected", "shed",
-            "expired", "retries", "restarts", "batches", "batched_requests",
-            "singles", "fallbacks", "max_batch", "max_queue_depth",
-            "promotions", "demotions")}
-        d["crashes"] = dict(self.crashes)
-        return d
-
-
-class _PoolRequest(_Request):
-    """One unit of work tracked by the parent."""
-
-    __slots__ = ("shard", "attempts", "tiered", "lead")
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.shard = 0
-        self.attempts = 0        #: completed or in-flight executions
-        self.tiered = False      #: dispatched on a promoted (native) tier
-        self.lead = False        #: first request of its dispatched job
 
 
 # ---------------------------------------------------------------------------
@@ -213,55 +159,34 @@ def _decode_error(tup: tuple) -> BaseException:
     return inst
 
 
-def _worker_main(wid: int, gen: int, req_q, resp_q, wcfg: dict) -> None:
+def _worker_main(wid: int, gen: int, req_q, resp_q,
+                 config: PoolConfig) -> None:
     """Entry point of one worker process.
 
-    Owns a private :class:`CompileCache`; executes pre-pickled jobs from
-    ``req_q``; answers on the shared ``resp_q`` with checksummed
-    payloads.  A side thread heartbeats every ``heartbeat_s`` (so a
-    GIL-holding compute keeps beating, while a stuck C call — or the
+    Owns a private :class:`CompileCache` and :class:`TierPolicy`; runs
+    each pre-pickled job from ``req_q`` through
+    :func:`~repro.serve.batcher.run_group`; answers on ``resp_q`` with
+    one checksummed payload per request (the first carries the group's
+    size and flags).  A side thread heartbeats every ``heartbeat_s`` (so
+    a GIL-holding compute keeps beating, while a stuck C call — or the
     chaos stall site — goes silent and earns a supervisor kill).
     """
-    chaos: Optional[ChaosSpec] = wcfg.get("chaos")
-    state = {"stall_until": 0.0}
+    chaos = config.chaos
+    stall_until = 0.0
     stop_hb = threading.Event()
 
     def beat() -> None:
-        while not stop_hb.wait(wcfg.get("heartbeat_s", 0.2)):
-            if time.monotonic() >= state["stall_until"]:
+        while not stop_hb.wait(config.heartbeat_s):
+            if time.monotonic() >= stall_until:
                 try:
                     resp_q.put(("hb", wid, gen))
                 except Exception:
                     return
 
-    threading.Thread(target=beat, name="repro-pool-hb", daemon=True).start()
-    cache = CompileCache(wcfg.get("cache_capacity", 128))
-    resp_q.put(("ready", wid, gen, os.getpid()))
-    try:
-        while True:
-            msg = req_q.get()
-            if msg is None or msg[0] == "stop":
-                break
-            job = pickle.loads(msg[1])
-            _run_job(cache, job, wid, gen, resp_q, chaos, state)
-    finally:
-        stop_hb.set()
+    def send(rid: str, ok: bool, body, ran: Optional[tuple]) -> None:
         try:
-            resp_q.put(("bye", wid, gen))
-        except Exception:
-            pass
-
-
-def _run_job(cache: CompileCache, job: dict, wid: int, gen: int, resp_q,
-             chaos: Optional[ChaosSpec], state: dict) -> None:
-    items: list = job["items"]            # [(rid, args), ...]
-    rid0 = items[0][0]
-    flags: dict = {}
-
-    def send(rid: str, ok: bool, value: Any) -> None:
-        body = value if ok else _encode_error(value)
-        try:
-            payload = pickle.dumps(body, protocol=pickle.HIGHEST_PROTOCOL)
+            payload = pickle.dumps(body if ok else _encode_error(body),
+                                   protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as e:             # unpicklable result: typed error
             ok = False
             payload = pickle.dumps(_encode_error(
@@ -270,127 +195,87 @@ def _run_job(cache: CompileCache, job: dict, wid: int, gen: int, resp_q,
         if chaos is not None and ok and \
                 chaos.fires("pool.worker.poisoned-response", rid):
             payload = payload[:-1] + bytes([payload[-1] ^ 0xA5])
-        resp_q.put(("done", wid, gen, rid, ok,
-                    payload, crc, flags if rid == rid0 else {}))
+        resp_q.put(("done", wid, gen, rid, ok, payload, crc, ran))
 
-    if chaos is not None:
-        if chaos.fires("pool.worker.heartbeat-stall", rid0):
-            # wedged, not dead: the request hangs while heartbeats go
-            # silent — only the supervisor's heartbeat timeout can tell
-            state["stall_until"] = time.monotonic() + chaos.stall_s
-            time.sleep(chaos.stall_s)
-        if chaos.fires("pool.worker.slow-compile", rid0):
-            time.sleep(chaos.slow_s)
-        if chaos.fires("pool.worker.abort", rid0):
-            os._exit(_ABORT_EXIT)
-
+    threading.Thread(target=beat, name="repro-pool-hb", daemon=True).start()
+    cache = CompileCache(config.cache_capacity)
+    tier = TierPolicy(config.native_after, config.breaker_failures,
+                      config.breaker_cooldown_s)
+    resp_q.put(("ready", wid, gen, os.getpid()))
     try:
-        prog = cache.get(job["source"], job["options"], job["use_prelude"])
-    except BaseException as e:
-        for rid, _ in items:
-            send(rid, False, e)
-        return
-
-    fname, types, check = job["fname"], job["types"], job["check"]
-    budget: Optional[Budget] = job.get("budget")
-
-    def exec_all(b: str) -> list:
-        if len(items) > 1:
-            return prog.run_batched(fname, [args for _, args in items],
-                                    backend=b, types=types, check=check)
-        return [prog.run(fname, items[0][1], backend=b, types=types,
-                         check=check, budget=budget)]
-
-    backend = job["backend"]
-    fallback = job.get("fallback")
-    try:
+        while True:
+            msg = req_q.get()
+            if msg is None or msg[0] == "stop":
+                break
+            job = pickle.loads(msg[1])
+            items = job["items"]
+            rid0 = items[0][0]
+            if chaos is not None:
+                if chaos.fires("pool.worker.heartbeat-stall", rid0):
+                    # wedged, not dead: the request hangs while heartbeats
+                    # go silent — only the heartbeat timeout can tell
+                    stall_until = time.monotonic() + chaos.stall_s
+                    time.sleep(chaos.stall_s)
+                if chaos.fires("pool.worker.slow-compile", rid0):
+                    time.sleep(chaos.slow_s)
+                if chaos.fires("pool.worker.abort", rid0):
+                    os._exit(_ABORT_EXIT)
+            outcomes, flags = run_group(cache, tier, job)
+            ran: Optional[tuple] = (len(items), flags)
+            for (rid, _), (ok, body) in zip(items, outcomes):
+                send(rid, ok, body, ran)
+                ran = None
+    finally:
+        stop_hb.set()
         try:
-            results = exec_all(backend)
-        except NativeCompileError:
-            if fallback is None:
-                raise
-            # tiering must never surface an error the requested back end
-            # would not have raised: demote in-worker, tell the parent
-            flags["native_failed"] = True
-            results = exec_all(fallback)
-    except ReproError as e:
-        if len(items) > 1:
-            # decompose: errors land on exactly the requests that caused
-            # them, never on innocent batchmates
-            flags["fallback"] = True
-            b = fallback or backend
-            for rid, args in items:
-                try:
-                    v = prog.run(fname, args, backend=b, types=types,
-                                 check=check)
-                except ResourceLimitError as re:
-                    send(rid, False, _name_request(re, rid))
-                except BaseException as be:
-                    send(rid, False, be)
-                else:
-                    send(rid, True, v)
-            return
-        if isinstance(e, ResourceLimitError):
-            e = _name_request(e, rid0)
-        send(rid0, False, e)
-        return
-    except BaseException as e:
-        for rid, _ in items:
-            send(rid, False, e)
-        return
-    for (rid, _), value in zip(items, results):
-        send(rid, True, value)
+            resp_q.put(("bye", wid, gen))
+        except Exception:
+            pass
 
 
 # ---------------------------------------------------------------------------
 # Parent side
 # ---------------------------------------------------------------------------
 
-class WorkerPool:
-    """Supervised multi-process executor behind the ``BatchExecutor`` API.
+class WorkerPool(BatchExecutor):
+    """The :class:`~repro.serve.batcher.BatchExecutor` with its groups
+    run in supervised worker processes.
 
     Use as a context manager, or call :meth:`close` when done::
 
         with WorkerPool(PoolConfig(workers=4)) as pool:
             futs = [pool.submit(SRC, "main", [k]) for k in range(100)]
             results = [f.result() for f in futs]
+
+    ``self.cache`` here serves predicted admission only; every worker
+    compiles into its own.
     """
 
-    def __init__(self, config: Optional[PoolConfig] = None):
-        self.config = config or PoolConfig()
+    _Config = PoolConfig
+    _Stats = PoolStats
+
+    def _start(self) -> None:
         cfg = self.config
-        if cfg.workers < 1 or cfg.max_batch < 1 or cfg.max_queue < 1:
-            raise ValueError("workers, max_batch and max_queue must be >= 1")
         if not 1 <= cfg.min_healthy <= cfg.workers:
             raise ValueError("min_healthy must be within [1, workers]")
-        method = cfg.start_method
-        if method is None:
-            methods = mp.get_all_start_methods()
-            method = "forkserver" if "forkserver" in methods else "spawn"
-        self._ctx = mp.get_context(method)
-        if method == "forkserver":
+        self._ctx = mp.get_context(_START_METHOD)
+        if _START_METHOD == "forkserver":
             try:      # preload the heavy imports once, so respawns fork fast
-                self._ctx.set_forkserver_preload(["repro.serve.pool"])
+                self._ctx.set_forkserver_preload(
+                    ["repro.serve.pool", "repro.analysis.cost"])
             except Exception:
                 pass
-        self.stats = PoolStats()
-        self.lock = threading.Lock()
-        self._work = threading.Condition(self.lock)
         # One response queue per worker *generation*, pumped into this
         # in-process inbox by a parent-side thread each.  A shared
         # response queue would be wedged for every worker the moment one
         # of them is SIGKILLed while holding the queue's write lock — a
         # dead process never releases it (see _pump).
         self._inbox: _queue.Queue = _queue.Queue()
-        self._rid = itertools.count(1)
         self._rng = random.Random(0x5EED)
-        self.tier = TierPolicy(cfg.native_after, cfg.breaker_failures,
-                               cfg.breaker_cooldown_s, self.stats)
         self._retries: list = []            # heap of (due, seq, request)
         self._retry_seq = itertools.count()
         self.handles = [WorkerHandle(i) for i in range(cfg.workers)]
         self._ring = HashRing(cfg.workers)
-        self.closed = False
         self._shutdown = False
         self._collector_stop = False
         for handle in self.handles:
@@ -398,12 +283,8 @@ class WorkerPool:
         self._collector = threading.Thread(
             target=self._collect, name="repro-pool-collector", daemon=True)
         self._collector.start()
-        self._dispatchers = [
-            threading.Thread(target=self._dispatch_loop, args=(h,),
-                             name=f"repro-pool-dispatch-{h.wid}", daemon=True)
-            for h in self.handles]
-        for t in self._dispatchers:
-            t.start()
+        self._threads = self._spawn_dispatchers(self.handles,
+                                                "repro-pool-dispatch")
         self._supervisor = Supervisor(self)
         self._supervisor.start()
         try:
@@ -414,87 +295,16 @@ class WorkerPool:
 
     # -- public API ------------------------------------------------------
 
-    def submit(self, source: str, fname: str, args: Sequence[Any], *,
-               types: Optional[Sequence] = None,
-               backend: Optional[str] = None,
-               check: Optional[bool] = None,
-               budget: Optional[Budget] = None,
-               options: Optional[TransformOptions] = None,
-               use_prelude: bool = True,
-               deadline_s: Optional[float] = None,
-               request_id: Optional[str] = None) -> ServeFuture:
-        """Enqueue one request; returns its :class:`ServeFuture`.
-
-        Sheds load with ``ResourceLimitError("queue-depth", ...)`` when
-        the pending queue is full and ``ResourceLimitError
-        ("healthy-workers", ...)`` when the pool is degraded below
-        ``min_healthy`` live workers — a degraded pool fails fast instead
-        of accumulating work it cannot run.  An unknown back end is a
-        ``ValueError``, as in :meth:`BatchExecutor.submit`.
-        """
-        cfg = self.config
-        req = _PoolRequest(
-            request_id if request_id is not None else f"p{next(self._rid)}",
-            cfg, source, fname, args, types, backend, check, budget,
-            options, use_prelude, deadline_s)
-        key = req.key()
-        req.shard = self._ring.lookup(key if key is not None else req.rid)
-        shed = None
-        with self._work:
-            if self.closed:
-                raise RuntimeError("WorkerPool is closed")
-            healthy = sum(1 for h in self.handles if h.state == "up")
-            depth = sum(len(h.pending) for h in self.handles) \
-                + len(self._retries)
-            if healthy < cfg.min_healthy:
-                self.stats.shed += 1
-                shed = ResourceLimitError(
-                    "healthy-workers", healthy, cfg.min_healthy,
-                    stage="pool:submit", request=req.rid)
-            elif depth >= cfg.max_queue:
-                self.stats.rejected += 1
-                shed = ResourceLimitError(
-                    "queue-depth", depth + 1, cfg.max_queue,
-                    stage="pool:submit", request=req.rid)
-            else:
-                self.handles[req.shard].pending.append(req)
-                depth += 1
-                self.stats.requests += 1
-                if depth > self.stats.max_queue_depth:
-                    self.stats.max_queue_depth = depth
-                self._work.notify_all()
-        p = _obs.PROFILER
-        if p is not None:
-            if shed is not None:
-                p.count("serve", "shed", 1, 0, 0)
-            else:
-                p.count("serve", "queue_depth", depth, 0, 0)
-        if shed is not None:
-            raise shed
-        return req.future
-
-    def run_many(self, source: str, fname: str,
-                 argsets: Sequence[Sequence[Any]], **kw) -> list:
-        """Submit every argument set, wait for all, return results in
-        order (re-raising the first error encountered)."""
-        futures = [self.submit(source, fname, args, **kw) for args in argsets]
-        return [f.result() for f in futures]
-
-    def queue_depth(self) -> int:
-        with self.lock:
-            return sum(len(h.pending) for h in self.handles) \
-                + len(self._retries)
-
     def healthy_workers(self) -> int:
-        with self.lock:
+        with self._lock:
             return sum(1 for h in self.handles if h.state == "up")
 
     def close(self, timeout: float = 10.0) -> None:
         """Stop accepting work, drain, stop workers, fail leftovers."""
         with self._work:
-            if self.closed and self._shutdown:
+            if self._closed and self._shutdown:
                 return
-            self.closed = True
+            self._closed = True
             self._work.notify_all()
         deadline = time.monotonic() + timeout
         with self._work:
@@ -523,10 +333,10 @@ class WorkerPool:
         self._collector_stop = True
         self._supervisor.join(timeout=2.0)
         self._collector.join(timeout=2.0)
-        for t in self._dispatchers:
+        for t in self._threads:
             t.join(timeout=2.0)
-        leftovers: list[_PoolRequest] = []
-        with self.lock:
+        leftovers: list[_Request] = []
+        with self._lock:
             leftovers.extend(r for _, _, r in self._retries)
             self._retries.clear()
             for h in self.handles:
@@ -540,19 +350,79 @@ class WorkerPool:
                 "shutdown", request_ids=[r.rid],
                 detail="pool closed with the request unfinished"))
         for h in handles:
-            for q in (h.req_q, getattr(h, "resp_q", None)):
+            for q in (h.req_q, h.resp_q):
                 try:
                     q.close()
                     q.cancel_join_thread()
                 except Exception:
                     pass
 
-    def __enter__(self) -> "WorkerPool":
-        return self
+    # -- where a request waits --------------------------------------------
 
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
+    def _depth(self) -> int:
+        return sum(len(h.pending) for h in self.handles) + len(self._retries)
+
+    def _enqueue(self, req: _Request) -> None:
+        """Shed while the pool is degraded below ``min_healthy`` live
+        workers — it fails fast instead of accumulating work it cannot
+        run — else park the request on its shard."""
+        healthy = sum(1 for h in self.handles if h.state == "up")
+        if healthy < self.config.min_healthy:
+            self.stats.shed += 1
+            p = _obs.PROFILER
+            if p is not None:
+                p.count("serve", "shed", 1, 0, 0)
+            raise ResourceLimitError(
+                "healthy-workers", healthy, self.config.min_healthy,
+                stage="serve:submit", request=req.rid)
+        self._park(req)
+
+    def _park(self, req: _Request) -> None:
+        key = req.key()
+        shard = self._ring.lookup(key if key is not None else req.rid)
+        self.handles[shard].pending.append(req)
+        self._work.notify_all()
+
+    def _take_group(self, handle: WorkerHandle) -> Optional[list[_Request]]:
+        with self._work:
+            while not (handle.pending and handle.state == "up"
+                       and not handle.inflight):
+                if self._shutdown:
+                    return None
+                self._work.wait()
+            return _coalesce(handle.pending, self.config.max_batch)
+
+    # -- where a group runs -------------------------------------------------
+
+    def _run(self, handle: WorkerHandle, group: list[_Request]) -> None:
+        """Hand the group to ``handle``'s process; its responses come
+        back through :meth:`_on_done`, its death through
+        :meth:`_worker_failure`."""
+        try:
+            blob = pickle.dumps(_job(group), protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as e:
+            for r in group:
+                self._finish(r, error=e)
+            return
+        with self._work:
+            if handle.state != "up":        # died between pop and dispatch
+                handle.pending.extendleft(reversed(group))
+                return
+            for r in group:
+                r.attempts += 1
+                handle.inflight[r.rid] = r
+            q = handle.req_q
+        try:
+            q.put(("job", blob))
+        except Exception:
+            # request queue torn down mid-respawn: treat this group as
+            # crash victims (retry or fail typed)
+            with self._work:
+                victims = [handle.inflight.pop(r.rid)
+                           for r in group if r.rid in handle.inflight]
+                self._work.notify_all()
+            self._absorb_victims(victims, "exit", handle,
+                                 detail="request queue closed")
 
     # -- lifecycle internals ---------------------------------------------
 
@@ -560,7 +430,7 @@ class WorkerPool:
         """(Re)start one worker slot with a fresh generation and a fresh
         request queue (a respawned worker must never replay a stale
         job)."""
-        with self.lock:
+        with self._lock:
             if self._shutdown:
                 return
             handle.generation += 1
@@ -569,31 +439,25 @@ class WorkerPool:
             now = time.monotonic()
             handle.last_hb = now
             handle.started_at = now
-            old_req = handle.req_q
-            old_resp = getattr(handle, "resp_q", None)
+            old = (handle.req_q, handle.resp_q)
             handle.req_q = self._ctx.Queue()
             handle.resp_q = resp_q = self._ctx.Queue()
-        for old in (old_req, old_resp):
-            if old is not None:
+        for q in old:
+            if q is not None:
                 try:
-                    old.close()
-                    old.cancel_join_thread()
+                    q.close()
+                    q.cancel_join_thread()
                 except Exception:
                     pass
-        wcfg = {
-            "cache_capacity": self.config.cache_capacity,
-            "heartbeat_s": self.config.heartbeat_s,
-            "chaos": self.config.chaos,
-        }
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(handle.wid, gen, handle.req_q, resp_q, wcfg),
+            args=(handle.wid, gen, handle.req_q, resp_q, self.config),
             name=f"repro-pool-{handle.name}", daemon=True)
         proc.start()
         threading.Thread(
             target=self._pump, args=(handle, gen, resp_q),
             name=f"repro-pool-pump-{handle.wid}.{gen}", daemon=True).start()
-        with self.lock:
+        with self._lock:
             handle.proc = proc
 
     def _pump(self, handle: WorkerHandle, gen: int, resp_q) -> None:
@@ -614,7 +478,7 @@ class WorkerPool:
             self._inbox.put(msg)
 
     def _wait_ready(self) -> None:
-        deadline = time.monotonic() + self.config.start_timeout_s
+        deadline = time.monotonic() + _START_TIMEOUT_S
         with self._work:
             while True:
                 up = sum(1 for h in self.handles if h.state == "up")
@@ -625,84 +489,8 @@ class WorkerPool:
                     raise RuntimeError(
                         f"worker pool failed to start: {up}/"
                         f"{len(self.handles)} workers up within "
-                        f"{self.config.start_timeout_s:.0f}s")
+                        f"{_START_TIMEOUT_S:.0f}s")
                 self._work.wait(min(remaining, 0.1))
-
-    # -- dispatch ---------------------------------------------------------
-
-    def _dispatch_loop(self, handle: WorkerHandle) -> None:
-        while True:
-            group = None
-            with self._work:
-                while True:
-                    if self._shutdown:
-                        return
-                    if handle.pending and handle.state == "up" \
-                            and not handle.inflight:
-                        group = _coalesce(handle.pending,
-                                          self.config.max_batch)
-                        break
-                    self._work.wait(0.25)
-            if group:
-                try:
-                    self._dispatch(handle, group)
-                except BaseException as e:   # never kill the dispatcher
-                    for r in group:
-                        if not r.future.done():
-                            self._finish(r, error=e)
-
-    def _dispatch(self, handle: WorkerHandle,
-                  group: list[_PoolRequest]) -> None:
-        group = [r for r in group if not self._expired(r, "pool:queue")]
-        if not group:
-            return
-        lead = group[0]
-        backend = self.tier.choose(lead.batch_key, lead.backend, len(group))
-        job = {
-            "source": lead.source, "fname": lead.fname,
-            "types": lead.types, "check": lead.check,
-            "use_prelude": lead.use_prelude, "options": lead.options,
-            "backend": backend,
-            "fallback": lead.backend if backend != lead.backend else None,
-            "items": [(r.rid, r.args) for r in group],
-            "budget": lead.budget,
-        }
-        try:
-            blob = pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as e:
-            for r in group:
-                self._finish(r, error=e)
-            return
-        with self._work:
-            if handle.state != "up":        # died between pop and dispatch
-                handle.pending.extendleft(reversed(group))
-                return
-            tiered = backend != lead.backend
-            for r in group:
-                r.attempts += 1
-                r.tiered = tiered
-                r.lead = r is lead
-                handle.inflight[r.rid] = r
-            handle.dispatched_at = time.monotonic()
-            if len(group) > 1:
-                self.stats.batches += 1
-                self.stats.batched_requests += len(group)
-                if len(group) > self.stats.max_batch:
-                    self.stats.max_batch = len(group)
-            else:
-                self.stats.singles += 1
-            q = handle.req_q
-        try:
-            q.put(("job", blob))
-        except Exception:
-            # request queue torn down mid-respawn: treat this group as
-            # crash victims (retry or fail typed)
-            with self._work:
-                victims = [handle.inflight.pop(r.rid)
-                           for r in group if r.rid in handle.inflight]
-                self._work.notify_all()
-            self._absorb_victims(victims, "exit", handle,
-                                 detail="request queue closed")
 
     # -- response collection ----------------------------------------------
 
@@ -738,12 +526,17 @@ class WorkerPool:
             self._on_done(handle, msg)
         elif kind == "bye":
             with self._work:
-                if handle.state in ("starting", "up"):
+                orphans = bool(handle.inflight) and not self._shutdown
+                if not orphans and handle.state in ("starting", "up"):
                     handle.state = "stopped"
                 self._work.notify_all()
+            if orphans:     # unwound mid-group (SystemExit, KeyboardInterrupt)
+                self._worker_failure(
+                    handle, "exit", detail="worker left with requests "
+                    "in flight")
 
     def _on_done(self, handle: WorkerHandle, msg: tuple) -> None:
-        _, _, _, rid, ok, payload, crc, flags = msg
+        _, _, _, rid, ok, payload, crc, ran = msg
         with self._work:
             req = handle.inflight.pop(rid, None)
             if req is not None and not handle.inflight:
@@ -756,15 +549,9 @@ class WorkerPool:
             self._worker_failure(handle, "poisoned-response",
                                  detail="response checksum mismatch")
             return
+        if ran is not None:
+            self._record(*ran)
         body = pickle.loads(payload)
-        if req.lead and req.batch_key is not None:
-            if flags.get("native_failed"):
-                self.tier.failed(req.batch_key)
-            elif ok and req.tiered:
-                self.tier.succeeded(req.batch_key)
-            if flags.get("fallback"):
-                with self.lock:
-                    self.stats.fallbacks += 1
         if ok:
             self._finish(req, value=body)
         else:
@@ -802,7 +589,7 @@ class WorkerPool:
         late = [r for r in victims if r.rid in overrun]
         rest = [r for r in victims if r.rid not in overrun]
         for r in late:
-            with self.lock:
+            with self._lock:
                 self.stats.expired += 1
             self._finish(r, error=ResourceLimitError(
                 "timeout", "deadline overrun in worker",
@@ -810,7 +597,7 @@ class WorkerPool:
                 stage="pool:deadline", request=r.rid))
         self._absorb_victims(rest, reason, handle, detail)
 
-    def _absorb_victims(self, victims: Sequence[_PoolRequest], reason: str,
+    def _absorb_victims(self, victims: Sequence[_Request], reason: str,
                         handle: WorkerHandle, detail: str = "") -> None:
         """Retry (bounded, jittered, idempotent-only) or fail each
         request orphaned by a worker incident."""
@@ -820,7 +607,7 @@ class WorkerPool:
         for r in victims:
             retryable = (retry is not None and r.batch_key is not None
                          and retry.allows(r.attempts))
-            if retryable and not self.closed:
+            if retryable and not self._closed:
                 with self._work:
                     self.stats.retries += 1
                     delay = retry.backoff_s(r.attempts, self._rng)
@@ -837,62 +624,21 @@ class WorkerPool:
     def _release_due_retries(self, now: float) -> None:
         """Move due retries back onto their shard's pending queue
         (supervisor tick)."""
-        released = []
         with self._work:
             while self._retries and self._retries[0][0] <= now:
-                _, _, req = heapq.heappop(self._retries)
-                released.append(req)
-            for req in released:
-                self.handles[req.shard].pending.append(req)
-            if released:
-                self._work.notify_all()
+                self._park(heapq.heappop(self._retries)[2])
 
     def _sweep_deadlines(self, now: float) -> None:
         """Fail pending requests whose deadline passed while queued (a
         worker in backoff must not silently hold its shard's deadlines
         hostage).  Called from the supervisor tick."""
-        expired: list[_PoolRequest] = []
-        with self.lock:
+        expired: list[_Request] = []
+        with self._lock:
             for h in self.handles:
-                if not h.pending:
-                    continue
-                keep: list[_PoolRequest] = []
-                for r in h.pending:
-                    if r.deadline is not None and now > r.deadline:
-                        expired.append(r)
-                    else:
-                        keep.append(r)
-                if expired:
-                    h.pending.clear()
-                    h.pending.extend(keep)
+                late = [r for r in h.pending
+                        if r.deadline is not None and now > r.deadline]
+                for r in late:
+                    h.pending.remove(r)
+                expired += late
         for r in expired:
-            self._expired(r, "pool:queue", now=now)
-
-    def _expired(self, req: _PoolRequest, stage: str,
-                 now: Optional[float] = None) -> bool:
-        if req.deadline is None:
-            return False
-        if (now if now is not None else time.monotonic()) <= req.deadline:
-            return False
-        with self.lock:
-            self.stats.expired += 1
-        self._finish(req, error=ResourceLimitError(
-            "timeout", "deadline passed in queue", f"{req.deadline:.2f}",
-            stage=stage, request=req.rid))
-        return True
-
-    # -- completion --------------------------------------------------------
-
-    def _finish(self, req: _PoolRequest, value: Any = None,
-                error: Optional[BaseException] = None) -> None:
-        if req.future.done():
-            return
-        with self.lock:
-            if error is not None:
-                self.stats.errors += 1
-            else:
-                self.stats.responses += 1
-        if error is not None:
-            req.future._set_error(error)
-        else:
-            req.future._set_value(value)
+            self._expired(r)

@@ -17,13 +17,14 @@ state.  :class:`Supervisor` is the health-check thread of a
   :class:`~repro.errors.ResourceLimitError`, and innocent batchmates are
   requeued (see docs/RELIABILITY.md — the containment contract);
 * **respawns** dead workers with exponential, jittered backoff
-  (reset after ``backoff_reset_s`` of stable uptime), so a crash-looping
+  (reset after a few seconds of stable uptime), so a crash-looping
   kernel cannot pin a CPU respawning;
 * releases **due retries** back onto their shard's pending queue.
 
 The supervisor only *decides*; every state change goes through pool
-methods (``_worker_failure``, ``_spawn_worker``, ``_requeue``) so there
-is exactly one writer protocol for the shared structures.
+methods (``_worker_failure``, ``_spawn_worker``, ``_release_due_retries``,
+``_sweep_deadlines``) so there is exactly one writer protocol for the
+shared structures.
 """
 
 from __future__ import annotations
@@ -35,9 +36,14 @@ from collections import OrderedDict, deque
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.serve.pool import WorkerPool, _PoolRequest
+    from repro.serve.batcher import _Request
+    from repro.serve.pool import WorkerPool
 
 __all__ = ["WorkerHandle", "Supervisor"]
+
+_BACKOFF_MAX_S = 2.0         # respawn delay ceiling
+_BACKOFF_JITTER = 0.25       # ± fraction on respawn delays
+_BACKOFF_RESET_S = 5.0       # stable uptime that clears the backoff
 
 
 class WorkerHandle:
@@ -59,14 +65,10 @@ class WorkerHandle:
         self.last_hb = 0.0                  # parent monotonic at last beat
         self.started_at = 0.0
         self.pending: deque = deque()       # sharded, not yet dispatched
-        self.inflight: "OrderedDict[str, _PoolRequest]" = OrderedDict()
-        self.dispatched_at = 0.0
+        self.inflight: "OrderedDict[str, _Request]" = OrderedDict()
         self.restarts = 0
         self.backoff_s = 0.0                # next respawn delay
         self.respawn_at = 0.0
-
-    def healthy(self) -> bool:
-        return self.state == "up"
 
 
 class Supervisor(threading.Thread):
@@ -87,7 +89,7 @@ class Supervisor(threading.Thread):
             try:
                 self.tick()
             except Exception:               # never die silently mid-flight
-                if self.pool.closed:
+                if self.pool._closed:
                     return
 
     # -- one health-check pass -------------------------------------------
@@ -118,7 +120,7 @@ class Supervisor(threading.Thread):
                                          deadline_victims=overrun)
                     continue
                 if state == "up" and handle.backoff_s and \
-                        now - handle.started_at > cfg.backoff_reset_s:
+                        now - handle.started_at > _BACKOFF_RESET_S:
                     handle.backoff_s = 0.0      # stable again: forget crashes
             elif state == "backoff" and now >= handle.respawn_at:
                 pool._spawn_worker(handle)
@@ -130,7 +132,7 @@ class Supervisor(threading.Thread):
         """Request ids in flight on ``handle`` whose deadline passed more
         than ``deadline_grace_s`` ago — grounds for a deadline kill."""
         grace = self.pool.config.deadline_grace_s
-        with self.pool.lock:
+        with self.pool._lock:
             return [rid for rid, req in handle.inflight.items()
                     if req.deadline is not None
                     and now > req.deadline + grace]
@@ -139,13 +141,9 @@ class Supervisor(threading.Thread):
 
     def next_backoff(self, handle: WorkerHandle) -> float:
         """Advance and return the slot's respawn delay: exponential from
-        ``respawn_backoff_s`` to ``respawn_backoff_max_s`` with a uniform
-        ±``respawn_jitter`` fraction."""
-        cfg = self.pool.config
+        ``respawn_backoff_s`` to two seconds, jittered by ±25%."""
         base = handle.backoff_s
-        base = cfg.respawn_backoff_s if base <= 0 else \
-            min(base * 2.0, cfg.respawn_backoff_max_s)
+        base = self.pool.config.respawn_backoff_s if base <= 0 else \
+            min(base * 2.0, _BACKOFF_MAX_S)
         handle.backoff_s = base
-        if cfg.respawn_jitter <= 0:
-            return base
-        return base * (1.0 + cfg.respawn_jitter * (2.0 * self.rng.random() - 1.0))
+        return base * (1.0 + _BACKOFF_JITTER * (2.0 * self.rng.random() - 1.0))

@@ -113,3 +113,64 @@ def test_full_program_floats_stable_across_thread_counts():
         for _ in range(2):
             assert prog.run("f", [arg], backend="parallel",
                             threads=threads) == want
+
+
+@pytest.mark.skipif(not toolchain.available(), reason="no C toolchain")
+def test_one_thread_is_the_serial_native_engine():
+    """``parallel`` at one thread has nothing to fan out: it runs the
+    serial native kernels (the ``native`` obs layer is charged, the
+    ``parallel`` layer is not) and returns the ``native`` back end's
+    exact floats."""
+    from repro.native.engine import get_engine
+    from repro.obs import Profiler, profiling
+    assert PE.get_parallel_engine(1)._native is get_engine()
+    assert not PE.get_parallel_engine(1).status()["openmp"]
+    src = ("fun f(v: seq(seq(float))) = "
+           "[s <- v: sum([x <- s: (x * 3.0 + 7.0) * x - 5.0])]")
+    rng = random.Random(3)
+    arg = [[rng.uniform(-1.0, 1.0) * 10.0 ** rng.randrange(-6, 7)
+            for _ in range(rng.randrange(0, 40))]
+           for _ in range(200)]
+    prog = compile_program(src)
+    want = prog.run("f", [arg], backend="native")
+    prof = Profiler()
+    with profiling(prof):
+        got = prog.run("f", [arg], backend="parallel", threads=1)
+    assert got == want
+    assert {c.op for c in prof.layer_counters("native")} >= {"sum"}
+    assert not prof.layer_counters("parallel")
+
+
+@pytest.mark.skipif(not (toolchain.available()
+                         and toolchain.openmp_available()),
+                    reason="no OpenMP toolchain")
+@pytest.mark.parametrize("threads", THREAD_COUNTS)
+def test_openmp_fused_slices_cover_every_length(threads):
+    """The OpenMP fused kernel runs the serial loop once per thread over
+    that thread's slice: every length — shorter than the team, not a
+    multiple of it, not a multiple of the unrolling — comes back with
+    the serial bits."""
+    prog = compile_program(
+        "fun f(v: seq(float), k: float) = [x <- v: (x * k + 1.0) * x]")
+    rng = random.Random(threads)
+    for n in (1, 2, 3, 5, 7, 8, 17, 63, 1025):
+        arg = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randrange(-6, 7)
+               for _ in range(n)]
+        want = prog.run("f", [arg, 0.3], backend="native")
+        assert prog.run("f", [arg, 0.3], backend="parallel",
+                        threads=threads) == want, (n, threads)
+
+
+def test_openmp_engine_defaults_idle_threads_to_sleep(monkeypatch):
+    """libgomp's default keeps idle team members spinning, which costs a
+    scheduler tick per kernel call when the team shares the caller's CPU
+    (E19 at 2 threads on 2 CPUs: 16 ms against 1.6 ms).  The engine
+    defaults the policy before any OpenMP kernel is loaded; a value the
+    user set wins."""
+    import os
+    monkeypatch.delenv("OMP_WAIT_POLICY", raising=False)
+    PE._OmpNative(2)
+    assert os.environ["OMP_WAIT_POLICY"] == "passive"
+    monkeypatch.setenv("OMP_WAIT_POLICY", "active")
+    PE._OmpNative(2)
+    assert os.environ["OMP_WAIT_POLICY"] == "active"

@@ -9,14 +9,17 @@ backstop, pinned in tests/serve/test_deadlines.py).  The same
 certificate drives tier promotion: hot batch keys are promoted to the
 native back end by predicted work *served*, not raw request count, so
 one huge request can promote immediately while tiny requests still need
-``native_after`` of them."""
+``native_after`` of them.
+
+Admission is the serve core's, so the admission class runs a second time
+with the process pool as the executor."""
 
 import pytest
 
 from repro.api import compile_program
 from repro.errors import ResourceLimitError
 from repro.guard.runtime import Budget
-from repro.serve.batcher import BatchExecutor, ServeConfig
+from repro.serve import BatchExecutor, PoolConfig, ServeConfig, WorkerPool
 
 SRC = "fun main(n) = sum([i <- [1..n]: i * i])"
 RECURSIVE = "fun main(n) = if n <= 0 then 0 else n + main(n - 1)"
@@ -31,8 +34,10 @@ def predicted(n):
 
 
 class TestAdmission:
+    Executor, Config = BatchExecutor, ServeConfig
+
     def test_over_budget_rejected_before_queueing(self):
-        with BatchExecutor() as ex:
+        with self.Executor() as ex:
             with pytest.raises(ResourceLimitError) as ei:
                 ex.submit(SRC, "main", [500], budget=Budget(max_steps=10),
                           request_id="req-heavy")
@@ -50,7 +55,7 @@ class TestAdmission:
         cases = [(Budget(max_steps=w - 1), "predicted-steps"),
                  (Budget(max_elements=w - 1), "predicted-elements"),
                  (Budget(max_bytes=8 * w - 1), "predicted-bytes")]
-        with BatchExecutor() as ex:
+        with self.Executor() as ex:
             for budget, limit in cases:
                 with pytest.raises(ResourceLimitError) as ei:
                     ex.submit(SRC, "main", [500], budget=budget)
@@ -59,7 +64,7 @@ class TestAdmission:
     def test_within_budget_admitted_and_served(self):
         p = predicted(20)
         budget = Budget(max_steps=p["work"], max_bytes=8 * p["work"])
-        with BatchExecutor() as ex:
+        with self.Executor() as ex:
             fut = ex.submit(SRC, "main", [20], budget=budget)
             assert fut.result(30) == sum(i * i for i in range(1, 21))
             assert ex.stats.snapshot()["predicted_rejections"] == 0
@@ -68,7 +73,7 @@ class TestAdmission:
         """The analyzer widens data-dependent recursion to unbounded;
         such requests are admitted, and the *runtime* guard still
         enforces the budget."""
-        with BatchExecutor() as ex:
+        with self.Executor() as ex:
             fut = ex.submit(RECURSIVE, "main", [500],
                             budget=Budget(max_steps=10))
             err = fut.exception(timeout=30)
@@ -77,7 +82,7 @@ class TestAdmission:
         assert ex.stats.snapshot()["predicted_rejections"] == 0
 
     def test_predict_admission_off_is_pure_passthrough(self):
-        with BatchExecutor(ServeConfig(predict_admission=False)) as ex:
+        with self.Executor(self.Config(predict_admission=False)) as ex:
             fut = ex.submit(SRC, "main", [500], budget=Budget(max_steps=1))
             err = fut.exception(timeout=30)
         assert isinstance(err, ResourceLimitError)
@@ -91,7 +96,7 @@ class TestAdmission:
         def boom(self, req):
             raise AssertionError("admission consulted without a budget")
         monkeypatch.setattr(BatchExecutor, "_admit", boom)
-        with BatchExecutor() as ex:
+        with self.Executor() as ex:
             assert ex.submit(SRC, "main", [4]).result(30) == 30
 
     def test_prediction_failure_degrades_to_admission(self, monkeypatch):
@@ -100,16 +105,20 @@ class TestAdmission:
         monkeypatch.setattr(
             "repro.api.CompiledProgram.cost_certificate",
             lambda *a, **kw: (_ for _ in ()).throw(RuntimeError("boom")))
-        with BatchExecutor() as ex:
+        with self.Executor() as ex:
             fut = ex.submit(SRC, "main", [500], budget=Budget(max_steps=1))
             err = fut.exception(timeout=30)
         assert isinstance(err, ResourceLimitError)
         assert err.limit == "steps"
 
 
+class TestAdmissionOnThePool(TestAdmission):
+    Executor, Config = WorkerPool, PoolConfig
+
+
 class TestPredictedWorkTiering:
-    """Tier promotion counts predicted work served (quantized by
-    ``tier_unit_work``), with unpredictable keys degrading to the old
+    """Tier promotion counts predicted work served (one unit per
+    ``TIER_UNIT_WORK``), with unpredictable keys degrading to
     one-unit-per-request accounting."""
 
     @staticmethod
@@ -130,12 +139,12 @@ class TestPredictedWorkTiering:
         return calls
 
     def test_one_heavy_request_promotes_immediately(self, monkeypatch):
+        from repro.serve.batcher import TIER_UNIT_WORK
         calls = self._native_counter(monkeypatch)
-        w = predicted(200)["work"]
-        cfg = ServeConfig(native_after=3, tier_unit_work=w // 8)
-        with BatchExecutor(cfg) as ex:     # one request ≈ 8 units > 3
-            assert ex.submit(SRC, "main", [200]).result(30) == \
-                sum(i * i for i in range(1, 201))
+        assert predicted(4000)["work"] > 3 * TIER_UNIT_WORK
+        with BatchExecutor(ServeConfig(native_after=3)) as ex:
+            assert ex.submit(SRC, "main", [4000]).result(30) == \
+                sum(i * i for i in range(1, 4001))
         assert calls["native"] == 1
         assert ex.stats.promotions == 1
 
@@ -162,13 +171,3 @@ class TestPredictedWorkTiering:
             ex.submit(RECURSIVE, "main", [3]).result(30)
             assert calls["native"] == 1
         assert ex.stats.promotions == 1
-
-    def test_tier_unit_work_zero_restores_pure_counting(self, monkeypatch):
-        calls = self._native_counter(monkeypatch)
-        cfg = ServeConfig(native_after=2, tier_unit_work=0)
-        with BatchExecutor(cfg) as ex:
-            for _ in range(2):             # heavy, but counted as 1 each
-                ex.submit(SRC, "main", [200]).result(30)
-            assert calls["native"] == 0
-            ex.submit(SRC, "main", [200]).result(30)
-            assert calls["native"] == 1

@@ -5,6 +5,10 @@ The isolation properties: a budget breach fails its own request only
 its batchmates (the group decomposes and re-runs individually), expired
 requests fail without running, and a full queue sheds load with
 ``ResourceLimitError("queue-depth")`` instead of wedging.
+
+These are properties of the serve core, so every class that does not
+need to reach inside the executor's compile cache runs a second time with
+the process pool as the executor.
 """
 
 import threading
@@ -14,7 +18,9 @@ import pytest
 from repro.api import compile_program
 from repro.errors import ReproError, ResourceLimitError
 from repro.guard import Budget
-from repro.serve import BatchExecutor, CompileCache, ServeConfig
+from repro.serve import (
+    BatchExecutor, CompileCache, PoolConfig, ServeConfig, WorkerPool,
+)
 
 SRC = "fun main(n) = sum([i <- [1..n]: i * i])"
 
@@ -23,13 +29,21 @@ def expect(n):
     return sum(i * i for i in range(1, n + 1))
 
 
-class TestBudgets:
+class _InProcess:
+    Executor, Config = BatchExecutor, ServeConfig
+
+
+class _Pooled:
+    Executor, Config = WorkerPool, PoolConfig
+
+
+class TestBudgets(_InProcess):
     def test_budget_breach_fails_only_its_own_request(self):
         """A slow request under a tight step budget raises for that
         request alone; its (would-be) batchmates all succeed.  Admission
         is disabled, so this pins the *runtime* enforcement backstop
         (tests/serve/test_admission.py covers the predicted path)."""
-        with BatchExecutor(ServeConfig(max_batch=16,
+        with self.Executor(self.Config(max_batch=16,
                                        predict_admission=False)) as ex:
             healthy = [ex.submit(SRC, "main", [k]) for k in range(1, 9)]
             doomed = ex.submit(SRC, "main", [500],
@@ -47,7 +61,7 @@ class TestBudgets:
     def test_budgeted_requests_never_coalesce(self):
         """Each budgeted request runs alone, so a guard breach is
         attributable: no shared guard scope across requests."""
-        with BatchExecutor(ServeConfig(max_batch=16)) as ex:
+        with self.Executor(self.Config(max_batch=16)) as ex:
             futs = [ex.submit(SRC, "main", [3],
                               budget=Budget(max_steps=100_000))
                     for _ in range(6)]
@@ -57,19 +71,19 @@ class TestBudgets:
             assert stats["singles"] == 6
 
     def test_queue_keeps_serving_after_a_breach(self):
-        with BatchExecutor(ServeConfig(max_batch=8)) as ex:
+        with self.Executor(self.Config(max_batch=8)) as ex:
             # over-budget: rejected at submit by predicted admission
             with pytest.raises(ResourceLimitError):
                 ex.submit(SRC, "main", [500], budget=Budget(max_steps=2))
             assert ex.submit(SRC, "main", [4]).result(30) == expect(4)
 
 
-class TestBatchPoisoning:
+class TestBatchPoisoning(_InProcess):
     def test_failing_member_does_not_poison_batchmates(self):
         """One request whose arguments crash the program: the batch
         decomposes, the bad request gets the error, the rest succeed."""
         src = "fun main(n) = 100 div n"
-        with BatchExecutor(ServeConfig(max_batch=16)) as ex:
+        with self.Executor(self.Config(max_batch=16)) as ex:
             futs = [ex.submit(src, "main", [n]) for n in (1, 2, 0, 5, 10)]
             ex.close()
         assert futs[0].result(0) == 100
@@ -80,9 +94,9 @@ class TestBatchPoisoning:
         assert ex.stats.fallbacks >= 1     # the decomposition happened
 
 
-class TestDeadlines:
+class TestDeadlines(_InProcess):
     def test_expired_request_fails_without_running(self):
-        with BatchExecutor(ServeConfig(max_batch=4)) as ex:
+        with self.Executor(self.Config(max_batch=4)) as ex:
             fut = ex.submit(SRC, "main", [5], deadline_s=-0.001)
             with pytest.raises(ResourceLimitError) as ei:
                 fut.result(30)
@@ -91,7 +105,7 @@ class TestDeadlines:
             assert ex.stats.expired == 1
 
     def test_expiry_does_not_wedge_the_queue(self):
-        with BatchExecutor(ServeConfig(max_batch=4)) as ex:
+        with self.Executor(self.Config(max_batch=4)) as ex:
             dead = [ex.submit(SRC, "main", [5], deadline_s=-0.001)
                     for _ in range(3)]
             live = ex.submit(SRC, "main", [6], deadline_s=60.0)
@@ -156,11 +170,11 @@ class TestBackpressure:
             ex.close()
 
 
-class TestUnknownBackend:
+class TestUnknownBackend(_InProcess):
     def test_submit_rejects_before_any_work(self):
         """Regression: an unknown back end used to be queued, compiled
         (one cache miss) and only then failed from inside the worker."""
-        with BatchExecutor(ServeConfig(workers=1)) as ex:
+        with self.Executor(self.Config(workers=1)) as ex:
             with pytest.raises(ValueError, match="unknown backend 'bogus'"):
                 ex.submit(SRC, "main", [1], backend="bogus")
             c = ex.cache.stats()
@@ -169,8 +183,24 @@ class TestUnknownBackend:
             assert ex.submit(SRC, "main", [2]).result(30) == expect(2)
 
     def test_a_bad_default_backend_is_rejected_too(self):
-        with BatchExecutor(ServeConfig(backend="bogus")) as ex:
+        with self.Executor(self.Config(backend="bogus")) as ex:
             with pytest.raises(ValueError, match="known: .*vector"):
                 ex.submit(SRC, "main", [1])
             assert ex.submit(SRC, "main", [1],
                              backend="interp").result(30) == expect(1)
+
+
+class TestBudgetsOnThePool(_Pooled, TestBudgets):
+    pass
+
+
+class TestBatchPoisoningOnThePool(_Pooled, TestBatchPoisoning):
+    pass
+
+
+class TestDeadlinesOnThePool(_Pooled, TestDeadlines):
+    pass
+
+
+class TestUnknownBackendOnThePool(_Pooled, TestUnknownBackend):
+    pass

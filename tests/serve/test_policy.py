@@ -103,15 +103,6 @@ def test_breaker_failed_probe_escalates_cooldown():
     assert b.allow()
 
 
-def test_breaker_permanent_when_cooldown_none():
-    clock = Clock()
-    b = CircuitBreaker(failures=1, cooldown_s=None, clock=clock)
-    b.record_failure()
-    clock.t = 1e9
-    assert not b.allow()                    # never re-probes: PR-7 demotion
-    assert b.state == "open"
-
-
 def test_breaker_rejects_bad_threshold():
     with pytest.raises(ValueError):
         CircuitBreaker(failures=0)
@@ -159,41 +150,58 @@ def test_hash_ring_rejects_zero_slots():
 # -- TierPolicy -----------------------------------------------------------
 
 def _tier(monkeypatch, toolchain=True, **kw):
-    from types import SimpleNamespace
-
     from repro.serve.policy import TierPolicy
     monkeypatch.setattr("repro.native.toolchain.available",
                         lambda: toolchain)
-    stats = SimpleNamespace(promotions=0, demotions=0)
     kw = {"native_after": 3, "breaker_failures": 1,
-          "breaker_cooldown_s": None, **kw}
-    return TierPolicy(stats=stats, **kw), stats
+          "breaker_cooldown_s": 5.0, **kw}
+    return TierPolicy(**kw)
+
+
+def _w(n):
+    return lambda: n
 
 
 def test_tier_promotes_once_the_weight_passes_native_after(monkeypatch):
-    tier, stats = _tier(monkeypatch)
-    assert tier.choose("k", "vector", 2) == "vector"      # tally 2
-    assert tier.choose("k", "vector", 1) == "vector"      # tally 3: not past
-    assert stats.promotions == 0
-    assert tier.choose("k", "vector", 1) == "native"      # tally 4
-    assert tier.choose("k", "vector", 1) == "native"
-    assert stats.promotions == 1                          # counted once
-    assert tier.choose("other", "vector", 1) == "vector"  # per key
-    assert tier.choose("heavy", "vector", 10) == "native"  # one heavy group
-    assert stats.promotions == 2
+    tier = _tier(monkeypatch)
+    assert tier.choose("k", "vector", _w(2)) == ("vector", False)   # tally 2
+    assert tier.choose("k", "vector", _w(1)) == ("vector", False)   # 3: not past
+    assert tier.choose("k", "vector", _w(1)) == ("native", True)    # tally 4
+    assert tier.choose("k", "vector", _w(1)) == ("native", False)   # told once
+    assert tier.choose("other", "vector", _w(1)) == ("vector", False)  # per key
+    assert tier.choose("heavy", "vector", _w(10)) == ("native", True)
+
+
+def test_tier_stops_weighing_a_promoted_key(monkeypatch):
+    """The weight is a cost prediction per batch member: it is asked for
+    only while it can still change the answer."""
+    tier = _tier(monkeypatch, native_after=1)
+    asked = []
+
+    def weight():
+        asked.append(1)
+        return 2
+
+    assert tier.choose("k", "vector", weight) == ("native", True)
+    for _ in range(5):
+        assert tier.choose("k", "vector", weight) == ("native", False)
+    assert len(asked) == 1
+    tier.choose(None, "vector", weight)          # ineligible: never asked
+    tier.choose("k", "interp", weight)
+    assert len(asked) == 1
 
 
 def test_tier_leaves_everything_but_eligible_vector_requests(monkeypatch):
-    tier, stats = _tier(monkeypatch, native_after=1)
+    tier = _tier(monkeypatch, native_after=1)
     for requested in ("interp", "vcode", "native", "parallel"):
         assert not tier.eligible("k", requested)
-        assert tier.choose("k", requested, 100) == requested
-    assert tier.choose(None, "vector", 100) == "vector"   # budgeted: no key
-    off, _ = _tier(monkeypatch, native_after=0)
-    assert off.choose("k", "vector", 100) == "vector"     # tiering disabled
-    bare, bare_stats = _tier(monkeypatch, toolchain=False, native_after=1)
-    assert bare.choose("k", "vector", 100) == "vector"    # no C compiler
-    assert stats.promotions == bare_stats.promotions == 0
+        assert tier.choose("k", requested, _w(100)) == (requested, False)
+    # budgeted: no key
+    assert tier.choose(None, "vector", _w(100)) == ("vector", False)
+    off = _tier(monkeypatch, native_after=0)      # tiering disabled
+    assert off.choose("k", "vector", _w(100)) == ("vector", False)
+    bare = _tier(monkeypatch, toolchain=False, native_after=1)  # no compiler
+    assert bare.choose("k", "vector", _w(100)) == ("vector", False)
 
 
 def test_tier_breaker_open_half_open_close(monkeypatch):
@@ -201,29 +209,17 @@ def test_tier_breaker_open_half_open_close(monkeypatch):
     clock = Clock()
     monkeypatch.setattr("repro.serve.policy.CircuitBreaker",
                         partial(CircuitBreaker, clock=clock))
-    tier, stats = _tier(monkeypatch, native_after=1, breaker_failures=2,
-                        breaker_cooldown_s=5.0)
-    assert tier.choose("k", "vector", 2) == "native"
-    tier.failed("k")                                      # 1 of 2: still closed
-    assert stats.demotions == 0
-    assert tier.choose("k", "vector", 1) == "native"
-    tier.failed("k")                                      # trips the breaker
-    assert stats.demotions == 1
-    assert tier.choose("k", "vector", 1) == "vector"      # open: as requested
+    tier = _tier(monkeypatch, native_after=1, breaker_failures=2)
+    assert tier.choose("k", "vector", _w(2)) == ("native", True)
+    assert tier.failed("k") is False                      # 1 of 2: still closed
+    assert tier.choose("k", "vector", _w(1))[0] == "native"
+    assert tier.failed("k") is True                       # trips the breaker
+    assert tier.choose("k", "vector", _w(1))[0] == "vector"  # open: as requested
     assert tier.snapshot() == {"keys": 1, "open": 1, "opens": 1, "probes": 0}
     clock.t = 5.0
-    assert tier.choose("k", "vector", 1) == "native"      # the one probe
-    assert tier.choose("k", "vector", 1) == "vector"      # probe in flight
+    assert tier.choose("k", "vector", _w(1))[0] == "native"  # the one probe
+    assert tier.choose("k", "vector", _w(1))[0] == "vector"  # probe in flight
     tier.succeeded("k")                                   # probe closes it
-    assert tier.choose("k", "vector", 1) == "native"
+    assert tier.choose("k", "vector", _w(1)) == ("native", False)
     assert tier.snapshot()["open"] == 0
-    assert stats.promotions == 1 and stats.demotions == 1
-
-
-def test_tier_default_demotion_is_permanent(monkeypatch):
-    tier, stats = _tier(monkeypatch, native_after=1)
-    assert tier.choose("k", "vector", 2) == "native"
-    tier.failed("k")
-    assert stats.demotions == 1
-    assert all(tier.choose("k", "vector", 1) == "vector" for _ in range(5))
     tier.succeeded("never-failed")                        # a no-op

@@ -1,7 +1,7 @@
 """Functional battery for the supervised worker pool (repro.serve.pool)
 without chaos: results identical to direct runs, cross-process error
 marshalling, coalescing, budget isolation, deadline expiry, load
-shedding, and the half-open breaker generalization of tier demotion.
+shedding, and the half-open breaker behind tier demotion.
 Crash/fault behavior lives in test_pool_chaos.py and
 tests/guard/test_process_faults.py."""
 
@@ -12,6 +12,7 @@ import pytest
 from repro import compile_program
 from repro.errors import (
     EvalError, NativeCompileError, ParseError, ResourceLimitError,
+    WorkerCrashError,
 )
 from repro.guard import Budget
 from repro.serve import BatchExecutor, PoolConfig, ServeConfig, WorkerPool
@@ -75,8 +76,10 @@ def test_failing_request_never_poisons_batchmates():
 
 
 def test_budget_breach_is_per_request_and_named():
+    # admission off: this pins the run-time guard inside the worker
+    # (tests/serve/test_admission.py covers the predicted path)
     src = "fun main(n) = sum([i <- [1..n]: i]);"
-    with WorkerPool(quick()) as pool:
+    with WorkerPool(quick(predict_admission=False)) as pool:
         tight = pool.submit(src, "main", [100000],
                             budget=Budget(max_elements=10),
                             request_id="tight")
@@ -119,6 +122,28 @@ def test_quorum_shedding_and_recovery():
         assert pool.stats.restarts >= 1
 
 
+def test_bye_with_requests_in_flight_is_a_worker_failure():
+    """A worker that unwinds mid-group (``SystemExit``,
+    ``KeyboardInterrupt``) says ``bye`` while it still owes answers:
+    those requests are crash victims, not left waiting for ``close()``."""
+    from repro.serve.batcher import _Request
+    with WorkerPool(quick(workers=1, retry=None)) as pool:
+        h = pool.handles[0]
+        req = _Request("orphan", pool.config, SRC, "main", [3], None, None,
+                       None, None, None, True, None)
+        with pool._work:
+            h.inflight[req.rid] = req
+        pool._handle_message(("bye", h.wid, h.generation))
+        err = req.future.exception(timeout=10)
+        assert isinstance(err, WorkerCrashError) and err.reason == "exit"
+        assert err.request_ids == ("orphan",)
+        assert pool.stats.restarts == 1
+        deadline = time.monotonic() + 20
+        while pool.healthy_workers() < 1 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert pool.submit(SRC, "main", [3]).result(timeout=60) == 10
+
+
 def test_shard_affinity_is_stable():
     # the same batch key must always land on the same worker slot
     ring = HashRing(2)
@@ -157,12 +182,12 @@ def test_config_validation():
         WorkerPool(PoolConfig(workers=2, min_healthy=3))
 
 
-# -- the breaker generalization of PR 7's permanent demotion -------------
+# -- the native tier's circuit breaker -----------------------------------
 
 def test_batcher_breaker_half_open_reprobe(monkeypatch):
-    """The thread executor's tier demotion is now a circuit breaker:
-    K consecutive native failures open it, a cooldown admits one probe,
-    and a successful probe restores the native tier."""
+    """Tier demotion is a circuit breaker: K consecutive native failures
+    open it, a cooldown admits one probe, and a successful probe
+    restores the native tier."""
     from repro.api import CompiledProgram
     monkeypatch.setattr("repro.native.toolchain.available", lambda: True)
     orig = CompiledProgram.run
@@ -199,27 +224,3 @@ def test_batcher_breaker_half_open_reprobe(monkeypatch):
         assert ex.submit(SRC, "main", [2]).result(30) == 5
         assert calls["native"] == n + 1      # closed: native again
     assert ex.stats.errors == 0              # demotion never reached callers
-
-
-def test_batcher_legacy_demotion_is_permanent(monkeypatch):
-    """Default config keeps the PR-7 contract: first failure demotes
-    forever (no re-probe)."""
-    from repro.api import CompiledProgram
-    monkeypatch.setattr("repro.native.toolchain.available", lambda: True)
-    orig = CompiledProgram.run
-    calls = {"native": 0}
-
-    def fake(self, fname, args, **kw):
-        if kw.get("backend") == "native":
-            calls["native"] += 1
-            raise NativeCompileError("compile", "injected")
-        return orig(self, fname, args, **kw)
-
-    monkeypatch.setattr(CompiledProgram, "run", fake)
-    with BatchExecutor(ServeConfig(native_after=1)) as ex:
-        for _ in range(4):
-            assert ex.submit(SRC, "main", [2]).result(30) == 5
-        time.sleep(0.2)
-        assert ex.submit(SRC, "main", [2]).result(30) == 5
-        assert calls["native"] == 1          # one failure, never again
-        assert ex.stats.demotions == 1

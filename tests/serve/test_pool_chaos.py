@@ -70,8 +70,11 @@ def test_abort_storm_contained_and_recovered():
         assert pool.stats.restarts > 0
         assert pool.stats.retries > 0
         assert wait_recovered(pool) == 2
-        # and the recovered pool still serves
-        assert pool.submit(SRC, "main", [7]).result(timeout=60) == 50
+        # and the recovered pool still serves (a request the dice spare)
+        probe = next(r for i in range(1000)
+                     if not chaos.fires("pool.worker.abort", r := f"ok{i}"))
+        assert pool.submit(SRC, "main", [7],
+                           request_id=probe).result(timeout=60) == 50
 
 
 def test_abort_without_retry_fails_typed():

@@ -1,40 +1,45 @@
 """The BatchExecutor's idle dispatchers must be event-driven, not
-polling: ``submit``/``close`` notify a condition, and ``poll_s`` is only
-a fallback heartbeat.  This pins the fix for the idle busy-wait (the old
+polling: they sleep on a condition with no timeout, and ``submit`` /
+``close`` notify it.  This pins the fix for the idle busy-wait (the old
 dispatcher woke every 50 ms forever)."""
 
+import threading
 import time
 
-from repro.serve import BatchExecutor, ServeConfig
+from repro.serve import BatchExecutor
 
 SRC = "fun main(x) = x + 1;"
 
 
-def test_idle_executor_does_not_spin():
-    # With poll_s=30 an idle dispatcher can only wake when notified; any
-    # progress therefore proves event-driven wake-up, and the wakeup
-    # counter proves the fallback heartbeat never fired.
-    with BatchExecutor(ServeConfig(poll_s=30.0)) as ex:
+def test_idle_executor_does_not_spin(monkeypatch):
+    # every wait a dispatcher makes is recorded: an idle executor makes
+    # exactly one, with no timeout, and stays in it until notified
+    waits = []
+    real_wait = threading.Condition.wait
+
+    def wait(self, timeout=None):
+        waits.append((self, timeout))
+        return real_wait(self, timeout)
+
+    def idle_waits(ex):
+        return [t for cond, t in waits if cond is ex._work]
+
+    monkeypatch.setattr(threading.Condition, "wait", wait)
+    with BatchExecutor() as ex:
         time.sleep(0.3)                      # idle window
-        assert ex._idle_wakeups == 0
+        assert idle_waits(ex) == [None]
         t0 = time.monotonic()
         assert ex.submit(SRC, "main", [1]).result(timeout=5.0) == 2
-        assert time.monotonic() - t0 < 5.0
+        assert time.monotonic() - t0 < 5.0   # woken by submit
     # close() must also wake the sleeping dispatchers (the context
     # manager above would hang on join otherwise)
-
-
-def test_fallback_heartbeat_still_ticks():
-    # belt check: a tiny poll_s still fires timeouts while idle, so a
-    # lost notification could never wedge the executor forever
-    with BatchExecutor(ServeConfig(poll_s=0.05)) as ex:
-        time.sleep(0.4)
-        assert ex._idle_wakeups >= 2
+    assert set(idle_waits(ex)) == {None}
 
 
 def test_close_wakes_idle_dispatchers_quickly():
-    ex = BatchExecutor(ServeConfig(poll_s=60.0))
+    ex = BatchExecutor()
     time.sleep(0.1)
     t0 = time.monotonic()
     ex.close(timeout=10.0)
-    assert time.monotonic() - t0 < 5.0       # not a poll_s-bounded close
+    assert time.monotonic() - t0 < 5.0
+    assert not any(t.is_alive() for t in ex._threads)

@@ -2,15 +2,19 @@
 """Smoke-test ``repro serve`` end to end: start the real CLI process,
 fire a mixed workload of requests at it over the JSONL protocol, and
 assert every response is correct, in order, and that the compile cache
-actually deduplicated compilation (hit-rate > 0.9).
+actually deduplicated compilation (hit-rate > 0.9).  With ``--pool N``
+the same workload goes through ``repro serve --pool N`` — the caches
+live in the workers, so the summary must instead show every worker
+healthy and none restarted.
 
-Run by the CI ``serve-smoke`` job; usable locally:
+Run by the CI ``serve-smoke`` job, both ways; usable locally:
 
-    python tools/serve_smoke.py [N_REQUESTS]
+    python tools/serve_smoke.py [N_REQUESTS] [--pool N]
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -44,13 +48,17 @@ def build_workload(count: int) -> tuple[list[dict], list]:
 
 
 def main(argv: list[str]) -> int:
-    count = int(argv[0]) if argv else 100
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("count", nargs="?", type=int, default=100)
+    ap.add_argument("--pool", type=int, default=0, metavar="N")
+    ns = ap.parse_args(argv)
+    count, pool = ns.count, ns.pool
     requests, expected = build_workload(count)
     payload = "".join(json.dumps(r) + "\n" for r in requests)
 
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "serve", "--stats", "--max-batch",
-         "32"],
+         "32"] + (["--pool", str(pool)] if pool else []),
         input=payload, capture_output=True, text=True, timeout=300)
     print(proc.stderr, end="", file=sys.stderr)
     if proc.returncode != 0:
@@ -74,8 +82,17 @@ def main(argv: list[str]) -> int:
         print(f"{failures} bad response(s) out of {count}")
         return 1
 
-    # --stats reports "cache hit-rate 0.98 (98/100, 2 entries)" on stderr
     stats = proc.stderr
+    if pool:
+        # --stats reports "0 worker restarts, ... [2/2 healthy]" on stderr
+        want = f"[{pool}/{pool} healthy]"
+        if ", 0 worker restarts," not in stats or want not in stats:
+            print(f"pool summary lacks '0 worker restarts' / '{want}'")
+            return 1
+        print(f"serve smoke OK: {count} requests through --pool {pool}, "
+              "all correct and in order")
+        return 0
+    # --stats reports "cache hit-rate 0.98 (98/100, 2 entries)" on stderr
     marker = "cache hit-rate "
     if marker not in stats:
         print("no cache stats line on stderr")
