@@ -578,7 +578,13 @@ def compile_program(source: str, use_prelude: bool = True,
                     options: Optional[TransformOptions] = None) -> CompiledProgram:
     """Front half of the pipeline: parse, run the source-stage passes
     (R1 canonicalization, with its postcondition and optional IR dump —
-    see docs/PASSES.md), and type-check."""
+    see docs/PASSES.md), and type-check.
+
+    With ``use_prelude`` the program is merged with the per-process
+    prelude image (:mod:`repro.lang.prelude`), so each stage works on the
+    user's definitions only — plus, in inference, the prelude definitions
+    a user name shadows into; the first such call of a process builds the
+    image (about 6 ms)."""
     from repro.passes.base import PassContext
     from repro.passes.manager import manager_for
 

@@ -9,12 +9,26 @@ section-4.5 ablation (benchmark E11) can compare the two.
 ``dist`` of section 3, and ``reduce`` is the higher-order pairwise-halving
 reduction: a recursive, nested-data-parallel, higher-order function — the
 trifecta the conclusion claims the transformation covers.
+
+Being P source, the prelude goes through the whole front end; being the
+same source for every program, it goes through once per process.  The
+result is the :class:`PreludeImage` (docs/INTERNALS.md, "The prelude
+image"): :func:`merge_with_prelude` hands out its parsed definitions, and
+``canonicalize_program``, ``CanonicalPass.postcondition`` and
+``typecheck_program`` recognize those objects — by identity — and reuse
+what the image holds for them.  There is no switch: a program built from
+:func:`prelude_program`'s fresh parse takes every stage in full.
 """
 
 from __future__ import annotations
 
+import threading
+from dataclasses import dataclass
+from typing import Optional
+
 from repro.lang import ast as A
 from repro.lang.parser import parse_program
+from repro.lang.types import TFun
 
 PRELUDE_SOURCE = """
 -- Table 2 dist (elementwise) via the section-3 base dist
@@ -99,15 +113,95 @@ fun filter_p(f, v) = [x <- v | f(x): x]
 
 
 def prelude_program() -> A.Program:
-    """Parse the prelude into a fresh Program."""
+    """Parse the prelude into a fresh Program (never the image's objects:
+    it takes the uncached path through every stage, which makes it the
+    oracle the image is tested against)."""
     return parse_program(PRELUDE_SOURCE)
 
 
+@dataclass(frozen=True)
+class PreludeImage:
+    """The prelude compiled once: what every stage of the front end would
+    compute for it in a program that shadows none of its names.  Stages
+    recognize the image's definitions by object identity, never by name
+    or text, so an equal-looking definition from anywhere else takes the
+    ordinary path."""
+
+    raw: A.Program          #: as parsed
+    canonical: A.Program    #: R1 form, ``verify:canonicalize`` discharged
+    schemes: dict[str, TFun]
+    #: per definition, every global name -- prelude function or builtin --
+    #: it transitively references: its scheme holds in any program that
+    #: gives all of these the meaning they have here
+    refs: dict[str, frozenset[str]]
+
+    def canonical_of(self, d: A.FunDef) -> Optional[A.FunDef]:
+        """The canonical form of ``d`` if ``d`` is one of ``raw``'s own
+        definitions."""
+        if self.raw.defs.get(d.name) is d:
+            return self.canonical.defs[d.name]
+        return None
+
+    def is_canonical(self, d: A.FunDef) -> bool:
+        """True when ``d`` is one of ``canonical``'s own definitions."""
+        return self.canonical.defs.get(d.name) is d
+
+
+#: what :func:`built_image` answers until the first merge: no program can
+#: hold an image object before then, so nothing is recognized
+_UNBUILT = PreludeImage(A.Program({}), A.Program({}), {}, {})
+_image = _UNBUILT
+_image_lock = threading.Lock()
+
+
+def prelude_image() -> PreludeImage:
+    """The process's :class:`PreludeImage`, built on first use."""
+    global _image
+    if _image is _UNBUILT:
+        with _image_lock:
+            if _image is _UNBUILT:
+                _image = _build_image()
+    return _image
+
+
+def built_image() -> PreludeImage:
+    """The image as far as it exists: what the stages after the merge
+    consult, so that a program compiled without the prelude never builds
+    it."""
+    return _image
+
+
+def _build_image() -> PreludeImage:
+    # the stages below import this package: resolve them at first use
+    from repro.analysis.verify import verify_canonical
+    from repro.lang.typecheck import typecheck_program
+    from repro.transform.canonical import canonicalize_program
+
+    # a fresh parse, and no image to recognize yet: every stage in full
+    raw = prelude_program()
+    canonical = canonicalize_program(raw)
+    verify_canonical(canonical)
+    schemes = typecheck_program(canonical).schemes
+    direct = {d.name: A.free_vars(d.body, frozenset(d.params))
+              for d in canonical}
+    refs = {}
+    for name in direct:
+        seen: set[str] = set()
+        todo = [name]
+        while todo:
+            for r in direct.get(todo.pop(), ()):
+                if r not in seen:
+                    seen.add(r)
+                    todo.append(r)
+        refs[name] = frozenset(seen)
+    return PreludeImage(raw, canonical, schemes, refs)
+
+
 def merge_with_prelude(user: A.Program) -> A.Program:
-    """User program plus any prelude definitions it does not override."""
-    defs: dict[str, A.FunDef] = {}
-    for d in prelude_program():
-        if d.name not in user.defs:
-            defs[d.name] = d
+    """User program plus any prelude definitions it does not override --
+    the image's own ``FunDef`` objects, which is how the later stages
+    recognize them."""
+    defs = {n: d for n, d in prelude_image().raw.defs.items()
+            if n not in user.defs}
     defs.update(user.defs)
     return A.Program(defs)

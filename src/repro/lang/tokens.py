@@ -17,8 +17,8 @@ Tokens carry line/column information for error reporting.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import LexError
 
@@ -44,8 +44,9 @@ OPERATORS = [
 class Token:
     """A single lexical token.
 
-    ``kind`` is one of ``"int"``, ``"ident"``, ``"kw"``, ``"op"``, ``"eof"``;
-    ``text`` is the matched source text (for ``int`` the digit string).
+    ``kind`` is one of ``"int"``, ``"float"``, ``"ident"``, ``"kw"``,
+    ``"op"``, ``"eof"``; ``text`` is the matched source text (for ``int``
+    the digit string).
     """
 
     kind: str
@@ -57,6 +58,18 @@ class Token:
         return f"Token({self.kind}, {self.text!r}, {self.line}:{self.col})"
 
 
+# One alternative per token class, tried in this order at every position:
+# a float needs fractional digits (so ``1..5`` and ``p.1`` lex as integer /
+# dot tokens, never as floats) and takes an exponent only when digits
+# follow it; ``--`` opens a comment before ``-`` can be an operator.
+_TOKEN = re.compile(
+    r"(?P<float>\d+\.\d+(?:[eE][+-]?\d+)?)|(?P<int>\d+)"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<skip>[ \t\r]+|--[^\n]*)|(?P<nl>\n)"
+    r"|(?P<op>" + "|".join(map(re.escape, OPERATORS)) + r")"
+    r"|(?P<bad>.)")
+
+
 def tokenize(source: str) -> list[Token]:
     """Scan ``source`` into a list of tokens ending with an ``eof`` token.
 
@@ -64,81 +77,22 @@ def tokenize(source: str) -> list[Token]:
     character that cannot start a token.
     """
     toks: list[Token] = []
-    i = 0
     line = 1
-    col = 1
-    n = len(source)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        # whitespace
-        if ch in " \t\r\n":
-            advance(1)
+    line_start = 0  # offset of the first character of ``line``
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind == "skip":
             continue
-        # comments: -- to end of line
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                advance(1)
+        if kind == "nl":
+            line += 1
+            line_start = m.end()
             continue
-        # numeric literals: integers, and floats of the form d+.d+([eE][+-]?d+)?
-        # (the fractional digits are required so ``1..5`` and ``p.1`` lex as
-        # integer / dot tokens, never as floats)
-        if ch.isdigit():
-            start = i
-            startcol = col
-            while i < n and source[i].isdigit():
-                advance(1)
-            is_float = False
-            if (i + 1 < n and source[i] == "." and source[i + 1].isdigit()):
-                is_float = True
-                advance(1)
-                while i < n and source[i].isdigit():
-                    advance(1)
-            if is_float and i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j].isdigit():
-                    while i < j:
-                        advance(1)
-                    while i < n and source[i].isdigit():
-                        advance(1)
-            kind = "float" if is_float else "int"
-            toks.append(Token(kind, source[start:i], line, startcol))
-            continue
-        # identifiers / keywords
-        if ch.isalpha() or ch == "_":
-            start = i
-            startcol = col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                advance(1)
-            text = source[start:i]
-            kind = "kw" if text in KEYWORDS else "ident"
-            toks.append(Token(kind, text, line, startcol))
-            continue
-        # operators / punctuation
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                # disambiguate ".." from "." followed by "."
-                toks.append(Token("op", op, line, col))
-                advance(len(op))
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+        text = m.group()
+        col = m.start() - line_start + 1
+        if kind == "bad":
+            raise LexError(f"unexpected character {text!r}", line, col)
+        if kind == "ident" and text in KEYWORDS:
+            kind = "kw"
+        toks.append(Token(kind, text, line, col))
+    toks.append(Token("eof", "", line, len(source) - line_start + 1))
     return toks
-
-
-def token_stream(source: str) -> Iterator[Token]:
-    """Convenience generator over :func:`tokenize`."""
-    yield from tokenize(source)

@@ -21,13 +21,14 @@ specialized body carries a concrete ``type``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Container, Optional
 
 from repro.errors import TypeCheckError
 from repro.lang import ast as A
 from repro.lang import builtins as B
 from repro.lang import types as T
+from repro.lang.prelude import built_image
 from repro.lang.types import (
     BOOL, FLOAT, INT, Subst, TFun, TSeq, TTuple, TVar, Type, contains_var,
     fresh_tvar, instantiate, type_str,
@@ -38,11 +39,15 @@ from repro.lang.types import (
 # ---------------------------------------------------------------------------
 
 
-def _call_graph(prog: A.Program) -> dict[str, set[str]]:
+def _call_graph(prog: A.Program, known: Container[str]
+                ) -> dict[str, set[str]]:
+    """Who references whom among the definitions not ``known`` yet."""
     g: dict[str, set[str]] = {}
     for d in prog:
-        refs = A.free_vars(d.body, frozenset(d.params))
-        g[d.name] = {r for r in refs if r in prog.defs}
+        if d.name not in known:
+            refs = A.free_vars(d.body, frozenset(d.params))
+            g[d.name] = {r for r in refs
+                         if r in prog.defs and r not in known}
     return g
 
 
@@ -114,7 +119,8 @@ class _Inferencer:
         self._deferred: list[tuple[A.TupleExtract, Type]] = []
 
     def run(self) -> dict[str, TFun]:
-        graph = _call_graph(self.prog)
+        """Infer every definition that has no scheme yet, callees first."""
+        graph = _call_graph(self.prog, self.schemes)
         for comp in _sccs(graph):
             self._infer_component(comp)
         return self.schemes
@@ -418,7 +424,27 @@ class TypedProgram:
 
 
 def typecheck_program(prog: A.Program) -> TypedProgram:
-    """Infer schemes for every top-level definition of ``prog``."""
-    inf = _Inferencer(prog)
-    schemes = inf.run()
-    return TypedProgram(source=prog, schemes=schemes)
+    """Infer schemes for every top-level definition of ``prog``.
+
+    Inference is per SCC, callees first, so a scheme depends only on the
+    names its definition transitively references.  One of the prelude
+    image's own definitions therefore keeps the image's scheme when
+    ``prog`` gives each of those names the image's meaning; when a user
+    name shadows into it, it is inferred again like a user definition --
+    on a private copy, the image's nodes being shared between programs
+    and threads.
+    """
+    image = built_image()
+    ours = [d for d in prog if image.is_canonical(d)]
+    # names that do not mean in ``prog`` what they mean in the image
+    foreign = ((prog.defs.keys() | image.refs.keys())
+               - {d.name for d in ours})
+    defs, schemes = dict(prog.defs), {}
+    for d in ours:
+        if image.refs[d.name].isdisjoint(foreign):
+            schemes[d.name] = image.schemes[d.name]
+        else:
+            defs[d.name] = replace(d, body=A.clone(d.body))
+    inf = _Inferencer(A.Program(defs))
+    inf.schemes = schemes
+    return TypedProgram(source=prog, schemes=inf.run())

@@ -57,8 +57,10 @@ __all__ = ["ABI_VERSION", "Kernel", "KernelCache", "default_cache_dir"]
 ABI_VERSION = 1
 
 #: Flags matter for bit-identity: ``-fwrapv`` makes signed ``long long``
-#: overflow wrap like NumPy's int64 instead of being undefined.
-CFLAGS = ["-O2", "-shared", "-fPIC", "-fwrapv"]
+#: overflow wrap like NumPy's int64 instead of being undefined, and
+#: ``-ffp-contract=off`` keeps ``a*b + c`` two roundings, as NumPy
+#: computes it, on targets where the compiler could fuse them into one.
+CFLAGS = ["-O2", "-shared", "-fPIC", "-fwrapv", "-ffp-contract=off"]
 
 #: How often a waiter re-checks the owner's lock and artifact.
 LOCK_POLL_S = 0.05

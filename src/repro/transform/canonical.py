@@ -19,6 +19,7 @@ bound 1 are left untouched.
 from __future__ import annotations
 
 from repro.lang import ast as A
+from repro.lang.prelude import built_image
 from repro.transform.trace import NullTrace, Trace
 
 
@@ -84,5 +85,11 @@ def canonicalize_def(d: A.FunDef, trace: Trace | None = None) -> A.FunDef:
 
 
 def canonicalize_program(p: A.Program, trace: Trace | None = None) -> A.Program:
-    """Canonicalize every definition of a program (pre-typecheck)."""
-    return A.Program({d.name: canonicalize_def(d, trace) for d in p})
+    """Canonicalize every definition of a program (pre-typecheck).  One of
+    the prelude image's own parsed definitions maps to the image's
+    canonical form of it (no rewrite, no trace entry); the rest are
+    rewritten here."""
+    image = built_image()
+    return A.Program({
+        d.name: image.canonical_of(d) or canonicalize_def(d, trace)
+        for d in p})

@@ -13,6 +13,7 @@ Used by ``python -m repro derive FILE -e ENTRY -t TYPE ...``.
 
 from __future__ import annotations
 
+from repro.lang.prelude import built_image
 from repro.lang.pretty import pretty_def
 from repro.lang.types import Type, type_str
 
@@ -38,7 +39,8 @@ def derivation_document(prog, entry: str, arg_types: list[Type]) -> str:
     w("## 1. Source program (P)")
     w("")
     w("```")
-    user_defs = [d for d in prog.raw if not _is_prelude(prog, d.name)]
+    image = built_image()
+    user_defs = [d for d in prog.raw if image.canonical_of(d) is None]
     w("\n\n".join(pretty_def(d) for d in user_defs))
     w("```")
     w("")
@@ -91,15 +93,3 @@ def derivation_document(prog, entry: str, arg_types: list[Type]) -> str:
     w("```")
     w("")
     return "\n".join(lines)
-
-
-_PRELUDE_RENDERED: dict[str, str] = {}
-
-
-def _is_prelude(prog, name: str) -> bool:
-    if not _PRELUDE_RENDERED:
-        from repro.lang.prelude import prelude_program
-        for d in prelude_program():
-            _PRELUDE_RENDERED[d.name] = pretty_def(d)
-    return name in _PRELUDE_RENDERED and name in prog.raw.defs \
-        and pretty_def(prog.raw[name]) == _PRELUDE_RENDERED[name]

@@ -105,3 +105,56 @@ class TestErrors:
         texts = [t.text for t in tokenize(src)[:-1]]
         assert texts == ["[", "x", "<-", "[", "1", "..", "n", "]", "|",
                          "odd", "(", "x", ")", ":", "x", "*", "x", "]"]
+
+
+# The full (kind, text, line, col) stream of each edge case, eof included,
+# as the per-character scanner this table was recorded from produced it:
+# the master regex must not move a token, a column or an error.
+PINNED = [
+    ("1..5", [("int", "1", 1, 1), ("op", "..", 1, 2), ("int", "5", 1, 4),
+              ("eof", "", 1, 5)]),
+    ("p.1", [("ident", "p", 1, 1), ("op", ".", 1, 2), ("int", "1", 1, 3),
+             ("eof", "", 1, 4)]),
+    ("1.5e+3", [("float", "1.5e+3", 1, 1), ("eof", "", 1, 7)]),
+    ("1.e3", [("int", "1", 1, 1), ("op", ".", 1, 2), ("ident", "e3", 1, 3),
+              ("eof", "", 1, 5)]),
+    ("2.5e", [("float", "2.5", 1, 1), ("ident", "e", 1, 4),
+              ("eof", "", 1, 5)]),
+    ("2.5e+", [("float", "2.5", 1, 1), ("ident", "e", 1, 4),
+               ("op", "+", 1, 5), ("eof", "", 1, 6)]),
+    ("1.5.2", [("float", "1.5", 1, 1), ("op", ".", 1, 4), ("int", "2", 1, 5),
+               ("eof", "", 1, 6)]),
+    ("12abc", [("int", "12", 1, 1), ("ident", "abc", 1, 3),
+               ("eof", "", 1, 6)]),
+    ("x<--1", [("ident", "x", 1, 1), ("op", "<-", 1, 2), ("op", "-", 1, 4),
+               ("int", "1", 1, 5), ("eof", "", 1, 6)]),
+    ("x -- c", [("ident", "x", 1, 1), ("eof", "", 1, 7)]),  # comment at EOF
+    ("--", [("eof", "", 1, 3)]),
+    ("a\tb", [("ident", "a", 1, 1), ("ident", "b", 1, 3),   # a tab is one
+              ("eof", "", 1, 4)]),                          # column
+    ("a\r\nb", [("ident", "a", 1, 1), ("ident", "b", 2, 1),  # CRLF
+                ("eof", "", 2, 2)]),
+    ("a\n\n  b -- c\n", [("ident", "a", 1, 1), ("ident", "b", 3, 3),
+                         ("eof", "", 4, 1)]),
+    ("_x1 é1", [("ident", "_x1", 1, 1), ("ident", "é1", 1, 5),
+                ("eof", "", 1, 7)]),
+    ("", [("eof", "", 1, 1)]),
+    ("\n", [("eof", "", 2, 1)]),
+]
+
+
+@pytest.mark.parametrize("src,want", PINNED, ids=[repr(s) for s, _ in PINNED])
+def test_pinned_stream(src, want):
+    assert tokenize(src) == [Token(*t) for t in want]
+
+
+@pytest.mark.parametrize("src,message,line,col", [
+    ("fun f(x) =\n  x +\n  $ 1", "unexpected character '$'", 3, 3),
+    ("a\r\n\t@", "unexpected character '@'", 2, 2),
+    ("x -- ok $\n\f", "unexpected character '\\x0c'", 2, 1),
+])
+def test_pinned_lex_error(src, message, line, col):
+    with pytest.raises(LexError) as ei:
+        tokenize(src)
+    assert str(ei.value) == f"{message} at line {line}, column {col}"
+    assert (ei.value.line, ei.value.col) == (line, col)

@@ -143,6 +143,30 @@ def test_cflags_part_of_key(monkeypatch):
     assert source_key(src) != before
 
 
+def test_fp_contraction_is_pinned_off(tmp_path, monkeypatch):
+    """``-ffp-contract=off`` reaches the ``$CC`` command line (so a*b + c
+    rounds twice, like NumPy, on an FMA target too) and sits in the key:
+    an artifact built with the flags before it is not reused."""
+    src = add_source()
+    assert "-ffp-contract=off" in cache_mod.CFLAGS
+    new_key = source_key(src)
+    monkeypatch.setattr(cache_mod, "CFLAGS",
+                        ["-O2", "-shared", "-fPIC", "-fwrapv"])
+    assert source_key(src) != new_key
+    monkeypatch.undo()
+
+    commands = []
+    real_run = cache_mod.subprocess.run
+
+    def recording_run(cmd, **kw):
+        commands.append(cmd)
+        return real_run(cmd, **kw)
+    monkeypatch.setattr(cache_mod.subprocess, "run", recording_run)
+    k = KernelCache(tmp_path).get(src, ARGTYPES)
+    assert k.key == new_key and run_add(k, [1], [2]) == [3]
+    assert len(commands) == 1 and "-ffp-contract=off" in commands[0]
+
+
 def test_failed_compile_not_cached_and_retried(tmp_path):
     """A failing source raises for the owner and every waiter, but the
     failure is not cached: the next call attempts a fresh compile."""
