@@ -85,10 +85,13 @@ def _parallel_executor(tp: TransformedProgram, threads: Optional[int]) -> Any:
 
 
 def _vcode_executor(tp: TransformedProgram, threads: Optional[int]) -> Any:
-    from repro.vcode.compile import compile_transformed
     from repro.vcode.vm import VM
-    with _obs.span("vcode-compile"):
-        return VM(compile_transformed(tp), fusion=tp.fusion)
+    vp = tp.vcode
+    if vp is None:  # compiled (and linted) once, kept with the program
+        from repro.vcode.compile import compile_transformed
+        with _obs.span("vcode-compile"):
+            vp = tp.vcode = compile_transformed(tp)
+    return VM(vp, fusion=tp.fusion)
 
 
 class Backend(NamedTuple):

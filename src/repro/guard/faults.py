@@ -58,6 +58,14 @@ FAULT_SITES: dict[str, str] = {
         "descriptor level of a gathered forest bumped by +1",
     "segments.gather_subtrees.desc-negate":
         "descriptor level of a gathered forest made negative",
+    "segments.compress_subtrees.desc-bump":
+        "descriptor level of a compressed forest bumped by +1",
+    "segments.compress_subtrees.desc-negate":
+        "descriptor level of a compressed forest made negative",
+    "segments.merge_subtrees.desc-bump":
+        "descriptor level of a merged forest bumped by +1",
+    "segments.merge_subtrees.desc-negate":
+        "descriptor level of a merged forest made negative",
     "segments.concat_levels.desc-bump":
         "pooled descriptor level bumped by +1",
     "segments.concat_levels.desc-negate":

@@ -1,6 +1,6 @@
 """Cycle model of a P-processor machine executing a vector-op trace.
 
-Input: the op-width trace recorded by the VCODE VM (or the tree evaluator's
+Input: the op-width trace recorded by the VCODE VM (or the evaluator's
 observer) — one ``(opname, element_count)`` entry per executed vector
 operation.  Each op costs ``latency + ceil(n / processors)`` cycles: all
 processors cooperate on each flat vector operation, which is exactly how

@@ -73,6 +73,15 @@ def _scalar_kind(v) -> Optional[str]:
     return None
 
 
+def _frame_result(like: Optional[NestedVector], n: int, out: np.ndarray,
+                  kind: str) -> NestedVector:
+    """A fused tree's output as a depth-1 frame: ``like``'s descriptor (the
+    first vector operand's) when there is one, else a fresh ``[n]``."""
+    if like is not None:
+        return like.with_values(out, kind)
+    return NestedVector([np.array([n], dtype=INT_DTYPE)], out, kind)
+
+
 def _count_native(op: str, n: int, args: tuple, result) -> None:
     """Profile one native-kernel invocation into the ``native`` layer with
     the same accounting :func:`repro.vector.ops._count_kernel` uses for the
@@ -172,9 +181,7 @@ class NativeEngine:
             else:
                 argv.append(np.ascontiguousarray(a.values).ctypes.data)
         kernel.run(*argv)
-        descs = first_vec.descs if first_vec is not None \
-            else (np.array([n], dtype=INT_DTYPE),)
-        result = NestedVector(descs, out, out_kind)
+        result = _frame_result(first_vec, n, out, out_kind)
         if _obs.PROFILER is not None:
             _count_native(name, n, tuple(call_args), result)
         g = _guard.GUARD
@@ -228,7 +235,7 @@ class NativeEngine:
             # identical first-offender report to the NumPy path
             raise EvalError(
                 f"seq_index: index {int(iv[bad])} out of range")
-        result = NestedVector(idx.descs, out, src.kind)
+        result = idx.with_values(out, src.kind)
         if _obs.PROFILER is not None:
             _count_native("seq_index_shared", n, (src, idx), result)
         return result
@@ -270,12 +277,9 @@ class NativeEngine:
         vals = np.ascontiguousarray(v.values)
         out_kind = "bool" if name in ("anytrue", "alltrue") else v.kind
         nseg = int(counts.size)
-        if name in _REDUCTIONS:
-            out = np.empty(nseg, dtype=_DTYPES[out_kind])
-            result_descs = (v.descs[0],)
-        else:
-            out = np.empty(vals.size, dtype=_DTYPES[out_kind])
-            result_descs = v.descs
+        reduction = name in _REDUCTIONS
+        out = np.empty(nseg if reduction else vals.size,
+                       dtype=_DTYPES[out_kind])
         if self._omp_threads is None:
             kernel.run(out.ctypes.data, counts.ctypes.data, nseg,
                        vals.ctypes.data)
@@ -285,7 +289,8 @@ class NativeEngine:
             starts = np.ascontiguousarray(seg_starts(counts))
             kernel.run(out.ctypes.data, counts.ctypes.data,
                        starts.ctypes.data, nseg, vals.ctypes.data)
-        result = NestedVector(result_descs, out, out_kind)
+        # a reduction keeps the frame level, a scan every level
+        result = NestedVector.splice(out, out_kind, v, 1 if reduction else 2)
         n = int(v.descs[0][0])
         if _obs.PROFILER is not None:
             _count_native(name, n, (v,), result)

@@ -48,7 +48,8 @@ from ..guard import runtime as _guard
 from ..obs import runtime as _obs
 from ..native import toolchain
 from ..native.engine import (
-    NativeEngine, _DTYPES, _STRICT_REDUCE, _scalar_kind, get_engine,
+    NativeEngine, _DTYPES, _STRICT_REDUCE, _frame_result, _scalar_kind,
+    get_engine,
 )
 from ..vector import segments as S
 from ..vector.nested import NestedVector
@@ -267,9 +268,7 @@ class ParallelEngine:
         self._check_stitch(
             f"fused {name}", np.array(written, dtype=INT_DTYPE),
             plan.sizes())
-        descs = first_vec.descs if first_vec is not None \
-            else (np.array([n], dtype=INT_DTYPE),)
-        result = NestedVector(descs, out, out_kind)
+        result = _frame_result(first_vec, n, out, out_kind)
         self._account(name, n, plan,
                       tuple(v for v in flat if v is not None), result)
         return result
@@ -324,8 +323,8 @@ class ParallelEngine:
         out_kind = "bool" if name in ("anytrue", "alltrue") else v.kind
         values = np.concatenate(chunks) if chunks else \
             np.empty(0, dtype=_DTYPES[out_kind])
-        result_descs = (v.descs[0],) if reduction else v.descs
-        result = NestedVector(result_descs, values, out_kind)
+        result = NestedVector.splice(values, out_kind, v,
+                                     1 if reduction else 2)
         self._account(name, int(v.descs[0][0]), plan, (v,), result)
         return result
 
@@ -381,7 +380,7 @@ class ParallelEngine:
             "shared gather",
             np.array([w for w, _, _ in reports], dtype=INT_DTYPE),
             plan.sizes())
-        result = NestedVector(idx.descs, out, src.kind)
+        result = idx.with_values(out, src.kind)
         self._account("seq_index_shared", n, plan, (src, idx), result)
         return result
 

@@ -20,7 +20,7 @@ See docs/PASSES.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.lang import ast as A
@@ -115,6 +115,12 @@ class TransformedProgram:
     fusion: object = None  # FusionRegistry when the fuse pass ran
     #: (pass verify-stage name, defs checked) per verifier run, in order
     verified_phases: tuple = ()
+    #: made on first execution and kept with the program: the evaluator's
+    #: lowered functions, keyed by the engine their applications were bound
+    #: against (:mod:`repro.vexec.evaluator`)
+    plans: dict = field(default_factory=dict, repr=False, compare=False)
+    #: likewise the VCODE program of ``backend="vcode"`` (:mod:`repro.api`)
+    vcode: object = field(default=None, repr=False, compare=False)
 
     def __getitem__(self, name: str) -> A.FunDef:
         return self.defs[name]

@@ -3,7 +3,7 @@
 A function body is a linear list of instructions over virtual registers
 ``r0, r1, ...``.  All data-parallel behaviour lives in :class:`Prim` (one
 vector operation — the depth annotation selects the T1 path exactly as in
-the tree evaluator); control flow is depth-0 only, as guaranteed by the
+the evaluator); control flow is depth-0 only, as guaranteed by the
 transformation.
 """
 

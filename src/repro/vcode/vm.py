@@ -147,7 +147,7 @@ class VM:
             elif isinstance(i, CallInd):
                 regs[i.dst] = self.applier.apply_dynamic(
                     regs[i.fun], [regs[a] for a in i.args],
-                    list(i.arg_depths), i.depth, i.fun_depth, i.type)
+                    i.arg_depths, i.depth, i.fun_depth, i.type)
             elif isinstance(i, JumpIfNot):
                 c = regs[i.cond]
                 if not isinstance(c, (bool, np.bool_)):
@@ -177,5 +177,5 @@ class VM:
             if self._record:
                 self._observe("seq_cons", max(1, len(args)))
             return O.seq_cons0(args, i.type)
-        return self.applier.apply_named(i.fn, args, list(i.arg_depths),
+        return self.applier.apply_named(i.fn, args, i.arg_depths,
                                         i.depth, i.type)

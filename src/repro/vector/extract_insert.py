@@ -40,7 +40,7 @@ def extract(v, d: int):
     else:
         total = int(v.descs[d].size)
     top = np.array([total], dtype=INT_DTYPE)
-    out = NestedVector([top, *v.descs[d:]], v.values, v.kind)
+    out = NestedVector.splice(v.values, v.kind, new=(top,), tail=v, j=d)
     if _flt.INJECTOR is not None:
         _flt.visit("extract_insert.extract.top-bump", [out.descs[0]])
         _flt.visit("extract_insert.extract.desc-negate", list(out.descs[1:]))
@@ -70,12 +70,12 @@ def insert(r, v, d: int):
         frame = first_leaf(frame)
     if not isinstance(frame, NestedVector) or frame.depth < d:
         raise VectorError(f"insert: frame source too shallow for depth {d}")
-    want = int(frame.descs[d - 1].sum())
+    want = frame.level_sum(d - 1)
     have = int(r.descs[0][0])
     if want != have:
         raise VectorError(
             f"insert: frame expects {want} elements but R has {have}")
-    out = NestedVector([*frame.descs[:d], *r.descs[1:]], r.values, r.kind)
+    out = NestedVector.splice(r.values, r.kind, frame, d, tail=r, j=1)
     if _flt.INJECTOR is not None:
         _flt.visit("extract_insert.insert.desc-bump", list(out.descs[:d]))
         _flt.visit("extract_insert.insert.desc-negate", list(out.descs[:d]))

@@ -19,12 +19,11 @@ of higher-order data-parallel style.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Union
+from typing import Any, Iterable, Optional, Union
 
 import numpy as np
 
 from repro.errors import VectorError
-from repro.vector import segments as S
 from repro.vector.segments import INT_DTYPE
 
 #: When True (default), constructors validate the descriptor invariant.
@@ -59,6 +58,44 @@ FUNTABLE = FunTable()
 KIND_DTYPES = {"int": INT_DTYPE, "bool": np.bool_, "fun": INT_DTYPE,
                "float": np.float64}
 
+_add_reduce = np.add.reduce
+_min_reduce = np.minimum.reduce
+
+
+def _checked_sum(d: np.ndarray) -> int:
+    """``sum(d)`` of one descriptor level, after checking it is a 1-D
+    vector of non-negative counts."""
+    if d.ndim != 1:
+        raise VectorError("descriptors must be 1-D")
+    if d.size == 1:     # every top length: nothing to reduce
+        total = low = int(d[0])
+    elif d.size:
+        total, low = int(_add_reduce(d)), _min_reduce(d)
+    else:
+        return 0
+    if low < 0:
+        raise VectorError("negative count in descriptor")
+    return total
+
+
+def _check_links(descs: tuple, sums: tuple, values: np.ndarray) -> None:
+    """``descs[0]`` is a singleton and ``sums[i]`` is the size of the level
+    below ``descs[i]`` — the representation invariant, given the sums."""
+    if not descs:
+        raise VectorError("NestedVector needs at least one descriptor")
+    if descs[0].size != 1:
+        raise VectorError(
+            f"top descriptor must be a singleton, got size {descs[0].size}")
+    last = len(descs)
+    for i, want in enumerate(sums, 1):
+        got = descs[i].size if i < last else len(values)
+        if want != got:
+            raise VectorError(
+                f"descriptor invariant violated at level {i}: "
+                f"sum={want} but next level has {got} entries")
+    if values.ndim != 1:
+        raise VectorError("value vector must be 1-D")
+
 
 class NestedVector:
     """A nested sequence in flat vector form: descriptors + one value vector.
@@ -67,9 +104,17 @@ class NestedVector:
     singleton holding the top-level length.  ``values`` is the flat leaf
     vector; ``kind`` is ``"int"``, ``"bool"``, ``"float"`` or ``"fun"``
     (interned function ids).
+
+    Validation remembers what it proved: ``_sums[i] == sum(descs[i])`` for
+    every descriptor this vector was validated with (``None`` when it was
+    built with :data:`CHECK_INVARIANTS` off).  :meth:`splice` — the builder
+    every *derived* construction uses — inherits the sums of the descriptor
+    arrays it takes over unchanged, so an array is checked and summed once,
+    by the constructor that first saw it, and every later link is an
+    integer comparison.
     """
 
-    __slots__ = ("descs", "values", "kind")
+    __slots__ = ("descs", "values", "kind", "_sums")
 
     def __init__(self, descs: Iterable[np.ndarray], values: np.ndarray, kind: str):
         self.descs: tuple[np.ndarray, ...] = tuple(
@@ -78,8 +123,55 @@ class NestedVector:
             raise VectorError(f"bad leaf kind {kind!r}")
         self.values = np.asarray(values, dtype=KIND_DTYPES[kind])
         self.kind = kind
+        self._sums: Optional[tuple[int, ...]] = None
         if CHECK_INVARIANTS:
             self.validate()
+
+    @classmethod
+    def splice(cls, values: np.ndarray, kind: str,
+               head: Optional["NestedVector"] = None, k: int = 0,
+               new: Iterable[np.ndarray] = (),
+               tail: Optional["NestedVector"] = None, j: int = 0
+               ) -> "NestedVector":
+        """The vector with descriptors ``head.descs[:k] + new +
+        tail.descs[j:]`` over ``values``.
+
+        Levels taken from ``head`` and ``tail`` were checked and summed
+        when those vectors were validated, and are not reduced again; the
+        ``new`` levels are checked in full (1-D, int64, non-negative,
+        summed); every adjacent pair of the result, inherited or not, is
+        linked by comparing the sum above with the size below.  Rejections
+        carry the public constructor's class and message.  A source built
+        with the belt off has proved nothing to inherit, and the result is
+        then built by the public constructor.
+        """
+        descs, hs = (head.descs[:k], head._sums) if head is not None \
+            else ((), ())
+        below, ts = (tail.descs[j:], tail._sums) if tail is not None \
+            else ((), ())
+        if not CHECK_INVARIANTS or hs is None or ts is None:
+            return cls([*descs, *new, *below], values, kind)
+        if kind not in KIND_DTYPES:
+            raise VectorError(f"bad leaf kind {kind!r}")
+        sums = hs[:k]
+        for d in new:
+            d = np.asarray(d, dtype=INT_DTYPE)
+            descs += (d,)
+            sums += (_checked_sum(d),)
+        descs += below
+        sums += ts[j:]
+        self = object.__new__(cls)
+        self.descs = descs
+        self.values = values = np.asarray(values, dtype=KIND_DTYPES[kind])
+        self.kind = kind
+        self._sums = sums
+        _check_links(descs, sums, values)
+        return self
+
+    def with_values(self, values: np.ndarray, kind: str) -> "NestedVector":
+        """This vector's descriptors over a new value vector (the result
+        of every elementwise op and scan)."""
+        return NestedVector.splice(values, kind, self, len(self.descs))
 
     # -- structure -----------------------------------------------------------
 
@@ -93,6 +185,11 @@ class NestedVector:
         """Length of the outermost sequence."""
         return int(self.descs[0][0])
 
+    def level_sum(self, i: int) -> int:
+        """``sum(descs[i])``: remembered from validation, else computed."""
+        sums = self._sums
+        return sums[i] if sums is not None else int(self.descs[i].sum())
+
     def levels(self) -> list[np.ndarray]:
         """All level arrays below the top length: ``descs[1:]`` + values.
 
@@ -104,24 +201,15 @@ class NestedVector:
     @classmethod
     def from_levels(cls, top_len: int, levels: list[np.ndarray], kind: str) -> "NestedVector":
         """Inverse of :meth:`levels` given the top length."""
-        return cls([np.array([top_len], dtype=INT_DTYPE), *levels[:-1]],
-                   levels[-1], kind)
+        top = np.array([top_len], dtype=INT_DTYPE)
+        return cls.splice(levels[-1], kind, new=(top, *levels[:-1]))
 
     def validate(self) -> None:
-        """Check the representation invariant  #V_{i+1} = sum(V_i)."""
-        if not self.descs:
-            raise VectorError("NestedVector needs at least one descriptor")
-        if self.descs[0].size != 1:
-            raise VectorError(
-                f"top descriptor must be a singleton, got size {self.descs[0].size}")
-        for d in self.descs:
-            if d.ndim != 1:
-                raise VectorError("descriptors must be 1-D")
-            if d.size and d.min() < 0:
-                raise VectorError("negative count in descriptor")
-        S.check_counts_consistent([*self.descs, self.values])
-        if self.values.ndim != 1:
-            raise VectorError("value vector must be 1-D")
+        """Check the representation invariant  #V_{i+1} = sum(V_i)  from
+        the arrays (nothing remembered is trusted) and remember the sums."""
+        sums = tuple(_checked_sum(d) for d in self.descs)
+        _check_links(self.descs, sums, self.values)
+        self._sums = sums
 
     # -- comparisons / display -------------------------------------------------
 
@@ -146,14 +234,15 @@ class NestedVector:
     def prepend_unit(self) -> "NestedVector":
         """View this depth-0 *value* as a depth-1 frame of one element
         (add an outer ``[1]`` descriptor)."""
-        return NestedVector(
-            [np.array([1], dtype=INT_DTYPE), *self.descs], self.values, self.kind)
+        unit = np.array([1], dtype=INT_DTYPE)
+        return NestedVector.splice(self.values, self.kind, new=(unit,),
+                                   tail=self)
 
     def drop_unit(self) -> "NestedVector":
         """Inverse of :meth:`prepend_unit`."""
         if self.top_length != 1 or self.depth < 2:
             raise VectorError("drop_unit: not a unit frame")
-        return NestedVector(self.descs[1:], self.values, self.kind)
+        return NestedVector.splice(self.values, self.kind, tail=self, j=1)
 
 
 class VFun:

@@ -12,12 +12,19 @@ evaluator (section 3: "we rely on parallel extensions of functions to
 replicate such single values"), except where the section-4.5 shared-argument
 fast paths below (``seq_index_shared``) apply.
 
-Element types may be arbitrarily nested: all deep cases route through the
-single :func:`repro.vector.segments.gather_subtrees` kernel.
+Element types may be arbitrarily nested: every kernel that moves elements
+hands the level arrays below them to one of the three subtree kernels of
+:mod:`repro.vector.segments` — ``compress_subtrees`` / ``merge_subtrees``
+where the order is kept (``restrict``, ``seq_index``, ``combine``,
+``concat``, a two-element constructor), ``gather_subtrees`` where elements
+are replicated or permuted.  Results are built with
+:meth:`NestedVector.splice`, so descriptor levels taken over from an
+argument are not validated again.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -48,10 +55,13 @@ def frame_len(v: Value) -> int:
 
 def check_conformable(args: list[Value], what: str) -> int:
     """All depth-1 frames must agree on the top length; returns it."""
-    ns = {frame_len(a) for a in args}
-    if len(ns) != 1:
-        raise VectorError(f"{what}: non-conformable frames with lengths {sorted(ns)}")
-    return ns.pop()
+    n = frame_len(args[0])
+    for a in args[1:]:
+        if frame_len(a) != n:
+            ns = sorted({frame_len(a) for a in args})
+            raise VectorError(
+                f"{what}: non-conformable frames with lengths {ns}")
+    return n
 
 
 def kind_of_scalar(t: T.Type) -> str:
@@ -70,14 +80,6 @@ def item_levels(nv: NestedVector, k: int) -> list[np.ndarray]:
     """Level arrays describing the *items at nesting level k* (1 = the frame
     elements themselves, 2 = elements of the frame's sequences, ...)."""
     return [*nv.descs[k:], nv.values]
-
-
-def gather_items(nv: NestedVector, k: int, idx: np.ndarray,
-                 new_upper: list[np.ndarray]) -> NestedVector:
-    """Select items at level ``k`` of ``nv`` by ``idx`` and attach the
-    descriptor levels ``new_upper`` (which must sum-chain onto ``idx``)."""
-    got = S.gather_subtrees(item_levels(nv, k), idx)
-    return NestedVector([*new_upper, *got[:-1]], got[-1], nv.kind)
 
 
 def broadcast_to_count(c: Value, n: int) -> Value:
@@ -107,7 +109,8 @@ def _broadcast(c: Value, n: int) -> Value:
         top = np.array([n], dtype=INT_DTYPE)
         reps = np.full(n, c.top_length, dtype=INT_DTYPE)
         lower = [np.tile(d, n) for d in c.descs[1:]]
-        return NestedVector([top, reps, *lower], np.tile(c.values, n), c.kind)
+        return NestedVector.splice(np.tile(c.values, n), c.kind,
+                                   new=[top, reps, *lower])
     raise VectorError(f"cannot broadcast {c!r}")
 
 
@@ -142,7 +145,7 @@ def _ew(op: Callable, out_kind: str | None):
     def kernel(*args: NestedVector) -> NestedVector:
         vals = op(*[a.values for a in args])
         kind = out_kind if out_kind is not None else args[0].kind
-        return NestedVector(args[0].descs, vals, kind)
+        return args[0].with_values(vals, kind)
     return kernel
 
 
@@ -179,18 +182,18 @@ def k_length(v: Value) -> NestedVector:
     leaf = first_leaf(v)
     if leaf.depth < 2:
         raise VectorError("length^1: frame elements are not sequences")
-    return NestedVector([leaf.descs[0]], leaf.descs[1].copy(), "int")
+    return NestedVector.splice(leaf.descs[1].copy(), "int", leaf, 1)
 
 
 def k_range1(n: NestedVector) -> NestedVector:
     lens = np.maximum(n.values, 0)
-    return NestedVector([n.descs[0], lens], S.seg_iota(lens) + 1, "int")
+    return NestedVector.splice(S.seg_iota(lens) + 1, "int", n, 1, (lens,))
 
 
 def k_range(a: NestedVector, b: NestedVector) -> NestedVector:
     lens = np.maximum(b.values - a.values + 1, 0)
     vals = S.seg_iota(lens) + np.repeat(a.values, lens)
-    return NestedVector([a.descs[0], lens], vals, "int")
+    return NestedVector.splice(vals, "int", a, 1, (lens,))
 
 
 def _check_index(i: np.ndarray, lens: np.ndarray, what: str) -> None:
@@ -203,9 +206,12 @@ def k_seq_index(v: Value, i: NestedVector) -> Value:
     def go(leaf: NestedVector) -> NestedVector:
         lens = leaf.descs[1]
         _check_index(i.values, lens, "seq_index")
-        idx = S.seg_starts(lens) + i.values - 1
-        got = S.gather_subtrees(item_levels(leaf, 2), idx)
-        return NestedVector([leaf.descs[0], *got[:-1]], got[-1], leaf.kind)
+        # one item per segment, so the selection is increasing: a compress
+        items = item_levels(leaf, 2)
+        mask = np.zeros(len(items[0]), dtype=np.bool_)
+        mask[S.seg_starts(lens) + i.values - 1] = True
+        got = S.compress_subtrees(items, mask)
+        return NestedVector.splice(got[-1], leaf.kind, leaf, 1, got[:-1])
     return map_leaves(go, v)
 
 
@@ -222,7 +228,7 @@ def k_seq_index_shared(v: Value, i: NestedVector) -> Value:
             bad = int(iv[bad_mask.argmax()])
             raise EvalError(f"seq_index: index {bad} out of range")
         got = S.gather_subtrees(item_levels(leaf, 1), i.values - 1)
-        return NestedVector([i.descs[0], *got[:-1]], got[-1], leaf.kind)
+        return NestedVector.splice(got[-1], leaf.kind, i, 1, got[:-1])
     out = map_leaves(go, v)
     if _obs.PROFILER is not None:
         _count_kernel("seq_index_shared", int(i.values.size), (v, i), out)
@@ -250,7 +256,7 @@ def k_seq_index_segshared(v: Value, i: NestedVector,
         _check_index(i.values, lens[seg_of], "seq_index")
         idx = S.seg_starts(lens)[seg_of] + i.values - 1
         got = S.gather_subtrees(item_levels(leaf, 2), idx)
-        return NestedVector([i.descs[0], *got[:-1]], got[-1], leaf.kind)
+        return NestedVector.splice(got[-1], leaf.kind, i, 1, got[:-1])
     out = map_leaves(go, v)
     if _obs.PROFILER is not None:
         _count_kernel("seq_index_segshared", int(i.values.size), (v, i), out)
@@ -266,7 +272,7 @@ def k_seq_update(v: Value, i: NestedVector, x: Value) -> Value:
         if leaf.depth == 2:  # scalar elements: in-place on a copy
             vals = leaf.values.copy()
             vals[pos] = xleaf.values
-            return NestedVector(leaf.descs, vals, leaf.kind)
+            return leaf.with_values(vals, leaf.kind)
         mask = np.zeros(total, dtype=bool)
         mask[pos] = True
         seg_id = np.repeat(np.arange(len(lens), dtype=INT_DTYPE), lens)
@@ -274,7 +280,7 @@ def k_seq_update(v: Value, i: NestedVector, x: Value) -> Value:
         idx = np.arange(total, dtype=INT_DTYPE)
         idx[mask] = total + seg_id[mask]
         got = S.gather_subtrees(pool, idx)
-        return NestedVector([*leaf.descs[:2], *got[:-1]], got[-1], leaf.kind)
+        return NestedVector.splice(got[-1], leaf.kind, leaf, 2, got[:-1])
     return zip_leaves(go, v, x)
 
 
@@ -282,13 +288,13 @@ def k_restrict(v: Value, m: NestedVector) -> Value:
     mcounts = m.descs[1]
     keep = m.values
     new_counts = S.seg_sum(keep.astype(INT_DTYPE), mcounts)
-    idx = np.flatnonzero(keep).astype(INT_DTYPE)
 
     def go(leaf: NestedVector) -> NestedVector:
         if not np.array_equal(leaf.descs[1], mcounts):
             raise EvalError("restrict: lengths differ")
-        got = S.gather_subtrees(item_levels(leaf, 2), idx)
-        return NestedVector([leaf.descs[0], new_counts, *got[:-1]], got[-1], leaf.kind)
+        got = S.compress_subtrees(item_levels(leaf, 2), keep)
+        return NestedVector.splice(got[-1], leaf.kind, leaf, 1,
+                                   (new_counts, *got[:-1]))
     return map_leaves(go, v)
 
 
@@ -297,18 +303,14 @@ def k_combine(m: NestedVector, v: Value, u: Value) -> Value:
     mcounts = m.descs[1]
     trues = S.seg_sum(keep.astype(INT_DTYPE), mcounts)
     falses = mcounts - trues
-    rank_t = np.cumsum(keep) - 1
-    rank_f = np.cumsum(~keep) - 1
 
     def go(vleaf: NestedVector, uleaf: NestedVector) -> NestedVector:
         if not np.array_equal(vleaf.descs[1], trues) or \
            not np.array_equal(uleaf.descs[1], falses):
             raise EvalError("combine: #m != #v + #u within some frame element")
-        nv_items = int(vleaf.descs[1].sum())
-        pool = S.concat_levels(item_levels(vleaf, 2), item_levels(uleaf, 2))
-        idx = np.where(keep, rank_t, nv_items + rank_f).astype(INT_DTYPE)
-        got = S.gather_subtrees(pool, idx)
-        return NestedVector([m.descs[0], mcounts, *got[:-1]], got[-1], vleaf.kind)
+        got = S.merge_subtrees(keep, item_levels(vleaf, 2),
+                               item_levels(uleaf, 2))
+        return NestedVector.splice(got[-1], vleaf.kind, m, 2, got[:-1])
     return zip_leaves(go, v, u)
 
 
@@ -319,7 +321,8 @@ def k_dist(c: Value, r: NestedVector) -> Value:
 
     def go(leaf: NestedVector) -> NestedVector:
         got = S.gather_subtrees(item_levels(leaf, 1), idx)
-        return NestedVector([r.descs[0], r.values, *got[:-1]], got[-1], leaf.kind)
+        return NestedVector.splice(got[-1], leaf.kind, r, 1,
+                                   (r.values, *got[:-1]))
     return map_leaves(go, c)
 
 
@@ -330,17 +333,28 @@ def k_seq_cons(*args: Value) -> Value:
         raise VectorError("seq_cons^1 needs at least one argument")
     n = frame_len(args[0])
     counts = np.full(n, k, dtype=INT_DTYPE)
+    if k == 2:  # rows (a_m, b_m): the two frames merged alternately
+        first = np.zeros(2 * n, dtype=np.bool_)
+        first[0::2] = True
 
-    def go(*leaves: NestedVector) -> NestedVector:
-        pool = item_levels(leaves[0], 1)
-        for x in leaves[1:]:
-            pool = S.concat_levels(pool, item_levels(x, 1))
+        def rows(leaves: tuple) -> list[np.ndarray]:
+            return S.merge_subtrees(first, item_levels(leaves[0], 1),
+                                    item_levels(leaves[1], 1))
+    else:
         # element (m, t) -> pool index t*n + m
         idx = (np.arange(n, dtype=INT_DTYPE)[:, None]
                + n * np.arange(k, dtype=INT_DTYPE)[None, :]).ravel()
-        got = S.gather_subtrees(pool, idx)
-        return NestedVector([leaves[0].descs[0], counts, *got[:-1]], got[-1],
-                            leaves[0].kind)
+
+        def rows(leaves: tuple) -> list[np.ndarray]:
+            pool = item_levels(leaves[0], 1)
+            for x in leaves[1:]:
+                pool = S.concat_levels(pool, item_levels(x, 1))
+            return S.gather_subtrees(pool, idx)
+
+    def go(*leaves: NestedVector) -> NestedVector:
+        got = rows(leaves)
+        return NestedVector.splice(got[-1], leaves[0].kind, leaves[0], 1,
+                                   (counts, *got[:-1]))
 
     # zip across the tuple structure of all args
     def zipn(f, vals):
@@ -357,8 +371,8 @@ def k_flatten(v: Value) -> Value:
         if leaf.depth < 3:
             raise VectorError("flatten^1: elements are not nested sequences")
         merged = S.seg_sum(leaf.descs[2], leaf.descs[1])
-        return NestedVector([leaf.descs[0], merged, *leaf.descs[3:]],
-                            leaf.values, leaf.kind)
+        return NestedVector.splice(leaf.values, leaf.kind, leaf, 1, (merged,),
+                                   leaf, 3)
     return map_leaves(go, v)
 
 
@@ -366,22 +380,19 @@ def k_concat(v: Value, w: Value) -> Value:
     vleaf0, wleaf0 = first_leaf(v), first_leaf(w)
     vc, wc = vleaf0.descs[1], wleaf0.descs[1]
     out_counts = vc + wc
-    pos = S.seg_iota(out_counts)
-    vstart = S.seg_starts(vc)
-    wstart = S.seg_starts(wc)
-    rep_vc = np.repeat(vc, out_counts)
-    take_v = pos < rep_vc
-    nv_items = int(vc.sum())
-    idx = np.where(take_v,
-                   np.repeat(vstart, out_counts) + pos,
-                   nv_items + np.repeat(wstart, out_counts) + pos - rep_vc
-                   ).astype(INT_DTYPE)
+    # segment k of the result is vc[k] items of v, then wc[k] items of w
+    runs = np.empty(2 * vc.size, dtype=INT_DTYPE)
+    runs[0::2] = vc
+    runs[1::2] = wc
+    from_v = np.zeros(2 * vc.size, dtype=np.bool_)
+    from_v[0::2] = True
+    take_v = np.repeat(from_v, runs)
 
     def go(vleaf: NestedVector, wleaf: NestedVector) -> NestedVector:
-        pool = S.concat_levels(item_levels(vleaf, 2), item_levels(wleaf, 2))
-        got = S.gather_subtrees(pool, idx)
-        return NestedVector([vleaf.descs[0], out_counts, *got[:-1]], got[-1],
-                            vleaf.kind)
+        got = S.merge_subtrees(take_v, item_levels(vleaf, 2),
+                               item_levels(wleaf, 2))
+        return NestedVector.splice(got[-1], vleaf.kind, vleaf, 1,
+                                   (out_counts, *got[:-1]))
     return zip_leaves(go, v, w)
 
 
@@ -390,14 +401,14 @@ def k_rank(v: NestedVector) -> NestedVector:
     counts = v.descs[1]
     n = v.values.size
     if n == 0:
-        return NestedVector(v.descs, v.values.astype(INT_DTYPE), "int")
+        return v.with_values(v.values.astype(INT_DTYPE), "int")
     seg_id = np.repeat(np.arange(counts.size, dtype=INT_DTYPE), counts)
     order = np.lexsort((np.arange(n), v.values, seg_id))  # stable per segment
     pos_in_seg = np.arange(n, dtype=INT_DTYPE) - np.repeat(
         S.seg_starts(counts), counts)
     ranks = np.empty(n, dtype=INT_DTYPE)
     ranks[order] = pos_in_seg + 1
-    return NestedVector(v.descs, ranks, "int")
+    return v.with_values(ranks, "int")
 
 
 def k_permute(v: Value, i: NestedVector) -> Value:
@@ -418,36 +429,36 @@ def k_permute(v: Value, i: NestedVector) -> Value:
         if not np.array_equal(leaf.descs[1], lens):
             raise EvalError("permute: lengths differ")
         got = S.gather_subtrees(item_levels(leaf, 2), inv)
-        return NestedVector([*leaf.descs[:2], *got[:-1]], got[-1], leaf.kind)
+        return NestedVector.splice(got[-1], leaf.kind, leaf, 2, got[:-1])
     return map_leaves(go, v)
 
 
 def k_sum(v: NestedVector) -> NestedVector:
-    return NestedVector([v.descs[0]], S.seg_sum(v.values, v.descs[1]), v.kind)
+    return NestedVector.splice(S.seg_sum(v.values, v.descs[1]), v.kind, v, 1)
 
 
 def k_maxval(v: NestedVector) -> NestedVector:
-    return NestedVector([v.descs[0]], S.seg_max(v.values, v.descs[1]), v.kind)
+    return NestedVector.splice(S.seg_max(v.values, v.descs[1]), v.kind, v, 1)
 
 
 def k_minval(v: NestedVector) -> NestedVector:
-    return NestedVector([v.descs[0]], S.seg_min(v.values, v.descs[1]), v.kind)
+    return NestedVector.splice(S.seg_min(v.values, v.descs[1]), v.kind, v, 1)
 
 
 def k_anytrue(v: NestedVector) -> NestedVector:
-    return NestedVector([v.descs[0]], S.seg_any(v.values, v.descs[1]), "bool")
+    return NestedVector.splice(S.seg_any(v.values, v.descs[1]), "bool", v, 1)
 
 
 def k_alltrue(v: NestedVector) -> NestedVector:
-    return NestedVector([v.descs[0]], S.seg_all(v.values, v.descs[1]), "bool")
+    return NestedVector.splice(S.seg_all(v.values, v.descs[1]), "bool", v, 1)
 
 
 def k_plus_scan(v: NestedVector) -> NestedVector:
-    return NestedVector(v.descs, S.seg_plus_scan(v.values, v.descs[1]), v.kind)
+    return v.with_values(S.seg_plus_scan(v.values, v.descs[1]), v.kind)
 
 
 def k_max_scan(v: NestedVector) -> NestedVector:
-    return NestedVector(v.descs, S.seg_max_scan(v.values, v.descs[1]), v.kind)
+    return v.with_values(S.seg_max_scan(v.values, v.descs[1]), v.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -555,13 +566,12 @@ def empty_frame_like(m: NestedVector, j: int, beta: T.Type) -> Value:
     if isinstance(leaf, T.TTuple):
         return VTuple([empty_frame_like(m, j, T.seq_of(c, extra))
                        for c in leaf.items])
-    zeros = np.zeros(len(m.descs[j - 1]), dtype=INT_DTYPE)
-    descs = [*m.descs[:j - 1], zeros]
+    new = [np.zeros(len(m.descs[j - 1]), dtype=INT_DTYPE)]
     for _ in range(extra):
-        descs.append(np.empty(0, dtype=INT_DTYPE))
+        new.append(np.empty(0, dtype=INT_DTYPE))
     kind = kind_of_scalar(leaf)
     dtype = {"bool": np.bool_, "float": np.float64}.get(kind, INT_DTYPE)
-    return NestedVector(descs, np.empty(0, dtype=dtype), kind)
+    return NestedVector.splice(np.empty(0, dtype=dtype), kind, m, j - 1, new)
 
 
 def value_size(v: Value) -> int:
@@ -634,17 +644,29 @@ def unwrap1(v: Value) -> Value:
     return v.drop_unit()
 
 
-def apply_kernel(name: str, args: list[Value]) -> Value:
-    """Invoke the depth-1 kernel for primitive ``name``."""
+@functools.cache    # one closure per primitive: at most len(KERNELS)
+def bind_kernel(name: str) -> Callable[[list[Value]], Value]:
+    """The depth-1 kernel for primitive ``name`` as a function of its frame
+    list: conformability check, the kernel, the ``kernel``-layer profile
+    record and the guard's kernel-boundary hook."""
     try:
         k = KERNELS[name]
     except KeyError:
         raise VectorError(f"no depth-1 kernel for {name!r}") from None
-    n = check_conformable(args, f"{name}^1") if args else 0
-    result = k(*args)
-    if _obs.PROFILER is not None:
-        _count_kernel(name, n, tuple(args), result)
-    g = _guard.GUARD
-    if g is not None:
-        g.after_kernel(name, n, result)
-    return result
+    what = f"{name}^1"
+
+    def run(args: list[Value]) -> Value:
+        n = check_conformable(args, what) if args else 0
+        result = k(*args)
+        if _obs.PROFILER is not None:
+            _count_kernel(name, n, tuple(args), result)
+        g = _guard.GUARD
+        if g is not None:
+            g.after_kernel(name, n, result)
+        return result
+    return run
+
+
+def apply_kernel(name: str, args: list[Value]) -> Value:
+    """Invoke the depth-1 kernel for primitive ``name``."""
+    return bind_kernel(name)(args)

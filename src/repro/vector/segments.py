@@ -6,11 +6,18 @@ segment length) passes, exactly a vector-model scan).  A segmented vector is
 an ordinary value array plus a ``counts`` array of per-segment lengths; this
 is one level of the paper's descriptor representation.
 
-The central kernel is :func:`gather_subtrees`: given the level arrays of a
-nested structure and an index vector selecting subtrees at the top level, it
-materializes the gathered structure level by level.  ``dist``, ``restrict``,
-``combine``, ``seq_index`` and ``concat`` on nested elements are all thin
-wrappers over it.
+Three kernels move whole subtrees of a nested structure, given as its level
+arrays, one pass per level and the same loop at every depth:
+
+* :func:`compress_subtrees` keeps the top-level subtrees a mask selects, in
+  order (``restrict``, and ``seq_index`` of one item per segment);
+* :func:`merge_subtrees` interleaves two forests under a mask, in order
+  (``combine``, ``concat``, the two-element sequence constructor) — the
+  inverse of compressing by the mask and by its complement;
+* :func:`gather_subtrees` selects by an index vector, for what replicates or
+  permutes (``dist``, shared indexing, ``permute``, ``seq_update``, group
+  dispatch): it pays for an index vector per level that the two
+  order-preserving kernels never build.
 """
 
 from __future__ import annotations
@@ -236,6 +243,69 @@ def tile_idx(seg_lens: np.ndarray, reps: np.ndarray) -> np.ndarray:
     return seg_iota(rep_lens) + np.repeat(rep_starts, rep_lens)
 
 
+def _finish_levels(op: str, frame_len: int, levels_in: tuple,
+                   out: list[np.ndarray]) -> list[np.ndarray]:
+    """The tail every subtree kernel shares: the ``segments.<op>`` fault
+    sites (descriptor levels only — the leaf level is semantic data), the
+    strict-mode level-chain check, and the ``segment``-layer profile
+    record."""
+    if _flt.INJECTOR is not None:
+        _flt.visit(f"segments.{op}.desc-bump", out[:-1])
+        _flt.visit(f"segments.{op}.desc-negate", out[:-1])
+    if _guard.GUARD is not None:
+        _check_level_chain(f"segments.{op}", out)
+    if _obs.PROFILER is not None:
+        _note(op, frame_len, (*levels_in, *out))
+    return out
+
+
+def compress_subtrees(levels: list[np.ndarray],
+                      mask: np.ndarray) -> list[np.ndarray]:
+    """Keep the top-level subtrees where ``mask`` is true, in order.
+
+    ``levels`` is ``[d_1, ..., values]`` as for :func:`gather_subtrees`;
+    ``mask`` has one boolean per node of the top level.  Each level is one
+    compress, and the mask of the next level is this one repeated by the
+    child counts — no index vector is built.  Equal to
+    ``gather_subtrees(levels, flatnonzero(mask))``.
+    """
+    out: list[np.ndarray] = []
+    frame_len = mask.size
+    cur = mask
+    for level in levels[:-1]:
+        out.append(level[cur])
+        cur = np.repeat(cur, level)
+    out.append(levels[-1][cur])
+    return _finish_levels("compress_subtrees", frame_len, (*levels, mask),
+                          out)
+
+
+def merge_subtrees(mask: np.ndarray, a: list[np.ndarray],
+                   b: list[np.ndarray]) -> list[np.ndarray]:
+    """Interleave the subtrees of ``a`` and ``b``, in order: output node k
+    is the next unused subtree of ``a`` where ``mask[k]`` is true, of ``b``
+    where it is false (so ``mask`` holds ``len(a[0])`` trues and
+    ``len(b[0])`` falses).  Each level is two masked stores, and the mask
+    of the next level is this one repeated by the merged child counts.
+    The inverse of :func:`compress_subtrees`:
+    ``merge(m, compress(L, m), compress(L, ~m)) == L``.
+    """
+    if len(a) != len(b):
+        raise VectorError("merge_subtrees: depth mismatch")
+    out: list[np.ndarray] = []
+    frame_len = mask.size
+    cur = mask
+    last = len(a) - 1
+    for k, (x, y) in enumerate(zip(a, b)):
+        level = np.empty(cur.size, dtype=x.dtype)
+        level[cur] = x
+        level[~cur] = y
+        out.append(level)
+        if k < last:
+            cur = np.repeat(cur, level)
+    return _finish_levels("merge_subtrees", frame_len, (mask, *a, *b), out)
+
+
 def gather_subtrees(levels: list[np.ndarray], idx: np.ndarray) -> list[np.ndarray]:
     """Select subtrees by top-level index.
 
@@ -257,14 +327,8 @@ def gather_subtrees(levels: list[np.ndarray], idx: np.ndarray) -> list[np.ndarra
         out.append(counts)
         cur = nxt
     out.append(levels[-1][cur])
-    if _flt.INJECTOR is not None:
-        # descriptor levels only (out[:-1]); the leaf level is semantic data
-        _flt.visit("segments.gather_subtrees.desc-bump", out[:-1])
-        _flt.visit("segments.gather_subtrees.desc-negate", out[:-1])
-    if _guard.GUARD is not None:
-        _check_level_chain("segments.gather_subtrees", out)
-    _note("gather_subtrees", int(idx.size), (*levels, idx, *out))
-    return out
+    return _finish_levels("gather_subtrees", int(idx.size), (*levels, idx),
+                          out)
 
 
 def concat_levels(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
@@ -274,21 +338,5 @@ def concat_levels(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
     if len(a) != len(b):
         raise VectorError("concat_levels: depth mismatch")
     out = [np.concatenate([x, y]) for x, y in zip(a, b)]
-    if _flt.INJECTOR is not None:
-        _flt.visit("segments.concat_levels.desc-bump", out[:-1])
-        _flt.visit("segments.concat_levels.desc-negate", out[:-1])
-    if _guard.GUARD is not None:
-        _check_level_chain("segments.concat_levels", out)
-    _note("concat_levels", len(out[0]) if out else 0, tuple(out))
-    return out
-
-
-def check_counts_consistent(levels: list[np.ndarray]) -> None:
-    """Validate the representation invariant  #V_{i+1} = sum(V_i)."""
-    for i in range(len(levels) - 1):
-        want = int(np.asarray(levels[i]).sum())
-        got = len(levels[i + 1])
-        if want != got:
-            raise VectorError(
-                f"descriptor invariant violated at level {i + 1}: "
-                f"sum={want} but next level has {got} entries")
+    return _finish_levels("concat_levels", len(out[0]) if out else 0, (),
+                          out)

@@ -1,22 +1,36 @@
 """Shared application machinery for the vector back ends.
 
-Both the tree-walking :class:`VectorEvaluator` and the VCODE virtual machine
-apply depth-``d`` parallel extensions the same way (rule T1, argument
+Both the :class:`VectorEvaluator` and the VCODE virtual machine apply
+depth-``d`` parallel extensions the same way (rule T1, argument
 replication, section-4.5 shared paths, group dispatch over function
 frames).  This module hosts that logic once; back ends supply a
 ``call_user(name, vector_args) -> Value`` callback for user-function bodies
 and an optional ``observe(op, width)`` hook for the machine simulator.
+
+Application is split in two.  :meth:`Applier.bind` takes the *static* facts
+of a call site — the name, the frame depth, which arguments reach it — and
+returns a closure of the argument list in which every decision those facts
+determine is already taken: the ``__iter`` view, depth 0 against depth 1
+against T1, which arguments are extracted, replicated or kept shared, the
+kernel object itself (a primitive's kernel, tuple construction, a fused
+tree, a native segmented op, the user's ``f^1``) and whether anything is
+observed.  The evaluator binds each call site once, when it lowers the
+function; :meth:`Applier.apply_named` is the same thing for callers that
+meet their call sites at run time (dynamic dispatch, the VM's ``Prim``) —
+``bind(...)(args)``, memoised per signature — so T1 has one implementation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import EvalError, VMError
 from repro.lang import builtins as B
 from repro.lang import types as T
+from repro.transform.extensions import ext1_name
+from repro.transform.fuse import eval_tree, result_kind
 from repro.vector import ops as O
 from repro.vector import segments as S
 from repro.vector.extract_insert import extract, insert
@@ -25,11 +39,49 @@ from repro.vector.nested import (
 )
 from repro.vector.segments import INT_DTYPE
 
+#: an application with its static facts decided: argument list -> result
+Bound = Callable[[list], Value]
 
 #: segmented primitives the native engine may claim (see repro.native)
 _NATIVE_SEGMENTED = frozenset(
     ("sum", "maxval", "minval", "anytrue", "alltrue",
      "plus_scan", "max_scan"))
+
+
+def _first(args: list) -> Value:
+    """``__iter``: iteration is a view.  A sequence at frame depth j and the
+    frame of its elements at depth j+1 are one representation, so the
+    identity gather is literally its argument (no vector op executes, so
+    nothing is observed or charged)."""
+    return args[0]
+
+
+def projection(k: int) -> Bound:
+    """Component ``k`` (1-origin) of the tuple that is the only argument."""
+    def project(args: list) -> Value:
+        v, = args
+        if not isinstance(v, VTuple) or k > len(v.items):
+            raise EvalError(f"bad tuple projection .{k}")
+        return v.items[k - 1]
+    return project
+
+
+def _tuple_op(name: str) -> Optional[Bound]:
+    """Tuple construction / projection: the same at every depth (tuples of
+    frames are frames of tuples), or None for any other name."""
+    if name == "__tuple_cons":
+        return VTuple
+    if name.startswith("__tuple_extract_"):
+        return projection(int(name.rsplit("_", 1)[1]))
+    return None
+
+
+def raising(error: type, message: str) -> Bound:
+    """A call site (or a lowered node) that cannot run fails when it is
+    reached, not when it is bound: an untaken branch may hold one."""
+    def fail(_: list) -> Value:
+        raise error(message)
+    return fail
 
 
 class Applier:
@@ -49,78 +101,151 @@ class Applier:
                  fusion=None, native=None):
         self._call_user = call_user
         self._is_user = is_user
-        self._observe = observe
+        #: the machine simulator's ``(op, width)`` hook, or None
+        self.observer = observe
         self._fusion = fusion
         self._native = native
-
-    def observe(self, op: str, n: int) -> None:
-        if self._observe is not None:
-            self._observe(op, n)
+        self._bound: dict[tuple, Bound] = {}
 
     # -- named extension (ExtCall) ------------------------------------------------
 
-    def apply_named(self, name: str, args: list[Value], arg_depths: list[int],
-                    depth: int, node_type: Optional[T.Type]) -> Value:
-        """Apply ``name^depth`` (T1 reduces depth >= 2 to the depth-1 form)."""
-        if name == "__iter":
-            # iteration is a view: a sequence at frame depth j and the
-            # frame of its elements at depth j+1 are one representation,
-            # so the identity gather is literally its argument — returned
-            # before any extract/replicate (no vector op executes, so
-            # nothing is observed or charged)
-            return args[0]
-        if depth == 0:
-            return self.apply0(name, args, node_type)
+    def apply_named(self, name: str, args: list[Value],
+                    arg_depths: Sequence[int], depth: int,
+                    node_type: Optional[T.Type]) -> Value:
+        """Apply ``name^depth`` (T1 reduces depth >= 2 to the depth-1 form):
+        :meth:`bind` on the call's static facts, once per signature."""
+        key = (name, tuple(arg_depths), depth, node_type)
+        bound = self._bound.get(key)
+        if bound is None:
+            bound = self._bound[key] = self.bind(name, key[1], depth,
+                                                 node_type)
+        return bound(args)
 
+    def bind(self, name: str, arg_depths: Sequence[int], depth: int,
+             node_type: Optional[T.Type]) -> Bound:
+        """``name^depth`` as a function of its argument list, with every
+        decision the static facts determine already taken."""
+        if name == "__iter":
+            return _first
+        if depth == 0:
+            return self._bind0(name, node_type)
         if name == "__seq_index_segshared":
-            return self._apply_segshared(args, depth)
+            return lambda args: self._apply_segshared(args, depth)
 
         shared = name == "__seq_index_shared"
         if shared:
             name = "seq_index"
-        flat: list[Optional[Value]] = []
-        frame_src: Optional[Value] = None
-        for a, fd in zip(args, arg_depths):
-            if fd == depth:
-                flat.append(extract(a, depth) if depth >= 2 else a)
-                if frame_src is None:
-                    frame_src = a
-            else:
-                flat.append(None)
-        if frame_src is None:
-            raise VMError(f"{name}^{depth}: no full-depth argument")
-        n = O.frame_len(next(f for f in flat if f is not None))
-        if self._native is not None and not shared \
-                and self._fusion is not None and name in self._fusion:
-            # native fused kernel: depth-0 holes in ``flat`` stay scalar
-            # (hoisted into the kernel), so no replication is charged
-            result = self._native.apply_fused(
-                name, self._fusion.trees[name], flat, args, n)
-            if result is not None:
-                self.observe(name, max(n, O.value_size(result)))
-                if depth >= 2:
-                    result = insert(result, frame_src, depth)
-                return result
-        for i, f in enumerate(flat):
-            if f is None:
-                if shared and i == 0:
-                    flat[i] = args[i]  # section 4.5: keep the source shared
-                else:
-                    flat[i] = O.broadcast_to_count(args[i], n)
-                    # replication is a real distribute op in CVL: charge it
-                    self.observe("replicate", O.value_size(flat[i]))
-
-        result = self.apply1(name, flat, shared)
+        full = tuple(i for i, fd in enumerate(arg_depths) if fd == depth)
+        if not full:
+            return raising(VMError, f"{name}^{depth}: no full-depth argument")
+        src = full[0]
+        # section 4.5: a shared source stays shared; every other argument
+        # below the frame depth is replicated to the flattened frame
+        holes = tuple(i for i, fd in enumerate(arg_depths)
+                      if fd != depth and not (shared and i == 0))
+        fused = self._fusion is not None and name in self._fusion
+        f1 = self._bind1(name, shared)
+        # native fused kernel: depth-0 holes stay scalar (hoisted into the
+        # kernel), so no replication is charged
+        native_tree = (self._fusion.trees[name]
+                       if fused and not shared and self._native is not None
+                       else None)
+        t1 = depth >= 2
+        seen = self.observer
         # only primitives are vector ops; a user extension's body reports
-        # its own ops (charging the call too would double-count).  An op's
-        # width is the larger of its frame length and its output size
-        # (producers like range1 touch every element they create).
-        if shared or name in O.KERNELS or name.startswith("__tuple") \
-                or (self._fusion is not None and name in self._fusion):
-            self.observe(name, max(n, O.value_size(result)))
-        if depth >= 2:
-            result = insert(result, frame_src, depth)
-        return result
+        # its own ops (charging the call too would double-count)
+        observe = seen if (shared or fused or name in O.KERNELS
+                           or name.startswith("__tuple")) else None
+        if not (t1 or holes or seen is not None or native_tree is not None):
+            return f1  # depth 1 on full frames, unobserved: the kernel
+
+        native = self._native
+
+        def run(args: list) -> Value:
+            flat = list(args)
+            if t1:
+                for i in full:
+                    flat[i] = extract(args[i], depth)
+            n = O.frame_len(flat[src])
+            result = None
+            if native_tree is not None:
+                for i in holes:
+                    flat[i] = None
+                result = native.apply_fused(name, native_tree, flat, args, n)
+            if result is None:
+                for i in holes:
+                    flat[i] = rep = O.broadcast_to_count(args[i], n)
+                    if seen is not None:
+                        # replication is a real distribute op in CVL
+                        seen("replicate", O.value_size(rep))
+                result = f1(flat)
+            if observe is not None:
+                # an op's width is the larger of its frame length and its
+                # output size (producers like range1 touch every element
+                # they create)
+                observe(name, max(n, O.value_size(result)))
+            return insert(result, args[src], depth) if t1 else result
+        return run
+
+    def _bind1(self, name: str, shared: bool) -> Bound:
+        """``name^1`` on a list of depth-1 frames."""
+        native = self._native
+        if shared:
+            def shared_index(flat: list) -> Value:
+                if native is not None:
+                    result = native.apply_shared_index(flat[0], flat[1])
+                    if result is not None:
+                        return result
+                return O.k_seq_index_shared(flat[0], flat[1])
+            return shared_index
+        tuple_op = _tuple_op(name)
+        if tuple_op is not None:
+            return tuple_op
+        if self._fusion is not None and name in self._fusion:
+            tree = self._fusion.trees[name]
+
+            def fused(flat: list) -> Value:
+                # one vector op executing a whole fused elementwise tree
+                O.check_conformable(flat, name)
+                vals = eval_tree(tree, [leaf.values for leaf in flat])
+                kind = result_kind(tree, [leaf.kind for leaf in flat])
+                return flat[0].with_values(vals, kind)
+            return fused
+        if name in O.KERNELS:
+            kernel = O.bind_kernel(name)
+            if native is None or name not in _NATIVE_SEGMENTED:
+                return kernel
+
+            def segmented(flat: list) -> Value:
+                result = native.apply_segmented(name, flat[0])
+                return result if result is not None else kernel(flat)
+            return segmented
+        call_user, ext1 = self._call_user, ext1_name(name)
+        return lambda flat: call_user(ext1, flat)
+
+    def _bind0(self, name: str, node_type: Optional[T.Type]) -> Bound:
+        """Depth-0 application: unit-frame round trip through the kernels."""
+        tuple_op = _tuple_op(name)
+        if tuple_op is not None:
+            return tuple_op
+        if name == "__seq_cons":
+            return lambda args: O.seq_cons0(args, node_type)
+        if self._is_user(name):
+            call_user = self._call_user
+            return lambda args: call_user(name, args)
+        if name not in O.KERNELS:
+            return raising(VMError, f"no depth-0 implementation for {name!r}")
+        kernel = O.bind_kernel(name)
+        seen = self.observer
+
+        def unit(args: list) -> Value:
+            result = O.unwrap1(kernel([O.wrap1(a) for a in args]))
+            if seen is not None:
+                # a depth-0 op on a sequence still moves that much data
+                seen(name, max([O.value_size(a) for a in args]
+                               + [O.value_size(result), 1]))
+            return result
+        return unit
 
     def _apply_segshared(self, args: list[Value], depth: int) -> Value:
         """Generalized 4.5: source at frame depth-1, indices at full depth.
@@ -133,75 +258,17 @@ class Applier:
         flat_idx = extract(idx, depth) if depth >= 2 else idx
         flat_src = extract(src, depth - 1) if depth - 1 >= 2 else src
         result = O.k_seq_index_segshared(flat_src, flat_idx, seg_counts)
-        self.observe("seq_index",
-                     max(O.frame_len(flat_idx), O.value_size(result)))
+        if self.observer is not None:
+            self.observer("seq_index",
+                          max(O.frame_len(flat_idx), O.value_size(result)))
         if depth >= 2:
             result = insert(result, idx, depth)
         return result
 
-    def apply1(self, name: str, flat: list[Value], shared: bool = False) -> Value:
-        if shared:
-            if self._native is not None:
-                result = self._native.apply_shared_index(flat[0], flat[1])
-                if result is not None:
-                    return result
-            return O.k_seq_index_shared(flat[0], flat[1])
-        if name == "__tuple_cons":
-            return VTuple(flat)
-        if name.startswith("__tuple_extract_"):
-            k = int(name.rsplit("_", 1)[1])
-            v = flat[0]
-            if not isinstance(v, VTuple) or k > len(v.items):
-                raise EvalError(f"bad tuple projection .{k}")
-            return v.items[k - 1]
-        if self._fusion is not None and name in self._fusion:
-            return self._apply_fused(name, flat)
-        if self._native is not None and name in _NATIVE_SEGMENTED:
-            result = self._native.apply_segmented(name, flat[0])
-            if result is not None:
-                return result
-        if name in O.KERNELS:
-            return O.apply_kernel(name, flat)
-        from repro.transform.extensions import ext1_name
-        return self._call_user(ext1_name(name), flat)
-
-    def _apply_fused(self, name: str, flat: list[Value]) -> Value:
-        """One vector op executing a whole fused elementwise tree."""
-        from repro.transform.fuse import eval_tree, result_kind
-        tree = self._fusion.trees[name]
-        O.check_conformable(flat, name)
-        vals = eval_tree(tree, [leaf.values for leaf in flat])
-        kind = result_kind(tree, [leaf.kind for leaf in flat])
-        return NestedVector(flat[0].descs, vals, kind)
-
-    def apply0(self, name: str, args: list[Value],
-               node_type: Optional[T.Type]) -> Value:
-        """Depth-0 application: unit-frame round trip through the kernels."""
-        if name == "__tuple_cons":
-            return VTuple(args)
-        if name.startswith("__tuple_extract_"):
-            k = int(name.rsplit("_", 1)[1])
-            v = args[0]
-            if not isinstance(v, VTuple) or k > len(v.items):
-                raise EvalError(f"bad tuple projection .{k}")
-            return v.items[k - 1]
-        if name == "__seq_cons":
-            return O.seq_cons0(args, node_type)
-        if self._is_user(name):
-            return self._call_user(name, args)
-        if name in O.KERNELS:
-            # a depth-0 op on a sequence still moves that much data in CVL
-            wrapped = [O.wrap1(a) for a in args]
-            result = O.unwrap1(O.apply_kernel(name, wrapped))
-            self.observe(name, max([O.value_size(a) for a in args]
-                                   + [O.value_size(result), 1]))
-            return result
-        raise VMError(f"no depth-0 implementation for {name!r}")
-
     # -- dynamic dispatch (IndirectCall) --------------------------------------------
 
-    def apply_dynamic(self, fun: Value, args: list[Value], arg_depths: list[int],
-                      depth: int, fun_depth: int,
+    def apply_dynamic(self, fun: Value, args: list[Value],
+                      arg_depths: Sequence[int], depth: int, fun_depth: int,
                       node_type: Optional[T.Type]) -> Value:
         if fun_depth == 0:
             if not isinstance(fun, VFun):
@@ -210,13 +277,14 @@ class Applier:
         return self._group_dispatch(fun, args, arg_depths, depth, node_type)
 
     def _group_dispatch(self, fun: Value, args: list[Value],
-                        arg_depths: list[int], depth: int,
+                        arg_depths: Sequence[int], depth: int,
                         node_type: Optional[T.Type]) -> Value:
         ffr = extract(fun, depth) if depth >= 2 else fun
         if not isinstance(ffr, NestedVector) or ffr.kind != "fun":
             raise EvalError(f"not a frame of function values: {fun!r}")
         n = ffr.top_length
         ids = ffr.values
+        seen = self.observer
 
         flat_args: list[Value] = []
         for a, fd in zip(args, arg_depths):
@@ -224,7 +292,8 @@ class Applier:
                 flat_args.append(extract(a, depth) if depth >= 2 else a)
             else:
                 rep = O.broadcast_to_count(a, n)
-                self.observe("replicate", O.value_size(rep))
+                if seen is not None:
+                    seen("replicate", O.value_size(rep))
                 flat_args.append(rep)
 
         uniq = np.unique(ids)
@@ -244,20 +313,20 @@ class Applier:
                     FUNTABLE.name_of(int(fid)), sub, len(idx)))
                 positions.append(idx)
             result = merge_groups(pieces, positions, n)
-        self.observe("apply_frame", n)
+        if seen is not None:
+            seen("apply_frame", n)
         if depth >= 2:
             result = insert(result, fun, depth)
         return result
 
     def _apply_group(self, name: str, flat_args: list[Value], n: int) -> Value:
         if not flat_args:
-            val = self.apply_named(name, [], [], 0, None)
+            val = self.apply_named(name, [], (), 0, None)
             return O.broadcast_to_count(val, n)
         if name in O.KERNELS:
             return O.apply_kernel(name, flat_args)
         if B.is_builtin(name):
             raise VMError(f"builtin {name!r} has no depth-1 kernel")
-        from repro.transform.extensions import ext1_name
         return self._call_user(ext1_name(name), flat_args)
 
 

@@ -97,7 +97,7 @@ def test_static_mode_still_catches_kernel_level_faults():
     """The retained runtime-class checks catch descriptor corruption in
     the gather/scatter kernels even with every static site discharged."""
     for site in ("extract_insert.extract.top-bump",
-                 "segments.gather_subtrees.desc-bump"):
+                 "segments.compress_subtrees.desc-bump"):
         prog = compile_program(NEST_SRC)
         with F.injecting(site, seed=1) as inj:
             with pytest.raises(InvariantError):

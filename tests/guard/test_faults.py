@@ -24,6 +24,10 @@ fun nsum(n) = sum([i <- [1..n]: sum([j <- nest(i)[1 + i / 2]: sum(j)])])
 fun cc(n) = sum([i <- [1..n]:
   sum([s <- concat([j <- [1..i]: [k <- [1..j]: k]],
                    [j <- [1..i]: [k <- [1..j]: j]]): sum(s)])])
+fun tri(n) = sum([i <- [1..n]:
+  sum([s <- [[k <- [1..i]: k], [k <- [1..i]: i], [i]]: sum(s)])])
+fun shr(n) = let t = nest(3) in
+  sum([i <- [1..n]: sum([s <- t[1 + i mod 3]: sum(s)])])
 """
 
 #: Which (backend, entry, args) drives execution through each *runtime*
@@ -33,14 +37,26 @@ DRIVERS = {
     "extract_insert.extract.desc-negate": ("vector", "nsum", [8], "extract"),
     "extract_insert.insert.desc-bump": ("vector", "nsum", [8], "insert"),
     "extract_insert.insert.desc-negate": ("vector", "nsum", [8], "insert"),
+    # indexing one item per segment compresses; what still gathers nested
+    # elements is what replicates them (here the shared index of 4.5)
     "segments.gather_subtrees.desc-bump":
-        ("vector", "nsum", [8], "segments.gather_subtrees"),
+        ("vector", "shr", [8], "segments.gather_subtrees"),
     "segments.gather_subtrees.desc-negate":
-        ("vector", "nsum", [8], "segments.gather_subtrees"),
+        ("vector", "shr", [8], "segments.gather_subtrees"),
+    "segments.compress_subtrees.desc-bump":
+        ("vector", "nsum", [8], "segments.compress_subtrees"),
+    "segments.compress_subtrees.desc-negate":
+        ("vector", "nsum", [8], "segments.compress_subtrees"),
+    "segments.merge_subtrees.desc-bump":
+        ("vector", "cc", [6], "segments.merge_subtrees"),
+    "segments.merge_subtrees.desc-negate":
+        ("vector", "cc", [6], "segments.merge_subtrees"),
+    # concat merges; what still pools levels is a sequence literal of
+    # three or more (nested) elements under an iterator
     "segments.concat_levels.desc-bump":
-        ("vector", "cc", [6], "segments.concat_levels"),
+        ("vector", "tri", [6], "segments.concat_levels"),
     "segments.concat_levels.desc-negate":
-        ("vector", "cc", [6], "segments.concat_levels"),
+        ("vector", "tri", [6], "segments.concat_levels"),
     "vm.call.desc-bump": ("vcode", "main", [40], "vm:call"),
     "vm.call.desc-negate": ("vcode", "main", [40], "vm:call"),
     "vm.prim.desc-bump": ("vcode", "main", [40], "vm:prim"),
@@ -125,7 +141,7 @@ def test_corruption_is_silent_without_checker(prog):
     answer — demonstrating exactly the failure class strict mode guards
     against."""
     clean = prog.run("nsum", [8], backend="vector")
-    with F.injecting("segments.gather_subtrees.desc-bump", seed=1):
+    with F.injecting("segments.compress_subtrees.desc-bump", seed=1):
         try:
             bad = prog.run("nsum", [8], backend="vector")
         except Exception:

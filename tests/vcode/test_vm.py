@@ -97,6 +97,42 @@ class TestExecution:
         assert prog.run("f", [[1, 2, 3]], backend="vcode") == [3, 2, 1]
 
 
+class TestCompileOnce:
+    """``backend="vcode"`` keeps its VProgram with the TransformedProgram:
+    compiled and linted on the first run, not on every run."""
+
+    SRC = "fun f(n) = [i <- [1..n]: i * i + 1]"
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        import repro.vcode.compile as C
+        seen = []
+        real = C.compile_transformed
+        monkeypatch.setattr(C, "compile_transformed",
+                            lambda tp, lint=True: seen.append(tp)
+                            or real(tp, lint))
+        return seen
+
+    def test_two_runs_compile_once(self, compiles):
+        prog = compile_program(self.SRC)
+        assert prog.run("f", [3], backend="vcode") == [2, 5, 10]
+        assert prog.run("f", [4], backend="vcode") == [2, 5, 10, 17]
+        assert len(compiles) == 1
+        assert prog.vector_trace("f", [3])[0] == [2, 5, 10]     # the same tp
+        assert len(compiles) == 1
+
+    def test_other_transform_options_compile_their_own(self, compiles):
+        from repro.transform.pipeline import TransformOptions
+        plain = compile_program(self.SRC)
+        raw = compile_program(self.SRC,
+                              options=TransformOptions(simplify=False))
+        for _ in range(2):
+            assert plain.run("f", [3], backend="vcode") == [2, 5, 10]
+            assert raw.run("f", [3], backend="vcode") == [2, 5, 10]
+        assert len(compiles) == 2 and compiles[0] is not compiles[1]
+        assert compiles[0].options != compiles[1].options
+
+
 class TestTrace:
     def test_trace_recorded(self):
         prog = compile_program("fun sqs(n) = [i <- [1..n]: i*i]")

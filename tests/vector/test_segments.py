@@ -151,8 +151,3 @@ class TestTileAndGather:
     def test_concat_levels_depth_mismatch(self):
         with pytest.raises(VectorError):
             S.concat_levels([arr([1])], [arr([1]), arr([2])])
-
-    def test_check_counts_consistent(self):
-        S.check_counts_consistent([arr([2]), arr([1, 1]), arr([9, 9])])
-        with pytest.raises(VectorError):
-            S.check_counts_consistent([arr([2]), arr([1])])

@@ -88,31 +88,36 @@ class TestApplierBroadcast:
         assert ("add", 10) in seen
 
 
+def apply0(ap, name, args, node_type):
+    """Depth-0 application: every argument at frame depth 0."""
+    return ap.apply_named(name, args, [0] * len(args), 0, node_type)
+
+
 class TestApply0:
     def test_scalar_prim(self):
         ap = plain_applier()
-        assert ap.apply0("add", [2, 3], None) == 5
+        assert apply0(ap, "add", [2, 3], None) == 5
 
     def test_seq_prim(self):
         ap = plain_applier()
         v = from_python([5, 1], TSeq(INT))
-        assert ap.apply0("length", [v], None) == 2
+        assert apply0(ap, "length", [v], None) == 2
 
     def test_seq_cons_empty_needs_type(self):
         ap = plain_applier()
-        out = ap.apply0("__seq_cons", [], TSeq(INT))
+        out = apply0(ap, "__seq_cons", [], TSeq(INT))
         assert to_python(out, TSeq(INT)) == []
 
     def test_tuple_ops(self):
         ap = plain_applier()
-        t = ap.apply0("__tuple_cons", [1, True], None)
+        t = apply0(ap, "__tuple_cons", [1, True], None)
         assert isinstance(t, VTuple)
-        assert ap.apply0("__tuple_extract_2", [t], None) is True
+        assert apply0(ap, "__tuple_extract_2", [t], None) is True
 
     def test_unknown_prim(self):
         ap = plain_applier()
         with pytest.raises(VMError):
-            ap.apply0("nonsense", [], None)
+            apply0(ap, "nonsense", [], None)
 
 
 class TestGroupDispatch:
@@ -152,6 +157,56 @@ class TestGroupDispatch:
         out = merge_groups([p1, p2],
                            [np.array([0, 2]), np.array([1, 3])], 4)
         assert to_python(out, TSeq(INT)) == [10, 21, 30, 41]
+
+
+class TestPlan:
+    """A function's plan, on hand-built bodies the pipeline never emits:
+    slots are per binder, and a node that cannot run fails when it is
+    reached — not when its function is lowered."""
+
+    @staticmethod
+    def evaluator(body):
+        from dataclasses import replace
+        from repro.lang.types import BOOL
+        from repro.vexec.evaluator import VectorEvaluator
+        prog = compile_program("fun f(c, x) = if c then x else x + 1")
+        mono, tp = prog.prepare("f", (BOOL, INT))
+        tp = replace(tp, defs={mono: replace(tp.defs[mono], body=body)},
+                     plans={})
+        return VectorEvaluator(tp), mono
+
+    def test_shadowing_and_nested_lets_get_their_own_slots(self):
+        from repro.lang import ast as A
+        add = lambda a, b: A.ExtCall("add", [a, b], 0, [0, 0])
+        # let x = (let y = x + 1 in y + y), x = x + 1 in x
+        inner = A.Let("y", add(A.Var("x"), A.IntLit(1)),
+                      add(A.Var("y"), A.Var("y")))
+        body = A.Let("x", inner,
+                     A.Let("x", add(A.Var("x"), A.IntLit(1)), A.Var("x")))
+        ev, mono = self.evaluator(body)
+        assert ev.call(mono, [True, 5]) == 13
+        assert ev.call(mono, [True, 0]) == 3       # the warm plan, new frame
+
+    def test_unrunnable_nodes_fail_only_when_reached(self):
+        from repro.lang import ast as A
+        bad = A.If(A.Var("c"), A.Var("nosuch"),
+                   A.Iter("i", A.Var("x"), A.Var("i"), None))
+        ev, mono = self.evaluator(A.If(A.BoolLit(True), A.Var("x"), bad))
+        assert ev.call(mono, [True, 7]) == 7       # lowered, never reached
+        ev, mono = self.evaluator(bad)
+        with pytest.raises(EvalError, match="unbound variable 'nosuch'"):
+            ev.call(mono, [True, 7])
+        with pytest.raises(VMError, match="cannot execute node Iter"):
+            ev.call(mono, [False, 7])
+        ev, mono = self.evaluator(A.If(A.Var("x"), A.Var("x"), A.Var("x")))
+        with pytest.raises(EvalError, match="not a scalar bool"):
+            ev.call(mono, [True, 7])
+
+    def test_wrong_arity_on_vector_values_is_an_eval_error(self):
+        from repro.lang import ast as A
+        ev, mono = self.evaluator(A.Var("x"))
+        with pytest.raises(EvalError, match="expects 2 arguments, got 1"):
+            ev.call_raw(mono, [True])
 
 
 class TestEvaluatorErrors:

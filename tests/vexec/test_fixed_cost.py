@@ -1,0 +1,96 @@
+"""The fixed cost of a vector op, as counts (not times): how many
+Python-level calls and NumPy reductions one warm op of the ``nested_dc``
+benchmark makes, that a warm program is never lowered again, and that
+racing threads may publish the same plan."""
+
+import importlib.util
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro import compile_program
+from repro.vexec import evaluator
+
+BENCH = Path(__file__).resolve().parents[2] / "bench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``bench/workloads.py`` (the benchmark's inputs), loaded by path."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_one_warm_nested_dc_op_stays_inside_its_budget(workloads):
+    """60,328 calls and 3,417 reductions before plans, inherited sums and
+    compress/merge; 25,206 and 689 with them (CPython 3.11)."""
+    dc = workloads.NestedDC()
+    dc.setup(0)
+    assert dc.check(0, dc.op(0))            # warm, and right
+    calls = reductions = 0
+
+    def count(frame, event, arg):
+        nonlocal calls, reductions
+        if event in ("call", "c_call"):
+            calls += 1
+            if event == "c_call" and arg.__name__ == "reduce" \
+                    and isinstance(arg.__self__, np.ufunc):
+                reductions += 1
+    sys.setprofile(count)
+    try:
+        got = dc.op(0)
+    finally:
+        sys.setprofile(None)
+    assert dc.check(0, got)
+    assert calls < 32_000, calls
+    assert reductions < 1_000, reductions
+
+
+@pytest.mark.parametrize("backend", ["vector", "native"])
+def test_a_warm_program_lowers_nothing(workloads, monkeypatch, backend):
+    lowered = []
+    real = evaluator._Lowered.lower
+    monkeypatch.setattr(evaluator._Lowered, "lower",
+                        lambda self, name: lowered.append(name)
+                        or real(self, name))
+    prog = compile_program(workloads.QSORT_SRC)
+    args = [[[3, 1, 2], [], [5, 4]]]
+    want = [[1, 2, 3], [], [4, 5]]
+    assert prog.run("qsort_all", args, backend=backend) == want
+    first = len(lowered)
+    assert first >= 2                       # qsort_all and qsort^1, at least
+    assert prog.run("qsort_all", args, backend=backend) == want
+    assert len(lowered) == first            # a fresh evaluator, the same plans
+
+
+def test_threads_racing_a_first_run_agree_with_the_interpreter(workloads):
+    """Publishing a plan is idempotent: eight threads lowering the same
+    functions at once each get the interpreter's answer."""
+    prog = compile_program(workloads.QSORT_SRC)
+    args = [[[9, 3, 7, 1, 8, 2], [4], [], [6, 5, 6, 5]]]
+    want = prog.run("qsort_all", args, backend="interp")
+    prog.prepare("qsort_all", prog.entry_types("qsort_all", args))
+    n = 8
+    start = threading.Barrier(n)
+    results: list = [None] * n
+
+    def run(i):
+        start.wait(timeout=30)
+        results[i] = prog.run("qsort_all", args)
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [want] * n
