@@ -455,7 +455,7 @@ def _parser() -> argparse.ArgumentParser:
     sv.add_argument("--chaos", default=None, metavar="SPEC",
                     help="with --pool: seeded process-fault injection, "
                          "e.g. 'abort,poison:rate=0.1:seed=3' or 'all' "
-                         "(sites: abort, stall, slow, poison)")
+                         "(sites: abort, stall, slow, poison, torn)")
     return p
 
 

@@ -233,6 +233,11 @@ PROCESS_FAULT_SITES: dict[str, str] = {
         "worker replies with a corrupted payload; contained as "
         "WorkerCrashError(reason='poisoned-response') on that request "
         "(or a transparent retry), worker killed and respawned",
+    "pool.worker.torn-response":
+        "worker dies halfway through writing a response frame to its "
+        "pipe; contained as WorkerCrashError(reason='exit') on exactly "
+        "the in-flight requests (or a transparent retry), nothing from "
+        "the torn frame delivered, worker respawned",
 }
 
 #: Short CLI aliases for ``--chaos`` specs.
@@ -241,6 +246,7 @@ _CHAOS_ALIASES = {
     "stall": "pool.worker.heartbeat-stall",
     "slow": "pool.worker.slow-compile",
     "poison": "pool.worker.poisoned-response",
+    "torn": "pool.worker.torn-response",
 }
 
 
@@ -283,7 +289,8 @@ class ChaosSpec:
     @classmethod
     def parse(cls, text: str) -> "ChaosSpec":
         """A spec from its CLI form: comma-separated sites (full names or
-        the aliases ``abort``/``stall``/``slow``/``poison``, or ``all``),
+        the aliases ``abort``/``stall``/``slow``/``poison``/``torn``, or
+        ``all``),
         optionally followed by ``:key=value`` settings, e.g.
         ``"abort,poison:rate=0.1:seed=3"``."""
         head, *opts = text.split(":")

@@ -36,11 +36,15 @@ from repro.transform.pipeline import TransformOptions
 __all__ = ["CompileCache", "cache_key"]
 
 
+#: ``astuple`` deep-copies; the default options' tuple is built once.
+_DEFAULT_OPTIONS = astuple(TransformOptions())
+
+
 def cache_key(source: str, options: Optional[TransformOptions],
               use_prelude: bool = True) -> tuple:
     """The cache key: source text plus every transform switch."""
-    opts = options or TransformOptions()
-    return (source, use_prelude, astuple(opts))
+    return (source, use_prelude,
+            _DEFAULT_OPTIONS if options is None else astuple(options))
 
 
 class _Entry:

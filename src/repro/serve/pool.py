@@ -16,24 +16,33 @@ server.  What the pool adds:
   key always lands on the same worker and its :class:`CompileCache`,
   tier tally and native-kernel handles stay hot.  Budgeted requests (no
   batch key) spread by request id.
-* **Dispatch.**  One dispatcher thread per worker keeps at most one job
-  in flight on it.  Jobs are pre-pickled in the parent so a
-  non-picklable argument fails *that* request with a typed error instead
-  of wedging a queue feeder thread.
-* **Supervision.**  Every worker heartbeats from a side thread; the
-  :class:`~repro.serve.supervisor.Supervisor` kills-and-respawns workers
-  that die, stop heartbeating, or overrun a request deadline — with
-  exponential, jittered respawn backoff.  In-flight requests on a dead
+* **Dispatch.**  One dispatcher thread per worker keeps at most one
+  group in flight on it and sleeps on that worker's own condition, so
+  work for one shard wakes nobody else.  A group crosses the process
+  boundary as two messages on the worker's one pipe: the job, pickled in
+  the dispatcher (a non-picklable argument fails *that* request with a
+  typed error) and written as it is, and one ``done`` with every
+  member's answer.  One reader thread per worker generation blocks on the
+  pipe and completes the futures itself.
+* **Supervision.**  A worker's death is end-of-file on its pipe, seen
+  by its reader at once; every worker also heartbeats from a side thread,
+  and the :class:`~repro.serve.supervisor.Supervisor` kills-and-respawns
+  workers that die, stop heartbeating, or overrun a request deadline —
+  with exponential, jittered respawn backoff.  In-flight requests on a dead
   worker are **requeued** (bounded, jittered
   :class:`~repro.serve.policy.RetryPolicy`; idempotent-only — budgeted
   requests never retry, a second run would charge the budget twice) or
   **failed** with :class:`~repro.errors.WorkerCrashError` carrying their
   request ids.
-* **Integrity.**  Every response payload travels with an adler32
-  checksum; a corrupt payload (the ``pool.worker.poisoned-response``
-  chaos site) is detected in the parent, the worker is killed, and the
-  request is retried or failed typed — a poisoned worker can never
-  complete a future with garbage.
+* **Integrity.**  Inside a ``done`` every request's payload is pickled
+  and adler32-checksummed on its own; a corrupt payload (the
+  ``pool.worker.poisoned-response`` chaos site) is detected in the
+  parent before it is unpickled, the worker is killed, and that request
+  is retried or failed typed while its batchmates whose checksums hold
+  are delivered — a poisoned worker can never complete a future with
+  garbage.  No lock is shared across processes, so a worker killed
+  mid-write (``pool.worker.torn-response``) leaves a short frame and
+  then end-of-file, never a wedged channel.
 * **Shedding.**  ``submit`` also refuses work
   (``ResourceLimitError("healthy-workers", ...)``) while fewer than
   ``min_healthy`` workers are up.
@@ -55,8 +64,8 @@ import itertools
 import multiprocessing as mp
 import os
 import pickle
-import queue as _queue
 import random
+import struct
 import threading
 import time
 import zlib
@@ -159,31 +168,38 @@ def _decode_error(tup: tuple) -> BaseException:
     return inst
 
 
-def _worker_main(wid: int, gen: int, req_q, resp_q,
-                 config: PoolConfig) -> None:
+def _worker_main(wid: int, gen: int, conn, config: PoolConfig) -> None:
     """Entry point of one worker process.
 
     Owns a private :class:`CompileCache` and :class:`TierPolicy`; runs
-    each pre-pickled job from ``req_q`` through
-    :func:`~repro.serve.batcher.run_group`; answers on ``resp_q`` with
-    one checksummed payload per request (the first carries the group's
-    size and flags).  A side thread heartbeats every ``heartbeat_s`` (so
-    a GIL-holding compute keeps beating, while a stuck C call — or the
-    chaos stall site — goes silent and earns a supervisor kill).
+    each pre-pickled job frame read from ``conn`` (the empty frame is
+    stop) through :func:`~repro.serve.batcher.run_group`; answers on the
+    same connection with one ``done`` per group holding a checksummed
+    payload per request.  A side thread heartbeats every ``heartbeat_s``
+    (so a GIL-holding compute keeps beating, while a stuck C call — or
+    the chaos stall site — goes silent and earns a supervisor kill); it
+    shares ``wlock``, a lock of this process only, with the main thread,
+    so frames never interleave.
     """
     chaos = config.chaos
     stall_until = 0.0
     stop_hb = threading.Event()
+    wlock = threading.Lock()
+
+    def send(*msg) -> None:
+        blob = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
+        with wlock:
+            conn.send_bytes(blob)
 
     def beat() -> None:
         while not stop_hb.wait(config.heartbeat_s):
             if time.monotonic() >= stall_until:
                 try:
-                    resp_q.put(("hb", wid, gen))
+                    send("hb", wid, gen)
                 except Exception:
                     return
 
-    def send(rid: str, ok: bool, body, ran: Optional[tuple]) -> None:
+    def answer(rid: str, ok: bool, body) -> tuple:
         try:
             payload = pickle.dumps(body if ok else _encode_error(body),
                                    protocol=pickle.HIGHEST_PROTOCOL)
@@ -195,19 +211,16 @@ def _worker_main(wid: int, gen: int, req_q, resp_q,
         if chaos is not None and ok and \
                 chaos.fires("pool.worker.poisoned-response", rid):
             payload = payload[:-1] + bytes([payload[-1] ^ 0xA5])
-        resp_q.put(("done", wid, gen, rid, ok, payload, crc, ran))
+        return (rid, ok, payload, crc)
 
     threading.Thread(target=beat, name="repro-pool-hb", daemon=True).start()
     cache = CompileCache(config.cache_capacity)
     tier = TierPolicy(config.native_after, config.breaker_failures,
                       config.breaker_cooldown_s)
-    resp_q.put(("ready", wid, gen, os.getpid()))
+    send("ready", wid, gen, os.getpid())
     try:
-        while True:
-            msg = req_q.get()
-            if msg is None or msg[0] == "stop":
-                break
-            job = pickle.loads(msg[1])
+        while blob := conn.recv_bytes():
+            job = pickle.loads(blob)
             items = job["items"]
             rid0 = items[0][0]
             if chaos is not None:
@@ -221,14 +234,25 @@ def _worker_main(wid: int, gen: int, req_q, resp_q,
                 if chaos.fires("pool.worker.abort", rid0):
                     os._exit(_ABORT_EXIT)
             outcomes, flags = run_group(cache, tier, job)
-            ran: Optional[tuple] = (len(items), flags)
-            for (rid, _), (ok, body) in zip(items, outcomes):
-                send(rid, ok, body, ran)
-                ran = None
+            done = pickle.dumps(
+                ("done", wid, gen,
+                 [answer(rid, ok, body)
+                  for (rid, _), (ok, body) in zip(items, outcomes)],
+                 (len(items), flags)), protocol=pickle.HIGHEST_PROTOCOL)
+            with wlock:
+                if chaos is not None and \
+                        chaos.fires("pool.worker.torn-response", rid0):
+                    # die mid-frame: the length header and half the body
+                    os.write(conn.fileno(), struct.pack("!i", len(done))
+                             + done[:len(done) // 2])
+                    os._exit(_ABORT_EXIT)
+                conn.send_bytes(done)
+    except EOFError:
+        pass                                 # the parent is gone
     finally:
         stop_hb.set()
         try:
-            resp_q.put(("bye", wid, gen))
+            send("bye", wid, gen)
         except Exception:
             pass
 
@@ -265,27 +289,18 @@ class WorkerPool(BatchExecutor):
                     ["repro.serve.pool", "repro.analysis.cost"])
             except Exception:
                 pass
-        # One response queue per worker *generation*, pumped into this
-        # in-process inbox by a parent-side thread each.  A shared
-        # response queue would be wedged for every worker the moment one
-        # of them is SIGKILLed while holding the queue's write lock — a
-        # dead process never releases it (see _pump).
-        self._inbox: _queue.Queue = _queue.Queue()
         self._rng = random.Random(0x5EED)
         self._retries: list = []            # heap of (due, seq, request)
         self._retry_seq = itertools.count()
-        self.handles = [WorkerHandle(i) for i in range(cfg.workers)]
+        self.handles = [WorkerHandle(i, self._lock)
+                        for i in range(cfg.workers)]
         self._ring = HashRing(cfg.workers)
         self._shutdown = False
-        self._collector_stop = False
+        self._supervisor = Supervisor(self)     # a reader may need it at once
         for handle in self.handles:
             self._spawn_worker(handle)
-        self._collector = threading.Thread(
-            target=self._collect, name="repro-pool-collector", daemon=True)
-        self._collector.start()
         self._threads = self._spawn_dispatchers(self.handles,
                                                 "repro-pool-dispatch")
-        self._supervisor = Supervisor(self)
         self._supervisor.start()
         try:
             self._wait_ready()
@@ -305,23 +320,23 @@ class WorkerPool(BatchExecutor):
             if self._closed and self._shutdown:
                 return
             self._closed = True
-            self._work.notify_all()
-        deadline = time.monotonic() + timeout
-        with self._work:
+            deadline = time.monotonic() + timeout
             while time.monotonic() < deadline:
                 if not self._retries and not any(
                         h.pending or h.inflight for h in self.handles):
                     break
                 self._work.wait(0.1)
             self._shutdown = True
-            self._work.notify_all()
+            self._wake_all()
             handles = list(self.handles)
         self._supervisor.shutdown()
+        for t in self._threads:     # joined first: one writer per connection
+            t.join(timeout=2.0)
         for h in handles:
             try:
-                h.req_q.put(("stop",))
+                h.conn.send_bytes(b"")
             except Exception:
-                pass
+                pass                         # already dead: nobody to stop
         for h in handles:
             proc = h.proc
             if proc is None:
@@ -330,11 +345,9 @@ class WorkerPool(BatchExecutor):
             if proc.is_alive():
                 proc.kill()
                 proc.join(timeout=2.0)
-        self._collector_stop = True
         self._supervisor.join(timeout=2.0)
-        self._collector.join(timeout=2.0)
-        for t in self._threads:
-            t.join(timeout=2.0)
+        for h in handles:
+            h.reader.join(timeout=2.0)       # ends at its worker's EOF
         leftovers: list[_Request] = []
         with self._lock:
             leftovers.extend(r for _, _, r in self._retries)
@@ -349,13 +362,6 @@ class WorkerPool(BatchExecutor):
             self._finish(r, error=WorkerCrashError(
                 "shutdown", request_ids=[r.rid],
                 detail="pool closed with the request unfinished"))
-        for h in handles:
-            for q in (h.req_q, h.resp_q):
-                try:
-                    q.close()
-                    q.cancel_join_thread()
-                except Exception:
-                    pass
 
     # -- where a request waits --------------------------------------------
 
@@ -380,23 +386,34 @@ class WorkerPool(BatchExecutor):
     def _park(self, req: _Request) -> None:
         key = req.key()
         shard = self._ring.lookup(key if key is not None else req.rid)
-        self.handles[shard].pending.append(req)
-        self._work.notify_all()
+        handle = self.handles[shard]
+        handle.pending.append(req)
+        if not handle.inflight:              # else its `done` wakes it
+            handle.wake.notify()
 
     def _take_group(self, handle: WorkerHandle) -> Optional[list[_Request]]:
-        with self._work:
+        """Asleep on ``handle``'s own condition: only its shard's work
+        and :meth:`_wake_all` return it from the wait."""
+        with handle.wake:
             while not (handle.pending and handle.state == "up"
                        and not handle.inflight):
                 if self._shutdown:
                     return None
-                self._work.wait()
+                handle.wake.wait()
             return _coalesce(handle.pending, self.config.max_batch)
+
+    def _wake_all(self) -> None:
+        """A rare transition (a worker came up or went, shutdown): wake
+        every dispatcher, ``close`` and ``_wait_ready`` (lock held)."""
+        self._work.notify_all()
+        for h in self.handles:
+            h.wake.notify()
 
     # -- where a group runs -------------------------------------------------
 
     def _run(self, handle: WorkerHandle, group: list[_Request]) -> None:
-        """Hand the group to ``handle``'s process; its responses come
-        back through :meth:`_on_done`, its death through
+        """Write the group, as one frame, to ``handle``'s process; its
+        answers come back through :meth:`_on_done`, its death through
         :meth:`_worker_failure`."""
         try:
             blob = pickle.dumps(_job(group), protocol=pickle.HIGHEST_PROTOCOL)
@@ -411,71 +428,68 @@ class WorkerPool(BatchExecutor):
             for r in group:
                 r.attempts += 1
                 handle.inflight[r.rid] = r
-            q = handle.req_q
+            conn = handle.conn
         try:
-            q.put(("job", blob))
+            conn.send_bytes(blob)
         except Exception:
-            # request queue torn down mid-respawn: treat this group as
-            # crash victims (retry or fail typed)
+            # the worker went while we wrote: treat what its reader has
+            # not already claimed as crash victims (retry or fail typed)
             with self._work:
                 victims = [handle.inflight.pop(r.rid)
                            for r in group if r.rid in handle.inflight]
-                self._work.notify_all()
+                self._wake_all()
             self._absorb_victims(victims, "exit", handle,
-                                 detail="request queue closed")
+                                 detail="worker connection closed")
 
     # -- lifecycle internals ---------------------------------------------
 
     def _spawn_worker(self, handle: WorkerHandle) -> None:
         """(Re)start one worker slot with a fresh generation and a fresh
-        request queue (a respawned worker must never replay a stale
-        job)."""
+        pipe (a respawned worker must never replay a stale job)."""
         with self._lock:
             if self._shutdown:
                 return
             handle.generation += 1
             gen = handle.generation
             handle.state = "starting"
-            now = time.monotonic()
-            handle.last_hb = now
-            handle.started_at = now
-            old = (handle.req_q, handle.resp_q)
-            handle.req_q = self._ctx.Queue()
-            handle.resp_q = resp_q = self._ctx.Queue()
-        for q in old:
-            if q is not None:
-                try:
-                    q.close()
-                    q.cancel_join_thread()
-                except Exception:
-                    pass
+            handle.last_hb = handle.started_at = time.monotonic()
+        conn, child = self._ctx.Pipe()
         proc = self._ctx.Process(
-            target=_worker_main,
-            args=(handle.wid, gen, handle.req_q, resp_q, self.config),
+            target=_worker_main, args=(handle.wid, gen, child, self.config),
             name=f"repro-pool-{handle.name}", daemon=True)
         proc.start()
-        threading.Thread(
-            target=self._pump, args=(handle, gen, resp_q),
-            name=f"repro-pool-pump-{handle.wid}.{gen}", daemon=True).start()
+        child.close()   # the worker holds the only copy: its death is our EOF
+        reader = threading.Thread(
+            target=self._read, args=(handle, gen, conn),
+            name=f"repro-pool-read-{handle.wid}.{gen}", daemon=True)
         with self._lock:
-            handle.proc = proc
+            handle.proc, handle.conn, handle.reader = proc, conn, reader
+        reader.start()
 
-    def _pump(self, handle: WorkerHandle, gen: int, resp_q) -> None:
-        """Drain one worker generation's response queue into the shared
-        in-process inbox.  One pump per generation: if the worker is
-        SIGKILLed mid-write its queue may be torn (or its write lock held
-        forever by the corpse) — that wedges only this thread, which is
-        abandoned when the slot respawns with a fresh queue."""
-        while True:
-            if self._shutdown or handle.generation != gen:
-                return
-            try:
-                msg = resp_q.get(timeout=0.2)
-            except _queue.Empty:
-                continue
-            except Exception:
-                return      # torn queue: the supervisor buries the worker
-            self._inbox.put(msg)
+    def _read(self, handle: WorkerHandle, gen: int, conn) -> None:
+        """The reader of one worker generation: block on its connection,
+        act on each message.  End-of-file, a short frame (the worker died
+        mid-write) or bytes that do not unpickle end it and — from the
+        current generation, outside shutdown — are the death notice."""
+        with conn:
+            while True:
+                try:
+                    msg = pickle.loads(conn.recv_bytes())
+                except Exception as e:
+                    lost = e
+                    break
+                try:
+                    self._handle_message(msg)
+                except Exception:
+                    continue                 # never kill the reader
+        if gen != handle.generation or self._shutdown:
+            return
+        proc = handle.proc
+        proc.join(timeout=0.2)               # its exit code, if it has one
+        self._worker_failure(
+            handle, "exit",
+            detail=f"exit code {proc.exitcode}" if proc.exitcode is not None
+            else f"{type(lost).__name__} on the worker's pipe")
 
     def _wait_ready(self) -> None:
         deadline = time.monotonic() + _START_TIMEOUT_S
@@ -492,20 +506,7 @@ class WorkerPool(BatchExecutor):
                         f"{_START_TIMEOUT_S:.0f}s")
                 self._work.wait(min(remaining, 0.1))
 
-    # -- response collection ----------------------------------------------
-
-    def _collect(self) -> None:
-        while True:
-            if self._collector_stop:
-                return
-            try:
-                msg = self._inbox.get(timeout=0.1)
-            except _queue.Empty:
-                continue
-            try:
-                self._handle_message(msg)
-            except Exception:
-                continue                     # never kill the collector
+    # -- what a worker says ---------------------------------------------------
 
     def _handle_message(self, msg: tuple) -> None:
         kind, wid, gen = msg[0], msg[1], msg[2]
@@ -516,46 +517,51 @@ class WorkerPool(BatchExecutor):
             with self._work:
                 if handle.state == "starting":
                     handle.state = "up"
-                    now = time.monotonic()
-                    handle.last_hb = now
-                    handle.started_at = now
-                self._work.notify_all()
+                    handle.last_hb = handle.started_at = time.monotonic()
+                self._wake_all()
         elif kind == "hb":
             handle.last_hb = time.monotonic()
         elif kind == "done":
-            self._on_done(handle, msg)
+            self._on_done(handle, msg[3], msg[4])
         elif kind == "bye":
             with self._work:
                 orphans = bool(handle.inflight) and not self._shutdown
                 if not orphans and handle.state in ("starting", "up"):
                     handle.state = "stopped"
-                self._work.notify_all()
+                self._wake_all()
             if orphans:     # unwound mid-group (SystemExit, KeyboardInterrupt)
                 self._worker_failure(
                     handle, "exit", detail="worker left with requests "
                     "in flight")
 
-    def _on_done(self, handle: WorkerHandle, msg: tuple) -> None:
-        _, _, _, rid, ok, payload, crc, ran = msg
+    def _on_done(self, handle: WorkerHandle, answers: list,
+                 ran: tuple) -> None:
+        """One executed group: ``(rid, ok, payload, crc)`` per member,
+        ``ran = (n, flags)`` for the accounts.  A member no longer in
+        flight was already failed; one whose checksum fails is never
+        unpickled — it is a crash victim, and the worker is killed once
+        its batchmates' good answers are delivered."""
         with self._work:
-            req = handle.inflight.pop(rid, None)
-            if req is not None and not handle.inflight:
-                self._work.notify_all()
-        if req is None:
-            return                           # stale response: already failed
-        if zlib.adler32(payload) != crc:
-            self._absorb_victims([req], "poisoned-response", handle,
+            reqs = [handle.inflight.pop(a[0], None) for a in answers]
+            if not handle.inflight:
+                # the next group's dispatcher, or a draining close()
+                (handle.wake if handle.pending else self._work).notify()
+        self._record(*ran)
+        poisoned = []
+        for req, (_, ok, payload, crc) in zip(reqs, answers):
+            if req is None:
+                continue
+            if zlib.adler32(payload) != crc:
+                poisoned.append(req)
+            elif ok:
+                self._finish(req, value=pickle.loads(payload))
+            else:
+                self._finish(req, error=_decode_error(pickle.loads(payload)))
+        if poisoned:
+            self._absorb_victims(poisoned, "poisoned-response", handle,
                                  detail="response checksum mismatch")
             self._worker_failure(handle, "poisoned-response",
                                  detail="response checksum mismatch")
-            return
-        if ran is not None:
-            self._record(*ran)
-        body = pickle.loads(payload)
-        if ok:
-            self._finish(req, value=body)
-        else:
-            self._finish(req, error=_decode_error(body))
 
     # -- failure funnel ----------------------------------------------------
 
@@ -578,7 +584,7 @@ class WorkerPool(BatchExecutor):
             handle.restarts += 1
             self.stats.restarts += 1
             self.stats.crashes[reason] = self.stats.crashes.get(reason, 0) + 1
-            self._work.notify_all()
+            self._wake_all()
         if proc is not None and proc.is_alive():
             proc.kill()
             proc.join(timeout=5.0)
@@ -613,7 +619,6 @@ class WorkerPool(BatchExecutor):
                     delay = retry.backoff_s(r.attempts, self._rng)
                     heapq.heappush(self._retries,
                                    (now + delay, next(self._retry_seq), r))
-                    self._work.notify_all()
                 if p is not None:
                     p.count("serve", "retry", 1, 0, 0)
             else:

@@ -1,14 +1,16 @@
 """The supervision side of the multi-process serving pool.
 
 :class:`WorkerHandle` is the parent's book-keeping for one worker slot:
-the live process (if any), its private request queue, the requests
-currently in flight on it, heartbeat freshness, and the respawn backoff
+the live process (if any), the one connection to it and the thread that
+reads it, the condition its dispatcher sleeps on, the requests waiting
+for and in flight on it, heartbeat freshness, and the respawn backoff
 state.  :class:`Supervisor` is the health-check thread of a
 :class:`~repro.serve.pool.WorkerPool`; each tick it
 
 * detects **dead workers** (process no longer alive — a nonzero exit,
   a segfault, an ``os._exit`` from a native kernel) and routes them
-  through the pool's single failure funnel;
+  through the pool's single failure funnel — the backstop of the
+  worker's reader, which sees end-of-file on the pipe first;
 * detects **lost heartbeats** (a wedged worker whose process is alive
   but silent past ``heartbeat_timeout_s``) and kills it;
 * enforces **deadline kills**: a request whose deadline passed more than
@@ -49,17 +51,18 @@ _BACKOFF_RESET_S = 5.0       # stable uptime that clears the backoff
 class WorkerHandle:
     """Parent-side state for one worker slot (``w0``, ``w1``, ...).
 
-    ``generation`` increments on every (re)spawn; messages from an older
-    generation of the slot (a killed process whose queued responses
-    arrive late) are discarded by the collector.
+    ``generation`` increments on every (re)spawn; a message from an older
+    generation of the slot (a killed process whose last frames arrive
+    late) changes nothing.  ``wake`` shares the pool's one lock.
     """
 
-    def __init__(self, wid: int):
+    def __init__(self, wid: int, lock: threading.Lock):
         self.wid = wid
         self.name = f"w{wid}"
         self.proc = None                    # multiprocessing.Process | None
-        self.req_q = None                   # per-worker request queue
-        self.resp_q = None                  # per-generation response queue
+        self.conn = None                    # this generation's pipe, our end
+        self.reader = None                  # the thread blocked reading it
+        self.wake = threading.Condition(lock)   # its dispatcher sleeps here
         self.generation = 0
         self.state = "init"                 # init|starting|up|backoff|stopped
         self.last_hb = 0.0                  # parent monotonic at last beat

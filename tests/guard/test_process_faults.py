@@ -86,11 +86,23 @@ def drive_poisoned_response():
     assert healthy == 2
 
 
+def drive_torn_response():
+    e, rid, stats, healthy = run_one_under("pool.worker.torn-response", "to")
+    assert isinstance(e, WorkerCrashError) and e.reason == "exit"
+    assert rid in e.request_ids
+    assert stats.crashes == {"exit": 1}
+    # nothing of the half-written `done` was acted on: the only response
+    # and the only accounted group are the clean follow-up probe's
+    assert stats.responses == 1 and stats.singles == 1
+    assert healthy == 2
+
+
 DRIVERS = {
     "pool.worker.abort": drive_abort,
     "pool.worker.heartbeat-stall": drive_heartbeat_stall,
     "pool.worker.slow-compile": drive_slow_compile,
     "pool.worker.poisoned-response": drive_poisoned_response,
+    "pool.worker.torn-response": drive_torn_response,
 }
 
 

@@ -5,7 +5,9 @@ shedding, and the half-open breaker behind tier demotion.
 Crash/fault behavior lives in test_pool_chaos.py and
 tests/guard/test_process_faults.py."""
 
+import pickle
 import time
+import zlib
 
 import pytest
 
@@ -142,6 +144,30 @@ def test_bye_with_requests_in_flight_is_a_worker_failure():
         while pool.healthy_workers() < 1 and time.monotonic() < deadline:
             time.sleep(0.05)
         assert pool.submit(SRC, "main", [3]).result(timeout=60) == 10
+
+
+def test_a_group_is_accounted_whatever_its_members_fate():
+    """Regression: the group's ``(n, flags)`` rode on its first response
+    only, so a group whose first member had been failed meanwhile (a
+    deadline sweep) or arrived poisoned was never counted."""
+    from repro.serve.batcher import _Request
+    with WorkerPool(quick(workers=1, retry=None)) as pool:
+        h = pool.handles[0]
+        live = _Request("live", pool.config, SRC, "main", [3], None, None,
+                        None, None, None, True, None)
+        with pool._work:
+            h.inflight[live.rid] = live
+        payload = pickle.dumps(10)
+        crc = zlib.adler32(payload)
+        pool._handle_message(
+            ("done", h.wid, h.generation,
+             [("swept", True, payload, crc), ("live", True, payload, crc)],
+             (2, {"promoted": True})))
+        assert live.future.result(timeout=10) == 10
+        s = pool.stats.snapshot()
+        assert s["batches"] == 1 and s["batched_requests"] == 2
+        assert s["promotions"] == 1 and s["responses"] == 1
+        assert not h.inflight and s["restarts"] == 0
 
 
 def test_shard_affinity_is_stable():

@@ -160,6 +160,34 @@ def test_poisoned_response_detected_not_delivered():
         assert wait_recovered(pool) == 2
 
 
+def test_torn_response_delivers_nothing_and_retries_clean():
+    """The worker dies halfway through writing a ``done``: nothing of the
+    torn frame is delivered; its request is a crash victim, retried, and
+    — its id re-firing the site on every attempt — fails typed once the
+    retries run out, while the requests queued behind it on the same
+    worker come through."""
+    site = "pool.worker.torn-response"
+    chaos = ChaosSpec(sites=(site,), rate=0.5, seed=6)
+    doomed = next(r for i in range(1000) if chaos.fires(site, r := f"t{i}"))
+    spared = [r for i in range(1000)
+              if not chaos.fires(site, r := f"s{i}")][:3]
+    with WorkerPool(chaos_cfg(chaos, workers=1, max_batch=1,
+                              retry=RetryPolicy(max_retries=1,
+                                                base_backoff_s=0.02))) \
+            as pool:
+        bad = pool.submit(SRC, "main", [9], request_id=doomed)
+        good = [pool.submit(SRC, "main", [k], request_id=r)
+                for k, r in enumerate(spared)]
+        e = bad.exception(timeout=120)
+        assert isinstance(e, WorkerCrashError) and e.reason == "exit"
+        assert e.request_ids == (doomed,)
+        assert [f.result(timeout=120) for f in good] == [1, 2, 5]
+        assert pool.stats.crashes == {"exit": 2}        # run and retry
+        assert pool.stats.retries == 1
+        assert pool.stats.responses == 3 and pool.stats.errors == 1
+        assert wait_recovered(pool, 1) == 1
+
+
 def test_heartbeat_stall_detected_by_timeout():
     chaos = ChaosSpec(sites=("pool.worker.heartbeat-stall",), rate=1.0,
                       seed=4, stall_s=60.0)

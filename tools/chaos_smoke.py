@@ -16,7 +16,7 @@ Run by the CI ``chaos-smoke`` job; usable locally:
     python tools/chaos_smoke.py [N_REQUESTS] [REPORT_PATH]
 
 Writes a JSON report (default ``chaos_report.json``) with the outcome
-mix, per-site crash counts, and the pool statistics.
+mix, crash counts by reason and by site, and the pool statistics.
 """
 
 from __future__ import annotations
@@ -86,6 +86,9 @@ def main(argv: list[str]) -> int:
     work = build_workload(count)
     t0 = time.monotonic()
     outcome = {"ok": 0, "crash": 0, "timeout": 0}
+    #: failed requests by the site(s) their own id fires; the forced
+    #: victims make every registered site count at least one
+    by_site = dict.fromkeys(PROCESS_FAULT_SITES, 0)
     failures: list[str] = []
 
     with WorkerPool(cfg) as pool:
@@ -121,6 +124,9 @@ def main(argv: list[str]) -> int:
                 if got != want:
                     failures.append(
                         f"{rid}: CONTAMINATED result {got!r} != {want!r}")
+                continue
+            for site in spec.sites:
+                by_site[site] += spec.fires(site, rid)
 
         # recovery: full strength again, and still serving
         deadline = time.monotonic() + 30
@@ -139,10 +145,14 @@ def main(argv: list[str]) -> int:
             failures.append(f"post-chaos probe returned {probe!r}")
         stats = pool.stats.snapshot()
 
-    sites_hit = sorted(stats["crashes"])
-    if len(sites_hit) < 4:
-        failures.append(f"only {sites_hit} fault kinds observed; "
-                        "expected all four sites to fire")
+    reasons = sorted(stats["crashes"])
+    if len(reasons) < 4:
+        failures.append(f"only {reasons} crash reasons observed; "
+                        "expected exit, lost-heartbeat, deadline and "
+                        "poisoned-response")
+    quiet = sorted(site for site, n in by_site.items() if not n)
+    if quiet:
+        failures.append(f"sites that never fired: {quiet}")
 
     report = {
         "requests": len(futs),
@@ -151,6 +161,7 @@ def main(argv: list[str]) -> int:
                   "rate": spec.rate},
         "outcomes": outcome,
         "crashes_by_reason": stats["crashes"],
+        "faults_by_site": by_site,
         "stats": stats,
         "healthy_at_end": healthy,
         "duration_s": round(time.monotonic() - t0, 2),
