@@ -33,10 +33,25 @@ class TestFusionAblation:
         v = list(range(100))
         _r, t_on = on.vector_trace("f", [v])
         _r, t_off = off.vector_trace("f", [v])
-        assert len(t_on) < len(t_off)
-        # 8 arithmetic ops collapse into 1 fused op
-        arith_on = [op for op, _n in t_on if op.startswith("__fused")]
-        assert len(arith_on) == 1
+        # 7 arithmetic ops collapse into 1 fused op: 6 steps fewer
+        assert len(t_off) - len(t_on) == 6
+        assert [op for op, _n in t_on if op != "replicate"] == ["__fused0"]
+
+    def test_a_fold_joins_the_region(self):
+        """With a segmented fold on top the region grows by the fold: the
+        fused program takes one step fewer again, and the vector the fold
+        would have read is never a step's output."""
+        src = f"fun g(v) = sum({SRC.split('= ', 1)[1]})"
+        on = compile_program(src, options=TransformOptions(fuse=True))
+        off = compile_program(src)
+        v = list(range(100))
+        r_on, t_on = on.vector_trace("g", [v])
+        r_off, t_off = off.vector_trace("g", [v])
+        assert r_on == r_off
+        assert len(t_off) - len(t_on) == 7
+        assert [op for op, _n in t_on if op != "replicate"] == ["__fused0"]
+        _m, tp = on.prepare("g", on.entry_types("g", [v]))
+        assert tp.fusion.size("__fused0") == 8   # the 7 and the sum
 
     def test_fewer_cycles_when_latency_dominates(self):
         on, off = progs()

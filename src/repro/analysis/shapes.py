@@ -256,6 +256,18 @@ class _Analyzer:
                 "chain unchanged")
         if fn.startswith("__fused"):
             ok = all(a.valid for a in args)
+            fusion = self.tp.fusion
+            streams = fusion.streams.get(fn) if fusion is not None else None
+            if streams:
+                # the scan / reduction rule below, on the first stream leaf
+                lead, scan = args[streams[0]].sym, fusion.trees[fn][1] in _SCANS
+                return static_result(
+                    Shape(lead if scan else f"outer({lead})", ok),
+                    "fused chain under a segmented fold: result "
+                    + ("reuses the first stream leaf's full descriptor "
+                       "chain" if scan else
+                       "projects the first stream leaf's outer descriptor "
+                       "level"))
             return static_result(
                 Shape(self.fresh("fused"), ok),
                 "fused elementwise chain: result reuses the replicated "

@@ -360,3 +360,51 @@ def gen_case(seed: int, max_depth: int = 4) -> FuzzCase:
     body = g.gen(root_t, rng.randrange(2, max_depth + 1))
     return FuzzCase(seed=seed, body=body, helpers=tuple(helpers),
                     args=_gen_args(rng))
+
+
+#: the segmented folds: name, and whether the elements it folds are bool
+_FOLD_OPS = (("sum", False), ("maxval", False), ("minval", False),
+             ("anytrue", True), ("alltrue", True),
+             ("plus_scan", False), ("max_scan", False))
+
+
+def gen_fold_case(seed: int) -> FuzzCase:
+    """Deterministically generate one ``red([x <- s: tree(x)])`` program +
+    inputs from ``seed``: a segmented fold directly over a tree of
+    unchecked elementwise primitives — the shape the ``fuse`` pass roots
+    a region at, which :func:`gen_case` draws about once in 200 programs
+    (its iterator bodies are clamped by ``mod``, a checked op and so a
+    fusion barrier).  The fold sits at frame depth 0, 1 or 2, the tree
+    reads the element, the entry's scalars and — at depth 2 — an outer
+    iterator's variable, ints or (through ``real``) floats that every
+    back end represents exactly; at most three factors multiply, so
+    magnitudes stay int64-safe.  ``maxval``/``minval`` fold a domain
+    with one element appended, so the program is total like
+    :func:`gen_case`'s."""
+    rng = random.Random(seed)
+    red, boolean = rng.choice(_FOLD_OPS)
+    depth = rng.randrange(3)
+    atoms = ["x", "x", "x", "a", "b"] + (["k"] if depth == 2 else [])
+
+    def tree(d: int) -> str:
+        if d <= 0:
+            return rng.choice(atoms + [str(rng.randrange(-3, 4))])
+        op = rng.choice(["+", "-", "*", "max2", "min2"])
+        if op == "*":   # one factor is an atom: products stay small
+            return f"(({tree(d - 1)}) * ({tree(0)}))"
+        if op in ("max2", "min2"):
+            return f"{op}(({tree(d - 1)}), ({tree(d - 1)}))"
+        return f"(({tree(d - 1)}) {op} ({tree(d - 1)}))"
+
+    body = tree(rng.randrange(1, 4))
+    if not boolean and rng.random() < 0.3:
+        body = f"(real({body}) * 0.5 + {rng.randrange(-2, 3)}.25)"
+    if boolean:
+        cmp = rng.choice(["<", "<=", "==", "!=", ">", ">="])
+        body = f"(({body}) {cmp} ({tree(1)}))"
+    dom = "concat(s, [a])" if red in ("maxval", "minval") else "s"
+    fold = f"{red}([x <- {dom}: {body}])"
+    text = [fold, f"[s <- ss: {fold}]",
+            f"[s <- ss: [k <- t: {fold}]]"][depth]
+    return FuzzCase(seed=seed, body=leaf(SEQ, text), helpers=(),
+                    args=_gen_args(rng))

@@ -1,19 +1,29 @@
-"""C code generation for fused elementwise trees and segmented primitives.
+"""C code generation for fused trees: elementwise, or rooted at a
+segmented fold.
 
 Each fused region of a :class:`~repro.transform.fuse.FusionRegistry` becomes
 **one** self-contained C translation unit exporting a single ``run``
-function: a single loop over the flat value vector with the whole
-elementwise tree applied per element.  Two classic vector-compiler
-transformations are applied at emission time (docs/NATIVE.md walks through
-one emitted kernel line by line):
+function, written by one emitter (:func:`emit_fused_source`): a single
+loop over the flat value vector with the whole elementwise tree applied
+per element, or — when the tree is rooted at a segmented fold — a loop
+nest over the segments in which the tree is computed where the fold
+consumes it and what the fold reads is never stored.  The plain segmented
+kernels are that nest on the identity tree.  The transformations applied
+at emission time (docs/NATIVE.md walks through the emitted kernels line
+by line):
 
 * **invariant hoisting** — depth-0 operands arrive as *scalar parameters*
   instead of replicated vectors (the NumPy applier materializes a full
   ``n``-element copy of every such operand; the C kernel keeps it in a
-  register), and
-* **loop unrolling** — the inner loop is unrolled 4x with a remainder
-  loop, giving the C compiler straight-line bodies to schedule and
-  auto-vectorize.
+  register),
+* **loop unrolling** — the elementwise loop is unrolled 4x with a
+  remainder loop, giving the C compiler straight-line bodies to schedule
+  and auto-vectorize, and
+* **lock-step folds** — a fold takes its segments four at a time, four
+  independent accumulators advancing together, so the latency of one
+  segment's dependent ``acc = acc + x`` chain is hidden behind the other
+  three (the unroll-with-renaming of a reduction; the segments of one
+  descriptor level are independent iterations).
 
 Bit-identity with the NumPy applier is part of the contract (the fuzzer
 runs the native backend differentially):
@@ -24,8 +34,10 @@ runs the native backend differentially):
 * ``max2``/``min2`` on doubles propagate NaNs the way ``np.maximum`` /
   ``np.minimum`` do;
 * segmented reductions and scans accumulate **sequentially left-to-right
-  within each segment**, matching the float semantics of
-  :mod:`repro.vector.segments` (and, by wraparound associativity, its
+  within each segment** — in lock-step every accumulator still takes its
+  own segment's elements in source order, and without ``-ffast-math``
+  the compiler may not reassociate them — matching the float semantics
+  of :mod:`repro.vector.segments` (and, by wraparound associativity, its
   integer prefix-difference method).
 
 Checked primitives (``div``/``mod``/``fdiv``/``sqrt_``) never appear in a
@@ -37,28 +49,34 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ..vector.segments import FOLDS
+
 __all__ = ["CTYPES", "SEGMENTED_OPS", "render_tree", "tree_kind",
-           "used_leaves", "emit_fused_source", "emit_segmented_source",
-           "emit_gather_source"]
+           "used_leaves", "plain_fold", "split_fold", "emit_fused_source",
+           "emit_segmented_source", "emit_gather_source"]
 
 #: C type per leaf kind (the ``fun`` kind is never compiled).
 CTYPES = {"int": "long long", "bool": "unsigned char", "float": "double"}
 
-#: segmented primitives with a native kernel, and the leaf kinds each
-#: supports (reductions produce one element per segment; scans are
-#: length-preserving)
-SEGMENTED_OPS = {
-    "sum": ("int", "float"),
-    "maxval": ("int", "float"),
-    "minval": ("int", "float"),
-    "anytrue": ("bool",),
-    "alltrue": ("bool",),
-    "plus_scan": ("int", "float"),
-    "max_scan": ("int", "float"),
-}
+#: segmented primitives with a native kernel — every fold — and the leaf
+#: kinds each supports (reductions produce one element per segment; scans
+#: are length-preserving)
+SEGMENTED_OPS = {op: fold.kinds for op, fold in FOLDS.items()}
 
 _BOOL_OUT = {"eq", "ne", "lt", "le", "gt", "ge", "and_", "or_", "not_"}
 _CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+
+
+def plain_fold(op: str) -> tuple:
+    """The tree of plain segmented primitive ``op``: the fold of the
+    identity tree."""
+    return ("fold", op, (("arg", 0),))
+
+
+def split_fold(tree) -> tuple:
+    """``(op, body)`` for a tree rooted at segmented fold ``op`` over the
+    elementwise tree ``body``; ``(None, tree)`` for an elementwise one."""
+    return (tree[1], tree[2][0]) if tree[0] == "fold" else (None, tree)
 
 
 def tree_kind(tree, leaf_kinds: Sequence[Optional[str]]) -> Optional[str]:
@@ -183,71 +201,182 @@ static inline double repro_fmin(double a, double b)
 """
 
 
+#: how many segments a fold advances together — enough independent
+#: accumulators to cover the floating-point adder's latency
+_LANES = 4
+
+
+def _fold_parts(op: str, kind: str) -> tuple[str, str]:
+    """``(identity, step)`` of fold ``op`` over ``kind`` elements: the
+    accumulator ``r`` starts at the identity and takes each element ``x``
+    of its segment in source order; ``j`` is the element's position,
+    where a scan stores."""
+    if kind not in SEGMENTED_OPS.get(op, ()):
+        raise ValueError(f"no native segmented kernel for {op}/{kind}")
+    if op == "sum":
+        return "0", "r += x;"
+    if op == "plus_scan":
+        return "0", "out[j] = r; r += x;"     # exclusive, identity 0
+    if op == "anytrue":
+        return "0", "if (x) r = 1;"
+    if op == "alltrue":
+        return "1", "if (!x) r = 0;"
+    lo, hi = ("-INFINITY", "INFINITY") if kind == "float" else \
+             ("LLONG_MIN", "LLONG_MAX")
+    ident, cmp = (hi, "<") if op == "minval" else (lo, ">")
+    # the float fold propagates NaNs, like np.maximum.reduceat
+    win = f"x != x || x {cmp} r" if kind == "float" else f"x {cmp} r"
+    store = " out[j] = r;" if op == "max_scan" else ""    # inclusive
+    return ident, f"if ({win}) r = x;{store}"
+
+
+def _fold_nest(op: str, T: str, ident: str, step: str) -> list[str]:
+    """The loop nest of a fold: ``_LANES`` segments advance in lock-step
+    up to the shortest of them, each tail finishes alone, and the
+    ``nseg % _LANES`` leftovers run one by one.  Every accumulator still
+    takes its own segment's elements in source order, so the result is
+    the one-segment-at-a-time fold's, bit for bit."""
+    lanes = range(_LANES)
+    seg = ["s"] + [f"s + {k}" for k in lanes[1:]]
+    put = [f"out[{seg[k]}] = r{k};" for k in lanes] \
+        if FOLDS[op].reduction else []
+    return [
+        f"#define STEP(r, j) {{ {T} x = BODY(j); {step} }}",
+        "#define TAIL(r, p, c) \\",
+        "    for (long long j = p + m; j < p + c; j++) STEP(r, j)",
+        "    long long p0 = 0, s = 0;",
+        f"    for (; s + {_LANES} <= nseg; s += {_LANES}) {{"
+        f"    /* {_LANES} segments in lock-step */",
+        "        long long " + ", ".join(
+            f"c{k} = counts[{seg[k]}]" for k in lanes) + ";",
+        "        long long " + ", ".join(
+            f"p{k} = p{k - 1} + c{k - 1}" for k in lanes[1:]) + ";",
+        "        long long m = c0;           /* the shortest of them */",
+        *[f"        if (c{k} < m) m = c{k};" for k in lanes[1:]],
+        f"        {T} " + ", ".join(f"r{k} = {ident}" for k in lanes) + ";",
+        "        for (long long j = 0; j < m; j++) {",
+        *[f"            STEP(r{k}, p{k} + j)" for k in lanes],
+        "        }",
+        *[f"        TAIL(r{k}, p{k}, c{k})" for k in lanes],
+        *[f"        {line}" for line in put],
+        f"        p0 = p{_LANES - 1} + c{_LANES - 1};",
+        "    }",
+        "    for (; s < nseg; s++) {         /* leftovers, one by one */",
+        "        long long c0 = counts[s], m = 0;",
+        f"        {T} r0 = {ident};",
+        "        TAIL(r0, p0, c0)",
+        *[f"        {line}" for line in put[:1]],
+        "        p0 += c0;",
+        "    }",
+        "#undef TAIL",
+        "#undef STEP",
+    ]
+
+
 def emit_fused_source(tree, leaf_kinds: Sequence[str],
                       hoisted: Sequence[bool], name: str = "__fused",
                       omp_threads: Optional[int] = None) -> str:
-    """The complete C translation unit for one fused elementwise kernel.
+    """The complete C translation unit for one fused kernel.
 
     ``leaf_kinds[k]`` is the scalar kind of leaf ``k``; ``hoisted[k]`` is
     True when leaf ``k`` is a loop-invariant (depth-0) operand passed as a
     scalar parameter instead of a vector.  The exported symbol is always
     ``run`` (one kernel per shared object; see :mod:`repro.native.cache`).
 
-    With ``omp_threads`` the same loop is emitted as a static ``span``
-    and ``run`` becomes an OpenMP parallel region over a fixed thread
-    count in which each thread runs ``span`` on its own contiguous slice
-    (the count is baked into the source so it participates in the
-    content-address cache key; the caller must compile with
-    ``-fopenmp``).  A ``parallel for`` over the elements would be
-    outlined into a function that has lost the ``restrict`` qualifiers
-    and the unrolling, and ran 8-10% slower per thread than the serial
-    kernel.  Every element is computed independently and by the serial
-    kernel's own code, so the parallel kernel is bit-identical to the
-    serial one by construction (see docs/PARALLEL.md).
+    An elementwise tree is ``run(out, n, <leaves>)``: one loop over the
+    flat value vector, unrolled 4x.  A tree rooted at a segmented fold,
+    ``("fold", op, (body,))``, is ``run(out, counts, nseg, <leaves>)``:
+    ``counts`` is one descriptor level (per-segment lengths), the vector
+    leaves are the flat element streams, and ``body`` is computed where
+    the fold consumes it — what the fold reads is never stored.
+    Reductions write ``nseg`` outputs, scans ``sum(counts)``; the nest is
+    :func:`_fold_nest`'s.  Empty-segment errors for ``maxval``/``minval``
+    are raised by the engine *before* the kernel runs.
+
+    With ``omp_threads`` the same nest is emitted as a static ``span``
+    and ``run`` — same signature — becomes an OpenMP parallel region over
+    a fixed thread count in which each thread runs ``span`` on its own
+    contiguous piece: a slice of the elements, or, under a fold, whole
+    groups of ``_LANES`` segments and the elements they own (the count is
+    baked into the source so it participates in the content-address
+    cache key; the caller must compile with ``-fopenmp``).  A ``parallel
+    for`` over the elements would be outlined into a function that has
+    lost the ``restrict`` qualifiers and the unrolling, and ran 8-10%
+    slower per thread than the serial kernel.  Every element and every
+    segment is computed by the serial kernel's own code, so the parallel
+    kernel is bit-identical to the serial one by construction (see
+    docs/PARALLEL.md).
     """
-    out_kind = tree_kind(tree, leaf_kinds)
+    fold, body = split_fold(tree)
+    out_kind = tree_kind(body, leaf_kinds)
     if out_kind not in CTYPES:
         raise ValueError(f"cannot compile result kind {out_kind!r}")
-    params = [f"{CTYPES[out_kind]}* restrict out", "long long n"]
+    T = CTYPES[out_kind]
+    if fold:
+        ident, step = _fold_parts(fold, out_kind)
+        scan = not FOLDS[fold].reduction
+        shape = ["const long long* restrict counts", "long long nseg"]
+        nest = _fold_nest(fold, T, ident, step)
+        what = [f" * outer loop over segments, {_LANES} in lock-step; the tree is",
+                " * computed where the fold consumes it, never stored. */",
+                "#include <limits.h>"]
+    else:
+        shape = ["long long n"]
+        nest = [
+            "    long long i = 0;",
+            "    for (; i + 4 <= n; i += 4) {    /* unrolled x4 */",
+            "        out[i]     = BODY(i);",
+            "        out[i + 1] = BODY(i + 1);",
+            "        out[i + 2] = BODY(i + 2);",
+            "        out[i + 3] = BODY(i + 3);",
+            "    }",
+            "    for (; i < n; i++)              /* remainder */",
+            "        out[i] = BODY(i);",
+        ]
+        what = [" * one loop over the flat value vector; depth-0 operands are",
+                " * hoisted scalar parameters (sK); inner loop unrolled 4x. */"]
+    leaves = []
     for k, (kind, h) in enumerate(zip(leaf_kinds, hoisted)):
         if kind not in CTYPES:
             raise ValueError(f"cannot compile leaf kind {kind!r}")
-        if h:
-            params.append(f"{CTYPES[kind]} s{k}")
-        else:
-            params.append(f"const {CTYPES[kind]}* restrict a{k}")
-    body = _expr(tree, list(leaf_kinds), list(hoisted), "j")
+        leaves.append(f"{CTYPES[kind]} s{k}" if h else
+                      f"const {CTYPES[kind]}* restrict a{k}")
+    params = [f"{T}* restrict out", *shape, *leaves]
     omp = omp_threads is not None
     lines = [
-        f"/* repro.native fused kernel {name}"
+        f"/* repro.native {'fold' if fold else 'fused'} kernel {name}"
         + (f" (OpenMP, {omp_threads} threads):" if omp else ":"),
         f" *   {render_tree(tree, hoisted)}",
-        " * one loop over the flat value vector; depth-0 operands are",
-        " * hoisted scalar parameters (sK); inner loop unrolled 4x. */",
+        *what,
         "#include <math.h>",
         "",
     ]
-    if _needs_nan_minmax(tree):
+    if _needs_nan_minmax(body):
         lines.append(_NAN_HELPERS)
     lines += [
         f"{'static void span' if omp else 'void run'}({', '.join(params)})",
         "{",
-        f"#define BODY(j) {body}",
-        "    long long i = 0;",
-        "    for (; i + 4 <= n; i += 4) {    /* unrolled x4 */",
-        "        out[i]     = BODY(i);",
-        "        out[i + 1] = BODY(i + 1);",
-        "        out[i + 2] = BODY(i + 2);",
-        "        out[i + 3] = BODY(i + 3);",
-        "    }",
-        "    for (; i < n; i++)              /* remainder */",
-        "        out[i] = BODY(i);",
+        f"#define BODY(j) {_expr(body, list(leaf_kinds), list(hoisted), 'j')}",
+        *nest,
         "#undef BODY",
         "}",
     ]
     if omp:
-        args = ["out + lo", "hi - lo"] + [
-            f"s{k}" if h else f"a{k} + lo" for k, h in enumerate(hoisted)]
+        if fold:
+            # whole groups of _LANES segments per thread; its elements
+            # start where the segments before it end
+            cut = [f"long long per = nseg / ({_LANES} * k) * {_LANES};",
+                   "long long lo = per * t, at = 0;",
+                   "long long hi = t + 1 < k ? lo + per : nseg;",
+                   "for (long long s = 0; s < lo; s++) at += counts[s];"]
+            args = [f"out + {'at' if scan else 'lo'}", "counts + lo"]
+        else:
+            cut = ["long long lo = n / k * t;",
+                   "long long hi = t + 1 < k ? lo + n / k : n;"]
+            args = ["out + lo"]
+        first = "at" if fold else "lo"      # the piece's first element
+        args += ["hi - lo"] + [f"s{k}" if h else f"a{k} + {first}"
+                               for k, h in enumerate(hoisted)]
         lines += [
             "",
             "#include <omp.h>",
@@ -257,8 +386,7 @@ def emit_fused_source(tree, leaf_kinds: Sequence[str],
             "    {",
             "        long long t = omp_get_thread_num();",
             "        long long k = omp_get_num_threads();",
-            "        long long lo = n / k * t;",
-            "        long long hi = t + 1 < k ? lo + n / k : n;",
+            *[f"        {line}" for line in cut],
             f"        span({', '.join(args)});",
             "    }",
             "}",
@@ -268,120 +396,11 @@ def emit_fused_source(tree, leaf_kinds: Sequence[str],
 
 def emit_segmented_source(op: str, kind: str,
                           omp_threads: Optional[int] = None) -> str:
-    """The C translation unit for one segment-aware kernel.
-
-    Signature: ``run(out, counts, nseg, v)`` — ``counts`` is one
-    descriptor level (per-segment lengths), ``v`` the flat value vector.
-    Reductions write ``nseg`` outputs, scans write ``sum(counts)``.
-    Accumulation is sequential left-to-right within each segment, which is
-    exactly the evaluation order the NumPy substrate guarantees (see
-    module docstring).  Empty-segment errors for ``maxval``/``minval`` are
-    raised by the engine *before* the kernel runs.
-
-    With ``omp_threads`` the signature grows a ``starts`` array of
-    per-segment element offsets — ``run(out, counts, starts, nseg, v)`` —
-    and the *segment* loop becomes an OpenMP ``parallel for``.  Each
-    segment is still folded sequentially left-to-right by exactly the
-    same accumulation body, so the result is bit-identical to the serial
-    kernel for every thread count (the determinism contract of
-    docs/PARALLEL.md); reduction outputs are indexed by segment and scan
-    outputs by element offset, so writes never overlap across threads.
-    """
-    if kind not in SEGMENTED_OPS.get(op, ()):
-        raise ValueError(f"no native segmented kernel for {op}/{kind}")
-    T = CTYPES[kind]
-    if omp_threads is not None:
-        head = [
-            f"/* repro.native segmented kernel: {op} over {kind} segments",
-            f" * (OpenMP, {omp_threads} threads).  Parallel loop over",
-            " * segments; each segment folded sequentially from its",
-            " * precomputed start offset, matching the serial kernel",
-            " * bit for bit. */",
-            "",
-            f"void run({T}* restrict out, const long long* restrict counts,",
-            "         const long long* restrict starts,",
-            f"         long long nseg, const {T}* restrict v)",
-            "{",
-            f"#pragma omp parallel for schedule(static) "
-            f"num_threads({omp_threads})",
-            "    for (long long s = 0; s < nseg; s++) {",
-            "        long long p = starts[s];",
-        ]
-    else:
-        head = [
-            f"/* repro.native segmented kernel: {op} over {kind} segments.",
-            " * outer loop over segments, inner sequential loop over each",
-            " * segment's slice of the flat value vector. */",
-            "",
-            f"void run({T}* restrict out, const long long* restrict counts,",
-            f"         long long nseg, const {T}* restrict v)",
-            "{",
-            "    long long p = 0;",
-            "    for (long long s = 0; s < nseg; s++) {",
-        ]
-    if op == "sum":
-        body = [
-            f"        {T} acc = 0;",
-            "        for (long long c = counts[s]; c > 0; c--, p++)",
-            "            acc += v[p];",
-            "        out[s] = acc;",
-        ]
-    elif op in ("maxval", "minval"):
-        if kind == "float":
-            # NaN-propagating fold, like np.maximum.reduceat
-            win = "x != x || x > acc" if op == "maxval" else \
-                  "x != x || x < acc"
-        else:
-            win = "x > acc" if op == "maxval" else "x < acc"
-        body = [
-            f"        {T} acc = v[p++];",
-            "        for (long long c = counts[s] - 1; c > 0; c--, p++) {",
-            f"            {T} x = v[p];",
-            f"            if ({win}) acc = x;",
-            "        }",
-            "        out[s] = acc;",
-        ]
-    elif op == "anytrue":
-        body = [
-            "        unsigned char acc = 0;",
-            "        for (long long c = counts[s]; c > 0; c--, p++)",
-            "            if (v[p]) acc = 1;",
-            "        out[s] = acc;",
-        ]
-    elif op == "alltrue":
-        body = [
-            "        unsigned char acc = 1;",
-            "        for (long long c = counts[s]; c > 0; c--, p++)",
-            "            if (!v[p]) acc = 0;",
-            "        out[s] = acc;",
-        ]
-    elif op == "plus_scan":
-        body = [
-            f"        {T} acc = 0;    /* exclusive scan, identity 0 */",
-            "        for (long long c = counts[s]; c > 0; c--, p++) {",
-            f"            {T} x = v[p];",
-            "            out[p] = acc;",
-            "            acc += x;",
-            "        }",
-        ]
-    elif op == "max_scan":
-        win = "x != x || x > acc" if kind == "float" else "x > acc"
-        body = [
-            "        long long c = counts[s];",
-            "        if (c > 0) {    /* inclusive running maximum */",
-            f"            {T} acc = v[p];",
-            "            out[p] = acc;",
-            "            p++;",
-            "            for (c--; c > 0; c--, p++) {",
-            f"                {T} x = v[p];",
-            f"                if ({win}) acc = x;",
-            "                out[p] = acc;",
-            "            }",
-            "        }",
-        ]
-    else:  # pragma: no cover
-        raise ValueError(op)
-    return "\n".join(head + body + ["    }", "}"]) + "\n"
+    """The C translation unit for one plain segment-aware kernel,
+    ``run(out, counts, nseg, v)``: the fold-rooted kernel of
+    :func:`emit_fused_source` on the identity tree."""
+    return emit_fused_source(plain_fold(op), [kind], [False], name=op,
+                             omp_threads=omp_threads)
 
 
 def emit_gather_source(kind: str) -> str:

@@ -7,17 +7,22 @@ make the caller fall through to NumPy (unsupported kind, deep frame,
 missing toolchain).  The differential fuzzer runs the native backend
 against the other three to enforce this contract.
 
-Fused elementwise trees are specialized per *(tree, leaf kinds, hoist
-mask)*: an operand that arrives as a depth-0 scalar is compiled into the
-kernel as a scalar parameter — the loop-invariant hoist the NumPy path
-cannot do (it must materialize an ``n``-element replica).  Segmented
-reductions and scans are specialized per *(op, kind)*.
+Fused trees are specialized per *(tree, leaf kinds, hoist mask)*: an
+operand that arrives as a depth-0 scalar is compiled into the kernel as a
+scalar parameter — the loop-invariant hoist the NumPy path cannot do (it
+must materialize an ``n``-element replica).  A tree rooted at a segmented
+fold runs as one kernel over the element streams and one descriptor level
+that writes the fold's result and nothing else; the plain segmented
+reductions and scans are that kernel on the identity tree, so there is one
+kernel table and one call path.
 
 Executions are profiled into the ``native`` obs layer with the same
 element/byte accounting the NumPy kernels use for the ``kernel`` layer, so
 ``repro profile`` shows per-kernel native-vs-numpy counts side by side.
 The guard's ``after_kernel`` hook fires exactly as it would for the NumPy
-kernel (same stage names, same budget charges).
+kernel (same stage names, same budget charges) — once per kernel, on the
+result that exists: under a fold root the mapped vector is never made, so
+it is neither validated nor charged.
 """
 
 from __future__ import annotations
@@ -31,13 +36,13 @@ import numpy as np
 from ..guard import runtime as _guard
 from ..obs import runtime as _obs
 from ..vector.nested import NestedVector
-from ..vector.segments import INT_DTYPE, seg_starts
+from ..vector.segments import FOLDS, INT_DTYPE
 from ..errors import EvalError, VectorError
 from . import toolchain
 from .cache import Kernel, KernelCache
 from .codegen import (
-    CTYPES, SEGMENTED_OPS, emit_fused_source, emit_gather_source,
-    emit_segmented_source, tree_kind,
+    CTYPES, SEGMENTED_OPS, emit_fused_source, emit_gather_source, plain_fold,
+    split_fold, tree_kind,
 )
 
 __all__ = ["NativeEngine", "get_engine", "reset_engine"]
@@ -48,7 +53,6 @@ _SCALAR_CTYPES = {"int": ctypes.c_longlong, "bool": ctypes.c_ubyte,
 
 #: what is empty-reduced: shares the NumPy kernels' error message
 _STRICT_REDUCE = {"maxval", "minval"}
-_REDUCTIONS = {"sum", "maxval", "minval", "anytrue", "alltrue"}
 
 
 def _strip_rep(tree):
@@ -56,10 +60,10 @@ def _strip_rep(tree):
     kernel never reads it)."""
     if tree[0] == "arg":
         return tree
-    _tag, name, children = tree
+    tag, name, children = tree
     if name == "__rep":
         return _strip_rep(children[1])
-    return ("prim", name, tuple(_strip_rep(c) for c in children))
+    return (tag, name, tuple(_strip_rep(c) for c in children))
 
 
 def _scalar_kind(v) -> Optional[str]:
@@ -119,19 +123,22 @@ class NativeEngine:
         self._lock = threading.Lock()
         self._plans: dict = {}    # tree -> (compact tree, used-leaf tuple)
         self._fused: dict = {}    # (tree, kinds, hoisted) -> Kernel
-        self._seg: dict = {}      # (op, kind) -> Kernel
         self._gather: dict = {}   # kind -> Kernel
 
-    # -- fused elementwise trees ------------------------------------------
+    # -- fused trees: elementwise, or rooted at a segmented fold ----------
 
     def apply_fused(self, name: str, tree, flat: list, raw: list,
                     n: int) -> Optional[NestedVector]:
         """Run fused op ``name`` natively, or return None to fall back.
 
-        ``flat[k]`` is the extracted depth-1 frame for full-depth leaf
-        ``k`` (None for depth-0 leaves); ``raw[k]`` the original argument.
-        Depth-0 scalar leaves are *hoisted* — passed to the kernel as
-        scalar parameters, never replicated.
+        ``flat[k]`` is the extracted frame for vector leaf ``k`` (None
+        for depth-0 leaves); ``raw[k]`` the original argument.  Depth-0
+        scalar leaves are *hoisted* — passed to the kernel as scalar
+        parameters, never replicated.  The vector leaves of an
+        elementwise tree are depth-1 frames of ``n`` elements; those of a
+        tree rooted at a fold are depth-2 frames of ``n`` segments whose
+        ``descs[1]`` are the counts, and the kernel writes only the
+        fold's result.
         """
         plan = self._plans.get(tree)
         if plan is None:
@@ -142,6 +149,7 @@ class NativeEngine:
             with self._lock:
                 self._plans[tree] = plan
         ctree, used = plan
+        fold = split_fold(ctree)[0]
         kinds: list[str] = []
         hoisted: list[bool] = []
         call_args: list = []
@@ -156,23 +164,41 @@ class NativeEngine:
                 hoisted.append(True)
                 call_args.append(raw[k])
             else:
-                if not isinstance(v, NestedVector) or v.depth != 1 \
-                        or v.kind not in CTYPES or v.values.size != n:
+                if not isinstance(v, NestedVector) or v.kind not in CTYPES \
+                        or v.depth != (2 if fold else 1):
+                    return None
+                if first_vec is None:
+                    first_vec = v
+                    if fold is None and v.values.size != n:
+                        return None
+                if v.values.size != first_vec.values.size:
                     return None
                 kinds.append(v.kind)
                 hoisted.append(False)
                 call_args.append(v)
-                if first_vec is None:
-                    first_vec = v
         out_kind = tree_kind(ctree, kinds)
-        if out_kind not in CTYPES:
+        if out_kind not in (SEGMENTED_OPS[fold] if fold else CTYPES) \
+                or (fold and first_vec is None):
             return None
         kernel = self._fused_kernel(ctree, tuple(kinds), tuple(hoisted),
                                     name)
         if kernel is None:
             return None
-        out = np.empty(n, dtype=_DTYPES[out_kind])
-        argv: list = [out.ctypes.data, n]
+        if fold is None:
+            out = np.empty(n, dtype=_DTYPES[out_kind])
+            argv: list = [out.ctypes.data, n]
+        else:
+            counts = np.ascontiguousarray(first_vec.descs[1],
+                                          dtype=INT_DTYPE)
+            if fold in _STRICT_REDUCE and counts.size \
+                    and int(counts.min()) == 0:
+                # same message, raised before the kernel runs
+                raise VectorError(f"{fold} of an empty sequence")
+            reduction = FOLDS[fold].reduction
+            nseg = int(counts.size)
+            out = np.empty(nseg if reduction else first_vec.values.size,
+                           dtype=_DTYPES[out_kind])
+            argv = [out.ctypes.data, counts.ctypes.data, nseg]
         for kind, h, a in zip(kinds, hoisted, call_args):
             if h:
                 py = bool(a) if kind == "bool" else \
@@ -181,7 +207,12 @@ class NativeEngine:
             else:
                 argv.append(np.ascontiguousarray(a.values).ctypes.data)
         kernel.run(*argv)
-        result = _frame_result(first_vec, n, out, out_kind)
+        if fold is None:
+            result = _frame_result(first_vec, n, out, out_kind)
+        else:
+            # a reduction keeps the frame level, a scan every level
+            result = NestedVector.splice(out, out_kind, first_vec,
+                                         1 if reduction else 2)
         if _obs.PROFILER is not None:
             _count_native(name, n, tuple(call_args), result)
         g = _guard.GUARD
@@ -200,13 +231,14 @@ class NativeEngine:
             return None
         source = emit_fused_source(ctree, kinds, hoisted, name,
                                    omp_threads=self._omp_threads)
-        out_kind = tree_kind(ctree, list(kinds))
+        # out, then the iteration space: n, or counts and nseg
         argtypes: list = [ctypes.c_void_p, ctypes.c_longlong]
+        if ctree[0] == "fold":
+            argtypes.insert(1, ctypes.c_void_p)
         for kind, h in zip(kinds, hoisted):
             argtypes.append(_SCALAR_CTYPES[kind] if h else ctypes.c_void_p)
         kernel = self.cache.get(source, argtypes,
                                 extra_flags=self._extra_cflags)
-        assert out_kind in CTYPES
         with self._lock:
             self._fused[key] = kernel
         return kernel
@@ -261,72 +293,21 @@ class NativeEngine:
 
     def apply_segmented(self, name: str, v) -> Optional[NestedVector]:
         """Run segmented primitive ``name`` over a depth-1 frame of scalar
-        sequences natively, or return None to fall back."""
-        if not isinstance(v, NestedVector) or v.depth != 2:
+        sequences natively, or return None to fall back: the fold-rooted
+        kernel on the identity tree."""
+        if not isinstance(v, NestedVector) or name not in SEGMENTED_OPS:
             return None
-        if v.kind not in SEGMENTED_OPS.get(name, ()):
-            return None
-        kernel = self._seg_kernel(name, v.kind)
-        if kernel is None:
-            return None
-        counts = np.ascontiguousarray(v.descs[1], dtype=INT_DTYPE)
-        if name in _STRICT_REDUCE and counts.size \
-                and int(counts.min()) == 0:
-            # same message, raised before the kernel runs
-            raise VectorError(f"{name} of an empty sequence")
-        vals = np.ascontiguousarray(v.values)
-        out_kind = "bool" if name in ("anytrue", "alltrue") else v.kind
-        nseg = int(counts.size)
-        reduction = name in _REDUCTIONS
-        out = np.empty(nseg if reduction else vals.size,
-                       dtype=_DTYPES[out_kind])
-        if self._omp_threads is None:
-            kernel.run(out.ctypes.data, counts.ctypes.data, nseg,
-                       vals.ctypes.data)
-        else:
-            # OpenMP variant: per-segment start offsets let the segment
-            # loop run in parallel (see codegen.emit_segmented_source)
-            starts = np.ascontiguousarray(seg_starts(counts))
-            kernel.run(out.ctypes.data, counts.ctypes.data,
-                       starts.ctypes.data, nseg, vals.ctypes.data)
-        # a reduction keeps the frame level, a scan every level
-        result = NestedVector.splice(out, out_kind, v, 1 if reduction else 2)
-        n = int(v.descs[0][0])
-        if _obs.PROFILER is not None:
-            _count_native(name, n, (v,), result)
-        g = _guard.GUARD
-        if g is not None:
-            g.after_kernel(name, n, result)
-        return result
-
-    def _seg_kernel(self, op: str, kind: str) -> Optional[Kernel]:
-        key = (op, kind)
-        with self._lock:
-            if key in self._seg:
-                return self._seg[key]
-        if not toolchain.available():
-            toolchain.warn_unavailable_once()
-            return None
-        source = emit_segmented_source(op, kind,
-                                       omp_threads=self._omp_threads)
-        if self._omp_threads is None:
-            argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong,
-                        ctypes.c_void_p]
-        else:
-            argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                        ctypes.c_longlong, ctypes.c_void_p]
-        kernel = self.cache.get(source, argtypes,
-                                extra_flags=self._extra_cflags)
-        with self._lock:
-            self._seg[key] = kernel
-        return kernel
+        return self.apply_fused(name, plain_fold(name), [v], [v],
+                                v.top_length)
 
     # -- introspection -----------------------------------------------------
 
     def status(self) -> dict:
         with self._lock:
-            fused = len(self._fused)
-            seg = len(self._seg)
+            # a plain segmented kernel is the fold of the identity tree
+            seg = sum(1 for tree, _k, _h in self._fused
+                      if tree == plain_fold(tree[1]))
+            fused = len(self._fused) - seg
             gather = len(self._gather)
         return {"toolchain": toolchain.toolchain_id(),
                 "available": toolchain.available(),
@@ -347,8 +328,8 @@ def _arg_indices(tree) -> set:
 def _remap_tree(tree, remap: dict):
     if tree[0] == "arg":
         return ("arg", remap[tree[1]])
-    _tag, name, children = tree
-    return ("prim", name, tuple(_remap_tree(c, remap) for c in children))
+    tag, name, children = tree
+    return (tag, name, tuple(_remap_tree(c, remap) for c in children))
 
 
 _ENGINE: Optional[NativeEngine] = None

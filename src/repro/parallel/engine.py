@@ -12,17 +12,18 @@ Per engine (one per thread count) the fast path is chosen once:
 * one thread is the serial native engine
   (:func:`repro.native.engine.get_engine`) — there is nothing to fan out;
 * with an OpenMP-capable toolchain, hooks delegate to
-  :class:`_OmpNative`, a :class:`NativeEngine` whose kernels carry
-  ``#pragma omp parallel`` regions over slices of the elements (fused
-  trees) or over segments (reductions/scans, via precomputed
-  per-segment start offsets);
+  :class:`_OmpNative`, a :class:`NativeEngine` whose kernels carry one
+  ``#pragma omp parallel`` region in which each thread runs the serial
+  nest on its slice of the elements (elementwise trees) or on whole
+  groups of four segments (trees rooted at a fold — the plain
+  reductions/scans are the identity tree);
 * otherwise the pure-Python chunked path plans a segment-aligned
   partition (:func:`repro.vector.partition.plan_partition`) and fans the
   chunks out to a thread pool of GIL-releasing NumPy kernel calls.
 
 Both paths preserve the serial fold order *within* every segment, which
 is the whole determinism argument: a segment never straddles a chunk or
-an OpenMP iteration, so no float addition is ever reassociated
+a thread's piece, so no float addition is ever reassociated
 (docs/PARALLEL.md; pinned by ``tests/parallel/test_determinism.py``).
 
 The chunked path is instrumented with the ``parallel.*`` fault sites of
@@ -47,6 +48,7 @@ from ..guard import faults as _flt
 from ..guard import runtime as _guard
 from ..obs import runtime as _obs
 from ..native import toolchain
+from ..native.codegen import SEGMENTED_OPS, plain_fold, split_fold
 from ..native.engine import (
     NativeEngine, _DTYPES, _STRICT_REDUCE, _frame_result, _scalar_kind,
     get_engine,
@@ -65,20 +67,6 @@ __all__ = ["MIN_PARALLEL", "ParallelEngine", "get_parallel_engine",
 #: would swamp any speedup.  Module-level so tests can lower it to force
 #: chunking on small inputs.
 MIN_PARALLEL = 2048
-
-#: the raw segmented kernels workers call directly (no obs/guard inside a
-#: worker thread; the engine accounts once, on the caller's thread)
-_SEG_FN = {
-    "sum": S.seg_sum,
-    "maxval": S.seg_max,
-    "minval": S.seg_min,
-    "anytrue": S.seg_any,
-    "alltrue": S.seg_all,
-    "plus_scan": S.seg_plus_scan,
-    "max_scan": S.seg_max_scan,
-}
-_SEG_REDUCTIONS = frozenset(("sum", "maxval", "minval", "anytrue",
-                             "alltrue"))
 
 
 class _OmpNative(NativeEngine):
@@ -212,24 +200,29 @@ class ParallelEngine:
         if g is not None:
             g.after_kernel(op, n, result)
 
-    # -- fused elementwise trees -------------------------------------------
+    # -- fused trees: elementwise, or rooted at a segmented fold -----------
 
     def apply_fused(self, name: str, tree, flat: list, raw: list,
                     n: int) -> Optional[NestedVector]:
         """Evaluate fused op ``name`` across chunks (or OpenMP threads),
         or return None to fall back.
 
-        The tree is elementwise, so the partition needs no segment
-        alignment: each worker evaluates the whole tree over its slice of
-        every vector leaf (depth-0 leaves stay scalar, NumPy broadcasts
-        them) directly into its slice of the preallocated output."""
+        An elementwise tree needs no segment alignment: each worker
+        evaluates the whole tree over its slice of every vector leaf
+        (depth-0 leaves stay scalar, NumPy broadcasts them) directly into
+        its slice of the preallocated output.  Under a fold root each
+        chunk owns whole segments, so a worker's call of the *same*
+        serial NumPy kernel over the tree of its slice produces exactly
+        the serial per-segment results; stitching is pure concatenation
+        in segment order."""
         if self._native is not None:
             result = self._native.apply_fused(name, tree, flat, raw, n)
             if result is not None:
                 return result
-        if self.threads < 2 or n < MIN_PARALLEL:
+        if self.threads < 2:
             return None
         from ..transform.fuse import eval_tree, result_kind
+        fold, body = split_fold(tree)
         leaves: list = []
         kinds: list = []
         first_vec: Optional[NestedVector] = None
@@ -241,92 +234,88 @@ class ParallelEngine:
                 leaves.append(r)
                 kinds.append(kind)
             else:
-                if not isinstance(v, NestedVector) or v.depth != 1 \
-                        or v.kind not in _DTYPES or v.values.size != n:
+                if not isinstance(v, NestedVector) or v.kind not in _DTYPES \
+                        or v.depth != (2 if fold else 1):
+                    return None
+                if first_vec is None:
+                    first_vec = v
+                if v.values.size != first_vec.values.size:
                     return None
                 leaves.append(v.values)
                 kinds.append(v.kind)
-                if first_vec is None:
-                    first_vec = v
-        out_kind = result_kind(tree, kinds)
-        if out_kind not in _DTYPES:
+        total = n if first_vec is None else int(first_vec.values.size)
+        out_kind = result_kind(body, kinds)
+        if total < MIN_PARALLEL \
+                or (total != n if fold is None else first_vec is None) \
+                or out_kind not in (SEGMENTED_OPS[fold] if fold else _DTYPES):
             return None
-        plan = plan_partition(n, self.threads)
-        out = np.empty(n, dtype=_DTYPES[out_kind])
+        vecs = tuple(v for v in flat if v is not None)
+
+        def sliced(lo: int, hi: int) -> np.ndarray:
+            # (a tree that reads no vector leaf evaluates to a scalar)
+            return np.broadcast_to(
+                eval_tree(body, [x[lo:hi] if isinstance(x, np.ndarray)
+                                 else x for x in leaves]), (hi - lo,))
+
+        if fold is None:
+            plan = plan_partition(n, self.threads)
+            out = np.empty(n, dtype=_DTYPES[out_kind])
+            b = plan.bounds
+
+            def task(lo: int, hi: int):
+                def run():
+                    out[lo:hi] = sliced(lo, hi)
+                    return hi - lo
+                return run
+
+            written = self._run_chunks(
+                [task(int(b[i]), int(b[i + 1])) for i in range(plan.parts)])
+            self._check_stitch(
+                f"fused {name}", np.array(written, dtype=INT_DTYPE),
+                plan.sizes())
+            result = _frame_result(first_vec, n, out, out_kind)
+            self._account(name, n, plan, vecs, result)
+            return result
+        counts = np.ascontiguousarray(first_vec.descs[1], dtype=INT_DTYPE)
+        if fold in _STRICT_REDUCE and counts.size \
+                and int(counts.min()) == 0:
+            # same message as the serial kernels, raised before dispatch
+            raise VectorError(f"{fold} of an empty sequence")
+        plan = plan_partition(total, self.threads, counts=counts)
+        sb = plan.seg_bounds
+        assert sb is not None
+        fn, reduction, _kinds = S.FOLDS[fold]
         b = plan.bounds
 
-        def task(lo: int, hi: int):
+        def seg_task(i: int):
+            e0, e1 = int(b[i]), int(b[i + 1])
+            s0, s1 = int(sb[i]), int(sb[i + 1])
+
             def run():
-                sub = [x[lo:hi] if isinstance(x, np.ndarray) else x
-                       for x in leaves]
-                out[lo:hi] = eval_tree(tree, sub)
-                return hi - lo
+                return fn(sliced(e0, e1), counts[s0:s1])
             return run
 
-        tasks = [task(int(b[i]), int(b[i + 1])) for i in range(plan.parts)]
-        written = self._run_chunks(tasks)
-        self._check_stitch(
-            f"fused {name}", np.array(written, dtype=INT_DTYPE),
-            plan.sizes())
-        result = _frame_result(first_vec, n, out, out_kind)
-        self._account(name, n, plan,
-                      tuple(v for v in flat if v is not None), result)
+        chunks = self._run_chunks([seg_task(i) for i in range(plan.parts)])
+        want = np.diff(sb) if reduction else plan.sizes()
+        got = np.array([c.shape[0] for c in chunks], dtype=INT_DTYPE)
+        self._check_stitch(f"segmented {name}", got, want)
+        values = np.concatenate(chunks) if chunks else \
+            np.empty(0, dtype=_DTYPES[out_kind])
+        result = NestedVector.splice(values, out_kind, first_vec,
+                                     1 if reduction else 2)
+        self._account(name, n, plan, vecs, result)
         return result
 
     # -- segmented reductions and scans ------------------------------------
 
     def apply_segmented(self, name: str, v) -> Optional[NestedVector]:
         """Run segmented primitive ``name`` across segment-aligned chunks
-        (or OpenMP threads), or return None to fall back.
-
-        Each chunk owns whole segments, so a worker's call of the *same*
-        serial NumPy kernel over its slice produces exactly the serial
-        per-segment results; stitching is pure concatenation in segment
-        order."""
-        if self._native is not None:
-            result = self._native.apply_segmented(name, v)
-            if result is not None:
-                return result
-        if self.threads < 2 or name not in _SEG_FN:
+        (or OpenMP threads), or return None to fall back: the fold of the
+        identity tree."""
+        if not isinstance(v, NestedVector) or name not in SEGMENTED_OPS:
             return None
-        if not isinstance(v, NestedVector) or v.depth != 2 \
-                or v.kind not in _DTYPES:
-            return None
-        total = int(v.values.size)
-        if total < MIN_PARALLEL:
-            return None
-        counts = np.ascontiguousarray(v.descs[1], dtype=INT_DTYPE)
-        if name in _STRICT_REDUCE and counts.size \
-                and int(counts.min()) == 0:
-            # same message as the serial kernels, raised before dispatch
-            raise VectorError(f"{name} of an empty sequence")
-        plan = plan_partition(total, self.threads, counts=counts)
-        sb = plan.seg_bounds
-        assert sb is not None
-        vals = v.values
-        fn = _SEG_FN[name]
-        b = plan.bounds
-
-        def task(i: int):
-            e0, e1 = int(b[i]), int(b[i + 1])
-            s0, s1 = int(sb[i]), int(sb[i + 1])
-
-            def run():
-                return fn(vals[e0:e1], counts[s0:s1])
-            return run
-
-        chunks = self._run_chunks([task(i) for i in range(plan.parts)])
-        reduction = name in _SEG_REDUCTIONS
-        want = np.diff(sb) if reduction else plan.sizes()
-        got = np.array([c.shape[0] for c in chunks], dtype=INT_DTYPE)
-        self._check_stitch(f"segmented {name}", got, want)
-        out_kind = "bool" if name in ("anytrue", "alltrue") else v.kind
-        values = np.concatenate(chunks) if chunks else \
-            np.empty(0, dtype=_DTYPES[out_kind])
-        result = NestedVector.splice(values, out_kind, v,
-                                     1 if reduction else 2)
-        self._account(name, int(v.descs[0][0]), plan, (v,), result)
-        return result
+        return self.apply_fused(name, plain_fold(name), [v], [v],
+                                v.top_length)
 
     # -- shared-index gather -----------------------------------------------
 

@@ -225,8 +225,9 @@ class SimplifyPass(Pass):
 @register
 class FusePass(Pass):
     """Elementwise fusion (the §6 direction measured by benchmark E14):
-    collapse maximal same-depth trees of elementwise primitives into
-    single ``__fused<k>`` ops recorded in a
+    collapse maximal same-depth trees of elementwise primitives — with
+    the segmented fold that is a tree's only reader — into single
+    ``__fused<k>`` ops recorded in a
     :class:`~repro.transform.fuse.FusionRegistry`
     (:mod:`repro.transform.fuse`)."""
 

@@ -9,9 +9,29 @@ substrate, intermediate materialization).
 
 The pass collects maximal trees of same-depth elementwise ``ExtCall``s,
 replaces each by ``ExtCall("__fused<k>", leaves, depth)``, and records the
-op tree in a :class:`FusionRegistry` carried by the transformed program.
-The shared ``Applier`` evaluates a fused op by running the tree directly on
-the flat value arrays of the leaf frames.
+op tree in a :class:`FusionRegistry` carried by the transformed program —
+one tree per call site, and no tree nothing calls.  The shared ``Applier``
+evaluates a fused op by running the tree directly on the flat value arrays
+of the leaf frames.
+
+A region may end in a segmented fold
+-----------------------------------
+
+When the argument expression of ``sum``, ``maxval``, ``minval``,
+``anytrue``, ``alltrue``, ``plus_scan`` or ``max_scan`` at depth ``d`` is
+itself such a tree at depth ``d+1`` (through the ``let`` bindings of that
+argument, which float out), the fold is the tree's only reader and the
+pair becomes one op: ``sum^d(add^(d+1)(mul^(d+1)(x, x), k))`` is
+``__fused<k>^d(x, x, k)`` with the registry tree
+``("fold", "sum", (("prim", "add", ...),))``.  The elements of an
+unchecked elementwise tree are independent of one another, so each may be
+computed where the fold consumes it: what the fold reads is never made.
+At the call site the element streams (the leaves that were at depth
+``d+1``) are consumed at frame depth ``d``, as a frame of sequences; what
+the region replicated stays a per-call scalar.  At ``d = 0`` both read
+depth 0, so :attr:`FusionRegistry.streams` records with the tree which
+leaves are streams.  A ``let``-bound producer with two readers is not the
+fold's argument expression and stays materialised.
 
 Fusion boundary
 ---------------
@@ -39,12 +59,13 @@ kernel can never mask or reorder a Python-level check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.lang import ast as A
 from repro.lang import builtins as B
+from repro.vector.segments import FOLDS
 
 #: the checked ops stay unfused (their error reporting must fire exactly as
 #: unfused execution would — div/mod/fdiv and sqrt_ raise on bad operands);
@@ -57,7 +78,9 @@ _fusable_prim = B.is_unchecked_elementwise
 
 
 #: A fused op tree: ("arg", k) selects leaf k; ("prim", name, children)
-#: applies an elementwise primitive.
+#: applies an elementwise primitive; ("fold", name, (tree,)), at the root
+#: only, folds every segment of the tree's elements with segmented
+#: primitive ``name``.
 Tree = Union[tuple]
 
 
@@ -107,24 +130,30 @@ def result_kind(tree: Tree, leaf_kinds: list[str]) -> str:
 
 @dataclass
 class FusionRegistry:
-    """Op trees for the ``__fused<k>`` primitives of one program."""
+    """Op trees for the ``__fused<k>`` primitives of one program: exactly
+    the trees some ``ExtCall`` names."""
 
     trees: dict[str, Tree] = field(default_factory=dict)
-    _counter: int = 0
+    #: per fold-rooted tree, the leaves that are element streams (frames
+    #: of sequences at the call depth); its other leaves are per-call
+    #: scalars.  The call site cannot say: at depth 0 both read depth 0.
+    streams: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
-    def register(self, tree: Tree) -> str:
+    def register(self, tree: Tree, streams: tuple[int, ...] = ()) -> str:
         """Intern one fused op tree under a fresh ``__fused<k>`` name
-        (the elementwise composition replacing a primitive chain)."""
-        name = f"__fused{self._counter}"
-        self._counter += 1
+        (the composition replacing a primitive chain)."""
+        name = f"__fused{len(self.trees)}"
         self.trees[name] = tree
+        if tree[0] == "fold":
+            self.streams[name] = streams
         return name
 
     def __contains__(self, name: str) -> bool:
         return name in self.trees
 
     def size(self, name: str) -> int:
-        """Number of primitive applications fused into ``name``."""
+        """Number of primitive applications fused into ``name`` (a fold
+        root is one)."""
         def count(t: Tree) -> int:
             if t[0] == "arg":
                 return 0
@@ -133,62 +162,70 @@ class FusionRegistry:
 
 
 def fuse_expr(e: A.Expr, registry: FusionRegistry) -> A.Expr:
-    """Bottom-up fusion over one transformed (iterator-free) body."""
-    e = A.map_children(e, lambda c: fuse_expr(c, registry))
+    """Top-down fusion over one transformed (iterator-free) body: a call
+    that can root a region takes the maximal tree below it, and fusion
+    continues in the region's leaves."""
+    if isinstance(e, A.ExtCall):
+        fold = e.fn in FOLDS and len(e.args) == 1
+        top = e.args[0] if fold else e
+        lets = []
+        while fold and isinstance(top, A.Let):
+            # fold(let x = b in t) is let x = b in fold(t): the bindings
+            # of the fold's only argument float out of the region
+            lets.append(top)
+            top = top.body
+        if isinstance(top, A.ExtCall) and top.depth == e.depth + fold \
+                and top.depth >= 1 and _fusable_prim(top.fn):
+            fused = _fuse_region(e, top, fold, registry)
+            if fused is not None:
+                for let in reversed(lets):
+                    fused = A.Let(let.var, fuse_expr(let.bound, registry),
+                                  fused)
+                    fused.type = e.type
+                return fused
+    return A.map_children(e, lambda c: fuse_expr(c, registry))
 
-    if not (isinstance(e, A.ExtCall) and _is_fusable_root(e, registry)):
-        return e
 
+def _fuse_region(e: A.ExtCall, top: A.ExtCall, fold: bool,
+                 registry: FusionRegistry) -> Optional[A.ExtCall]:
+    """The ``__fused<k>`` call replacing ``e``: the elementwise tree under
+    ``top``, below the fold ``e`` when ``fold`` (``top`` is then its
+    argument, one level deeper).  None when the region is not worth a
+    kernel."""
     leaves: list[A.Expr] = []
     depths: list[int] = []
 
     def build(node: A.Expr, fd: int) -> Tree:
         # the frame depth of every sub-argument is recorded on its parent
         # call's arg_depths, so thread it down instead of guessing
-        if isinstance(node, A.ExtCall) and node.depth == e.depth:
-            if _fusable_prim(node.fn) or node.fn == "__rep":
-                return ("prim", node.fn,
-                        tuple(build(a, f)
-                              for a, f in zip(node.args, node.arg_depths)))
-            if node.fn in registry:
-                # inline an already-fused subtree (children fused first)
-                return _remap(registry.trees[node.fn], node, build)
-        k = len(leaves)
+        if isinstance(node, A.ExtCall) and node.depth == top.depth \
+                and (_fusable_prim(node.fn) or node.fn == "__rep"):
+            return ("prim", node.fn,
+                    tuple(build(a, f)
+                          for a, f in zip(node.args, node.arg_depths)))
         leaves.append(node)
         depths.append(fd)
-        return ("arg", k)
+        return ("arg", len(leaves) - 1)
 
-    tree = build(e, e.depth)
-    # fusing a single prim buys nothing; require at least two
-    if _prim_count(tree) < 2 or not leaves:
-        return e
+    tree = build(top, top.depth)
+    # fusing a single prim buys nothing; require two (a fold root is one)
+    if _prim_count(tree) + fold < 2:
+        return None
     if all(d == 0 for d in depths):
-        return e  # would change the node's depth classification
-    name = registry.register(tree)
-    out = A.ExtCall(name, leaves, e.depth, depths)
+        return None  # would change the node's depth classification
+    if fold:
+        # the element streams are consumed at the fold's depth, as a frame
+        # of sequences; what the region replicated stays a per-call scalar
+        streams = tuple(k for k, d in enumerate(depths) if d == top.depth)
+        depths = [e.depth if d == top.depth else d for d in depths]
+        name = registry.register(("fold", e.fn, (tree,)), streams)
+    else:
+        name = registry.register(tree)
+    out = A.ExtCall(name, [fuse_expr(leaf, registry) for leaf in leaves],
+                    e.depth, depths)
     out.type = e.type
     out.line, out.col = e.line, e.col
     return out
-
-
-def _is_fusable_root(e: A.ExtCall, registry: FusionRegistry) -> bool:
-    if e.depth < 1 or not _fusable_prim(e.fn) or e.fn == "__rep":
-        return False
-    # only worth it if some argument is itself a fusable elementwise call
-    # (or an already-fused op we can inline)
-    return any(isinstance(a, A.ExtCall) and a.depth == e.depth
-               and (_fusable_prim(a.fn) or a.fn == "__rep" or a.fn in registry)
-               for a in e.args)
-
-
-def _remap(sub: Tree, call: A.ExtCall, build) -> Tree:
-    """Inline ``sub`` (the tree of an earlier fused op) at a call site:
-    every ("arg", k) becomes the built form of the call's k-th argument."""
-    if sub[0] == "arg":
-        k = sub[1]
-        return build(call.args[k], call.arg_depths[k])
-    _tag, name, children = sub
-    return ("prim", name, tuple(_remap(c, call, build) for c in children))
 
 
 def _prim_count(tree: Tree) -> int:

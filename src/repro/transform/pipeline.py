@@ -54,9 +54,10 @@ class TransformOptions:
     * ``fuse`` (default off) appends the ``fuse`` pass after
       ``simplify``, so fusion sees cleaned let-chains; with ``simplify``
       off, fusion still runs, on the raw R2 output.
-    * ``reduce_to_native`` + ``fuse`` compose: reductions are not
-      elementwise, so a rewritten ``sum`` bounds a fused region but is
-      never pulled into one.
+    * ``reduce_to_native`` + ``fuse`` compose: a rewritten ``sum`` is a
+      segmented fold, and a fold whose argument is an elementwise tree
+      *roots* the fused region — one op, the tree computed where the
+      fold consumes it.
 
     Every combination of the four switches is supported and covered by
     ``tests/passes/test_options.py``.

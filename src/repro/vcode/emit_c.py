@@ -115,14 +115,16 @@ def _tree_leaf_count(tree) -> int:
 
 def emit_native_kernels(fusion, omp_threads=None) -> str:
     """Real-codegen section: the C kernel the native engine compiles for
-    each fused region of a :class:`~repro.transform.fuse.FusionRegistry`.
+    each fused region of a :class:`~repro.transform.fuse.FusionRegistry`
+    — an elementwise tree, or one rooted at a segmented fold.
 
     The engine specializes each kernel at run time to the observed leaf
     kinds and hoisted (loop-invariant scalar) operands; this presentation
-    emits the all-``int``-vector specialization, which is the shape the
-    kernel cache stores (see docs/NATIVE.md for a line-by-line reading).
-    With ``omp_threads`` the kernels are the OpenMP multicore variants
-    the parallel backend compiles for that thread count
+    emits the all-``int`` specialization, which is the shape the kernel
+    cache stores (see docs/NATIVE.md for a line-by-line reading), with
+    the per-call scalars of a fold-rooted region hoisted as they are when
+    it runs.  With ``omp_threads`` the kernels are the OpenMP multicore
+    variants the parallel backend compiles for that thread count
     (docs/PARALLEL.md)."""
     from repro.native.codegen import emit_fused_source, render_tree
     tag = "" if omp_threads is None else f", OpenMP x{omp_threads}"
@@ -132,7 +134,8 @@ def emit_native_kernels(fusion, omp_threads=None) -> str:
     for name, tree in sorted(fusion.trees.items()):
         k = _tree_leaf_count(tree)
         kinds = ["int"] * k
-        hoisted = [False] * k
+        streams = fusion.streams.get(name, range(k))
+        hoisted = [i not in streams for i in range(k)]
         parts.append(f"/* {name}: {render_tree(tree, hoisted)} */")
         parts.append(emit_fused_source(tree, kinds, hoisted, name=name,
                                        omp_threads=omp_threads))

@@ -22,6 +22,8 @@ arrays, one pass per level and the same loop at every depth:
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from repro.errors import InvariantError, VectorError
@@ -128,7 +130,9 @@ def seg_sum(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
         for i, c in enumerate(counts):
             c = int(c)
             if c:
-                out[i] = np.cumsum(values[pos:pos + c])[-1]
+                # the fold starts at +0.0, as the interpreter's and the C
+                # kernels' do: a segment of nothing but -0.0 sums to +0.0
+                out[i] = 0.0 + np.cumsum(values[pos:pos + c])[-1]
             pos += c
     else:
         ends = np.cumsum(counts)
@@ -186,6 +190,7 @@ def seg_plus_scan(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
             if c > 1:
                 np.cumsum(values[pos:pos + c - 1], out=out[pos + 1:pos + c])
             pos += c
+        out += 0.0      # every prefix starts at +0.0 (see seg_sum)
     elif values.size == 0:
         out = np.empty(0, dtype=INT_DTYPE)
     else:
@@ -223,6 +228,28 @@ def seg_max_scan(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
         shift <<= 1
     _note("seg_max_scan", len(counts), (values, counts, out))
     return out
+
+
+class Fold(NamedTuple):
+    """One segmented fold: its kernel, whether it is a reduction (one
+    result per segment) or a scan (one per element), and the leaf kinds
+    it folds."""
+
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    reduction: bool
+    kinds: tuple[str, ...]
+
+
+#: the segmented folds, by primitive name
+FOLDS = {
+    "sum": Fold(seg_sum, True, ("int", "float")),
+    "maxval": Fold(seg_max, True, ("int", "float")),
+    "minval": Fold(seg_min, True, ("int", "float")),
+    "anytrue": Fold(seg_any, True, ("bool",)),
+    "alltrue": Fold(seg_all, True, ("bool",)),
+    "plus_scan": Fold(seg_plus_scan, False, ("int", "float")),
+    "max_scan": Fold(seg_max_scan, False, ("int", "float")),
+}
 
 
 def tile_idx(seg_lens: np.ndarray, reps: np.ndarray) -> np.ndarray:

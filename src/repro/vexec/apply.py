@@ -27,6 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.errors import EvalError, VMError
+from repro.guard import runtime as _guard
 from repro.lang import builtins as B
 from repro.lang import types as T
 from repro.transform.extensions import ext1_name
@@ -41,11 +42,6 @@ from repro.vector.segments import INT_DTYPE
 
 #: an application with its static facts decided: argument list -> result
 Bound = Callable[[list], Value]
-
-#: segmented primitives the native engine may claim (see repro.native)
-_NATIVE_SEGMENTED = frozenset(
-    ("sum", "maxval", "minval", "anytrue", "alltrue",
-     "plus_scan", "max_scan"))
 
 
 def _first(args: list) -> Value:
@@ -127,6 +123,8 @@ class Applier:
         decision the static facts determine already taken."""
         if name == "__iter":
             return _first
+        if self._fusion is not None and name in self._fusion.streams:
+            return self._bind_fold(name, depth)
         if depth == 0:
             return self._bind0(name, node_type)
         if name == "__seq_index_segshared":
@@ -187,6 +185,52 @@ class Applier:
             return insert(result, args[src], depth) if t1 else result
         return run
 
+    def _bind_fold(self, name: str, depth: int) -> Bound:
+        """A fused region rooted at a segmented fold, at frame depth
+        ``depth``: T1 takes the element streams to a depth-2 frame — its
+        ``descs[1]`` are the segment counts — and one op folds the tree
+        over every segment; the scalars of the call stay scalars.  The
+        engine runs it as one kernel that never stores what the fold
+        reads; when it declines (or there is none), NumPy evaluates the
+        tree and the fold's own segmented kernel folds it."""
+        tree = self._fusion.trees[name]
+        _fold, op, (body,) = tree
+        streams = self._fusion.streams[name]
+        seg_fn, reduction, _kinds = S.FOLDS[op]
+        native, seen, src = self._native, self.observer, streams[0]
+
+        def run(args: list) -> Value:
+            flat: list = [None] * len(args)
+            for i in streams:
+                flat[i] = (extract(args[i], depth) if depth >= 2 else
+                           args[i] if depth else O.wrap1(args[i]))
+            lead = flat[src]
+            n = O.check_conformable([flat[i] for i in streams], name)
+            total = lead.values.size
+            result = None
+            if native is not None:
+                result = native.apply_fused(name, tree, flat, args, n)
+            if result is None:
+                for i, a in enumerate(args):
+                    if flat[i] is None:
+                        flat[i] = rep = O.broadcast_to_count(a, total)
+                        if seen is not None:
+                            seen("replicate", O.value_size(rep))
+                vals = eval_tree(body, [leaf.values for leaf in flat])
+                kind = result_kind(body, [leaf.kind for leaf in flat])
+                result = NestedVector.splice(
+                    seg_fn(vals, lead.descs[1]), kind, lead,
+                    1 if reduction else 2)
+                g = _guard.GUARD
+                if g is not None:
+                    g.after_kernel(name, n, result)
+            if seen is not None:
+                seen(name, max(total, O.value_size(result)))
+            if depth >= 2:
+                return insert(result, args[src], depth)
+            return result if depth else O.unwrap1(result)
+        return run
+
     def _bind1(self, name: str, shared: bool) -> Bound:
         """``name^1`` on a list of depth-1 frames."""
         native = self._native
@@ -213,8 +257,8 @@ class Applier:
             return fused
         if name in O.KERNELS:
             kernel = O.bind_kernel(name)
-            if native is None or name not in _NATIVE_SEGMENTED:
-                return kernel
+            if native is None or name not in S.FOLDS:
+                return kernel     # only the folds have a native kernel
 
             def segmented(flat: list) -> Value:
                 result = native.apply_segmented(name, flat[0])

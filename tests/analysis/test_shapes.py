@@ -110,3 +110,57 @@ def test_static_mode_via_run_batched():
     full = prog.run_batched("main", [[4], [7], [10]], check=True)
     static = prog.run_batched("main", [[4], [7], [10]], check="static")
     assert static == full == [30, 140, 385]
+
+
+# -- a fused region rooted at a segmented fold ---------------------------------
+
+#: bench/workloads.py's FLAT_SRC and serve_source(3), with the static-site
+#: counts of their unbatched / batched native programs when map and fold
+#: were two sites (4 / 9 and 3 / 7, none runtime-class): the fold's own
+#: site is gone, one per definition that held it, and nothing else moved
+FOLD_ROOTED = [
+    ("fun f(v: seq(seq(float))) = "
+     "[s <- v: sum([x <- s: (x * 0.5 + 1.0) * x - 0.25])]",
+     "f", [[[0.5, -2.0], []]], (4 - 1, 9 - 2)),
+    ("fun main(s) = sum([x <- s: x * x + 3])", "main", [[1, 2]],
+     (3 - 1, 7 - 2)),
+]
+
+
+@pytest.mark.parametrize("src,entry,args,sites", FOLD_ROOTED,
+                         ids=["flat_kernels", "serve"])
+def test_fold_rooted_region_is_discharged(src, entry, args, sites):
+    """The analysis follows the op: a reduction-rooted region projects
+    its first stream leaf's outer level, so every site of the native
+    program is still static and ``kernel:__fused<k>`` is discharged."""
+    prog = compile_program(src)
+    at = prog.entry_types(entry, args)
+    for batched, want in zip((False, True), sites):
+        _mono, tp = prog.prepare_native(entry, at, batched=batched)
+        sa = analyze_shapes(tp)
+        assert sa.counts() == (want, 0)
+        for name in tp.fusion.trees:
+            assert {f"kernel:{name}", f"prim:{name}"} <= sa.discharged
+        fused = [s for d in sa.defs.values() for s in d.sites
+                 if s.fn.startswith("__fused")]
+        assert fused and all("outer descriptor level" in s.reason
+                             for s in fused)
+    base = prog.run(entry, args, backend="vector")
+    for backend in ("native", "parallel", "vcode"):
+        assert prog.run(entry, args, backend=backend, check=True) == base
+        assert prog.run(entry, args, backend=backend,
+                        check="static") == base
+
+
+def test_scan_rooted_region_keeps_the_chain():
+    src = "fun f(v) = [s <- v: plus_scan([x <- s: x * x + 1])]"
+    prog = compile_program(src)
+    args = [[[1, 2, 3], [], [4]]]
+    _mono, tp = prog.prepare_native("f", prog.entry_types("f", args))
+    sa = analyze_shapes(tp)
+    site, = [s for d in sa.defs.values() for s in d.sites
+             if s.fn.startswith("__fused")]
+    assert site.cls == "static" and "full descriptor chain" in site.reason
+    assert prog.run("f", args, backend="native", check=True) \
+        == prog.run("f", args, backend="vector") \
+        == [[0, 2, 7], [], [0]]

@@ -27,6 +27,10 @@ RUNTIME_CASES = [
     ("maxval of empty", "fun f(v) = maxval(v)", "f", [[]]),
     ("minval of empty", "fun f(v) = minval(v)", "f", [[]]),
     ("reduce of empty", "fun f(v) = reduce(add, v)", "f", [[]]),
+    ("maxval of empty under a producer",
+     "fun f(v) = [s <- v: maxval([x <- s: x * x + 1])]", "f", [[[1], []]]),
+    ("minval of empty under a producer",
+     "fun f(v) = minval([x <- v: x * x + 1])", "f", [[]]),
     ("permute bad index", "fun f(v, i) = permute(v, i)", "f", [[1, 2], [1, 5]]),
     ("permute duplicate", "fun f(v, i) = permute(v, i)", "f", [[1, 2], [2, 2]]),
 ]
@@ -41,6 +45,26 @@ class TestRuntimeErrorParity:
         for backend in ("interp", "vector", "vcode"):
             with pytest.raises(ReproError):
                 prog.run(entry, args, backend=backend)
+
+
+class TestFusedFoldErrorParity:
+    """A strict fold at the root of a fused region (``fuse=True``, what
+    ``native`` and ``parallel`` run) fails exactly as the unfused
+    ``vector`` run does: same class, same message."""
+
+    @pytest.mark.parametrize("desc,src,entry,args",
+                             [c for c in RUNTIME_CASES if "producer" in c[0]],
+                             ids=["maxval", "minval"])
+    def test_same_class_and_message(self, desc, src, entry, args):
+        from repro import TransformOptions
+        with pytest.raises(ReproError) as want:
+            compile_program(src).run(entry, args, backend="vector")
+        fused = compile_program(src, options=TransformOptions(fuse=True))
+        for backend in ("vector", "vcode", "native", "parallel"):
+            with pytest.raises(ReproError) as got:
+                fused.run(entry, args, backend=backend)
+            assert (type(got.value), str(got.value)) == \
+                (type(want.value), str(want.value)), backend
 
 
 STATIC_CASES = [

@@ -1,11 +1,16 @@
 """Tests for elementwise fusion (TransformOptions.fuse)."""
 
+import glob
+import os
 import random
 
 import pytest
 
 from repro import ReproError, TransformOptions, compile_program
+from repro.cli import _example_spec
+from repro.fuzz.gen import gen_case
 from repro.lang import ast as A
+from repro.lang import types as T
 
 
 def pair(src):
@@ -85,9 +90,99 @@ class TestFusionEffect:
         prog = compile_program(src, options=TransformOptions(fuse=True))
         _m, tp = prog.prepare("f", prog.entry_types("f", [[1]]))
         assert tp.fusion is not None
-        names = [n for n in A.walk(tp.defs["f"].body)
+        names = [n.fn for n in A.walk(tp.defs["f"].body)
                  if isinstance(n, A.ExtCall) and n.fn.startswith("__fused")]
-        assert names and tp.fusion.size(names[0].fn) >= 2
+        assert names == list(tp.fusion.trees) == ["__fused0"]
+        assert tp.fusion.size("__fused0") == 2      # mul, add
+
+    def test_fold_roots_the_region(self):
+        """``sum`` over an elementwise tree is one op: the fold is the
+        root of the tree, counted as one primitive, and no ``sum`` (nor
+        the vector it would read) appears in the trace — one step fewer
+        than map-then-fold."""
+        src = "fun f(v) = sum([x <- v: x * x + 1])"
+        on, off = pair(src)
+        _m, tp = on.prepare("f", on.entry_types("f", [[1]]))
+        assert list(tp.fusion.trees) == ["__fused0"]
+        assert tp.fusion.trees["__fused0"][:2] == ("fold", "sum")
+        assert tp.fusion.streams["__fused0"] == (0, 1)   # x, x; not the 1
+        assert tp.fusion.size("__fused0") == 3           # sum, add, mul
+        t_on = [op for op, _n in ops_of(on, "f", [[1, 2, 3]])]
+        t_off = [op for op, _n in ops_of(off, "f", [[1, 2, 3]])]
+        assert [op for op in t_on if op in ("sum", "__fused0")] \
+            == ["__fused0"]
+        # mul, add and sum become the one op (on this lane NumPy still
+        # replicates the 1; a native engine hoists it)
+        assert t_off == ["mul", "replicate", "add", "sum"]
+        assert t_on == ["replicate", "__fused0"]
+
+    def test_let_bound_producer_stays_materialised(self):
+        """Only the fold's own argument expression is pulled under it: a
+        producer two readers share is made once and read twice."""
+        src = ("fun f(v) = let w = [x <- v: x * x + 1] "
+               "in sum(w) + maxval(w)")
+        on, off = pair(src)
+        _m, tp = on.prepare("f", on.entry_types("f", [[1]]))
+        assert [t[0] for t in tp.fusion.trees.values()] == ["prim"]
+        assert on.run("f", [[3, 1, 2]]) == off.run("f", [[3, 1, 2]]) == 27
+
+    def test_checked_op_is_still_a_barrier(self):
+        src = "fun f(v) = sum([x <- v: (x * x + 1) div x])"
+        on, _off = pair(src)
+        _m, tp = on.prepare("f", on.entry_types("f", [[1]]))
+        assert [t[0] for t in tp.fusion.trees.values()] == ["prim"]
+        with pytest.raises(ReproError):
+            on.run("f", [[2, 0]])
+
+
+EXAMPLES = sorted(glob.glob(os.path.join(
+    os.path.dirname(__file__), "..", "..", "examples", "*.py")))
+
+
+def _fused_names(tp):
+    return {n.fn for d in tp.defs.values() for n in A.walk(d.body)
+            if isinstance(n, A.ExtCall) and n.fn.startswith("__fused")}
+
+
+class TestRegistryHoldsWhatIsCalled:
+    """The registry keeps exactly the trees some ``ExtCall`` names — what
+    ``repro native`` prints is what the program runs."""
+
+    @pytest.mark.parametrize("path", EXAMPLES,
+                             ids=[os.path.basename(p) for p in EXAMPLES])
+    def test_examples(self, path):
+        with open(path) as f:
+            spec = _example_spec(f.read())
+        prog = compile_program(spec["SOURCE"],
+                               options=TransformOptions(fuse=True))
+        entry, args = spec["PROFILE_ENTRY"], list(spec["PROFILE_ARGS"])
+        _m, tp = prog.prepare(entry, *prog.resolve_entry(entry, args))
+        assert set(tp.fusion.trees) == _fused_names(tp)
+        assert set(tp.fusion.streams) <= set(tp.fusion.trees)
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_generated_programs(self, block):
+        for seed in range(block * 50, block * 50 + 50):
+            case = gen_case(seed)
+            prog = compile_program(case.source,
+                                   options=TransformOptions(fuse=True))
+            _m, tp = prog.prepare(
+                "main", tuple(T.parse_type(t) for t in case.types))
+            assert set(tp.fusion.trees) == _fused_names(tp), seed
+
+    def test_flat_kernels_region(self):
+        """bench/layers.py reads ``trees[max(trees)]`` of this program
+        and hands it five float leaves, hoisting 0.5, 1.0 and 0.25."""
+        src = ("fun f(v: seq(seq(float))) = "
+               "[s <- v: sum([x <- s: (x * 0.5 + 1.0) * x - 0.25])]")
+        prog = compile_program(src, options=TransformOptions(fuse=True))
+        _m, tp = prog.prepare("f", prog.entry_types("f", [[[0.5]]]))
+        call, = [n for n in A.walk(tp.defs["f"].body)
+                 if isinstance(n, A.ExtCall) and n.fn in tp.fusion]
+        assert call.fn == max(tp.fusion.trees)
+        assert [getattr(a, "name", getattr(a, "value", None))
+                for a in call.args] == ["x", 0.5, 1.0, "x", 0.25]
+        assert (call.depth, list(call.arg_depths)) == (1, [1, 0, 0, 1, 0])
 
 
 class TestFusionSafety:
