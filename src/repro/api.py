@@ -29,7 +29,7 @@ from typing import (
     Sequence, Union,
 )
 
-from repro.errors import EvalError, TypeCheckError
+from repro.errors import EvalError, TypeCheckError, VectorError
 from repro.guard import runtime as _guard
 from repro.guard.runtime import Budget, GuardConfig, GuardState
 from repro.interp.cost import CostReport
@@ -42,6 +42,7 @@ from repro.lang.prelude import merge_with_prelude
 from repro.lang.pretty import pretty_def
 from repro.lang.typecheck import TypedProgram, typecheck_program
 from repro.obs import runtime as _obs
+from repro.transform.extensions import ext1_name
 from repro.transform.pipeline import (
     TransformOptions, TransformedProgram, transform_program,
 )
@@ -104,17 +105,21 @@ class Backend(NamedTuple):
     batches: bool   #: ``run_batched`` packs the requests into one ``f^1`` call
     static: bool    #: ``check="static"`` discharges the statically proven sites
     threads: bool   #: ``threads=`` reaches the engine
+    #: the executor keeps nothing of a call, so an entry builds it once and
+    #: every caller shares it (not the VM, which records a trace, nor an
+    #: executor whose engine depends on the call's ``threads``)
+    shared: bool
 
 
 #: Every back end, by name: what ``run``/``run_batched`` accept, the CLI's
 #: ``--backend`` choices, the fuzzer's lanes, the serving layer's ``submit``.
 BACKENDS: dict[str, Backend] = {
     "vector": Backend(False, lambda tp, threads: VectorEvaluator(tp),
-                      True, True, False),
-    "interp": Backend(False, None, False, False, False),
-    "vcode": Backend(False, _vcode_executor, True, True, False),
-    "native": Backend(True, _native_executor, True, True, False),
-    "parallel": Backend(True, _parallel_executor, True, True, True),
+                      True, True, False, True),
+    "interp": Backend(False, None, False, False, False, False),
+    "vcode": Backend(False, _vcode_executor, True, True, False, False),
+    "native": Backend(True, _native_executor, True, True, False, True),
+    "parallel": Backend(True, _parallel_executor, True, True, True, False),
 }
 
 
@@ -146,8 +151,30 @@ def _as_type(t: TypeLike) -> T.Type:
 
 
 @dataclass
+class _Bound:
+    """What a call of one entry needs that ``(fname, types as given, back
+    end, batched)`` decides and its arguments do not — found by the first
+    call, kept with the program (:meth:`CompiledProgram._bind`)."""
+
+    arg_types: tuple[T.Type, ...]   #: parsed once (types are frozen)
+    fun_entries: tuple[str, ...]    #: instances of functions passed by value
+    mono: str
+    tp: TransformedProgram
+    target: str     #: what the executor runs: ``mono``, or its ``f^1``
+    #: ``seq(t)`` per argument (a batch column is one value of that type),
+    #: or None where the entry runs request by request
+    cols: Optional[tuple[T.Type, ...]]
+    ret_col: T.Type                 #: ``seq(result type)``
+    executor: Any = None            #: the row's, once built, if it is shared
+    cert: Optional["CostCertificate"] = None    #: under ``backend=None``
+
+
+@dataclass
 class CompiledProgram:
-    """A P program carried through the full pipeline, lazily per entry."""
+    """A P program carried through the full pipeline, lazily per entry.
+    Nothing changes after :func:`compile_program`: the dictionaries only
+    fill, and ``_bound`` is published idempotently like ``tp.plans`` (two
+    threads racing a first call bind the same facts; either copy serves)."""
 
     raw: A.Program
     canonical: A.Program
@@ -155,6 +182,8 @@ class CompiledProgram:
     options: TransformOptions = field(default_factory=TransformOptions)
     _transformed: dict[tuple, tuple[str, TransformedProgram]] = field(
         default_factory=dict)
+    _bound: dict[tuple, _Bound] = field(default_factory=dict, repr=False,
+                                        compare=False)
     _cost_certs: dict[tuple, "CostCertificate"] = field(
         default_factory=dict, repr=False, compare=False)
     # Serializes monomorphize + transform: TypedProgram.instance publishes
@@ -197,6 +226,40 @@ class CompiledProgram:
                     with self._prep_lock:
                         fun_entries.append(self.typed.instance(name, t.params))
         return arg_types, fun_entries
+
+    def _bind(self, fname: str, args: Sequence[Any],
+              types: Optional[Sequence[TypeLike]], backend: Optional[str],
+              batched: bool = False) -> _Bound:
+        """The bound entry for one call, ``args`` checked as
+        :meth:`entry_types` checks them: when warm, one lookup on a key
+        whose members keep their hashes (the caller's strings, not parsed
+        types), then the value check.  ``backend=None`` binds the cost
+        analysis's program and certificate.  Function-typed arguments
+        make the program depend on the values passed: bound per call."""
+        given = (tuple(types) if types is not None
+                 else self.entry_types(fname, args))
+        key = (fname, given, backend, batched)
+        b = self._bound.get(key)
+        if b is not None:
+            if types is not None:
+                self.entry_types(fname, args, b.arg_types)
+            return b
+        arg_types, funs = self.resolve_entry(fname, args, given)
+        by_value = any(isinstance(t, T.TFun) for t in arg_types)
+        cert = (self.cost_certificate(fname, arg_types, funs)
+                if backend is None else None)
+        options = (_COST_OPTIONS if backend is None else self._native_options
+                   if backend_row(backend).fused else self.options)
+        # a batch enumerates a frame and shares one dispatch table
+        batched = batched and bool(arg_types) and not by_value
+        mono, tp = self._prepare(fname, arg_types, funs, options, batched)
+        b = _Bound(arg_types, tuple(funs), mono, tp,
+                   ext1_name(mono) if batched else mono,
+                   tuple(T.TSeq(t) for t in arg_types) if batched else None,
+                   T.TSeq(self.typed.result_type(mono)), cert=cert)
+        if not by_value:
+            self._bound[key] = b
+        return b
 
     def _prepare(self, fname: str, arg_types: tuple[T.Type, ...],
                  fun_args: Sequence[str], options: TransformOptions,
@@ -309,23 +372,24 @@ class CompiledProgram:
     # -- execution ---------------------------------------------------------------
 
     def _executor(self, row: Backend, g: Optional[GuardState],
-                  check: Union[bool, str], fname: str, args: Sequence[Any],
-                  arg_types: tuple[T.Type, ...], fun_entries: Sequence[str],
-                  threads: ThreadSpec, batched: bool) -> tuple[str, Any]:
-        """``(mono-name, executor)`` for one entry on one back end: the
-        program prepared with the row's options, the static discharge
-        installed in the active guard scope, the row's executor built."""
-        assert row.executor is not None
-        mono, tp = self._prepare(
-            fname, arg_types, fun_entries,
-            self._native_options if row.fused else self.options, batched)
+                  check: Union[bool, str], b: _Bound, fname: str,
+                  args: Sequence[Any], threads: ThreadSpec) -> Any:
+        """The executor for one call of ``b``: the static discharge
+        installed in the active guard scope, then the row's executor —
+        the entry's own, built by its first call, where the row shares."""
         if g is not None and check == "static" and row.static:
             from repro.analysis.shapes import analyze_shapes
-            g.discharged = analyze_shapes(tp).discharged
-        nthreads = (self._resolve_threads(fname, args, arg_types,
-                                          fun_entries, threads)
-                    if row.threads else None)
-        return mono, row.executor(tp, nthreads)
+            g.discharged = analyze_shapes(b.tp).discharged
+        ex = b.executor
+        if ex is None:
+            assert row.executor is not None
+            nthreads = (self._resolve_threads(fname, args, b.arg_types,
+                                              b.fun_entries, threads)
+                        if row.threads else None)
+            ex = row.executor(b.tp, nthreads)
+            if row.shared:
+                b.executor = ex
+        return ex
 
     def run(self, fname: str, args: Sequence[Any], backend: str = "vector",
             types: Optional[Sequence[TypeLike]] = None,
@@ -369,11 +433,16 @@ class CompiledProgram:
         if row.executor is None:
             with _obs.span(f"execute:{backend}"):
                 return Interpreter(self.canonical).call(fname, list(args))
-        arg_types, fun_entries = self.resolve_entry(fname, args, types)
-        mono, ex = self._executor(row, g, check, fname, args, arg_types,
-                                  fun_entries, threads, batched=False)
+        b = self._bind(fname, args, types, backend)
+        ex = self._executor(row, g, check, b, fname, args, threads)
         with _obs.span(f"execute:{backend}"):
-            return ex.call(mono, list(args))
+            return ex.call(b.mono, list(args))
+
+    def predict(self, fname: str, args: Sequence[Any],
+                types: Optional[Sequence[TypeLike]] = None) -> dict:
+        """``cost_certificate(fname, *resolve_entry(fname, args,
+        types)).predict(args)`` through the bound entry (serve admission)."""
+        return self._bind(fname, args, types, None).cert.predict(list(args))
 
     # -- segment batching ------------------------------------------------------
 
@@ -386,12 +455,16 @@ class CompiledProgram:
         """Run ``fname`` over N independent argument sets as **one**
         segment-batched vector pass, returning the N results in order.
 
-        Each argument position is packed into a frame one descriptor level
-        deeper (request i becomes element i) and the batch executes as a
-        single call of the synthesized depth-1 extension ``f^1`` — exactly
-        the T1 machinery that realizes every nested application in the
-        paper, so the results are element-wise identical to N independent
-        :meth:`run` calls (a tested property; see docs/SERVING.md).
+        A column of N requests' values for one argument is one value of
+        type ``seq(t)``, so it crosses the boundary as ``from_python(column,
+        seq(t))`` — request i becomes element i, one walk per level for
+        the whole batch — and the batch executes as a single call of the
+        synthesized depth-1 extension ``f^1``, exactly the T1 machinery
+        that realizes every nested application in the paper;
+        ``to_python(out, seq(ret))`` is the N results, element-wise
+        identical to N independent :meth:`run` calls (a tested property;
+        docs/SERVING.md says how a malformed request is named and how an
+        untyped batch is typed: as one value, whoever leads).
 
         Batching applies to every back end whose :data:`BACKENDS` row
         says ``batches`` — ``vector``, ``vcode``, ``native`` and
@@ -408,37 +481,46 @@ class CompiledProgram:
         argsets = [list(a) for a in argsets]
         if not argsets:
             return []
+        n, lead = len(argsets), argsets[0]
+        k = len(lead)
         with _guard_scope(check, budget) as g:
-            arg_types = self.entry_types(fname, argsets[0], types)
-            if (not row.batches or not arg_types
-                    or any(isinstance(t, T.TFun) for t in arg_types)):
+            b = None
+            if not row.batches:
+                # the lead's values are checked even where `run` checks none
+                self.entry_types(fname, lead, types)
+            else:
+                for args in argsets:
+                    if len(args) != k:
+                        raise EvalError(f"{fname} expects {k} arguments, "
+                                        f"got {len(args)}")
+                if types is None and lead:
+                    # a column is one value: sibling requests merge their
+                    # element types, an empty sequence takes its siblings'
+                    types = tuple(
+                        T.peel(infer_value_type([a[j] for a in argsets]))
+                        for j in range(k))
+                b = self._bind(fname, lead, types, backend, batched=True)
+            if b is None or b.cols is None:
                 return [self._run(g, fname, args, backend, types, check,
                                   threads) for args in argsets]
-
-            from repro.transform.extensions import ext1_name
-            from repro.vector.batch import pack_values, unpack_values
-
-            mono, ex = self._executor(row, g, check, fname, argsets[0],
-                                      arg_types, (), threads, batched=True)
-            n = len(argsets)
+            ex = self._executor(row, g, check, b, fname, lead, threads)
             with _obs.span(f"batch:pack[{n}]"):
-                cols = []
-                for j, t in enumerate(arg_types):
-                    col = []
-                    for args in argsets:
-                        if len(args) != len(arg_types):
-                            raise EvalError(
-                                f"{fname} expects {len(arg_types)} "
-                                f"arguments, got {len(args)}")
-                        col.append(from_python(args[j], t))
-                    cols.append(pack_values(col, t))
+                cols = [from_python([args[j] for args in argsets], t)
+                        for j, t in enumerate(b.cols)]
+                if g is not None and g.check:
+                    for col in cols:
+                        g.check_value("batch:pack", col)
             with _guard.scoped_recursion_limit(200_000), \
                     _obs.span(f"execute:{backend}-batch[{n}]"):
-                out = ex.call_raw(ext1_name(mono), cols)
-            ret_type = self.typed.result_type(mono)
+                out = ex.call_raw(b.target, cols)
             with _obs.span(f"batch:unpack[{n}]"):
-                parts = unpack_values(out, ret_type, n)
-                return [to_python(p, ret_type) for p in parts]
+                if g is not None and g.check:
+                    g.check_value("batch:unpack", out)
+                results = to_python(out, b.ret_col)
+                if len(results) != n:
+                    raise VectorError(
+                        f"batch of {len(results)}, expected {n}")
+                return results
 
     # -- VCODE / machine model ------------------------------------------------------
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import ctypes
 import threading
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -106,10 +106,26 @@ def _count_native(op: str, n: int, args: tuple, result) -> None:
     p.count("native", op, n, elems, nb)
 
 
+class _Site(NamedTuple):
+    """What one fused tree decides about its calls, whatever arrives."""
+
+    ctree: tuple        #: ``__rep`` stripped, leaves renumbered 0..k-1
+    used: tuple         #: the caller's index of each of those leaves
+    fold: Optional[str]     #: the segmented fold at the root, if any
+    reduction: bool     #: ... which writes one value per segment
+    strict: bool        #: ... and refuses an empty one
+    variants: dict      #: ``(kinds, hoisted) -> (kernel, out kind, dtype)``
+
+
 class NativeEngine:
     """Compiles and runs native kernels for one process (kernels are shared
     across programs — the cache key is the generated source, not the
-    program)."""
+    program).  A call is bound once — per tree a :class:`_Site`, per
+    ``(kinds, hoisted)`` under it the kernel with the kind and dtype it
+    writes — so a warm :meth:`apply_fused` hashes the tree once, takes no
+    lock, walks no tree and builds no ctypes value (``argtypes`` convert).
+    The records only fill, idempotently; a refusal is never recorded, so a
+    missing toolchain is asked about on every call."""
 
     #: OpenMP seams, overridden by the parallel backend's engine subclass
     #: (:class:`repro.parallel.engine._OmpNative`): a thread count baked
@@ -121,8 +137,8 @@ class NativeEngine:
     def __init__(self, cache: Optional[KernelCache] = None):
         self.cache = cache if cache is not None else KernelCache()
         self._lock = threading.Lock()
-        self._plans: dict = {}    # tree -> (compact tree, used-leaf tuple)
-        self._fused: dict = {}    # (tree, kinds, hoisted) -> Kernel
+        self._sites: dict = {}    # tree -> _Site
+        self._fused: dict = {}    # (compact tree, kinds, hoisted) -> Kernel
         self._gather: dict = {}   # kind -> Kernel
 
     # -- fused trees: elementwise, or rooted at a segmented fold ----------
@@ -140,32 +156,31 @@ class NativeEngine:
         ``descs[1]`` are the counts, and the kernel writes only the
         fold's result.
         """
-        plan = self._plans.get(tree)
-        if plan is None:
-            stripped = _strip_rep(tree)
-            used = tuple(sorted(_arg_indices(stripped)))
-            remap = {k: i for i, k in enumerate(used)}
-            plan = (_remap_tree(stripped, remap), used)
-            with self._lock:
-                self._plans[tree] = plan
-        ctree, used = plan
-        fold = split_fold(ctree)[0]
+        site = self._sites.get(tree)
+        if site is None:
+            site = self._sites[tree] = _site(tree)
+        _ctree, used, fold, reduction, strict, variants = site
+        depth = 2 if fold else 1
         kinds: list[str] = []
         hoisted: list[bool] = []
         call_args: list = []
+        argv: list = []     # the kernel's scalars and addresses
+        held: list = []     # copies it reads, alive until it returns
         first_vec: Optional[NestedVector] = None
         for k in used:
             v = flat[k]
             if v is None:            # depth-0 operand: hoist if scalar
-                kind = _scalar_kind(raw[k])
+                a = raw[k]
+                kind = _scalar_kind(a)
                 if kind is None:
                     return None
                 kinds.append(kind)
                 hoisted.append(True)
-                call_args.append(raw[k])
+                call_args.append(a)
+                argv.append(a.item() if isinstance(a, np.generic) else a)
             else:
                 if not isinstance(v, NestedVector) or v.kind not in CTYPES \
-                        or v.depth != (2 if fold else 1):
+                        or v.depth != depth:
                     return None
                 if first_vec is None:
                     first_vec = v
@@ -176,40 +191,34 @@ class NativeEngine:
                 kinds.append(v.kind)
                 hoisted.append(False)
                 call_args.append(v)
-        out_kind = tree_kind(ctree, kinds)
-        if out_kind not in (SEGMENTED_OPS[fold] if fold else CTYPES) \
-                or (fold and first_vec is None):
+                values = v.values
+                if not values.flags.c_contiguous:
+                    values = np.ascontiguousarray(values)
+                    held.append(values)
+                argv.append(values.ctypes.data)
+        if fold and first_vec is None:
             return None
-        kernel = self._fused_kernel(ctree, tuple(kinds), tuple(hoisted),
-                                    name)
-        if kernel is None:
-            return None
+        key = (tuple(kinds), tuple(hoisted))
+        variant = variants.get(key)
+        if variant is None:
+            variant = self._variant(site, key, name)
+            if variant is None:
+                return None
+        kernel, out_kind, dtype = variant
         if fold is None:
-            out = np.empty(n, dtype=_DTYPES[out_kind])
-            argv: list = [out.ctypes.data, n]
+            out = np.empty(n, dtype=dtype)
+            kernel.run(out.ctypes.data, n, *argv)
+            result = _frame_result(first_vec, n, out, out_kind)
         else:
             counts = np.ascontiguousarray(first_vec.descs[1],
                                           dtype=INT_DTYPE)
-            if fold in _STRICT_REDUCE and counts.size \
-                    and int(counts.min()) == 0:
+            nseg = counts.size
+            if strict and nseg and int(counts.min()) == 0:
                 # same message, raised before the kernel runs
                 raise VectorError(f"{fold} of an empty sequence")
-            reduction = FOLDS[fold].reduction
-            nseg = int(counts.size)
             out = np.empty(nseg if reduction else first_vec.values.size,
-                           dtype=_DTYPES[out_kind])
-            argv = [out.ctypes.data, counts.ctypes.data, nseg]
-        for kind, h, a in zip(kinds, hoisted, call_args):
-            if h:
-                py = bool(a) if kind == "bool" else \
-                    (float(a) if kind == "float" else int(a))
-                argv.append(_SCALAR_CTYPES[kind](py))
-            else:
-                argv.append(np.ascontiguousarray(a.values).ctypes.data)
-        kernel.run(*argv)
-        if fold is None:
-            result = _frame_result(first_vec, n, out, out_kind)
-        else:
+                           dtype=dtype)
+            kernel.run(out.ctypes.data, counts.ctypes.data, nseg, *argv)
             # a reduction keeps the frame level, a scan every level
             result = NestedVector.splice(out, out_kind, first_vec,
                                          1 if reduction else 2)
@@ -220,28 +229,38 @@ class NativeEngine:
             g.after_kernel(name, n, result)
         return result
 
-    def _fused_kernel(self, ctree, kinds: tuple, hoisted: tuple,
-                      name: str) -> Optional[Kernel]:
-        key = (ctree, kinds, hoisted)
-        with self._lock:
-            if key in self._fused:
-                return self._fused[key]
-        if not toolchain.available():
-            toolchain.warn_unavailable_once()
+    def _variant(self, site: _Site, key: tuple, name: str
+                 ) -> Optional[tuple]:
+        """Bind ``site`` at leaf kinds and hoist mask ``key`` — its kernel
+        is compiled once per compact tree — or None when there is none
+        to be had: an output kind C has no loop for, no toolchain."""
+        kinds, hoisted = key
+        ctree = site.ctree
+        out_kind = tree_kind(ctree, kinds)
+        if out_kind not in (SEGMENTED_OPS[site.fold] if site.fold
+                            else CTYPES):
             return None
-        source = emit_fused_source(ctree, kinds, hoisted, name,
-                                   omp_threads=self._omp_threads)
-        # out, then the iteration space: n, or counts and nseg
-        argtypes: list = [ctypes.c_void_p, ctypes.c_longlong]
-        if ctree[0] == "fold":
-            argtypes.insert(1, ctypes.c_void_p)
-        for kind, h in zip(kinds, hoisted):
-            argtypes.append(_SCALAR_CTYPES[kind] if h else ctypes.c_void_p)
-        kernel = self.cache.get(source, argtypes,
-                                extra_flags=self._extra_cflags)
         with self._lock:
-            self._fused[key] = kernel
-        return kernel
+            kernel = self._fused.get((ctree, kinds, hoisted))
+        if kernel is None:
+            if not toolchain.available():
+                toolchain.warn_unavailable_once()
+                return None
+            source = emit_fused_source(ctree, kinds, hoisted, name,
+                                       omp_threads=self._omp_threads)
+            # out, then the iteration space: n, or counts and nseg
+            argtypes: list = [ctypes.c_void_p, ctypes.c_longlong]
+            if site.fold:
+                argtypes.insert(1, ctypes.c_void_p)
+            for kind, h in zip(kinds, hoisted):
+                argtypes.append(_SCALAR_CTYPES[kind] if h
+                                else ctypes.c_void_p)
+            kernel = self.cache.get(source, argtypes,
+                                    extra_flags=self._extra_cflags)
+            with self._lock:
+                self._fused[(ctree, kinds, hoisted)] = kernel
+        variant = site.variants[key] = (kernel, out_kind, _DTYPES[out_kind])
+        return variant
 
     # -- shared-index gather (section 4.5 fast path) ----------------------
 
@@ -314,6 +333,15 @@ class NativeEngine:
                 "fused_kernels": fused, "segmented_kernels": seg,
                 "gather_kernels": gather,
                 "cache": self.cache.stats()}
+
+
+def _site(tree) -> _Site:
+    stripped = _strip_rep(tree)
+    used = tuple(sorted(_arg_indices(stripped)))
+    ctree = _remap_tree(stripped, {k: i for i, k in enumerate(used)})
+    fold = split_fold(ctree)[0]
+    return _Site(ctree, used, fold, bool(fold and FOLDS[fold].reduction),
+                 fold in _STRICT_REDUCE, {})
 
 
 def _arg_indices(tree) -> set:

@@ -115,41 +115,53 @@ class ServeConfig:
 
 
 class ServeFuture:
-    """The pending result of one submitted request."""
+    """The pending result of one submitted request.
 
-    __slots__ = ("_event", "_value", "_error")
+    A one-shot latch: a lock taken at construction, which the executor
+    releases — once, under its own lock, with the outcome in place.  A
+    waiter takes the latch, with its timeout, and puts it straight back,
+    so every other waiter passes too."""
+
+    __slots__ = ("_latch", "_outcome")
 
     def __init__(self) -> None:
-        self._event = threading.Event()
-        self._value: Any = None
-        self._error: Optional[BaseException] = None
+        self._latch = threading.Lock()
+        self._latch.acquire()
+        #: None while pending, then ``(ok, value-or-error)``
+        self._outcome: Optional[tuple] = None
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._outcome is not None
 
     def result(self, timeout: Optional[float] = None) -> Any:
         """Block until the request finished; re-raises its error."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("request still pending")
-        if self._error is not None:
-            raise self._error
-        return self._value
+        ok, body = self._wait(timeout)
+        if ok:
+            return body
+        raise body
 
     def exception(self, timeout: Optional[float] = None
                   ) -> Optional[BaseException]:
-        if not self._event.wait(timeout):
-            raise TimeoutError("request still pending")
-        return self._error
+        ok, body = self._wait(timeout)
+        return None if ok else body
 
-    # -- producer side (executor only) ----------------------------------
+    def _wait(self, timeout: Optional[float]) -> tuple:
+        if self._outcome is None:
+            if not self._latch.acquire(
+                    timeout=-1 if timeout is None else max(timeout, 0)):
+                raise TimeoutError("request still pending")
+            self._latch.release()
+        return self._outcome
 
-    def _set_value(self, value: Any) -> None:
-        self._value = value
-        self._event.set()
-
-    def _set_error(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
+    def _complete(self, ok: bool, body: Any) -> bool:
+        """Producer side, the executor's lock held: set the outcome
+        unless there is one already (a crash or a deadline got there
+        first); True when this call set it."""
+        if self._outcome is not None:
+            return False
+        self._outcome = (ok, body)
+        self._latch.release()
+        return True
 
 
 @dataclass
@@ -201,19 +213,17 @@ class _Request:
         self.deadline = (time.monotonic() + deadline_s
                          if deadline_s is not None else None)
         self.future = ServeFuture()
-        self.batch_key: Optional[tuple] = None
+        #: what it coalesces on; None when it carries a budget: it runs
+        #: alone, and is not idempotent enough for the pool to retry
+        self.batch_key: Optional[tuple] = None if (
+            budget is not None and budget.any_set()) else (
+            cache_key(source, options, use_prelude), fname, self.types,
+            self.backend, self.check)
         self.attempts = 0            #: executions started (pool retries)
 
     def key(self) -> Optional[tuple]:
         """The coalescing key, or None when the request must run alone
         (it carries a budget)."""
-        if self.budget is not None and self.budget.any_set():
-            return None
-        if self.batch_key is None:
-            self.batch_key = (cache_key(self.source, self.options,
-                                        self.use_prelude),
-                              self.fname, self.types, self.backend,
-                              self.check)
         return self.batch_key
 
 
@@ -249,9 +259,7 @@ def _predict(prog, fname: str, args: list, types) -> Optional[dict]:
     """The statically predicted cost of one call, or ``None`` when the
     program is unbounded / prediction fails for any reason."""
     try:
-        cert = prog.cost_certificate(
-            fname, *prog.resolve_entry(fname, args, types))
-        p = cert.predict(args)
+        p = prog.predict(fname, args, types)
     except Exception:
         return None
     return p if p["bounded"] else None
@@ -405,7 +413,7 @@ class BatchExecutor:
             request_id if request_id is not None else f"r{next(self._rid)}",
             cfg, source, fname, args, types, backend, check, budget,
             options, use_prelude, deadline_s)
-        if cfg.predict_admission and budget is not None and budget.any_set():
+        if cfg.predict_admission and req.batch_key is None:   # budgeted
             self._admit(req)     # may raise ResourceLimitError("predicted-…")
         with self._work:
             if self._closed:
@@ -490,11 +498,8 @@ class BatchExecutor:
     def _run(self, slot, group: list[_Request]) -> None:
         outcomes, flags = run_group(self.cache, self.tier, _job(group))
         self._record(len(group), flags)
-        for req, (ok, body) in zip(group, outcomes):
-            if ok:
-                self._finish(req, value=body)
-            else:
-                self._finish(req, error=body)
+        self._complete([(req, ok, body)
+                        for req, (ok, body) in zip(group, outcomes)])
 
     # -- dispatcher ------------------------------------------------------
 
@@ -591,16 +596,20 @@ class BatchExecutor:
             p.count("serve", "batch", n, n, 0)
             p.count("serve", f"batch[{n}]", n, n, 0)
 
+    def _complete(self, outcomes: Sequence[tuple]) -> None:
+        """Complete each ``(request, ok, value-or-error)``, and account
+        it, under one lock acquisition.  A request completes once: one
+        already failed by a crash or a deadline keeps that outcome."""
+        s = self.stats
+        with self._lock:
+            for req, ok, body in outcomes:
+                if req.future._complete(ok, body):
+                    if ok:
+                        s.responses += 1
+                    else:
+                        s.errors += 1
+
     def _finish(self, req: _Request, value: Any = None,
                 error: Optional[BaseException] = None) -> None:
-        if req.future.done():       # already failed by a crash or deadline
-            return
-        with self._lock:
-            if error is not None:
-                self.stats.errors += 1
-            else:
-                self.stats.responses += 1
-        if error is not None:
-            req.future._set_error(error)
-        else:
-            req.future._set_value(value)
+        self._complete([(req, error is None,
+                         value if error is None else error)])

@@ -547,16 +547,16 @@ class WorkerPool(BatchExecutor):
                 # the next group's dispatcher, or a draining close()
                 (handle.wake if handle.pending else self._work).notify()
         self._record(*ran)
-        poisoned = []
+        poisoned, done = [], []
         for req, (_, ok, payload, crc) in zip(reqs, answers):
             if req is None:
                 continue
             if zlib.adler32(payload) != crc:
                 poisoned.append(req)
-            elif ok:
-                self._finish(req, value=pickle.loads(payload))
             else:
-                self._finish(req, error=_decode_error(pickle.loads(payload)))
+                body = pickle.loads(payload)
+                done.append((req, ok, body if ok else _decode_error(body)))
+        self._complete(done)
         if poisoned:
             self._absorb_victims(poisoned, "poisoned-response", handle,
                                  detail="response checksum mismatch")

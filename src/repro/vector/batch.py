@@ -1,12 +1,21 @@
 """Segment-batched packing: one extra descriptor level over N values.
 
+**Not on the run path.**  A batch column is one value of type ``seq(t)``,
+so :meth:`repro.api.CompiledProgram.run_batched` crosses the boundary with
+:func:`repro.vector.convert.from_python` / ``to_python`` at ``seq(t)``;
+nothing under ``src/`` imports this module.  It is kept for
+``bench/layers.py``, which times it (``vector.pack_ms`` /
+``vector.unpack_ms``), and as the per-request reference
+``tests/vector/test_batch_boundary.py`` holds the boundary equal to.
+
 The serving layer (:mod:`repro.serve`) coalesces N independent requests to
 the same function ``f`` into a single vector pass: the i-th request's
 argument values become the i-th *elements* of depth-extended frames, and
 the batch executes as one call of the synthesized depth-1 extension
 ``f^1`` — the same T1 machinery (``f^d(e) = insert(f^1(extract(e, d)),
 e, d)``) that realizes every nested application in the paper.  This module
-owns the two representation manipulations that make a batch:
+holds the two representation manipulations that make a batch out of
+values converted one request at a time:
 
 * :func:`pack_values` — N vector values of P type ``t`` become one vector
   value of type ``seq(t)`` whose top descriptor is ``[N]``.  Scalars pack

@@ -17,6 +17,10 @@ iterator per element, and the garbage collector charges for each) and put
 back with ``zip(*columns)``.  The two are exact inverses.  A layer is judged
 by its elements' exact types; only a rejected layer is scanned element by
 element, to name the first offender.
+
+A batch of N requests crosses here too: the column of their values for one
+argument is one value of type ``seq(t)``
+(:meth:`repro.api.CompiledProgram.run_batched`).
 """
 
 from __future__ import annotations
@@ -39,12 +43,21 @@ from repro.vector.segments import INT_DTYPE
 # ---------------------------------------------------------------------------
 
 
+#: what an int leaf holds: ``x in _INT64`` is two comparisons in C
+_INT64 = range(-2 ** 63, 2 ** 63)
+
+
 def from_python(v: Any, t: T.Type):
-    """Convert a Python value of P type ``t`` to a vector value."""
+    """Convert a Python value of P type ``t`` to a vector value.  An
+    integer outside int64 is rejected here, by value, like every other
+    misfit: the vector side has no other integer."""
     if isinstance(t, T.TInt):
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise VectorError(f"expected int, got {v!r}")
-        return int(v)
+        v = int(v)
+        if v not in _INT64:
+            raise VectorError(f"integer {v!r} does not fit int64")
+        return v
     if isinstance(t, T.TBool):
         if not isinstance(v, (bool, np.bool_)):
             raise VectorError(f"expected bool, got {v!r}")
@@ -110,6 +123,10 @@ def _layer_from_python(layer: Sequence, t: T.Type, descs: list):
     if isinstance(leaf, T.TTuple):
         if not _all(layer, tuple):
             _tuple_misfit(root, depth, 0)
+        width = len(leaf.items)
+        if max(map(len, layer), default=0) > width:
+            wide = next(x for x in layer if len(x) > width)
+            raise VectorError(f"expected {width}-tuple, got {wide!r}")
         comps = []
         for i, it in enumerate(leaf.items):
             try:
@@ -129,7 +146,11 @@ def _layer_from_python(layer: Sequence, t: T.Type, descs: list):
         for x in layer:
             if isinstance(x, refused) or not isinstance(x, accepted):
                 raise VectorError(f"expected {kind} element, got {x!r}")
-    values = np.fromiter(layer, KIND_DTYPES[kind], len(layer))
+    try:
+        values = np.fromiter(layer, KIND_DTYPES[kind], len(layer))
+    except OverflowError:
+        bad = next(x for x in layer if int(x) not in _INT64)
+        raise VectorError(f"integer {bad!r} does not fit int64") from None
     return NestedVector(descs, values, kind)
 
 

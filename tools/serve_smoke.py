@@ -7,6 +7,12 @@ the same workload goes through ``repro serve --pool N`` — the caches
 live in the workers, so the summary must instead show every worker
 healthy and none restarted.
 
+Two requests are traps.  One ``seq(int)`` argument holds ``2**70``: it
+must fail alone — typed, in its place in the order — and everything
+coalesced with it must answer.  One untyped group is led by an empty
+sequence and followed by floats: it must be served as a batch, so the
+summary may count at most the one fallback the first trap causes.
+
 Run by the CI ``serve-smoke`` job, both ways; usable locally:
 
     python tools/serve_smoke.py [N_REQUESTS] [--pool N]
@@ -33,10 +39,31 @@ def expect_evens(s: list[int]) -> list[int]:
     return [x * x for x in s if x % 2 == 0]
 
 
+DOUBLE = "fun main(s) = [x <- s: x + x]"
+
+#: request number -> (what replaces it, what it must answer).  The
+#: out-of-range integer sits among EVENS requests (it coalesces with
+#: them) and must answer TRAP_ERROR; the three untyped DOUBLE requests
+#: are a program of their own, the empty one first.
+TOO_BIG = 2 ** 70
+TRAP_ERROR = {"ok": False, "kind": "error",
+              "error": f"integer {TOO_BIG} does not fit int64"}
+TRAPS = {41: ({"source": EVENS, "args": [[2, TOO_BIG]],
+               "types": ["seq(int)"]}, TRAP_ERROR),
+         60: ({"source": DOUBLE, "args": [[]]}, []),
+         61: ({"source": DOUBLE, "args": [[1.5]]}, [3.0]),
+         62: ({"source": DOUBLE, "args": [[2.5, 3.5]]}, [5.0, 7.0])}
+
+
 def build_workload(count: int) -> tuple[list[dict], list]:
+    """The requests, and per request the result — or, for the one that
+    must fail, the whole response but its id."""
     requests, expected = [], []
     for k in range(count):
-        if k % 2 == 0:
+        if k in TRAPS:
+            requests.append({"id": k, **TRAPS[k][0]})
+            expected.append(TRAPS[k][1])
+        elif k % 2 == 0:
             requests.append({"id": k, "source": SQUARES, "args": [k % 30]})
             expected.append(expect_squares(k % 30))
         else:
@@ -61,7 +88,9 @@ def main(argv: list[str]) -> int:
          "32"] + (["--pool", str(pool)] if pool else []),
         input=payload, capture_output=True, text=True, timeout=300)
     print(proc.stderr, end="", file=sys.stderr)
-    if proc.returncode != 0:
+    # exit status 1 says a request failed: exactly the one that has to
+    must_fail = sum(1 for want in expected if want is TRAP_ERROR)
+    if proc.returncode != (1 if must_fail else 0):
         print(f"serve exited {proc.returncode}")
         return 1
 
@@ -75,6 +104,10 @@ def main(argv: list[str]) -> int:
         if resp.get("id") != k:
             print(f"response {k} out of order: {resp}")
             failures += 1
+        elif want is TRAP_ERROR:
+            if resp != {"id": k, **want}:
+                print(f"request {k}: got {resp}, want {want}")
+                failures += 1
         elif not resp.get("ok") or resp.get("result") != want:
             print(f"request {k}: got {resp}, want result {want!r}")
             failures += 1
@@ -83,6 +116,13 @@ def main(argv: list[str]) -> int:
         return 1
 
     stats = proc.stderr
+    # --stats reports "... 12 singles, 1 fallbacks, 1 errors, ..."
+    fallbacks = int(stats.split(" fallbacks,", 1)[0].rsplit(None, 1)[-1])
+    if fallbacks > must_fail or f" {must_fail} errors" not in stats:
+        print(f"{fallbacks} fallbacks: only the out-of-range request's "
+              f"group may decompose ({must_fail} expected, and as many "
+              "errors)")
+        return 1
     if pool:
         # --stats reports "0 worker restarts, ... [2/2 healthy]" on stderr
         want = f"[{pool}/{pool} healthy]"
