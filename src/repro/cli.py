@@ -896,7 +896,8 @@ def serve(default_source=None, backend="vector", max_batch=64,
                     f"{s['errors']} errors")
             if pool:
                 line += (f", {s['restarts']} worker restarts, "
-                         f"{s['retries']} retries, {s['shed']} shed "
+                         f"{s['retries']} retries, {s['shed']} shed, "
+                         f"{s['frames']} frames "
                          f"[{ex.healthy_workers()}/{pool} healthy]")
             else:
                 c = ex.cache.stats()

@@ -219,7 +219,7 @@ class _Request:
             budget is not None and budget.any_set()) else (
             cache_key(source, options, use_prelude), fname, self.types,
             self.backend, self.check)
-        self.attempts = 0            #: executions started (pool retries)
+        self.attempts = 0            #: runs a worker incident cut short
 
     def key(self) -> Optional[tuple]:
         """The coalescing key, or None when the request must run alone
@@ -483,8 +483,9 @@ class BatchExecutor:
         self._queue.append(req)
         self._work.notify()
 
-    def _take_group(self, slot) -> Optional[list[_Request]]:
-        """The next coalescible group (:func:`_coalesce`), or None at
+    def _take_frame(self, slot) -> Optional[list[list[_Request]]]:
+        """The groups to run next, in order — here a frame of one, the
+        next coalescible group (:func:`_coalesce`) — or None at
         shutdown.  An idle dispatcher sleeps on the condition ``submit``
         and ``close`` notify — no timeout, no polling
         (``tests/serve/test_wakeup.py``)."""
@@ -493,13 +494,14 @@ class BatchExecutor:
                 if self._closed:
                     return None
                 self._work.wait()
-            return _coalesce(self._queue, self.config.max_batch)
+            return [_coalesce(self._queue, self.config.max_batch)]
 
-    def _run(self, slot, group: list[_Request]) -> None:
-        outcomes, flags = run_group(self.cache, self.tier, _job(group))
-        self._record(len(group), flags)
-        self._complete([(req, ok, body)
-                        for req, (ok, body) in zip(group, outcomes)])
+    def _run(self, slot, frame: list[list[_Request]]) -> None:
+        for group in frame:
+            outcomes, flags = run_group(self.cache, self.tier, _job(group))
+            self._record(len(group), flags)
+            self._complete([(req, ok, body)
+                            for req, (ok, body) in zip(group, outcomes)])
 
     # -- dispatcher ------------------------------------------------------
 
@@ -512,15 +514,17 @@ class BatchExecutor:
         return threads
 
     def _worker(self, slot) -> None:
-        while (group := self._take_group(slot)) is not None:
-            group = [r for r in group if not self._expired(r)]
-            if not group:
+        while (frame := self._take_frame(slot)) is not None:
+            frame = [[r for r in group if not self._expired(r)]
+                     for group in frame]
+            if not (frame := [group for group in frame if group]):
                 continue
             try:
-                self._run(slot, group)
+                self._run(slot, frame)
             except BaseException as e:  # never kill the dispatcher loop
-                for req in group:
-                    self._finish(req, error=e)
+                for group in frame:
+                    for req in group:
+                        self._finish(req, error=e)
 
     # -- predicted-budget admission (docs/ANALYSIS.md, docs/SERVING.md) --
 

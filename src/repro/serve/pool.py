@@ -16,33 +16,38 @@ server.  What the pool adds:
   key always lands on the same worker and its :class:`CompileCache`,
   tier tally and native-kernel handles stay hot.  Budgeted requests (no
   batch key) spread by request id.
-* **Dispatch.**  One dispatcher thread per worker keeps at most one
-  group in flight on it and sleeps on that worker's own condition, so
-  work for one shard wakes nobody else.  A group crosses the process
-  boundary as two messages on the worker's one pipe: the job, pickled in
-  the dispatcher (a non-picklable argument fails *that* request with a
-  typed error) and written as it is, and one ``done`` with every
-  member's answer.  One reader thread per worker generation blocks on the
-  pipe and completes the futures itself.
+* **Dispatch.**  One dispatcher thread per worker sleeps on that worker's
+  own condition, so work for one shard wakes nobody else, and when the
+  worker has nothing in flight takes *everything* its shard has waiting:
+  a **frame** — the queue split, in order, into its coalescible groups,
+  pickled once in the dispatcher (a non-picklable argument fails *its*
+  group with a typed error) and written as one message on the worker's
+  one pipe.  The worker runs the groups in order and answers each with
+  its own ``done``, every member's answer in it, before it starts the
+  next.  One reader thread per worker generation blocks on the pipe and
+  completes the futures itself.
 * **Supervision.**  A worker's death is end-of-file on its pipe, seen
   by its reader at once; every worker also heartbeats from a side thread,
   and the :class:`~repro.serve.supervisor.Supervisor` kills-and-respawns
   workers that die, stop heartbeating, or overrun a request deadline —
-  with exponential, jittered respawn backoff.  In-flight requests on a dead
-  worker are **requeued** (bounded, jittered
+  with exponential, jittered respawn backoff.  Of a dead worker's
+  in-flight requests only the first unanswered group can have started:
+  it is **requeued** (bounded, jittered
   :class:`~repro.serve.policy.RetryPolicy`; idempotent-only — budgeted
   requests never retry, a second run would charge the budget twice) or
-  **failed** with :class:`~repro.errors.WorkerCrashError` carrying their
-  request ids.
+  **failed** with :class:`~repro.errors.WorkerCrashError` carrying the
+  request ids; the groups behind it go back to the queue's front as
+  they were, uncharged.
 * **Integrity.**  Inside a ``done`` every request's payload is pickled
   and adler32-checksummed on its own; a corrupt payload (the
   ``pool.worker.poisoned-response`` chaos site) is detected in the
-  parent before it is unpickled, the worker is killed, and that request
-  is retried or failed typed while its batchmates whose checksums hold
-  are delivered — a poisoned worker can never complete a future with
-  garbage.  No lock is shared across processes, so a worker killed
-  mid-write (``pool.worker.torn-response``) leaves a short frame and
-  then end-of-file, never a wedged channel.
+  parent before it is unpickled, the worker is killed — with the group
+  it has moved on to — and that request is retried or failed typed while
+  its batchmates whose checksums hold are delivered: a poisoned worker
+  can never complete a future with garbage.  No lock is shared across
+  processes, so a worker killed mid-write
+  (``pool.worker.torn-response``) leaves a short frame and then
+  end-of-file, never a wedged channel.
 * **Shedding.**  ``submit`` also refuses work
   (``ResourceLimitError("healthy-workers", ...)``) while fewer than
   ``min_healthy`` workers are up.
@@ -59,6 +64,7 @@ supervision tree and the containment contract.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import multiprocessing as mp
@@ -96,7 +102,9 @@ class PoolConfig(ServeConfig):
     """What one :class:`WorkerPool` can be told on top of
     :class:`~repro.serve.batcher.ServeConfig`."""
 
-    workers: int = 2             #: worker processes, one dispatcher each
+    #: worker processes; one dispatcher each, which sends a worker with
+    #: nothing in flight everything its shard has waiting, as one frame
+    workers: int = 2
     #: retry policy for requests orphaned by a worker crash; ``None``
     #: disables retrying (every victim fails with
     #: :class:`~repro.errors.WorkerCrashError`).  Budgeted requests are
@@ -124,6 +132,7 @@ class PoolStats(ServeStats):
     shed: int = 0                #: submissions refused (below quorum)
     retries: int = 0             #: crash victims requeued for another run
     restarts: int = 0            #: worker kill-and-respawn cycles
+    frames: int = 0              #: job frames written (groups ride in them)
     crashes: dict = field(default_factory=dict)  #: crash reason -> count
 
 
@@ -172,10 +181,11 @@ def _worker_main(wid: int, gen: int, conn, config: PoolConfig) -> None:
     """Entry point of one worker process.
 
     Owns a private :class:`CompileCache` and :class:`TierPolicy`; runs
-    each pre-pickled job frame read from ``conn`` (the empty frame is
-    stop) through :func:`~repro.serve.batcher.run_group`; answers on the
-    same connection with one ``done`` per group holding a checksummed
-    payload per request.  A side thread heartbeats every ``heartbeat_s``
+    the groups of each pre-pickled job frame read from ``conn`` (the
+    empty frame is stop), in order, through
+    :func:`~repro.serve.batcher.run_group`; answers each group on the
+    same connection, before it starts the next, with one ``done``
+    holding a checksummed payload per request.  A side thread heartbeats every ``heartbeat_s``
     (so a GIL-holding compute keeps beating, while a stuck C call — or
     the chaos stall site — goes silent and earns a supervisor kill); it
     shares ``wlock``, a lock of this process only, with the main thread,
@@ -220,33 +230,33 @@ def _worker_main(wid: int, gen: int, conn, config: PoolConfig) -> None:
     send("ready", wid, gen, os.getpid())
     try:
         while blob := conn.recv_bytes():
-            job = pickle.loads(blob)
-            items = job["items"]
-            rid0 = items[0][0]
-            if chaos is not None:
-                if chaos.fires("pool.worker.heartbeat-stall", rid0):
-                    # wedged, not dead: the request hangs while heartbeats
-                    # go silent — only the heartbeat timeout can tell
-                    stall_until = time.monotonic() + chaos.stall_s
-                    time.sleep(chaos.stall_s)
-                if chaos.fires("pool.worker.slow-compile", rid0):
-                    time.sleep(chaos.slow_s)
-                if chaos.fires("pool.worker.abort", rid0):
-                    os._exit(_ABORT_EXIT)
-            outcomes, flags = run_group(cache, tier, job)
-            done = pickle.dumps(
-                ("done", wid, gen,
-                 [answer(rid, ok, body)
-                  for (rid, _), (ok, body) in zip(items, outcomes)],
-                 (len(items), flags)), protocol=pickle.HIGHEST_PROTOCOL)
-            with wlock:
-                if chaos is not None and \
-                        chaos.fires("pool.worker.torn-response", rid0):
-                    # die mid-frame: the length header and half the body
-                    os.write(conn.fileno(), struct.pack("!i", len(done))
-                             + done[:len(done) // 2])
-                    os._exit(_ABORT_EXIT)
-                conn.send_bytes(done)
+            for job in pickle.loads(blob):   # a frame: groups, in order
+                items = job["items"]
+                rid0 = items[0][0]
+                if chaos is not None:
+                    if chaos.fires("pool.worker.heartbeat-stall", rid0):
+                        # wedged, not dead: the request hangs while
+                        # heartbeats go silent — only their timeout can tell
+                        stall_until = time.monotonic() + chaos.stall_s
+                        time.sleep(chaos.stall_s)
+                    if chaos.fires("pool.worker.slow-compile", rid0):
+                        time.sleep(chaos.slow_s)
+                    if chaos.fires("pool.worker.abort", rid0):
+                        os._exit(_ABORT_EXIT)
+                outcomes, flags = run_group(cache, tier, job)
+                done = pickle.dumps(
+                    ("done", wid, gen,
+                     [answer(rid, ok, body)
+                      for (rid, _), (ok, body) in zip(items, outcomes)],
+                     (len(items), flags)), protocol=pickle.HIGHEST_PROTOCOL)
+                with wlock:     # answered before the next group starts
+                    if chaos is not None and \
+                            chaos.fires("pool.worker.torn-response", rid0):
+                        # die mid-frame: the length header, half the body
+                        os.write(conn.fileno(), struct.pack("!i", len(done))
+                                 + done[:len(done) // 2])
+                        os._exit(_ABORT_EXIT)
+                    conn.send_bytes(done)
     except EOFError:
         pass                                 # the parent is gone
     finally:
@@ -295,6 +305,8 @@ class WorkerPool(BatchExecutor):
         self.handles = [WorkerHandle(i, self._lock)
                         for i in range(cfg.workers)]
         self._ring = HashRing(cfg.workers)
+        #: batch key -> shard, decided once: no more keys than can wait
+        self._shard = functools.lru_cache(cfg.max_queue)(self._ring.lookup)
         self._shutdown = False
         self._supervisor = Supervisor(self)     # a reader may need it at once
         for handle in self.handles:
@@ -357,6 +369,7 @@ class WorkerPool(BatchExecutor):
                 h.pending.clear()
                 leftovers.extend(h.inflight.values())
                 h.inflight.clear()
+                h.groups.clear()
                 h.state = "stopped"
         for r in leftovers:
             self._finish(r, error=WorkerCrashError(
@@ -385,22 +398,29 @@ class WorkerPool(BatchExecutor):
 
     def _park(self, req: _Request) -> None:
         key = req.key()
-        shard = self._ring.lookup(key if key is not None else req.rid)
+        shard = self._shard(key) if key is not None else \
+            self._ring.lookup(req.rid)
         handle = self.handles[shard]
         handle.pending.append(req)
-        if not handle.inflight:              # else its `done` wakes it
+        if not handle.inflight:              # else its last `done` wakes it
             handle.wake.notify()
 
-    def _take_group(self, handle: WorkerHandle) -> Optional[list[_Request]]:
-        """Asleep on ``handle``'s own condition: only its shard's work
-        and :meth:`_wake_all` return it from the wait."""
+    def _take_frame(self, handle: WorkerHandle
+                    ) -> Optional[list[list[_Request]]]:
+        """Everything ``handle``'s shard has waiting, split into its
+        coalescible groups in queue order, once the worker has nothing in
+        flight.  Asleep on ``handle``'s own condition: only its shard's
+        work and :meth:`_wake_all` return it from the wait."""
         with handle.wake:
             while not (handle.pending and handle.state == "up"
                        and not handle.inflight):
                 if self._shutdown:
                     return None
                 handle.wake.wait()
-            return _coalesce(handle.pending, self.config.max_batch)
+            frame = []
+            while handle.pending:
+                frame.append(_coalesce(handle.pending, self.config.max_batch))
+            return frame
 
     def _wake_all(self) -> None:
         """A rare transition (a worker came up or went, shutdown): wake
@@ -411,34 +431,42 @@ class WorkerPool(BatchExecutor):
 
     # -- where a group runs -------------------------------------------------
 
-    def _run(self, handle: WorkerHandle, group: list[_Request]) -> None:
-        """Write the group, as one frame, to ``handle``'s process; its
-        answers come back through :meth:`_on_done`, its death through
+    def _run(self, handle: WorkerHandle, frame: list[list[_Request]]) -> None:
+        """Write the frame — its groups pickled once, one message — to
+        ``handle``'s process; each group's answers come back through
+        :meth:`_on_done`, the worker's death through
         :meth:`_worker_failure`."""
         try:
-            blob = pickle.dumps(_job(group), protocol=pickle.HIGHEST_PROTOCOL)
+            blob = pickle.dumps([_job(g) for g in frame],
+                                protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as e:
-            for r in group:
-                self._finish(r, error=e)
+            if len(frame) > 1:      # find the group that cannot cross
+                for group in frame:
+                    self._run(handle, [group])
+            else:
+                for r in frame[0]:
+                    self._finish(r, error=e)
             return
         with self._work:
             if handle.state != "up":        # died between pop and dispatch
-                handle.pending.extendleft(reversed(group))
+                handle.pending.extendleft(
+                    r for g in reversed(frame) for r in reversed(g))
                 return
-            for r in group:
-                r.attempts += 1
-                handle.inflight[r.rid] = r
+            if not handle.groups:
+                handle.head_since = time.monotonic()
+            handle.groups.extend(frame)
+            for group in frame:
+                for r in group:
+                    handle.inflight[r.rid] = r
+            self.stats.frames += 1
             conn = handle.conn
+        p = _obs.PROFILER
+        if p is not None:
+            p.count("serve", "frame", len(frame), len(frame), 0)
         try:
             conn.send_bytes(blob)
-        except Exception:
-            # the worker went while we wrote: treat what its reader has
-            # not already claimed as crash victims (retry or fail typed)
-            with self._work:
-                victims = [handle.inflight.pop(r.rid)
-                           for r in group if r.rid in handle.inflight]
-                self._wake_all()
-            self._absorb_victims(victims, "exit", handle,
+        except Exception:                   # the worker went while we wrote
+            self._worker_failure(handle, "exit",
                                  detail="worker connection closed")
 
     # -- lifecycle internals ---------------------------------------------
@@ -543,8 +571,12 @@ class WorkerPool(BatchExecutor):
         its batchmates' good answers are delivered."""
         with self._work:
             reqs = [handle.inflight.pop(a[0], None) for a in answers]
+            sent = handle.groups
+            if sent and sent[0][0].rid == answers[0][0]:
+                sent.popleft()               # answered in the order sent
+                handle.head_since = time.monotonic()
             if not handle.inflight:
-                # the next group's dispatcher, or a draining close()
+                # the next frame's dispatcher, or a draining close()
                 (handle.wake if handle.pending else self._work).notify()
         self._record(*ran)
         poisoned, done = [], []
@@ -568,26 +600,35 @@ class WorkerPool(BatchExecutor):
     def _worker_failure(self, handle: WorkerHandle, reason: str,
                         detail: str = "",
                         deadline_victims: Sequence[str] = ()) -> None:
-        """The single funnel for a worker death or kill: drain its
-        in-flight requests, schedule its respawn with backoff, and
-        retry-or-fail the victims.  Idempotent per incident (a handle
-        already in backoff is left alone)."""
+        """The single funnel for a worker death or kill, idempotent per
+        incident (a handle already in backoff is left alone): schedule
+        the respawn with backoff, kill, let the generation's reader drain
+        the pipe — a ``done`` the worker did write is honoured — and
+        only then classify, by order: the first unanswered group (and
+        whatever is in flight with no group record) can have started, so
+        it is retried or failed; the groups behind it never ran, and go
+        back to the front of ``pending`` as they were."""
         with self._work:
             if handle.state not in ("starting", "up"):
                 return
             handle.state = "backoff"
-            proc = handle.proc
-            victims = list(handle.inflight.values())
-            handle.inflight.clear()
+            proc, reader = handle.proc, handle.reader
             delay = self._supervisor.next_backoff(handle)
             handle.respawn_at = time.monotonic() + delay
             handle.restarts += 1
             self.stats.restarts += 1
             self.stats.crashes[reason] = self.stats.crashes.get(reason, 0) + 1
-            self._wake_all()
         if proc is not None and proc.is_alive():
             proc.kill()
             proc.join(timeout=5.0)
+        if reader is not None and reader is not threading.current_thread():
+            reader.join(timeout=5.0)         # to end-of-file
+        with self._work:
+            victims, behind = handle.split()
+            handle.inflight.clear()
+            handle.groups.clear()
+            handle.pending.extendleft(reversed(behind))
+            self._wake_all()
         p = _obs.PROFILER
         if p is not None:
             p.count("serve", "worker_restart", 1, 0, 0)
@@ -611,6 +652,7 @@ class WorkerPool(BatchExecutor):
         now = time.monotonic()
         p = _obs.PROFILER
         for r in victims:
+            r.attempts += 1
             retryable = (retry is not None and r.batch_key is not None
                          and retry.allows(r.attempts))
             if retryable and not self._closed:
@@ -634,16 +676,28 @@ class WorkerPool(BatchExecutor):
                 self._park(heapq.heappop(self._retries)[2])
 
     def _sweep_deadlines(self, now: float) -> None:
-        """Fail pending requests whose deadline passed while queued (a
-        worker in backoff must not silently hold its shard's deadlines
-        hostage).  Called from the supervisor tick."""
+        """Fail the requests whose deadline passed while they waited — in
+        ``pending`` (a worker in backoff must not silently hold its
+        shard's deadlines hostage) or in a frame behind the group that
+        can be running; nobody is killed for the latter, its late answer
+        is dropped.  One pass per queue.  Called from the supervisor
+        tick."""
+        def late(r: _Request) -> bool:
+            return r.deadline is not None and now > r.deadline
+
         expired: list[_Request] = []
         with self._lock:
             for h in self.handles:
-                late = [r for r in h.pending
-                        if r.deadline is not None and now > r.deadline]
-                for r in late:
-                    h.pending.remove(r)
-                expired += late
+                framed = [r for r in h.split()[1] if late(r)]
+                for r in framed:
+                    del h.inflight[r.rid]
+                if framed and not h.inflight:
+                    h.wake.notify()          # as its last `done` would
+                queued = [r for r in h.pending if late(r)]
+                if queued:
+                    keep = [r for r in h.pending if not late(r)]
+                    h.pending.clear()
+                    h.pending.extend(keep)
+                expired += framed + queued
         for r in expired:
             self._expired(r)

@@ -3,7 +3,8 @@
 :class:`WorkerHandle` is the parent's book-keeping for one worker slot:
 the live process (if any), the one connection to it and the thread that
 reads it, the condition its dispatcher sleeps on, the requests waiting
-for and in flight on it, heartbeat freshness, and the respawn backoff
+for and in flight on it (and the groups they left in, in the order they
+were sent), heartbeat freshness, and the respawn backoff
 state.  :class:`Supervisor` is the health-check thread of a
 :class:`~repro.serve.pool.WorkerPool`; each tick it
 
@@ -14,10 +15,12 @@ state.  :class:`Supervisor` is the health-check thread of a
 * detects **lost heartbeats** (a wedged worker whose process is alive
   but silent past ``heartbeat_timeout_s``) and kills it;
 * enforces **deadline kills**: a request whose deadline passed more than
-  ``deadline_grace_s`` ago while in flight gets its worker killed, the
-  overrunning request fails with a request-naming
-  :class:`~repro.errors.ResourceLimitError`, and innocent batchmates are
-  requeued (see docs/RELIABILITY.md — the containment contract);
+  ``deadline_grace_s`` ago in the group its worker can be running gets
+  that worker killed, the overrunning request fails with a
+  request-naming :class:`~repro.errors.ResourceLimitError`, and innocent
+  batchmates are requeued (see docs/RELIABILITY.md — the containment
+  contract); one still waiting in the frame behind that group expires
+  like a queued one, and nobody is killed for it;
 * **respawns** dead workers with exponential, jittered backoff
   (reset after a few seconds of stable uptime), so a crash-looping
   kernel cannot pin a CPU respawning;
@@ -31,6 +34,7 @@ shared structures.
 
 from __future__ import annotations
 
+import itertools
 import random
 import threading
 import time
@@ -54,6 +58,9 @@ class WorkerHandle:
     ``generation`` increments on every (re)spawn; a message from an older
     generation of the slot (a killed process whose last frames arrive
     late) changes nothing.  ``wake`` shares the pool's one lock.
+    ``groups`` holds, in the order they were written, the groups the
+    worker has not answered: it answers one before it starts the next,
+    so only the first can have started.
     """
 
     def __init__(self, wid: int, lock: threading.Lock):
@@ -69,9 +76,22 @@ class WorkerHandle:
         self.started_at = 0.0
         self.pending: deque = deque()       # sharded, not yet dispatched
         self.inflight: "OrderedDict[str, _Request]" = OrderedDict()
+        self.groups: deque = deque()        # sent, unanswered, in order
+        self.head_since = 0.0               # when groups[0] came to be first
         self.restarts = 0
         self.backoff_s = 0.0                # next respawn delay
         self.respawn_at = 0.0
+
+    def split(self) -> tuple[list, list]:
+        """``(started, behind)`` of the requests in flight (pool lock
+        held): those that can have started — the first unanswered
+        group's, and any with no group record — and, in order, those
+        still waiting in a frame behind them."""
+        behind = [r for g in itertools.islice(self.groups, 1, None)
+                  for r in g if self.inflight.get(r.rid) is r]
+        waiting = {r.rid for r in behind}
+        return [r for r in self.inflight.values()
+                if r.rid not in waiting], behind
 
 
 class Supervisor(threading.Thread):
@@ -132,13 +152,17 @@ class Supervisor(threading.Thread):
 
     def _deadline_victims(self, handle: WorkerHandle,
                           now: float) -> list[str]:
-        """Request ids in flight on ``handle`` whose deadline passed more
-        than ``deadline_grace_s`` ago — grounds for a deadline kill."""
+        """Request ids ``handle``'s worker can be running whose deadline
+        passed more than ``deadline_grace_s`` ago — grounds for a
+        deadline kill.  One that expired behind the running group was
+        failed there, but still runs when its group's turn comes: it is
+        watched too, with the grace counted from then."""
         grace = self.pool.config.deadline_grace_s
         with self.pool._lock:
-            return [rid for rid, req in handle.inflight.items()
-                    if req.deadline is not None
-                    and now > req.deadline + grace]
+            head = handle.groups[0] if handle.groups else ()
+            return [r.rid for r in (*handle.split()[0], *head)
+                    if r.deadline is not None
+                    and now > max(r.deadline, handle.head_since) + grace]
 
     # -- respawn backoff ---------------------------------------------------
 

@@ -204,3 +204,85 @@ class TestDeadlinesOnThePool(_Pooled, TestDeadlines):
 
 class TestUnknownBackendOnThePool(_Pooled, TestUnknownBackend):
     pass
+
+
+def test_deadline_behind_a_slow_group_of_the_same_frame_kills_nobody():
+    """A request whose deadline passes while it waits *inside a frame*,
+    behind the group the worker is running, expires like a queued one:
+    typed, ``serve:queue``, the worker untouched — the deadline kill is
+    for the group that can be running, and that one answers."""
+    import time
+
+    from repro.guard import ChaosSpec
+    site = "pool.worker.slow-compile"
+    chaos = ChaosSpec(sites=(site,), rate=0.5, seed=3, slow_s=0.3)
+    lead, slow = [r for i in range(1000)
+                  if chaos.fires(site, r := f"v{i}")][:2]
+    late = next(r for i in range(1000) if not chaos.fires(site, r := f"s{i}"))
+    with WorkerPool(PoolConfig(workers=1, native_after=0, chaos=chaos,
+                               deadline_grace_s=0.05)) as pool:
+        h = pool.handles[0]
+        first = pool.submit(SRC, "main", [2], request_id=lead)
+        deadline = time.monotonic() + 10
+        while lead not in h.inflight and time.monotonic() < deadline:
+            time.sleep(0.005)
+        # both wait behind the lead's 0.3 s and leave as one frame: the
+        # slow group sleeps 0.3 s more, the other's 0.4 s run out behind it
+        running = pool.submit(SRC, "main", [3], request_id=slow)
+        waiting = pool.submit("fun main(n) = n + 1", "main", [1],
+                              request_id=late, deadline_s=0.4)
+        while late not in h.inflight and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert list(h.inflight) == [slow, late]     # written, not started
+        e = waiting.exception(30)
+        assert isinstance(e, ResourceLimitError) and e.limit == "timeout"
+        assert e.stage == "serve:queue" and e.request == late
+        assert late not in h.inflight
+        assert first.result(30) == expect(2)
+        assert running.result(30) == expect(3)
+        s = pool.stats.snapshot()
+        assert s["restarts"] == 0 and s["expired"] == 1 and s["frames"] == 2
+        assert s["responses"] == 2 and s["errors"] == 1
+        # the worker ran the expired request all the same; its answer
+        # found nobody waiting, and the pool serves on
+        assert pool.submit(SRC, "main", [4]).result(30) == expect(4)
+        assert pool.stats.responses == 3 and pool.stats.restarts == 0
+
+
+def test_a_request_that_expired_in_its_frame_cannot_wedge_the_worker():
+    """Expired behind the running group, it was failed there — but the
+    worker still runs its group when the turn comes.  If that never ends,
+    the deadline kill still finds it: the grace counts from its turn."""
+    import time
+
+    from repro.guard import ChaosSpec
+    fib = ("fun fib(n) = if n < 2 then n else fib(n - 1) + fib(n - 2)\n"
+           "fun main(n) = fib(n)")
+    site = "pool.worker.slow-compile"
+    chaos = ChaosSpec(sites=(site,), rate=0.5, seed=3, slow_s=30.0)
+    wedge = next(r for i in range(1000) if chaos.fires(site, r := f"v{i}"))
+    calm = [r for i in range(1000) if not chaos.fires(site, r := f"s{i}")]
+    with WorkerPool(PoolConfig(workers=1, native_after=0, chaos=chaos,
+                               retry=None, deadline_grace_s=0.1,
+                               respawn_backoff_s=0.05)) as pool:
+        h = pool.handles[0]
+        first = pool.submit(fib, "main", [17], request_id=calm[0])
+        deadline = time.monotonic() + 10
+        while calm[0] not in h.inflight and time.monotonic() < deadline:
+            time.sleep(0.005)
+        # the first runs ~0.2 s more, the second ~0.9 s: the third's time
+        # runs out in between, one frame with the second and behind it
+        busy = pool.submit(fib, "main", [19], request_id=calm[1])
+        dead = pool.submit(SRC, "main", [3], request_id=wedge,
+                           deadline_s=0.5)
+        e = dead.exception(30)
+        assert isinstance(e, ResourceLimitError) and e.limit == "timeout"
+        assert e.stage == "serve:queue" and not busy.done()
+        assert (first.result(30), busy.result(30)) == (1597, 4181)
+        t0 = time.monotonic()               # its turn: 30 s of sleep begin
+        assert pool.submit(SRC, "main", [4],
+                           request_id=calm[2]).result(30) == expect(4)
+        assert time.monotonic() - t0 < 10.0
+        s = pool.stats.snapshot()
+        assert s["crashes"] == {"deadline": 1} and s["expired"] == 1
+        assert s["responses"] == 3 and s["errors"] == 1

@@ -80,6 +80,31 @@ def test_coalesced_batch(serve):
         s["batched_requests"]
 
 
+def test_a_mixed_stream_answers_in_order(serve):
+    """2,000 requests on eight keys, a tenth of them budgeted (they run
+    alone, between the coalesced groups), submitted without waiting:
+    each future holds its own request's value — whatever groups, and on
+    the pool whatever frames, the stream happened to be cut into."""
+    import random
+    rng = random.Random(21)
+    sources = [f"fun main(s) = sum([x <- s: x * {k + 2} + 1])"
+               for k in range(8)]
+    ex = serve(max_queue=4096, native_after=0)
+    futs, want = [], []
+    for i in range(2000):
+        k, s = rng.randrange(8), [rng.randrange(100)
+                                  for _ in range(rng.randrange(6))]
+        budget = Budget(max_elements=10 ** 6) if i % 10 == 3 else None
+        futs.append(ex.submit(sources[k], "main", [s], types=("seq(int)",),
+                              budget=budget))
+        want.append(sum(x * (k + 2) + 1 for x in s))
+    assert [f.result(120) for f in futs] == want
+    s = ex.stats.snapshot()
+    assert s["responses"] == 2000 and s["errors"] == 0
+    assert s["batched_requests"] + s["singles"] == 2000
+    assert s["singles"] >= 200 and s["batches"] >= 1
+
+
 def test_runtime_error_inside_a_batch_spares_batchmates(serve):
     ex = serve()
     # queued behind a slow request, so the four coalesce

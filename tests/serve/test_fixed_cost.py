@@ -3,6 +3,7 @@ calls of one warm ``run_batched`` and how they grow with the group, what a
 warm entry is never asked again (its types, its evaluator), and what a
 request allocates.  The program and requests are ``serve_batch``'s."""
 
+import gc
 import importlib.util
 import sys
 import threading
@@ -46,18 +47,24 @@ def group(workloads):
 
 
 def calls_of(f):
-    """Python-level calls (``call`` + ``c_call`` events) of ``f()``."""
+    """Python-level calls (``call`` + ``c_call`` events) of ``f()`` —
+    and of nothing else: a collection that lands inside it would run the
+    finalizers of every worker pool an earlier test closed (28 calls
+    each), so the collector runs before the count and not during it."""
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
         if event in ("call", "c_call"):
             calls += 1
+    gc.collect()
+    gc.disable()
     sys.setprofile(count)
     try:
         result = f()
     finally:
         sys.setprofile(None)
+        gc.enable()
     return calls, result
 
 

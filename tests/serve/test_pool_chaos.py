@@ -259,3 +259,184 @@ def test_chaos_spec_validation_and_parse():
     assert picks == [b.fires("pool.worker.abort", f"q{i}")
                      for i in range(64)]
     assert any(picks) and not all(picks)
+
+
+# -- containment by order: what a crash costs the rest of its frame ------
+
+KEYS = [f"fun main(x) = x * x + {k};" for k in (1, 2, 3, 4)]
+SLOW = "pool.worker.slow-compile"
+
+
+def _ids(chaos, site):
+    """``(lead, doomed, safe)``: an id only the slow site fires for, one
+    only ``site`` fires for, and ids nothing fires for."""
+    def fired(rid):
+        return tuple(s for s in chaos.sites if chaos.fires(s, rid))
+    lead = next(r for i in range(1000) if fired(r := f"l{i}") == (SLOW,))
+    doomed = next(r for i in range(1000) if fired(r := f"x{i}") == (site,))
+    return lead, doomed, [r for i in range(1000) if not fired(r := f"s{i}")]
+
+
+def _one_frame(site, victim, retry):
+    """One worker, its lead slowed: three requests on each of four keys
+    and one budgeted request wait behind it and leave as ONE frame of
+    five groups — A, B, C, D, the budgeted one — in which ``site`` fires
+    for the ``victim``-th request.  Returns what a client and the
+    counters can see."""
+    from repro.guard import Budget
+    chaos = ChaosSpec(sites=(SLOW, site), rate=0.5, seed=8, slow_s=0.3)
+    lead, doomed, safe = _ids(chaos, site)
+    rids, bud = safe[:12], safe[12]
+    rids[victim] = doomed
+    with WorkerPool(chaos_cfg(chaos, workers=1, retry=retry)) as pool:
+        h = pool.handles[0]
+        dones, handle_message = [], pool._handle_message
+
+        def spy(msg):
+            if msg[0] == "done":
+                dones.append([a[0] for a in msg[3]])
+            handle_message(msg)
+
+        pool._handle_message = spy
+        futs = {lead: pool.submit("fun main(x) = x;", "main", [7],
+                                  request_id=lead)}
+        deadline = time.monotonic() + 10
+        while lead not in h.inflight and time.monotonic() < deadline:
+            time.sleep(0.005)
+        for i, rid in enumerate(rids):          # a0 b0 c0 d0 a1 b1 ...
+            futs[rid] = pool.submit(KEYS[i % 4], "main", [i], request_id=rid)
+            if i == 5:
+                futs[bud] = pool.submit(
+                    KEYS[0], "main", [9], request_id=bud,
+                    budget=Budget(max_elements=10 ** 9))
+        with pool._lock:
+            reqs = {r.rid: r for r in h.pending}
+        assert len(reqs) == 13 and pool.stats.frames == 1
+        errors = {rid: f.exception(timeout=120) for rid, f in futs.items()}
+        for i, rid in enumerate(rids):
+            if errors[rid] is None:
+                assert futs[rid].result() == i * i + i % 4 + 1
+        assert futs[lead].result() == 7 and futs[bud].result() == 82
+        assert wait_recovered(pool, 1) == 1
+        groups = [rids[k::4] for k in range(4)] + [[bud]]
+        return groups, errors, reqs, dones, pool.stats.snapshot()
+
+
+def _answered_in_order(groups, dones):
+    """Per key, answers came in submission order (a worker killed while
+    alive may have answered a group the parent then sends again)."""
+    flat = list(dict.fromkeys(rid for d in dones for rid in d))
+    for g in groups:
+        seen = [rid for rid in flat if rid in g]
+        assert seen == [rid for rid in g if rid in seen]
+
+
+def test_abort_in_the_second_group_charges_that_group_only():
+    groups, errors, reqs, dones, s = _one_frame(
+        "pool.worker.abort", 1, retry=None)           # b0 leads group B
+    a, b, *later = groups
+    assert dones[1] == a and sum(d == a for d in dones) == 1
+    for rid in b:                       # it was running: each fails typed
+        e = errors[rid]
+        assert isinstance(e, WorkerCrashError) and e.reason == "exit"
+        assert e.request_ids == (rid,) and reqs[rid].attempts == 1
+    for rid in a + [r for g in later for r in g]:     # never started: free
+        assert errors[rid] is None and reqs[rid].attempts == 0
+    assert s["crashes"] == {"exit": 1} and s["restarts"] == 1
+    assert s["retries"] == 0 and s["errors"] == 3 and s["responses"] == 11
+    # the lead, the frame of five, and C, D and the budgeted one again
+    assert s["frames"] == 3
+    _answered_in_order(groups, dones)
+
+
+def test_abort_in_the_second_group_retries_that_group_only():
+    groups, errors, reqs, dones, s = _one_frame(
+        "pool.worker.abort", 1,
+        retry=RetryPolicy(max_retries=1, base_backoff_s=0.02))
+    b = groups[1]
+    for rid, e in errors.items():       # whoever rode with b0 again failed
+        assert e is None or (rid in b and isinstance(e, WorkerCrashError)
+                             and e.request_ids == (rid,))
+    assert s["retries"] == 3            # one each, nobody else charged
+    assert all(r.attempts == 0 for rid, r in reqs.items() if rid not in b)
+    assert sum(d == groups[0] for d in dones) == 1
+
+
+def test_torn_first_group_is_the_victim_and_the_rest_ride_free():
+    groups, errors, reqs, dones, s = _one_frame(
+        "pool.worker.torn-response", 0, retry=None)   # a0 leads group A
+    a, *later = groups
+    for rid in a:                       # ran, but nothing of it arrived
+        assert isinstance(errors[rid], WorkerCrashError)
+        assert errors[rid].request_ids == (rid,)
+    for rid in [r for g in later for r in g]:
+        assert errors[rid] is None and reqs[rid].attempts == 0
+    assert s["crashes"] == {"exit": 1} and s["retries"] == 0
+    assert s["errors"] == 3 and s["frames"] == 3
+    _answered_in_order(groups, dones)
+
+
+def test_poisoned_member_dooms_the_group_behind_it_and_no_further():
+    """The worker is alive, and maybe a group further on, when the parent
+    meets the bad checksum: the first group not yet answered counts as
+    running, the ones behind that are re-dispatched uncharged."""
+    groups, errors, reqs, dones, s = _one_frame(
+        "pool.worker.poisoned-response", 4, retry=None)   # a1, in group A
+    a, b, *later = groups
+    for rid in [a[1], *b]:
+        e = errors[rid]
+        assert isinstance(e, WorkerCrashError) and e.request_ids == (rid,)
+        assert e.reason == "poisoned-response" and reqs[rid].attempts == 1
+    for rid in [a[0], a[2]] + [r for g in later for r in g]:
+        assert errors[rid] is None and reqs[rid].attempts == 0
+    assert dones[1] == a and sum(d == a for d in dones) == 1
+    assert s["crashes"] == {"poisoned-response": 1} and s["retries"] == 0
+    assert s["errors"] == 4 and s["responses"] == 10
+    _answered_in_order(groups, dones)
+
+
+def test_frames_under_contention_lose_and_double_nothing():
+    """Six client threads against two workers, the interpreter switching
+    threads every 10 µs and one worker SIGKILLed under them: every
+    request answers once and correctly (a victim's one retry is enough),
+    and the parent's books — pending, in flight, groups sent — end
+    empty."""
+    import os
+    import signal
+    import sys
+    import threading
+    keys = [f"fun main(x) = x * {k + 2} + 1;" for k in range(6)]
+    results, lock = {}, threading.Lock()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with WorkerPool(chaos_cfg(None, retry=RetryPolicy(
+                max_retries=2, base_backoff_s=0.01))) as pool:
+            def client(t):
+                futs = [pool.submit(keys[(t + i) % 6], "main", [i],
+                                    request_id=f"t{t}.{i}")
+                        for i in range(150)]
+                got = [f.exception(timeout=60) or f.result() for f in futs]
+                with lock:
+                    results[t] = got
+
+            threads = [threading.Thread(target=client, args=(t,))
+                       for t in range(6)]
+            for t in threads:
+                t.start()
+            time.sleep(0.02)
+            os.kill(pool.handles[0].proc.pid, signal.SIGKILL)
+            for t in threads:
+                t.join(timeout=90)
+                assert not t.is_alive()
+            assert wait_recovered(pool) == 2
+            s = pool.stats.snapshot()
+            with pool._lock:
+                assert not any(h.pending or h.inflight or h.groups
+                               for h in pool.handles)
+    finally:
+        sys.setswitchinterval(interval)
+    for t in range(6):
+        assert results[t] == [i * ((t + i) % 6 + 2) + 1 for i in range(150)]
+    assert s["requests"] == s["responses"] == 900 and s["errors"] == 0
+    assert s["restarts"] == 1 and s["crashes"] == {"exit": 1}

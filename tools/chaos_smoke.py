@@ -1,13 +1,19 @@
 #!/usr/bin/env python
 """Chaos smoke for the supervised worker pool: a mixed workload under
 seeded process-fault injection at every registered ``pool.worker.*``
-site, with the three containment claims asserted end to end —
+site, with the four containment claims asserted end to end —
 
 * **no contamination**: every successful response carries exactly the
   value a fault-free run would have produced;
 * **typed failure**: every unsuccessful request resolves with a typed
   error naming it (``WorkerCrashError`` / ``ResourceLimitError``), never
   a hang or an untyped exception;
+* **no bystanders**: a budgeted request runs alone and is never
+  retried, so it shows what a crash costs the rest of its frame: every
+  one whose own id fires no site answers correctly, wherever in a dying
+  worker's frame it was waiting — but for the one group a worker was on
+  when the parent killed it over a checksum in the group before (alive
+  until then, it had moved on), which fails as ``poisoned-response``;
 * **recovery**: the pool is back to its full worker count at the end,
   and still serves.
 
@@ -16,7 +22,8 @@ Run by the CI ``chaos-smoke`` job; usable locally:
     python tools/chaos_smoke.py [N_REQUESTS] [REPORT_PATH]
 
 Writes a JSON report (default ``chaos_report.json``) with the outcome
-mix, crash counts by reason and by site, and the pool statistics.
+mix, crash counts by reason and by site, the job frames written and the
+groups that rode in each, and the pool statistics.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import time
 sys.path.insert(0, "src")
 
 from repro.errors import ReproError, ResourceLimitError, WorkerCrashError
-from repro.guard import PROCESS_FAULT_SITES, ChaosSpec
+from repro.guard import PROCESS_FAULT_SITES, Budget, ChaosSpec
 from repro.serve import PoolConfig, RetryPolicy, WorkerPool
 
 SQUARES = "fun main(n) = sum([i <- [1..n]: i * i])"
@@ -41,20 +48,21 @@ def expect_squares(n: int) -> int:
     return sum(i * i for i in range(1, n + 1))
 
 
-def build_workload(count: int) -> list[tuple[str, str, list, object]]:
-    """(rid, source, args, expected) tuples; sources cycle over several
-    batch keys so the run exercises coalesced batches, not just
-    singletons."""
+def build_workload(count: int) -> list[tuple[str, str, list, object, bool]]:
+    """(rid, source, args, expected, budgeted) tuples; sources cycle over
+    several batch keys so the run exercises coalesced batches, not just
+    singletons, and one request in ten carries a budget, so it runs
+    alone between them."""
     work = []
     for k in range(count):
         if k % 2 == 0:
             work.append((f"c{k}", SQUARES, [k % 25],
-                         expect_squares(k % 25)))
+                         expect_squares(k % 25), k % 10 == 4))
         else:
             s = list(range(k % 7 + 1))
             m = k % 5 + 2
             work.append((f"c{k}", SCALE.format(k=m), [s],
-                         [x * m + 1 for x in s]))
+                         [x * m + 1 for x in s], k % 10 == 9))
     return work
 
 
@@ -90,19 +98,33 @@ def main(argv: list[str]) -> int:
     #: victims make every registered site count at least one
     by_site = dict.fromkeys(PROCESS_FAULT_SITES, 0)
     failures: list[str] = []
+    bystanders: set[str] = set()    # budgeted, and no site fires for them
 
     with WorkerPool(cfg) as pool:
         futs = {}
-        for rid, src, args, want in work:
-            # a deadline on every request keeps slow-compile wedges
-            # bounded: the supervisor kills past deadline + grace
-            futs[rid] = (pool.submit(src, "main", args, request_id=rid,
-                                     deadline_s=20.0), want)
+        def deadline_s(rid: str) -> float:
+            """A deadline on every request keeps slow-compile wedges
+            bounded — the supervisor kills past deadline + grace — and a
+            short one on the request that wedges lets whatever waits
+            behind it live to be served."""
+            return 2.0 if spec.fires("pool.worker.slow-compile", rid) \
+                else 20.0
+
+        for rid, src, args, want, budgeted in work:
+            if budgeted and not any(spec.fires(s, rid) for s in spec.sites):
+                bystanders.add(rid)
+            futs[rid] = (pool.submit(
+                src, "main", args, request_id=rid,
+                deadline_s=deadline_s(rid),
+                budget=Budget(max_elements=10 ** 9) if budgeted else None),
+                want)
         for j, (rid, src) in enumerate(forced_victims(spec)):
             futs[rid] = (pool.submit(src, "main", [3], request_id=rid,
-                                     deadline_s=20.0), 9 + 1000 + j)
+                                     deadline_s=deadline_s(rid)),
+                         9 + 1000 + j)
 
         for rid, (fut, want) in futs.items():
+            checksum_kill = False   # it was what a poisoned worker was on
             try:
                 got = fut.result(timeout=300.0)
             except WorkerCrashError as e:
@@ -110,6 +132,7 @@ def main(argv: list[str]) -> int:
                 if rid not in e.request_ids:
                     failures.append(
                         f"{rid}: crash error does not name it: {e}")
+                checksum_kill = e.reason == "poisoned-response"
             except ResourceLimitError as e:
                 outcome["timeout"] += 1
                 if e.request != rid:
@@ -125,6 +148,10 @@ def main(argv: list[str]) -> int:
                     failures.append(
                         f"{rid}: CONTAMINATED result {got!r} != {want!r}")
                 continue
+            if rid in bystanders and not checksum_kill:
+                failures.append(f"{rid}: BYSTANDER failed, though budgeted "
+                                "(alone in its group) and no site fires "
+                                "for it")
             for site in spec.sites:
                 by_site[site] += spec.fires(site, rid)
 
@@ -162,6 +189,12 @@ def main(argv: list[str]) -> int:
         "outcomes": outcome,
         "crashes_by_reason": stats["crashes"],
         "faults_by_site": by_site,
+        "bystanders": len(bystanders),
+        "frames": stats["frames"],
+        # every group executed is a batch or a single (nothing here fails
+        # inside a batch, so none is decomposed into singles)
+        "groups_per_frame": round((stats["batches"] + stats["singles"])
+                                  / max(stats["frames"], 1), 2),
         "stats": stats,
         "healthy_at_end": healthy,
         "duration_s": round(time.monotonic() - t0, 2),
@@ -177,6 +210,8 @@ def main(argv: list[str]) -> int:
           f"{outcome['crash']} crash, {outcome['timeout']} timeout; "
           f"crashes by reason {stats['crashes']}; "
           f"{stats['restarts']} restarts, {stats['retries']} retries; "
+          f"{len(bystanders)} budgeted bystanders; {stats['frames']} frames "
+          f"of {report['groups_per_frame']} groups; "
           f"{healthy}/{WORKERS} healthy after "
           f"{report['duration_s']}s (report: {report_path})")
     return 1 if failures else 0

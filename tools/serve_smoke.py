@@ -124,13 +124,18 @@ def main(argv: list[str]) -> int:
               "errors)")
         return 1
     if pool:
-        # --stats reports "0 worker restarts, ... [2/2 healthy]" on stderr
-        want = f"[{pool}/{pool} healthy]"
+        # --stats reports "0 worker restarts, ..., 31 frames [2/2 healthy]"
+        # on stderr
+        want = f" frames [{pool}/{pool} healthy]"
         if ", 0 worker restarts," not in stats or want not in stats:
             print(f"pool summary lacks '0 worker restarts' / '{want}'")
             return 1
-        print(f"serve smoke OK: {count} requests through --pool {pool}, "
-              "all correct and in order")
+        frames = int(stats.split(want, 1)[0].rsplit(None, 1)[-1])
+        if not 0 < frames <= count:
+            print(f"{frames} job frames for {count} requests")
+            return 1
+        print(f"serve smoke OK: {count} requests through --pool {pool} in "
+              f"{frames} frames, all correct and in order")
         return 0
     # --stats reports "cache hit-rate 0.98 (98/100, 2 entries)" on stderr
     marker = "cache hit-rate "
