@@ -14,13 +14,13 @@ smaller program still disagrees the same way).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from repro import api
 from repro.errors import ReproError
 from repro.fuzz.gen import (
-    ATOMS, PARAMS, FuzzCase, Node, gen_case, leaf, replace_at, subnodes,
+    ATOMS, FuzzCase, Node, gen_case, leaf, replace_at, subnodes,
 )
 from repro.guard.runtime import Budget
 
@@ -209,9 +209,8 @@ def shrink_case(case: FuzzCase, check: bool = False,
             for cand in candidates:
                 if cand.size() >= node.size():
                     continue
-                trial = FuzzCase(seed=best.seed,
-                                 body=replace_at(best.body, path, cand),
-                                 helpers=best.helpers, args=best.args)
+                trial = replace(best,
+                                body=replace_at(best.body, path, cand))
                 o = still_fails(trial)
                 if o is not None:
                     best, best_out, improved = trial, o, True
@@ -225,14 +224,13 @@ def shrink_case(case: FuzzCase, check: bool = False,
         kept = tuple(h for h in best.helpers
                      if h.split("(")[0].split()[-1] in body_src)
         if kept != best.helpers:
-            trial = FuzzCase(seed=best.seed, body=best.body,
-                             helpers=kept, args=best.args)
+            trial = replace(best, helpers=kept)
             o = still_fails(trial)
             if o is not None:
                 best, best_out, improved = trial, o, True
                 continue
         # 3. shrink argument values
-        for i, (name, t) in enumerate(PARAMS):
+        for i, (name, t) in enumerate(best.params):
             v = best.args[i]
             options: list = []
             if t == "int" and v != 0:
@@ -242,8 +240,7 @@ def shrink_case(case: FuzzCase, check: bool = False,
             for nv in options:
                 args = tuple(nv if j == i else a
                              for j, a in enumerate(best.args))
-                trial = FuzzCase(seed=best.seed, body=best.body,
-                                 helpers=best.helpers, args=args)
+                trial = replace(best, args=args)
                 o = still_fails(trial)
                 if o is not None:
                     best, best_out, improved = trial, o, True
@@ -372,9 +369,7 @@ def shrink_cost_case(v: CostViolation,
             for cand in candidates:
                 if cand.size() >= node.size():
                     continue
-                trial = FuzzCase(seed=bc.seed,
-                                 body=replace_at(bc.body, path, cand),
-                                 helpers=bc.helpers, args=bc.args)
+                trial = replace(bc, body=replace_at(bc.body, path, cand))
                 got = still_violates(trial)
                 if got is not None:
                     got.shrunk = trial
@@ -386,7 +381,7 @@ def shrink_cost_case(v: CostViolation,
         if improved:
             continue
         # 2. shrink argument values
-        for i, (_name, t) in enumerate(PARAMS):
+        for i, (_name, t) in enumerate(bc.params):
             av = bc.args[i]
             options: list = []
             if t == "int" and av != 0:
@@ -396,8 +391,7 @@ def shrink_cost_case(v: CostViolation,
             for nv in options:
                 args = tuple(nv if j == i else a
                              for j, a in enumerate(bc.args))
-                trial = FuzzCase(seed=bc.seed, body=bc.body,
-                                 helpers=bc.helpers, args=args)
+                trial = replace(bc, args=args)
                 got = still_violates(trial)
                 if got is not None:
                     got.shrunk = trial

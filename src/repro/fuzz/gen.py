@@ -22,12 +22,13 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence
 
 # Fuzzer type tags (a deliberately small slice of the type system).
-INT, BOOL, SEQ, SEQ2 = "int", "bool", "seq", "seq2"
+INT, BOOL, SEQ, SEQ2, SEQ2P = "int", "bool", "seq", "seq2", "seq2p"
 
 #: Concrete P type syntax per tag (passed as explicit entry types so empty
 #: sequence arguments stay typeable).
 TYPE_SYNTAX = {INT: "int", BOOL: "bool",
-               SEQ: "seq(int)", SEQ2: "seq(seq(int))"}
+               SEQ: "seq(int)", SEQ2: "seq(seq(int))",
+               SEQ2P: "seq(seq((int, float)))"}
 
 #: Entry parameters every generated ``main`` receives, in order.
 PARAMS: tuple[tuple[str, str], ...] = (
@@ -93,16 +94,17 @@ class FuzzCase:
     seed: int
     body: Node                       # main's body (shrinkable)
     helpers: tuple[str, ...]         # rendered helper definitions
-    args: tuple                      # values for PARAMS, in order
+    args: tuple                      # values for ``params``, in order
     entry: str = "main"
+    params: tuple[tuple[str, str], ...] = PARAMS
 
     @property
     def types(self) -> tuple[str, ...]:
-        return tuple(TYPE_SYNTAX[t] for _n, t in PARAMS)
+        return tuple(TYPE_SYNTAX[t] for _n, t in self.params)
 
     @property
     def source(self) -> str:
-        params = ", ".join(n for n, _t in PARAMS)
+        params = ", ".join(n for n, _t in self.params)
         defs = list(self.helpers)
         defs.append(f"fun main({params}) =\n  {self.body.render()}")
         return "\n".join(defs)
@@ -408,3 +410,94 @@ def gen_fold_case(seed: int) -> FuzzCase:
             f"[s <- ss: [k <- t: {fold}]]"][depth]
     return FuzzCase(seed=seed, body=leaf(SEQ, text), helpers=(),
                     args=_gen_args(rng))
+
+
+#: what a filter case's ``main`` receives
+_FILTER_PARAMS = (("a", INT), ("ss", SEQ2), ("pp", SEQ2P))
+
+
+def gen_filter_case(seed: int) -> FuzzCase:
+    """Deterministically generate one program that is all pack and merge,
+    + inputs, from ``seed``: per row of a ragged ``seq(seq(int))`` and of
+    a ragged ``seq(seq((int, float)))`` (empty rows included), a tree of
+    filtered iterators ``[x <- s | p(x): e]`` under data-dependent
+    predicates, ``if`` under an iterator (R2d's ``restrict`` / ``combine``
+    pair), ``concat``, two- and three-element sequence constructors, and
+    ``seq_index`` by a constant and by a computed position — the
+    order-preserving structural kernels, which :func:`gen_case` reaches
+    only between clamps and folds.  Total like :func:`gen_case`'s: an
+    index is guarded by a length test or taken modulo the length it reads,
+    the only other divisors are literals, and magnitudes stay small (at
+    most two factors; floats are small dyadic fractions)."""
+    rng = random.Random(seed)
+    fresh = map("v{}__".format, range(1, 1000))
+
+    def const() -> int:
+        return rng.randrange(-3, 4)
+
+    def pred(x: str) -> str:
+        return rng.choice([
+            f"({x} < a)", f"({x} <= {const()})", f"(({x} mod 2) == 0)",
+            f"(({x} * {x}) > (a + {const()}))", f"({x} != a)",
+            f"(not ({x} < {const()}))", f"((({x} + a) mod 3) == 1)"])
+
+    def elem(x: str) -> str:
+        return rng.choice([x, f"({x} + a)", f"({x} * {const()})",
+                           f"(a - {x})", f"({x} * {x})", f"({const()})"])
+
+    def pair(p: str) -> str:
+        return rng.choice([
+            p, f"({p}.1 + a, {p}.2 * 0.5)", f"({p}.1 * {p}.1, {p}.2)",
+            f"({const()}, {p}.2 + {const()}.25)", f"(a - {p}.1, 0.125)"])
+
+    def ppred(p: str) -> str:
+        return rng.choice([pred(f"{p}.1"), f"({p}.2 > 0.0)",
+                           f"({p}.2 <= real({p}.1))",
+                           f"({p}.2 * 0.5 < {const()}.5)"])
+
+    def row(s: str, d: int, pred, elem, key) -> str:
+        """A sequence of the row variable ``s``'s own type, computed from
+        it: ``pred(x)`` and ``elem(x)`` render a predicate on and a new
+        element from the element variable ``x``, ``key(x)`` its int."""
+        x = next(fresh)
+        form = rng.choice(["filter", "if"] if d <= 0 else
+                          ["filter", "if", "concat", "cons2", "cons3",
+                           "elems", "picked"])
+        if form == "filter":
+            return f"[{x} <- {s} | {pred(x)}: {elem(x)}]"
+        if form == "if":
+            return f"[{x} <- {s}: if {pred(x)} then {elem(x)} else {elem(x)}]"
+        if form == "elems":     # constructors of elements under the filter
+            items = ", ".join(elem(x) for _ in range(rng.randrange(2, 4)))
+            return f"flatten([{x} <- {s} | {pred(x)}: [{items}]])"
+        subs = [row(s, d - 1, pred, elem, key)
+                for _ in range({"picked": 1, "cons3": 3}.get(form, 2))]
+        if form == "concat":
+            return f"concat({subs[0]}, {subs[1]})"
+        if form == "cons2":     # a constant position in a two-row constructor
+            return f"[{subs[0]}, {subs[1]}][{rng.randrange(1, 3)}]"
+        if form == "cons3":     # a data position in a three-row constructor
+            return f"[{', '.join(subs)}][1 + ((a * a + #{s}) mod 3)]"
+        r = next(fresh)         # picked: seq_index against another pack
+        if rng.random() < 0.5:
+            k = rng.randrange(1, 4)
+            got = f"if #{r} < {k} then {elem(x)} else {r}[{k}]"
+        else:
+            got = (f"if #{r} == 0 then {elem(x)} else "
+                   f"{r}[1 + (({key(x)} * {key(x)} + a * a) mod #{r})]")
+        return f"(let {r} = {subs[0]} in [{x} <- {s} | {pred(x)}: {got}])"
+
+    ints = row("s", rng.randrange(1, 4), pred, elem, str)
+    pairs = row("r", rng.randrange(1, 3), ppred, pair, "{}.1".format)
+    helper = f"fun packed(r: seq((int, float)), a) =\n  {pairs}"
+    body = f"([s <- ss: {ints}], [r <- pp: packed(r, a)])"
+
+    def ragged(item) -> list:
+        return [[item() for _ in range(rng.choice((0, 0, 1, 2, 3, 5, 8)))]
+                for _ in range(rng.randrange(0, 6))]
+    args = (rng.randrange(-9, 10),
+            ragged(lambda: rng.randrange(-9, 10)),
+            ragged(lambda: (rng.randrange(-9, 10),
+                            rng.randrange(-16, 17) / 8)))
+    return FuzzCase(seed=seed, body=leaf(SEQ2, body), helpers=(helper,),
+                    args=args, params=_FILTER_PARAMS)

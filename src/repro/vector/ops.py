@@ -17,9 +17,12 @@ hands the level arrays below them to one of the three subtree kernels of
 :mod:`repro.vector.segments` — ``compress_subtrees`` / ``merge_subtrees``
 where the order is kept (``restrict``, ``seq_index``, ``combine``,
 ``concat``, a two-element constructor), ``gather_subtrees`` where elements
-are replicated or permuted.  Results are built with
-:meth:`NestedVector.splice`, so descriptor levels taken over from an
-argument are not validated again.
+are replicated or permuted.  An order-preserving op selects through one
+increasing index vector: ``restrict`` takes the ``nonzero`` of its mask once
+per op, shares it between the leaves of a tuple frame and counts the new
+lengths from it; ``seq_index`` computes its index and never builds a mask
+for flat items.  Results are built with :meth:`NestedVector.splice`, so
+descriptor levels taken over from an argument are not validated again.
 """
 
 from __future__ import annotations
@@ -206,11 +209,9 @@ def k_seq_index(v: Value, i: NestedVector) -> Value:
     def go(leaf: NestedVector) -> NestedVector:
         lens = leaf.descs[1]
         _check_index(i.values, lens, "seq_index")
-        # one item per segment, so the selection is increasing: a compress
-        items = item_levels(leaf, 2)
-        mask = np.zeros(len(items[0]), dtype=np.bool_)
-        mask[S.seg_starts(lens) + i.values - 1] = True
-        got = S.compress_subtrees(items, mask)
+        # one item per segment, so the index is increasing: a compress
+        got = S._compress(item_levels(leaf, 2),
+                          S.seg_starts(lens) + i.values - 1)
         return NestedVector.splice(got[-1], leaf.kind, leaf, 1, got[:-1])
     return map_leaves(go, v)
 
@@ -287,12 +288,15 @@ def k_seq_update(v: Value, i: NestedVector, x: Value) -> Value:
 def k_restrict(v: Value, m: NestedVector) -> Value:
     mcounts = m.descs[1]
     keep = m.values
-    new_counts = S.seg_sum(keep.astype(INT_DTYPE), mcounts)
+    idx = keep.nonzero()[0]     # once per op: every leaf selects through it
+    # the kept items per segment, counted from the index
+    seg_of = np.arange(mcounts.size, dtype=INT_DTYPE).repeat(mcounts)
+    new_counts = np.bincount(seg_of.take(idx), minlength=mcounts.size)
 
     def go(leaf: NestedVector) -> NestedVector:
         if not np.array_equal(leaf.descs[1], mcounts):
             raise EvalError("restrict: lengths differ")
-        got = S.compress_subtrees(item_levels(leaf, 2), keep)
+        got = S._compress(item_levels(leaf, 2), idx, keep)
         return NestedVector.splice(got[-1], leaf.kind, leaf, 1,
                                    (new_counts, *got[:-1]))
     return map_leaves(go, v)

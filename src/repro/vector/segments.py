@@ -16,8 +16,13 @@ arrays, one pass per level and the same loop at every depth:
   inverse of compressing by the mask and by its complement;
 * :func:`gather_subtrees` selects by an index vector, for what replicates or
   permutes (``dist``, shared indexing, ``permute``, ``seq_update``, group
-  dispatch): it pays for an index vector per level that the two
-  order-preserving kernels never build.
+  dispatch).
+
+All three read and write through an index: the order-preserving two get
+theirs per level from one ``nonzero`` of that level's mask (an increasing
+index, the witness of an order-preserving split), the gather has to
+*expand* its own from level to level — two running sums, two ``repeat`` s
+and an ``arange`` — and that expansion, not the index, is what it pays for.
 """
 
 from __future__ import annotations
@@ -292,19 +297,36 @@ def compress_subtrees(levels: list[np.ndarray],
 
     ``levels`` is ``[d_1, ..., values]`` as for :func:`gather_subtrees`;
     ``mask`` has one boolean per node of the top level.  Each level is one
-    compress, and the mask of the next level is this one repeated by the
-    child counts — no index vector is built.  Equal to
+    ``take`` through the ``nonzero`` of its mask, and the mask of the next
+    level is this one repeated by the child counts — the index is built
+    per level, never expanded.  Equal to
     ``gather_subtrees(levels, flatnonzero(mask))``.
     """
+    return _compress(levels, mask.nonzero()[0], mask)
+
+
+def _compress(levels: list[np.ndarray], idx: np.ndarray,
+              mask: np.ndarray | None = None) -> list[np.ndarray]:
+    """:func:`compress_subtrees` for a caller that holds the increasing
+    top-level index ``idx`` (``restrict``: one per op, shared by every tuple
+    leaf; ``seq_index``: one item per segment).  ``mask`` is its flag form;
+    without one it is scattered from ``idx`` only where something reads it
+    — a level below the top, or the profile row."""
+    n = levels[0].size
+    if mask is None and (len(levels) > 1 or _obs.PROFILER is not None):
+        mask = np.zeros(n, dtype=np.bool_)
+        mask[idx] = True
     out: list[np.ndarray] = []
-    frame_len = mask.size
     cur = mask
-    for level in levels[:-1]:
-        out.append(level[cur])
-        cur = np.repeat(cur, level)
-    out.append(levels[-1][cur])
-    return _finish_levels("compress_subtrees", frame_len, (*levels, mask),
-                          out)
+    for k, level in enumerate(levels):
+        if k:
+            cur = cur.repeat(levels[k - 1])
+            idx = cur.nonzero()[0]
+        if cur is not None and cur.size != level.size:
+            raise VectorError(f"compress_subtrees: mask has {cur.size} "
+                              f"entries for {level.size} nodes")
+        out.append(level.take(idx))
+    return _finish_levels("compress_subtrees", n, (*levels, mask), out)
 
 
 def merge_subtrees(mask: np.ndarray, a: list[np.ndarray],
@@ -312,8 +334,9 @@ def merge_subtrees(mask: np.ndarray, a: list[np.ndarray],
     """Interleave the subtrees of ``a`` and ``b``, in order: output node k
     is the next unused subtree of ``a`` where ``mask[k]`` is true, of ``b``
     where it is false (so ``mask`` holds ``len(a[0])`` trues and
-    ``len(b[0])`` falses).  Each level is two masked stores, and the mask
-    of the next level is this one repeated by the merged child counts.
+    ``len(b[0])`` falses).  Each level is two indexed stores, through the
+    ``nonzero`` of its mask and of the complement, and the mask of the next
+    level is this one repeated by the merged child counts.
     The inverse of :func:`compress_subtrees`:
     ``merge(m, compress(L, m), compress(L, ~m)) == L``.
     """
@@ -324,12 +347,19 @@ def merge_subtrees(mask: np.ndarray, a: list[np.ndarray],
     cur = mask
     last = len(a) - 1
     for k, (x, y) in enumerate(zip(a, b)):
+        ia, ib = cur.nonzero()[0], (~cur).nonzero()[0]
+        if ia.size != x.size:
+            raise VectorError(f"merge_subtrees: mask keeps {ia.size} of "
+                              f"a's {x.size} nodes")
+        if ib.size != y.size:
+            raise VectorError(f"merge_subtrees: mask keeps {ib.size} of "
+                              f"b's {y.size} nodes")
         level = np.empty(cur.size, dtype=x.dtype)
-        level[cur] = x
-        level[~cur] = y
+        level[ia] = x
+        level[ib] = y
         out.append(level)
         if k < last:
-            cur = np.repeat(cur, level)
+            cur = cur.repeat(level)
     return _finish_levels("merge_subtrees", frame_len, (mask, *a, *b), out)
 
 
@@ -348,12 +378,12 @@ def gather_subtrees(levels: list[np.ndarray], idx: np.ndarray) -> list[np.ndarra
     out: list[np.ndarray] = []
     cur = idx
     for level in levels[:-1]:
-        counts = level[cur]
+        counts = level.take(cur)
         starts = seg_starts(level)
-        nxt = seg_iota(counts) + np.repeat(starts[cur], counts)
+        nxt = seg_iota(counts) + np.repeat(starts.take(cur), counts)
         out.append(counts)
         cur = nxt
-    out.append(levels[-1][cur])
+    out.append(levels[-1].take(cur))
     return _finish_levels("gather_subtrees", int(idx.size), (*levels, idx),
                           out)
 

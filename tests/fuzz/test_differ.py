@@ -6,7 +6,7 @@ from repro.fuzz import differ
 from repro.fuzz.differ import (
     Outcome, compare_outcomes, fuzz, run_case, shrink_case,
 )
-from repro.fuzz.gen import INT, SEQ, FuzzCase, Node, gen_case, leaf
+from repro.fuzz.gen import INT, SEQ, SEQ2, FuzzCase, Node, gen_case, leaf
 
 
 class TestCompare:
@@ -87,6 +87,16 @@ class TestShrinker:
         small, _ = shrink_case(case)
         assert small.args[0] == 0              # ints zeroed
         assert small.args[2] == []             # seqs emptied
+
+    def test_shrinking_keeps_the_case_own_parameters(self, fake_backends):
+        case = FuzzCase(seed=0, body=leaf(SEQ, "[r <- ss: sum(r) + a]"),
+                        helpers=(), args=(5, [[1], [2, 3]]),
+                        params=(("a", INT), ("ss", SEQ2)))
+        small, _ = shrink_case(case)
+        assert small.params == case.params
+        assert small.types == ("int", "seq(seq(int))")
+        assert small.args == (0, [])
+        assert small.source.startswith("fun main(a, ss) =")
 
     def test_agreeing_case_returned_unchanged(self):
         case = gen_case(1)

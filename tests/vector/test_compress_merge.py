@@ -6,6 +6,7 @@ kept below as the oracle (values bit for bit, tuple leaves, error class and
 message)."""
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -25,17 +26,39 @@ SEEDS = range(12)
 DEPTHS = (1, 2, 3, 4)
 
 
-def random_levels(rng: random.Random, depth: int, top: int) -> list:
+#: leaf kinds of the vector model, as the dtype and values a level list holds
+#: (a ``fun`` leaf is a vector of function ids); floats include the values
+#: ``==`` cannot tell apart or equate
+KINDS = ("int", "bool", "float", "fun")
+FLOATS = (float("nan"), -0.0, 0.0, 1.5, -2.25, float("inf"), float("-inf"))
+
+
+def random_leaves(rng: random.Random, kind: str, n: int) -> np.ndarray:
+    if kind == "bool":
+        return np.array([rng.random() < 0.5 for _ in range(n)], dtype=np.bool_)
+    if kind == "float":
+        return np.array([rng.choice(FLOATS) for _ in range(n)],
+                        dtype=np.float64)
+    lo, hi = (0, 5) if kind == "fun" else (-99, 100)
+    return np.array([rng.randrange(lo, hi) for _ in range(n)],
+                    dtype=INT_DTYPE)
+
+
+def random_levels(rng: random.Random, depth: int, top: int,
+                  kind: str = "int", holes: bool = False) -> list:
     """``[d_1, .., d_{depth-1}, values]`` under ``top`` nodes, with empty
-    segments at every level."""
+    segments at every level; ``holes`` puts empty subtrees first, last and
+    side by side at every level that has the room."""
     levels, n = [], top
     for _ in range(depth - 1):
         d = np.array([rng.choice((0, 0, 1, 2, 3)) for _ in range(n)],
                      dtype=INT_DTYPE)
+        if holes and n >= 5:
+            d[[0, n // 2, n // 2 + 1, -1]] = 0
+            d[1] = 3                    # something left to select
         levels.append(d)
         n = int(d.sum())
-    levels.append(np.array([rng.randrange(-99, 100) for _ in range(n)],
-                           dtype=INT_DTYPE))
+    levels.append(random_leaves(rng, kind, n))
     return levels
 
 
@@ -44,11 +67,31 @@ def masks(rng: random.Random, n: int):
     yield "all-false", np.zeros(n, dtype=np.bool_)
     yield "random", np.array([rng.random() < 0.5 for _ in range(n)],
                              dtype=np.bool_)
+    yield "alternating", np.arange(n) % 2 == 0
+    if n:
+        one = np.zeros(n, dtype=np.bool_)
+        one[rng.randrange(n)] = True
+        yield "one-true", one
+        yield "one-false", ~one
 
 
 def same_levels(a: list, b: list) -> bool:
+    """Same dtypes and the same bits, level by level (not ``==``: NaN and
+    -0.0 leaves)."""
     return len(a) == len(b) and all(
-        x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a, b))
+        x.dtype == y.dtype and x.shape == y.shape
+        and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def forests(rng: random.Random, depth: int):
+    """Level lists of every leaf kind: over no nodes (the zero-length
+    mask), one, a few, and enough to hold the holes."""
+    for kind in KINDS:
+        for top in (0, 1, rng.randrange(2, 9)):
+            yield f"{kind}/{top}", top, random_levels(rng, depth, top, kind)
+        top = rng.randrange(6, 12)
+        yield f"{kind}/{top}/holes", top, random_levels(rng, depth, top, kind,
+                                                        holes=True)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -57,29 +100,107 @@ def test_merge_inverts_compress(seed, depth):
     """ROADMAP 3d, partition-then-stitch: splitting an ordered forest by a
     mask and merging the halves by the same mask is the identity."""
     rng = random.Random(seed * 100 + depth)
-    for top in (0, 1, rng.randrange(2, 9)):        # top == 0: the empty mask
-        levels = random_levels(rng, depth, top)
+    for which, top, levels in forests(rng, depth):
         for what, m in masks(rng, top):
             back = S.merge_subtrees(m, S.compress_subtrees(levels, m),
                                     S.compress_subtrees(levels, ~m))
-            assert same_levels(back, levels), (what, top)
+            assert same_levels(back, levels), (which, what)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("depth", DEPTHS)
 def test_compress_is_the_increasing_gather(seed, depth):
     rng = random.Random(seed * 100 + depth + 50)
-    for top in (0, 1, rng.randrange(2, 9)):
-        levels = random_levels(rng, depth, top)
+    for which, top, levels in forests(rng, depth):
         for what, m in masks(rng, top):
             want = S.gather_subtrees(levels, np.flatnonzero(m))
-            assert same_levels(S.compress_subtrees(levels, m), want), what
+            assert same_levels(S.compress_subtrees(levels, m), want), \
+                (which, what)
 
 
 def test_merge_rejects_depth_mismatch():
     one, two = [np.array([1])], [np.array([1]), np.array([2])]
     with pytest.raises(VectorError, match="depth mismatch"):
         S.merge_subtrees(np.array([True, False]), one, two)
+
+
+def test_a_forest_that_does_not_fit_its_mask_is_a_typed_error():
+    """Per level, from the sizes the index gives for free: NumPy's own
+    IndexError / ValueError before, or a one-node forest silently
+    broadcast into two slots."""
+    T, F = True, False
+    short = np.array([T, F, T])
+    cases = [
+        (lambda: S.compress_subtrees([np.arange(5)], short),
+         "compress_subtrees: mask has 3 entries for 5 nodes"),
+        (lambda: S.compress_subtrees([np.arange(2)], short),
+         "compress_subtrees: mask has 3 entries for 2 nodes"),
+        (lambda: S.compress_subtrees([np.array([1, 0, 1]), np.arange(5)],
+                                     short),     # one level down
+         "compress_subtrees: mask has 2 entries for 5 nodes"),
+        (lambda: S.merge_subtrees(short, [np.arange(3)], [np.arange(1)]),
+         "merge_subtrees: mask keeps 2 of a's 3 nodes"),
+        (lambda: S.merge_subtrees(short, [np.arange(1)], [np.arange(1)]),
+         "merge_subtrees: mask keeps 2 of a's 1 nodes"),
+        (lambda: S.merge_subtrees(~short, [np.arange(1)], [np.arange(1)]),
+         "merge_subtrees: mask keeps 2 of b's 1 nodes"),
+        (lambda: S.merge_subtrees(short, [np.array([1, 1]), np.arange(2)],
+                                  [np.array([2]), np.arange(3)]),
+         "merge_subtrees: mask keeps 2 of b's 3 nodes"),
+    ]
+    for call, message in cases:
+        with pytest.raises(VectorError) as got:
+            call()
+        assert str(got.value) == message
+
+
+# -- restrict counts what it kept ---------------------------------------------
+
+#: descriptors with no segment, one, and empty segments leading, trailing,
+#: side by side and throughout
+SEGMENTS = ([], [0], [4], [0, 3, 2], [3, 2, 0], [0, 0, 2, 0, 0, 5, 0],
+            [0, 0, 0], [1] * 9, [7, 1, 0, 6])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_restrict_counts_what_it_kept(seed, kind):
+    """The new lengths are the kept items per segment — the segmented sum
+    of the mask, int64, zero for an empty segment wherever it sits — and
+    the values are the mask read, bit for bit."""
+    rng = random.Random(f"{seed}/{kind}")
+    for lens in SEGMENTS:
+        counts = np.array(lens, dtype=INT_DTYPE)
+        values = random_leaves(rng, kind, sum(lens))
+        v = NestedVector([[len(lens)], lens], values, kind)
+        for what, keep in masks(rng, sum(lens)):
+            got = O.k_restrict(v, bools(keep.tolist(), lens))
+            want = S.seg_sum(keep.astype(INT_DTYPE), counts)
+            assert same_levels([*got.descs, got.values],
+                               [v.descs[0], want, values[keep]]), (lens, what)
+            assert got.descs[1].dtype == INT_DTYPE and got.kind == kind
+
+
+def test_restrict_builds_one_index_per_op():
+    """A flat frame of 3-tuples is three leaves under one mask: the index
+    is per op, not per leaf."""
+    rng = random.Random(3)
+    lens = [3, 0, 4, 1]
+    v = frame_of_seqs(rng, "(int, bool, int)", lens)
+    m = bools([rng.random() < 0.5 for _ in range(sum(lens))], lens)
+    assert len(v.items) == 3
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "c_call" and arg.__name__ == "nonzero"
+    sys.setprofile(count)
+    try:
+        got = O.k_restrict(v, m)
+    finally:
+        sys.setprofile(None)
+    assert calls == 1
+    assert identical(got, gather_restrict(v, m))
 
 
 # -- the five kernels against their gather-based bodies ----------------------
