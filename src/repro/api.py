@@ -46,7 +46,7 @@ from repro.transform.extensions import ext1_name
 from repro.transform.pipeline import (
     TransformOptions, TransformedProgram, transform_program,
 )
-from repro.vector.convert import from_python, to_python
+from repro.vector.convert import from_python, infer_from_python, to_python
 from repro.vexec.evaluator import VectorEvaluator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -150,6 +150,16 @@ def _as_type(t: TypeLike) -> T.Type:
     return T.parse_type(t) if isinstance(t, str) else t
 
 
+def _converted(values: Sequence[Any], types: Any) -> tuple[Any, Optional[list]]:
+    """``(types, vectors)``: values given without types are typed by
+    converting them (:func:`infer_from_python`).  ``(types, None)`` where
+    types are given or a value declines: those are checked, then converted."""
+    pairs = [infer_from_python(v) for v in values] if types is None else None
+    if pairs is None or not all(pairs):
+        return types, None
+    return tuple(t for t, _ in pairs), [x for _, x in pairs]
+
+
 @dataclass
 class _Bound:
     """What a call of one entry needs that ``(fname, types as given, back
@@ -229,19 +239,20 @@ class CompiledProgram:
 
     def _bind(self, fname: str, args: Sequence[Any],
               types: Optional[Sequence[TypeLike]], backend: Optional[str],
-              batched: bool = False) -> _Bound:
+              batched: bool = False, proved: bool = False) -> _Bound:
         """The bound entry for one call, ``args`` checked as
         :meth:`entry_types` checks them: when warm, one lookup on a key
         whose members keep their hashes (the caller's strings, not parsed
-        types), then the value check.  ``backend=None`` binds the cost
-        analysis's program and certificate.  Function-typed arguments
-        make the program depend on the values passed: bound per call."""
+        types), then the value check (not of types ``proved`` by converting
+        ``args``).  ``backend=None`` binds the cost analysis's program and
+        certificate.  Function-typed arguments make the program depend on
+        the values passed: bound per call."""
         given = (tuple(types) if types is not None
                  else self.entry_types(fname, args))
         key = (fname, given, backend, batched)
         b = self._bound.get(key)
         if b is not None:
-            if types is not None:
+            if types is not None and not proved:
                 self.entry_types(fname, args, b.arg_types)
             return b
         arg_types, funs = self.resolve_entry(fname, args, given)
@@ -431,12 +442,19 @@ class CompiledProgram:
         :meth:`run_batched`'s per-request fallback, inside the batch's)."""
         row = backend_row(backend)
         if row.executor is None:
+            self.entry_types(fname, args, types)
             with _obs.span(f"execute:{backend}"):
                 return Interpreter(self.canonical).call(fname, list(args))
-        b = self._bind(fname, args, types, backend)
+        types, vargs = _converted(args, types)
+        b = self._bind(fname, args, types, backend, proved=vargs is not None)
         ex = self._executor(row, g, check, b, fname, args, threads)
-        with _obs.span(f"execute:{backend}"):
-            return ex.call(b.mono, list(args))
+        if vargs is None:
+            with _obs.span(f"execute:{backend}"):
+                return ex.call(b.mono, list(args))
+        with _guard.scoped_recursion_limit(200_000), \
+                _obs.span(f"execute:{backend}"), \
+                _obs.span(f"{ex.span}:{b.mono}"):
+            return to_python(ex.call_raw(b.mono, vargs), b.ret_col.elem)
 
     def predict(self, fname: str, args: Sequence[Any],
                 types: Optional[Sequence[TypeLike]] = None) -> dict:
@@ -484,11 +502,8 @@ class CompiledProgram:
         n, lead = len(argsets), argsets[0]
         k = len(lead)
         with _guard_scope(check, budget) as g:
-            b = None
-            if not row.batches:
-                # the lead's values are checked even where `run` checks none
-                self.entry_types(fname, lead, types)
-            else:
+            b = cols = None
+            if row.batches:
                 for args in argsets:
                     if len(args) != k:
                         raise EvalError(f"{fname} expects {k} arguments, "
@@ -496,17 +511,20 @@ class CompiledProgram:
                 if types is None and lead:
                     # a column is one value: sibling requests merge their
                     # element types, an empty sequence takes its siblings'
-                    types = tuple(
-                        T.peel(infer_value_type([a[j] for a in argsets]))
-                        for j in range(k))
-                b = self._bind(fname, lead, types, backend, batched=True)
+                    columns = [[a[j] for a in argsets] for j in range(k)]
+                    seqs, cols = _converted(columns, None)
+                    types = tuple(map(T.peel, seqs or map(infer_value_type,
+                                                          columns)))
+                b = self._bind(fname, lead, types, backend, batched=True,
+                               proved=cols is not None)
             if b is None or b.cols is None:
                 return [self._run(g, fname, args, backend, types, check,
                                   threads) for args in argsets]
             ex = self._executor(row, g, check, b, fname, lead, threads)
             with _obs.span(f"batch:pack[{n}]"):
-                cols = [from_python([args[j] for args in argsets], t)
-                        for j, t in enumerate(b.cols)]
+                if cols is None:
+                    cols = [from_python([args[j] for args in argsets], t)
+                            for j, t in enumerate(b.cols)]
                 if g is not None and g.check:
                     for col in cols:
                         g.check_value("batch:pack", col)

@@ -45,6 +45,8 @@ def _desc_arrays(v: Value) -> list:
 class VM:
     """Executes VCODE programs."""
 
+    span = "vcode-vm"   #: the phase span of one entry call is ``vcode-vm:<name>``
+
     def __init__(self, program: VProgram, record_trace: bool = True,
                  max_recursion: int = 200_000, fusion=None, native=None):
         self.program = program
@@ -76,7 +78,7 @@ class VM:
         if len(pyargs) != len(f.params):
             raise EvalError(f"{fname} expects {len(f.params)} args")
         with scoped_recursion_limit(self._max_recursion), \
-                _obs.span(f"vcode-vm:{fname}"):
+                _obs.span(f"{self.span}:{fname}"):
             vargs = [from_python(a, t) for a, t in zip(pyargs, f.param_types)]
             out = self.call_raw(fname, vargs)
             return to_python(out, f.ret_type)

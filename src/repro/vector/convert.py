@@ -15,8 +15,10 @@ with slices over the descriptor's running sum; a tuple is peeled with one
 ``map(itemgetter(i), layer)`` per component (``zip(*layer)`` would make an
 iterator per element, and the garbage collector charges for each) and put
 back with ``zip(*columns)``.  The two are exact inverses.  A layer is judged
-by its elements' exact types; only a rejected layer is scanned element by
-element, to name the first offender.
+by its elements' exact types: against the type where one is given (after
+``check_value`` has judged the value), and where none is, once — the
+converter reads the type off its own pass (:func:`infer_from_python`).  Only
+a rejected layer is scanned element by element, to name the first offender.
 
 A batch of N requests crosses here too: the column of their values for one
 argument is one value of type ``seq(t)``
@@ -27,11 +29,12 @@ from __future__ import annotations
 
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import VectorError
+from repro.interp.values import FunVal, _kinds
 from repro.lang import types as T
 from repro.vector.nested import (
     FUNTABLE, KIND_DTYPES, NestedVector, VFun, VTuple, first_leaf,
@@ -51,21 +54,14 @@ def from_python(v: Any, t: T.Type):
     """Convert a Python value of P type ``t`` to a vector value.  An
     integer outside int64 is rejected here, by value, like every other
     misfit: the vector side has no other integer."""
-    if isinstance(t, T.TInt):
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise VectorError(f"expected int, got {v!r}")
-        v = int(v)
-        if v not in _INT64:
+    if type(t) in _LEAVES:
+        kind, accepted, refused = _LEAVES[type(t)]
+        if isinstance(v, refused) or not isinstance(v, accepted):
+            raise VectorError(f"expected {kind}, got {v!r}")
+        v = accepted[0](v)
+        if kind == "int" and v not in _INT64:
             raise VectorError(f"integer {v!r} does not fit int64")
         return v
-    if isinstance(t, T.TBool):
-        if not isinstance(v, (bool, np.bool_)):
-            raise VectorError(f"expected bool, got {v!r}")
-        return bool(v)
-    if isinstance(t, T.TFloat):
-        if not isinstance(v, (float, np.floating)):
-            raise VectorError(f"expected float, got {v!r}")
-        return float(v)
     if isinstance(t, T.TFun):
         return VFun(_fun_name(v))
     if isinstance(t, T.TTuple):
@@ -73,8 +69,28 @@ def from_python(v: Any, t: T.Type):
             raise VectorError(f"expected {len(t.items)}-tuple, got {v!r}")
         return VTuple([from_python(x, it) for x, it in zip(v, t.items)])
     if isinstance(t, T.TSeq):
-        return _layer_from_python((v,), t, [])
+        return _layer_from_python((v,), t, [])[1]
     raise VectorError(f"cannot convert to vector form at type {t!r}")
+
+
+def infer_from_python(v: Any) -> Optional[tuple[T.Type, Any]]:
+    """``(t, from_python(v, t))`` for ``t = infer_value_type(v)``, from the
+    one walk that converts: each layer's type is read off the pass that
+    would have checked it.  ``None`` where a layer has no one type to read or
+    a value does not fit — the typed sequence then says which, and how."""
+    try:
+        if isinstance(v, list):
+            return _layer_from_python((v,), None, [])
+        t = _read((v,))
+        if not isinstance(t, T.TTuple):
+            return t, from_python(v, t)
+        items = [infer_from_python(x) for x in v]   # kept apart at depth 0
+        if all(items):
+            return (T.TTuple(tuple(it for it, _ in items)),
+                    VTuple([x for _, x in items]))
+    except VectorError:
+        pass
+    return None
 
 
 def _fun_name(v: Any) -> str:
@@ -86,7 +102,8 @@ def _fun_name(v: Any) -> str:
     raise VectorError(f"expected a function value, got {v!r}")
 
 
-#: scalar leaf type -> (kind, accepted classes, refused classes)
+#: scalar leaf type -> (kind, accepted classes, refused classes); a scalar
+#: comes out as the first accepted class
 _LEAVES = {
     T.TInt: ("int", (int, np.integer), bool),
     T.TBool: ("bool", (bool, np.bool_), ()),
@@ -103,46 +120,64 @@ def _all(layer: Sequence, base, but=()) -> bool:
                for tp, _ in groupby(layer, type))
 
 
-def _layer_from_python(layer: Sequence, t: T.Type, descs: list):
+def _read(layer: Sequence) -> T.Type:
+    """What one pass tells of the type of ``layer``'s values, judged as
+    :func:`repro.interp.values.infer_value_type` judges: a scalar type (int
+    where there is nothing to look at), or a sequence / tuple type with
+    ``None`` where the next layer will say.  Values of no one type, function
+    values and non-P values are a ``VectorError``."""
+    kinds = _kinds(layer) or {T.INT}
+    kind = kinds.pop()
+    if kinds or kind is None or kind is FunVal:
+        raise VectorError("a layer of no one P type")
+    if kind is list:
+        return T.TSeq(None)
+    return T.TTuple((None,) * len(layer[0])) if kind is tuple else kind
+
+
+def _layer_from_python(layer: Sequence, t: Optional[T.Type], descs: list):
     """Convert ``layer``, the values of type ``t`` that sit under the
-    descriptors ``descs``, to a NestedVector (a VTuple of them where ``t``
-    holds tuples)."""
-    depth = T.seq_depth(t)
-    leaf = T.peel(t, depth)
-    root = layer
-    for _ in range(depth):
-        if not _all(layer, list):
-            if isinstance(leaf, T.TTuple):
-                _tuple_misfit(root, depth, 0)
+    descriptors ``descs``, to ``(t, NestedVector)`` (a VTuple of them where
+    ``t`` holds tuples).  A layer is checked against ``t``; where ``t`` is
+    ``None`` its type is :func:`_read` off it instead, in the same one pass."""
+    told, root, depth = t is not None, layer, 0
+    while isinstance(t := t or _read(layer), T.TSeq):
+        if told and not _all(layer, list):
+            below = T.seq_depth(t)
+            if isinstance(T.peel(t, below), T.TTuple):
+                _tuple_misfit(root, depth + below, 0)
             for x in layer:
                 if not isinstance(x, list):
                     raise VectorError(f"expected a sequence, got {x!r}")
         descs = [*descs, np.fromiter(map(len, layer), INT_DTYPE, len(layer))]
         layer = (layer[0] if len(layer) == 1
                  else list(chain.from_iterable(layer)))
-    if isinstance(leaf, T.TTuple):
-        if not _all(layer, tuple):
+        t, depth = t.elem, depth + 1
+    if isinstance(t, T.TTuple):
+        if told and not _all(layer, tuple):
             _tuple_misfit(root, depth, 0)
-        width = len(leaf.items)
+        width = len(t.items)
         if max(map(len, layer), default=0) > width:
             wide = next(x for x in layer if len(x) > width)
             raise VectorError(f"expected {width}-tuple, got {wide!r}")
         comps = []
-        for i, it in enumerate(leaf.items):
+        for i, it in enumerate(t.items):
             try:
                 column = list(map(itemgetter(i), layer))
             except IndexError:
                 _tuple_misfit(layer, 0, i)
                 raise
             comps.append(_layer_from_python(column, it, descs))
-        return VTuple(comps)
-    if isinstance(leaf, T.TFun):
+        return (T.seq_of(T.TTuple(tuple(ct for ct, _ in comps)), depth),
+                VTuple([c for _, c in comps]))
+    if isinstance(t, T.TFun):
         ids = [FUNTABLE.intern(_fun_name(x)) for x in layer]
-        return NestedVector(descs, np.asarray(ids, dtype=INT_DTYPE), "fun")
-    if type(leaf) not in _LEAVES:
-        raise VectorError(f"bad sequence leaf type {leaf!r}")
-    kind, accepted, refused = _LEAVES[type(leaf)]
-    if not _all(layer, accepted, refused):
+        return T.seq_of(t, depth), NestedVector(
+            descs, np.asarray(ids, dtype=INT_DTYPE), "fun")
+    if type(t) not in _LEAVES:
+        raise VectorError(f"bad sequence leaf type {t!r}")
+    kind, accepted, refused = _LEAVES[type(t)]
+    if told and not _all(layer, accepted, refused):
         for x in layer:
             if isinstance(x, refused) or not isinstance(x, accepted):
                 raise VectorError(f"expected {kind} element, got {x!r}")
@@ -151,7 +186,7 @@ def _layer_from_python(layer: Sequence, t: T.Type, descs: list):
     except OverflowError:
         bad = next(x for x in layer if int(x) not in _INT64)
         raise VectorError(f"integer {bad!r} does not fit int64") from None
-    return NestedVector(descs, values, kind)
+    return T.seq_of(t, depth), NestedVector(descs, values, kind)
 
 
 def _tuple_misfit(layer: Sequence, depth: int, i: int) -> None:

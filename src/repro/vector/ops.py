@@ -28,7 +28,7 @@ descriptor levels taken over from an argument are not validated again.
 from __future__ import annotations
 
 import functools
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -38,8 +38,8 @@ from repro.lang import types as T
 from repro.obs import runtime as _obs
 from repro.vector import segments as S
 from repro.vector.nested import (
-    FUNTABLE, NestedVector, Value, VFun, VTuple, first_leaf, map_leaves,
-    zip_leaves,
+    FUNTABLE, KIND_DTYPES, NestedVector, Value, VFun, VTuple, first_leaf,
+    map_leaves, zip_leaves,
 )
 from repro.vector.segments import INT_DTYPE
 
@@ -95,19 +95,26 @@ def broadcast_to_count(c: Value, n: int) -> Value:
     return out
 
 
+def _replicated(c: Any, n: int, kind: str) -> NestedVector:
+    """The frame of ``n`` copies of scalar ``c``, not written out (section
+    4.5): a read-only stride-0 view of one stored element."""
+    dtype = KIND_DTYPES[kind]
+    values = np.ndarray((n,), dtype, np.array(c, dtype), 0, (0,))
+    values.flags.writeable = False
+    return NestedVector([[n]], values, kind)
+
+
 def _broadcast(c: Value, n: int) -> Value:
     if isinstance(c, VTuple):
         return VTuple([_broadcast(x, n) for x in c.items])
     if isinstance(c, bool):
-        return NestedVector([[n]], np.full(n, c, dtype=np.bool_), "bool")
+        return _replicated(c, n, "bool")
     if isinstance(c, (float, np.floating)):
-        return NestedVector([[n]], np.full(n, float(c), dtype=np.float64),
-                            "float")
+        return _replicated(float(c), n, "float")
     if isinstance(c, (int, np.integer)):
-        return NestedVector([[n]], np.full(n, int(c), dtype=INT_DTYPE), "int")
+        return _replicated(int(c), n, "int")
     if isinstance(c, VFun):
-        fid = FUNTABLE.intern(c.name)
-        return NestedVector([[n]], np.full(n, fid, dtype=INT_DTYPE), "fun")
+        return _replicated(FUNTABLE.intern(c.name), n, "fun")
     if isinstance(c, NestedVector):
         top = np.array([n], dtype=INT_DTYPE)
         reps = np.full(n, c.top_length, dtype=INT_DTYPE)

@@ -196,6 +196,8 @@ class _Lowered:
 class VectorEvaluator:
     """Executes the functions of a :class:`TransformedProgram`."""
 
+    span = "vexec"      #: the phase span of one entry call is ``vexec:<name>``
+
     def __init__(self, program: TransformedProgram, max_recursion: int = 200_000,
                  observer: Optional[Callable[[str, int], None]] = None,
                  native=None):
@@ -219,7 +221,7 @@ class VectorEvaluator:
             raise EvalError(
                 f"{mono_name} expects {len(d.params)} arguments, got {len(pyargs)}")
         with scoped_recursion_limit(self._max_recursion), \
-                _obs.span(f"vexec:{mono_name}"):
+                _obs.span(f"{self.span}:{mono_name}"):
             vargs = [from_python(a, t) for a, t in zip(pyargs, d.param_types)]
             out = self._code.call_raw(mono_name, vargs)
             return to_python(out, d.ret_type)

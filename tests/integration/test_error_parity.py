@@ -3,10 +3,12 @@ three back ends, and every *static* error must be raised before any back
 end runs.  (Exact messages may differ; the error class and the refusal to
 produce a wrong answer are the contract.)"""
 
+import numpy as np
 import pytest
 
 from repro import ReproError, compile_program
-from repro.errors import ParseError, TypeCheckError
+from repro.api import BACKENDS
+from repro.errors import EvalError, ParseError, TypeCheckError, VectorError
 
 RUNTIME_CASES = [
     # (description, source, entry, args)
@@ -65,6 +67,80 @@ class TestFusedFoldErrorParity:
                 fused.run(entry, args, backend=backend)
             assert (type(got.value), str(got.value)) == \
                 (type(want.value), str(want.value)), backend
+
+
+BIG = 2 ** 70
+SEQ = ("seq(int)",)
+
+#: (description, args, types, what every lane says) for ``fun f(v) = [x <-
+#: v: x + 1]``: an error class and message, or the answer.  Where the
+#: reference interpreter legitimately differs from the four vector lanes
+#: the row says both: ``(interp, vector lanes)``.
+BOUNDARY_CASES = [
+    ("bool among ints", [[1, True]], None,
+     (EvalError, "heterogeneous sequence: [1, True]")),
+    ("bool among ints, typed", [[1, True]], SEQ,
+     (EvalError, "argument[2]: expected int, got True")),
+    ("float among ints", [[1, 2.0]], None,
+     (EvalError, "heterogeneous sequence: [1, 2.0]")),
+    ("float among ints, typed", [[1, 2.0]], SEQ,
+     (EvalError, "argument[2]: expected int, got 2.0")),
+    ("a string", ["ab"], None, (EvalError, "not a P value: 'ab'")),
+    ("a string, typed", ["ab"], SEQ,
+     (EvalError, "argument: expected a sequence (list), got 'ab'")),
+    ("None", [None], None, (EvalError, "not a P value: None")),
+    ("None, typed", [None], SEQ,
+     (EvalError, "argument: expected a sequence (list), got None")),
+    ("a NumPy integer", [[1, np.int64(3)]], None,
+     (EvalError, f"not a P value: {np.int64(3)!r}")),
+    ("a NumPy integer, typed", [[1, np.int64(3)]], SEQ,
+     (EvalError, f"argument[2]: expected int, got {np.int64(3)!r}")),
+    ("an ndarray", [np.array([1, 2])], None,
+     (EvalError, f"not a P value: {np.array([1, 2])!r}")),
+    ("an ndarray, typed", [np.array([1, 2])], SEQ,
+     (EvalError, "argument: expected a sequence (list), "
+                 f"got {np.array([1, 2])!r}")),
+    # a tuple is a P value: untyped, the door has nothing to refuse.  The
+    # binder refuses the instance; the interpreter, which has no types,
+    # iterates whatever Python iterates
+    ("a tuple for a sequence", [(1, 2)], None,
+     ([2, 3], (TypeCheckError, "type mismatch: (int, int) vs seq(int) in "
+                               "specialization of f"))),
+    ("a tuple for a sequence, typed", [(1, 2)], SEQ,
+     (EvalError, "argument: expected a sequence (list), got (1, 2)")),
+    # int64 is the vector side's only integer; Python's has no bound
+    ("an integer beyond int64", [[BIG]], None,
+     ([BIG + 1], (VectorError, f"integer {BIG} does not fit int64"))),
+    ("an integer beyond int64, typed", [[BIG]], SEQ,
+     ([BIG + 1], (VectorError, f"integer {BIG} does not fit int64"))),
+    # arity: the interpreter's own check, the binder's on the vector lanes
+    ("one argument too many", [[1], [2]], None,
+     ((EvalError, "f expects 1 arguments, got 2"),
+      (TypeCheckError, "f expects 1 arguments, got 2"))),
+    ("one argument too many, typed", [[1], [2]], SEQ,
+     (TypeCheckError, "types/args length mismatch")),
+]
+
+
+class TestBoundaryErrorParity:
+    """What the door between Python values and a lane refuses, it refuses
+    on every lane in the same words, through ``run`` and ``run_batched``."""
+
+    @pytest.mark.parametrize("desc, args, types, want", BOUNDARY_CASES,
+                             ids=[c[0] for c in BOUNDARY_CASES])
+    def test_every_lane_says_the_same(self, desc, args, types, want):
+        prog = compile_program("fun f(v) = [x <- v: x + 1]")
+        split = isinstance(want[0], (list, tuple))
+        for backend in BACKENDS:
+            says = want if not split else want[backend != "interp"]
+            for batch in (False, True):
+                try:
+                    got = prog.run_batched("f", [args, args], backend, types) \
+                        if batch else prog.run("f", args, backend, types)
+                    got = got[0] if batch and got[0] == got[1] else got
+                except ReproError as e:
+                    got = type(e), str(e)
+                assert got == says, (backend, batch)
 
 
 STATIC_CASES = [

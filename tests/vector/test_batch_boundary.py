@@ -196,22 +196,31 @@ def test_one_validated_vector_per_argument_column(monkeypatch):
     assert prog.run_batched("main", argsets) == want        # warm
     import repro.api as api
     built = []
-    real_init, real_from = NestedVector.__init__, api.from_python
+    real_init = NestedVector.__init__
     inside = [False]
 
     def init(self, *a, **kw):
         built.append(inside[0])
         real_init(self, *a, **kw)
 
-    def from_python_(v, t):
-        inside[0] = True
-        try:
-            return real_from(v, t)
-        finally:
-            inside[0] = False
+    def crossing(real):
+        def convert(*a):
+            inside[0] = True
+            try:
+                return real(*a)
+            finally:
+                inside[0] = False
+        return convert
     monkeypatch.setattr(NestedVector, "__init__", init)
-    monkeypatch.setattr(api, "from_python", from_python_)
+    # a typed column crosses through from_python, an untyped one through
+    # infer_from_python
+    for door in ("from_python", "infer_from_python"):
+        monkeypatch.setattr(api, door, crossing(getattr(api, door)))
     assert prog.run_batched("main", argsets) == want
+    assert sum(built) == 3
+    built.clear()
+    types = ("int", "seq(int)", "seq(int)")
+    assert prog.run_batched("main", argsets, types=types) == want
     assert sum(built) == 3
 
 

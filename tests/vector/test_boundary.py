@@ -1,14 +1,17 @@
 """The boundary between Python values and descriptor vectors:
 ``infer_value_type`` / ``check_value`` (repro.interp.values) and
-``from_python`` / ``to_python`` (repro.vector.convert).
+``from_python`` / ``to_python`` / ``infer_from_python`` (repro.vector.convert).
 
-Three batteries: the round trip ``to_python(from_python(v, t), t) == v`` with
+Four batteries: the round trip ``to_python(from_python(v, t), t) == v`` with
 ``t = infer_value_type(v)`` over the fuzz generator's arguments and an edge
 corpus (floats compared by their bits); the level-wise walk against
 element-by-element references (the kept element scans, and a recursive
 converter written out here from the defining equations); and an error table
 that pins exception class and message of every rejected input to the
-literals the per-element walk produced before the boundary went level-wise.
+literals the per-element walk produced before the boundary went level-wise;
+and the law of the untyped door: typing a value by converting it
+(``infer_from_python``) is ``infer_value_type`` followed by ``from_python``,
+or declines, and then ``run`` / ``run_batched`` say what those two say.
 """
 
 import random
@@ -17,6 +20,8 @@ import struct
 import numpy as np
 import pytest
 
+from repro import compile_program
+from repro.api import BACKENDS
 from repro.errors import EvalError, VectorError
 from repro.fuzz.gen import gen_case
 from repro.interp import values as V
@@ -24,8 +29,10 @@ from repro.interp.values import FunVal, check_value, infer_value_type
 from repro.lang import types as T
 from repro.lang.types import BOOL, FLOAT, INT, TFun, TSeq, TVar
 from repro.lang.types import parse_type as ty
-from repro.vector.convert import from_python, to_python
+from repro.vector import convert
+from repro.vector.convert import from_python, infer_from_python, to_python
 from repro.vector.nested import NestedVector, VTuple
+from tests.vector.test_batch_boundary import MALFORMED
 
 
 class MyInt(int):
@@ -225,6 +232,103 @@ def test_conversion_agrees_with_the_recursive_reference(seed):
         vec = from_python(v, t)
         assert vec == ref_from_python(v, t), (v, t)
         assert exact(to_python(vec, t)) == exact(coerced(v)), (v, t)
+
+
+# -- a value is typed by converting it ------------------------------------------------
+
+
+def two_walks(v):
+    """What the untyped door did before: infer, then convert."""
+    t = infer_value_type(v)
+    return t, from_python(v, t)
+
+
+def facts(v):
+    """Everything a vector value is: kind, every descriptor, dtype, bytes."""
+    if isinstance(v, VTuple):
+        return [facts(x) for x in v.items]
+    if isinstance(v, NestedVector):
+        return (v.kind, [(d.dtype.str, d.tobytes()) for d in v.descs],
+                v.values.dtype.str, v.values.tobytes())
+    return exact(v)
+
+
+def assert_one_walk_is_the_two(v):
+    got, want = infer_from_python(v), outcome(two_walks, v)
+    if isinstance(want[0], T.Type):
+        assert got is not None and got[0] == want[0], v
+        assert facts(got[1]) == facts(want[1]), v
+    else:       # it only ever declines: the two walks are left to say why
+        assert got is None, (v, want)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_typing_by_conversion_agrees_with_infer_then_convert(seed):
+    rng = random.Random(seed)
+    for _ in range(400):
+        t = random_type(rng)
+        assert_one_walk_is_the_two(
+            random_value(rng, t, rng.choice([0, 0, 0.05, 0.3])))
+
+
+@pytest.mark.parametrize("v", EDGE_CORPUS + JUNK + [
+    [MyInt(3), 4], [[MyInt(3)], []], [1.5, np.float64(2.5)], np.float64(2.5),
+    2 ** 63, [2 ** 63], [[1], [-2 ** 63 - 1]], (1, 2 ** 63), [(1, 2 ** 70)],
+    ([1], [[2.5]]), [([], [True])], (), [()], [(1,)], (1, FunVal("f")),
+    [FunVal("f")], [np.int64(3), 4], [True, np.bool_(False)], [1, 2.0],
+], ids=repr)
+def test_typing_by_conversion_on_the_edge_corpus(v):
+    assert_one_walk_is_the_two(v)
+
+
+def door_rows():
+    """Every malformed (and the few well-formed) value of the three error
+    tables, as one argument and as a column of requests."""
+    yield from (row[0] for row in INFER_ERRORS + FROM_ERRORS)
+    yield from (col for _t, col, _batch, _alone in MALFORMED)
+
+
+IDENTITY = compile_program("fun f(x) = x")
+
+
+@pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "interp"])
+def test_untyped_run_says_what_infer_then_convert_says(backend):
+    def back(v):
+        t, vec = two_walks(v)
+        return exact(to_python(vec, t))
+
+    for v in door_rows():
+        assert outcome(lambda: exact(IDENTITY.run("f", [v], backend))) \
+            == outcome(back, v), v
+        column = v if isinstance(v, list) and v else [v, v]
+        assert outcome(lambda: exact(IDENTITY.run_batched(
+            "f", [[x] for x in column], backend))) == outcome(back, column), v
+
+
+def test_a_warm_untyped_run_scans_each_layer_once(monkeypatch):
+    import repro.api as api
+    prog = compile_program("fun f(v) = [x <- v: x + 1]")
+    args = [list(range(50))]
+    assert prog.run("f", args) == list(range(1, 51))     # warm, both ways
+    assert prog.run_batched("f", [args, args]) == [list(range(1, 51))] * 2
+    scans = []
+
+    def counting(real):
+        def groupby(layer, key):
+            scans.append(len(layer))
+            return real(layer, key)
+        return groupby
+
+    def never(*a):
+        raise AssertionError("check_value on a value conversion has typed")
+    for mod in (convert, V):
+        monkeypatch.setattr(mod, "groupby", counting(mod.groupby))
+    monkeypatch.setattr(api, "check_value", never)
+    assert prog.run("f", args) == list(range(1, 51))
+    assert scans == [1, 50]     # the argument, then its elements
+    del scans[:]
+    assert prog.run_batched("f", [args, args]) == [list(range(1, 51))] * 2
+    assert scans == [1, 2, 100]     # the column, the requests, the elements
 
 
 # -- error parity -----------------------------------------------------------------------

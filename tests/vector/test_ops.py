@@ -2,15 +2,19 @@
 interpreter primitives: f^1(args)[k] == f(args[k]) by definition of the
 parallel extension."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro import FunVal, compile_program
+from repro.api import BACKENDS
 from repro.errors import EvalError, VectorError
 from repro.interp.interpreter import PRIM_IMPLS
 from repro.lang.types import BOOL, INT, TSeq, TTuple, seq_of
 from repro.vector import ops as O
 from repro.vector.convert import from_python, to_python
-from repro.vector.nested import VFun, VTuple
+from repro.vector.nested import FUNTABLE, NestedVector, VFun, VTuple
 
 
 def frame(pyval, elem_t):
@@ -311,6 +315,86 @@ class TestBroadcast:
     def test_zero_count(self):
         out = O.broadcast_to_count(5, 0)
         assert unframe(out, INT) == []
+
+
+#: programs whose replicated scalar meets a consumer that might have
+#: assumed contiguous memory, with arguments
+REPLICATED = """
+fun is_frame(s) = [x <- s: 7]
+fun is_nested(vv) = [v <- vv: [x <- v: 2.5]]
+fun joined(s, k) = concat([x <- s: k], s)
+fun filtered(s, k) = [y <- [x <- s: k] | y > s[1]: y + 1]
+fun indexed(s, k) = [i <- [1..#s]: [x <- s: k][i] + s[i]]
+fun reduced(vv, k) = [v <- vv: sum([x <- v: k])]
+fun largest(vv, k) = [v <- vv: maxval([x <- v: k * 1.5])]
+fun streamed(s, k) = let r = [x <- s: k] in [y <- r: y * 2 + y]
+fun folded(vv, k) = [v <- vv: let r = [x <- v: k] in sum([y <- r: y * 2 + y])]
+fun called(s, f) = [x <- s: f(x)]
+fun inc(x) = x + 1
+"""
+REPLICATED_CASES = [
+    ("is_frame", [[1, 2, 3]], [7, 7, 7]),
+    ("is_frame", [[]], []),
+    ("is_nested", [[[1], [], [2, 3]]], [[2.5], [], [2.5, 2.5]]),
+    ("joined", [[1, 2, 3], 7], [7, 7, 7, 1, 2, 3]),
+    ("filtered", [[1, 2, 3], 4], [5, 5, 5]),
+    ("filtered", [[9, 2, 3], 4], []),
+    ("indexed", [[1, 2, 3], 4], [5, 6, 7]),
+    ("reduced", [[[1], [], [2, 3], [4]], 5], [5, 0, 10, 5]),
+    ("largest", [[[1], [2, 3]], 2.0], [3.0, 3.0]),
+    ("streamed", [[1, 2, 3], 4], [12, 12, 12]),     # native: not hoisted
+    ("folded", [[[1, 2], [3], []], 4], [24, 12, 0]),   # apply_segmented
+]
+
+
+class TestReplicatedScalar:
+    """A replicated scalar is one stored element read n times
+    (section 4.5) and behaves like the vector it stands for."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 1000])
+    @pytest.mark.parametrize("c, kind, dtype", [
+        (True, "bool", np.bool_), (-3, "int", np.int64),
+        (2.5, "float", np.float64), (VFun("inc"), "fun", np.int64)])
+    def test_equals_the_written_out_frame(self, c, kind, dtype, n):
+        out = O.broadcast_to_count(c, n)
+        fill = FUNTABLE.intern(c.name) if kind == "fun" else c
+        full = NestedVector([[n]], np.full(n, fill, dtype=dtype), kind)
+        out.validate()
+        assert out == full and out.kind == kind and out.top_length == n
+        assert out.values.dtype == dtype and out.values.shape == (n,)
+        assert out.values.tobytes() == full.values.tobytes()
+        assert [d.tolist() for d in out.descs] == [[n]]
+        # one element is stored, and nothing may be written through it
+        assert out.values.base.size == 1 and not out.values.flags.writeable
+        if n:
+            with pytest.raises(ValueError):
+                out.values[0] = fill
+
+    def test_costs_no_memory(self):
+        tracemalloc.start()
+        try:
+            out = O.broadcast_to_count(7, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.top_length == 10 ** 6 and peak < 4096
+
+    def test_is_a_scalar_operand_to_the_kernels(self):
+        a = frame(list(range(5)), INT)
+        out = O.apply_kernel("mul", [a, O.broadcast_to_count(3, 5)])
+        assert unframe(out, INT) == [0, 3, 6, 9, 12]
+        assert out.values.flags.writeable and out.values.strides == (8,)
+
+    @pytest.mark.parametrize("backend", list(BACKENDS))
+    @pytest.mark.parametrize("check", [False, True])
+    def test_end_to_end(self, backend, check):
+        prog = compile_program(REPLICATED)
+        for fname, args, want in REPLICATED_CASES:
+            got = prog.run(fname, args, backend=backend, check=check)
+            assert repr(got) == repr(want), (fname, args)
+        got = prog.run("called", [[1, 2], FunVal("inc")], backend=backend,
+                       check=check, types=["seq(int)", "(int) -> int"])
+        assert got == [2, 3]
 
 
 class TestEmptyFrameValue:

@@ -1,7 +1,8 @@
 """The fixed cost of a vector op, as counts (not times): how many
 Python-level calls and NumPy reductions one warm op of the ``nested_dc``
-benchmark makes, that a warm program is never lowered again, and that
-racing threads may publish the same plan."""
+benchmark makes, how often one warm ``api_roundtrip`` op walks its list,
+that a warm program is never lowered again, and that racing threads may
+publish the same plan."""
 
 import importlib.util
 import sys
@@ -56,6 +57,34 @@ def test_one_warm_nested_dc_op_stays_inside_its_budget(workloads):
     assert calls < 32_000, calls
     assert reductions < 1_000, reductions
     assert methods["cumsum"] <= 100 and methods["astype"] <= 30, methods
+
+
+def test_one_warm_api_roundtrip_op_walks_its_list_once(workloads):
+    """389 calls with a type scan ahead of the converter's own and three
+    ``np.full`` constants; 363 once the list is typed by converting it and a
+    replicated scalar is a view.  What is left walks the 100,000 elements
+    in C: ``fromiter`` (the descriptor, the values) and ``tolist``."""
+    api = workloads.ApiRoundtrip()
+    api.setup(0)
+    assert api.check(0, api.op(0))          # warm, and right
+    calls = 0
+    walks = dict.fromkeys(("full", "fromiter", "tolist"), 0)
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+            name = frame.f_code.co_name if event == "call" else arg.__name__
+            if name in walks:
+                walks[name] += 1
+    sys.setprofile(count)
+    try:
+        got = api.op(0)
+    finally:
+        sys.setprofile(None)
+    assert api.check(0, got)
+    assert calls <= 370, calls
+    assert walks == {"full": 0, "fromiter": 2, "tolist": 1}, walks
 
 
 @pytest.mark.parametrize("backend", ["vector", "native"])
