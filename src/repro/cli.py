@@ -700,6 +700,7 @@ def _dispatch(ns) -> int:
                 return 0
             st = engine.status()
             print(f"toolchain:   {st['toolchain']}")
+            print(f"cflags:      {st['cflags']}")
             print(f"available:   {'yes' if st['available'] else 'no'}")
             print(f"openmp:      "
                   f"{'yes' if toolchain.openmp_available() else 'no'}"

@@ -8,8 +8,12 @@ calls to a vector library") by actually *running* generated C:
   region (single loop, invariants hoisted, 4x unrolled) and per segmented
   primitive;
 * :mod:`repro.native.cache` — disk-backed artifact cache keyed by content
-  hash of ABI + toolchain + source (hits are a single ``dlopen``, never a
-  recompile);
+  hash of ABI + toolchain + flags + source (hits are a single ``dlopen``,
+  never a recompile).  Kernels compile at ``-O3``, where GCC's loop
+  vectorizer turns a fold nest into vector code with the float reduction
+  kept in order — the same bits as NumPy; never with ``-ffast-math``,
+  which reassociates a sum, nor with ``-march``, which the key does not
+  capture, so a shared cache could hand a CPU instructions it lacks;
 * :mod:`repro.native.engine` — the runtime bridge the Applier dispatches
   through, falling back to NumPy bit-identically whenever a kernel is
   unavailable;

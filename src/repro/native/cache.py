@@ -60,7 +60,16 @@ ABI_VERSION = 1
 #: overflow wrap like NumPy's int64 instead of being undefined, and
 #: ``-ffp-contract=off`` keeps ``a*b + c`` two roundings, as NumPy
 #: computes it, on targets where the compiler could fuse them into one.
-CFLAGS = ["-O2", "-shared", "-fPIC", "-fwrapv", "-ffp-contract=off"]
+#: ``-O3`` turns on GCC's loop vectorizer, which takes a fold nest's
+#: loops to vector code while keeping a float reduction in order (the
+#: tree two elements at a time, each accumulator taking its own
+#: segment's elements in source order): the same bits in less time,
+#: where at ``-O2`` no emitted loop vectorizes (docs/NATIVE.md has the
+#: table and the timings).  Still no ``-ffast-math``: it reassociates the
+#: sum and changes bits.  And no ``-march``: the key does not name the
+#: CPU, so an artifact built for one could be loaded on another that
+#: lacks its instructions.
+CFLAGS = ["-O3", "-shared", "-fPIC", "-fwrapv", "-ffp-contract=off"]
 
 #: How often a waiter re-checks the owner's lock and artifact.
 LOCK_POLL_S = 0.05

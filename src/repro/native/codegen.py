@@ -23,7 +23,12 @@ by line):
   independent accumulators advancing together, so the latency of one
   segment's dependent ``acc = acc + x`` chain is hidden behind the other
   three (the unroll-with-renaming of a reduction; the segments of one
-  descriptor level are independent iterations).
+  descriptor level are independent iterations).  At ``-O3`` GCC's loop
+  vectorizer takes the lock-step loop, its tails and the leftovers of a
+  ``sum`` to 16-byte vector code, and ``anytrue`` / ``alltrue``'s
+  lock-step and leftover loops; integer multiplies, ``maxval`` /
+  ``minval``, the scans and ``sum`` of ``real`` stay scalar
+  (``tests/native/test_vectorized.py`` pins which).
 
 Bit-identity with the NumPy applier is part of the contract (the fuzzer
 runs the native backend differentially):
@@ -36,7 +41,8 @@ runs the native backend differentially):
 * segmented reductions and scans accumulate **sequentially left-to-right
   within each segment** — in lock-step every accumulator still takes its
   own segment's elements in source order, and without ``-ffast-math``
-  the compiler may not reassociate them — matching the float semantics
+  the compiler vectorizes the reduction only in order: the tree two-wide,
+  the accumulation in source order — matching the float semantics
   of :mod:`repro.vector.segments` (and, by wraparound associativity, its
   integer prefix-difference method).
 

@@ -39,7 +39,7 @@ from ..vector.nested import NestedVector
 from ..vector.segments import FOLDS, INT_DTYPE
 from ..errors import EvalError, VectorError
 from . import toolchain
-from .cache import Kernel, KernelCache
+from .cache import CFLAGS, Kernel, KernelCache
 from .codegen import (
     CTYPES, SEGMENTED_OPS, emit_fused_source, emit_gather_source, plain_fold,
     split_fold, tree_kind,
@@ -329,6 +329,7 @@ class NativeEngine:
             fused = len(self._fused) - seg
             gather = len(self._gather)
         return {"toolchain": toolchain.toolchain_id(),
+                "cflags": " ".join(CFLAGS),
                 "available": toolchain.available(),
                 "fused_kernels": fused, "segmented_kernels": seg,
                 "gather_kernels": gather,

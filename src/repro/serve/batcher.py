@@ -243,6 +243,28 @@ def _coalesce(queue: deque, max_batch: int) -> list:
     return group
 
 
+def _partition(queue: deque, max_batch: int) -> list:
+    """Every request of ``queue`` in its coalescible groups, in one pass —
+    what calling :func:`_coalesce` until the queue is empty returns.  A
+    budgeted request is a group of one; any other joins its key's open
+    group while that group is below ``max_batch``, and otherwise opens a
+    new group at its own position.  Groups come in the order of their
+    first members; ``queue`` is left as it was."""
+    groups: list = []
+    open_groups: dict = {}
+    for r in queue:
+        key = r.key()
+        group = open_groups.get(key) if key is not None else None
+        if group is not None and len(group) < max_batch:
+            group.append(r)
+            continue
+        group = [r]
+        groups.append(group)
+        if key is not None:
+            open_groups[key] = group
+    return groups
+
+
 def _job(group: list) -> dict:
     """What :func:`run_group` needs of a coalesced group — plain
     picklable data, so the same job runs in this process or a worker."""

@@ -82,7 +82,7 @@ from repro.errors import ReproError, ResourceLimitError, WorkerCrashError
 from repro.guard.faults import ChaosSpec
 from repro.obs import runtime as _obs
 from repro.serve.batcher import (
-    BatchExecutor, ServeConfig, ServeStats, _coalesce, _job, _Request,
+    BatchExecutor, ServeConfig, ServeStats, _job, _partition, _Request,
     run_group,
 )
 from repro.serve.cache import CompileCache
@@ -185,11 +185,14 @@ def _worker_main(wid: int, gen: int, conn, config: PoolConfig) -> None:
     empty frame is stop), in order, through
     :func:`~repro.serve.batcher.run_group`; answers each group on the
     same connection, before it starts the next, with one ``done``
-    holding a checksummed payload per request.  A side thread heartbeats every ``heartbeat_s``
-    (so a GIL-holding compute keeps beating, while a stuck C call — or
-    the chaos stall site — goes silent and earns a supervisor kill); it
-    shares ``wlock``, a lock of this process only, with the main thread,
-    so frames never interleave.
+    holding a checksummed payload per request.  A side thread heartbeats
+    every ``heartbeat_s``.  Python code lets it run between bytecodes, and
+    ``ctypes.CDLL`` releases the GIL for the call, so a worker inside a
+    native kernel keeps beating too: only a request deadline reclaims
+    it.  What goes silent is a process whose side thread cannot run — the
+    chaos stall site stands in for one — and that earns a supervisor kill
+    after ``heartbeat_timeout_s``.  The thread shares ``wlock``, a lock of
+    this process only, with the main thread, so frames never interleave.
     """
     chaos = config.chaos
     stall_until = 0.0
@@ -417,9 +420,8 @@ class WorkerPool(BatchExecutor):
                 if self._shutdown:
                     return None
                 handle.wake.wait()
-            frame = []
-            while handle.pending:
-                frame.append(_coalesce(handle.pending, self.config.max_batch))
+            frame = _partition(handle.pending, self.config.max_batch)
+            handle.pending.clear()
             return frame
 
     def _wake_all(self) -> None:
