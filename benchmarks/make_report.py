@@ -633,7 +633,8 @@ def e19():
     enough_cpus = cpus >= 4
     met = (lanes[4]["speedup"] >= 1.7 and identical) if enough_cpus \
         else None
-    print(f"  path: {'OpenMP kernels' if openmp else 'chunked NumPy'}, "
+    path = "OpenMP kernels" if openmp else f"{baseline} serial (no OpenMP)"
+    print(f"  path: {path}, "
           f"{cpus} CPU{'s' if cpus != 1 else ''}; "
           f"bit-identical: {identical}; 4-thread target 1.7x: "
           f"{'met' if met else 'MISSED' if met is not None else 'skipped (< 4 CPUs)'}")

@@ -416,10 +416,10 @@ class CompiledProgram:
         primitives as compiled C kernels (bit-identical to the NumPy
         path by contract; see docs/NATIVE.md), falling back to the NumPy
         applier — with one warning — when no C toolchain is available.
-        ``"parallel"`` runs those same flat operations across ``threads``
-        CPU cores (default: the machine's CPU count) via OpenMP kernels
-        or segment-aligned chunking, still bit-identical to serial — see
-        docs/PARALLEL.md.  ``threads`` is ignored by the other backends;
+        ``"parallel"`` runs those same kernels across ``threads`` CPU
+        cores (default: the machine's CPU count) with OpenMP, serially
+        where the compiler has no OpenMP, still bit-identical to serial —
+        see docs/PARALLEL.md.  ``threads`` is ignored by the other backends;
         ``threads="auto"`` picks the count from the cost certificate's
         predicted concurrency (docs/ANALYSIS.md).
 

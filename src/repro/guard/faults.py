@@ -45,7 +45,7 @@ import numpy as np
 from repro.errors import FaultInjected
 
 __all__ = ["FaultInjector", "injecting", "FAULT_SITES",
-           "PARALLEL_FAULT_SITES", "PROCESS_FAULT_SITES", "ChaosSpec"]
+           "PROCESS_FAULT_SITES", "ChaosSpec"]
 
 #: The armed injector, or None when fault injection is off.
 INJECTOR: Optional["FaultInjector"] = None
@@ -92,30 +92,6 @@ FAULT_SITES: dict[str, str] = {
         "depth of one transformed application bumped by +1 (arg depths stale)",
 }
 
-#: Fault sites specific to the multicore backend (:mod:`repro.parallel`):
-#: each one is a way chunked execution can go wrong *between* the NumPy
-#: kernels — a partition cut that ignores segment boundaries, a chunk
-#: whose result never lands, a worker that is never joined.  They live in
-#: their own registry (like :data:`PROCESS_FAULT_SITES`) because they are
-#: reachable only through the chunked dispatch path, not through ordinary
-#: serial runs; ``tests/parallel/test_containment.py`` proves set-equality
-#: between this registry and its driver table, so a new parallel site
-#: cannot be added without a containment proof.
-PARALLEL_FAULT_SITES: dict[str, str] = {
-    "parallel.partition.misaligned-split":
-        "a chunk boundary bumped off its segment start, splitting one "
-        "segment across two workers; contained as "
-        "InvariantError('parallel.partition')",
-    "parallel.stitch.torn-chunk":
-        "a worker's recorded output length corrupted, as if its chunk "
-        "result were torn or truncated before stitching; contained as "
-        "InvariantError('parallel.stitch')",
-    "parallel.dispatch.lost-barrier":
-        "a worker's completion flag cleared, as if the join barrier lost "
-        "a participant; contained as InvariantError('parallel.barrier')",
-}
-
-
 class FaultInjector:
     """Arms one fault site; fires on the ``fire_on``-th corruptible visit.
 
@@ -126,10 +102,9 @@ class FaultInjector:
 
     def __init__(self, site: str, seed: int = 0, mode: str = "corrupt",
                  fire_on: int = 1):
-        if site not in FAULT_SITES and site not in PARALLEL_FAULT_SITES:
+        if site not in FAULT_SITES:
             raise ValueError(
-                f"unknown fault site {site!r}; known: "
-                f"{sorted([*FAULT_SITES, *PARALLEL_FAULT_SITES])}")
+                f"unknown fault site {site!r}; known: {sorted(FAULT_SITES)}")
         if mode not in ("corrupt", "raise"):
             raise ValueError(f"bad fault mode {mode!r}")
         self.site = site

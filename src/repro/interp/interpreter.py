@@ -32,6 +32,7 @@ from repro.lang import builtins as B
 # ---------------------------------------------------------------------------
 
 
+import functools
 import math
 
 
@@ -122,11 +123,23 @@ def _plus_scan(v: list[Any]) -> list[Any]:
     return out
 
 
+def _max2(a: Any, b: Any) -> Any:
+    """Python's ``max``, except that a NaN operand wins, as it does in
+    NumPy's ``maximum`` and the C kernels (``max`` drops a NaN that comes
+    second)."""
+    return b if b != b else max(a, b)
+
+
+def _min2(a: Any, b: Any) -> Any:
+    """Python's ``min``, except that a NaN operand wins."""
+    return b if b != b else min(a, b)
+
+
 def _max_scan(v: list[Any]) -> list[Any]:
     out = []
     acc = None
     for x in v:
-        acc = x if acc is None else max(acc, x)
+        acc = x if acc is None else _max2(acc, x)
         out.append(acc)
     return out
 
@@ -167,8 +180,8 @@ PRIM_IMPLS: dict[str, Callable[..., Any]] = {
     "mul": lambda a, b: a * b,
     "div": _div,
     "mod": _mod,
-    "max2": lambda a, b: max(a, b),
-    "min2": lambda a, b: min(a, b),
+    "max2": _max2,
+    "min2": _min2,
     "neg": lambda a: -a,
     "abs_": lambda a: abs(a),
     "eq": lambda a, b: a == b,
@@ -191,8 +204,8 @@ PRIM_IMPLS: dict[str, Callable[..., Any]] = {
     "flatten": _flatten,
     "concat": lambda v, w: list(v) + list(w),
     "sum": lambda v: sum(v),
-    "maxval": lambda v: max(_nonempty("maxval", v)),
-    "minval": lambda v: min(_nonempty("minval", v)),
+    "maxval": lambda v: functools.reduce(_max2, _nonempty("maxval", v)),
+    "minval": lambda v: functools.reduce(_min2, _nonempty("minval", v)),
     "anytrue": lambda v: any(v),
     "alltrue": lambda v: all(v),
     "plus_scan": _plus_scan,

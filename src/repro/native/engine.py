@@ -285,7 +285,7 @@ class NativeEngine:
         if bad >= 0:
             # identical first-offender report to the NumPy path
             raise EvalError(
-                f"seq_index: index {int(iv[bad])} out of range")
+                f"index {int(iv[bad])} out of range 1..{int(sv.size)}")
         result = idx.with_values(out, src.kind)
         if _obs.PROFILER is not None:
             _count_native("seq_index_shared", n, (src, idx), result)

@@ -14,11 +14,8 @@ A :class:`Profiler` accumulates two kinds of observations while active
   - ``"vm"``      — VCODE VM instruction executions and the op widths
     charged to the machine model (:mod:`repro.vcode.vm`);
   - ``"native"``  — C kernel executions of the native backend
-    (:mod:`repro.native.engine`);
-  - ``"parallel"`` — multicore dispatches of the parallel backend
-    (:mod:`repro.parallel.engine`): per-op counts plus ``chunks``,
-    ``imbalance_x1000`` and ``barrier_wait`` health counters
-    (docs/PARALLEL.md).
+    (:mod:`repro.native.engine`), serial or OpenMP: the parallel backend
+    runs the same engine and charges the same layer (docs/PARALLEL.md).
 
   Layers overlap by design: one ``seq_index`` kernel call typically
   performs several ``segment`` observations on its behalf.  Sum within a

@@ -206,16 +206,24 @@ def k_range(a: NestedVector, b: NestedVector) -> NestedVector:
     return NestedVector.splice(vals, "int", a, 1, (lens,))
 
 
+def _range_error(what: str, i: np.ndarray,
+                 lens: np.ndarray | int) -> EvalError:
+    """The interpreter's words for the first index of ``i`` outside
+    ``1..lens`` (a bound per index, or one for all)."""
+    bad = int(((i < 1) | (i > lens)).argmax())
+    n = lens if np.ndim(lens) == 0 else lens[bad]
+    return EvalError(f"{what} {int(i[bad])} out of range 1..{int(n)}")
+
+
 def _check_index(i: np.ndarray, lens: np.ndarray, what: str) -> None:
     if i.size and ((i < 1) | (i > lens)).any():
-        bad = int(i[((i < 1) | (i > lens)).argmax()])
-        raise EvalError(f"{what}: index {bad} out of range")
+        raise _range_error(what, i, lens)
 
 
 def k_seq_index(v: Value, i: NestedVector) -> Value:
     def go(leaf: NestedVector) -> NestedVector:
         lens = leaf.descs[1]
-        _check_index(i.values, lens, "seq_index")
+        _check_index(i.values, lens, "index")
         # one item per segment, so the index is increasing: a compress
         got = S._compress(item_levels(leaf, 2),
                           S.seg_starts(lens) + i.values - 1)
@@ -230,11 +238,8 @@ def k_seq_index_shared(v: Value, i: NestedVector) -> Value:
         n = int(leaf.descs[0][0])
         iv = i.values
         if iv.size and (int(iv.min()) < 1 or int(iv.max()) > n):
-            # same first-offender report as _check_index, without
-            # materializing a full-size bound vector on the hot path
-            bad_mask = (iv < 1) | (iv > n)
-            bad = int(iv[bad_mask.argmax()])
-            raise EvalError(f"seq_index: index {bad} out of range")
+            # _check_index's report, without a full-size mask on the hot path
+            raise _range_error("index", iv, n)
         got = S.gather_subtrees(item_levels(leaf, 1), i.values - 1)
         return NestedVector.splice(got[-1], leaf.kind, i, 1, got[:-1])
     out = map_leaves(go, v)
@@ -261,7 +266,7 @@ def k_seq_index_segshared(v: Value, i: NestedVector,
         lens = leaf.descs[1]
         if lens.size != M:
             raise VectorError("segshared index: segment count mismatch")
-        _check_index(i.values, lens[seg_of], "seq_index")
+        _check_index(i.values, lens[seg_of], "index")
         idx = S.seg_starts(lens)[seg_of] + i.values - 1
         got = S.gather_subtrees(item_levels(leaf, 2), idx)
         return NestedVector.splice(got[-1], leaf.kind, i, 1, got[:-1])
@@ -274,7 +279,7 @@ def k_seq_index_segshared(v: Value, i: NestedVector,
 def k_seq_update(v: Value, i: NestedVector, x: Value) -> Value:
     def go(leaf: NestedVector, xleaf: Value) -> NestedVector:
         lens = leaf.descs[1]
-        _check_index(i.values, lens, "seq_update")
+        _check_index(i.values, lens, "update index")
         pos = S.seg_starts(lens) + i.values - 1
         total = int(lens.sum())
         if leaf.depth == 2:  # scalar elements: in-place on a copy
@@ -425,7 +430,7 @@ def k_rank(v: NestedVector) -> NestedVector:
 def k_permute(v: Value, i: NestedVector) -> Value:
     """permute^1: scatter each segment's items to the 1-origin targets."""
     lens = i.descs[1]
-    _check_index(i.values, np.repeat(lens, lens), "permute")
+    _check_index(i.values, np.repeat(lens, lens), "permute: index")
     total = int(lens.sum())
     inv = np.empty(total, dtype=INT_DTYPE)
     if total:

@@ -1,7 +1,9 @@
 """Error-parity matrix: every *runtime* error class must be raised by all
 three back ends, and every *static* error must be raised before any back
-end runs.  (Exact messages may differ; the error class and the refusal to
-produce a wrong answer are the contract.)"""
+end runs.  The error class and the refusal to produce a wrong answer are
+the contract.  Some errors also read the same on all five lanes: an
+out-of-range index, update or permute target, a strict fold of an empty
+segment, and what the boundary refuses."""
 
 import numpy as np
 import pytest
@@ -47,6 +49,28 @@ class TestRuntimeErrorParity:
         for backend in ("interp", "vector", "vcode"):
             with pytest.raises(ReproError):
                 prog.run(entry, args, backend=backend)
+
+
+OUT_OF_RANGE = ["index above range", "index zero", "index into empty",
+                "index inside frame", "update out of range",
+                "permute bad index"]
+
+
+class TestOutOfRangeErrorParity:
+    """The interpreter's words and bound, on every lane."""
+
+    @pytest.mark.parametrize("desc,src,entry,args",
+                             [c for c in RUNTIME_CASES
+                              if c[0] in OUT_OF_RANGE], ids=OUT_OF_RANGE)
+    def test_same_class_and_message(self, desc, src, entry, args):
+        prog = compile_program(src)
+        said = {}
+        for backend in BACKENDS:
+            with pytest.raises(ReproError) as got:
+                prog.run(entry, args, backend=backend)
+            said[backend] = (type(got.value), str(got.value))
+        assert len(set(said.values())) == 1, said
+        assert said["interp"][0] is EvalError
 
 
 class TestFusedFoldErrorParity:

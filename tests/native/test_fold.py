@@ -8,8 +8,8 @@ segmented op), a two-prim tree with a hoisted scalar, a comparison under
 of 0..9 segments (every remainder of four) whose lengths mix 0, 1, 2,
 255, 256, 257 and one 10,000 outlier inside a group of four, over values
 holding NaN, +-inf, -0.0 and the int64 extremes.  ``native`` and
-``parallel`` (OpenMP delegate and chunked path, 2 and 3 threads) must
-equal the unfused ``vector`` run by ``.tobytes()``.
+``parallel`` (its OpenMP kernels, 2 and 3 threads) must equal the
+unfused ``vector`` run by ``.tobytes()``.
 """
 
 import hashlib
@@ -195,17 +195,6 @@ def cache():
     return KernelCache()    # the shared on-disk cache: re-runs load
 
 
-@pytest.fixture
-def chunked(monkeypatch):
-    monkeypatch.setattr(PE, "MIN_PARALLEL", 1)
-    engines = {f"chunked x{t}": PE.ParallelEngine(t, native=None)
-               for t in (2, 3)}
-    yield engines
-    for eng in engines.values():
-        if eng._pool is not None:
-            eng._pool.shutdown(wait=False)
-
-
 @needs_cc
 @pytest.mark.parametrize("label,kind,op,source", ROWS,
                          ids=[r[0] for r in ROWS])
@@ -218,14 +207,7 @@ def test_native_equals_unfused_vector(cache, label, kind, op, source):
                          ids=[r[0] for r in ROWS])
 def test_openmp_equals_unfused_vector(cache, label, kind, op, source):
     check_row(source, kind, op, {
-        f"openmp x{t}": PE.ParallelEngine(t, native=PE._OmpNative(t, cache))
-        for t in (2, 3)})
-
-
-@pytest.mark.parametrize("label,kind,op,source", ROWS,
-                         ids=[r[0] for r in ROWS])
-def test_chunked_equals_unfused_vector(chunked, label, kind, op, source):
-    check_row(source, kind, op, chunked)
+        f"openmp x{t}": PE._OmpNative(t, cache) for t in (2, 3)})
 
 
 def test_fused_program_without_an_engine_equals_unfused_vector():
@@ -236,7 +218,7 @@ def test_fused_program_without_an_engine_equals_unfused_vector():
 
 
 @pytest.mark.parametrize("op", ["maxval", "minval"])
-def test_empty_segment_under_a_fused_producer(chunked, op):
+def test_empty_segment_under_a_fused_producer(op):
     """The strict folds fail as the unfused run does — class and message
     — on every engine, before any kernel runs."""
     prog = compile_program(
@@ -247,11 +229,11 @@ def test_empty_segment_under_a_fused_producer(chunked, op):
     args = [frame(6, "int", False), 2]
     with pytest.raises(ReproError) as want:
         VectorEvaluator(tp_np).call_raw(mono_np, args)
-    engines = {"numpy": None, **chunked}
+    engines = {"numpy": None}
     if toolchain.available():
         engines["native"] = NativeEngine()
     if toolchain.available() and toolchain.openmp_available():
-        engines["openmp"] = PE.ParallelEngine(2, native=PE._OmpNative(2))
+        engines["openmp"] = PE._OmpNative(2)
     for label, engine in engines.items():
         with pytest.raises(ReproError) as got:
             VectorEvaluator(tp, native=engine).call_raw(mono, args)

@@ -4,11 +4,10 @@ bit-identical to the serial back ends at every thread count.
 This is the acceptance battery for the multicore engine — every runnable
 example program and 200 fuzzer-generated programs, each at threads 1, 2
 and 4, compared against the vector back end (and, with a toolchain,
-against serial native).  ``MIN_PARALLEL`` is lowered so even the small
-programs exercise the real dispatch paths instead of falling back; a
-separate fixture disables the OpenMP delegate to pin the pure-Python
-chunked path specifically.  Thread counts above the machine's CPU count
-are deliberate — oversubscription must not change a single bit.
+against serial native).  A separate fixture takes OpenMP away, as on a
+host whose compiler has none, where the lane is the serial native
+engine.  Thread counts above the machine's CPU count are deliberate —
+oversubscription must not change a single bit.
 """
 
 import ast as pyast
@@ -25,23 +24,11 @@ THREADS = (1, 2, 4)
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
-@pytest.fixture(autouse=True)
-def low_min_parallel(monkeypatch):
-    """Force real parallel dispatch on small inputs, and drop the cached
-    engines afterwards so no other test sees the lowered threshold."""
-    monkeypatch.setattr(PE, "MIN_PARALLEL", 8)
-    yield
-    PE.reset_engines()
-
-
 @pytest.fixture
-def chunked_only(monkeypatch):
-    """Pin the pure-Python chunked path: engines built under this fixture
-    never get the OpenMP delegate, whatever the toolchain supports."""
-    PE.reset_engines()
+def without_openmp(monkeypatch):
+    """A host whose compiler cannot build OpenMP objects, whatever this
+    one's can."""
     monkeypatch.setattr(PE.toolchain, "openmp_available", lambda: False)
-    yield
-    PE.reset_engines()
 
 
 def outcome(prog, entry, args, **kw):
@@ -54,7 +41,7 @@ def outcome(prog, entry, args, **kw):
 # -- a fixed battery hitting every engine hook ------------------------------
 
 PROGRAMS = [
-    # fused elementwise chain, large enough to chunk without the fixture
+    # fused elementwise chain
     ("fun f(n) = sum([x <- [1..n]: ((x * 3 + 7) * x - 5) * (x + x)])",
      "f", [6000]),
     # float fused arithmetic
@@ -93,8 +80,8 @@ def test_programs_match_vector(src, entry, args, threads):
 @pytest.mark.parametrize("threads", THREADS)
 @pytest.mark.parametrize("src,entry,args", PROGRAMS,
                          ids=[f"p{i}" for i in range(len(PROGRAMS))])
-def test_programs_match_vector_chunked(chunked_only, src, entry, args,
-                                       threads):
+def test_programs_match_vector_without_openmp(without_openmp, src, entry,
+                                              args, threads):
     prog = compile_program(src)
     assert (outcome(prog, entry, args, backend="parallel", threads=threads)
             == outcome(prog, entry, args, backend="vector"))

@@ -3,12 +3,12 @@ count, on every run.
 
 Floating-point addition does not associate, so the classic parallel-sum
 bug is a different answer at a different thread count.  The engine's
-contract forbids that by construction — a segment never straddles a
-chunk or an OpenMP iteration, so every segment folds in its serial
-order and no float operation is ever reassociated (docs/PARALLEL.md).
-These tests pin the contract with exact ``==`` on raw float64 bits:
-segmented reductions and scans over adversarially-scaled ragged floats,
-at thread counts 1 through 8, chunked and OpenMP paths, repeated runs.
+contract forbids that by construction — a segment never straddles two
+OpenMP threads, so every segment folds in its serial order and no float
+operation is ever reassociated (docs/PARALLEL.md).  These tests pin the
+contract with exact ``==`` on raw float64 bits: segmented reductions and
+scans over adversarially-scaled ragged floats, at thread counts 1
+through 8, repeated runs.
 """
 
 import random
@@ -19,7 +19,6 @@ import pytest
 from repro import compile_program
 from repro.native import toolchain
 from repro.parallel import engine as PE
-from repro.parallel.engine import ParallelEngine
 from repro.vector import segments as S
 from repro.vector.nested import NestedVector
 from repro.vector.segments import INT_DTYPE
@@ -50,46 +49,18 @@ def serial(name: str, v: NestedVector) -> np.ndarray:
     return fn(v.values, v.descs[1])
 
 
-@pytest.fixture
-def low_min_parallel(monkeypatch):
-    monkeypatch.setattr(PE, "MIN_PARALLEL", 8)
-    yield
-    PE.reset_engines()
-
-
-@pytest.mark.parametrize("name", ["sum", "plus_scan", "max_scan"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_chunked_floats_bit_identical(low_min_parallel, name, seed):
-    """Chunked path: every thread count and every repeat reproduces the
-    serial kernel's exact bits."""
-    v = ragged_floats(seed)
-    want = serial(name, v)
-    for threads in THREAD_COUNTS:
-        eng = ParallelEngine(threads, native=None)
-        try:
-            for _ in range(REPEATS):
-                got = eng.apply_segmented(name, v)
-                assert got is not None
-                assert got.values.dtype == want.dtype
-                assert np.array_equal(got.values, want), \
-                    f"{name} differs at {threads} threads"
-        finally:
-            if eng._pool is not None:
-                eng._pool.shutdown(wait=False)
-
-
 @pytest.mark.skipif(not (toolchain.available()
                          and toolchain.openmp_available()),
                     reason="no OpenMP toolchain")
 @pytest.mark.parametrize("name", ["sum", "plus_scan", "max_scan"])
-def test_openmp_floats_bit_identical(low_min_parallel, name):
-    """OpenMP path: the compiled multicore kernels reproduce the serial
-    bits at every thread count."""
+def test_openmp_floats_bit_identical(name):
+    """The compiled multicore kernels reproduce the serial bits at every
+    thread count."""
     v = ragged_floats(7)
     want = serial(name, v)
     for threads in THREAD_COUNTS:
         eng = PE.get_parallel_engine(threads)
-        assert eng.status()["openmp"]
+        assert isinstance(eng, PE._OmpNative)
         for _ in range(REPEATS):
             got = eng.apply_segmented(name, v)
             assert got is not None
@@ -118,13 +89,11 @@ def test_full_program_floats_stable_across_thread_counts():
 @pytest.mark.skipif(not toolchain.available(), reason="no C toolchain")
 def test_one_thread_is_the_serial_native_engine():
     """``parallel`` at one thread has nothing to fan out: it runs the
-    serial native kernels (the ``native`` obs layer is charged, the
-    ``parallel`` layer is not) and returns the ``native`` back end's
-    exact floats."""
+    serial native kernels (the ``native`` obs layer is charged, and no
+    other) and returns the ``native`` back end's exact floats."""
     from repro.native.engine import get_engine
     from repro.obs import Profiler, profiling
-    assert PE.get_parallel_engine(1)._native is get_engine()
-    assert not PE.get_parallel_engine(1).status()["openmp"]
+    assert PE.get_parallel_engine(1) is get_engine()
     src = ("fun f(v: seq(seq(float))) = "
            "[s <- v: sum([x <- s: (x * 3.0 + 7.0) * x - 5.0])]")
     rng = random.Random(3)
@@ -139,7 +108,7 @@ def test_one_thread_is_the_serial_native_engine():
     assert got == want
     # one kernel: the fold is the root of the fused region
     assert {c.op for c in prof.layer_counters("native")} == {"__fused0"}
-    assert not prof.layer_counters("parallel")
+    assert {c.layer for c in prof.counters.values()} == {"native"}
 
 
 @pytest.mark.skipif(not (toolchain.available()

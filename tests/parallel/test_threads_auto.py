@@ -11,7 +11,9 @@ one power-of-two step of the hand-picked thread count."""
 import pytest
 
 from repro.api import compile_program
-from repro.parallel.engine import MIN_PARALLEL, default_threads, pick_threads
+from repro.parallel.engine import (
+    _THREAD_WORK_FLOOR, default_threads, pick_threads,
+)
 
 #: the E19 workload shape: fused float chain summed per segment
 E19_SRC = ("fun f(v: seq(seq(float))) = "
@@ -33,8 +35,8 @@ class TestPickThreads:
         assert pick_threads(10_000, 10_000, cpus=8) == 1
 
     def test_tiny_work_gets_one_thread(self):
-        # far below MIN_PARALLEL: the chunked path would not engage
-        assert pick_threads(MIN_PARALLEL // 4, 1, cpus=8) == 1
+        # less than one thread's work floor of concurrency
+        assert pick_threads(_THREAD_WORK_FLOOR // 2, 1, cpus=8) == 1
 
     def test_wide_work_saturates_the_machine(self):
         assert pick_threads(10**9, 10, cpus=8) == 8

@@ -211,7 +211,7 @@ def test_restrict_builds_one_index_per_op():
 def gather_seq_index(v, i):
     def go(leaf):
         lens = leaf.descs[1]
-        O._check_index(i.values, lens, "seq_index")
+        O._check_index(i.values, lens, "index")
         idx = S.seg_starts(lens) + i.values - 1
         got = S.gather_subtrees(item_levels(leaf, 2), idx)
         return NestedVector([leaf.descs[0], *got[:-1]], got[-1], leaf.kind)
@@ -402,4 +402,4 @@ def test_errors_keep_class_message_and_first_offender():
         (EvalError, "restrict: lengths differ")
     assert outcome(O.k_seq_index, v,
                    from_python([1, 1, 4], parse_type("seq(int)"))) == \
-        (EvalError, "seq_index: index 1 out of range")
+        (EvalError, "index 1 out of range 1..0")
