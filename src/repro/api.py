@@ -67,6 +67,12 @@ _COST_OPTIONS = TransformOptions(shared_seq_index=True,
                                  fuse=False, verify=False)
 
 
+#: The Python recursion limit the front end and the executors run under:
+#: parsing, every pass, type checking and execution recurse once (or a
+#: few frames) per nesting level of the program or of its recursion.
+_RECURSION_LIMIT = 200_000
+
+
 # -- the back-end table --------------------------------------------------------
 #
 # T1 realizes every f^d through f^1, so a back end is two choices: the
@@ -90,7 +96,8 @@ def _vcode_executor(tp: TransformedProgram, threads: Optional[int]) -> Any:
     vp = tp.vcode
     if vp is None:  # compiled (and linted) once, kept with the program
         from repro.vcode.compile import compile_transformed
-        with _obs.span("vcode-compile"):
+        with _guard.scoped_recursion_limit(_RECURSION_LIMIT), \
+                _obs.span("vcode-compile"):
             vp = tp.vcode = compile_transformed(tp)
     return VM(vp, fusion=tp.fusion)
 
@@ -257,13 +264,14 @@ class CompiledProgram:
             return b
         arg_types, funs = self.resolve_entry(fname, args, given)
         by_value = any(isinstance(t, T.TFun) for t in arg_types)
-        cert = (self.cost_certificate(fname, arg_types, funs)
-                if backend is None else None)
         options = (_COST_OPTIONS if backend is None else self._native_options
                    if backend_row(backend).fused else self.options)
         # a batch enumerates a frame and shares one dispatch table
         batched = batched and bool(arg_types) and not by_value
-        mono, tp = self._prepare(fname, arg_types, funs, options, batched)
+        with _guard.scoped_recursion_limit(_RECURSION_LIMIT):
+            cert = (self.cost_certificate(fname, arg_types, funs)
+                    if backend is None else None)
+            mono, tp = self._prepare(fname, arg_types, funs, options, batched)
         b = _Bound(arg_types, tuple(funs), mono, tp,
                    ext1_name(mono) if batched else mono,
                    tuple(T.TSeq(t) for t in arg_types) if batched else None,
@@ -451,7 +459,7 @@ class CompiledProgram:
         if vargs is None:
             with _obs.span(f"execute:{backend}"):
                 return ex.call(b.mono, list(args))
-        with _guard.scoped_recursion_limit(200_000), \
+        with _guard.scoped_recursion_limit(_RECURSION_LIMIT), \
                 _obs.span(f"execute:{backend}"), \
                 _obs.span(f"{ex.span}:{b.mono}"):
             return to_python(ex.call_raw(b.mono, vargs), b.ret_col.elem)
@@ -528,7 +536,7 @@ class CompiledProgram:
                 if g is not None and g.check:
                     for col in cols:
                         g.check_value("batch:pack", col)
-            with _guard.scoped_recursion_limit(200_000), \
+            with _guard.scoped_recursion_limit(_RECURSION_LIMIT), \
                     _obs.span(f"execute:{backend}-batch[{n}]"):
                 out = ex.call_raw(b.target, cols)
             with _obs.span(f"batch:unpack[{n}]"):
@@ -691,17 +699,18 @@ def compile_program(source: str, use_prelude: bool = True,
     from repro.passes.base import PassContext
     from repro.passes.manager import manager_for
 
-    with _obs.span("parse"):
-        raw = parse_program(source)
-        if use_prelude:
-            raw = merge_with_prelude(raw)
-    opts = options or TransformOptions()
-    pm = manager_for(opts)  # validates the whole pipeline's ordering
-    ctx = PassContext(options=opts, program=raw)
-    pm.run_source(ctx)
-    canonical = ctx.program
-    with _obs.span("typecheck"):
-        typed = typecheck_program(canonical)
+    with _guard.scoped_recursion_limit(_RECURSION_LIMIT):
+        with _obs.span("parse"):
+            raw = parse_program(source)
+            if use_prelude:
+                raw = merge_with_prelude(raw)
+        opts = options or TransformOptions()
+        pm = manager_for(opts)  # validates the whole pipeline's ordering
+        ctx = PassContext(options=opts, program=raw)
+        pm.run_source(ctx)
+        canonical = ctx.program
+        with _obs.span("typecheck"):
+            typed = typecheck_program(canonical)
     return CompiledProgram(raw=raw, canonical=canonical, typed=typed,
                            options=opts)
 

@@ -14,7 +14,7 @@ and a source position for diagnostics.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 # ---------------------------------------------------------------------------
@@ -250,53 +250,31 @@ def reset_fresh_names() -> None:
 
 def children(e: Expr) -> list[Expr]:
     """All direct sub-expressions of ``e`` in evaluation order."""
-    if isinstance(e, (Var, IntLit, BoolLit, FloatLit)):
-        return []
-    if isinstance(e, SeqLit):
-        return list(e.items)
-    if isinstance(e, TupleLit):
-        return list(e.items)
-    if isinstance(e, TupleExtract):
-        return [e.tup]
-    if isinstance(e, Call):
-        return [e.fn, *e.args]
-    if isinstance(e, Lambda):
-        return [e.body]
-    if isinstance(e, Let):
-        return [e.bound, e.body]
-    if isinstance(e, If):
-        return [e.cond, e.then, e.els]
-    if isinstance(e, Iter):
-        out = [e.domain]
-        if e.filter is not None:
-            out.append(e.filter)
-        out.append(e.body)
-        return out
-    if isinstance(e, ExtCall):
-        return list(e.args)
-    if isinstance(e, IndirectCall):
-        return [e.fun, *e.args]
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+    row = NODE_ROWS.get(type(e))
+    if row is None:
+        raise TypeError(f"unknown expression node {type(e).__name__}")
+    return row[0](e)
 
 
 def walk(e: Expr) -> Iterable[Expr]:
     """Pre-order traversal of the expression tree."""
-    yield e
-    for c in children(e):
-        yield from walk(c)
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(reversed(children(n)))
 
 
 def free_vars(e: Expr, bound: frozenset[str] = frozenset()) -> set[str]:
     """Free variable names of ``e`` (excluding names in ``bound``)."""
-    if isinstance(e, Var):
+    cls = type(e)
+    if cls is Var:
         return set() if e.name in bound else {e.name}
-    if isinstance(e, (IntLit, BoolLit, FloatLit)):
-        return set()
-    if isinstance(e, Lambda):
+    if cls is Lambda:
         return free_vars(e.body, bound | frozenset(e.params))
-    if isinstance(e, Let):
+    if cls is Let:
         return free_vars(e.bound, bound) | free_vars(e.body, bound | {e.var})
-    if isinstance(e, Iter):
+    if cls is Iter:
         out = free_vars(e.domain, bound)
         inner = bound | {e.var}
         if e.filter is not None:
@@ -310,45 +288,55 @@ def free_vars(e: Expr, bound: frozenset[str] = frozenset()) -> set[str]:
 
 
 def _copy_node(e: Expr, **replacements: Any) -> Expr:
-    """Shallow-copy ``e`` with some fields replaced, preserving position."""
-    kwargs = {f.name: replacements.get(f.name, getattr(e, f.name)) for f in fields(e)}
-    new = type(e)(**kwargs)
-    new.type = e.type
-    new.line, new.col = e.line, e.col
-    new.origin = e.origin
+    """Shallow-copy ``e`` with some fields replaced.  The copy is a new
+    instance of the same class holding ``e``'s attributes (``type``,
+    ``line``, ``col`` and ``origin`` included); no constructor runs, and
+    unreplaced fields are shared."""
+    new = object.__new__(type(e))
+    new.__dict__.update(e.__dict__, **replacements)
     return new
 
 
 def map_children(e: Expr, f) -> Expr:
     """Rebuild ``e`` applying ``f`` to each direct sub-expression."""
-    if isinstance(e, (Var, IntLit, BoolLit, FloatLit)):
-        return e
-    if isinstance(e, SeqLit):
-        return _copy_node(e, items=[f(c) for c in e.items])
-    if isinstance(e, TupleLit):
-        return _copy_node(e, items=[f(c) for c in e.items])
-    if isinstance(e, TupleExtract):
-        return _copy_node(e, tup=f(e.tup))
-    if isinstance(e, Call):
-        return _copy_node(e, fn=f(e.fn), args=[f(a) for a in e.args])
-    if isinstance(e, Lambda):
-        return _copy_node(e, body=f(e.body))
-    if isinstance(e, Let):
-        return _copy_node(e, bound=f(e.bound), body=f(e.body))
-    if isinstance(e, If):
-        return _copy_node(e, cond=f(e.cond), then=f(e.then), els=f(e.els))
-    if isinstance(e, Iter):
-        return _copy_node(
-            e,
-            domain=f(e.domain),
-            body=f(e.body),
-            filter=None if e.filter is None else f(e.filter),
-        )
-    if isinstance(e, ExtCall):
-        return _copy_node(e, args=[f(a) for a in e.args])
-    if isinstance(e, IndirectCall):
-        return _copy_node(e, fun=f(e.fun), args=[f(a) for a in e.args])
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+    row = NODE_ROWS.get(type(e))
+    if row is None:
+        raise TypeError(f"unknown expression node {type(e).__name__}")
+    return row[1](e, f)
+
+
+_LEAF = (lambda e: [], lambda e, f: e)
+_ITEMS = (lambda e: list(e.items),
+          lambda e, f: _copy_node(e, items=[f(c) for c in e.items]))
+
+#: The node protocol: one ``(children, map_children)`` row per concrete node
+#: class, looked up by ``type(e)``.  ``children`` lists sub-expressions in
+#: evaluation order (an Iter's domain, filter, body); ``map_children`` calls
+#: ``f`` in the order that numbers fresh names (an Iter's domain, body,
+#: filter).  A new node kind needs exactly one row.
+NODE_ROWS = {
+    Var: _LEAF, IntLit: _LEAF, BoolLit: _LEAF, FloatLit: _LEAF,
+    SeqLit: _ITEMS, TupleLit: _ITEMS,
+    TupleExtract: (lambda e: [e.tup],
+                   lambda e, f: _copy_node(e, tup=f(e.tup))),
+    Call: (lambda e: [e.fn, *e.args],
+           lambda e, f: _copy_node(e, fn=f(e.fn), args=[f(a) for a in e.args])),
+    Lambda: (lambda e: [e.body], lambda e, f: _copy_node(e, body=f(e.body))),
+    Let: (lambda e: [e.bound, e.body],
+          lambda e, f: _copy_node(e, bound=f(e.bound), body=f(e.body))),
+    If: (lambda e: [e.cond, e.then, e.els],
+         lambda e, f: _copy_node(e, cond=f(e.cond), then=f(e.then), els=f(e.els))),
+    Iter: (lambda e: ([e.domain, e.body] if e.filter is None
+                      else [e.domain, e.filter, e.body]),
+           lambda e, f: _copy_node(
+               e, domain=f(e.domain), body=f(e.body),
+               filter=None if e.filter is None else f(e.filter))),
+    ExtCall: (lambda e: list(e.args),
+              lambda e, f: _copy_node(e, args=[f(a) for a in e.args])),
+    IndirectCall: (lambda e: [e.fun, *e.args],
+                   lambda e, f: _copy_node(e, fun=f(e.fun),
+                                           args=[f(a) for a in e.args])),
+}
 
 
 def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:

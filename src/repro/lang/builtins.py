@@ -247,6 +247,8 @@ CHECKED_ELEMENTWISE = frozenset({"div", "mod", "fdiv", "sqrt_"})
 
 
 def is_builtin(name: str) -> bool:
+    """True if ``name`` is in the primitive catalog (Table 2 and the
+    internal helpers the transformation introduces)."""
     return name in _TABLE
 
 
@@ -259,6 +261,7 @@ def is_unchecked_elementwise(name: str) -> bool:
 
 
 def get_builtin(name: str) -> Builtin:
+    """The catalog entry of primitive ``name`` (``KeyError`` if none)."""
     return _TABLE[name]
 
 

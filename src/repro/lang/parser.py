@@ -1,4 +1,4 @@
-"""Recursive-descent parser for P.
+"""Recursive-descent parser for P, the language of section 2.
 
 Operator syntax desugars to calls of the Table-2 primitives:
 
@@ -55,7 +55,9 @@ class _Parser:
     # -- token helpers ------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        if ahead:       # the eof token ends the list: clamp look-ahead only
+            return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -64,7 +66,7 @@ class _Parser:
         return t
 
     def at(self, text: str) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.text == text and t.kind in ("op", "kw")
 
     def accept(self, text: str) -> Optional[Token]:

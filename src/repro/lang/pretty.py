@@ -34,6 +34,7 @@ def pretty_def(d: A.FunDef) -> str:
 
 
 def pretty_program(p: A.Program) -> str:
+    """Render every definition of ``p``, blank-line separated."""
     return "\n\n".join(pretty_def(d) for d in p)
 
 

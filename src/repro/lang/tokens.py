@@ -1,6 +1,6 @@
 """Lexer for the P language (the Proteus expression subset of the paper).
 
-The concrete syntax follows the paper closely:
+The concrete syntax follows the paper's section 2 closely:
 
 * iterators        ``[x <- d: e]`` and ``[x <- d | b: e]``
 * ranges           ``[e1 .. e2]``

@@ -290,6 +290,8 @@ class TypedProgram:
     # -- public API ----------------------------------------------------------
 
     def scheme_of(self, name: str) -> TFun:
+        """The (generalized) type of top-level function or primitive
+        ``name``; a primitive's is freshly instantiated per call."""
         if name in self.schemes:
             return self.schemes[name]
         if B.is_builtin(name):
@@ -320,6 +322,7 @@ class TypedProgram:
         return mono
 
     def result_type(self, mono_name: str) -> Type:
+        """The result type of monomorphized instance ``mono_name``."""
         return self.mono_defs[mono_name].ret_type
 
     # -- internals -----------------------------------------------------------

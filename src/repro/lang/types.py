@@ -31,12 +31,12 @@ class Type:
 
 @dataclass(frozen=True, repr=False)
 class TInt(Type):
-    pass
+    """The scalar type ``int``."""
 
 
 @dataclass(frozen=True, repr=False)
 class TBool(Type):
-    pass
+    """The scalar type ``bool``."""
 
 
 @dataclass(frozen=True, repr=False)
@@ -48,16 +48,22 @@ class TFloat(Type):
 
 @dataclass(frozen=True, repr=False)
 class TSeq(Type):
+    """``seq(elem)``: the sequence type, nested to any depth."""
+
     elem: Type
 
 
 @dataclass(frozen=True, repr=False)
 class TTuple(Type):
+    """``(t1, ..., tn)``: the tuple type, n >= 2."""
+
     items: tuple[Type, ...]
 
 
 @dataclass(frozen=True, repr=False)
 class TFun(Type):
+    """``(t1, ..., tn) -> result``: the type of a function value."""
+
     params: tuple[Type, ...]
     result: Type
 
@@ -112,10 +118,12 @@ def seq_depth(t: Type) -> int:
 
 
 def is_scalar(t: Type) -> bool:
+    """True for ``int``, ``bool`` and ``float``."""
     return isinstance(t, (TInt, TBool, TFloat))
 
 
 def is_numeric(t: Type) -> bool:
+    """True for ``int`` and ``float`` (arithmetic operand types)."""
     return isinstance(t, (TInt, TFloat))
 
 

@@ -31,6 +31,9 @@ CASES = [
     ("dotp", ["run", str(HERE / "data" / "dotp.p"), "-e", "dotp",
               "-a", "[1,2,3]", "-a", "[4,5,6]"],
      "32"),
+    ("filtered", ["run", str(HERE / "data" / "filtered.p"), "-e", "f",
+                  "-a", "[1,5,9]", "-a", "[2,4,6]"],
+     "[[7, 9, 11], [11, 13, 15]]"),
 ]
 
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Docstring lint for the transformation layers.
+"""Docstring lint for the language and transformation layers.
 
-Checks, over ``src/repro/transform`` and ``src/repro/passes``:
+Checks, over ``src/repro/lang``, ``src/repro/transform`` and
+``src/repro/passes``:
 
 * every module has a docstring;
 * every *public* top-level class and function, and every public method
@@ -25,7 +26,7 @@ import re
 import sys
 from pathlib import Path
 
-CHECKED_PACKAGES = ("src/repro/transform", "src/repro/passes")
+CHECKED_PACKAGES = ("src/repro/lang", "src/repro/transform", "src/repro/passes")
 
 #: paper-rule anchors: transformation rules R0/R1/R2(a-f), lemma T1, and
 #: section references in either spelling
