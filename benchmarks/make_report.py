@@ -311,8 +311,8 @@ def e13():
 def e14():
     hdr("E14 — Elementwise fusion (extension)")
     src = "fun f(v) = [x <- v: ((x * 3 + 7) * x - 5) * (x + x * x)]"
-    on = compile_program(src, options=TransformOptions(fuse=True))
-    off = compile_program(src)
+    on = compile_program(src)
+    off = compile_program(src, options=TransformOptions(fuse=False))
     v = list(range(64))
     _r, t_on = on.vector_trace("f", [v])
     _r, t_off = off.vector_trace("f", [v])
@@ -423,7 +423,7 @@ def e17():
         # Python-list conversion of 200k elements per call
         at = prog.entry_types("f", [v])
         mono_np, tp_np = prog.prepare("f", tuple(at))
-        mono_nat, tp_nat = prog.prepare_native("f", tuple(at))
+        mono_nat, tp_nat = prog.prepare("f", tuple(at))
         vec = from_python(v, at[0])
         ev_np = VectorEvaluator(tp_np)
         ev_nat = VectorEvaluator(tp_nat, native=get_engine())
@@ -572,7 +572,7 @@ def e19():
     at = prog.entry_types("f", [arg])
     vec = from_python(arg, at[0])
     mono_np, tp_np = prog.prepare("f", tuple(at))
-    mono_nat, tp_nat = prog.prepare_native("f", tuple(at))
+    mono_nat, tp_nat = prog.prepare("f", tuple(at))
     ev_np = VectorEvaluator(tp_np)
     want = ev_np.call_raw(mono_np, [vec])
     t_np = timeit(lambda: ev_np.call_raw(mono_np, [vec]), reps=5)

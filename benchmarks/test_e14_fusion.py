@@ -16,8 +16,8 @@ SRC = "fun f(v) = [x <- v: ((x * 3 + 7) * x - 5) * (x + x * x)]"
 
 
 def progs():
-    on = compile_program(SRC, options=TransformOptions(fuse=True))
-    off = compile_program(SRC)
+    on = compile_program(SRC)
+    off = compile_program(SRC, options=TransformOptions(fuse=False))
     return on, off
 
 
@@ -42,8 +42,8 @@ class TestFusionAblation:
         fused program takes one step fewer again, and the vector the fold
         would have read is never a step's output."""
         src = f"fun g(v) = sum({SRC.split('= ', 1)[1]})"
-        on = compile_program(src, options=TransformOptions(fuse=True))
-        off = compile_program(src)
+        on = compile_program(src)
+        off = compile_program(src, options=TransformOptions(fuse=False))
         v = list(range(100))
         r_on, t_on = on.vector_trace("g", [v])
         r_off, t_off = off.vector_trace("g", [v])

@@ -39,7 +39,7 @@ def test_speedup_at_least_5x():
     prog = compile_program(SRC)
     at = prog.entry_types("f", [v])
     mono_np, tp_np = prog.prepare("f", tuple(at))
-    mono_nat, tp_nat = prog.prepare_native("f", tuple(at))
+    mono_nat, tp_nat = prog.prepare("f", tuple(at))
     vec = from_python(v, at[0])
     ev_np = VectorEvaluator(tp_np)
     ev_nat = VectorEvaluator(tp_nat, native=get_engine())

@@ -72,8 +72,11 @@ def _fail(stage: str, detail: str, e: Optional[A.Expr] = None) -> NoReturn:
 
 def verify_canonical(program: A.Program,
                      stage: str = "verify:canonicalize") -> int:
-    """Every iterator is in the canonical ``[i <- range(1, e): body]`` form
-    with no residual filter.  Returns the number of defs checked."""
+    """Every iterator is in the canonical ``[i <- range(1, e): body]`` form,
+    ``range`` the builtin, with no residual filter.  Returns the number of
+    defs checked."""
+    from repro.transform.canonical import is_canonical_domain
+    user_range = "range" in program
     for d in program.defs.values():
         for node in A.walk(d.body):
             if not isinstance(node, A.Iter):
@@ -81,11 +84,7 @@ def verify_canonical(program: A.Program,
             if node.filter is not None:
                 _fail(stage, f"{d.name}: iterator filter survived "
                              "canonicalization", node)
-            dom = node.domain
-            if not (isinstance(dom, A.Call) and isinstance(dom.fn, A.Var)
-                    and dom.fn.name == "range" and len(dom.args) == 2
-                    and isinstance(dom.args[0], A.IntLit)
-                    and dom.args[0].value == 1):
+            if not is_canonical_domain(node.domain, user_range):
                 _fail(stage, f"{d.name}: iterator domain is not canonical "
                              "range(1, e)", node)
     return len(program.defs)

@@ -14,16 +14,15 @@ Typical use::
 
 The pipeline is: parse -> merge prelude -> canonicalize (R1 + filter
 desugar) -> type inference -> monomorphize per entry -> eliminate iterators
-(R2) -> section-4.5 optimizations -> execute (vector representation /
-reference interpreter).
+(R2) -> section-4.5 optimizations -> fusion -> execute (vector
+representation / reference interpreter).
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING, Any, Callable, ContextManager, NamedTuple, Optional,
     Sequence, Union,
@@ -75,11 +74,10 @@ _RECURSION_LIMIT = 200_000
 
 # -- the back-end table --------------------------------------------------------
 #
-# T1 realizes every f^d through f^1, so a back end is two choices: the
-# transform options its program is prepared with, and the object that
-# executes the transformed program (``call(name, pyargs)`` /
-# ``call_raw(name, vargs)``).  Engine and VCODE imports stay inside the
-# builders: a back end costs nothing until it runs.
+# T1 realizes every f^d through f^1, so every back end runs the one
+# transformed program of an entry; a back end is the object that executes
+# it (``call(name, pyargs)`` / ``call_raw(name, vargs)``).  Engine and VCODE
+# imports stay inside the builders: a back end costs nothing until it runs.
 
 def _native_executor(tp: TransformedProgram, threads: Optional[int]) -> Any:
     from repro.native.engine import get_engine
@@ -105,7 +103,6 @@ def _vcode_executor(tp: TransformedProgram, threads: Optional[int]) -> Any:
 class Backend(NamedTuple):
     """One row of :data:`BACKENDS` (the table in docs/PIPELINE.md)."""
 
-    fused: bool     #: prepare with ``_native_options`` (fusion on)
     #: ``(transformed program, thread count) -> executor``; ``None`` for the
     #: reference interpreter, which runs the canonical program instead
     executor: Optional[Callable[[TransformedProgram, Optional[int]], Any]]
@@ -121,12 +118,12 @@ class Backend(NamedTuple):
 #: Every back end, by name: what ``run``/``run_batched`` accept, the CLI's
 #: ``--backend`` choices, the fuzzer's lanes, the serving layer's ``submit``.
 BACKENDS: dict[str, Backend] = {
-    "vector": Backend(False, lambda tp, threads: VectorEvaluator(tp),
+    "vector": Backend(lambda tp, threads: VectorEvaluator(tp),
                       True, True, False, True),
-    "interp": Backend(False, None, False, False, False, False),
-    "vcode": Backend(False, _vcode_executor, True, True, False, False),
-    "native": Backend(True, _native_executor, True, True, False, True),
-    "parallel": Backend(True, _parallel_executor, True, True, True, False),
+    "interp": Backend(None, False, False, False, False),
+    "vcode": Backend(_vcode_executor, True, True, False, False),
+    "native": Backend(_native_executor, True, True, False, True),
+    "parallel": Backend(_parallel_executor, True, True, True, False),
 }
 
 
@@ -264,8 +261,7 @@ class CompiledProgram:
             return b
         arg_types, funs = self.resolve_entry(fname, args, given)
         by_value = any(isinstance(t, T.TFun) for t in arg_types)
-        options = (_COST_OPTIONS if backend is None else self._native_options
-                   if backend_row(backend).fused else self.options)
+        options = _COST_OPTIONS if backend is None else self.options
         # a batch enumerates a frame and shares one dispatch table
         batched = batched and bool(arg_types) and not by_value
         with _guard.scoped_recursion_limit(_RECURSION_LIMIT):
@@ -285,9 +281,8 @@ class CompiledProgram:
                  batched: bool) -> tuple[str, TransformedProgram]:
         """Monomorphize + transform ``fname`` at the given argument types
         under ``options`` (``batched``: plus the entry's own ``f^1``),
-        once: the cache is keyed on the option *values*, so an already
-        fused program shares one transformed program between
-        :meth:`prepare` and :meth:`prepare_native`."""
+        once: the cache is keyed on the option *values*, so every back end
+        shares one transformed program."""
         key = (fname, arg_types, tuple(sorted(fun_args)), batched,
                *vars(options).values())
         hit = self._transformed.get(key)
@@ -316,32 +311,8 @@ class CompiledProgram:
         """
         return self._prepare(fname, arg_types, fun_args, self.options, False)
 
-    def prepare_batched(self, fname: str, arg_types: tuple[T.Type, ...],
-                        fun_args: Sequence[str] = ()
-                        ) -> tuple[str, TransformedProgram]:
-        """Like :meth:`prepare`, but additionally synthesizes the entry's
-        own depth-1 parallel extension ``f^1`` — the function the serving
-        layer runs once per coalesced batch (see :mod:`repro.serve`)."""
-        return self._prepare(fname, arg_types, fun_args, self.options, True)
-
-    @cached_property
-    def _native_options(self) -> TransformOptions:
-        """Transform options for the native backend: fusion is what the
-        native code generator compiles, so a default pipeline is upgraded
-        to ``fuse=True``; explicit ``passes`` lists and already-fused
-        options are respected as-is."""
-        o = self.options
-        if not o.fuse and o.passes is None:
-            o = replace(o, fuse=True)
-        return o
-
-    def prepare_native(self, fname: str, arg_types: tuple[T.Type, ...],
-                       fun_args: Sequence[str] = (), batched: bool = False
-                       ) -> tuple[str, TransformedProgram]:
-        """Like :meth:`prepare` (or :meth:`prepare_batched`), but with the
-        native backend's fused transform options (see docs/NATIVE.md)."""
-        return self._prepare(fname, arg_types, fun_args,
-                             self._native_options, batched)
+    #: every back end runs :meth:`prepare`'s program
+    prepare_native = prepare
 
     def cost_certificate(self, fname: str, arg_types: tuple[T.Type, ...],
                          fun_args: Sequence[str] = ()) -> "CostCertificate":
@@ -577,20 +548,15 @@ class CompiledProgram:
                omp_threads: Optional[int] = None) -> str:
         """CVL-style C translation unit for an entry (section-5 view).
 
-        ``native=True`` uses the native backend's fused pipeline and
-        appends the *real* C kernels the native engine compiles for each
-        fused region (the same :mod:`repro.native.codegen` output that
-        lands in the kernel cache; see docs/NATIVE.md).  ``omp_threads``
-        additionally switches those kernels to the OpenMP multicore
-        variants the parallel backend compiles for that thread count
-        (docs/PARALLEL.md)."""
+        ``native=True`` appends the *real* C kernels the native engine
+        compiles for each fused region (the same :mod:`repro.native.codegen`
+        output that lands in the kernel cache; see docs/NATIVE.md).
+        ``omp_threads`` additionally switches those kernels to the OpenMP
+        multicore variants the parallel backend compiles for that thread
+        count (docs/PARALLEL.md)."""
         from repro.vcode.compile import compile_transformed
         from repro.vcode.emit_c import emit_program
-        ats = tuple(_as_type(t) for t in arg_types)
-        if native:
-            _mono, tp = self.prepare_native(fname, ats)
-        else:
-            _mono, tp = self.prepare(fname, ats)
+        _mono, tp = self.prepare(fname, tuple(_as_type(t) for t in arg_types))
         vp = compile_transformed(tp)
         return emit_program(vp, fusion=tp.fusion if native else None,
                             omp_threads=omp_threads)

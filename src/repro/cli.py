@@ -684,7 +684,7 @@ def _dispatch(ns) -> int:
             print(f"{name:<12} {cls.stage:<7} {req:<28} {pro:<22} "
                   f"{cls.description}")
         print(f"\ndefault pipeline: {', '.join(DEFAULT_PASSES)} "
-              "(+ fuse when TransformOptions.fuse)")
+              "(every back end runs it; fuse=False drops fuse)")
         return 0
 
     if ns.cmd == "native":

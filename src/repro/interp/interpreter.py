@@ -275,14 +275,18 @@ class Interpreter:
             finally:
                 g.exit_call()
         if name in PRIM_IMPLS:
-            res = PRIM_IMPLS[name](*args)
-            work = prim_work(name, args, res)
-            self.cost.work += work
-            if g is not None:
-                g.tick(f"interp:{name}")
-                g.charge(f"interp:{name}", work, 8 * work)
-            return res, 1
+            return self._prim(name, args)
         raise EvalError(f"unknown function {name!r}")
+
+    def _prim(self, name: str, args: list[Any]) -> tuple[Any, int]:
+        res = PRIM_IMPLS[name](*args)
+        work = prim_work(name, args, res)
+        self.cost.work += work
+        g = _guard.GUARD
+        if g is not None:
+            g.tick(f"interp:{name}")
+            g.charge(f"interp:{name}", work, 8 * work)
+        return res, 1
 
     def _eval(self, e: A.Expr, env: dict[str, Any]) -> tuple[Any, int]:
         if isinstance(e, (A.IntLit, A.BoolLit, A.FloatLit)):
@@ -308,6 +312,10 @@ class Interpreter:
             self.cost.work += 1
             return v[e.index - 1], s + 1
         if isinstance(e, A.Call):
+            if e.fn.origin == A.BUILTIN:  # what R1 generates: never a def
+                args, aspan = self._eval_many(e.args, env)
+                rv, rspan = self._prim(e.fn.name, args)
+                return rv, aspan + rspan
             fval, fspan = self._eval(e.fn, env)
             args, aspan = self._eval_many(e.args, env)
             if not isinstance(fval, FunVal):

@@ -242,6 +242,19 @@ def fresh_name(base: str = "t") -> str:
     return f"{base}%{next(_counter)}"
 
 
+#: the ``origin`` of a :class:`Var` that names a builtin whatever the
+#: program defines or binds under that name (what R1 generates)
+BUILTIN = "builtin"
+
+
+def builtin_ref(name: str) -> Var:
+    """A reference to builtin ``name`` that no definition or local
+    variable of the same name captures."""
+    v = Var(name)
+    v.origin = BUILTIN
+    return v
+
+
 def reset_fresh_names() -> None:
     """Reset the fresh-name counter (test isolation only)."""
     global _counter
@@ -266,10 +279,12 @@ def walk(e: Expr) -> Iterable[Expr]:
 
 
 def free_vars(e: Expr, bound: frozenset[str] = frozenset()) -> set[str]:
-    """Free variable names of ``e`` (excluding names in ``bound``)."""
+    """Free variable names of ``e`` (excluding names in ``bound``); a
+    :func:`builtin_ref` refers to no variable."""
     cls = type(e)
     if cls is Var:
-        return set() if e.name in bound else {e.name}
+        return set() if e.name in bound or e.origin == BUILTIN \
+            else {e.name}
     if cls is Lambda:
         return free_vars(e.body, bound | frozenset(e.params))
     if cls is Let:
@@ -349,7 +364,7 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
     if not mapping:
         return e
     if isinstance(e, Var):
-        return mapping.get(e.name, e)
+        return e if e.origin == BUILTIN else mapping.get(e.name, e)
     if isinstance(e, (IntLit, BoolLit, FloatLit)):
         return e
 

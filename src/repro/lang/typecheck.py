@@ -189,6 +189,8 @@ class _Inferencer:
         if isinstance(e, A.FloatLit):
             return FLOAT
         if isinstance(e, A.Var):
+            if e.origin == A.BUILTIN:
+                return B.get_builtin(e.name).fresh_type()
             if e.name in env:
                 return env[e.name]
             t = self._lookup_fn_scheme(e.name, placeholders)
@@ -328,9 +330,11 @@ class TypedProgram:
     # -- internals -----------------------------------------------------------
 
     def _mangle(self, name: str) -> str:
+        """A fresh mono-name for ``name``; never a builtin's name, so that
+        after monomorphization a call by a builtin's name is the builtin."""
         k = self._mono_counter.get(name, 0)
         self._mono_counter[name] = k + 1
-        return name if k == 0 else f"{name}${k}"
+        return name if k == 0 and not B.is_builtin(name) else f"{name}${k}"
 
     def _lift_lambda(self, lam: A.Lambda, subst: Subst) -> str:
         """Lift a (concretely typed) lambda to a fresh top-level mono def."""
@@ -371,7 +375,8 @@ class TypedProgram:
         e.type = subst.default_unresolved(subst.apply(e.type))
 
         if isinstance(e, A.Var):
-            if e.name not in locals_ and e.name in self.schemes:
+            if e.name not in locals_ and e.name in self.schemes \
+                    and e.origin != A.BUILTIN:
                 ft = e.type
                 if not isinstance(ft, TFun):
                     raise TypeCheckError(

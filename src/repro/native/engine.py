@@ -35,7 +35,9 @@ import numpy as np
 
 from ..guard import runtime as _guard
 from ..obs import runtime as _obs
+from ..transform.fuse import read_leaves
 from ..vector.nested import NestedVector
+from ..vector.ops import count_kernel
 from ..vector.segments import FOLDS, INT_DTYPE
 from ..errors import EvalError, VectorError
 from . import toolchain
@@ -84,26 +86,6 @@ def _frame_result(like: Optional[NestedVector], n: int, out: np.ndarray,
     if like is not None:
         return like.with_values(out, kind)
     return NestedVector([np.array([n], dtype=INT_DTYPE)], out, kind)
-
-
-def _count_native(op: str, n: int, args: tuple, result) -> None:
-    """Profile one native-kernel invocation into the ``native`` layer with
-    the same accounting :func:`repro.vector.ops._count_kernel` uses for the
-    ``kernel`` layer."""
-    p = _obs.PROFILER
-    if p is None:
-        return
-    from ..vector.ops import value_nbytes, value_size
-    elems = value_size(result)
-    nb = value_nbytes(result)
-    for a in args:
-        if isinstance(a, NestedVector):
-            elems += value_size(a)
-            nb += value_nbytes(a)
-        else:
-            elems += 1
-            nb += 8
-    p.count("native", op, n, elems, nb)
 
 
 class _Site(NamedTuple):
@@ -223,7 +205,7 @@ class NativeEngine:
             result = NestedVector.splice(out, out_kind, first_vec,
                                          1 if reduction else 2)
         if _obs.PROFILER is not None:
-            _count_native(name, n, tuple(call_args), result)
+            count_kernel(name, n, tuple(call_args), result, "native")
         g = _guard.GUARD
         if g is not None:
             g.after_kernel(name, n, result)
@@ -288,7 +270,8 @@ class NativeEngine:
                 f"index {int(iv[bad])} out of range 1..{int(sv.size)}")
         result = idx.with_values(out, src.kind)
         if _obs.PROFILER is not None:
-            _count_native("seq_index_shared", n, (src, idx), result)
+            count_kernel("seq_index_shared", n, (src, idx), result,
+                         "native")
         return result
 
     def _gather_kernel(self, kind: str) -> Optional[Kernel]:
@@ -337,21 +320,11 @@ class NativeEngine:
 
 
 def _site(tree) -> _Site:
-    stripped = _strip_rep(tree)
-    used = tuple(sorted(_arg_indices(stripped)))
-    ctree = _remap_tree(stripped, {k: i for i, k in enumerate(used)})
+    used = read_leaves(tree)
+    ctree = _remap_tree(_strip_rep(tree), {k: i for i, k in enumerate(used)})
     fold = split_fold(ctree)[0]
     return _Site(ctree, used, fold, bool(fold and FOLDS[fold].reduction),
                  fold in _STRICT_REDUCE, {})
-
-
-def _arg_indices(tree) -> set:
-    if tree[0] == "arg":
-        return {tree[1]}
-    out: set = set()
-    for c in tree[2]:
-        out |= _arg_indices(c)
-    return out
 
 
 def _remap_tree(tree, remap: dict):

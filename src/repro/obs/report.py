@@ -30,13 +30,16 @@ if TYPE_CHECKING:  # pragma: no cover
 
 SCHEMA_VERSION = 1
 
-#: Order in which counter layers are rendered and serialized.
-LAYERS = ("kernel", "segment", "vm")
+#: Every layer the profiler records, in the order it is rendered and
+#: serialized.
+LAYERS = ("kernel", "segment", "vm", "native", "serve")
 
 _LAYER_TITLES = {
     "kernel": "vector-model kernels (depth-1 ops)",
     "segment": "segmented CVL kernels (flat layer)",
     "vm": "VCODE VM (instructions and charged op widths)",
+    "native": "native C kernels (serial or OpenMP)",
+    "serve": "serving layer (queue, batches, tiers, pool)",
 }
 
 

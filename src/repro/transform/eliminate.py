@@ -191,10 +191,10 @@ class Eliminator:
         fds = [fd for _, fd in args]
         arg_exprs = [x for x, _ in args]
 
-        if not (isinstance(e.fn, A.Var)
-                and e.fn.name not in env.fdepth
+        if not (e.fn.origin == A.BUILTIN or (
+                isinstance(e.fn, A.Var) and e.fn.name not in env.fdepth
                 and (self.registry.is_user_function(e.fn.name)
-                     or B.is_builtin(e.fn.name))):
+                     or B.is_builtin(e.fn.name)))):
             # higher-order: the function part is a local variable or an
             # arbitrary function-valued expression (e.g. a conditional
             # choosing between functions) — dynamic dispatch

@@ -41,10 +41,15 @@ def synthesize_ext1(d: A.FunDef) -> A.FunDef:
         v.type = t
         return v
 
+    def builtin(name: str, t: T.Type) -> A.Var:
+        v = A.builtin_ref(name)
+        v.type = t
+        return v
+
     # let x_k = V_k[i] in ... body
     inner: A.Expr = A.clone(d.body)
     for p, vname, pt in reversed(list(zip(d.params, vs, d.param_types))):
-        ix = A.Call(var("seq_index", T.TFun((T.TSeq(pt), T.INT), pt)),
+        ix = A.Call(builtin("seq_index", T.TFun((T.TSeq(pt), T.INT), pt)),
                     [var(vname, T.TSeq(pt)), var(iv, T.INT)])
         ix.type = pt
         let = A.Let(p, ix, inner)
@@ -52,12 +57,13 @@ def synthesize_ext1(d: A.FunDef) -> A.FunDef:
         inner = let
 
     # domain [1 .. #V1]
-    length = A.Call(var("length", T.TFun((T.TSeq(d.param_types[0]),), T.INT)),
-                    [var(vs[0], T.TSeq(d.param_types[0]))])
+    seq0 = T.TSeq(d.param_types[0])
+    length = A.Call(builtin("length", T.TFun((seq0,), T.INT)),
+                    [var(vs[0], seq0)])
     length.type = T.INT
     one = A.IntLit(1)
     one.type = T.INT
-    dom = A.Call(var("range", T.TFun((T.INT, T.INT), T.TSeq(T.INT))),
+    dom = A.Call(builtin("range", T.TFun((T.INT, T.INT), T.TSeq(T.INT))),
                  [one, length])
     dom.type = T.TSeq(T.INT)
 

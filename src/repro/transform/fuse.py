@@ -110,6 +110,20 @@ def eval_tree(tree: Tree, leaves: list[np.ndarray]) -> np.ndarray:
     return _NUMPY_FN[name](*(eval_tree(c, leaves) for c in children))
 
 
+def read_leaves(tree: Tree) -> tuple[int, ...]:
+    """The leaves :func:`eval_tree` reads, in index order: every one but
+    the witness of a ``__rep``."""
+    out: set[int] = set()
+    todo = [tree]
+    while todo:
+        t = todo.pop()
+        if t[0] == "arg":
+            out.add(t[1])
+        else:
+            todo.extend(t[2][1:] if t[1] == "__rep" else t[2])
+    return tuple(sorted(out))
+
+
 def result_kind(tree: Tree, leaf_kinds: list[str]) -> str:
     """Leaf kind of the tree's result (bool for comparisons/logic, else
     inherited)."""

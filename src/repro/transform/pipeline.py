@@ -11,7 +11,7 @@ Since the pass-manager refactor the driver itself is thin: a
 :class:`TransformOptions` *compiles down to a pass list*
 (:meth:`TransformOptions.pipeline`), a validated
 :class:`~repro.passes.manager.PassManager` runs the defs-stage passes
-(R2 elimination, the §4.5 optimizations, cleanup, optional fusion) with
+(R2 elimination, the §4.5 optimizations, cleanup, fusion) with
 per-pass timing, per-pass postcondition verification, and optional
 labeled IR dumps.  The source-stage portion of the same pipeline (R1
 canonicalization) runs earlier, in :func:`repro.api.compile_program`.
@@ -30,11 +30,11 @@ from repro.passes.manager import manager_for
 from repro.transform.extensions import ext1_name
 from repro.transform.trace import NullTrace, Trace
 
-#: the default pass pipeline (R1 through cleanup); ``fuse`` appends when
-#: enabled.  ``optimize`` is always listed — its §4.5 patterns are
+#: the default pass pipeline (R1 through fusion), the one program every
+#: back end runs.  ``optimize`` is always listed — its §4.5 patterns are
 #: individually gated, so ablations change which patterns fire, not the
 #: pipeline shape (and its postcondition re-verifies either way).
-DEFAULT_PASSES = ("canonical", "eliminate", "optimize", "simplify")
+DEFAULT_PASSES = ("canonical", "eliminate", "optimize", "simplify", "fuse")
 
 
 @dataclass
@@ -44,16 +44,19 @@ class TransformOptions:
 
     Option interactions are by *pipeline position*, not flag order —
     see the supported-combination table in docs/PASSES.md.  The defaults
-    run ``canonical, eliminate, optimize, simplify``:
+    run ``canonical, eliminate, optimize, simplify, fuse``, and every back
+    end executes that one program:
 
     * ``reduce_to_native`` (default off) and ``shared_seq_index``
       (default on) both gate patterns *inside* the ``optimize`` pass;
       when both are on, native reductions rewrite first, then index
       sharing (the reduction rewrite can expose shared sources but never
       the converse).
-    * ``fuse`` (default off) appends the ``fuse`` pass after
+    * ``fuse`` (default on) appends the ``fuse`` pass after
       ``simplify``, so fusion sees cleaned let-chains; with ``simplify``
-      off, fusion still runs, on the raw R2 output.
+      off, fusion still runs, on the raw R2 output.  ``fuse=False`` is
+      the unfused program, for ablations and for tests whose subject it
+      is.
     * ``reduce_to_native`` + ``fuse`` compose: a rewritten ``sum`` is a
       segmented fold, and a fold whose argument is an elementwise tree
       *roots* the fused region — one op, the tree computed where the
@@ -74,7 +77,7 @@ class TransformOptions:
     simplify: bool = True
     #: fuse chains of same-depth elementwise primitives into single ops;
     #: appends the ``fuse`` pass (after ``simplify`` when both are on)
-    fuse: bool = False
+    fuse: bool = True
     #: record a rule-application trace (benchmark E6)
     trace: bool = False
     #: re-check per-pass postconditions after every pass (repro.analysis)

@@ -91,7 +91,7 @@ def broadcast_to_count(c: Value, n: int) -> Value:
     # unit-frame wrapping (wrap1) also lands here; only real fan-out is a
     # replicate in the profile
     if n > 1 and _obs.PROFILER is not None:
-        _count_kernel("replicate", n, (), out)
+        count_kernel("replicate", n, (), out)
     return out
 
 
@@ -244,7 +244,7 @@ def k_seq_index_shared(v: Value, i: NestedVector) -> Value:
         return NestedVector.splice(got[-1], leaf.kind, i, 1, got[:-1])
     out = map_leaves(go, v)
     if _obs.PROFILER is not None:
-        _count_kernel("seq_index_shared", int(i.values.size), (v, i), out)
+        count_kernel("seq_index_shared", int(i.values.size), (v, i), out)
     return out
 
 
@@ -272,7 +272,7 @@ def k_seq_index_segshared(v: Value, i: NestedVector,
         return NestedVector.splice(got[-1], leaf.kind, i, 1, got[:-1])
     out = map_leaves(go, v)
     if _obs.PROFILER is not None:
-        _count_kernel("seq_index_segshared", int(i.values.size), (v, i), out)
+        count_kernel("seq_index_segshared", int(i.values.size), (v, i), out)
     return out
 
 
@@ -567,7 +567,7 @@ def seq_cons0(items: list[Value], seq_type: T.Type) -> Value:
         return go(*vals)
     out = zipn(units)
     if _obs.PROFILER is not None:
-        _count_kernel("seq_cons", k, tuple(items), out)
+        count_kernel("seq_cons", k, tuple(items), out)
     return out
 
 
@@ -610,10 +610,13 @@ def value_nbytes(v: Value) -> int:
     return 8
 
 
-def _count_kernel(op: str, n: int, args: tuple, result: Value) -> None:
-    """Profile one kernel invocation (see docs/OBSERVABILITY.md): elements
-    = leaf elements read + written, bytes = full storage of inputs and
-    output including descriptors, frame length = top iteration-space size.
+def count_kernel(op: str, n: int, args: tuple, result: Value,
+                 layer: str = "kernel") -> None:
+    """Profile one kernel invocation into ``layer`` (see
+    docs/OBSERVABILITY.md): elements = leaf elements read + written (a
+    scalar operand is one), bytes = full storage of inputs and output
+    including descriptors (a scalar is one 8-byte word), frame length =
+    top iteration-space size.
 
     Callers guard with ``_obs.PROFILER is not None`` so the disabled path
     never reaches the size computations here.
@@ -626,7 +629,7 @@ def _count_kernel(op: str, n: int, args: tuple, result: Value) -> None:
     for a in args:
         elems += value_size(a)
         nb += value_nbytes(a)
-    p.count("kernel", op, n, elems, nb)
+    p.count(layer, op, n, elems, nb)
 
 
 def wrap1(v: Value) -> Value:
@@ -675,7 +678,7 @@ def bind_kernel(name: str) -> Callable[[list[Value]], Value]:
         n = check_conformable(args, what) if args else 0
         result = k(*args)
         if _obs.PROFILER is not None:
-            _count_kernel(name, n, tuple(args), result)
+            count_kernel(name, n, tuple(args), result)
         g = _guard.GUARD
         if g is not None:
             g.after_kernel(name, n, result)

@@ -26,12 +26,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import EvalError, VMError
+from repro.errors import EvalError, VectorError, VMError
 from repro.guard import runtime as _guard
 from repro.lang import builtins as B
 from repro.lang import types as T
+from repro.obs import runtime as _obs
 from repro.transform.extensions import ext1_name
-from repro.transform.fuse import eval_tree, result_kind
+from repro.transform.fuse import eval_tree, read_leaves, result_kind
 from repro.vector import ops as O
 from repro.vector import segments as S
 from repro.vector.extract_insert import extract, insert
@@ -123,8 +124,8 @@ class Applier:
         decision the static facts determine already taken."""
         if name == "__iter":
             return _first
-        if self._fusion is not None and name in self._fusion.streams:
-            return self._bind_fold(name, depth)
+        if self._fusion is not None and name in self._fusion:
+            return self._bind_fused(name, arg_depths, depth)
         if depth == 0:
             return self._bind0(name, node_type)
         if name == "__seq_index_segshared":
@@ -141,23 +142,15 @@ class Applier:
         # below the frame depth is replicated to the flattened frame
         holes = tuple(i for i, fd in enumerate(arg_depths)
                       if fd != depth and not (shared and i == 0))
-        fused = self._fusion is not None and name in self._fusion
         f1 = self._bind1(name, shared)
-        # native fused kernel: depth-0 holes stay scalar (hoisted into the
-        # kernel), so no replication is charged
-        native_tree = (self._fusion.trees[name]
-                       if fused and not shared and self._native is not None
-                       else None)
         t1 = depth >= 2
         seen = self.observer
         # only primitives are vector ops; a user extension's body reports
         # its own ops (charging the call too would double-count)
-        observe = seen if (shared or fused or name in O.KERNELS
+        observe = seen if (shared or name in O.KERNELS
                            or name.startswith("__tuple")) else None
-        if not (t1 or holes or seen is not None or native_tree is not None):
+        if not (t1 or holes or seen is not None):
             return f1  # depth 1 on full frames, unobserved: the kernel
-
-        native = self._native
 
         def run(args: list) -> Value:
             flat = list(args)
@@ -165,18 +158,12 @@ class Applier:
                 for i in full:
                     flat[i] = extract(args[i], depth)
             n = O.frame_len(flat[src])
-            result = None
-            if native_tree is not None:
-                for i in holes:
-                    flat[i] = None
-                result = native.apply_fused(name, native_tree, flat, args, n)
-            if result is None:
-                for i in holes:
-                    flat[i] = rep = O.broadcast_to_count(args[i], n)
-                    if seen is not None:
-                        # replication is a real distribute op in CVL
-                        seen("replicate", O.value_size(rep))
-                result = f1(flat)
+            for i in holes:
+                flat[i] = rep = O.broadcast_to_count(args[i], n)
+                if seen is not None:
+                    # replication is a real distribute op in CVL
+                    seen("replicate", O.value_size(rep))
+            result = f1(flat)
             if observe is not None:
                 # an op's width is the larger of its frame length and its
                 # output size (producers like range1 touch every element
@@ -185,18 +172,30 @@ class Applier:
             return insert(result, args[src], depth) if t1 else result
         return run
 
-    def _bind_fold(self, name: str, depth: int) -> Bound:
-        """A fused region rooted at a segmented fold, at frame depth
-        ``depth``: T1 takes the element streams to a depth-2 frame — its
-        ``descs[1]`` are the segment counts — and one op folds the tree
-        over every segment; the scalars of the call stay scalars.  The
-        engine runs it as one kernel that never stores what the fold
-        reads; when it declines (or there is none), NumPy evaluates the
-        tree and the fold's own segmented kernel folds it."""
+    def _bind_fused(self, name: str, arg_depths: Sequence[int],
+                    depth: int) -> Bound:
+        """A fused region at frame depth ``depth``: one vector op.  Its
+        element streams are the leaves at the frame depth (an elementwise
+        tree), or those :attr:`FusionRegistry.streams` names (a tree rooted
+        at a segmented fold: T1 takes them to a depth-2 frame whose
+        ``descs[1]`` are the segment counts); every other leaf is a
+        per-call scalar.  The engine runs the region as one kernel with the
+        scalars hoisted and, under a fold, never stores what the fold
+        reads; when it declines (or there is none), NumPy replicates the
+        scalars, evaluates the tree and the fold's own segmented kernel
+        folds it.  Either way the op is profiled once, with the native
+        kernel's accounting, and charged as one step."""
         tree = self._fusion.trees[name]
-        _fold, op, (body,) = tree
-        streams = self._fusion.streams[name]
-        seg_fn, reduction, _kinds = S.FOLDS[op]
+        fold = tree[0] == "fold"
+        if fold:
+            _fold, op, (body,) = tree
+            streams = self._fusion.streams[name]
+            seg_fn, reduction, _kinds = S.FOLDS[op]
+        else:
+            body = tree
+            streams = tuple(i for i, fd in enumerate(arg_depths)
+                            if fd == depth)
+        reads = read_leaves(tree)
         native, seen, src = self._native, self.observer, streams[0]
 
         def run(args: list) -> Value:
@@ -207,20 +206,33 @@ class Applier:
             lead = flat[src]
             n = O.check_conformable([flat[i] for i in streams], name)
             total = lead.values.size
+            if fold and any(flat[i].values.size != total for i in streams):
+                # what the unfused elementwise op checks of the elements
+                sizes = sorted({flat[i].values.size for i in streams})
+                raise VectorError(f"{name}^1: non-conformable frames with "
+                                  f"lengths {sizes}")
             result = None
             if native is not None:
                 result = native.apply_fused(name, tree, flat, args, n)
             if result is None:
+                # counted as the engine counts: a scalar as a scalar
+                counted = (tuple(args[i] if flat[i] is None else flat[i]
+                                 for i in reads)
+                           if _obs.PROFILER is not None else None)
                 for i, a in enumerate(args):
                     if flat[i] is None:
                         flat[i] = rep = O.broadcast_to_count(a, total)
                         if seen is not None:
+                            # replication is a real distribute op in CVL
                             seen("replicate", O.value_size(rep))
                 vals = eval_tree(body, [leaf.values for leaf in flat])
                 kind = result_kind(body, [leaf.kind for leaf in flat])
-                result = NestedVector.splice(
-                    seg_fn(vals, lead.descs[1]), kind, lead,
-                    1 if reduction else 2)
+                result = (NestedVector.splice(seg_fn(vals, lead.descs[1]),
+                                              kind, lead,
+                                              1 if reduction else 2)
+                          if fold else lead.with_values(vals, kind))
+                if counted is not None:
+                    O.count_kernel(name, n, counted, result)
                 g = _guard.GUARD
                 if g is not None:
                     g.after_kernel(name, n, result)
@@ -245,16 +257,6 @@ class Applier:
         tuple_op = _tuple_op(name)
         if tuple_op is not None:
             return tuple_op
-        if self._fusion is not None and name in self._fusion:
-            tree = self._fusion.trees[name]
-
-            def fused(flat: list) -> Value:
-                # one vector op executing a whole fused elementwise tree
-                O.check_conformable(flat, name)
-                vals = eval_tree(tree, [leaf.values for leaf in flat])
-                kind = result_kind(tree, [leaf.kind for leaf in flat])
-                return flat[0].with_values(vals, kind)
-            return fused
         if name in O.KERNELS:
             kernel = O.bind_kernel(name)
             if native is None or name not in S.FOLDS:

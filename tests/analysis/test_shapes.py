@@ -10,6 +10,7 @@ import pytest
 
 from repro.analysis.shapes import analyze_shapes
 from repro.api import compile_program
+from repro.transform.pipeline import TransformOptions
 from repro.cli import _example_spec
 from repro.errors import InvariantError
 from repro.guard import faults as F
@@ -28,14 +29,15 @@ def _spec(path):
         return _example_spec(f.read())
 
 
-def _analysis(source, entry, args):
-    prog = compile_program(source)
+def _analysis(source, entry, args, options=None):
+    prog = compile_program(source, options=options)
     _mono, tp = prog.prepare(entry, *prog.resolve_entry(entry, args))
     return prog, analyze_shapes(tp)
 
 
 def test_elementwise_sites_are_discharged():
-    _prog, sa = _analysis("fun main(n) = [i <- [1..n]: i*i + i]", "main", [4])
+    _prog, sa = _analysis("fun main(n) = [i <- [1..n]: i*i + i]", "main", [4],
+                          TransformOptions(fuse=False))
     assert "kernel:mul" in sa.discharged
     assert "kernel:add" in sa.discharged
     assert "prim:mul" in sa.discharged
@@ -136,7 +138,7 @@ def test_fold_rooted_region_is_discharged(src, entry, args, sites):
     prog = compile_program(src)
     at = prog.entry_types(entry, args)
     for batched, want in zip((False, True), sites):
-        _mono, tp = prog.prepare_native(entry, at, batched=batched)
+        _mono, tp = prog._prepare(entry, at, (), prog.options, batched)
         sa = analyze_shapes(tp)
         assert sa.counts() == (want, 0)
         for name in tp.fusion.trees:
@@ -156,7 +158,7 @@ def test_scan_rooted_region_keeps_the_chain():
     src = "fun f(v) = [s <- v: plus_scan([x <- s: x * x + 1])]"
     prog = compile_program(src)
     args = [[[1, 2, 3], [], [4]]]
-    _mono, tp = prog.prepare_native("f", prog.entry_types("f", args))
+    _mono, tp = prog.prepare("f", prog.entry_types("f", args))
     sa = analyze_shapes(tp)
     site, = [s for d in sa.defs.values() for s in d.sites
              if s.fn.startswith("__fused")]

@@ -91,6 +91,27 @@ class TestBudgets:
         assert ei.value.used > 100
 
 
+class TestStepVerdictAcrossLanes:
+    """Every lane runs the one fused program, and a fused region is one
+    step whoever executes it: NumPy, the C kernel or the OpenMP one."""
+
+    SRC = "fun f(n) = sum([i <- [1..n]: i * i + 1])"
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_same_verdict_on_vector_native_and_parallel(self, k):
+        prog = compile_program(self.SRC)
+        verdict = {}
+        for backend in ("vector", "native", "parallel"):
+            try:
+                verdict[backend] = prog.run("f", [500], backend=backend,
+                                            budget=Budget(max_steps=k))
+            except ResourceLimitError as e:
+                verdict[backend] = e.limit
+        assert len(set(verdict.values())) == 1, verdict
+        # range1, then the region: two steps
+        assert verdict["vector"] == ("steps" if k == 1 else 41792250)
+
+
 class TestScopedRecursionLimit:
     def test_restores_previous_limit(self):
         before = sys.getrecursionlimit()

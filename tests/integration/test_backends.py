@@ -153,7 +153,7 @@ def test_docs_capability_table_lists_every_backend():
             break
         rows.append([c.strip().strip("`") for c in ln.strip("|").split("|")])
     assert [r[0] for r in rows] == list(BACKENDS)
-    for name, _opts, _executor, batches, static, threads, _cc in rows:
+    for name, _executor, batches, static, threads, _cc in rows:
         row = BACKENDS[name]
         assert (batches, static, threads) == tuple(
             "yes" if flag else "no"
@@ -187,3 +187,16 @@ def test_lint_detects_a_retyped_backend_list(tmp_path):
         '    return b in ("vector", "vcode", "native", "parallel")\n')
     assert lint.find_literals(tmp_path) == [
         ("src/repro/copy.py", 3, ["native", "parallel", "vcode", "vector"])]
+
+
+def test_every_vector_lane_runs_one_transformed_program():
+    """T1 realizes every ``f^d`` through one ``f^1``, so an entry at one
+    type is transformed once — fused — and the four vector lanes execute
+    that one object."""
+    prog = compile_program("fun f(v) = sum([x <- v: x * x + 1])")
+    for backend in ("vector", "vcode", "native", "parallel"):
+        assert prog.run("f", [[1, 2, 3]], backend=backend) == 17
+    tps = [b.tp for b in prog._bound.values()]
+    assert len(tps) == 4 and all(tp is tps[0] for tp in tps)
+    assert len(prog._transformed) == 1
+    assert [t[:2] for t in tps[0].fusion.trees.values()] == [("fold", "sum")]

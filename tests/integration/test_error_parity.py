@@ -74,23 +74,76 @@ class TestOutOfRangeErrorParity:
 
 
 class TestFusedFoldErrorParity:
-    """A strict fold at the root of a fused region (``fuse=True``, what
-    ``native`` and ``parallel`` run) fails exactly as the unfused
-    ``vector`` run does: same class, same message."""
+    """A strict fold at the root of a fused region (what every vector
+    lane runs) fails exactly as the unfused ``vector`` run does: same
+    class, same message."""
 
     @pytest.mark.parametrize("desc,src,entry,args",
                              [c for c in RUNTIME_CASES if "producer" in c[0]],
                              ids=["maxval", "minval"])
     def test_same_class_and_message(self, desc, src, entry, args):
         from repro import TransformOptions
+        unfused = compile_program(src, options=TransformOptions(fuse=False))
         with pytest.raises(ReproError) as want:
-            compile_program(src).run(entry, args, backend="vector")
-        fused = compile_program(src, options=TransformOptions(fuse=True))
+            unfused.run(entry, args, backend="vector")
+        fused = compile_program(src)
         for backend in ("vector", "vcode", "native", "parallel"):
             with pytest.raises(ReproError) as got:
                 fused.run(entry, args, backend=backend)
             assert (type(got.value), str(got.value)) == \
                 (type(want.value), str(want.value)), backend
+
+
+class TestFusedFoldConformance:
+    """A fold-rooted region checks what the unfused elementwise op checks
+    of its element streams: two that disagree element by element raise
+    the typed ``VectorError``, on every engine — never NumPy's broadcast
+    error or whatever a C kernel would read past the shorter stream."""
+
+    @staticmethod
+    def _engines():
+        from repro.native import toolchain
+        from repro.native.engine import NativeEngine
+        from repro.parallel.engine import _OmpNative
+        engines = {"vector": None}
+        if toolchain.available():
+            engines["native"] = NativeEngine()
+            if toolchain.openmp_available():
+                engines["parallel"] = _OmpNative(2)
+        return engines
+
+    def test_same_class_and_words_as_the_unfused_op(self):
+        from repro.lang import types as T
+        from repro.transform.fuse import FusionRegistry
+        from repro.vector.convert import from_python
+        from repro.vexec.apply import Applier
+        rows = T.TSeq(T.TSeq(T.INT))
+        a = from_python([[1, 2], [3]], rows)
+        b = from_python([[], [4]], rows)     # two segments; 3 elements vs 1
+        with pytest.raises(VectorError) as want:
+            Applier(None, lambda n: False).apply_named(
+                "mul", [a, b], (2, 2), 2, rows)
+        assert "non-conformable frames with lengths [1, 3]" \
+            in str(want.value)
+        fusion = FusionRegistry()
+        name = fusion.register(
+            ("fold", "sum", (("prim", "mul", (("arg", 0), ("arg", 1))),)),
+            (0, 1))
+        for label, engine in self._engines().items():
+            ap = Applier(None, lambda n: False, fusion=fusion, native=engine)
+            with pytest.raises(VectorError) as got:
+                ap.apply_named(name, [a, b], (1, 1), 1, T.TSeq(T.INT))
+            assert str(got.value) == str(want.value).replace(
+                "mul^1", f"{name}^1"), label
+
+    def test_prelude_dotp_under_a_user_length_agrees_on_every_lane(self):
+        """The program that reached such a region: ``dotp``'s ``#a`` is
+        the user's ``length`` (0), on every lane."""
+        prog = compile_program("fun length(a0) = 0\n"
+                               "fun f(a, b) = dotp(a, b)")
+        for backend in BACKENDS:
+            assert prog.run("f", [[1, 2], [3, 4]], backend=backend) == 0, \
+                backend
 
 
 BIG = 2 ** 70

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import compile_program
+from repro import TransformOptions, compile_program
 from repro.machine.chart import hbar_chart, line_chart
 
 
@@ -55,7 +55,9 @@ class TestLineChart:
 
 class TestMeasureVector:
     def test_counts_ops_and_elements(self):
-        prog = compile_program("fun f(n) = sum([i <- [1..n]: i * i])")
+        # the unfused program: fused, mul and sum are one op
+        prog = compile_program("fun f(n) = sum([i <- [1..n]: i * i])",
+                               options=TransformOptions(fuse=False))
         val, cost = prog.measure_vector("f", [100])
         assert val == sum(i * i for i in range(1, 101))
         assert cost.span >= 3            # range1, mul, sum at least

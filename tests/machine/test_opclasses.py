@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import compile_program
+from repro import TransformOptions, compile_program
 from repro.machine.opclasses import (
     DEFAULT_FACTORS, ClassMix, CommMachine, classify, classify_trace, top_ops,
 )
@@ -94,9 +94,11 @@ class TestOnRealPrograms:
         assert mix.work_fraction("gather_scatter") > 0.3
 
     def test_elementwise_heavy_program(self):
-        # constant-free body: no replicate ops for broadcast literals
+        # constant-free body: no replicate ops for broadcast literals; the
+        # unfused program, whose trace names each elementwise op
         prog = compile_program(
-            "fun f(v) = [x <- v: (x * x + x) * (x - x * x)]")
+            "fun f(v) = [x <- v: (x * x + x) * (x - x * x)]",
+            options=TransformOptions(fuse=False))
         _r, trace = prog.vector_trace("f", [list(range(500))])
         mix = classify_trace(trace)
         assert mix.work_fraction("elementwise") > 0.6

@@ -19,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import ReproError, compile_program
+from repro import ReproError, TransformOptions, compile_program
 from repro.fuzz.differ import ALL_BACKENDS, compare_outcomes, run_case
 from repro.fuzz.gen import gen_case, gen_fold_case
 from repro.native import toolchain
@@ -175,11 +175,16 @@ def bits(value) -> tuple:
             *(d.tobytes() for d in value.descs))
 
 
+def unfused(source: str):
+    """The program of ``source`` without the ``fuse`` pass: the oracle."""
+    return compile_program(source, options=TransformOptions(fuse=False))
+
+
 def check_row(source: str, kind: str, op: str, engines: dict) -> None:
     prog = compile_program(source)
     at = prog.entry_types("f", [[[SCALAR[kind]]], SCALAR[kind]])
-    mono_np, tp_np = prog.prepare("f", at)
-    mono, tp = prog.prepare_native("f", at)
+    mono_np, tp_np = unfused(source).prepare("f", at)
+    mono, tp = prog.prepare("f", at)
     assert tp_np.fusion is None and tp.fusion is not None
     oracle = VectorEvaluator(tp_np)
     for nseg in range(10):
@@ -221,11 +226,12 @@ def test_fused_program_without_an_engine_equals_unfused_vector():
 def test_empty_segment_under_a_fused_producer(op):
     """The strict folds fail as the unfused run does — class and message
     — on every engine, before any kernel runs."""
-    prog = compile_program(
-        f"fun f(v: seq(seq(int)), k: int) = [s <- v: {op}([x <- s: x*k+x])]")
+    src = (f"fun f(v: seq(seq(int)), k: int) = "
+           f"[s <- v: {op}([x <- s: x*k+x])]")
+    prog = compile_program(src)
     at = prog.entry_types("f", [[[1]], 1])
-    mono_np, tp_np = prog.prepare("f", at)
-    mono, tp = prog.prepare_native("f", at)
+    mono_np, tp_np = unfused(src).prepare("f", at)
+    mono, tp = prog.prepare("f", at)
     args = [frame(6, "int", False), 2]
     with pytest.raises(ReproError) as want:
         VectorEvaluator(tp_np).call_raw(mono_np, args)
@@ -261,7 +267,7 @@ def test_most_fold_programs_root_a_region_at_the_fold():
     for seed in range(100):
         case = gen_fold_case(seed)
         prog = compile_program(case.source)
-        _m, tp = prog.prepare_native(
+        _m, tp = prog.prepare(
             "main", tuple(T.parse_type(t) for t in case.types))
         rooted += any(t[0] == "fold" for t in tp.fusion.trees.values())
     assert rooted >= 90     # the rest fold a constant body: nothing to fuse
@@ -291,7 +297,7 @@ def test_flat_kernels_is_one_kernel_one_call_no_intermediate(tmp_path):
                        arg, "float")
     prog = compile_program(FLAT_SRC)
     at = prog.entry_types("f", [[[0.5]]])
-    mono, tp = prog.prepare_native("f", at)
+    mono, tp = prog.prepare("f", at)
     assert [t[:2] for t in tp.fusion.trees.values()] == [("fold", "sum")]
     fresh = KernelCache(tmp_path)
     ev = VectorEvaluator(tp, native=NativeEngine(fresh))

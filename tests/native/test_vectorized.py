@@ -71,7 +71,7 @@ def flat_kernels_source(tmp_path) -> str:
     """The exact C the ``flat_kernels`` workload runs: E19's float chain
     under ``sum``, with the engine's own specialization and hoisting."""
     prog = compile_program(FLAT_SRC)
-    mono, tp = prog.prepare_native("f", prog.entry_types("f", [[[0.5]]]))
+    mono, tp = prog.prepare("f", prog.entry_types("f", [[[0.5]]]))
     vec = NestedVector((np.array([2], dtype=INT_DTYPE),
                         np.array([3, 1], dtype=INT_DTYPE)),
                        np.array([0.5, 1.5, -2.0, 4.0]), "float")

@@ -7,8 +7,11 @@ fails loudly.  Counts follow the semantics in docs/OBSERVABILITY.md.
 """
 
 import numpy as np
+import pytest
 
 from repro import Profiler, compile_program, profiling
+from repro.native import toolchain
+from repro.obs import validate_profile
 from repro.lang import types as T
 from repro.vector import ops as O
 from repro.vector.convert import from_python
@@ -195,3 +198,56 @@ class TestQuicksortKernelCount:
         assert levels == 7
         assert k["length"].calls == 2 * levels   # #s for the test, #s' after
         assert k["dist"].calls <= levels         # dist(p, #s), shared by 3
+
+
+#: (source, arguments): E14's elementwise chain, three literals hoisted
+#: by the C kernel and replicated by NumPy; a region rooted at a fold
+FUSED = [
+    ("fun f(v) = [x <- v: ((x * 3 + 7) * x - 5) * (x + x * x)]",
+     [[1, 2, 3]]),
+    ("fun f(v) = [s <- v: sum([x <- s: x * 3 + 1])]", [[[1, 2], [], [3]]]),
+]
+
+
+class TestFusedRegion:
+    """A fused region is one op in the profile, whoever runs it."""
+
+    @pytest.mark.parametrize("src,args", FUSED, ids=["chain", "fold"])
+    def test_numpy_counts_the_region_once(self, src, args):
+        _r, rep = compile_program(src).profile("f", args, backend="vector")
+        k = kernel_map(rep)
+        assert k["__fused0"].calls == 1
+        assert set(k) <= {"__fused0", "replicate"}
+        assert rep.total_calls() == 1 + (k["replicate"].calls
+                                         if "replicate" in k else 0)
+
+    def test_e14_chain_is_its_replicates_and_one_op(self):
+        src, args = FUSED[0]
+        _r, rep = compile_program(src).profile("f", args, backend="vector")
+        assert {c.op: c.calls for c in rep.layer("kernel")} == \
+            {"__fused0": 1, "replicate": 3}
+
+    @pytest.mark.skipif(not toolchain.available(), reason="no C toolchain")
+    @pytest.mark.parametrize("src,args", FUSED, ids=["chain", "fold"])
+    def test_kernel_row_agrees_with_native_row(self, src, args):
+        prog = compile_program(src)
+        r1, vec = prog.profile("f", args, backend="vector")
+        r2, nat = prog.profile("f", args, backend="native")
+        assert r1 == r2
+        numpy_row = vec.counter("__fused0", "kernel")
+        c_row = nat.counter("__fused0", "native")
+        assert (numpy_row.calls, numpy_row.elements, numpy_row.bytes_moved) \
+            == (c_row.calls, c_row.elements, c_row.bytes_moved)
+        assert nat.counter("__fused0", "kernel") is None
+
+    @pytest.mark.skipif(not toolchain.available(), reason="no C toolchain")
+    def test_every_recorded_layer_is_rendered_and_serialized(self):
+        src, args = FUSED[0]
+        _r, rep = compile_program(src).profile("f", args, backend="native")
+        doc = rep.to_dict()
+        assert validate_profile(doc) == []
+        assert ("native", "__fused0") in \
+            [(c["layer"], c["op"]) for c in doc["counters"]]
+        table = rep.table()
+        assert "native C kernels" in table
+        assert "__fused0" in table

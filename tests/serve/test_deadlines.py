@@ -47,7 +47,7 @@ class TestBudgets(_InProcess):
                                        predict_admission=False)) as ex:
             healthy = [ex.submit(SRC, "main", [k]) for k in range(1, 9)]
             doomed = ex.submit(SRC, "main", [500],
-                               budget=Budget(max_steps=2))
+                               budget=Budget(max_steps=1))
             more = [ex.submit(SRC, "main", [k]) for k in range(9, 13)]
             with pytest.raises(ResourceLimitError) as ei:
                 doomed.result(30)

@@ -123,7 +123,7 @@ def test_run_time_budget_breach_names_its_request(serve):
     ex = serve(predict_admission=False)
     ok = ex.submit(SQUARES, "main", [10], request_id="fine")
     assert outcome(lambda: ex.submit(SQUARES, "main", [500],
-                                     budget=Budget(max_steps=2),
+                                     budget=Budget(max_steps=1),
                                      request_id="tight")) == \
         ("ResourceLimitError", "steps", "kernel", "tight")
     assert ok.result(60) == squares(10)

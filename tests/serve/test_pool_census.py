@@ -121,7 +121,7 @@ def test_default_options_key_is_not_rebuilt(monkeypatch):
         m.setattr("repro.serve.cache.astuple", astuple)
         key = cache_key(SRC, None)
     assert key == cache_key(SRC, TransformOptions())
-    assert key != cache_key(SRC, TransformOptions(fuse=True))
+    assert key != cache_key(SRC, TransformOptions(fuse=False))
 
 
 def slowed_lead():

@@ -90,3 +90,47 @@ class TestSemanticsPreserved:
         got = self.check("fun f(v, w) = [x <- v: [y <- w: x * y]]",
                          "f", [[1, 2], [10, 20]])
         assert got == [[10, 20], [20, 40]]
+
+
+class TestBuiltinNames:
+    """What R1 generates calls the builtins, whatever the program
+    defines; a domain the program wrote is a range only while ``range``
+    is the builtin.  All five lanes agree (docs/LANGUAGE.md)."""
+
+    ROWS = [
+        # R1's length(v) is the builtin: the iterator visits xs
+        ("fun length(a0) = 0\nfun f(xs) = [x <- xs: x + 1]", [2, 3]),
+        # the #xs the program wrote is the user's length: no iterations
+        ("fun length(a0) = 0\nfun f(xs) = [i <- [1..#xs]: xs[i] + 1]", []),
+        # R1's range is the builtin
+        ("fun range(a0, a1) = [1]\nfun f(xs) = [x <- xs: x + 1]", [2, 3]),
+        # and so is the restrict of the filter desugaring
+        ("fun length(a0) = 0\nfun f(xs) = [x <- xs | x > 1: x]", [2]),
+        ("fun restrict(a0, a1) = a0\nfun f(xs) = [x <- xs | x > 1: x]", [2]),
+        # a user's length at depth 1 is the user's
+        ("fun length(a0) = 0\nfun f(xs) = [x <- [xs, xs]: length(x)]",
+         [0, 0]),
+        # [1..2] calls the user's range: its value is the domain
+        ("fun range(a, b) = [b, a]\nfun f(xs) = [i <- [1..2]: xs[i]]",
+         [2, 1]),
+        # a local named like a builtin captures nothing R1 generates
+        ("fun f(xs) = let length = 5 in [x <- xs: x + length]", [6, 7]),
+    ]
+
+    def test_the_five_lanes_agree(self):
+        from repro import compile_program
+        from repro.api import BACKENDS
+        for src, want in self.ROWS:
+            prog = compile_program(src)
+            got = {b: prog.run("f", [[1, 2]], backend=b) for b in BACKENDS}
+            assert got == dict.fromkeys(BACKENDS, want), src
+
+    def test_generated_calls_name_the_builtins(self):
+        e = canon("[x <- v | p(x): x]")
+        heads = [n.fn for n in A.walk(e)
+                 if isinstance(n, A.Call) and isinstance(n.fn, A.Var)
+                 and n.fn.name != "p"]
+        assert {h.name for h in heads} == {"range", "length", "seq_index",
+                                           "restrict"}
+        assert all(h.origin == A.BUILTIN for h in heads)
+        assert canon("[i <- [1..#v]: i]").domain.fn.origin != A.BUILTIN

@@ -14,8 +14,8 @@ from repro.lang import types as T
 
 
 def pair(src):
-    on = compile_program(src, options=TransformOptions(fuse=True))
-    off = compile_program(src)
+    on = compile_program(src)
+    off = compile_program(src, options=TransformOptions(fuse=False))
     return on, off
 
 
