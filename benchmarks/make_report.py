@@ -219,7 +219,8 @@ def e11():
         return sum(w for _o, w in t), len(t)
 
     on = compile_program(g)
-    off = compile_program(g, options=TransformOptions(shared_seq_index=False))
+    off = compile_program(g, options=TransformOptions(
+        passes="canonical,eliminate,simplify,fuse"))
     w_on, s_on = work_of(on, "gather", [v, ix])
     w_off, s_off = work_of(off, "gather", [v, ix])
     print(f"  shared seq_index : work {w_on:>9} vs replicated {w_off:>9} "
@@ -246,7 +247,9 @@ def e11():
           f"work {w_pl:>9} steps {s_pl:>5}")
 
     r_on = compile_program("fun total(v) = reduce(add, v)",
-                           options=TransformOptions(reduce_to_native=True))
+                           options=TransformOptions(
+                               passes="canonical,eliminate,native-reduce,"
+                                      "optimize,simplify,fuse"))
     r_off = compile_program("fun total(v) = reduce(add, v)")
     big = list(range(4096))
     w_n, s_n = work_of(r_on, "total", [big])
@@ -270,7 +273,8 @@ def e12():
                in concat(concat(sorted[1], same), sorted[2])
     """
     on = compile_program(src)
-    off = compile_program(src, options=TransformOptions(simplify=False))
+    off = compile_program(src, options=TransformOptions(
+        passes="canonical,eliminate,optimize,fuse"))
     _m, tp_on = on.prepare("qs", (TSeq(INT),))
     _m, tp_off = off.prepare("qs", (TSeq(INT),))
     lets_on = sum(count_lets(d.body) for d in tp_on.defs.values())

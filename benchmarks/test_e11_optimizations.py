@@ -23,6 +23,12 @@ from repro.machine import VectorMachine
 
 GATHER = "fun gather(v, ix) = [i <- ix: v[i]]"
 
+#: the default pipeline without ``optimize``: seq_index is never shared
+UNSHARED = TransformOptions(passes="canonical,eliminate,simplify,fuse")
+#: the default pipeline with ``native-reduce`` before ``optimize``
+NATIVE_REDUCE = TransformOptions(
+    passes="canonical,eliminate,native-reduce,optimize,simplify,fuse")
+
 rng = random.Random(12)
 
 
@@ -38,15 +44,13 @@ class TestSharedIndexAblation:
 
     def test_same_results(self):
         on = compile_program(GATHER)
-        off = compile_program(GATHER,
-                              options=TransformOptions(shared_seq_index=False))
+        off = compile_program(GATHER, options=UNSHARED)
         assert on.run("gather", [self.v, self.ix]) == \
             off.run("gather", [self.v, self.ix])
 
     def test_shared_does_less_work(self):
         on = compile_program(GATHER)
-        off = compile_program(GATHER,
-                              options=TransformOptions(shared_seq_index=False))
+        off = compile_program(GATHER, options=UNSHARED)
         w_on, _ = trace_work(on, "gather", [self.v, self.ix])
         w_off, _ = trace_work(off, "gather", [self.v, self.ix])
         # without sharing, the 2000-element source is replicated for each of
@@ -55,8 +59,7 @@ class TestSharedIndexAblation:
 
     def test_simulated_cycles_improve(self):
         on = compile_program(GATHER)
-        off = compile_program(GATHER,
-                              options=TransformOptions(shared_seq_index=False))
+        off = compile_program(GATHER, options=UNSHARED)
         m = VectorMachine(processors=16, latency=2)
         _r, t_on = on.vector_trace("gather", [self.v, self.ix])
         _r, t_off = off.vector_trace("gather", [self.v, self.ix])
@@ -96,15 +99,13 @@ class TestNativeReduceAblation:
         self.v = [rng.randrange(-50, 50) for _ in range(4096)]
 
     def test_same_results(self):
-        on = compile_program(REDUCE,
-                             options=TransformOptions(reduce_to_native=True))
+        on = compile_program(REDUCE, options=NATIVE_REDUCE)
         off = compile_program(REDUCE)
         assert on.run("total", [self.v]) == off.run("total", [self.v]) \
             == sum(self.v)
 
     def test_native_fewer_steps(self):
-        on = compile_program(REDUCE,
-                             options=TransformOptions(reduce_to_native=True))
+        on = compile_program(REDUCE, options=NATIVE_REDUCE)
         off = compile_program(REDUCE)
         _w_on, s_on = trace_work(on, "total", [self.v])
         _w_off, s_off = trace_work(off, "total", [self.v])
@@ -123,8 +124,7 @@ def test_bench_gather_shared(benchmark):
 
 
 def test_bench_gather_replicated(benchmark):
-    prog = compile_program(GATHER,
-                           options=TransformOptions(shared_seq_index=False))
+    prog = compile_program(GATHER, options=UNSHARED)
     v = [rng.randrange(100) for _ in range(5000)]
     ix = [rng.randrange(1, 5001) for _ in range(5000)]
     vm, mono = prog.vcode_vm("gather", [v, ix])
@@ -146,8 +146,7 @@ def test_bench_flatten_plevel(benchmark):
 
 
 def test_bench_reduce_native(benchmark):
-    prog = compile_program(REDUCE,
-                           options=TransformOptions(reduce_to_native=True))
+    prog = compile_program(REDUCE, options=NATIVE_REDUCE)
     v = list(range(4096))
     vm, mono = prog.vcode_vm("total", [v])
     assert benchmark(lambda: vm.call(mono, [v])) == sum(v)

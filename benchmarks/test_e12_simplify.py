@@ -27,7 +27,8 @@ fun qs(s) =
 
 def programs():
     on = compile_program(SRC)
-    off = compile_program(SRC, options=TransformOptions(simplify=False))
+    off = compile_program(SRC, options=TransformOptions(
+        passes="canonical,eliminate,optimize,fuse"))
     return on, off
 
 
@@ -77,4 +78,5 @@ def test_bench_simplified(benchmark):
 
 def test_bench_unsimplified(benchmark):
     _bench(benchmark, compile_program(
-        SRC, options=TransformOptions(simplify=False)))
+        SRC, options=TransformOptions(
+            passes="canonical,eliminate,optimize,fuse")))

@@ -43,7 +43,7 @@ from repro.lang.typecheck import TypedProgram, typecheck_program
 from repro.obs import runtime as _obs
 from repro.transform.extensions import ext1_name
 from repro.transform.pipeline import (
-    TransformOptions, TransformedProgram, transform_program,
+    DEFAULT_PASSES, TransformOptions, TransformedProgram, transform_program,
 )
 from repro.vector.convert import from_python, infer_from_python, to_python
 from repro.vexec.evaluator import VectorEvaluator
@@ -61,9 +61,7 @@ ThreadSpec = Union[int, str, None]
 #: reference interpreter's measure on the *canonical* program, which
 #: retains bindings the default pipeline's simplify pass cleans away, so
 #: the analyzed IR must retain them too.
-_COST_OPTIONS = TransformOptions(shared_seq_index=True,
-                                 reduce_to_native=False, simplify=False,
-                                 fuse=False, verify=False)
+_COST_OPTIONS = TransformOptions(passes=DEFAULT_PASSES[:3], verify=False)
 
 
 #: The Python recursion limit the front end and the executors run under:
@@ -323,9 +321,9 @@ class CompiledProgram:
         The certificate bounds the *reference interpreter's* measured
         work/span on the canonical program, so the flattened IR it is
         derived from is transformed with fixed options
-        (``simplify=False``: the canonical program retains bindings the
-        default pipeline would clean away, and the bound must cover
-        them)."""
+        (``canonical, eliminate, optimize``, no ``simplify``: the
+        canonical program retains bindings the default pipeline would
+        clean away, and the bound must cover them)."""
         from repro.analysis.cost import cost_certificate_for
         key = (fname, arg_types, tuple(sorted(fun_args)))
         with self._prep_lock:
@@ -624,14 +622,6 @@ class CompiledProgram:
         report = CostReport(work=sum(max(0, n) for _op, n in trace),
                             span=len(trace))
         return result, report
-
-    def evaluator(self, fname: str, args: Sequence[Any],
-                  types: Optional[Sequence[TypeLike]] = None
-                  ) -> tuple[VectorEvaluator, str, list]:
-        """Lower-level access: (evaluator, mono-name, args) for callers that
-        drive execution themselves (the VCODE compiler, the simulator)."""
-        mono, tp = self.prepare(fname, *self.resolve_entry(fname, args, types))
-        return VectorEvaluator(tp), mono, list(args)
 
     # -- inspection ----------------------------------------------------------------
 

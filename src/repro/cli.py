@@ -177,14 +177,13 @@ def _pass_options(ns) -> Optional[TransformOptions]:
     """TransformOptions for the parsed pipeline flags, or None when all
     are at their defaults (so option-free invocations share the default
     pipeline)."""
-    from repro.passes import parse_pass_list
     passes = getattr(ns, "passes", None)
-    after = tuple(getattr(ns, "print_ir_after", ()) or ())
+    after = getattr(ns, "print_ir_after", ())
     all_ = bool(getattr(ns, "print_ir_after_all", False))
     if not passes and not after and not all_:
         return None
     return TransformOptions(
-        passes=parse_pass_list(passes) if passes else None,
+        passes=passes or None,
         print_ir_all=all_, print_ir_after=after)
 
 
@@ -676,15 +675,15 @@ def _dispatch(ns) -> int:
     if ns.cmd == "passes":
         from repro.passes import registered_passes
         from repro.transform.pipeline import DEFAULT_PASSES
-        print(f"{'pass':<12} {'stage':<7} {'requires':<28} "
+        print(f"{'pass':<14} {'stage':<7} {'requires':<28} "
               f"{'produces':<22} description")
         for name, cls in sorted(registered_passes().items()):
             req = ",".join(sorted(cls.requires)) or "-"
             pro = ",".join(sorted(cls.produces)) or "-"
-            print(f"{name:<12} {cls.stage:<7} {req:<28} {pro:<22} "
+            print(f"{name:<14} {cls.stage:<7} {req:<28} {pro:<22} "
                   f"{cls.description}")
-        print(f"\ndefault pipeline: {', '.join(DEFAULT_PASSES)} "
-              "(every back end runs it; fuse=False drops fuse)")
+        print(f"\ndefault pipeline: {','.join(DEFAULT_PASSES)} "
+              "(every back end runs it; --passes runs another list)")
         return 0
 
     if ns.cmd == "native":

@@ -45,8 +45,8 @@ class PassContext:
     exactly these two forms).
     """
 
-    #: transform switches (a :class:`~repro.transform.pipeline.
-    #: TransformOptions`); passes gate optional rewrites on it
+    #: the :class:`~repro.transform.pipeline.TransformOptions` being run
+    #: (the manager reads its verify and dump settings; passes do not)
     options: Any
     #: rule-application trace (R1/R2/R0/T1 firings; benchmark E6)
     trace: Trace = field(default_factory=NullTrace)

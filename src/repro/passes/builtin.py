@@ -25,8 +25,8 @@ from repro.transform.extensions import ext1_name, synthesize_ext1
 from repro.transform.trace import Trace
 
 __all__ = [
-    "CanonicalPass", "EliminatePass", "OptimizePass", "SimplifyPass",
-    "FusePass",
+    "CanonicalPass", "EliminatePass", "NativeReducePass", "OptimizePass",
+    "SimplifyPass", "FusePass",
 ]
 
 
@@ -164,35 +164,45 @@ class EliminatePass(Pass):
 
 
 @register
+class NativeReducePass(Pass):
+    """**§4.5** pt. 2: ``reduce(add|max2|min2, v)`` becomes the native
+    segmented ``sum`` / ``maxval`` / ``minval``
+    (:class:`~repro.transform.optimize.NativeReducePattern`).  Not in the
+    default pipeline; list it before ``optimize``, since the reduction
+    rewrite can expose shared sources but never the converse."""
+
+    name = "native-reduce"
+    requires = frozenset({INV.ITERATOR_FREE})
+    description = "§4.5 reduce(add/max2/min2) to native segmented folds"
+
+    def run(self, ctx: PassContext) -> None:
+        """Rewrite every reducible ``reduce`` call, one sweep per def."""
+        from repro.transform.optimize import NativeReducePattern
+        for d in ctx.defs.values():
+            d.body = apply_patterns(d.body, [NativeReducePattern()])
+
+
+@register
 class OptimizePass(Pass):
-    """The **§4.5** vector-level optimizations, as single-sweep rewrite
-    patterns over the iterator-free defs (:mod:`repro.transform.
-    optimize`): native segmented reductions (gated by
-    ``options.reduce_to_native``), then the shared/segment-shared
-    no-replication index rewrites and the identity-gather view they
-    expose (gated by ``options.shared_seq_index``).  The pass itself
-    always runs (and re-verifies) so ablations change only which
-    patterns fire."""
+    """The **§4.5** no-replication index rewrites, as single-sweep
+    rewrite patterns over the iterator-free defs (:mod:`repro.transform.
+    optimize`): the shared and segment-shared ``seq_index`` forms, then
+    the identity-gather view they expose.  Leaving the pass out of the
+    list is the ablation."""
 
     name = "optimize"
     requires = frozenset({INV.ITERATOR_FREE})
-    description = ("§4.5 rewrites: native reductions, shared-index "
-                   "gathers, iteration as a view")
+    description = "§4.5 rewrites: shared-index gathers, iteration as a view"
 
     def run(self, ctx: PassContext) -> None:
-        """Apply each enabled §4.5 pattern as its own sweep, in the
-        documented order (reductions first, then index sharing, then the
-        identity gathers among the shared-index forms become views)."""
+        """Apply each pattern as its own sweep, in the documented order
+        (index sharing, then the identity gathers among the shared-index
+        forms become views)."""
         from repro.transform import optimize as OPT
-        if ctx.options.reduce_to_native:
-            for d in ctx.defs.values():
-                d.body = apply_patterns(d.body, [OPT.NativeReducePattern()])
-        if ctx.options.shared_seq_index:
-            for d in ctx.defs.values():
-                d.body = apply_patterns(d.body, [OPT.SharedIndexPattern()])
-                d.body = apply_patterns(d.body,
-                                        [OPT.SegSharedIndexPattern()])
-                d.body = OPT.rewrite_identity_gather(d.body)
+        for d in ctx.defs.values():
+            d.body = apply_patterns(d.body, [OPT.SharedIndexPattern()])
+            d.body = apply_patterns(d.body, [OPT.SegSharedIndexPattern()])
+            d.body = OPT.rewrite_identity_gather(d.body)
 
 
 @register

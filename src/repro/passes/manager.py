@@ -2,7 +2,7 @@
 verification, and labeled IR dumps.
 
 A :class:`PassManager` is built from a list of pass names (usually the
-list ``TransformOptions`` compiles down to — see
+options' list — see
 :meth:`repro.transform.pipeline.TransformOptions.pipeline`).  At
 construction it *statically* validates the ordering against the declared
 invariants (:mod:`repro.passes.invariants`): walking the list from the
@@ -20,7 +20,9 @@ At run time each pass gets:
   ``ctx.verified``;
 * an optional labeled IR dump (``--print-ir-after-all`` /
   ``--print-ir-after <pass>``) written through ``options.ir_sink``
-  (default: stderr), after the pass and its verifier ran.
+  (default: stderr), after the pass and its verifier ran; a
+  ``--print-ir-after`` name the list does not hold is rejected with the
+  ordering errors.
 """
 
 from __future__ import annotations
@@ -74,9 +76,10 @@ class PassManager:
     # -- static validation ----------------------------------------------------
 
     def _validate(self) -> None:
-        """Reject duplicate passes, stage inversions, and any ordering
-        whose declared ``requires`` invariants are not established by the
-        entry set plus earlier passes' ``produces``."""
+        """Reject duplicate passes, stage inversions, any ordering whose
+        declared ``requires`` invariants are not established by the entry
+        set plus earlier passes' ``produces``, and a ``print_ir_after``
+        name that is not in the list."""
         seen: set[str] = set()
         established = set(INV.ENTRY)
         defs_started = False
@@ -99,6 +102,13 @@ class PassManager:
                     f"{sorted(missing)} but only {sorted(established)} "
                     "established at that point")
             established |= p.produces
+        unknown = [n for n in getattr(self.options, "print_ir_after", ())
+                   if n not in seen]
+        if unknown:
+            listed = ",".join(p.name for p in self.passes)
+            raise TransformError(
+                f"cannot print IR after {', '.join(map(repr, unknown))}: "
+                f"not in the pipeline ({listed})")
 
     # -- stage selection ------------------------------------------------------
 
@@ -154,7 +164,7 @@ def manager_for(options: Any,
                 passes: Optional[Sequence[Union[str, Pass]]] = None
                 ) -> PassManager:
     """A :class:`PassManager` for ``options`` — the explicit ``passes``
-    list when given, else the list the options compile down to
+    list when given, else the options' own list
     (``options.pipeline()``)."""
     names = passes if passes is not None else options.pipeline()
     return PassManager(names, options)

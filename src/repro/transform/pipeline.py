@@ -8,7 +8,7 @@ extensions of f that are introduced is a static property of the
 program".
 
 Since the pass-manager refactor the driver itself is thin: a
-:class:`TransformOptions` *compiles down to a pass list*
+:class:`TransformOptions` *is a pass list*
 (:meth:`TransformOptions.pipeline`), a validated
 :class:`~repro.passes.manager.PassManager` runs the defs-stage passes
 (R2 elimination, the §4.5 optimizations, cleanup, fusion) with
@@ -27,84 +27,65 @@ from repro.lang import ast as A
 from repro.lang.typecheck import TypedProgram
 from repro.passes.base import PassContext
 from repro.passes.manager import manager_for
+from repro.passes.registry import parse_pass_list
 from repro.transform.extensions import ext1_name
 from repro.transform.trace import NullTrace, Trace
 
 #: the default pass pipeline (R1 through fusion), the one program every
-#: back end runs.  ``optimize`` is always listed — its §4.5 patterns are
-#: individually gated, so ablations change which patterns fire, not the
-#: pipeline shape (and its postcondition re-verifies either way).
+#: back end runs.  A pass's presence in a list is its only switch:
+#: ``native-reduce`` is registered but not listed here.
 DEFAULT_PASSES = ("canonical", "eliminate", "optimize", "simplify", "fuse")
 
 
 @dataclass
 class TransformOptions:
-    """Switches for the section-4.5 optimizations, pipeline shape, and
-    tracing; compiles down to a pass list via :meth:`pipeline`.
+    """The pass list, its verification and IR dumps, and tracing;
+    :meth:`pipeline` is the list that runs.
 
-    Option interactions are by *pipeline position*, not flag order —
-    see the supported-combination table in docs/PASSES.md.  The defaults
-    run ``canonical, eliminate, optimize, simplify, fuse``, and every back
-    end executes that one program:
-
-    * ``reduce_to_native`` (default off) and ``shared_seq_index``
-      (default on) both gate patterns *inside* the ``optimize`` pass;
-      when both are on, native reductions rewrite first, then index
-      sharing (the reduction rewrite can expose shared sources but never
-      the converse).
-    * ``fuse`` (default on) appends the ``fuse`` pass after
-      ``simplify``, so fusion sees cleaned let-chains; with ``simplify``
-      off, fusion still runs, on the raw R2 output.  ``fuse=False`` is
-      the unfused program, for ablations and for tests whose subject it
-      is.
-    * ``reduce_to_native`` + ``fuse`` compose: a rewritten ``sum`` is a
-      segmented fold, and a fold whose argument is an elementwise tree
-      *roots* the fused region — one op, the tree computed where the
-      fold consumes it.
-
-    Every combination of the four switches is supported and covered by
-    ``tests/passes/test_options.py``.
+    Which rewrites run is which passes are listed (docs/PASSES.md has
+    the table of supported lists).  The default is ``DEFAULT_PASSES`` —
+    ``canonical, eliminate, optimize, simplify, fuse`` — and every back
+    end executes that one program.  Ablations are lists: without
+    ``optimize`` no seq_index is shared; ``native-reduce`` before
+    ``optimize`` rewrites reductions first (the reduction rewrite can
+    expose shared sources but never the converse); without ``simplify``
+    fusion runs on the raw R2 output.  Every list of the four optional
+    passes in that order is covered by ``tests/passes/test_options.py``.
     """
 
-    #: rewrite seq_index with a depth-0 source to the shared fast path
-    #: (§4.5 pt. 1; an ``optimize``-pass pattern)
-    shared_seq_index: bool = True
-    #: rewrite reduce(add/max2/min2, v) to native segmented reductions
-    #: (§4.5 pt. 2; an ``optimize``-pass pattern)
-    reduce_to_native: bool = False
-    #: clean the generated let-chains (alias inlining, dead bindings);
-    #: includes the ``simplify`` pass
-    simplify: bool = True
-    #: fuse chains of same-depth elementwise primitives into single ops;
-    #: appends the ``fuse`` pass (after ``simplify`` when both are on)
+    #: ``False`` drops ``fuse`` from the default list (the unfused
+    #: program, for ablations); ignored when ``passes`` is given
     fuse: bool = True
     #: record a rule-application trace (benchmark E6)
     trace: bool = False
     #: re-check per-pass postconditions after every pass (repro.analysis)
     verify: bool = True
-    #: explicit pass list (names from :mod:`repro.passes.registry`);
-    #: overrides the flag-derived pipeline when set.  Ordering is
-    #: validated against declared invariants before anything runs.
+    #: explicit pass list (names from :mod:`repro.passes.registry`, as a
+    #: sequence or one comma-separated string); replaces the default
+    #: pipeline when set.  Ordering is validated against declared
+    #: invariants before anything runs.
     passes: Optional[tuple[str, ...]] = None
     #: dump pretty-printed IR after every executed pass
     print_ir_all: bool = False
-    #: dump IR after exactly these passes
+    #: dump IR after exactly these passes (each must be in the pipeline)
     print_ir_after: tuple[str, ...] = ()
     #: where IR dumps go (callable taking the dump text); None = stderr
     ir_sink: Optional[Callable[[str], None]] = None
 
-    def pipeline(self) -> tuple[str, ...]:
-        """The pass list these options compile down to: the explicit
-        ``passes`` when given, else the flag-derived default
-        (``canonical, eliminate, optimize[, simplify][, fuse]``)."""
+    def __post_init__(self) -> None:
+        # a list, a tuple or "a,b,c" spells a pass list; tuples keep the
+        # options hashable
         if self.passes is not None:
-            return tuple(self.passes)
-        names = ["canonical", "eliminate", "optimize"]
-        if self.simplify:
-            names.append("simplify")
-        if self.fuse:
-            names.append("fuse")
-        return tuple(names)
+            self.passes = parse_pass_list(self.passes)
+        self.print_ir_after = tuple(self.print_ir_after)
+
+    def pipeline(self) -> tuple[str, ...]:
+        """The pass list that runs: ``passes`` when given, else
+        ``DEFAULT_PASSES`` (without its last entry, ``fuse``, when
+        ``fuse=False``)."""
+        if self.passes is not None:
+            return self.passes
+        return DEFAULT_PASSES if self.fuse else DEFAULT_PASSES[:-1]
 
 
 @dataclass

@@ -93,7 +93,8 @@ class TestOptions:
     def test_options_respected(self):
         prog = compile_program(
             "fun gather(v, ix) = [i <- ix: v[i]]",
-            options=TransformOptions(shared_seq_index=False))
+            options=TransformOptions(passes=("canonical", "eliminate",
+                                             "simplify", "fuse")))
         assert prog.run("gather", [[5, 6], [2, 1]]) == [6, 5]
 
     def test_no_prelude(self):

@@ -54,6 +54,19 @@ class TestExitCodes:
         assert "non-shrinking" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--passes", "canonical,frobnicate"),
+        ("--print-ir-after", "bogus"),
+        ("--passes", "canonical,eliminate", "--print-ir-after", "fuse"),
+    ], ids=["unknown-pass", "dump-unknown-pass", "dump-unlisted-pass"])
+    def test_bad_pipeline_flags_exit_1(self, demo, capsys, flags):
+        with pytest.raises(SystemExit) as ei:
+            main(["run", demo, "-a", "8", *flags])
+        msg = ei.value.code   # a message: the interpreter exits 1
+        assert isinstance(msg, str) and msg.startswith("error:")
+        assert len(msg.splitlines()) == 1
+        assert capsys.readouterr().out == ""
+
     def test_usage_error_exit_2(self, demo):
         with pytest.raises(SystemExit) as ei:
             main(["run", demo, "--backend", "bogus"])

@@ -9,12 +9,15 @@ import pytest
 
 from repro import TransformOptions, compile_program
 
-#: every on/off combination of the independent optimization switches
-OPTION_GRID = [
-    TransformOptions(shared_seq_index=s, simplify=p, fuse=f,
-                     reduce_to_native=r)
+#: every list of the optional passes, by id: each of ``optimize`` (s,
+#: shared index), ``simplify`` (p), ``fuse`` (f) and ``native-reduce`` (r)
+#: in or out
+OPTION_GRID = {
+    f"s{s:d}p{p:d}f{f:d}r{r:d}": TransformOptions(passes=(
+        "canonical", "eliminate", *["native-reduce"] * r, *["optimize"] * s,
+        *["simplify"] * p, *["fuse"] * f))
     for s, p, f, r in itertools.product([True, False], repeat=4)
-]
+}
 
 
 SINK = """
@@ -48,10 +51,8 @@ def oracle(vv, t):
 
 
 class TestKitchenSink:
-    @pytest.mark.parametrize("opts", OPTION_GRID,
-                             ids=[f"s{o.shared_seq_index:d}p{o.simplify:d}"
-                                  f"f{o.fuse:d}r{o.reduce_to_native:d}"
-                                  for o in OPTION_GRID])
+    @pytest.mark.parametrize("opts", OPTION_GRID.values(),
+                             ids=OPTION_GRID.keys())
     def test_all_option_combinations(self, opts):
         prog = compile_program(SINK, options=opts)
         rng = random.Random(8)

@@ -58,8 +58,8 @@ class TestDocumentedEntryPoints:
         assert "cvl" in prog.emit_c("main", ["int"])
 
     def test_transform_options_fields(self):
+        import dataclasses
         from repro import TransformOptions
-        o = TransformOptions()
-        for field in ("shared_seq_index", "reduce_to_native", "simplify",
-                      "fuse", "trace"):
-            assert hasattr(o, field)
+        assert [f.name for f in dataclasses.fields(TransformOptions)] == [
+            "fuse", "trace", "verify", "passes", "print_ir_all",
+            "print_ir_after", "ir_sink"]

@@ -101,7 +101,8 @@ class TestR1SubstitutionDuplication:
     def test_single_gather(self):
         from repro import TransformOptions
         unshared = compile_program(
-            self.SRC, options=TransformOptions(shared_seq_index=False))
+            self.SRC, options=TransformOptions(
+                passes="canonical,eliminate,simplify,fuse"))
         assert len(self.gathers(unshared)) == 1
         assert self.gathers(compile_program(self.SRC)) == []
 

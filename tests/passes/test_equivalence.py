@@ -92,7 +92,8 @@ EXAMPLE_FILES = sorted(p for p in EXAMPLES.glob("*.py")
                          ids=[p.stem for p in EXAMPLE_FILES])
 @pytest.mark.parametrize("opts", [
     TransformOptions(),
-    TransformOptions(fuse=True, reduce_to_native=True),
+    TransformOptions(passes="canonical,eliminate,native-reduce,optimize,"
+                            "simplify,fuse"),
 ], ids=["default", "fuse+native"])
 def test_examples_identical_ir(path, opts):
     spec = _example_spec(path)

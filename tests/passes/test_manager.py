@@ -46,7 +46,7 @@ def manager_accepts(names, **opt_kw) -> bool:
 
 
 def test_all_permutations_match_declared_invariants():
-    """Property: over every permutation of the five built-in passes, the
+    """Property: over every permutation of the five default passes, the
     manager accepts exactly the orders the declared invariants allow."""
     accepted = [p for p in permutations(ALL) if manager_accepts(p)]
     expected = [p for p in permutations(ALL) if reference_legal(p)]
@@ -122,6 +122,22 @@ def test_validation_happens_at_compile_time():
                             passes=("optimize", "eliminate")))
 
 
+@pytest.mark.parametrize("passes, after", [
+    (None, "bogus"),                        # no such pass
+    (("canonical", "eliminate"), "fuse"),   # a pass the list leaves out
+])
+def test_dump_of_a_pass_not_in_the_list_rejected(passes, after):
+    """``print_ir_after`` naming a pass that will not run is an error
+    that names the list — at construction, like an illegal order."""
+    opts = TransformOptions(passes=passes, print_ir_after=[after])
+    listed = ",".join(opts.pipeline())
+    with pytest.raises(TransformError, match=repr(after)) as err:
+        manager_for(opts)
+    assert f"({listed})" in str(err.value)
+    with pytest.raises(TransformError, match="cannot print IR after"):
+        compile_program("fun id(x) = x", options=opts)
+
+
 def test_registry_covers_default_pipeline():
     reg = registered_passes()
     for name in TransformOptions(fuse=True).pipeline():
@@ -148,7 +164,8 @@ def test_parse_pass_list():
 
 
 def test_manager_for_uses_options_pipeline():
-    pm = manager_for(TransformOptions(fuse=True, simplify=False))
+    pm = manager_for(TransformOptions(
+        passes=["canonical", "eliminate", "optimize", "fuse"]))
     assert [p.name for p in pm.passes] == [
         "canonical", "eliminate", "optimize", "fuse"]
     assert [p.name for p in pm.source_passes()] == ["canonical"]

@@ -53,6 +53,23 @@ class TestBasics:
         assert a is not b and calls["n"] == 2
         assert cache.get(SRC) is a          # still cached
 
+    def test_list_and_tuple_pass_lists_are_one_key(self):
+        """A pass list spelled as a list, a tuple or a comma string is
+        one key (and hashable): the second spelling is a cache hit."""
+        names = ["canonical", "eliminate", "optimize"]
+        spellings = [TransformOptions(passes=names),
+                     TransformOptions(passes=tuple(names)),
+                     TransformOptions(passes=",".join(names))]
+        keys = {cache_key(SRC, o) for o in spellings}
+        assert len(keys) == 1
+        assert keys != {cache_key(SRC, TransformOptions())}
+        cache, calls = counting_cache()
+        progs = {id(cache.get(SRC, options=o)) for o in spellings}
+        assert len(progs) == 1 and calls["n"] == 1
+        after = {cache_key(SRC, TransformOptions(print_ir_after=a))
+                 for a in (["simplify"], ("simplify",))}
+        assert len(after) == 1
+
     def test_key_function_is_stable(self):
         assert cache_key(SRC, None) == cache_key(SRC, TransformOptions())
         assert cache_key(SRC, TransformOptions(fuse=False)) != \

@@ -121,7 +121,8 @@ class TestR2dShape:
 
     def test_restricts_include_witnesses_unsimplified(self):
         tp = transformed(self.SRC, "f", [TSeq(INT)],
-                         options=TransformOptions(simplify=False))
+                         options=TransformOptions(
+                             passes="canonical,eliminate,optimize,fuse"))
         rs = [n for n in body_nodes(tp, "f", A.ExtCall) if n.fn == "restrict"]
         # x restricted in each branch + 2 witness restricts
         assert len(rs) >= 4
@@ -152,7 +153,8 @@ class TestSharedIndexOptimization:
 
     def test_disabled(self):
         tp = transformed(self.SRC, "gather", [TSeq(INT), TSeq(INT)],
-                         options=TransformOptions(shared_seq_index=False))
+                         options=TransformOptions(
+                             passes="canonical,eliminate,simplify,fuse"))
         assert not [n for n in body_nodes(tp, "gather", A.ExtCall)
                     if n.fn == "__seq_index_shared"]
 
@@ -169,7 +171,9 @@ class TestSharedIndexOptimization:
 class TestNativeReduceOptimization:
     def test_rewrite(self):
         tp = transformed("fun total(v) = reduce(add, v)", "total", [TSeq(INT)],
-                         options=TransformOptions(reduce_to_native=True))
+                         options=TransformOptions(
+                             passes="canonical,eliminate,native-reduce,"
+                                    "optimize,simplify,fuse"))
         sums = [n for n in body_nodes(tp, "total", A.ExtCall) if n.fn == "sum"]
         assert sums
 

@@ -105,7 +105,8 @@ class TestRewriteFires:
         src = "fun f(v) = [x <- v: x * x + x]"
         on = compile_program(src, options=FUSE)
         off = compile_program(
-            src, options=TransformOptions(shared_seq_index=False))
+            src, options=TransformOptions(
+                passes="canonical,eliminate,simplify,fuse"))
         v = list(range(-5, 25))
         for backend in ("vector", "vcode"):
             assert (on.run("f", [v], backend=backend)
@@ -116,7 +117,8 @@ class TestRewriteFires:
         arg = [[[1, 2], [], [3]], [], [[4, 5, 6]]]
         on = compile_program(src)
         off = compile_program(
-            src, options=TransformOptions(shared_seq_index=False))
+            src, options=TransformOptions(
+                passes="canonical,eliminate,simplify,fuse"))
         want = on.run("f", [arg], backend="interp")
         for backend in ("vector", "vcode"):
             assert on.run("f", [arg], backend=backend) == want
@@ -195,9 +197,10 @@ class TestRewriteBlocked:
                    ["seq(seq(int))"])
         assert "__seq_index_segshared^2" in ir and "__iter^1" not in ir
 
-    def test_disabled_with_shared_seq_index_off(self):
-        """``shared_seq_index`` gates the gathers the view is made from,
-        so it gates the view."""
+    def test_disabled_without_optimize(self):
+        """``optimize`` makes the gathers the view is made from, so a
+        list without it has no view."""
         ir = ir_of("fun f(vv) = [v <- vv: [x <- v: x]]", ["seq(seq(int))"],
-                   TransformOptions(shared_seq_index=False))
+                   TransformOptions(
+                       passes="canonical,eliminate,simplify,fuse"))
         assert "__iter" not in ir

@@ -58,7 +58,8 @@ class TestPassesPreserveSemantics:
     def test_simplify_on_off_agree(self, src, data):
         args = [data.draw(st.lists(ints, max_size=5))]
         on = compile_program(src)
-        off = compile_program(src, options=TransformOptions(simplify=False))
+        off = compile_program(src, options=TransformOptions(
+            passes="canonical,eliminate,optimize,fuse"))
         assert on.run("f", args) == off.run("f", args)
 
     @settings(**_SETTINGS)
@@ -67,5 +68,6 @@ class TestPassesPreserveSemantics:
         args = [data.draw(st.lists(ints, max_size=5))]
         on = compile_program(src)
         off = compile_program(src,
-                              options=TransformOptions(shared_seq_index=False))
+                              options=TransformOptions(
+                                  passes="canonical,eliminate,simplify,fuse"))
         assert on.run("f", args) == off.run("f", args)

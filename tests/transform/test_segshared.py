@@ -49,7 +49,8 @@ class TestRewriteFires:
 
     def test_disabled_with_option(self):
         prog = compile_program(self.SRC,
-                               options=TransformOptions(shared_seq_index=False))
+                               options=TransformOptions(
+                                   passes="canonical,eliminate,simplify,fuse"))
         tp = transformed(prog, "f", [seq_of(INT, 2)])
         calls = [n for d in tp.defs.values() for n in A.walk(d.body)
                  if isinstance(n, A.ExtCall)]
@@ -76,7 +77,8 @@ class TestCorrectness:
     def test_matches_interpreter_and_unoptimized(self, src, args, types):
         on = compile_program(src)
         off = compile_program(src,
-                              options=TransformOptions(shared_seq_index=False))
+                              options=TransformOptions(
+                                  passes="canonical,eliminate,simplify,fuse"))
         want = on.run(src and "f", args, backend="interp", types=types)
         assert on.run("f", args, types=types) == want
         assert on.run("f", args, backend="vcode", types=types) == want
@@ -111,7 +113,8 @@ class TestWorkReduction:
         src = "fun f(vv) = [v <- vv: [i <- [1..#v]: v[i]]]"
         on = compile_program(src)
         off = compile_program(src,
-                              options=TransformOptions(shared_seq_index=False))
+                              options=TransformOptions(
+                                  passes="canonical,eliminate,simplify,fuse"))
         vv = [[1] * 60 for _ in range(30)]  # 30 segments of 60
         w_on = work_of(on, "f", [vv], ["seq(seq(int))"])
         w_off = work_of(off, "f", [vv], ["seq(seq(int))"])
@@ -142,7 +145,8 @@ class TestWorkReduction:
         src = "fun f(vv) = [v <- vv: [i <- [1..#v]: v[i] + #v]]"
         on = compile_program(src)
         off = compile_program(src,
-                              options=TransformOptions(shared_seq_index=False))
+                              options=TransformOptions(
+                                  passes="canonical,eliminate,simplify,fuse"))
         vv = [[1] * 50 for _ in range(20)]
         ty = ["seq(seq(int))"]
         assert on.run("f", [vv], types=ty) == off.run("f", [vv], types=ty)

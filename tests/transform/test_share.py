@@ -173,8 +173,11 @@ class TestOnlyTotalCallsMove:
         the one reported, with and without the sweep."""
         src = "fun f(v, i, z) = [x <- v: v[i] + (x div z) + (x div z)]"
         def failure(simplify, backend):
+            passes = "canonical,eliminate,optimize,fuse"
+            if simplify:
+                passes = "canonical,eliminate,optimize,simplify,fuse"
             prog = compile_program(
-                src, options=TransformOptions(simplify=simplify))
+                src, options=TransformOptions(passes=passes))
             with pytest.raises(ReproError) as err:
                 prog.run("f", [[1, 2, 3], 9, 0], backend=backend)
             return type(err.value), str(err.value)

@@ -61,7 +61,8 @@ class TestInPipeline:
 
     def test_simplified_has_fewer_lets(self):
         on = compile_program(self.SRC)
-        off = compile_program(self.SRC, options=TransformOptions(simplify=False))
+        off = compile_program(self.SRC, options=TransformOptions(
+            passes="canonical,eliminate,optimize,fuse"))
         _m, tp_on = on.prepare("main", (INT,))
         _m, tp_off = off.prepare("main", (INT,))
         lets_on = sum(count_lets(d.body) for d in tp_on.defs.values())
@@ -70,7 +71,8 @@ class TestInPipeline:
 
     def test_results_unchanged(self):
         on = compile_program(self.SRC)
-        off = compile_program(self.SRC, options=TransformOptions(simplify=False))
+        off = compile_program(self.SRC, options=TransformOptions(
+            passes="canonical,eliminate,optimize,fuse"))
         assert on.run("main", [6]) == off.run("main", [6])
 
     @pytest.mark.parametrize("src,fname,args", [
@@ -82,7 +84,8 @@ class TestInPipeline:
     ])
     def test_equivalence_preserved(self, src, fname, args):
         on = compile_program(src)
-        off = compile_program(src, options=TransformOptions(simplify=False))
+        off = compile_program(src, options=TransformOptions(
+            passes="canonical,eliminate,optimize,fuse"))
         a = on.run_all(fname, args)
         b = off.run_all(fname, args)
         assert a == b
@@ -93,12 +96,14 @@ class TestInPipeline:
         src = ("fun f(n) = [i <- [1..n]: [j <- [1..i]:"
                " if odd(j) then j else i]]")
         on = compile_program(src)
-        off = compile_program(src, options=TransformOptions(simplify=False))
+        off = compile_program(src, options=TransformOptions(
+            passes="canonical,eliminate,optimize,fuse"))
         assert on.run_all("f", [5]) == off.run_all("f", [5])
 
     def test_fewer_vcode_instructions(self):
         on = compile_program(self.SRC)
-        off = compile_program(self.SRC, options=TransformOptions(simplify=False))
+        off = compile_program(self.SRC, options=TransformOptions(
+            passes="canonical,eliminate,optimize,fuse"))
         _m1, vp_on = on.compile_vcode("main", ["int"])
         _m2, vp_off = off.compile_vcode("main", ["int"])
         assert vp_on.instruction_count <= vp_off.instruction_count

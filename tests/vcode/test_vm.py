@@ -125,7 +125,8 @@ class TestCompileOnce:
         from repro.transform.pipeline import TransformOptions
         plain = compile_program(self.SRC)
         raw = compile_program(self.SRC,
-                              options=TransformOptions(simplify=False))
+                              options=TransformOptions(
+                                  passes="canonical,eliminate,optimize,fuse"))
         for _ in range(2):
             assert plain.run("f", [3], backend="vcode") == [2, 5, 10]
             assert raw.run("f", [3], backend="vcode") == [2, 5, 10]
