@@ -2,9 +2,8 @@
 
 The strict guard (``check=True``) re-validates the descriptor invariant
 ``#V_{i+1} = sum(V_i)`` on *every* value crossing a kernel or backend
-boundary — typically validating each value two or three times (once at
-the producing kernel, again at the VM's post-``Prim`` boundary, again at
-a call boundary).  Most of that work is provably redundant: an
+boundary — typically validating each value twice (once at the
+producing kernel, again at a call boundary).  Most of that work is provably redundant: an
 elementwise kernel *reuses its argument's descriptor chain unchanged*,
 so if the argument was valid the result is valid by construction.
 
@@ -82,13 +81,6 @@ _RUNTIME: dict[str, str] = {
     "__seq_cons": "transpose-gather of item frames into per-element "
                   "sequences",
 }
-
-#: Static-class primitives whose *only* VM-side boundary is the
-#: post-``Prim`` re-check (their execution path bypasses the shared
-#: kernel boundary); that check is retained even though the site is
-#: classified static, so discharge never reduces coverage below one
-#: check per construction site.
-_PRIM_ONLY = frozenset({"__empty"})
 
 
 # -- abstract domain ---------------------------------------------------------
@@ -308,7 +300,7 @@ class _Analyzer:
             return static_result(
                 Shape(self.fresh("empty"), a0.valid),
                 "empty frame constructed from the validated mask's outer "
-                "level (VM boundary check retained)")
+                "level")
         if fn == "__tuple_cons":
             ok = all(a.valid for a in args)
             return static_result(
@@ -334,21 +326,9 @@ class _Analyzer:
                     tainted.add(s.fn)
         static_names -= tainted
 
-        tags: set[str] = set()
-        for n in static_names:
-            tags.add(f"kernel:{n}")
-            if n not in _PRIM_ONLY:
-                tags.add(f"prim:{n}")
-        for name, ok in self.ret_valid.items():
-            if ok:
-                tags.add(f"call:{name}")
-        # a user call at depth >= 1 compiles to a VM Prim over the base
-        # name; its post-Prim re-check duplicates the resolved extension's
-        # call boundary
-        for name, ok in self.ret_valid.items():
-            base = name[:-2] if name.endswith("^1") else None
-            if base is not None and ok and self.ret_valid.get(base, True):
-                tags.add(f"prim:{base}")
+        tags = {f"kernel:{n}" for n in static_names}
+        tags.update(f"call:{name}" for name, ok in self.ret_valid.items()
+                    if ok)
         return frozenset(tags)
 
 

@@ -2,7 +2,7 @@
 
 The VCODE compiler linearizes transformed bodies into register code
 (:mod:`repro.vcode.instructions`); this lint re-checks the properties
-the VM silently assumes, per compiled function:
+the executor assumes, per compiled function:
 
 Hard errors (raise :class:`~repro.errors.AnalysisError` from
 :func:`check_program`, stage ``vlint:<function>``):
@@ -35,8 +35,8 @@ from typing import Optional
 
 from repro.errors import AnalysisError
 from repro.vcode.instructions import (
-    Call, CallInd, Const, Copy, FunConst, Instr, Jump, JumpIfNot, Label,
-    Prim, Ret, VFunction, VProgram,
+    Call, CallInd, Const, Copy, Fail, FunConst, Instr, Jump, JumpIfNot,
+    Label, Prim, Ret, VFunction, VProgram,
 )
 
 __all__ = ["Finding", "LintResult", "lint_function", "lint_program",
@@ -69,7 +69,7 @@ class LintResult:
 
 def _defs_uses(i: Instr) -> tuple[Optional[int], list[int]]:
     """(defined register, used registers) of one instruction."""
-    if isinstance(i, (Const, FunConst)):
+    if isinstance(i, (Const, FunConst, Fail)):
         return i.dst, []
     if isinstance(i, Copy):
         return i.dst, [i.src]

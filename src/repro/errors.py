@@ -104,7 +104,7 @@ class InvariantError(GuardError):
     backend boundary fails ``#V_{i+1} = sum(V_i)``, holds a negative
     count, or disagrees between descriptor and value-vector lengths.
     ``stage`` names the pipeline boundary that caught the corruption
-    (e.g. ``"kernel:restrict"``, ``"extract"``, ``"vm:call:qsort__1"``).
+    (e.g. ``"kernel:restrict"``, ``"extract"``, ``"vexec:qsort__1"``).
     """
 
     def __init__(self, stage: str, detail: str):

@@ -3,7 +3,7 @@
 The point of the strict checker is that it catches *real* corruption, so
 this module provides a way to manufacture corruption on demand and prove
 the checker sees it.  A fault **site** is a named point in the pipeline
-(``segments.gather_subtrees.desc-bump``, ``vm.call.desc-negate``, ...)
+(``segments.gather_subtrees.desc-bump``, ``vexec.call.desc-negate``, ...)
 where, when an injector is armed for that site, a descriptor array of the
 in-flight value is corrupted *in place* — beneath the ``NestedVector``
 constructor's own validation, exactly like a buggy kernel writing through
@@ -78,14 +78,10 @@ FAULT_SITES: dict[str, str] = {
         "a re-attached frame descriptor of insert's result bumped by +1",
     "extract_insert.insert.desc-negate":
         "a re-attached frame descriptor of insert's result made negative",
-    "vm.call.desc-bump":
-        "descriptor of a VM Call result bumped by +1",
-    "vm.call.desc-negate":
-        "descriptor of a VM Call result made negative",
-    "vm.prim.desc-bump":
-        "descriptor of a VM Prim result bumped by +1",
-    "vm.prim.desc-negate":
-        "descriptor of a VM Prim result made negative",
+    "vexec.call.desc-bump":
+        "descriptor of a user-function call's result bumped by +1",
+    "vexec.call.desc-negate":
+        "descriptor of a user-function call's result made negative",
     "transform.R2d.drop-guard":
         "R2d emptiness guard dropped from one branch (combine arm unguarded)",
     "transform.R2c.depth-bump":

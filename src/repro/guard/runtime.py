@@ -81,7 +81,7 @@ class Budget:
 
     ``max_elements``/``max_bytes`` bound the total leaf elements / bytes
     produced by vector kernels, ``max_steps`` bounds execution steps
-    (kernel invocations, VM instructions, interpreter applications),
+    (vector-op invocations, interpreter applications),
     ``timeout_s`` bounds wall-clock seconds, and ``max_call_depth`` bounds
     user-function recursion depth across all backends.
     """
@@ -104,10 +104,9 @@ class GuardConfig:
 
     ``discharged`` carries check-site tags proven redundant by the static
     shape analysis (:mod:`repro.analysis.shapes`): ``kernel:<name>`` skips
-    the kernel-boundary re-validation for that kernel, ``prim:<name>``
-    skips the VM's post-Prim re-check, ``call:<fname>`` skips the
-    call-boundary re-check of a user function whose result the analysis
-    proved already validated.  An empty set (the default) is full strict
+    the kernel-boundary re-validation for that kernel, ``call:<fname>``
+    skips the call-boundary re-check of a user function whose result the
+    analysis proved already validated.  An empty set (the default) is full strict
     mode; budgets are never discharged.
     """
 

@@ -11,8 +11,8 @@ A :class:`Profiler` accumulates two kinds of observations while active
   - ``"kernel"``  — depth-1 vector-model kernels (:mod:`repro.vector.ops`);
   - ``"segment"`` — flat segmented CVL-substitute kernels
     (:mod:`repro.vector.segments`), the layer *underneath* the kernels;
-  - ``"vm"``      — VCODE VM instruction executions and the op widths
-    charged to the machine model (:mod:`repro.vcode.vm`);
+  - ``"vm"``      — the op widths the VCODE VM charges to the machine
+    model (:mod:`repro.vcode.vm`);
   - ``"native"``  — C kernel executions of the native backend
     (:mod:`repro.native.engine`), serial or OpenMP: the parallel backend
     runs the same engine and charges the same layer (docs/PARALLEL.md).

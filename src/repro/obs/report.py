@@ -37,7 +37,7 @@ LAYERS = ("kernel", "segment", "vm", "native", "serve")
 _LAYER_TITLES = {
     "kernel": "vector-model kernels (depth-1 ops)",
     "segment": "segmented CVL kernels (flat layer)",
-    "vm": "VCODE VM (instructions and charged op widths)",
+    "vm": "VCODE VM (charged op widths)",
     "native": "native C kernels (serial or OpenMP)",
     "serve": "serving layer (queue, batches, tiers, pool)",
 }

@@ -104,7 +104,12 @@ class TransformedProgram:
     #: lowered functions, keyed by the engine their applications were bound
     #: against (:mod:`repro.vexec.evaluator`)
     plans: dict = field(default_factory=dict, repr=False, compare=False)
-    #: likewise the VCODE program of ``backend="vcode"`` (:mod:`repro.api`)
+    #: likewise each function's VCODE, compiled once whichever lane asks
+    #: first (:func:`repro.vcode.compile.compile_function`; a copy made
+    #: with ``dataclasses.replace`` starts empty, as its ``defs`` may differ)
+    vcode_functions: dict = field(default_factory=dict, init=False,
+                                  repr=False, compare=False)
+    #: and the linted VCODE program of ``backend="vcode"`` (:mod:`repro.api`)
     vcode: object = field(default=None, repr=False, compare=False)
 
     def __getitem__(self, name: str) -> A.FunDef:

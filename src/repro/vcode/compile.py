@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import itertools
 
-from repro.errors import VMError
+from repro.errors import EvalError, VMError
 from repro.lang import ast as A
 from repro.lang import builtins as B
 from repro.transform.pipeline import TransformedProgram
 from repro.vcode.instructions import (
-    Call, CallInd, Const, Copy, FunConst, Instr, Jump, JumpIfNot, Label,
-    Prim, Reg, Ret, VFunction, VProgram,
+    Call, CallInd, Const, Copy, Fail, FunConst, Instr, Jump, JumpIfNot,
+    Label, Prim, Reg, Ret, VFunction, VProgram,
 )
 
 
@@ -36,6 +36,12 @@ class _FnCompiler:
 
     def emit(self, i: Instr) -> None:
         self.instrs.append(i)
+
+    def define(self, cls: type, *fields) -> Reg:
+        """Emit ``cls(dst, *fields)`` into a fresh register ``dst``."""
+        dst = self.fresh()
+        self.emit(cls(dst, *fields))
+        return dst
 
     def compile(self) -> VFunction:
         d = self.tp.defs[self.name]
@@ -57,23 +63,18 @@ class _FnCompiler:
 
     def compile_expr(self, e: A.Expr, env: dict[str, Reg]) -> Reg:
         if isinstance(e, (A.IntLit, A.BoolLit, A.FloatLit)):
-            dst = self.fresh()
-            self.emit(Const(dst, e.value))
-            return dst
+            return self.define(Const, e.value)
         if isinstance(e, A.Var):
             if e.name in env:
                 return env[e.name]
             if e.name in self.tp.defs or e.name in self.tp.typed.mono_defs \
                     or B.is_builtin(e.name):
-                dst = self.fresh()
-                self.emit(FunConst(dst, e.name))
-                return dst
-            raise VMError(f"unbound variable {e.name!r} while compiling {self.name}")
+                return self.define(FunConst, e.name)
+            return self.define(Fail, EvalError,
+                               f"unbound variable {e.name!r}")
         if isinstance(e, A.Let):
             r = self.compile_expr(e.bound, env)
-            env2 = dict(env)
-            env2[e.var] = r
-            return self.compile_expr(e.body, env2)
+            return self.compile_expr(e.body, {**env, e.var: r})
         if isinstance(e, A.If):
             rc = self.compile_expr(e.cond, env)
             dst = self.fresh()
@@ -88,47 +89,38 @@ class _FnCompiler:
             self.emit(Copy(dst, re_))
             self.emit(Label(lend))
             return dst
-        if isinstance(e, A.SeqLit):
+        if isinstance(e, (A.SeqLit, A.TupleLit)):
             args = tuple(self.compile_expr(x, env) for x in e.items)
-            dst = self.fresh()
-            self.emit(Prim(dst, "__seq_cons", args, 0,
-                           tuple(0 for _ in args), e.type))
-            return dst
-        if isinstance(e, A.TupleLit):
-            args = tuple(self.compile_expr(x, env) for x in e.items)
-            dst = self.fresh()
-            self.emit(Prim(dst, "__tuple_cons", args, 0,
-                           tuple(0 for _ in args), e.type))
-            return dst
+            fn = "__seq_cons" if isinstance(e, A.SeqLit) else "__tuple_cons"
+            return self.define(Prim, fn, args, 0, (0,) * len(args), e.type)
         if isinstance(e, A.TupleExtract):
             src = self.compile_expr(e.tup, env)
-            dst = self.fresh()
-            self.emit(Prim(dst, f"__tuple_extract_{e.index}", (src,), 0, (0,),
-                           e.type))
-            return dst
+            return self.define(Prim, f"__tuple_extract_{e.index}", (src,), 0,
+                               (0,), e.type)
         if isinstance(e, A.ExtCall):
             args = tuple(self.compile_expr(x, env) for x in e.args)
-            dst = self.fresh()
             if e.depth == 0 and e.fn in self.tp.defs:
-                self.emit(Call(dst, e.fn, args))
-            else:
-                self.emit(Prim(dst, e.fn, args, e.depth,
-                               tuple(e.arg_depths), e.type))
-            return dst
+                return self.define(Call, e.fn, args)
+            return self.define(Prim, e.fn, args, e.depth,
+                               tuple(e.arg_depths), e.type)
         if isinstance(e, A.IndirectCall):
             fun = self.compile_expr(e.fun, env)
             args = tuple(self.compile_expr(x, env) for x in e.args)
-            dst = self.fresh()
-            self.emit(CallInd(dst, fun, args, e.depth, e.fun_depth,
-                              tuple(e.arg_depths), e.type))
-            return dst
-        raise VMError(f"cannot compile node {type(e).__name__} "
-                      "(was the program transformed?)")
+            return self.define(CallInd, fun, args, e.depth, e.fun_depth,
+                               tuple(e.arg_depths), e.type)
+        return self.define(Fail, VMError,
+                           f"cannot execute node {type(e).__name__} "
+                           "(was the program transformed?)")
 
 
 def compile_function(tp: TransformedProgram, name: str) -> VFunction:
-    """Compile a single transformed function."""
-    return _FnCompiler(tp, name).compile()
+    """Compile a single transformed function, once: the result is kept with
+    the program (``tp.vcode_functions``) for whichever lane asks next.  An
+    unknown name is a ``KeyError``."""
+    fn = tp.vcode_functions.get(name)
+    if fn is None:
+        fn = tp.vcode_functions[name] = _FnCompiler(tp, name).compile()
+    return fn
 
 
 def compile_transformed(tp: TransformedProgram,

@@ -3,18 +3,18 @@ generates from the transformed program).
 
 We emit compilable-looking C over an abstract ``vec_p`` handle type and a
 ``cvl_*`` call per vector operation — the same 1:1 instruction mapping the
-VCODE VM executes.  Rule T1 appears literally in the output: every
+vector evaluator executes.  Rule T1 appears literally in the output: every
 depth >= 2 primitive is an ``cvl_extract`` / depth-1 call / ``cvl_insert``
 triple.  No C toolchain or CVL exists in this environment, so this output
-is presentation-level (executed semantics come from the VM); its *shape*
-is what benchmark E6 checks against the paper.
+is presentation-level (executed semantics come from the evaluator); its
+*shape* is what benchmark E6 checks against the paper.
 """
 
 from __future__ import annotations
 
 from repro.vcode.instructions import (
-    Call, CallInd, Const, Copy, FunConst, Jump, JumpIfNot, Label, Prim, Ret,
-    VFunction, VProgram,
+    Call, CallInd, Const, Copy, Fail, FunConst, Jump, JumpIfNot, Label, Prim,
+    Ret, VFunction, VProgram,
 )
 
 _HEADER = """\
@@ -52,6 +52,8 @@ def emit_function(f: VFunction, program: VProgram | None = None) -> str:
             lines.append(f"  {dst(i.dst)} = cvl_funval({_cname(i.name)});")
         elif isinstance(i, Copy):
             lines.append(f"  {dst(i.dst)} = r{i.src};")
+        elif isinstance(i, Fail):
+            lines.append(f"  {dst(i.dst)} = cvl_fail(\"{i.message}\");")
         elif isinstance(i, Prim):
             lines.extend(_emit_prim(i, dst, user_exts))
         elif isinstance(i, Call):

@@ -43,6 +43,19 @@ class FunConst(Instr):
 
 
 @dataclass(frozen=True)
+class Fail(Instr):
+    """dst <- raise ``error(message)``: a node that cannot run (an unbound
+    variable, an untransformed node) fails when it is reached, not when
+    its function is compiled — an untaken branch may hold one."""
+    dst: Reg
+    error: type
+    message: str
+
+    def __str__(self) -> str:
+        return f"r{self.dst} = fail {self.message!r}"
+
+
+@dataclass(frozen=True)
 class Copy(Instr):
     dst: Reg
     src: Reg
@@ -147,7 +160,7 @@ class VFunction:
     labels: dict[str, int] = field(default_factory=dict)
 
     def finalize(self) -> None:
-        """Index label positions for the VM."""
+        """Index label positions."""
         self.labels = {i.name: pc for pc, i in enumerate(self.instrs)
                        if isinstance(i, Label)}
 

@@ -1,11 +1,11 @@
 """Shared application machinery for the vector back ends.
 
-Both the :class:`VectorEvaluator` and the VCODE virtual machine apply
-depth-``d`` parallel extensions the same way (rule T1, argument
-replication, section-4.5 shared paths, group dispatch over function
-frames).  This module hosts that logic once; back ends supply a
-``call_user(name, vector_args) -> Value`` callback for user-function bodies
-and an optional ``observe(op, width)`` hook for the machine simulator.
+Every vector lane applies depth-``d`` parallel extensions the same way
+(rule T1, argument replication, section-4.5 shared paths, group dispatch
+over function frames).  This module hosts that logic once; the evaluator
+supplies a ``call_user(name, vector_args) -> Value`` callback for
+user-function bodies and an optional ``observe(op, width)`` hook for the
+machine simulator.
 
 Application is split in two.  :meth:`Applier.bind` takes the *static* facts
 of a call site — the name, the frame depth, which arguments reach it — and
@@ -16,8 +16,8 @@ kernel object itself (a primitive's kernel, tuple construction, a fused
 tree, a native segmented op, the user's ``f^1``) and whether anything is
 observed.  The evaluator binds each call site once, when it lowers the
 function; :meth:`Applier.apply_named` is the same thing for callers that
-meet their call sites at run time (dynamic dispatch, the VM's ``Prim``) —
-``bind(...)(args)``, memoised per signature — so T1 has one implementation.
+meet their call sites at run time (dynamic dispatch) — ``bind(...)(args)``,
+memoised per signature — so T1 has one implementation.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ def _tuple_op(name: str) -> Optional[Bound]:
 
 
 def raising(error: type, message: str) -> Bound:
-    """A call site (or a lowered node) that cannot run fails when it is
-    reached, not when it is bound: an untaken branch may hold one."""
+    """A call site (or a ``Fail`` instruction) that cannot run fails when
+    it is reached, not when it is bound: an untaken branch may hold one."""
     def fail(_: list) -> Value:
         raise error(message)
     return fail

@@ -2,7 +2,7 @@
 representation.
 
 Application of a depth-``d`` parallel extension follows the paper exactly
-(see :mod:`repro.vexec.apply`, shared with the VCODE VM):
+(see :mod:`repro.vexec.apply`):
 
 * ``d == 0`` — ordinary scalar evaluation (depth-1 kernels on unit frames);
 * ``d == 1`` — the native depth-1 kernel / the synthesized ``f^1``;
@@ -14,183 +14,213 @@ fast paths (``__seq_index_shared``), which consume the depth-0 value
 directly.  Higher-order application dispatches on the function value,
 group-by-group for frames of function values.
 
-A function body is not walked on every call.  Its first call *lowers* it to
-a plan: a tree of closures over a flat frame of slots, in which parameters
-and ``let`` binders are integer slots, a ``let`` chain is one loop over its
-bindings, a conditional evaluates only the branch it takes, and every
-application is already bound (:meth:`Applier.bind`) — what remains per node
-at run time is one call.  Plans depend on the program and on the engine the
-applications were bound against, not on the evaluator, so they are kept
-with the :class:`TransformedProgram` (``program.plans``, per engine) and a
-fresh evaluator on a warm program lowers nothing.  Publishing a plan is
+What runs is the function's VCODE (:mod:`repro.vcode`).  Its first call
+*lowers* it to a plan: registers are the slots of a flat frame (parameters
+first, constants filled in when the plan is built), every instruction is one
+step that writes its register, every application is already bound
+(:meth:`Applier.bind`), and a diamond is one branch step that runs only the
+arm it takes — what remains per instruction at run time is one call.  Plans
+depend on the program and on the engine the applications were bound
+against, not on the evaluator, so they are kept with the
+:class:`TransformedProgram` (``program.plans``, per engine) and a fresh
+evaluator on a warm program lowers nothing.  Publishing a plan is
 idempotent — two threads racing a first call lower the same closures and
 either copy serves — so the warm path takes no lock.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from functools import partial
 from typing import Any, Callable, Optional
 
 import numpy as np
 
 from repro.errors import EvalError, VMError
+from repro.guard import faults as _flt
 from repro.guard import runtime as _guard
 from repro.guard.runtime import scoped_recursion_limit
-from repro.lang import ast as A
-from repro.lang import builtins as B
 from repro.obs import runtime as _obs
 from repro.transform.pipeline import TransformedProgram
+from repro.vcode.compile import compile_function
+from repro.vcode.instructions import (
+    Call, CallInd, Const, Copy, Fail, FunConst, Instr, Jump, JumpIfNot,
+    Label, Prim, Ret, VFunction,
+)
 from repro.vector import ops as O
 from repro.vector.convert import from_python, to_python
-from repro.vector.nested import Value, VFun, VTuple, first_leaf
-from repro.vexec.apply import Applier, projection, raising
+from repro.vector.nested import NestedVector, Value, VFun, VTuple, first_leaf
+from repro.vexec.apply import Applier, Bound, raising
 
-#: a lowered expression: frame of slots -> value
-Node = Callable[[list], Value]
+#: one instruction of a plan: writes its register in the frame
+Step = Callable[[list], None]
 
 
-def _const(v: Value) -> Node:
-    return lambda fr: v
+def _desc_arrays(v: Value) -> list:
+    """Descriptor arrays of every NestedVector leaf of ``v`` (fault-site
+    candidates; only reached when an injector is armed)."""
+    if isinstance(v, VTuple):
+        return [a for x in v.items for a in _desc_arrays(x)]
+    return list(v.descs) if isinstance(v, NestedVector) else []
 
 
 class _Lowered:
-    """The functions of one :class:`TransformedProgram` lowered against one
-    :class:`Applier` (one engine, one observer): ``plans[name]`` is
-    ``(parameter count, padding for the let slots, body node)``."""
+    """The functions of one program lowered against one :class:`Applier`
+    (one engine, one observer): ``compile(name)`` is a function's VCODE
+    (a ``KeyError`` for an unknown name), ``plans[name]`` is
+    ``(parameter count, the frame's other registers, steps, result
+    register)``."""
 
-    def __init__(self, program: TransformedProgram, native,
+    def __init__(self, compile: Callable[[str], VFunction],
+                 is_user: Callable[[str], bool], fusion, native,
                  observer: Optional[Callable[[str, int], None]]):
-        self.program = program
-        self.plans: dict[str, tuple[int, tuple, Node]] = {}
-        self.applier = Applier(call_user=self.call_raw,
-                               is_user=program.defs.__contains__,
-                               observe=observer,
-                               fusion=program.fusion,
+        self._compile = compile
+        self.plans: dict[str, tuple[int, tuple, list[Step], int]] = {}
+        self.applier = Applier(call_user=self.call_raw, is_user=is_user,
+                               observe=observer, fusion=fusion,
                                native=native)
 
     def call_raw(self, name: str, vargs: list[Value]) -> Value:
         plan = self.plans.get(name)
         if plan is None:
             plan = self.lower(name)
-        nparams, pad, body = plan
+        nparams, pad, steps, out = plan
         if len(vargs) != nparams:
             raise EvalError(
                 f"{name} expects {nparams} arguments, got {len(vargs)}")
         fr = [*vargs, *pad]
         g = _guard.GUARD
-        if g is None:
-            return body(fr)
-        g.enter_call(name, sum(O.value_size(a) for a in vargs)
-                     if g.track_frames else 0)
+        if g is None and _flt.INJECTOR is None:
+            for step in steps:
+                step(fr)
+            return fr[out]
+        if g is not None:
+            g.enter_call(name, sum(O.value_size(a) for a in vargs)
+                         if g.track_frames else 0)
         try:
-            result = body(fr)
+            for step in steps:
+                step(fr)
         finally:
-            g.exit_call()
-        if g.check and not g.skip(f"call:{name}"):
+            if g is not None:
+                g.exit_call()
+        result = fr[out]
+        if _flt.INJECTOR is not None:
+            _flt.visit("vexec.call.desc-bump", _desc_arrays(result))
+            _flt.visit("vexec.call.desc-negate", _desc_arrays(result))
+        if g is not None and g.check and not g.skip(f"call:{name}"):
             g.check_value(f"vexec:{name}", result)
         return result
 
-    def definition(self, name: str) -> A.FunDef:
+    def function(self, name: str) -> VFunction:
         try:
-            return self.program.defs[name]
+            return self._compile(name)
         except KeyError:
-            raise VMError(f"no transformed definition for {name!r}") from None
+            raise VMError(f"no function {name!r} in the program") from None
 
     # -- lowering -----------------------------------------------------------------
 
-    def lower(self, name: str) -> tuple[int, tuple, Node]:
-        """Lower ``name``'s body and publish its plan."""
-        d = self.definition(name)
-        slots = [len(d.params)]     # next free slot
-        body = self._node(d.body, {p: i for i, p in enumerate(d.params)},
-                          slots)
-        plan = (len(d.params), (None,) * (slots[0] - len(d.params)), body)
+    def lower(self, name: str) -> tuple[int, tuple, list[Step], int]:
+        """Lower ``name``'s VCODE and publish its plan."""
+        f = self.function(name)
+        n = len(f.params)
+        if f.params != list(range(n)):
+            raise VMError(f"{name}: parameters are not the first registers")
+        pad: list = [None] * (f.nregs - n)
+        for i in f.instrs:
+            if isinstance(i, Const):
+                pad[i.dst - n] = i.value
+            elif isinstance(i, FunConst):
+                pad[i.dst - n] = VFun(i.name)
+        steps, ret, _pc = self._block(f, 0)
+        if not isinstance(ret, Ret):
+            raise VMError(f"{name}: unsupported control flow at {ret}")
+        plan = (n, tuple(pad), steps, ret.src)
         self.plans[name] = plan
         return plan
 
-    def _node(self, e: A.Expr, env: dict[str, int], slots: list[int]) -> Node:
-        """Lower one expression; ``env`` maps the variables in scope to
-        their slots, ``slots[0]`` is the function's next free slot."""
-        if isinstance(e, (A.IntLit, A.BoolLit, A.FloatLit)):
-            return _const(e.value)
-        if isinstance(e, A.Var):
-            if e.name in env:
-                return itemgetter(env[e.name])
-            if e.name in self.program.defs \
-                    or e.name in self.program.typed.mono_defs \
-                    or B.is_builtin(e.name):
-                return _const(VFun(e.name))
-            return raising(EvalError, f"unbound variable {e.name!r}")
-        if isinstance(e, A.Let):
-            steps = []
-            while isinstance(e, A.Let):   # a chain of lets is one loop
-                bound = self._node(e.bound, env, slots)
-                steps.append((slots[0], bound))
-                env = {**env, e.var: slots[0]}
-                slots[0] += 1
-                e = e.body
-            body = self._node(e, env, slots)
+    def _block(self, f: VFunction, pc: int
+               ) -> tuple[list[Step], Optional[Instr], int]:
+        """The steps from ``pc`` up to the next ``Jump``, ``Label`` or
+        ``Ret``, with that instruction (None past the end) and the index
+        after it.  A diamond ``JumpIfNot c, L1; … Jump L2; L1: … L2:`` is
+        one branch step; any other control flow is a ``VMError``."""
+        steps: list[Step] = []
+        instrs = f.instrs
+        while pc < len(instrs):
+            i = instrs[pc]
+            pc += 1
+            if isinstance(i, (Jump, Label, Ret)):
+                return steps, i, pc
+            if isinstance(i, JumpIfNot):
+                then, jump, pc = self._block(f, pc)
+                els, join = [], None
+                if pc < len(instrs) and instrs[pc] == Label(i.label):
+                    els, join, pc = self._block(f, pc + 1)
+                if not (isinstance(jump, Jump) and join == Label(jump.label)):
+                    raise VMError(f"{f.name}: unsupported control flow "
+                                  f"after {i}")
+                steps.append(_branch(i.cond, then, els))
+            elif not isinstance(i, (Const, FunConst)):   # those are the pad
+                steps.append(self._step(i))
+        return steps, None, pc
 
-            def let(fr: list) -> Value:
-                for slot, bound in steps:
-                    fr[slot] = bound(fr)
-                return body(fr)
-            return let
-        if isinstance(e, A.If):
-            cond, then, els = (self._node(x, env, slots)
-                               for x in (e.cond, e.then, e.els))
+    def _step(self, i: Instr) -> Step:
+        if isinstance(i, Copy):
+            dst, src = i.dst, i.src
 
-            def branch(fr: list) -> Value:
-                c = cond(fr)
-                if not isinstance(c, (bool, np.bool_)):
-                    raise EvalError(f"if condition is not a scalar bool: {c!r}")
-                return then(fr) if c else els(fr)
-            return branch
-        if isinstance(e, A.SeqLit):
-            items = [self._node(x, env, slots) for x in e.items]
-            seen, width, typ = self.applier.observer, max(1, len(items)), e.type
+            def copy(fr: list) -> None:
+                fr[dst] = fr[src]
+            return copy
+        if isinstance(i, Fail):
+            return raising(i.error, i.message)
+        args = i.args
+        if isinstance(i, Call):
+            bound = partial(self.call_raw, i.fname)
+        elif isinstance(i, CallInd):
+            apply_dynamic, args = self.applier.apply_dynamic, (i.fun, *args)
+            site = (i.arg_depths, i.depth, i.fun_depth, i.type)
+            bound = lambda vals: apply_dynamic(vals[0], vals[1:], *site)
+        elif isinstance(i, Prim):
+            bound = self._prim(i)
+        else:
+            raise VMError(f"cannot execute instruction {i}")
+        dst = i.dst
 
-            def seq(fr: list) -> Value:
-                vals = [item(fr) for item in items]
-                if seen is not None:
-                    seen("seq_cons", width)
-                return O.seq_cons0(vals, typ)
-            return seq
-        if isinstance(e, A.TupleLit):
-            items = [self._node(x, env, slots) for x in e.items]
-            return lambda fr: VTuple([item(fr) for item in items])
-        if isinstance(e, A.TupleExtract):
-            tup, project = self._node(e.tup, env, slots), projection(e.index)
-            return lambda fr: project([tup(fr)])
-        if isinstance(e, A.ExtCall):
-            return self._ext(e, [self._node(a, env, slots) for a in e.args])
-        if isinstance(e, A.IndirectCall):
-            fun = self._node(e.fun, env, slots)
-            args = [self._node(a, env, slots) for a in e.args]
-            apply_dynamic = self.applier.apply_dynamic
-            site = (tuple(e.arg_depths), e.depth, e.fun_depth, e.type)
-            return lambda fr: apply_dynamic(
-                fun(fr), [a(fr) for a in args], *site)
-        return raising(VMError, f"cannot execute node {type(e).__name__} "
-                                "(was the program transformed?)")
+        def step(fr: list) -> None:
+            fr[dst] = bound([fr[a] for a in args])
+        return step
 
-    def _ext(self, e: A.ExtCall, args: list[Node]) -> Node:
-        if e.fn == "__any":
-            mask, seen = args[0], self.applier.observer
-
-            def any_(fr: list) -> Value:
-                leaf = first_leaf(mask(fr))
+    def _prim(self, i: Prim) -> Bound:
+        seen, depth, typ = self.applier.observer, i.depth, i.type
+        if i.fn == "__any":
+            def any_(vals: list) -> Value:
+                leaf = first_leaf(vals[0])
                 if seen is not None:
                     seen("any", max(1, int(leaf.values.size)))
                 return bool(leaf.values.any())
             return any_
-        if e.fn == "__empty":
-            mask, depth, typ = args[0], e.depth, e.type
-            return lambda fr: O.empty_frame_like(first_leaf(mask(fr)),
-                                                 depth, typ)
-        bound = self.applier.bind(e.fn, tuple(e.arg_depths), e.depth, e.type)
-        return lambda fr: bound([a(fr) for a in args])
+        if i.fn == "__empty":
+            return lambda vals: O.empty_frame_like(first_leaf(vals[0]),
+                                                   depth, typ)
+        if i.fn == "__seq_cons" and depth == 0:
+            width = max(1, len(i.args))
+
+            def seq(vals: list) -> Value:
+                if seen is not None:
+                    seen("seq_cons", width)
+                return O.seq_cons0(vals, typ)
+            return seq
+        return self.applier.bind(i.fn, i.arg_depths, depth, typ)
+
+
+def _branch(cond: int, then: list[Step], els: list[Step]) -> Step:
+    """The lazy ``if``: run the steps of the arm the condition takes."""
+    def branch(fr: list) -> None:
+        c = fr[cond]
+        if not isinstance(c, (bool, np.bool_)):
+            raise EvalError(f"if condition is not a scalar bool: {c!r}")
+        for step in then if c else els:
+            step(fr)
+    return branch
 
 
 class VectorEvaluator:
@@ -201,30 +231,33 @@ class VectorEvaluator:
     def __init__(self, program: TransformedProgram, max_recursion: int = 200_000,
                  observer: Optional[Callable[[str, int], None]] = None,
                  native=None):
+        code = None if observer is not None else program.plans.get(native)
+        if code is None:
+            code = _Lowered(partial(compile_function, program),
+                            program.defs.__contains__, program.fusion,
+                            native, observer)
+            if observer is None:    # observed plans are this evaluator's own
+                code = program.plans.setdefault(native, code)
+        self._start(program, code, max_recursion)
+
+    def _start(self, program, code: _Lowered, max_recursion: int) -> None:
         self.program = program
+        self._code = code
+        self.applier = code.applier
         self._max_recursion = max_recursion
-        if observer is not None:    # observed plans are this evaluator's own
-            self._code = _Lowered(program, native, observer)
-        else:
-            code = program.plans.get(native)
-            if code is None:
-                code = program.plans.setdefault(
-                    native, _Lowered(program, native, None))
-            self._code = code
-        self.applier = self._code.applier
 
     def call(self, mono_name: str, pyargs: list) -> Any:
         """Invoke a transformed function on Python values, returning Python
         values (the entry point used by the API and all tests)."""
-        d = self._code.definition(mono_name)
-        if len(pyargs) != len(d.params):
+        f = self._code.function(mono_name)
+        if len(pyargs) != len(f.params):
             raise EvalError(
-                f"{mono_name} expects {len(d.params)} arguments, got {len(pyargs)}")
+                f"{mono_name} expects {len(f.params)} arguments, got {len(pyargs)}")
         with scoped_recursion_limit(self._max_recursion), \
                 _obs.span(f"{self.span}:{mono_name}"):
-            vargs = [from_python(a, t) for a, t in zip(pyargs, d.param_types)]
+            vargs = [from_python(a, t) for a, t in zip(pyargs, f.param_types)]
             out = self._code.call_raw(mono_name, vargs)
-            return to_python(out, d.ret_type)
+            return to_python(out, f.ret_type)
 
     def call_raw(self, name: str, vargs: list[Value]) -> Value:
         """Invoke a transformed function on vector values."""

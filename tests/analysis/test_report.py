@@ -50,7 +50,7 @@ def test_every_fault_site_is_classified():
     runtime = {s for s, v in sites.items()
                if v["classification"] == "runtime-only"}
     assert static == {"transform.R2d.drop-guard", "transform.R2c.depth-bump"}
-    assert len(runtime) == 16
+    assert len(runtime) == 14
     for v in sites.values():
         assert v["caught_by"]
 

@@ -30,7 +30,7 @@ fun shr(n) = let t = nest(3) in
   sum([i <- [1..n]: sum([s <- t[1 + i mod 3]: sum(s)])])
 """
 
-#: Which (backend, entry, args) drives execution through each *runtime*
+#: Which (backends, entry, args) drives execution through each *runtime*
 #: site, and the stage name the resulting InvariantError must carry.
 DRIVERS = {
     "extract_insert.extract.top-bump": ("vector", "nsum", [8], "extract"),
@@ -57,10 +57,10 @@ DRIVERS = {
         ("vector", "tri", [6], "segments.concat_levels"),
     "segments.concat_levels.desc-negate":
         ("vector", "tri", [6], "segments.concat_levels"),
-    "vm.call.desc-bump": ("vcode", "main", [40], "vm:call"),
-    "vm.call.desc-negate": ("vcode", "main", [40], "vm:call"),
-    "vm.prim.desc-bump": ("vcode", "main", [40], "vm:prim"),
-    "vm.prim.desc-negate": ("vcode", "main", [40], "vm:prim"),
+    # the user-call boundary every vector lane shares, driven on vector
+    # and on the VM
+    "vexec.call.desc-bump": ("vector,vcode", "main", [40], "vexec:"),
+    "vexec.call.desc-negate": ("vector,vcode", "main", [40], "vexec:"),
 }
 
 #: Transform-level IR corruption is caught before anything runs: the
@@ -91,22 +91,24 @@ def test_every_site_has_a_driver():
 
 @pytest.mark.parametrize("site", sorted(DRIVERS))
 def test_injected_fault_is_caught_with_stage(prog, site):
-    backend, entry, args, stage = DRIVERS[site]
-    with guarded(GuardConfig(check=True)):
-        with F.injecting(site, seed=1) as inj:
-            with pytest.raises(InvariantError) as ei:
-                prog.run(entry, args, backend=backend)
-    assert inj.fired, f"site {site} never fired on {entry}{args}"
-    assert ei.value.stage.startswith(stage), \
-        f"expected stage {stage!r}, got {ei.value.stage!r}"
+    backends, entry, args, stage = DRIVERS[site]
+    for backend in backends.split(","):
+        with guarded(GuardConfig(check=True)):
+            with F.injecting(site, seed=1) as inj:
+                with pytest.raises(InvariantError) as ei:
+                    prog.run(entry, args, backend=backend)
+        assert inj.fired, f"site {site} never fired on {entry}{args}"
+        assert ei.value.stage.startswith(stage), \
+            f"expected stage {stage!r}, got {ei.value.stage!r}"
 
 
 @pytest.mark.parametrize("site", sorted(DRIVERS))
 def test_without_injection_runs_clean(prog, site):
     """The same checked runs succeed when no injector is armed."""
-    backend, entry, args, _stage = DRIVERS[site]
-    with guarded(GuardConfig(check=True)):
-        prog.run(entry, args, backend=backend)
+    backends, entry, args, _stage = DRIVERS[site]
+    for backend in backends.split(","):
+        with guarded(GuardConfig(check=True)):
+            prog.run(entry, args, backend=backend)
 
 
 @pytest.mark.parametrize("site", sorted(STATIC_DRIVERS))
@@ -130,8 +132,8 @@ def test_transform_site_clean_without_injection(site):
 
 
 def test_raise_mode_surfaces_faultinjected(prog):
-    with F.injecting("vm.prim.desc-bump", mode="raise") as inj:
-        with pytest.raises(FaultInjected, match="vm.prim.desc-bump"):
+    with F.injecting("vexec.call.desc-bump", mode="raise") as inj:
+        with pytest.raises(FaultInjected, match="vexec.call.desc-bump"):
             prog.run("main", [40], backend="vcode")
     assert inj.fired
 
@@ -164,7 +166,7 @@ def test_injecting_restores_globals(prog):
     from repro.vector import nested
     assert F.INJECTOR is None
     before = nested.CHECK_INVARIANTS
-    with F.injecting("vm.prim.desc-bump"):
+    with F.injecting("vexec.call.desc-bump"):
         assert F.INJECTOR is not None
         assert nested.CHECK_INVARIANTS is False
     assert F.INJECTOR is None

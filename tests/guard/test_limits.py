@@ -66,13 +66,14 @@ class TestBudgets:
         assert ei.value.limit == "bytes"
 
     def test_steps_ceiling(self, prog):
-        # the flattened VCODE for `work` runs ~10 instructions regardless
-        # of n (that is the point of the transformation), so the ceiling
-        # must sit below that
-        with pytest.raises(ResourceLimitError) as ei:
-            prog.run("work", [50], backend="vcode",
-                     budget=Budget(max_steps=4))
-        assert ei.value.limit == "steps"
+        # the flattened `work` runs 4 vector ops regardless of n (that is
+        # the point of the transformation), so the ceiling must sit below
+        # that; the VM counts a vector op as every other lane does
+        for backend in ("vector", "vcode"):
+            with pytest.raises(ResourceLimitError) as ei:
+                prog.run("work", [50], backend=backend,
+                         budget=Budget(max_steps=3))
+            assert ei.value.limit == "steps"
 
     def test_timeout(self, prog):
         with pytest.raises(ResourceLimitError) as ei:
@@ -93,7 +94,8 @@ class TestBudgets:
 
 class TestStepVerdictAcrossLanes:
     """Every lane runs the one fused program, and a fused region is one
-    step whoever executes it: NumPy, the C kernel or the OpenMP one."""
+    step whoever executes it: NumPy, the C kernel or the OpenMP one.  The
+    VM is the same evaluator and counts the same steps."""
 
     SRC = "fun f(n) = sum([i <- [1..n]: i * i + 1])"
 
@@ -101,7 +103,7 @@ class TestStepVerdictAcrossLanes:
     def test_same_verdict_on_vector_native_and_parallel(self, k):
         prog = compile_program(self.SRC)
         verdict = {}
-        for backend in ("vector", "native", "parallel"):
+        for backend in ("vector", "vcode", "native", "parallel"):
             try:
                 verdict[backend] = prog.run("f", [500], backend=backend,
                                             budget=Budget(max_steps=k))

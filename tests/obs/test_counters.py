@@ -121,9 +121,6 @@ class TestLayerAndBackendSelection:
     def test_vcode_backend_populates_vm_layer(self):
         prog = compile_program("fun main(k) = [i <- [1..k]: i*i]")
         _r, rep = prog.profile("main", [6], backend="vcode")
-        vm_ops = {c.op for c in rep.layer("vm")}
-        assert "instr:Prim" in vm_ops
-        assert "instr:Ret" in vm_ops
         # charged widths mirror the machine-model trace
         assert rep.counter("mul", layer="vm").elements > 0
 

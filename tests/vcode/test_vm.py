@@ -97,6 +97,40 @@ class TestExecution:
         assert prog.run("f", [[1, 2, 3]], backend="vcode") == [3, 2, 1]
 
 
+class TestArity:
+    """The VM is the vector evaluator: a wrong argument count is the
+    evaluator's ``EvalError``, on vector values and on Python values."""
+
+    SRC = "fun f(a, b) = a + b"
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_call_raw_checks_arity(self, n):
+        from repro.errors import EvalError
+        vm, mono, _vp = vm_for(self.SRC, "f", ["int", "int"])
+        assert vm.call_raw(mono, [1, 2]) == 3
+        with pytest.raises(EvalError,
+                           match=f"f expects 2 arguments, got {n}"):
+            vm.call_raw(mono, [1] * n)
+        with pytest.raises(EvalError,
+                           match=f"f expects 2 arguments, got {n}"):
+            vm.call(mono, [1] * n)
+
+
+class TestControlFlow:
+    """The plan runs the diamond the compiler emits as the lazy ``if``; any
+    other control flow is refused when the plan is built."""
+
+    def test_other_control_flow_is_refused(self):
+        from repro.errors import VMError
+        from repro.lang.types import INT
+        from repro.vcode.instructions import Label, VFunction, VProgram
+        from repro.vcode.vm import VM
+        loop = VFunction("f", [0], [INT], INT,
+                         [Label(".top"), Jump(".top"), Ret(0)], 1)
+        with pytest.raises(VMError, match="unsupported control flow"):
+            VM(VProgram({"f": loop})).call_raw("f", [1])
+
+
 class TestCompileOnce:
     """``backend="vcode"`` keeps its VProgram with the TransformedProgram:
     compiled and linted on the first run, not on every run."""
