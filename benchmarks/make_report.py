@@ -303,9 +303,12 @@ def e13():
     for name, (src, args) in progs.items():
         prog = compile_program(src)
         _r, trace = prog.vector_trace("f", args)
-        mix = classify_trace(trace)
+        # the registry of the program that ran: a fused region's class is
+        # its tree's root's
+        fusion = prog.prepare("f", *prog.resolve_entry("f", args))[1].fusion
+        mix = classify_trace(trace, fusion)
         basic = VectorMachine(processors=16, latency=2).run_trace(trace)
-        comm = CommMachine(processors=16, latency=2).run_trace(trace)
+        comm = CommMachine(processors=16, latency=2).run_trace(trace, fusion)
         print(f"  {name:>18} {mix.work_fraction('elementwise'):>9.0%} "
               f"{mix.work_fraction('gather_scatter'):>8.0%} "
               f"{mix.work_fraction('scan_reduce'):>7.0%} "

@@ -47,10 +47,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence, Union
 
-from repro.analysis.shapes import _ELEMENTWISE, _REDUCTIONS, _SCANS
 from repro.interp.cost import (ARG0_LEN, ARG1_SCALAR, ARGS01_LEN, FLAT_ARG0,
                                RESULT_LEN, UNIT, cost_rule)
 from repro.lang import ast as A
+from repro.lang import builtins as B
 from repro.lang import types as T
 from repro.transform.extensions import ext1_name
 
@@ -890,8 +890,11 @@ class _CostAnalyzer:
         if fn in self.mono_defs:
             return self._eval_user_call(e, avals, frame, out)
 
+        row = B.lookup(fn)
+        fold = row.fold if row is not None else None
+
         # -- elementwise scalars -------------------------------------------
-        if fn in _ELEMENTWISE:
+        if row is not None and row.elementwise:
             return out(scalar_result(self._ew_mag(fn, avals)), site_w(), step)
 
         if fn == "length":
@@ -988,16 +991,16 @@ class _CostAnalyzer:
                 val = ATOP
             return out(val, site_w(), step)
 
-        if fn in _REDUCTIONS:
+        if fold == "reduce":
             if fn == "sum":
                 mag = pmul(_lvl(a0, d), _mag(a0))
-            elif fn in ("anytrue", "alltrue"):
+            elif B.get_builtin(fn).result_kind == "bool":
                 mag = ONE
             else:
                 mag = _mag(a0)
             return out(scalar_result(mag), site_w(), step)
 
-        if fn in _SCANS:
+        if fold == "scan":
             # plus_scan prefixes are bounded by n * |max element|;
             # max_scan is inclusive, so prefixes stay within the input's
             # magnitude
@@ -1082,8 +1085,7 @@ class _CostAnalyzer:
             return m0
         if fn in ("mod", "max2", "min2"):
             return pjoin(m0, m1)
-        if fn in ("eq", "ne", "lt", "le", "gt", "ge",
-                  "and_", "or_", "not_"):
+        if B.get_builtin(fn).result_kind == "bool":
             return ONE
         # float-valued or float-derived (fdiv, sqrt_, real, trunc_, ...)
         return None

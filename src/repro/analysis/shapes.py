@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.lang import ast as A
+from repro.lang import builtins as B
 from repro.transform.extensions import ext1_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,15 +53,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["Shape", "Site", "DefFacts", "ShapeAnalysis", "analyze_shapes"]
 
 
-# -- kernel taxonomy ---------------------------------------------------------
-
-_ELEMENTWISE = frozenset({
-    "add", "sub", "mul", "div", "mod", "max2", "min2", "neg", "abs_",
-    "fdiv", "sqrt_", "real", "trunc_", "round_", "floor_", "ceil_",
-    "eq", "ne", "lt", "le", "gt", "ge", "and_", "or_", "not_",
-})
-_REDUCTIONS = frozenset({"sum", "maxval", "minval", "anytrue", "alltrue"})
-_SCANS = frozenset({"plus_scan", "max_scan"})
+# -- kernel taxonomy: the kind of op a primitive is, is its catalog row
+# (repro.lang.builtins); the table below is what this analysis adds
 
 #: Runtime-class primitives: descriptors recomputed from data via pooled
 #: index arithmetic — the boundary check is load-bearing.
@@ -241,7 +235,9 @@ class _Analyzer:
         if fn in _RUNTIME:
             site("runtime", _RUNTIME[fn])
             return Shape(self.fresh(fn), True)
-        if fn in _ELEMENTWISE:
+        row = B.lookup(fn)
+        fold = row.fold if row is not None else None
+        if row is not None and row.elementwise:
             return static_result(
                 Shape(a0.sym, a0.valid),
                 "elementwise: result reuses the argument's descriptor "
@@ -252,7 +248,8 @@ class _Analyzer:
             streams = fusion.streams.get(fn) if fusion is not None else None
             if streams:
                 # the scan / reduction rule below, on the first stream leaf
-                lead, scan = args[streams[0]].sym, fusion.trees[fn][1] in _SCANS
+                lead = args[streams[0]].sym
+                scan = B.get_builtin(fusion.trees[fn][1]).fold == "scan"
                 return static_result(
                     Shape(lead if scan else f"outer({lead})", ok),
                     "fused chain under a segmented fold: result "
@@ -264,12 +261,12 @@ class _Analyzer:
                 Shape(self.fresh("fused"), ok),
                 "fused elementwise chain: result reuses the replicated "
                 "first leaf's descriptors")
-        if fn in _SCANS:
+        if fold == "scan":
             return static_result(
                 Shape(a0.sym, a0.valid),
                 "segmented scan: result reuses the argument's full "
                 "descriptor chain")
-        if fn in _REDUCTIONS:
+        if fold == "reduce":
             return static_result(
                 Shape(f"outer({a0.sym})", a0.valid),
                 "segmented reduction: result projects the argument's "

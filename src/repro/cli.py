@@ -658,12 +658,17 @@ def _dispatch(ns) -> int:
                                               types=_entry_types(ns))
         print(f"result: {result}")
         from repro.machine import CommMachine, VectorMachine, classify_trace, top_ops
+        # the registry of the program that ran: its fused regions' classes
+        fusion = prog.prepare(ns.entry, *prog.resolve_entry(
+            ns.entry, args, _entry_types(ns)))[1].fusion
         machine = CommMachine if ns.comm else VectorMachine
         for p in (int(x) for x in ns.processors.split(",")):
-            print(machine(processors=p, latency=ns.latency).run_trace(trace))
+            m = machine(processors=p, latency=ns.latency)
+            print(m.run_trace(trace, fusion) if ns.comm else
+                  m.run_trace(trace))
         if ns.stats:
             print("\nop-class mix:")
-            print(classify_trace(trace))
+            print(classify_trace(trace, fusion))
             print("\ntop ops by work:")
             for op, steps, work in top_ops(trace):
                 print(f"  {op:>20}: steps={steps:>6} work={work:>10}")

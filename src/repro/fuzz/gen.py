@@ -21,6 +21,8 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence
 
+from repro.lang import builtins as B
+
 # Fuzzer type tags (a deliberately small slice of the type system).
 INT, BOOL, SEQ, SEQ2, SEQ2P = "int", "bool", "seq", "seq2", "seq2p"
 
@@ -364,10 +366,8 @@ def gen_case(seed: int, max_depth: int = 4) -> FuzzCase:
                     args=_gen_args(rng))
 
 
-#: the segmented folds: name, and whether the elements it folds are bool
-_FOLD_OPS = (("sum", False), ("maxval", False), ("minval", False),
-             ("anytrue", True), ("alltrue", True),
-             ("plus_scan", False), ("max_scan", False))
+#: the segmented folds, in catalog order
+_FOLD_OPS = tuple(row for row in B.all_builtins().values() if row.fold)
 
 
 def gen_fold_case(seed: int) -> FuzzCase:
@@ -384,7 +384,8 @@ def gen_fold_case(seed: int) -> FuzzCase:
     with one element appended, so the program is total like
     :func:`gen_case`'s."""
     rng = random.Random(seed)
-    red, boolean = rng.choice(_FOLD_OPS)
+    row = rng.choice(_FOLD_OPS)
+    red, boolean = row.name, row.arg_kinds == ("bool",)
     depth = rng.randrange(3)
     atoms = ["x", "x", "x", "a", "b"] + (["k"] if depth == 2 else [])
 
@@ -404,7 +405,7 @@ def gen_fold_case(seed: int) -> FuzzCase:
     if boolean:
         cmp = rng.choice(["<", "<=", "==", "!=", ">", ">="])
         body = f"(({body}) {cmp} ({tree(1)}))"
-    dom = "concat(s, [a])" if red in ("maxval", "minval") else "s"
+    dom = "concat(s, [a])" if row.strict else "s"
     fold = f"{red}([x <- {dom}: {body}])"
     text = [fold, f"[s <- ss: {fold}]",
             f"[s <- ss: [k <- t: {fold}]]"][depth]

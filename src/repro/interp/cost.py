@@ -20,7 +20,11 @@ evaluated on concrete values) and the static cost analysis
 (:mod:`repro.analysis.cost`) evaluates the *same* table symbolically, so
 dynamic and static accounting agree by construction
 (``tests/analysis/test_cost_table.py`` pins that they never diverge on
-the primitive list).
+the primitive list).  The table holds only how much work a primitive
+does; what kind of op it is (elementwise, a reduction or scan, a gather)
+is its row of the primitive catalog, :mod:`repro.lang.builtins`, which
+the static analysis reads beside this table — the machine model's op
+classes (:mod:`repro.machine.opclasses`) come from the same rows.
 """
 
 from __future__ import annotations

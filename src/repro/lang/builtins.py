@@ -7,6 +7,16 @@ category, and per-argument metadata used by the section-4.5 optimization
 ("certain functions may have parameters that should not be extracted and
 inserted" — e.g. the source argument of ``seq_index``).
 
+The catalog is also the one place that says what kind of op a primitive
+is: its op class (a map, a reduce or scan, a gather, a replicate or a
+descriptor op — :mod:`repro.machine.opclasses`), whether it is a
+segmented fold and of which kind, and the leaf kind of its result, read
+off the scheme.  The shape and cost analyses, the fusion pass, the NumPy
+kernels, the C emitter and the machine model read these rows; each lane
+keeps only its *implementation* (the interpreter's ``PRIM_IMPLS``, the
+NumPy kernels, the C lowering).  A new primitive is one row here plus
+those implementations.
+
 Notes on ``dist``
 -----------------
 Section 3 defines the base ``dist(c, r) = [i <- [1..r]: c]`` taking a single
@@ -20,11 +30,15 @@ transformation emits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+import itertools
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from repro.lang import types as T
-from repro.lang.types import BOOL, FLOAT, INT, TFun, TSeq, Type, fresh_tvar
+from repro.lang.types import BOOL, FLOAT, INT, TFun, TSeq, TVar, fresh_tvar
+
+#: the scalar leaf kinds, in the order a kind list is given
+_KINDS = {INT: "int", BOOL: "bool", FLOAT: "float"}
 
 
 @dataclass(frozen=True)
@@ -34,12 +48,29 @@ class Builtin:
     name: str
     scheme: Callable[[], TFun]
     category: str  # "scalar" | "seq" | "internal" | "extended"
+    #: the machine model's class: elementwise, scan_reduce, gather_scatter,
+    #: replicate or structure
+    op_class: str
+    #: a segmented fold's kind, "reduce" (one result per segment) or "scan"
+    #: (one per element); ``strict``: it has no identity, so an empty
+    #: segment is an error
+    fold: Optional[str]
+    strict: bool
     #: 0-based positions of arguments that the section-4.5 optimization may
     #: leave at depth 0 (shared) instead of replicating to the frame depth.
-    shared_args: frozenset[int] = field(default_factory=frozenset)
-    #: True if the primitive is pure elementwise on scalar leaves, so its
-    #: depth-d extension is the same flat kernel for every d.
-    elementwise: bool = False
+    shared_args: frozenset[int]
+    #: read off the scheme: the result's leaf kind when it is fixed, else
+    #: the operand ``kind_from`` whose kind it inherits; the leaf kinds
+    #: operand 0 admits
+    result_kind: Optional[str]
+    kind_from: Optional[int]
+    arg_kinds: tuple[str, ...]
+
+    @property
+    def elementwise(self) -> bool:
+        """True if the primitive is pure elementwise on scalar leaves, so
+        its depth-d extension is the same flat kernel for every d."""
+        return self.category == "scalar"
 
     def fresh_type(self) -> TFun:
         """A fresh instantiation of the signature."""
@@ -73,32 +104,48 @@ _TABLE: dict[str, Builtin] = {}
 
 
 def _def(name: str, scheme: Callable[[], TFun], category: str,
-         shared: tuple[int, ...] = (), elementwise: bool = False) -> None:
-    _TABLE[name] = Builtin(name, scheme, category, frozenset(shared), elementwise)
+         op_class: str = "elementwise", shared: tuple[int, ...] = (),
+         fold: Optional[str] = None, strict: bool = False) -> None:
+    # the scheme's facts, read on a counter of its own: a row must not
+    # renumber the type variables of later type errors
+    ids, T._var_ids = T._var_ids, itertools.count()
+    sig = scheme()
+    T._var_ids = ids
+    out, *args = [T.peel(t, T.seq_depth(t)) for t in (sig.result, *sig.params)]
+    kind_from = next((i for i, t in enumerate(args) if t == out), None) \
+        if isinstance(out, TVar) else None
+    arg = args[0] if args else None
+    arg_kinds = tuple(k for t, k in _KINDS.items()
+                      if t == arg or isinstance(arg, TVar)
+                      and not (arg.numeric_only and t == BOOL))
+    _TABLE[name] = Builtin(name, scheme, category,
+                           "scan_reduce" if fold else op_class, fold, strict,
+                           frozenset(shared), _KINDS.get(out), kind_from,
+                           arg_kinds)
 
 
 # -- scalar functions (Table 2 row 1; arithmetic is numeric-polymorphic
 #    over int and the Float extension, division stays integral) -------------
 for _n in ("add", "sub", "mul", "max2", "min2"):
-    _def(_n, _nn_n, "scalar", elementwise=True)
+    _def(_n, _nn_n, "scalar")
 for _n in ("div", "mod"):
-    _def(_n, _ii_i, "scalar", elementwise=True)
+    _def(_n, _ii_i, "scalar")
 for _n in ("lt", "le", "gt", "ge"):
-    _def(_n, _nn_b, "scalar", elementwise=True)
+    _def(_n, _nn_b, "scalar")
 for _n in ("and_", "or_"):
-    _def(_n, _bb_b, "scalar", elementwise=True)
-_def("not_", lambda: TFun((BOOL,), BOOL), "scalar", elementwise=True)
-_def("neg", _n_n, "scalar", elementwise=True)
-_def("abs_", _n_n, "scalar", elementwise=True)
+    _def(_n, _bb_b, "scalar")
+_def("not_", lambda: TFun((BOOL,), BOOL), "scalar")
+_def("neg", _n_n, "scalar")
+_def("abs_", _n_n, "scalar")
 
 # float-specific arithmetic and conversions (scalar extension)
-_def("fdiv", lambda: TFun((FLOAT, FLOAT), FLOAT), "scalar", elementwise=True)
-_def("sqrt_", lambda: TFun((FLOAT,), FLOAT), "scalar", elementwise=True)
-_def("real", lambda: TFun((INT,), FLOAT), "scalar", elementwise=True)
-_def("trunc_", lambda: TFun((FLOAT,), INT), "scalar", elementwise=True)
-_def("round_", lambda: TFun((FLOAT,), INT), "scalar", elementwise=True)
-_def("floor_", lambda: TFun((FLOAT,), INT), "scalar", elementwise=True)
-_def("ceil_", lambda: TFun((FLOAT,), INT), "scalar", elementwise=True)
+_def("fdiv", lambda: TFun((FLOAT, FLOAT), FLOAT), "scalar")
+_def("sqrt_", lambda: TFun((FLOAT,), FLOAT), "scalar")
+_def("real", lambda: TFun((INT,), FLOAT), "scalar")
+_def("trunc_", lambda: TFun((FLOAT,), INT), "scalar")
+_def("round_", lambda: TFun((FLOAT,), INT), "scalar")
+_def("floor_", lambda: TFun((FLOAT,), INT), "scalar")
+_def("ceil_", lambda: TFun((FLOAT,), INT), "scalar")
 
 
 def _eq_scheme() -> TFun:
@@ -106,8 +153,8 @@ def _eq_scheme() -> TFun:
     return TFun((a, a), BOOL)
 
 
-_def("eq", _eq_scheme, "scalar", elementwise=True)
-_def("ne", _eq_scheme, "scalar", elementwise=True)
+_def("eq", _eq_scheme, "scalar")
+_def("ne", _eq_scheme, "scalar")
 
 # -- sequence functions (Table 2 rows 5-11) ---------------------------------
 
@@ -150,14 +197,14 @@ def _dist_scheme() -> TFun:
     return TFun((a, INT), TSeq(a))
 
 
-_def("length", _length_scheme, "seq")
-_def("range", _range_scheme, "seq")
-_def("range1", _range1_scheme, "seq")
-_def("seq_index", _index_scheme, "seq", shared=(0,))
-_def("seq_update", _update_scheme, "seq", shared=(0,))
-_def("restrict", _restrict_scheme, "seq")
-_def("combine", _combine_scheme, "seq")
-_def("dist", _dist_scheme, "seq")
+_def("length", _length_scheme, "seq", "structure")
+_def("range", _range_scheme, "seq", "structure")
+_def("range1", _range1_scheme, "seq", "structure")
+_def("seq_index", _index_scheme, "seq", "gather_scatter", shared=(0,))
+_def("seq_update", _update_scheme, "seq", "gather_scatter", shared=(0,))
+_def("restrict", _restrict_scheme, "seq", "gather_scatter")
+_def("combine", _combine_scheme, "seq", "gather_scatter")
+_def("dist", _dist_scheme, "seq", "replicate")
 
 # -- extended primitives (section 4.5: "advantageous to increase the set of
 #    predefined functions in V") -------------------------------------------
@@ -173,8 +220,10 @@ def _concat_scheme() -> TFun:
     return TFun((TSeq(a), TSeq(a)), TSeq(a))
 
 
-_def("flatten", _flatten_scheme, "extended")
-_def("concat", _concat_scheme, "extended")
+_def("flatten", _flatten_scheme, "extended", "structure")
+_def("concat", _concat_scheme, "extended", "gather_scatter")
+
+
 def _agg_scheme() -> TFun:
     a = fresh_tvar(numeric_only=True)
     return TFun((TSeq(a),), a)
@@ -185,13 +234,13 @@ def _scan_scheme() -> TFun:
     return TFun((TSeq(a),), TSeq(a))
 
 
-_def("sum", _agg_scheme, "extended")
-_def("maxval", _agg_scheme, "extended")
-_def("minval", _agg_scheme, "extended")
-_def("anytrue", lambda: TFun((TSeq(BOOL),), BOOL), "extended")
-_def("alltrue", lambda: TFun((TSeq(BOOL),), BOOL), "extended")
-_def("plus_scan", _scan_scheme, "extended")
-_def("max_scan", _scan_scheme, "extended")
+# the segmented folds; maxval and minval have no identity
+for _n in ("sum", "maxval", "minval"):
+    _def(_n, _agg_scheme, "extended", fold="reduce", strict=_n != "sum")
+for _n in ("anytrue", "alltrue"):
+    _def(_n, lambda: TFun((TSeq(BOOL),), BOOL), "extended", fold="reduce")
+for _n in ("plus_scan", "max_scan"):
+    _def(_n, _scan_scheme, "extended", fold="scan")
 
 
 def _rank_scheme() -> TFun:
@@ -206,8 +255,8 @@ def _permute_scheme() -> TFun:
 
 # rank and permute are primitives of CVL itself; with them, sorting is
 # expressible in P as permute(v, rank(v)) (see the prelude)
-_def("rank", _rank_scheme, "extended")
-_def("permute", _permute_scheme, "extended")
+_def("rank", _rank_scheme, "extended", "scan_reduce")
+_def("permute", _permute_scheme, "extended", "gather_scatter")
 
 # -- internal primitives emitted by the transformation -----------------------
 # __rep(w, c): replicate depth-0 value c over the frame of witness w.
@@ -232,9 +281,9 @@ def _empty_scheme() -> TFun:
     return TFun((a,), b)
 
 
-_def("__rep", _rep_scheme, "internal")
-_def("__any", _any_scheme, "internal")
-_def("__empty", _empty_scheme, "internal")
+_def("__rep", _rep_scheme, "internal", "elementwise")
+_def("__any", _any_scheme, "internal", "scan_reduce")
+_def("__empty", _empty_scheme, "internal", "structure")
 
 
 #: the *checked* elementwise primitives: they raise ``PValueError`` on a
@@ -263,6 +312,11 @@ def is_unchecked_elementwise(name: str) -> bool:
 def get_builtin(name: str) -> Builtin:
     """The catalog entry of primitive ``name`` (``KeyError`` if none)."""
     return _TABLE[name]
+
+
+def lookup(name: str) -> Optional[Builtin]:
+    """The catalog entry of ``name``, or None when it is no primitive."""
+    return _TABLE.get(name)
 
 
 def all_builtins() -> dict[str, Builtin]:

@@ -18,6 +18,13 @@ replicate       dist, broadcast of invariant arguments       one-to-many
 structure       length, flatten, extract-side descriptor op  descriptors
 ==============  ===========================================  =============
 
+A primitive's class is its catalog row's (``Builtin.op_class`` in
+:mod:`repro.lang.builtins`); this module names only the trace entries
+that are not primitives.  A fused region ``__fused<k>`` has the class of
+its tree's root in the program's
+:class:`~repro.transform.fuse.FusionRegistry`: elementwise, or
+scan_reduce under a segmented fold.
+
 The class mix of a trace (:func:`classify_trace`) shows *where* a flattened
 program spends its machine time — the analysis the paper's CVL targets did
 by hand.
@@ -28,42 +35,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-ELEMENTWISE = frozenset({
-    "add", "sub", "mul", "div", "mod", "max2", "min2", "neg", "abs_",
-    "eq", "ne", "lt", "le", "gt", "ge", "and_", "or_", "not_",
-    "fdiv", "sqrt_", "real", "trunc_", "round_", "floor_", "ceil_",
-    "__rep",
-})
+from repro.lang import builtins as B
 
-SCAN_REDUCE = frozenset({
-    "sum", "maxval", "minval", "anytrue", "alltrue",
-    "plus_scan", "max_scan", "any", "rank",
-})
-
-GATHER_SCATTER = frozenset({
-    "seq_index", "seq_update", "restrict", "combine", "permute",
-    "concat", "seq_cons", "__seq_cons", "apply_frame",
-})
-
-REPLICATE = frozenset({"dist", "replicate"})
-
-STRUCTURE = frozenset({"length", "flatten", "range", "range1"})
+#: the class of each trace entry that is not a primitive
+#: (``__tuple_extract_`` stands for every ``__tuple_extract_<k>``)
+_TRACE_NAMES = {"replicate": "replicate", "any": "scan_reduce",
+                **dict.fromkeys(("seq_cons", "__seq_cons", "__tuple_cons",
+                                 "__tuple_extract_", "apply_frame"),
+                                "gather_scatter")}
 
 
-def classify(op: str) -> str:
-    """Op class of one trace entry (unknown ops count as gather_scatter,
-    the conservative choice)."""
-    if op in ELEMENTWISE:
-        return "elementwise"
-    if op in SCAN_REDUCE:
-        return "scan_reduce"
-    if op in REPLICATE:
-        return "replicate"
-    if op in STRUCTURE:
-        return "structure"
-    if op in GATHER_SCATTER:
-        return "gather_scatter"
-    return "gather_scatter"
+def classify(op: str, fusion=None) -> str:
+    """Op class of one trace entry: a primitive's catalog row, a fused
+    region's root when ``fusion`` (the program's registry) holds it, a
+    non-primitive trace name's; anything else counts as gather_scatter,
+    the conservative choice."""
+    if fusion is not None and op in fusion:
+        op = fusion.trees[op][1]    # the root: a primitive or a fold
+    row = B.lookup(op)
+    if row is not None:
+        return row.op_class
+    return _TRACE_NAMES.get(op.rstrip("0123456789"), "gather_scatter")
 
 
 @dataclass
@@ -90,11 +82,13 @@ class ClassMix:
         return "\n".join(rows)
 
 
-def classify_trace(trace: Iterable[tuple[str, int]]) -> ClassMix:
-    """Group a VCODE trace by op class."""
+def classify_trace(trace: Iterable[tuple[str, int]],
+                   fusion=None) -> ClassMix:
+    """Group a VCODE trace by op class (``fusion``: the registry of the
+    program that made it, so its fused regions are classified)."""
     mix = ClassMix()
     for op, n in trace:
-        cls = classify(op)
+        cls = classify(op, fusion)
         mix.steps[cls] = mix.steps.get(cls, 0) + 1
         mix.work[cls] = mix.work.get(cls, 0) + max(0, int(n))
     return mix
@@ -125,7 +119,9 @@ class CommMachine:
     latency: int = 2
     factors: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_FACTORS))
 
-    def run_trace(self, trace: Iterable[tuple[str, int]]):
+    def run_trace(self, trace: Iterable[tuple[str, int]], fusion=None):
+        """Cycles of a trace; ``fusion`` is the registry of the program
+        that made it, as for :func:`classify_trace`."""
         from repro.machine.simulator import MachineReport
         if self.processors < 1:
             raise ValueError("need at least one processor")
@@ -134,7 +130,7 @@ class CommMachine:
         steps = 0
         for op, n in trace:
             n = max(0, int(n))
-            f = self.factors.get(classify(op), 1.0)
+            f = self.factors.get(classify(op, fusion), 1.0)
             cycles += self.latency + f * (-(-n // self.processors))
             work += n
             steps += 1

@@ -55,21 +55,22 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..vector.segments import FOLDS
+from ..lang import builtins as B
+from ..transform.fuse import tree_kind
 
-__all__ = ["CTYPES", "SEGMENTED_OPS", "render_tree", "tree_kind",
-           "used_leaves", "plain_fold", "split_fold", "emit_fused_source",
-           "emit_segmented_source", "emit_gather_source"]
+__all__ = ["CTYPES", "SEGMENTED_OPS", "render_tree", "plain_fold",
+           "split_fold", "emit_fused_source", "emit_segmented_source",
+           "emit_gather_source"]
 
 #: C type per leaf kind (the ``fun`` kind is never compiled).
 CTYPES = {"int": "long long", "bool": "unsigned char", "float": "double"}
 
-#: segmented primitives with a native kernel — every fold — and the leaf
-#: kinds each supports (reductions produce one element per segment; scans
-#: are length-preserving)
-SEGMENTED_OPS = {op: fold.kinds for op, fold in FOLDS.items()}
+#: segmented primitives with a native kernel — every fold of the catalog
+#: — and the leaf kinds each folds (reductions produce one element per
+#: segment; scans are length-preserving)
+SEGMENTED_OPS = {name: row.arg_kinds for name, row in B.all_builtins().items()
+                 if row.fold is not None}
 
-_BOOL_OUT = {"eq", "ne", "lt", "le", "gt", "ge", "and_", "or_", "not_"}
 _CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
 
@@ -83,43 +84,6 @@ def split_fold(tree) -> tuple:
     """``(op, body)`` for a tree rooted at segmented fold ``op`` over the
     elementwise tree ``body``; ``(None, tree)`` for an elementwise one."""
     return (tree[1], tree[2][0]) if tree[0] == "fold" else (None, tree)
-
-
-def tree_kind(tree, leaf_kinds: Sequence[Optional[str]]) -> Optional[str]:
-    """Result kind of a (sub)tree — the per-node form of
-    :func:`repro.transform.fuse.result_kind`; None when a leaf kind is
-    unknown."""
-    if tree[0] == "arg":
-        return leaf_kinds[tree[1]]
-    _tag, name, children = tree
-    if name in _BOOL_OUT:
-        return "bool"
-    if name == "real":
-        return "float"
-    if name in ("trunc_", "round_", "floor_", "ceil_"):
-        return "int"
-    if name == "__rep":
-        return tree_kind(children[1], leaf_kinds)
-    return tree_kind(children[0], leaf_kinds)
-
-
-def used_leaves(tree) -> frozenset:
-    """Leaf indices whose *values* the tree reads (a ``__rep`` witness
-    contributes only frame shape, never data)."""
-    out: set[int] = set()
-
-    def walk(t) -> None:
-        if t[0] == "arg":
-            out.add(t[1])
-            return
-        _tag, name, children = t
-        if name == "__rep":
-            walk(children[1])
-            return
-        for c in children:
-            walk(c)
-    walk(tree)
-    return frozenset(out)
 
 
 def render_tree(tree, hoisted: Sequence[bool] = ()) -> str:
@@ -245,7 +209,7 @@ def _fold_nest(op: str, T: str, ident: str, step: str) -> list[str]:
     lanes = range(_LANES)
     seg = ["s"] + [f"s + {k}" for k in lanes[1:]]
     put = [f"out[{seg[k]}] = r{k};" for k in lanes] \
-        if FOLDS[op].reduction else []
+        if B.get_builtin(op).fold == "reduce" else []
     return [
         f"#define STEP(r, j) {{ {T} x = BODY(j); {step} }}",
         "#define TAIL(r, p, c) \\",
@@ -320,7 +284,7 @@ def emit_fused_source(tree, leaf_kinds: Sequence[str],
     T = CTYPES[out_kind]
     if fold:
         ident, step = _fold_parts(fold, out_kind)
-        scan = not FOLDS[fold].reduction
+        scan = B.get_builtin(fold).fold == "scan"
         shape = ["const long long* restrict counts", "long long nseg"]
         nest = _fold_nest(fold, T, ident, step)
         what = [f" * outer loop over segments, {_LANES} in lock-step; the tree is",

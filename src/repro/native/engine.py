@@ -35,16 +35,17 @@ import numpy as np
 
 from ..guard import runtime as _guard
 from ..obs import runtime as _obs
-from ..transform.fuse import read_leaves
+from ..lang import builtins as B
+from ..transform.fuse import read_leaves, tree_kind
 from ..vector.nested import NestedVector
 from ..vector.ops import count_kernel
-from ..vector.segments import FOLDS, INT_DTYPE
+from ..vector.segments import INT_DTYPE
 from ..errors import EvalError, VectorError
 from . import toolchain
 from .cache import CFLAGS, Kernel, KernelCache
 from .codegen import (
     CTYPES, SEGMENTED_OPS, emit_fused_source, emit_gather_source, plain_fold,
-    split_fold, tree_kind,
+    split_fold,
 )
 
 __all__ = ["NativeEngine", "get_engine", "reset_engine"]
@@ -52,9 +53,6 @@ __all__ = ["NativeEngine", "get_engine", "reset_engine"]
 _DTYPES = {"int": np.int64, "bool": np.bool_, "float": np.float64}
 _SCALAR_CTYPES = {"int": ctypes.c_longlong, "bool": ctypes.c_ubyte,
                   "float": ctypes.c_double}
-
-#: what is empty-reduced: shares the NumPy kernels' error message
-_STRICT_REDUCE = {"maxval", "minval"}
 
 
 def _strip_rep(tree):
@@ -323,8 +321,9 @@ def _site(tree) -> _Site:
     used = read_leaves(tree)
     ctree = _remap_tree(_strip_rep(tree), {k: i for i, k in enumerate(used)})
     fold = split_fold(ctree)[0]
-    return _Site(ctree, used, fold, bool(fold and FOLDS[fold].reduction),
-                 fold in _STRICT_REDUCE, {})
+    row = B.get_builtin(fold) if fold else None
+    return _Site(ctree, used, fold, bool(row and row.fold == "reduce"),
+                 bool(row and row.strict), {})
 
 
 def _remap_tree(tree, remap: dict):

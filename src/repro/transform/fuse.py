@@ -59,13 +59,13 @@ kernel can never mask or reorder a Python-level check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.lang import ast as A
 from repro.lang import builtins as B
-from repro.vector.segments import FOLDS
+from repro.vector.ops import UFUNCS
 
 #: the checked ops stay unfused (their error reporting must fire exactly as
 #: unfused execution would — div/mod/fdiv and sqrt_ raise on bad operands);
@@ -84,20 +84,6 @@ _fusable_prim = B.is_unchecked_elementwise
 Tree = Union[tuple]
 
 
-_NUMPY_FN = {
-    "add": np.add, "sub": np.subtract, "mul": np.multiply,
-    "max2": np.maximum, "min2": np.minimum, "neg": np.negative,
-    "abs_": np.abs, "eq": np.equal, "ne": np.not_equal, "lt": np.less,
-    "le": np.less_equal, "gt": np.greater, "ge": np.greater_equal,
-    "and_": np.logical_and, "or_": np.logical_or, "not_": np.logical_not,
-    "real": lambda a: a.astype(np.float64),
-    "trunc_": lambda a: np.trunc(a).astype(np.int64),
-    "round_": lambda a: np.rint(a).astype(np.int64),
-    "floor_": lambda a: np.floor(a).astype(np.int64),
-    "ceil_": lambda a: np.ceil(a).astype(np.int64),
-}
-
-
 def eval_tree(tree: Tree, leaves: list[np.ndarray]) -> np.ndarray:
     """Evaluate a fused op tree over the leaf value arrays."""
     tag = tree[0]
@@ -107,7 +93,7 @@ def eval_tree(tree: Tree, leaves: list[np.ndarray]) -> np.ndarray:
     if name == "__rep":
         # __rep(witness, value): the replicated value is the second child
         return eval_tree(children[1], leaves)
-    return _NUMPY_FN[name](*(eval_tree(c, leaves) for c in children))
+    return UFUNCS[name](*(eval_tree(c, leaves) for c in children))
 
 
 def read_leaves(tree: Tree) -> tuple[int, ...]:
@@ -124,22 +110,17 @@ def read_leaves(tree: Tree) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def result_kind(tree: Tree, leaf_kinds: list[str]) -> str:
-    """Leaf kind of the tree's result (bool for comparisons/logic, else
-    inherited)."""
-    tag = tree[0]
-    if tag == "arg":
-        return leaf_kinds[tree[1]]
-    _tag, name, children = tree
-    if name in ("eq", "ne", "lt", "le", "gt", "ge", "and_", "or_", "not_"):
-        return "bool"
-    if name in ("real",):
-        return "float"
-    if name in ("trunc_", "round_", "floor_", "ceil_"):
-        return "int"
-    if name == "__rep":
-        return result_kind(children[1], leaf_kinds)
-    return result_kind(children[0], leaf_kinds)
+def tree_kind(tree: Tree, leaf_kinds: Sequence[Optional[str]]
+              ) -> Optional[str]:
+    """Leaf kind of the tree's result: each node's catalog row fixes it or
+    names the operand it is inherited from (None when that leaf's kind is
+    unknown).  A fold root reads its row like any other node."""
+    while tree[0] != "arg":
+        row = B.get_builtin(tree[1])
+        if row.kind_from is None:
+            return row.result_kind
+        tree = tree[2][row.kind_from]
+    return leaf_kinds[tree[1]]
 
 
 @dataclass
@@ -180,7 +161,8 @@ def fuse_expr(e: A.Expr, registry: FusionRegistry) -> A.Expr:
     that can root a region takes the maximal tree below it, and fusion
     continues in the region's leaves."""
     if isinstance(e, A.ExtCall):
-        fold = e.fn in FOLDS and len(e.args) == 1
+        row = B.lookup(e.fn)
+        fold = row is not None and row.fold is not None and len(e.args) == 1
         top = e.args[0] if fold else e
         lets = []
         while fold and isinstance(top, A.Let):

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.errors import EvalError, VectorError
 from repro.guard import runtime as _guard
+from repro.lang import builtins as B
 from repro.lang import types as T
 from repro.obs import runtime as _obs
 from repro.vector import segments as S
@@ -149,16 +150,6 @@ def empty_frame_value(t: T.Type) -> Value:
 # ---------------------------------------------------------------------------
 
 
-def _ew(op: Callable, out_kind: str | None):
-    """Elementwise kernel; ``out_kind=None`` inherits the input kind
-    (numeric-polymorphic primitives)."""
-    def kernel(*args: NestedVector) -> NestedVector:
-        vals = op(*[a.values for a in args])
-        kind = out_kind if out_kind is not None else args[0].kind
-        return args[0].with_values(vals, kind)
-    return kernel
-
-
 def _fdiv_vals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.size and (b == 0.0).any():
         raise EvalError("division by zero")
@@ -181,6 +172,38 @@ def _mod_vals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.size and (b == 0).any():
         raise EvalError("mod by zero")
     return a % b
+
+
+#: the value-array function of every elementwise primitive: its kernel
+#: applies it to a frame's flat values, a fused region
+#: (:func:`repro.transform.fuse.eval_tree`) to its leaves'
+UFUNCS: dict[str, Callable[..., np.ndarray]] = {
+    "add": np.add, "sub": np.subtract, "mul": np.multiply,
+    "div": _div_vals, "mod": _mod_vals, "max2": np.maximum,
+    "min2": np.minimum, "neg": np.negative, "abs_": np.abs,
+    "fdiv": _fdiv_vals, "sqrt_": _sqrt_vals,
+    "real": lambda a: a.astype(np.float64),
+    "trunc_": lambda a: np.trunc(a).astype(INT_DTYPE),
+    "round_": lambda a: np.rint(a).astype(INT_DTYPE),
+    "floor_": lambda a: np.floor(a).astype(INT_DTYPE),
+    "ceil_": lambda a: np.ceil(a).astype(INT_DTYPE),
+    "eq": np.equal, "ne": np.not_equal, "lt": np.less,
+    "le": np.less_equal, "gt": np.greater, "ge": np.greater_equal,
+    "and_": np.logical_and, "or_": np.logical_or, "not_": np.logical_not,
+}
+
+
+def _ew(name: str):
+    """Elementwise kernel of primitive ``name``: its value function, the
+    result kind its catalog row reads off the scheme."""
+    op, row = UFUNCS[name], B.get_builtin(name)
+    fixed, src = row.result_kind, row.kind_from
+
+    def kernel(*args: NestedVector) -> NestedVector:
+        vals = op(*[a.values for a in args])
+        return args[0].with_values(vals, fixed if src is None
+                                   else args[src].kind)
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -449,32 +472,17 @@ def k_permute(v: Value, i: NestedVector) -> Value:
     return map_leaves(go, v)
 
 
-def k_sum(v: NestedVector) -> NestedVector:
-    return NestedVector.splice(S.seg_sum(v.values, v.descs[1]), v.kind, v, 1)
+def _fold(name: str):
+    """Kernel of segmented fold ``name``: its ``FOLDS`` kernel over each
+    segment; its catalog row says whether the result keeps the frame
+    level (a reduction) or every level (a scan), and of what kind."""
+    seg, row = S.FOLDS[name], B.get_builtin(name)
+    keep = 1 if row.fold == "reduce" else 2
 
-
-def k_maxval(v: NestedVector) -> NestedVector:
-    return NestedVector.splice(S.seg_max(v.values, v.descs[1]), v.kind, v, 1)
-
-
-def k_minval(v: NestedVector) -> NestedVector:
-    return NestedVector.splice(S.seg_min(v.values, v.descs[1]), v.kind, v, 1)
-
-
-def k_anytrue(v: NestedVector) -> NestedVector:
-    return NestedVector.splice(S.seg_any(v.values, v.descs[1]), "bool", v, 1)
-
-
-def k_alltrue(v: NestedVector) -> NestedVector:
-    return NestedVector.splice(S.seg_all(v.values, v.descs[1]), "bool", v, 1)
-
-
-def k_plus_scan(v: NestedVector) -> NestedVector:
-    return v.with_values(S.seg_plus_scan(v.values, v.descs[1]), v.kind)
-
-
-def k_max_scan(v: NestedVector) -> NestedVector:
-    return v.with_values(S.seg_max_scan(v.values, v.descs[1]), v.kind)
+    def kernel(v: NestedVector) -> NestedVector:
+        return NestedVector.splice(seg(v.values, v.descs[1]),
+                                   row.result_kind or v.kind, v, keep)
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -482,31 +490,7 @@ def k_max_scan(v: NestedVector) -> NestedVector:
 # ---------------------------------------------------------------------------
 
 KERNELS: dict[str, Callable[..., Value]] = {
-    "add": _ew(np.add, None),
-    "sub": _ew(np.subtract, None),
-    "mul": _ew(np.multiply, None),
-    "div": _ew(_div_vals, "int"),
-    "mod": _ew(_mod_vals, "int"),
-    "max2": _ew(np.maximum, None),
-    "min2": _ew(np.minimum, None),
-    "neg": _ew(np.negative, None),
-    "abs_": _ew(np.abs, None),
-    "fdiv": _ew(_fdiv_vals, "float"),
-    "sqrt_": _ew(_sqrt_vals, "float"),
-    "real": _ew(lambda a: a.astype(np.float64), "float"),
-    "trunc_": _ew(lambda a: np.trunc(a).astype(INT_DTYPE), "int"),
-    "round_": _ew(lambda a: np.rint(a).astype(INT_DTYPE), "int"),
-    "floor_": _ew(lambda a: np.floor(a).astype(INT_DTYPE), "int"),
-    "ceil_": _ew(lambda a: np.ceil(a).astype(INT_DTYPE), "int"),
-    "eq": _ew(np.equal, "bool"),
-    "ne": _ew(np.not_equal, "bool"),
-    "lt": _ew(np.less, "bool"),
-    "le": _ew(np.less_equal, "bool"),
-    "gt": _ew(np.greater, "bool"),
-    "ge": _ew(np.greater_equal, "bool"),
-    "and_": _ew(np.logical_and, "bool"),
-    "or_": _ew(np.logical_or, "bool"),
-    "not_": _ew(np.logical_not, "bool"),
+    **{name: _ew(name) for name in UFUNCS},
     "length": k_length,
     "range1": k_range1,
     "range": k_range,
@@ -517,13 +501,7 @@ KERNELS: dict[str, Callable[..., Value]] = {
     "dist": k_dist,
     "flatten": k_flatten,
     "concat": k_concat,
-    "sum": k_sum,
-    "maxval": k_maxval,
-    "minval": k_minval,
-    "anytrue": k_anytrue,
-    "alltrue": k_alltrue,
-    "plus_scan": k_plus_scan,
-    "max_scan": k_max_scan,
+    **{name: _fold(name) for name in S.FOLDS},
     "rank": k_rank,
     "permute": k_permute,
     "__seq_cons": k_seq_cons,

@@ -27,7 +27,7 @@ and an ``arange`` — and that expansion, not the index, is what it pays for.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -235,25 +235,17 @@ def seg_max_scan(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-class Fold(NamedTuple):
-    """One segmented fold: its kernel, whether it is a reduction (one
-    result per segment) or a scan (one per element), and the leaf kinds
-    it folds."""
-
-    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    reduction: bool
-    kinds: tuple[str, ...]
-
-
-#: the segmented folds, by primitive name
-FOLDS = {
-    "sum": Fold(seg_sum, True, ("int", "float")),
-    "maxval": Fold(seg_max, True, ("int", "float")),
-    "minval": Fold(seg_min, True, ("int", "float")),
-    "anytrue": Fold(seg_any, True, ("bool",)),
-    "alltrue": Fold(seg_all, True, ("bool",)),
-    "plus_scan": Fold(seg_plus_scan, False, ("int", "float")),
-    "max_scan": Fold(seg_max_scan, False, ("int", "float")),
+#: the NumPy kernel of each segmented fold, by primitive name; what kind
+#: of fold it is (reduce or scan, strict or not) and the leaf kinds it
+#: folds are its row in :mod:`repro.lang.builtins`
+FOLDS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
+    "sum": seg_sum,
+    "maxval": seg_max,
+    "minval": seg_min,
+    "anytrue": seg_any,
+    "alltrue": seg_all,
+    "plus_scan": seg_plus_scan,
+    "max_scan": seg_max_scan,
 }
 
 

@@ -32,7 +32,7 @@ from repro.lang import builtins as B
 from repro.lang import types as T
 from repro.obs import runtime as _obs
 from repro.transform.extensions import ext1_name
-from repro.transform.fuse import eval_tree, read_leaves, result_kind
+from repro.transform.fuse import eval_tree, read_leaves, tree_kind
 from repro.vector import ops as O
 from repro.vector import segments as S
 from repro.vector.extract_insert import extract, insert
@@ -190,7 +190,8 @@ class Applier:
         if fold:
             _fold, op, (body,) = tree
             streams = self._fusion.streams[name]
-            seg_fn, reduction, _kinds = S.FOLDS[op]
+            seg_fn = S.FOLDS[op]
+            reduction = B.get_builtin(op).fold == "reduce"
         else:
             body = tree
             streams = tuple(i for i, fd in enumerate(arg_depths)
@@ -226,7 +227,7 @@ class Applier:
                             # replication is a real distribute op in CVL
                             seen("replicate", O.value_size(rep))
                 vals = eval_tree(body, [leaf.values for leaf in flat])
-                kind = result_kind(body, [leaf.kind for leaf in flat])
+                kind = tree_kind(body, [leaf.kind for leaf in flat])
                 result = (NestedVector.splice(seg_fn(vals, lead.descs[1]),
                                               kind, lead,
                                               1 if reduction else 2)

@@ -189,6 +189,33 @@ def test_lint_detects_a_retyped_backend_list(tmp_path):
         ("src/repro/copy.py", 3, ["native", "parallel", "vcode", "vector"])]
 
 
+def test_primitive_names_are_listed_once_in_src():
+    from repro.lang.builtins import all_builtins
+    lint = _load_lint()
+    assert lint.primitive_names(REPO_ROOT) == set(all_builtins())
+    assert lint.find_primitive_literals(REPO_ROOT) == []
+
+
+def test_lint_detects_a_retyped_primitive_class(tmp_path):
+    lint = _load_lint()
+    for table in (lint.TABLE, lint.CATALOG):
+        (tmp_path / table).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / table).write_text((REPO_ROOT / table).read_text())
+    (tmp_path / "src" / "repro" / "copy.py").write_text(
+        'BOOL_OUT = {"eq", "ne", "lt", "le", "not_"}\n'
+        'LANE = {"add": 1, "sub": 2, "mul": 3, "neg": 4}\n'
+        'def f(op):\n'
+        '    return op in ("sum", "maxval", "minval")\n')
+    fuzz = tmp_path / "src" / "repro" / "fuzz"
+    fuzz.mkdir()
+    (fuzz / "gen.py").write_text(
+        'def gen_seq(r):\n'
+        '    return r.choice(["concat", "dist", "restrict", "permute"])\n')
+    assert lint.find_primitive_literals(tmp_path) == [
+        ("src/repro/copy.py", 1, ["eq", "le", "lt", "ne", "not_"])]
+    assert lint.main(["lint", str(tmp_path)]) == 1
+
+
 def test_every_vector_lane_runs_one_transformed_program():
     """T1 realizes every ``f^d`` through one ``f^1``, so an entry at one
     type is transformed once — fused — and the four vector lanes execute

@@ -9,6 +9,11 @@ from repro.machine.opclasses import (
 from repro.machine.simulator import VectorMachine
 
 
+def _fusion(prog, entry, args):
+    """The fusion registry of the program ``vector_trace`` runs."""
+    return prog.prepare(entry, *prog.resolve_entry(entry, args))[1].fusion
+
+
 class TestClassify:
     @pytest.mark.parametrize("op,cls", [
         ("add", "elementwise"), ("not_", "elementwise"),
@@ -102,6 +107,32 @@ class TestOnRealPrograms:
         _r, trace = prog.vector_trace("f", [list(range(500))])
         mix = classify_trace(trace)
         assert mix.work_fraction("elementwise") > 0.6
+
+    def test_elementwise_heavy_default_program(self):
+        # the default program fuses the chain: [mul, __fused0], each an
+        # elementwise op once the registry says what __fused0's root is
+        prog = compile_program(
+            "fun f(v) = [x <- v: (x * x + x) * (x - x * x)]")
+        args = [list(range(500))]
+        _r, trace = prog.vector_trace("f", args)
+        fusion = _fusion(prog, "f", args)
+        assert any(op in fusion for op, _n in trace)
+        mix = classify_trace(trace, fusion)
+        assert mix.work_fraction("elementwise") > 0.6
+        m = CommMachine(processors=16, latency=2)
+        assert m.run_trace(trace, fusion).cycles == \
+            VectorMachine(processors=16, latency=2).run_trace(trace).cycles
+
+    def test_fold_rooted_region_is_scan_reduce(self):
+        prog = compile_program("fun f(v) = sum([x <- v: x * x + 1])")
+        args = [list(range(100))]
+        _r, trace = prog.vector_trace("f", args)
+        fusion = _fusion(prog, "f", args)
+        fused = [op for op, _n in trace if op in fusion]
+        assert fused and fusion.trees[fused[0]][0] == "fold"
+        assert classify(fused[0], fusion) == "scan_reduce"
+        # without the registry a fused name is unknown: the fallback
+        assert classify(fused[0]) == "gather_scatter"
 
     def test_comm_machine_penalizes_gather_program_more(self):
         gather = compile_program("fun f(v, ix) = [i <- ix: v[i]]")

@@ -1,15 +1,37 @@
 #!/usr/bin/env python
-"""Lint: the back-end names are listed once, in ``repro.api.BACKENDS``.
+"""Lint: two tables are listed once — the back-end names, in
+``repro.api.BACKENDS``, and the primitive names, in the catalog
+``repro.lang.builtins``.
 
-Reads the table's keys out of ``src/repro/api.py`` (by ``ast``, nothing
-is imported) and flags every list, tuple, set or dict literal elsewhere
-under ``src/`` that spells out more than three of them — the
-``choices=[...]`` / ``ALL_BACKENDS = (...)`` / ``backend in (...)``
-copies that used to drift apart.  Read ``BACKENDS`` instead.  (Three
-names are allowed: the fuzzer's default trio is a real, smaller list.)
+Reads each table's names out of its module (by ``ast``, nothing is
+imported) and flags every literal elsewhere under ``src/`` that spells
+out more than three of them:
 
-Usable as a library (``find_literals``) by the test suite and as a
-script by CI: exits 1 listing any copies.
+* **back ends** — any list, tuple, set or dict literal: the
+  ``choices=[...]`` / ``ALL_BACKENDS = (...)`` / ``backend in (...)``
+  copies that used to drift apart.  Read ``BACKENDS`` instead.  (Three
+  names are allowed: the fuzzer's default trio is a real, smaller list.)
+* **primitives** — any list, tuple or set literal: a class of primitives
+  (the elementwise ones, the folds, the comparisons) restated beside the
+  catalog.  Read the catalog's rows instead (``op_class``, ``fold``,
+  ``result_kind``, ``elementwise``).  Dict literals are left alone: a
+  primitive-keyed dict is one lane's implementation (the interpreter's
+  ``PRIM_IMPLS``, the NumPy ``UFUNCS`` and ``KERNELS``, the cost rules)
+  or surface syntax (the pretty-printer's operators).  Two literals are
+  exempt, by file and owner (the function or module-level name they sit
+  in):
+
+  - ``fuzz/gen.py`` ``gen_seq``: the fuzzer's vocabulary — what a
+    generated program may draw, with its weights — is a choice of test
+    inputs, not a class of primitives;
+  - ``analysis/verify.py`` ``_VIEW_OPS``: the ops whose result a
+    transformed program legitimately reads one frame level deeper is a
+    fact of the transformation's output forms (it includes ``__iter``,
+    which is not a primitive), checked only by the verifier.
+
+Usable as a library (``find_literals`` for the back ends,
+``find_primitive_literals`` for the primitives) by the test suite and as
+a script by CI: exits 1 listing any copies.
 """
 
 from __future__ import annotations
@@ -19,7 +41,10 @@ import sys
 from pathlib import Path
 
 TABLE = Path("src/repro/api.py")
+CATALOG = Path("src/repro/lang/builtins.py")
 ALLOWED = 3
+EXEMPT = {("src/repro/fuzz/gen.py", "gen_seq"),
+          ("src/repro/analysis/verify.py", "_VIEW_OPS")}
 
 
 def backend_names(root: Path) -> set[str]:
@@ -35,39 +60,95 @@ def backend_names(root: Path) -> set[str]:
     raise SystemExit(f"no BACKENDS dict literal in {TABLE}")
 
 
-def find_literals(root: str | Path) -> list[tuple[str, int, list[str]]]:
-    """``(file, line, names)`` for every offending literal under
-    ``root/src``."""
-    root = Path(root)
-    names = backend_names(root)
+def primitive_names(root: Path) -> set[str]:
+    """Every name the catalog defines: the first argument of each
+    ``_def(...)`` call in ``repro/lang/builtins.py``, or the names of the
+    ``for`` loop it is called in (none when there is no catalog)."""
+    if not (root / CATALOG).exists():
+        return set()
+    tree = ast.parse((root / CATALOG).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple):
+            names.update(e.value for e in node.iter.elts
+                         if isinstance(e, ast.Constant))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "_def" \
+                and isinstance(node.args[0], ast.Constant):
+            names.add(node.args[0].value)
+    return names
+
+
+def _owned(node: ast.AST, owner: str = ""):
+    """``(node, owner)`` below ``node``: the owner is the innermost
+    function or class around it, or the module-level name it is bound
+    to."""
+    for child in ast.iter_child_nodes(node):
+        name = owner
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            name = child.name
+        elif not owner and isinstance(child, (ast.Assign, ast.AnnAssign)):
+            target = child.targets[0] if isinstance(child, ast.Assign) \
+                else child.target
+            name = target.id if isinstance(target, ast.Name) else owner
+        yield child, name
+        yield from _owned(child, name)
+
+
+def _copies(root: Path, table: Path, names: set[str], dicts: bool,
+            exempt=frozenset()) -> list[tuple[str, int, list[str]]]:
     found = []
     for path in sorted((root / "src").rglob("*.py")):
-        if path == root / TABLE:
+        if path == root / table:
             continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        file = str(path.relative_to(root))
+        for node, owner in _owned(ast.parse(path.read_text(), str(path))):
             if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
                 items = node.elts
-            elif isinstance(node, ast.Dict):
+            elif dicts and isinstance(node, ast.Dict):
                 items = node.keys
             else:
                 continue
             hit = sorted({e.value for e in items
                           if isinstance(e, ast.Constant)
                           and e.value in names})
-            if len(hit) > ALLOWED:
-                found.append((str(path.relative_to(root)), node.lineno, hit))
+            if len(hit) > ALLOWED and (file, owner) not in exempt:
+                found.append((file, node.lineno, hit))
     return found
+
+
+def find_literals(root: str | Path) -> list[tuple[str, int, list[str]]]:
+    """``(file, line, names)`` for every back-end list literal under
+    ``root/src``."""
+    root = Path(root)
+    return _copies(root, TABLE, backend_names(root), dicts=True)
+
+
+def find_primitive_literals(root: str | Path
+                            ) -> list[tuple[str, int, list[str]]]:
+    """``(file, line, names)`` for every list, tuple or set literal under
+    ``root/src`` that restates primitive names, exemptions aside."""
+    root = Path(root)
+    return _copies(root, CATALOG, primitive_names(root), dicts=False,
+                   exempt=EXEMPT)
 
 
 def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path.cwd()
-    found = find_literals(root)
-    for file, line, hit in found:
+    backends = find_literals(root)
+    prims = find_primitive_literals(root)
+    for file, line, hit in backends:
         print(f"{file}:{line}: back-end list literal {hit}; "
               "read repro.api.BACKENDS instead")
-    if not found:
+    for file, line, hit in prims:
+        print(f"{file}:{line}: primitive list literal {hit}; "
+              "read the repro.lang.builtins catalog instead")
+    if not backends:
         print("back-end names are listed once, in repro.api.BACKENDS")
-    return 1 if found else 0
+    if not prims:
+        print("primitive names are listed once, in repro.lang.builtins")
+    return 1 if backends or prims else 0
 
 
 if __name__ == "__main__":
