@@ -71,7 +71,8 @@ def _scalar_kind(v) -> Optional[str]:
     if isinstance(v, (bool, np.bool_)):
         return "bool"
     if isinstance(v, (int, np.integer)):
-        return "int"
+        # one outside int64 is not hoisted: NumPy's replica refuses it
+        return "int" if -2 ** 63 <= v < 2 ** 63 else None
     if isinstance(v, (float, np.floating)):
         return "float"
     return None

@@ -10,7 +10,9 @@ value whose top nesting level is the iteration space (all arguments share
 the same top length).  Depth-0 arguments have already been replicated by the
 evaluator (section 3: "we rely on parallel extensions of functions to
 replicate such single values"), except where the section-4.5 shared-argument
-fast paths below (``seq_index_shared``) apply.
+fast paths below (``seq_index_shared``) apply; an elementwise op's value
+function (:data:`UFUNCS`) reads a depth-0 operand as a 0-d array
+(:func:`scalar_operand`).
 
 Element types may be arbitrarily nested: every kernel that moves elements
 hands the level arrays below them to one of the three subtree kernels of
@@ -28,7 +30,7 @@ descriptor levels taken over from an argument are not validated again.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -96,33 +98,41 @@ def broadcast_to_count(c: Value, n: int) -> Value:
     return out
 
 
-def _replicated(c: Any, n: int, kind: str) -> NestedVector:
-    """The frame of ``n`` copies of scalar ``c``, not written out (section
-    4.5): a read-only stride-0 view of one stored element."""
-    dtype = KIND_DTYPES[kind]
-    values = np.ndarray((n,), dtype, np.array(c, dtype), 0, (0,))
-    values.flags.writeable = False
-    return NestedVector([[n]], values, kind)
+def scalar_operand(c: Value) -> tuple[np.ndarray, str]:
+    """Depth-0 scalar ``c`` as a kernel operand: a 0-d array of its leaf
+    kind's dtype, and the kind.  An int outside int64 is refused in the
+    boundary's words (:func:`repro.vector.convert.from_python`)."""
+    if isinstance(c, bool):
+        kind = "bool"
+    elif isinstance(c, (float, np.floating)):
+        kind = "float"
+    elif isinstance(c, (int, np.integer)):
+        kind = "int"
+    elif isinstance(c, VFun):
+        c, kind = FUNTABLE.intern(c.name), "fun"
+    else:
+        raise VectorError(f"cannot broadcast {c!r}")
+    try:
+        return np.array(c, KIND_DTYPES[kind]), kind
+    except OverflowError:
+        raise VectorError(f"integer {c!r} does not fit int64") from None
 
 
 def _broadcast(c: Value, n: int) -> Value:
     if isinstance(c, VTuple):
         return VTuple([_broadcast(x, n) for x in c.items])
-    if isinstance(c, bool):
-        return _replicated(c, n, "bool")
-    if isinstance(c, (float, np.floating)):
-        return _replicated(float(c), n, "float")
-    if isinstance(c, (int, np.integer)):
-        return _replicated(int(c), n, "int")
-    if isinstance(c, VFun):
-        return _replicated(FUNTABLE.intern(c.name), n, "fun")
     if isinstance(c, NestedVector):
         top = np.array([n], dtype=INT_DTYPE)
         reps = np.full(n, c.top_length, dtype=INT_DTYPE)
         lower = [np.tile(d, n) for d in c.descs[1:]]
         return NestedVector.splice(np.tile(c.values, n), c.kind,
                                    new=[top, reps, *lower])
-    raise VectorError(f"cannot broadcast {c!r}")
+    # n copies of a scalar, not written out (section 4.5): a read-only
+    # stride-0 view of one stored element
+    one, kind = scalar_operand(c)
+    values = np.ndarray((n,), one.dtype, one, 0, (0,))
+    values.flags.writeable = False
+    return NestedVector([[n]], values, kind)
 
 
 def empty_frame_value(t: T.Type) -> Value:
@@ -150,8 +160,10 @@ def empty_frame_value(t: T.Type) -> Value:
 # ---------------------------------------------------------------------------
 
 
+# a checked op raises only on a non-empty frame: an operand may be a
+# depth-0 scalar (a 0-d array), which an empty frame never reads
 def _fdiv_vals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if b.size and (b == 0.0).any():
+    if a.size and b.size and (b == 0.0).any():
         raise EvalError("division by zero")
     return a / b
 
@@ -163,13 +175,13 @@ def _sqrt_vals(a: np.ndarray) -> np.ndarray:
 
 
 def _div_vals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if b.size and (b == 0).any():
+    if a.size and b.size and (b == 0).any():
         raise EvalError("division by zero")
     return a // b
 
 
 def _mod_vals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if b.size and (b == 0).any():
+    if a.size and b.size and (b == 0).any():
         raise EvalError("mod by zero")
     return a % b
 
@@ -320,8 +332,8 @@ def k_seq_update(v: Value, i: NestedVector, x: Value) -> Value:
     return zip_leaves(go, v, x)
 
 
-def k_restrict(v: Value, m: NestedVector) -> Value:
-    mcounts = m.descs[1]
+def k_restrict(v: Value, m: NestedVector, level: int = 1) -> Value:
+    mcounts = m.descs[level]
     keep = m.values
     idx = keep.nonzero()[0]     # once per op: every leaf selects through it
     # the kept items per segment, counted from the index
@@ -329,27 +341,28 @@ def k_restrict(v: Value, m: NestedVector) -> Value:
     new_counts = np.bincount(seg_of.take(idx), minlength=mcounts.size)
 
     def go(leaf: NestedVector) -> NestedVector:
-        if not np.array_equal(leaf.descs[1], mcounts):
+        if not np.array_equal(leaf.descs[level], mcounts):
             raise EvalError("restrict: lengths differ")
-        got = S._compress(item_levels(leaf, 2), idx, keep)
-        return NestedVector.splice(got[-1], leaf.kind, leaf, 1,
+        got = S._compress(item_levels(leaf, level + 1), idx, keep)
+        return NestedVector.splice(got[-1], leaf.kind, leaf, level,
                                    (new_counts, *got[:-1]))
     return map_leaves(go, v)
 
 
-def k_combine(m: NestedVector, v: Value, u: Value) -> Value:
+def k_combine(m: NestedVector, v: Value, u: Value, level: int = 1) -> Value:
     keep = m.values
-    mcounts = m.descs[1]
+    mcounts = m.descs[level]
     trues = S.seg_sum(keep.astype(INT_DTYPE), mcounts)
     falses = mcounts - trues
 
     def go(vleaf: NestedVector, uleaf: NestedVector) -> NestedVector:
-        if not np.array_equal(vleaf.descs[1], trues) or \
-           not np.array_equal(uleaf.descs[1], falses):
+        if not np.array_equal(vleaf.descs[level], trues) or \
+           not np.array_equal(uleaf.descs[level], falses):
             raise EvalError("combine: #m != #v + #u within some frame element")
-        got = S.merge_subtrees(keep, item_levels(vleaf, 2),
-                               item_levels(uleaf, 2))
-        return NestedVector.splice(got[-1], vleaf.kind, m, 2, got[:-1])
+        got = S.merge_subtrees(keep, item_levels(vleaf, level + 1),
+                               item_levels(uleaf, level + 1))
+        return NestedVector.splice(got[-1], vleaf.kind, m, level + 1,
+                                   got[:-1])
     return zip_leaves(go, v, u)
 
 
@@ -508,6 +521,10 @@ KERNELS: dict[str, Callable[..., Value]] = {
     "__rep": lambda w, c: c,  # c was already replicated by the caller
 }
 
+#: the kernels whose segment counts are at descriptor ``level``: 1 for a
+#: frame, 0 for a depth-0 sequence, whose ``descs[0]`` is its one segment
+LEVEL0 = frozenset({"restrict", "combine"})
+
 
 # ---------------------------------------------------------------------------
 # Evaluator support: depth-0 construction, wrapping, frame surgery
@@ -641,19 +658,23 @@ def unwrap1(v: Value) -> Value:
     return v.drop_unit()
 
 
-@functools.cache    # one closure per primitive: at most len(KERNELS)
-def bind_kernel(name: str) -> Callable[[list[Value]], Value]:
+@functools.cache    # one closure per primitive and level
+def bind_kernel(name: str, level: int = 1) -> Callable[[list[Value]], Value]:
     """The depth-1 kernel for primitive ``name`` as a function of its frame
     list: conformability check, the kernel, the ``kernel``-layer profile
-    record and the guard's kernel-boundary hook."""
+    record and the guard's kernel-boundary hook.  At ``level`` 0 (a
+    :data:`LEVEL0` kernel) it is one application on depth-0 values: no
+    frame to conform, a frame length of 1."""
     try:
         k = KERNELS[name]
     except KeyError:
         raise VectorError(f"no depth-1 kernel for {name!r}") from None
+    if level != 1:
+        k = functools.partial(k, level=level)
     what = f"{name}^1"
 
     def run(args: list[Value]) -> Value:
-        n = check_conformable(args, what) if args else 0
+        n = (check_conformable(args, what) if args else 0) if level else 1
         result = k(*args)
         if _obs.PROFILER is not None:
             count_kernel(name, n, tuple(args), result)

@@ -2,10 +2,12 @@
 
 Every vector lane applies depth-``d`` parallel extensions the same way
 (rule T1, argument replication, section-4.5 shared paths, group dispatch
-over function frames).  This module hosts that logic once; the evaluator
-supplies a ``call_user(name, vector_args) -> Value`` callback for
-user-function bodies and an optional ``observe(op, width)`` hook for the
-machine simulator.
+over function frames), skipping descriptor surgery where no descriptor
+is read: an elementwise op runs on value vectors at every depth, and a
+depth-0 ``restrict`` / ``combine`` on the sequence itself.  This module
+hosts that logic once; the evaluator supplies a ``call_user(name,
+vector_args) -> Value`` callback for user-function bodies and an optional
+``observe(op, width)`` hook for the machine simulator.
 
 Application is split in two.  :meth:`Applier.bind` takes the *static* facts
 of a call site — the name, the frame depth, which arguments reach it — and
@@ -128,6 +130,8 @@ class Applier:
             return self._bind_fused(name, arg_depths, depth)
         if depth == 0:
             return self._bind0(name, node_type)
+        if name in O.UFUNCS:
+            return self._bind_ew(name, arg_depths, depth)
         if name == "__seq_index_segshared":
             return lambda args: self._apply_segshared(args, depth)
 
@@ -170,6 +174,51 @@ class Applier:
                 # they create)
                 observe(name, max(n, O.value_size(result)))
             return insert(result, args[src], depth) if t1 else result
+        return run
+
+    def _bind_ew(self, name: str, arg_depths: Sequence[int],
+                 depth: int) -> Bound:
+        """Elementwise ``name^depth``: its value function on the operands'
+        value vectors.  It reads no descriptor, so T1 does not run: the
+        result keeps the lead operand's descriptors (what ``insert`` would
+        rebuild), and a depth-0 operand is a 0-d array, not a replica.  An
+        observer still sees CVL's distribute of each depth-0 operand."""
+        full = tuple(i for i, fd in enumerate(arg_depths) if fd == depth)
+        if not full:
+            return raising(VMError, f"{name}^{depth}: no full-depth argument")
+        holes = tuple(i for i, fd in enumerate(arg_depths) if fd != depth)
+        src, op = full[0], O.UFUNCS[name]
+        # fixed by the row, or the kind its operands share
+        fixed, seen = B.get_builtin(name).result_kind, self.observer
+
+        def run(args: list) -> Value:
+            lead = args[src]
+            n = lead.values.size
+            vals = list(args)
+            for i in full:
+                vals[i] = args[i].values
+                if vals[i].size != n:
+                    ns = sorted({args[j].values.size for j in full})
+                    raise VectorError(f"{name}^1: non-conformable frames "
+                                      f"with lengths {ns}")
+            for i in holes:
+                vals[i] = O.scalar_operand(args[i])[0]
+                if seen is not None:
+                    seen("replicate", n)
+            result = lead.with_values(op(*vals), fixed or lead.kind)
+            if _obs.PROFILER is not None:
+                # counted as after T1, a scalar as a scalar (as the engine
+                # counts it): each frame is its values under one length
+                flat = [a if i in holes else NestedVector([[n]], a.values,
+                                                          a.kind)
+                        for i, a in enumerate((*args, result))]
+                O.count_kernel(name, n, tuple(flat[:-1]), flat[-1])
+            g = _guard.GUARD
+            if g is not None:
+                g.after_kernel(name, n, result)
+            if seen is not None:
+                seen(name, n)
+            return result
         return run
 
     def _bind_fused(self, name: str, arg_depths: Sequence[int],
@@ -271,7 +320,8 @@ class Applier:
         return lambda flat: call_user(ext1, flat)
 
     def _bind0(self, name: str, node_type: Optional[T.Type]) -> Bound:
-        """Depth-0 application: unit-frame round trip through the kernels."""
+        """Depth-0 application: a level-0 kernel on the sequences
+        themselves, or the unit-frame round trip through a depth-1 one."""
         tuple_op = _tuple_op(name)
         if tuple_op is not None:
             return tuple_op
@@ -282,11 +332,12 @@ class Applier:
             return lambda args: call_user(name, args)
         if name not in O.KERNELS:
             return raising(VMError, f"no depth-0 implementation for {name!r}")
-        kernel = O.bind_kernel(name)
-        seen = self.observer
+        level0 = name in O.LEVEL0
+        kernel, seen = O.bind_kernel(name, 0 if level0 else 1), self.observer
 
         def unit(args: list) -> Value:
-            result = O.unwrap1(kernel([O.wrap1(a) for a in args]))
+            result = kernel(args) if level0 else \
+                O.unwrap1(kernel([O.wrap1(a) for a in args]))
             if seen is not None:
                 # a depth-0 op on a sequence still moves that much data
                 seen(name, max([O.value_size(a) for a in args]

@@ -4,14 +4,17 @@ representation.
 Application of a depth-``d`` parallel extension follows the paper exactly
 (see :mod:`repro.vexec.apply`):
 
-* ``d == 0`` — ordinary scalar evaluation (depth-1 kernels on unit frames);
+* ``d == 0`` — ordinary scalar evaluation (depth-1 kernels on unit frames;
+  ``restrict`` and ``combine`` run at level 0 on the sequence itself);
 * ``d == 1`` — the native depth-1 kernel / the synthesized ``f^1``;
 * ``d >= 2`` — rule T1: ``insert(f^1(extract(e, d)), e, d)``.
 
-Arguments whose recorded frame depth is 0 are *replicated* to the flattened
-frame before the kernel runs (section 3), except for the section-4.5 shared
-fast paths (``__seq_index_shared``), which consume the depth-0 value
-directly.  Higher-order application dispatches on the function value,
+An elementwise primitive reads no descriptor and skips T1: it is one op on
+the value vectors at every depth, a depth-0 operand a 0-d array.  For
+every other primitive, arguments whose recorded frame depth is 0 are
+*replicated* to the flattened frame before the kernel runs (section 3),
+except for the section-4.5 shared fast paths (``__seq_index_shared``),
+which consume the depth-0 value directly.  Higher-order application dispatches on the function value,
 group-by-group for frames of function values.
 
 What runs is the function's VCODE (:mod:`repro.vcode`).  Its first call

@@ -220,6 +220,39 @@ class TestBoundaryErrorParity:
                 assert got == says, (backend, batch)
 
 
+#: (description, source, what the interpreter answers) on ``[1, 2]``: an
+#: int literal outside int64.  The interpreter's integers have no bound, so
+#: it answers; the four vector lanes refuse the literal where it becomes a
+#: kernel operand, in the boundary's words.  Which is right is ROADMAP
+#: 5(a)'s open decision (wrap, or raise on every lane).
+LITERAL_OVERFLOW_CASES = [
+    ("a scalar operand in a frame",
+     "fun f(v) = [x <- v: x * 100000000000000000000]",
+     [10 ** 20, 2 * 10 ** 20]),
+    ("a hoisted scalar of a fused region",
+     "fun f(v) = [x <- v: x * 100000000000000000000 + 1]",
+     [10 ** 20 + 1, 2 * 10 ** 20 + 1]),
+    ("a depth-0 operand", "fun f(v) = 100000000000000000000 + #v",
+     10 ** 20 + 2),
+]
+
+
+class TestLiteralOverflowParity:
+    @pytest.mark.parametrize("desc, src, interp", LITERAL_OVERFLOW_CASES,
+                             ids=[c[0] for c in LITERAL_OVERFLOW_CASES])
+    def test_the_vector_lanes_refuse_it_in_the_boundarys_words(
+            self, desc, src, interp):
+        prog = compile_program(src)
+        assert prog.run("f", [[1, 2]], backend="interp") == interp
+        for backend in BACKENDS:
+            if backend == "interp":
+                continue
+            with pytest.raises(VectorError) as got:
+                prog.run("f", [[1, 2]], backend=backend)
+            assert str(got.value) == \
+                "integer 100000000000000000000 does not fit int64", backend
+
+
 STATIC_CASES = [
     ("unbound variable", "fun f(x) = y"),
     ("arity mismatch", "fun g(x) = x fun f(x) = g(x, x)"),

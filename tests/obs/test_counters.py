@@ -57,33 +57,46 @@ class TestRange1Generator:
 
 class TestDistGenerator:
     """``[x <- v: x + 10]`` — iterating ``v`` is a view (``__iter``: no
-    length, no range1, no gather runs), so the kernels are one replicate
-    of 10 and the add."""
+    length, no range1, no gather runs), and the literal 10 is a depth-0
+    operand the add reads as a scalar, as the native engine reads a hoisted
+    one: the kernel layer is the add alone.  The machine model still
+    charges CVL's distribute of 10 to the frame."""
 
     def setup_method(self):
-        prog = compile_program("fun main(v) = [x <- v: x + 10]")
-        self.result, self.report = prog.profile("main", [[1, 2, 3, 4]])
+        self.prog = compile_program("fun main(v) = [x <- v: x + 10]")
+        self.result, self.report = self.prog.profile("main", [[1, 2, 3, 4]])
 
     def test_result_unchanged(self):
         assert self.result == [11, 12, 13, 14]
 
     def test_exact_kernel_table(self):
         got = {op: c.calls for op, c in kernel_map(self.report).items()}
-        assert got == {"replicate": 1, "add": 1}
+        assert got == {"add": 1}
 
     def test_replicate_charged_at_frame_width(self):
-        rep = kernel_map(self.report)["replicate"]
-        assert rep.max_frame_len == 4
-        assert rep.elements == 4  # the four copies of the literal 10
+        # in the machine model's view: the vm layer and the trace
+        _r, rep = self.prog.profile("main", [[1, 2, 3, 4]], backend="vcode")
+        vm = {c.op: c for c in rep.layer("vm")}["replicate"]
+        assert (vm.calls, vm.elements) == (1, 4)
+
+    def test_simulator_trace_keeps_the_distribute(self):
+        _r, trace = self.prog.vector_trace("main", [[1, 2, 3, 4]])
+        assert trace == [("replicate", 4), ("add", 4)]
+
+    def test_scalar_operand_counted_as_a_scalar(self):
+        add = kernel_map(self.report)["add"]
+        # x (4 + its [4] descriptor), 10 (one 8-byte word), the result
+        assert (add.elements, add.bytes_moved, add.max_frame_len) == \
+            (9, 40 + 8 + 40, 4)
 
     def test_shared_index_no_dist_of_source(self):
         # section 4.5: v is viewed in place, never replicated per index
         assert "dist" not in kernel_map(self.report)
 
     def test_totals(self):
-        assert self.report.total_calls() == 2
-        # 4 copies of 10; add reads 4 + 4 and writes 4
-        assert self.report.total_elements() == 16
+        assert self.report.total_calls() == 1
+        # add reads 4 + the scalar 10 and writes 4
+        assert self.report.total_elements() == 9
 
 
 class TestConditionalRestrictCombine:
