@@ -45,6 +45,8 @@ backend, and predicted-work native tiering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.interp.cost import (ARG0_LEN, ARG1_SCALAR, ARGS01_LEN, FLAT_ARG0,
@@ -476,13 +478,14 @@ def _bind_concrete(prefix: str, t: T.Type, value: Any,
 
 
 def _max_int_leaf(vals: list[Any], t: T.Type) -> int:
+    """The largest ``abs`` of an int leaf (0 if none), layer by layer."""
     if isinstance(t, T.TInt):
-        return max((abs(int(x)) for x in vals), default=0)
+        return int(max(max(vals), -min(vals))) if vals else 0
     if isinstance(t, T.TTuple):
-        return max((_max_int_leaf([v[i] for v in vals], c)
+        return max((_max_int_leaf(list(map(itemgetter(i), vals)), c)
                     for i, c in enumerate(t.items)), default=0)
     if isinstance(t, T.TSeq):
-        return _max_int_leaf([x for s in vals for x in s], t.elem)
+        return _max_int_leaf(list(chain.from_iterable(vals)), t.elem)
     return 0
 
 

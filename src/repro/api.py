@@ -468,9 +468,10 @@ class CompiledProgram:
         ``backend="interp"`` — like zero-argument or function-valued-
         argument entries — falls back to a per-request loop with the same
         results.  ``check``/``budget`` scope one guard around the whole
-        batch (per-request budget isolation is the serving layer's job:
-        :class:`repro.serve.BatchExecutor` never coalesces budgeted
-        requests).
+        batch: ``f^1`` on N requests uses at least what it uses on any of
+        them, so :class:`repro.serve.BatchExecutor` runs a group under
+        its members' tightest budget and re-runs each member under its
+        own when the group breaches (docs/SERVING.md).
         """
         row = backend_row(backend)
         argsets = [list(a) for a in argsets]

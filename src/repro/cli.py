@@ -897,7 +897,8 @@ def serve(default_source=None, backend="vector", max_batch=64,
                           if s["batches"] else 0.0)
             line = (f"serve: {s['requests']} requests, {s['batches']} "
                     f"batches (mean {mean_batch:.1f}, max {s['max_batch']}),"
-                    f" {s['singles']} singles, {s['fallbacks']} fallbacks, "
+                    f" {s['singles']} singles, {s['budgeted_batched']} "
+                    f"budgeted batched, {s['fallbacks']} fallbacks, "
                     f"{s['errors']} errors")
             if pool:
                 line += (f", {s['restarts']} worker restarts, "

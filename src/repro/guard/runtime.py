@@ -1,13 +1,14 @@
-"""Process-wide guard switch: strict invariant checking and resource budgets.
+"""The guard switch: strict invariant checking and resource budgets.
 
 This module follows the zero-overhead-when-off contract established by
-:mod:`repro.obs.runtime` exactly.  Every guarded hot path in the package
-reads one module global and tests it against ``None``::
+:mod:`repro.obs.runtime`.  Every guarded hot path in the package reads
+one module global and tests it against ``None``; only when some thread
+has a scope open does it go on to the calling thread's own state::
 
     from repro.guard import runtime as _guard
     ...
     g = _guard.GUARD
-    if g is not None:
+    if g is not None and (g := g.state) is not None:
         g.after_kernel(name, n, result)
 
 When guarding is off (the default) the cost of a guard site is one
@@ -20,8 +21,9 @@ computation, no clock read.  Activation is scoped::
         prog.run("main", [64])
 
 ``guarded`` saves and restores the previously active state, so scopes nest
-(the innermost guard observes the work).  Like the profiler switch it is
-process-wide, not thread-local: guard one pipeline run at a time.
+(the innermost guard observes the work).  The active state is per thread:
+a serve dispatcher running one request's budget never charges the kernels
+another thread runs at the same time.
 
 Two independent facilities live behind the switch:
 
@@ -62,9 +64,19 @@ _validate_value = None
 __all__ = ["Budget", "GuardConfig", "GuardState", "guarded",
            "scoped_recursion_limit", "current"]
 
-#: The active guard state, or None when guarding is off.  Guarded code
-#: reads this exactly once per site.
-GUARD: Optional["GuardState"] = None
+
+class _Scopes(threading.local):
+    state: Optional["GuardState"] = None     # this thread's innermost scope
+
+
+_SCOPES = _Scopes()
+_open = 0                           # scopes open across all threads
+_open_lock = threading.Lock()
+
+#: None while no thread has a guard scope open, else the per-thread
+#: holder whose ``state`` is the calling thread's active guard.  Guarded
+#: code reads this exactly once per site.
+GUARD: Optional[_Scopes] = None
 
 #: How many of the innermost stack frames the call-depth diagnostic
 #: inspects when attributing a depth breach to one function.
@@ -244,22 +256,29 @@ class GuardState:
 
 
 def current() -> Optional[GuardState]:
-    """The active guard state, or None."""
-    return GUARD
+    """The calling thread's active guard state, or None."""
+    return _SCOPES.state
 
 
 @contextmanager
 def guarded(config: Optional[GuardConfig] = None) -> Iterator[GuardState]:
-    """Activate a :class:`GuardState` for the dynamic extent of the block,
+    """Activate a :class:`GuardState` in this thread for the block,
     restoring the previous one afterwards (scopes nest)."""
-    global GUARD
+    global GUARD, _open
     state = GuardState(config or GuardConfig(check=True))
-    prev = GUARD
-    GUARD = state
+    prev = _SCOPES.state
+    with _open_lock:
+        _open += 1
+        GUARD = _SCOPES
+    _SCOPES.state = state
     try:
         yield state
     finally:
-        GUARD = prev
+        _SCOPES.state = prev
+        with _open_lock:
+            _open -= 1
+            if not _open:
+                GUARD = None
 
 
 # The recursion limit is interpreter-wide, but scopes open and close from

@@ -260,6 +260,8 @@ class Interpreter:
     def _apply(self, f: FunVal, args: list[Any]) -> tuple[Any, int]:
         name = f.name
         g = _guard.GUARD
+        if g is not None:
+            g = g.state
         if name in self.program.defs:
             d = self.program[name]
             if len(args) != len(d.params):
@@ -283,7 +285,7 @@ class Interpreter:
         work = prim_work(name, args, res)
         self.cost.work += work
         g = _guard.GUARD
-        if g is not None:
+        if g is not None and (g := g.state) is not None:
             g.tick(f"interp:{name}")
             g.charge(f"interp:{name}", work, 8 * work)
         return res, 1

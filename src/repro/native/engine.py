@@ -206,7 +206,7 @@ class NativeEngine:
         if _obs.PROFILER is not None:
             count_kernel(name, n, tuple(call_args), result, "native")
         g = _guard.GUARD
-        if g is not None:
+        if g is not None and (g := g.state) is not None:
             g.after_kernel(name, n, result)
         return result
 

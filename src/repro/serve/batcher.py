@@ -24,14 +24,18 @@ Coalescing rules (see docs/SERVING.md):
 
 * requests group by :meth:`_Request.key` — same source, options, entry,
   argument-type signature, back end, and ``check`` flag;
-* requests carrying a :class:`~repro.guard.Budget` are **never**
-  coalesced: budgets are per-request ceilings, and one guard scope cannot
-  attribute a breach to a single member of a batch.  They execute
-  individually, so a slow request under a tight budget raises
-  :class:`~repro.errors.ResourceLimitError` for that request *only*;
+* a :class:`~repro.guard.Budget` rides in the batch: a group holding any
+  budget runs as one call of ``f^1`` (a lone budgeted request as a frame
+  of one) under one guard whose ceilings are the per-field minimum of its
+  members' budgets.  ``f^1`` on a frame uses at least what it uses on any
+  sub-frame, so a group that passes passes every member, and one that
+  breaches is decomposed below — a request's verdict never depends on its
+  batchmates.  Only a budget that sets ``timeout_s`` runs alone: wall
+  time is not frame-monotone;
 * if a batched call fails for any reason, the group is decomposed and
-  re-run request-by-request so errors land on exactly the requests that
-  caused them — a failing request never poisons its batchmates;
+  re-run request-by-request, each under its own budget, so errors land
+  on exactly the requests that caused them — a failing request never
+  poisons its batchmates;
 * zero-argument and function-valued-argument entries fall back to the
   per-request path (no frame to enumerate / per-request dispatch tables).
 
@@ -177,6 +181,7 @@ class ServeStats:
     batches: int = 0             #: coalesced vector passes executed
     batched_requests: int = 0    #: requests served by those passes
     singles: int = 0             #: requests run individually
+    budgeted_batched: int = 0    #: budgeted requests served by batches
     fallbacks: int = 0           #: batches decomposed after a failure
     max_batch: int = 0           #: largest batch executed
     max_queue_depth: int = 0     #: high-water mark of the queue
@@ -207,49 +212,31 @@ class _Request:
         self.args = list(args)
         self.types = tuple(types) if types is not None else None
         self.check = check if check is not None else config.check
-        self.budget = budget
+        self.budget = budget if budget and budget.any_set() else None
         self.options = options
         self.use_prelude = use_prelude
         self.deadline = (time.monotonic() + deadline_s
                          if deadline_s is not None else None)
         self.future = ServeFuture()
-        #: what it coalesces on; None when it carries a budget: it runs
-        #: alone, and is not idempotent enough for the pool to retry
-        self.batch_key: Optional[tuple] = None if (
-            budget is not None and budget.any_set()) else (
+        #: what it coalesces, tiers and shards on, budgeted or not
+        self.batch_key: tuple = (
             cache_key(source, options, use_prelude), fname, self.types,
             self.backend, self.check)
         self.attempts = 0            #: runs a worker incident cut short
 
     def key(self) -> Optional[tuple]:
         """The coalescing key, or None when the request must run alone
-        (it carries a budget)."""
-        return self.batch_key
-
-
-def _coalesce(queue: deque, max_batch: int) -> list:
-    """Pop the oldest request plus every queued one with the same key, up
-    to ``max_batch`` (a budgeted request comes out alone); the rest keep
-    their order.  The caller holds the lock that guards ``queue``."""
-    head = queue.popleft()
-    group = [head]
-    key = head.key()
-    if key is not None and queue:
-        kept = []
-        while queue and len(group) < max_batch:
-            r = queue.popleft()
-            (group if r.key() == key else kept).append(r)
-        queue.extendleft(reversed(kept))
-    return group
+        (its budget sets ``timeout_s``)."""
+        b = self.budget
+        return self.batch_key if b is None or b.timeout_s is None else None
 
 
 def _partition(queue: deque, max_batch: int) -> list:
-    """Every request of ``queue`` in its coalescible groups, in one pass —
-    what calling :func:`_coalesce` until the queue is empty returns.  A
-    budgeted request is a group of one; any other joins its key's open
-    group while that group is below ``max_batch``, and otherwise opens a
-    new group at its own position.  Groups come in the order of their
-    first members; ``queue`` is left as it was."""
+    """Every request of ``queue`` in its coalescible groups, in one pass.
+    A request without a key is a group of one; any other joins its key's
+    open group while that group is below ``max_batch``, and otherwise
+    opens a new group at its own position.  Groups come in the order of
+    their first members; ``queue`` is left as it was."""
     groups: list = []
     open_groups: dict = {}
     for r in queue:
@@ -272,9 +259,19 @@ def _job(group: list) -> dict:
     return {"source": lead.source, "options": lead.options,
             "use_prelude": lead.use_prelude, "fname": lead.fname,
             "types": lead.types, "check": lead.check,
-            "backend": lead.backend, "budget": lead.budget,
-            "key": lead.key(),
-            "items": [(r.rid, r.args) for r in group]}
+            "backend": lead.backend, "key": lead.batch_key,
+            "items": [(r.rid, r.args) for r in group],
+            "budgets": [r.budget for r in group]}
+
+
+def _tightest(budgets: list) -> Optional[Budget]:
+    """One guard for a group: each ceiling the least its members set
+    (None when no member carries a budget)."""
+    budgets = [b for b in budgets if b is not None]
+    if len(budgets) < 2:
+        return budgets[0] if budgets else None
+    return Budget(*(min((v for v in vals if v is not None), default=None)
+                    for vals in zip(*(vars(b).values() for b in budgets))))
 
 
 def _predict(prog, fname: str, args: list, types) -> Optional[dict]:
@@ -303,16 +300,19 @@ def run_group(cache: CompileCache, tier: TierPolicy,
     """Execute one coalesced group (:func:`_job`): ``(outcomes, flags)``
     with one ``(ok, value-or-error)`` per item, in order.
 
-    One batched pass on the back end ``tier`` selects (a lone request
-    runs unbatched, under its budget); a native-tier compile failure is
-    reported to ``tier`` and retried on the requested back end, so
-    tiering never surfaces an error the requested back end would not
-    have raised; any other :class:`ReproError` decomposes a batch into
-    per-request runs, every :class:`ResourceLimitError` request-named.
-    ``flags`` marks what the caller accounts: ``promoted``, ``demoted``,
-    ``fallback`` (decomposed).
+    One batched pass on the back end ``tier`` selects, under the
+    :func:`_tightest` of the members' budgets (a lone unbudgeted request
+    runs unbatched, as ``f``; a budget is always charged on ``f^1``); a
+    native-tier compile failure is reported to ``tier`` and retried on
+    the requested back end, so tiering never surfaces an error the
+    requested back end would not have raised; any other
+    :class:`ReproError` decomposes a batch into per-request runs, each
+    under its own budget, every :class:`ResourceLimitError`
+    request-named.  ``flags`` marks what the caller accounts:
+    ``promoted``, ``demoted``, ``fallback`` (decomposed), ``budgeted``
+    (members with a budget, when the batch passed).
     """
-    items = job["items"]
+    items, budgets = job["items"], job["budgets"]
     flags: dict = {}
     try:
         # every batch member is one served request, so the hit-rate
@@ -324,15 +324,19 @@ def run_group(cache: CompileCache, tier: TierPolicy,
     fname, types, check = job["fname"], job["types"], job["check"]
     requested, key = job["backend"], job["key"]
 
-    def one(args: list, backend: str):
-        return prog.run(fname, args, backend=backend, types=types,
-                        check=check, budget=job["budget"])
+    def one(args: list, backend: str, budget: Optional[Budget]):
+        if budget is None:
+            return prog.run(fname, args, backend=backend, types=types,
+                            check=check)
+        return prog.run_batched(fname, [args], backend=backend, types=types,
+                                check=check, budget=budget)[0]
 
     def whole(backend: str) -> list:
         if len(items) == 1:
-            return [one(items[0][1], backend)]
+            return [one(items[0][1], backend, budgets[0])]
         return prog.run_batched(fname, [args for _, args in items],
-                                backend=backend, types=types, check=check)
+                                backend=backend, types=types, check=check,
+                                budget=_tightest(budgets))
 
     def weight() -> int:
         total = 0
@@ -357,6 +361,8 @@ def run_group(cache: CompileCache, tier: TierPolicy,
         else:
             if backend != requested:
                 tier.succeeded(key)
+        if len(items) > 1 and (n := sum(b is not None for b in budgets)):
+            flags["budgeted"] = n
         return [(True, v) for v in values], flags
     except ReproError as e:
         if len(items) == 1:
@@ -365,9 +371,9 @@ def run_group(cache: CompileCache, tier: TierPolicy,
     except Exception as e:
         return [(False, e)] * len(items), flags
     outcomes = []
-    for rid, args in items:
+    for (rid, args), budget in zip(items, budgets):
         try:
-            outcomes.append((True, one(args, requested)))
+            outcomes.append((True, one(args, requested, budget)))
         except Exception as e:
             outcomes.append((False, _name_request(e, rid)))
     return outcomes, flags
@@ -435,7 +441,7 @@ class BatchExecutor:
             request_id if request_id is not None else f"r{next(self._rid)}",
             cfg, source, fname, args, types, backend, check, budget,
             options, use_prelude, deadline_s)
-        if cfg.predict_admission and req.batch_key is None:   # budgeted
+        if cfg.predict_admission and req.budget is not None:
             self._admit(req)     # may raise ResourceLimitError("predicted-…")
         with self._work:
             if self._closed:
@@ -507,16 +513,19 @@ class BatchExecutor:
 
     def _take_frame(self, slot) -> Optional[list[list[_Request]]]:
         """The groups to run next, in order — here a frame of one, the
-        next coalescible group (:func:`_coalesce`) — or None at
-        shutdown.  An idle dispatcher sleeps on the condition ``submit``
-        and ``close`` notify — no timeout, no polling
-        (``tests/serve/test_wakeup.py``)."""
+        first group :func:`_partition` forms, its members taken out of
+        the queue — or None at shutdown.  An idle dispatcher sleeps on
+        the condition ``submit`` and ``close`` notify — no timeout, no
+        polling (``tests/serve/test_wakeup.py``)."""
         with self._work:
             while not self._queue:
                 if self._closed:
                     return None
                 self._work.wait()
-            return [_coalesce(self._queue, self.config.max_batch)]
+            group = _partition(self._queue, self.config.max_batch)[0]
+            taken = set(group)
+            self._queue = deque(r for r in self._queue if r not in taken)
+            return [group]
 
     def _run(self, slot, frame: list[list[_Request]]) -> None:
         for group in frame:
@@ -604,6 +613,7 @@ class BatchExecutor:
             if batched:
                 s.batches += 1
                 s.batched_requests += n
+                s.budgeted_batched += flags.get("budgeted", 0)
                 s.max_batch = max(s.max_batch, n)
                 s.batch_sizes[n] = s.batch_sizes.get(n, 0) + 1
             else:

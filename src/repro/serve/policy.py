@@ -173,9 +173,9 @@ class TierPolicy:
     half-open probe succeeds.
 
     Only ``vector`` requests tier, only when a C toolchain exists, and
-    never a budgeted request (``key is None``).  Promotions and breaker
-    trips are *returned* to the caller, who owns the statistics.
-    Thread-safe.
+    only under a batch key (budgeted requests have one too).  Promotions
+    and breaker trips are *returned* to the caller, who owns the
+    statistics.  Thread-safe.
     """
 
     def __init__(self, native_after: int, breaker_failures: int,

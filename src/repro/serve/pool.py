@@ -14,8 +14,8 @@ server.  What the pool adds:
 * **Sharding.**  Requests are placed on workers by consistent hash of
   their batch key (:class:`~repro.serve.policy.HashRing`), so one program
   key always lands on the same worker and its :class:`CompileCache`,
-  tier tally and native-kernel handles stay hot.  Budgeted requests (no
-  batch key) spread by request id.
+  tier tally and native-kernel handles stay hot — budgeted requests
+  included: a budget does not change the key.
 * **Dispatch.**  One dispatcher thread per worker sleeps on that worker's
   own condition, so work for one shard wakes nobody else, and when the
   worker has nothing in flight takes *everything* its shard has waiting:
@@ -34,7 +34,8 @@ server.  What the pool adds:
   in-flight requests only the first unanswered group can have started:
   it is **requeued** (bounded, jittered
   :class:`~repro.serve.policy.RetryPolicy`; idempotent-only — budgeted
-  requests never retry, a second run would charge the budget twice) or
+  requests never retry, a second run would charge the budget twice, so a
+  budgeted member shares its group's crash exposure and fails typed) or
   **failed** with :class:`~repro.errors.WorkerCrashError` carrying the
   request ids; the groups behind it go back to the queue's front as
   they were, uncharged.
@@ -108,7 +109,7 @@ class PoolConfig(ServeConfig):
     #: retry policy for requests orphaned by a worker crash; ``None``
     #: disables retrying (every victim fails with
     #: :class:`~repro.errors.WorkerCrashError`).  Budgeted requests are
-    #: never retried regardless.
+    #: never retried regardless; their unbudgeted batchmates are.
     retry: Optional[RetryPolicy] = RetryPolicy()
     #: ``submit`` sheds (``ResourceLimitError("healthy-workers", ...)``)
     #: while fewer than this many workers are up.
@@ -400,10 +401,7 @@ class WorkerPool(BatchExecutor):
         self._park(req)
 
     def _park(self, req: _Request) -> None:
-        key = req.key()
-        shard = self._shard(key) if key is not None else \
-            self._ring.lookup(req.rid)
-        handle = self.handles[shard]
+        handle = self.handles[self._shard(req.batch_key)]
         handle.pending.append(req)
         if not handle.inflight:              # else its last `done` wakes it
             handle.wake.notify()
@@ -655,7 +653,7 @@ class WorkerPool(BatchExecutor):
         p = _obs.PROFILER
         for r in victims:
             r.attempts += 1
-            retryable = (retry is not None and r.batch_key is not None
+            retryable = (retry is not None and r.budget is None
                          and retry.allows(r.attempts))
             if retryable and not self._closed:
                 with self._work:

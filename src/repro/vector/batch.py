@@ -56,7 +56,7 @@ _SCALAR_KINDS = {T.TInt: "int", T.TBool: "bool", T.TFloat: "float"}
 
 def _check(stage: str, v: Value) -> None:
     g = _guard.GUARD
-    if g is not None and g.check:
+    if g is not None and (g := g.state) is not None and g.check:
         g.check_value(stage, v)
 
 

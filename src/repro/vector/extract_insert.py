@@ -45,7 +45,7 @@ def extract(v, d: int):
         _flt.visit("extract_insert.extract.top-bump", [out.descs[0]])
         _flt.visit("extract_insert.extract.desc-negate", list(out.descs[1:]))
     g = _guard.GUARD
-    if g is not None and g.check:
+    if g is not None and (g := g.state) is not None and g.check:
         g.check_value("extract", out)
     return out
 
@@ -80,6 +80,6 @@ def insert(r, v, d: int):
         _flt.visit("extract_insert.insert.desc-bump", list(out.descs[:d]))
         _flt.visit("extract_insert.insert.desc-negate", list(out.descs[:d]))
     g = _guard.GUARD
-    if g is not None and g.check:
+    if g is not None and (g := g.state) is not None and g.check:
         g.check_value("insert", out)
     return out

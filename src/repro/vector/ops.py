@@ -679,7 +679,7 @@ def bind_kernel(name: str, level: int = 1) -> Callable[[list[Value]], Value]:
         if _obs.PROFILER is not None:
             count_kernel(name, n, tuple(args), result)
         g = _guard.GUARD
-        if g is not None:
+        if g is not None and (g := g.state) is not None:
             g.after_kernel(name, n, result)
         return result
     return run

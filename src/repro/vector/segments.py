@@ -63,7 +63,7 @@ def _check_level_chain(stage: str, levels: list) -> None:
     turns an inscrutable NumPy IndexError into a stage-named
     :class:`InvariantError`."""
     g = _guard.GUARD
-    if g is None or not g.check:
+    if g is None or (g := g.state) is None or not g.check:
         return
     for i in range(len(levels) - 1):
         d = np.asarray(levels[i])

@@ -214,7 +214,7 @@ class Applier:
                         for i, a in enumerate((*args, result))]
                 O.count_kernel(name, n, tuple(flat[:-1]), flat[-1])
             g = _guard.GUARD
-            if g is not None:
+            if g is not None and (g := g.state) is not None:
                 g.after_kernel(name, n, result)
             if seen is not None:
                 seen(name, n)
@@ -284,7 +284,7 @@ class Applier:
                 if counted is not None:
                     O.count_kernel(name, n, counted, result)
                 g = _guard.GUARD
-                if g is not None:
+                if g is not None and (g := g.state) is not None:
                     g.after_kernel(name, n, result)
             if seen is not None:
                 seen(name, max(total, O.value_size(result)))

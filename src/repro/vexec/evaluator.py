@@ -92,6 +92,8 @@ class _Lowered:
                 f"{name} expects {nparams} arguments, got {len(vargs)}")
         fr = [*vargs, *pad]
         g = _guard.GUARD
+        if g is not None:
+            g = g.state
         if g is None and _flt.INJECTOR is None:
             for step in steps:
                 step(fr)

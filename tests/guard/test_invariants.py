@@ -107,5 +107,5 @@ class TestStrictMode:
         prog = compile_program(SRC)
         with guarded(GuardConfig(check=True)) as st:
             prog.run("main", [5])
-            assert runtime.GUARD is st
-        assert runtime.GUARD is None
+            assert runtime.current() is st
+        assert runtime.current() is None and runtime.GUARD is None

@@ -1,10 +1,11 @@
 """Deadlines, budgets, and backpressure at the serving layer.
 
-The isolation properties: a budget breach fails its own request only
-(budgeted requests never coalesce), a failing batch member never poisons
-its batchmates (the group decomposes and re-runs individually), expired
-requests fail without running, and a full queue sheds load with
-``ResourceLimitError("queue-depth")`` instead of wedging.
+The isolation properties: a budget breach fails its own request only (a
+group breaching its tightest budget re-runs each member under its own), a
+failing batch member never poisons its batchmates (the group decomposes
+and re-runs individually), expired requests fail without running, and a
+full queue sheds load with ``ResourceLimitError("queue-depth")`` instead
+of wedging.
 
 These are properties of the serve core, so every class that does not
 need to reach inside the executor's compile cache runs a second time with
@@ -12,6 +13,7 @@ the process pool as the executor.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -58,17 +60,42 @@ class TestBudgets(_InProcess):
                 assert fut.result(30) == expect(k)
             assert ex.stats.errors == 1
 
-    def test_budgeted_requests_never_coalesce(self):
-        """Each budgeted request runs alone, so a guard breach is
-        attributable: no shared guard scope across requests."""
-        with self.Executor(self.Config(max_batch=16)) as ex:
-            futs = [ex.submit(SRC, "main", [3],
-                              budget=Budget(max_steps=100_000))
-                    for _ in range(6)]
+    def test_budgeted_requests_coalesce_and_a_breach_stays_their_own(self):
+        """Budgeted requests ride in one batch under the tightest budget
+        of the group; when that breaches, the group decomposes and only
+        the request whose own budget is too small fails, named."""
+        def submit_all(ex, tight):
+            # a slow request of another key runs while the six queue up
+            slow = ex.submit(f"{SRC} + 1", "main", [300_000])
+            while ex.queue_depth():
+                time.sleep(0.001)
+            futs = [ex.submit(SRC, "main", [3], request_id=f"b{i}",
+                              budget=Budget(max_steps=1 if i == tight
+                                            else 100_000))
+                    for i in range(6)]
+            assert slow.result(60) == expect(300_000) + 1
+            return futs
+
+        with self.Executor(self.Config(max_batch=16, workers=1,
+                                       predict_admission=False)) as ex:
+            futs = submit_all(ex, tight=None)
             assert [f.result(30) for f in futs] == [expect(3)] * 6
             stats = ex.stats.snapshot()
-            assert stats["batches"] == 0
-            assert stats["singles"] == 6
+            assert stats["batches"] == 1 and stats["batch_sizes"] == {6: 1}
+            assert stats["budgeted_batched"] == 6
+            assert stats["singles"] == 1 and stats["fallbacks"] == 0
+
+        with self.Executor(self.Config(max_batch=16, workers=1,
+                                       predict_admission=False)) as ex:
+            futs = submit_all(ex, tight=2)
+            e = futs[2].exception(30)
+            assert isinstance(e, ResourceLimitError)
+            assert e.limit == "steps" and e.request == "b2"
+            assert [f.result(30) for i, f in enumerate(futs) if i != 2] == \
+                [expect(3)] * 5
+            stats = ex.stats.snapshot()
+            assert stats["fallbacks"] == 1 and stats["errors"] == 1
+            assert stats["batches"] == 0 and stats["budgeted_batched"] == 0
 
     def test_queue_keeps_serving_after_a_breach(self):
         with self.Executor(self.Config(max_batch=8)) as ex:

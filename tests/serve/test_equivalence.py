@@ -81,8 +81,8 @@ def test_coalesced_batch(serve):
 
 
 def test_a_mixed_stream_answers_in_order(serve):
-    """2,000 requests on eight keys, a tenth of them budgeted (they run
-    alone, between the coalesced groups), submitted without waiting:
+    """2,000 requests on eight keys, a tenth of them budgeted (they ride
+    in the coalesced groups of their key), submitted without waiting:
     each future holds its own request's value — whatever groups, and on
     the pool whatever frames, the stream happened to be cut into."""
     import random
@@ -102,7 +102,8 @@ def test_a_mixed_stream_answers_in_order(serve):
     s = ex.stats.snapshot()
     assert s["responses"] == 2000 and s["errors"] == 0
     assert s["batched_requests"] + s["singles"] == 2000
-    assert s["singles"] >= 200 and s["batches"] >= 1
+    assert s["batches"] >= 1 and s["fallbacks"] == 0
+    assert s["budgeted_batched"] >= 1     # a generous budget never breaches
 
 
 def test_runtime_error_inside_a_batch_spares_batchmates(serve):

@@ -279,10 +279,11 @@ def _ids(chaos, site):
 
 def _one_frame(site, victim, retry):
     """One worker, its lead slowed: three requests on each of four keys
-    and one budgeted request wait behind it and leave as ONE frame of
-    five groups — A, B, C, D, the budgeted one — in which ``site`` fires
-    for the ``victim``-th request.  Returns what a client and the
-    counters can see."""
+    and one request under a wall-clock budget (a group of one, though
+    its key is A's) wait behind it and leave as ONE frame of five
+    groups — A, B, C, D, the budgeted one — in which ``site`` fires for
+    the ``victim``-th request.  Returns what a client and the counters
+    can see."""
     from repro.guard import Budget
     chaos = ChaosSpec(sites=(SLOW, site), rate=0.5, seed=8, slow_s=0.3)
     lead, doomed, safe = _ids(chaos, site)
@@ -308,7 +309,7 @@ def _one_frame(site, victim, retry):
             if i == 5:
                 futs[bud] = pool.submit(
                     KEYS[0], "main", [9], request_id=bud,
-                    budget=Budget(max_elements=10 ** 9))
+                    budget=Budget(timeout_s=60.0))
         with pool._lock:
             reqs = {r.rid: r for r in h.pending}
         assert len(reqs) == 13 and pool.stats.frames == 1
@@ -440,3 +441,40 @@ def test_frames_under_contention_lose_and_double_nothing():
         assert results[t] == [i * ((t + i) % 6 + 2) + 1 for i in range(150)]
     assert s["requests"] == s["responses"] == 900 and s["errors"] == 0
     assert s["restarts"] == 1 and s["crashes"] == {"exit": 1}
+
+
+def test_a_crash_fails_the_budgeted_member_typed_and_retries_the_rest():
+    """A budgeted request rides in its key's group, so it shares the
+    group's crash exposure: the worker dies running the group, and the
+    budgeted member fails typed — a second run would charge its budget
+    twice — while its unbudgeted batchmates are retried and answer."""
+    from repro.guard import Budget
+    site = "pool.worker.abort"
+    chaos = ChaosSpec(sites=(SLOW, site), rate=0.5, seed=8, slow_s=0.3)
+    lead, doomed, safe = _ids(chaos, site)
+    mates = safe[:3]
+    with WorkerPool(chaos_cfg(chaos, workers=1, retry=RetryPolicy(
+            max_retries=1, base_backoff_s=0.02))) as pool:
+        h = pool.handles[0]
+        first = pool.submit("fun main(x) = x;", "main", [7], request_id=lead)
+        deadline = time.monotonic() + 10
+        while lead not in h.inflight and time.monotonic() < deadline:
+            time.sleep(0.005)
+        # the budgeted request leads its group: the abort fires for it
+        bud = pool.submit(SRC, "main", [2], request_id=doomed,
+                          budget=Budget(max_elements=10 ** 9))
+        futs = [pool.submit(SRC, "main", [i], request_id=rid)
+                for i, rid in enumerate(mates)]
+        with pool._lock:
+            reqs = {r.rid: r for r in h.pending}
+        assert list(reqs) == [doomed, *mates]
+        e = bud.exception(timeout=120)
+        assert isinstance(e, WorkerCrashError) and e.reason == "exit"
+        assert e.request_ids == (doomed,) and reqs[doomed].attempts == 1
+        assert [f.result(timeout=120) for f in futs] == [1, 2, 5]
+        assert first.result() == 7
+        assert all(reqs[rid].attempts == 1 for rid in mates)
+        s = pool.stats.snapshot()
+        assert s["crashes"] == {"exit": 1} and s["retries"] == 3
+        assert s["errors"] == 1 and s["responses"] == 4
+        assert wait_recovered(pool, 1) == 1

@@ -8,12 +8,14 @@ site, with the four containment claims asserted end to end —
 * **typed failure**: every unsuccessful request resolves with a typed
   error naming it (``WorkerCrashError`` / ``ResourceLimitError``), never
   a hang or an untyped exception;
-* **no bystanders**: a budgeted request runs alone and is never
-  retried, so it shows what a crash costs the rest of its frame: every
-  one whose own id fires no site answers correctly, wherever in a dying
-  worker's frame it was waiting — but for the one group a worker was on
-  when the parent killed it over a checksum in the group before (alive
-  until then, it had moved on), which fails as ``poisoned-response``;
+* **no bystanders**: a request under a wall-clock budget runs alone and
+  is never retried, so it shows what a crash costs the rest of its
+  frame: every such request whose own id fires no site answers
+  correctly, wherever in a dying worker's frame it was waiting — but for
+  the one group a worker was on when the parent killed it over a
+  checksum in the group before (alive until then, it had moved on),
+  which fails as ``poisoned-response``.  A budget without ``timeout_s``
+  rides in its key's group and shares that group's crash exposure;
 * **recovery**: the pool is back to its full worker count at the end,
   and still serves.
 
@@ -48,21 +50,28 @@ def expect_squares(n: int) -> int:
     return sum(i * i for i in range(1, n + 1))
 
 
-def build_workload(count: int) -> list[tuple[str, str, list, object, bool]]:
-    """(rid, source, args, expected, budgeted) tuples; sources cycle over
+#: a budget that rides in its key's group, and one that runs alone
+RIDES = Budget(max_elements=10 ** 9)
+ALONE = Budget(timeout_s=60.0)
+
+
+def build_workload(count: int) -> list[tuple[str, str, list, object, object]]:
+    """(rid, source, args, expected, budget) tuples; sources cycle over
     several batch keys so the run exercises coalesced batches, not just
-    singletons, and one request in ten carries a budget, so it runs
-    alone between them."""
+    singletons, and one request in ten carries a budget: one in twenty
+    rides in its key's group, one in twenty runs alone between them."""
     work = []
     for k in range(count):
         if k % 2 == 0:
             work.append((f"c{k}", SQUARES, [k % 25],
-                         expect_squares(k % 25), k % 10 == 4))
+                         expect_squares(k % 25),
+                         RIDES if k % 10 == 4 else None))
         else:
             s = list(range(k % 7 + 1))
             m = k % 5 + 2
             work.append((f"c{k}", SCALE.format(k=m), [s],
-                         [x * m + 1 for x in s], k % 10 == 9))
+                         [x * m + 1 for x in s],
+                         ALONE if k % 10 == 9 else None))
     return work
 
 
@@ -70,7 +79,10 @@ def forced_victims(spec: ChaosSpec) -> list[tuple[str, str]]:
     """One request id per registered site that is guaranteed to fire,
     each with a unique source (its own batch key, so it leads its own
     group and rolls its own dice) — the smoke covers *every* site on
-    every run, whatever the random workload happens to draw."""
+    every run, whatever the random workload happens to draw.  They run
+    after the workload, one at a time on a recovered pool: queued behind
+    the workload's wedges, a slow-compile victim could expire before it
+    started, or be the group a checksum kill takes down."""
     victims = []
     for j, site in enumerate(sorted(PROCESS_FAULT_SITES)):
         rid = next(r for i in range(100000)
@@ -98,7 +110,7 @@ def main(argv: list[str]) -> int:
     #: victims make every registered site count at least one
     by_site = dict.fromkeys(PROCESS_FAULT_SITES, 0)
     failures: list[str] = []
-    bystanders: set[str] = set()    # budgeted, and no site fires for them
+    bystanders: set[str] = set()    # alone, and no site fires for them
 
     with WorkerPool(cfg) as pool:
         futs = {}
@@ -110,20 +122,14 @@ def main(argv: list[str]) -> int:
             return 2.0 if spec.fires("pool.worker.slow-compile", rid) \
                 else 20.0
 
-        for rid, src, args, want, budgeted in work:
-            if budgeted and not any(spec.fires(s, rid) for s in spec.sites):
-                bystanders.add(rid)
-            futs[rid] = (pool.submit(
-                src, "main", args, request_id=rid,
-                deadline_s=deadline_s(rid),
-                budget=Budget(max_elements=10 ** 9) if budgeted else None),
-                want)
-        for j, (rid, src) in enumerate(forced_victims(spec)):
-            futs[rid] = (pool.submit(src, "main", [3], request_id=rid,
-                                     deadline_s=deadline_s(rid)),
-                         9 + 1000 + j)
+        def recovered() -> int:
+            deadline = time.monotonic() + 30
+            while (pool.healthy_workers() < WORKERS
+                   and time.monotonic() < deadline):
+                time.sleep(0.1)
+            return pool.healthy_workers()
 
-        for rid, (fut, want) in futs.items():
+        def settle(rid: str, fut, want) -> None:
             checksum_kill = False   # it was what a poisoned worker was on
             try:
                 got = fut.result(timeout=300.0)
@@ -147,20 +153,31 @@ def main(argv: list[str]) -> int:
                 if got != want:
                     failures.append(
                         f"{rid}: CONTAMINATED result {got!r} != {want!r}")
-                continue
+                return
             if rid in bystanders and not checksum_kill:
-                failures.append(f"{rid}: BYSTANDER failed, though budgeted "
-                                "(alone in its group) and no site fires "
-                                "for it")
+                failures.append(f"{rid}: BYSTANDER failed, though alone "
+                                "in its group and no site fires for it")
             for site in spec.sites:
                 by_site[site] += spec.fires(site, rid)
 
+        for rid, src, args, want, budget in work:
+            if budget is ALONE and \
+                    not any(spec.fires(s, rid) for s in spec.sites):
+                bystanders.add(rid)
+            futs[rid] = (pool.submit(
+                src, "main", args, request_id=rid,
+                deadline_s=deadline_s(rid), budget=budget), want)
+        for rid, (fut, want) in futs.items():
+            settle(rid, fut, want)
+        for j, (rid, src) in enumerate(forced_victims(spec)):
+            recovered()
+            futs[rid] = (pool.submit(src, "main", [3], request_id=rid,
+                                     deadline_s=deadline_s(rid)),
+                         9 + 1000 + j)
+            settle(rid, *futs[rid])
+
         # recovery: full strength again, and still serving
-        deadline = time.monotonic() + 30
-        while (pool.healthy_workers() < WORKERS
-               and time.monotonic() < deadline):
-            time.sleep(0.1)
-        healthy = pool.healthy_workers()
+        healthy = recovered()
         if healthy < WORKERS:
             failures.append(f"no recovery: {healthy}/{WORKERS} healthy")
         probe_rid = next(r for i in range(100000)
@@ -210,7 +227,7 @@ def main(argv: list[str]) -> int:
           f"{outcome['crash']} crash, {outcome['timeout']} timeout; "
           f"crashes by reason {stats['crashes']}; "
           f"{stats['restarts']} restarts, {stats['retries']} retries; "
-          f"{len(bystanders)} budgeted bystanders; {stats['frames']} frames "
+          f"{len(bystanders)} lone bystanders; {stats['frames']} frames "
           f"of {report['groups_per_frame']} groups; "
           f"{healthy}/{WORKERS} healthy after "
           f"{report['duration_s']}s (report: {report_path})")

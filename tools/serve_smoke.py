@@ -7,15 +7,21 @@ the same workload goes through ``repro serve --pool N`` — the caches
 live in the workers, so the summary must instead show every worker
 healthy and none restarted.
 
-Two requests are traps.  One ``seq(int)`` argument holds ``2**70``: it
+Some requests are traps.  One ``seq(int)`` argument holds ``2**70``: it
 must fail alone — typed, in its place in the order — and everything
 coalesced with it must answer.  One untyped group is led by an empty
-sequence and followed by floats: it must be served as a batch, so the
-summary may count at most the one fallback the first trap causes.
+sequence and followed by floats: it must be served as a batch.  Two
+budgets ride among the SQUARES requests, more than ``--max-batch`` of
+them apart, so never in one group: ``"max_steps": 1`` must fail alone,
+typed and in its place, while its batchmates answer, and ``"max_steps":
+1000000`` must be served inside a batch — the summary counts it as
+budgeted and batched.  So the summary may count at most one fallback per
+failing trap.
 
-Run by the CI ``serve-smoke`` job, both ways; usable locally:
+Run by the CI ``serve-smoke`` job in process, with ``--workers 2`` and
+with ``--pool 2``; usable locally:
 
-    python tools/serve_smoke.py [N_REQUESTS] [--pool N]
+    python tools/serve_smoke.py [N_REQUESTS] [--pool N | --workers N]
 """
 
 from __future__ import annotations
@@ -26,8 +32,10 @@ import subprocess
 import sys
 
 #: Two programs alternating across the workload — the cache must serve
-#: every request after the first two compiles.
-SQUARES = "fun main(n) = sum([i <- [1..n]: i * i])"
+#: every request after the first two compiles.  SQUARES recurses on its
+#: argument, so its cost is unbounded and a budget is left to the guard
+#: (predicted admission would refuse ``"max_steps": 1`` at submit).
+SQUARES = "fun main(n) = if n <= 0 then 0 else n * n + main(n - 1)"
 EVENS = "fun main(s) = [x <- s | x mod 2 == 0: x * x]"
 
 
@@ -48,11 +56,19 @@ DOUBLE = "fun main(s) = [x <- s: x + x]"
 TOO_BIG = 2 ** 70
 TRAP_ERROR = {"ok": False, "kind": "error",
               "error": f"integer {TOO_BIG} does not fit int64"}
-TRAPS = {41: ({"source": EVENS, "args": [[2, TOO_BIG]],
+#: what the ``"max_steps": 1`` request must answer: a steps breach named
+#: after it (the kernel it breaches at depends on the tier)
+STEPS_ERROR = {"ok": False, "kind": "resource",
+               "error": ("steps budget exceeded: ", " [request 96]")}
+TRAPS = {10: ({"source": SQUARES, "args": [10], "max_steps": 1_000_000},
+              expect_squares(10)),
+         41: ({"source": EVENS, "args": [[2, TOO_BIG]],
                "types": ["seq(int)"]}, TRAP_ERROR),
          60: ({"source": DOUBLE, "args": [[]]}, []),
          61: ({"source": DOUBLE, "args": [[1.5]]}, [3.0]),
-         62: ({"source": DOUBLE, "args": [[2.5, 3.5]]}, [5.0, 7.0])}
+         62: ({"source": DOUBLE, "args": [[2.5, 3.5]]}, [5.0, 7.0]),
+         96: ({"source": SQUARES, "args": [6], "max_steps": 1}, STEPS_ERROR)}
+FAILING = (TRAP_ERROR, STEPS_ERROR)
 
 
 def build_workload(count: int) -> tuple[list[dict], list]:
@@ -78,6 +94,7 @@ def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("count", nargs="?", type=int, default=100)
     ap.add_argument("--pool", type=int, default=0, metavar="N")
+    ap.add_argument("--workers", type=int, default=1, metavar="N")
     ns = ap.parse_args(argv)
     count, pool = ns.count, ns.pool
     requests, expected = build_workload(count)
@@ -85,11 +102,12 @@ def main(argv: list[str]) -> int:
 
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "serve", "--stats", "--max-batch",
-         "32"] + (["--pool", str(pool)] if pool else []),
+         "32"] + (["--pool", str(pool)] if pool else
+                  ["--workers", str(ns.workers)]),
         input=payload, capture_output=True, text=True, timeout=300)
     print(proc.stderr, end="", file=sys.stderr)
-    # exit status 1 says a request failed: exactly the one that has to
-    must_fail = sum(1 for want in expected if want is TRAP_ERROR)
+    # exit status 1 says a request failed: exactly the ones that have to
+    must_fail = sum(1 for want in expected if want in FAILING)
     if proc.returncode != (1 if must_fail else 0):
         print(f"serve exited {proc.returncode}")
         return 1
@@ -104,6 +122,13 @@ def main(argv: list[str]) -> int:
         if resp.get("id") != k:
             print(f"response {k} out of order: {resp}")
             failures += 1
+        elif want is STEPS_ERROR:
+            head, tail = want["error"]
+            err = str(resp.get("error"))
+            if resp.get("kind") != "resource" or not (
+                    err.startswith(head) and err.endswith(tail)):
+                print(f"request {k}: got {resp}, want a steps breach")
+                failures += 1
         elif want is TRAP_ERROR:
             if resp != {"id": k, **want}:
                 print(f"request {k}: got {resp}, want {want}")
@@ -116,12 +141,18 @@ def main(argv: list[str]) -> int:
         return 1
 
     stats = proc.stderr
-    # --stats reports "... 12 singles, 1 fallbacks, 1 errors, ..."
+    # --stats reports "... 12 singles, 1 budgeted batched, 2 fallbacks,
+    # 2 errors, ..."
     fallbacks = int(stats.split(" fallbacks,", 1)[0].rsplit(None, 1)[-1])
     if fallbacks > must_fail or f" {must_fail} errors" not in stats:
-        print(f"{fallbacks} fallbacks: only the out-of-range request's "
-              f"group may decompose ({must_fail} expected, and as many "
-              "errors)")
+        print(f"{fallbacks} fallbacks: only a failing trap's group may "
+              f"decompose ({must_fail} expected, and as many errors)")
+        return 1
+    riding = sum(1 for r in requests if r.get("max_steps") == 1_000_000)
+    budgeted = int(stats.split(" budgeted batched,", 1)[0].rsplit(None, 1)[-1])
+    if budgeted != riding:
+        print(f"{budgeted} budgeted requests served in batches, "
+              f"{riding} expected")
         return 1
     if pool:
         # --stats reports "0 worker restarts, ..., 31 frames [2/2 healthy]"
