@@ -393,12 +393,14 @@ class CompiledProgram:
         primitives as compiled C kernels (bit-identical to the NumPy
         path by contract; see docs/NATIVE.md), falling back to the NumPy
         applier — with one warning — when no C toolchain is available.
-        ``"parallel"`` runs those same kernels across ``threads`` CPU
-        cores (default: the machine's CPU count) with OpenMP, serially
-        where the compiler has no OpenMP, still bit-identical to serial —
-        see docs/PARALLEL.md.  ``threads`` is ignored by the other backends;
-        ``threads="auto"`` picks the count from the cost certificate's
-        predicted concurrency (docs/ANALYSIS.md).
+        A kernel call over enough elements runs on several CPUs.
+        ``"parallel"`` runs those same kernels with every call on a team
+        of ``threads`` threads (default: every CPU), serially where the
+        threaded kernels do not build, still bit-identical to serial — see
+        docs/PARALLEL.md.  ``threads`` is
+        ignored by the other backends; ``threads="auto"`` picks the count
+        from the cost certificate's predicted concurrency
+        (docs/ANALYSIS.md).
 
         ``check=True`` (or ``"full"``) enables strict descriptor-invariant
         checking at every kernel and backend boundary; ``check="static"``
@@ -544,21 +546,21 @@ class CompiledProgram:
 
     def emit_c(self, fname: str, arg_types: Sequence[TypeLike],
                native: bool = False,
-               omp_threads: Optional[int] = None) -> str:
+               threads: Optional[int] = None) -> str:
         """CVL-style C translation unit for an entry (section-5 view).
 
         ``native=True`` appends the *real* C kernels the native engine
         compiles for each fused region (the same :mod:`repro.native.codegen`
         output that lands in the kernel cache; see docs/NATIVE.md).
-        ``omp_threads`` additionally switches those kernels to the OpenMP
-        multicore variants the parallel backend compiles for that thread
-        count (docs/PARALLEL.md)."""
+        ``threads`` additionally switches those kernels to their
+        threaded variants, whose thread count is a call argument
+        (docs/PARALLEL.md)."""
         from repro.vcode.compile import compile_transformed
         from repro.vcode.emit_c import emit_program
         _mono, tp = self.prepare(fname, tuple(_as_type(t) for t in arg_types))
         vp = compile_transformed(tp)
         return emit_program(vp, fusion=tp.fusion if native else None,
-                            omp_threads=omp_threads)
+                            threads=threads)
 
     def run_both(self, fname: str, args: Sequence[Any],
                  types: Optional[Sequence[TypeLike]] = None,

@@ -414,9 +414,9 @@ def _parser() -> argparse.ArgumentParser:
     nt.add_argument("--status", action="store_true",
                     help="print toolchain, kernel and cache statistics")
     nt.add_argument("--threads", type=int, default=None, metavar="N",
-                    help="emit the OpenMP multicore kernel variants for N "
-                         "threads instead of the serial kernels "
-                         "(docs/PARALLEL.md)")
+                    help="emit the threaded kernel variants, "
+                         "which take the thread count as a call argument, "
+                         "instead of the serial kernels (docs/PARALLEL.md)")
 
     rp = sub.add_parser("repl", help="interactive read-eval-print loop")
     _backend_flags(rp)
@@ -693,25 +693,24 @@ def _dispatch(ns) -> int:
 
     if ns.cmd == "native":
         if ns.status:
-            from repro.native import toolchain
-            from repro.native.engine import get_engine
+            from repro.native.engine import default_threads, get_engine
             engine = get_engine()
             if engine is None:
                 print("toolchain:   none (no C compiler on PATH; native "
                       "backend falls back to NumPy)")
                 print("available:   no")
-                print("openmp:      no")
+                print("threads:     no")
                 return 0
             st = engine.status()
             print(f"toolchain:   {st['toolchain']}")
             print(f"cflags:      {st['cflags']}")
             print(f"available:   {'yes' if st['available'] else 'no'}")
-            print(f"openmp:      "
-                  f"{'yes' if toolchain.openmp_available() else 'no'}"
-                  f" (multicore kernels; docs/PARALLEL.md)")
+            print(f"threads:     up to {default_threads()} a call "
+                  "(threaded kernels; docs/PARALLEL.md)")
             print(f"kernels:     {st['fused_kernels']} fused, "
                   f"{st['segmented_kernels']} segmented, "
-                  f"{st['gather_kernels']} gather")
+                  f"{st['gather_kernels']} gather, "
+                  f"{st['threaded_kernels']} threaded")
             c = st["cache"]
             print(f"cache:       {c['hits']} hits, {c['misses']} misses, "
                   f"{c['compiles']} compiles, {c['evictions']} evictions, "
@@ -724,7 +723,7 @@ def _dispatch(ns) -> int:
             return EXIT_USAGE
         prog = _load(ns.file)
         print(prog.emit_c(ns.entry, ns.type, native=True,
-                          omp_threads=ns.threads))
+                          threads=ns.threads))
         return 0
 
     if ns.cmd == "repl":

@@ -95,9 +95,9 @@ def default_cache_dir() -> Path:
 def source_key(source: str, toolchain_id: Optional[str] = None,
                extra_flags: tuple = ()) -> str:
     """Cache key for one kernel: content hash of ABI + toolchain + flags
-    + source.  ``extra_flags`` (e.g. ``-fopenmp`` for the parallel
-    backend's OpenMP kernels) join the flag section of the key, so a
-    threaded build never aliases a serial one."""
+    + source.  ``extra_flags`` (``-pthread`` for the threaded kernels)
+    join the flag section of the key, so a threaded build never aliases a
+    serial one."""
     if toolchain_id is None:
         toolchain_id = toolchain.toolchain_id()
     h = hashlib.sha256()

@@ -53,14 +53,14 @@ error paths.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..lang import builtins as B
 from ..transform.fuse import tree_kind
 
-__all__ = ["CTYPES", "SEGMENTED_OPS", "render_tree", "plain_fold",
-           "split_fold", "emit_fused_source", "emit_segmented_source",
-           "emit_gather_source"]
+__all__ = ["CTYPES", "SEGMENTED_OPS", "TEAM_SOURCE", "render_tree",
+           "plain_fold", "split_fold", "emit_fused_source",
+           "emit_segmented_source", "emit_gather_source"]
 
 #: C type per leaf kind (the ``fun`` kind is never compiled).
 CTYPES = {"int": "long long", "bool": "unsigned char", "float": "double"}
@@ -243,9 +243,177 @@ def _fold_nest(op: str, T: str, ident: str, step: str) -> list[str]:
     ]
 
 
+#: pieces a threaded call is cut into per thread: enough that a thread
+#: which starts late or runs slow leaves its share to the others
+_PIECES = 16
+
+
+def _team_entry(params: list, fold, hoisted) -> list[str]:
+    """The threaded kernel's ``piece`` and ``run`` (after ``span``, the
+    serial nest).  ``cur`` is the calling thread's cursor: the segment
+    and the element where its last piece ended (a thread claims pieces
+    in increasing order), so finding where a piece's elements start costs
+    a thread one pass over ``counts`` in all."""
+    names = [p.split()[-1] for p in params]
+    if fold:
+        cut = [f"long long g = a->nseg / {_LANES};",
+               f"long long lo = g * c / nc * {_LANES};",
+               f"long long hi = c + 1 < nc ? g * (c + 1) / nc * {_LANES}"
+               " : a->nseg;",
+               "for (; cur[0] < lo; cur[0]++)",
+               "    cur[1] += a->counts[cur[0]];"]
+        first = "cur[1]"
+        scan = B.get_builtin(fold).fold == "scan"
+        args = [f"a->out + {first if scan else 'lo'}", "a->counts + lo"]
+    else:
+        cut = ["long long lo = a->n * c / nc, hi = a->n * (c + 1) / nc;",
+               "(void)cur;"]
+        first = "lo"
+        args = ["a->out + lo"]
+    args += ["hi - lo"] + [f"a->s{k}" if h else f"a->a{k} + {first}"
+                           for k, h in enumerate(hoisted)]
+    return [
+        f"struct call {{ {'; '.join(params)}; }};",
+        "",
+        "static void piece(const void* p, long long c, long long nc,",
+        "                  long long* cur)",
+        "{",
+        "    const struct call* a = p;",
+        *[f"    {line}" for line in cut],
+        f"    span({', '.join(args)});",
+        "}",
+        "",
+        TEAM_SOURCE,
+        f"void run({', '.join(params)}, int nt, team_fn team)",
+        "{",
+        f"    struct call a = {{{', '.join(names)}}};",
+        f"    team(piece, &a, {_PIECES}LL * nt, nt);",
+        "}",
+    ]
+
+
+#: The team runtime a threaded kernel hands its pieces to.  Every threaded
+#: kernel carries it (so one compile builds both; ``-pthread``), and the
+#: engine passes the ``team_run`` of the first the process loads to every
+#: threaded call, so a process has one team.  Helpers are started on first
+#: use and sleep between calls.  A call's pieces are claimed one at a time
+#: from one atomic word, by the calling thread and by every helper that
+#: wakes while some are left; the caller waits only for pieces already
+#: claimed, never for a helper that has not started, so a helper whose
+#: CPU is busy or descheduled costs the call nothing.  A second thread
+#: calling while the team is busy runs its pieces itself, and a forked
+#: child starts helpers of its own.  Which thread runs a piece never
+#: changes what the piece writes.
+TEAM_SOURCE = r"""/* the team: a threaded call's pieces, run by the calling thread
+ * and up to nt - 1 helpers.  It costs a few atomics a piece, and at -O3
+ * it would take as long to compile as the kernel: GCC builds it at -O0. */
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize ("O0")
+#endif
+#include <pthread.h>
+#include <sched.h>
+#include <stdatomic.h>
+
+typedef void (*piece_fn)(const void* call, long long c, long long nc,
+                         long long* cur);
+typedef void (*team_fn)(piece_fn piece, const void* args, long long nc,
+                        int nt);
+
+/* gen (24 bits) | pieces (20) | next unclaimed piece (20).  A claim names
+ * the call it belongs to, so what it reads next is that call's: the call
+ * cannot end while a piece it claimed is running. */
+static _Atomic unsigned long long word;
+static _Atomic long long finished;
+static piece_fn fn;
+static const void* call;
+
+static pthread_mutex_t mu = PTHREAD_MUTEX_INITIALIZER;
+static pthread_cond_t cv = PTHREAD_COND_INITIALIZER;
+static pthread_mutex_t busy = PTHREAD_MUTEX_INITIALIZER;
+static unsigned long calls;         /* under mu: calls published */
+static int helpers, want, joined;   /* under mu */
+static int hooked;
+
+static void work(void)
+{
+    long long cur[2] = {0, 0};
+    unsigned long long w = atomic_load(&word), gen = w >> 40;
+    for (;;) {
+        unsigned long long nc = (w >> 20) & 0xfffff, c = w & 0xfffff;
+        if (w >> 40 != gen || c >= nc)
+            return;
+        if (atomic_compare_exchange_weak(&word, &w, w + 1)) {
+            fn(call, (long long)c, (long long)nc, cur);
+            atomic_fetch_add(&finished, 1);
+            w = atomic_load(&word);
+        }
+    }
+}
+
+static void* helper(void* arg)
+{
+    unsigned long seen = (unsigned long)arg;
+    pthread_mutex_lock(&mu);
+    for (;;) {
+        while (calls == seen || joined >= want)
+            pthread_cond_wait(&cv, &mu);
+        seen = calls;
+        joined++;
+        pthread_mutex_unlock(&mu);
+        work();
+        pthread_mutex_lock(&mu);
+    }
+    return 0;
+}
+
+static void child(void)
+{
+    /* a forked child has only the thread that forked */
+    pthread_mutex_t m = PTHREAD_MUTEX_INITIALIZER;
+    pthread_cond_t c = PTHREAD_COND_INITIALIZER;
+    mu = m;
+    busy = m;
+    cv = c;
+    helpers = 0;
+}
+
+void team_run(piece_fn piece, const void* args, long long nc, int nt)
+{
+    if (nt < 2 || nc > 0xfffff || pthread_mutex_trylock(&busy)) {
+        long long cur[2] = {0, 0};
+        for (long long c = 0; c < nc; c++)
+            piece(args, c, nc, cur);
+        return;
+    }
+    pthread_mutex_lock(&mu);
+    if (!hooked)
+        hooked = !pthread_atfork(0, 0, child);
+    for (pthread_t t; helpers < nt - 1; helpers++) {
+        if (pthread_create(&t, 0, helper, (void*)calls))
+            break;
+        pthread_detach(t);
+    }
+    fn = piece;
+    call = args;
+    atomic_store(&finished, 0);
+    calls++;
+    atomic_store(&word, (unsigned long long)(calls & 0xffffff) << 40
+                        | (unsigned long long)nc << 20);
+    want = nt - 1;
+    joined = 0;
+    pthread_cond_broadcast(&cv);
+    pthread_mutex_unlock(&mu);
+    work();
+    while (atomic_load(&finished) < nc)     /* pieces still running */
+        sched_yield();
+    pthread_mutex_unlock(&busy);
+}
+"""
+
+
 def emit_fused_source(tree, leaf_kinds: Sequence[str],
                       hoisted: Sequence[bool], name: str = "__fused",
-                      omp_threads: Optional[int] = None) -> str:
+                      threaded: bool = False) -> str:
     """The complete C translation unit for one fused kernel.
 
     ``leaf_kinds[k]`` is the scalar kind of leaf ``k``; ``hoisted[k]`` is
@@ -263,19 +431,18 @@ def emit_fused_source(tree, leaf_kinds: Sequence[str],
     :func:`_fold_nest`'s.  Empty-segment errors for ``maxval``/``minval``
     are raised by the engine *before* the kernel runs.
 
-    With ``omp_threads`` the same nest is emitted as a static ``span``
-    and ``run`` — same signature — becomes an OpenMP parallel region over
-    a fixed thread count in which each thread runs ``span`` on its own
-    contiguous piece: a slice of the elements, or, under a fold, whole
-    groups of ``_LANES`` segments and the elements they own (the count is
-    baked into the source so it participates in the content-address
-    cache key; the caller must compile with ``-fopenmp``).  A ``parallel
-    for`` over the elements would be outlined into a function that has
-    lost the ``restrict`` qualifiers and the unrolling, and ran 8-10%
-    slower per thread than the serial kernel.  Every element and every
-    segment is computed by the serial kernel's own code, so the parallel
-    kernel is bit-identical to the serial one by construction (see
-    docs/PARALLEL.md).
+    With ``threaded`` the same nest is emitted as ``span``, the team
+    runtime (:data:`TEAM_SOURCE`) follows, and ``run`` takes two more
+    arguments, the thread count ``nt`` and the address of a
+    ``team_run``.  It packs its arguments into a ``struct call`` and
+    hands the team ``16 * nt`` pieces; a ``piece`` is ``span`` on one
+    contiguous slice
+    of the elements or, under a fold, on whole groups of ``_LANES``
+    segments and the elements they own.  The thread count is the call's,
+    so one compiled variant serves every count.  Every element and every
+    segment is computed by the serial kernel's own code whichever thread
+    runs its piece, so the threaded kernel is bit-identical to the serial
+    one by construction (see docs/PARALLEL.md).
     """
     fold, body = split_fold(tree)
     out_kind = tree_kind(body, leaf_kinds)
@@ -284,7 +451,6 @@ def emit_fused_source(tree, leaf_kinds: Sequence[str],
     T = CTYPES[out_kind]
     if fold:
         ident, step = _fold_parts(fold, out_kind)
-        scan = B.get_builtin(fold).fold == "scan"
         shape = ["const long long* restrict counts", "long long nseg"]
         nest = _fold_nest(fold, T, ident, step)
         what = [f" * outer loop over segments, {_LANES} in lock-step; the tree is",
@@ -312,10 +478,9 @@ def emit_fused_source(tree, leaf_kinds: Sequence[str],
         leaves.append(f"{CTYPES[kind]} s{k}" if h else
                       f"const {CTYPES[kind]}* restrict a{k}")
     params = [f"{T}* restrict out", *shape, *leaves]
-    omp = omp_threads is not None
     lines = [
         f"/* repro.native {'fold' if fold else 'fused'} kernel {name}"
-        + (f" (OpenMP, {omp_threads} threads):" if omp else ":"),
+        + (" (threaded, pieces on a team of nt):" if threaded else ":"),
         f" *   {render_tree(tree, hoisted)}",
         *what,
         "#include <math.h>",
@@ -324,53 +489,27 @@ def emit_fused_source(tree, leaf_kinds: Sequence[str],
     if _needs_nan_minmax(body):
         lines.append(_NAN_HELPERS)
     lines += [
-        f"{'static void span' if omp else 'void run'}({', '.join(params)})",
+        *(["/* the serial nest; external, so compiled as the serial run is */"]
+          if threaded else []),
+        f"{'void span' if threaded else 'void run'}({', '.join(params)})",
         "{",
         f"#define BODY(j) {_expr(body, list(leaf_kinds), list(hoisted), 'j')}",
         *nest,
         "#undef BODY",
         "}",
     ]
-    if omp:
-        if fold:
-            # whole groups of _LANES segments per thread; its elements
-            # start where the segments before it end
-            cut = [f"long long per = nseg / ({_LANES} * k) * {_LANES};",
-                   "long long lo = per * t, at = 0;",
-                   "long long hi = t + 1 < k ? lo + per : nseg;",
-                   "for (long long s = 0; s < lo; s++) at += counts[s];"]
-            args = [f"out + {'at' if scan else 'lo'}", "counts + lo"]
-        else:
-            cut = ["long long lo = n / k * t;",
-                   "long long hi = t + 1 < k ? lo + n / k : n;"]
-            args = ["out + lo"]
-        first = "at" if fold else "lo"      # the piece's first element
-        args += ["hi - lo"] + [f"s{k}" if h else f"a{k} + {first}"
-                               for k, h in enumerate(hoisted)]
-        lines += [
-            "",
-            "#include <omp.h>",
-            f"void run({', '.join(params)})",
-            "{",
-            f"#pragma omp parallel num_threads({omp_threads})",
-            "    {",
-            "        long long t = omp_get_thread_num();",
-            "        long long k = omp_get_num_threads();",
-            *[f"        {line}" for line in cut],
-            f"        span({', '.join(args)});",
-            "    }",
-            "}",
-        ]
+    if threaded:
+        lines += ["", *_team_entry(params, fold, hoisted)]
     return "\n".join(lines) + "\n"
 
 
-def emit_segmented_source(op: str, kind: str,
-                          omp_threads: Optional[int] = None) -> str:
+def emit_segmented_source(op: str, kind: str, threaded: bool = False
+                          ) -> str:
     """The C translation unit for one plain segment-aware kernel,
     ``run(out, counts, nseg, v)``: the fold-rooted kernel of
     :func:`emit_fused_source` on the identity tree."""
     return emit_fused_source(plain_fold(op), [kind], [False], name=op,
-                             omp_threads=omp_threads)
+                             threaded=threaded)
 
 
 def emit_gather_source(kind: str) -> str:

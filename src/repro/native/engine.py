@@ -16,6 +16,12 @@ that writes the fold's result and nothing else; the plain segmented
 reductions and scans are that kernel on the identity tree, so there is one
 kernel table and one call path.
 
+A call sizes its own thread count (:meth:`NativeEngine.threads_for`):
+the serial kernel below ``THREAD_FLOOR`` elements a thread, else the
+tree's one threaded variant, which takes the count as an argument, hands
+its pieces to the process's team of helper threads and returns the serial
+bits (docs/PARALLEL.md).
+
 Executions are profiled into the ``native`` obs layer with the same
 element/byte accounting the NumPy kernels use for the ``kernel`` layer, so
 ``repro profile`` shows per-kernel native-vs-numpy counts side by side.
@@ -27,7 +33,9 @@ it is neither validated nor charged.
 
 from __future__ import annotations
 
+import copy
 import ctypes
+import os
 import threading
 from typing import NamedTuple, Optional
 
@@ -40,15 +48,49 @@ from ..transform.fuse import read_leaves, tree_kind
 from ..vector.nested import NestedVector
 from ..vector.ops import count_kernel
 from ..vector.segments import INT_DTYPE
-from ..errors import EvalError, VectorError
+from ..errors import EvalError, NativeCompileError, VectorError
 from . import toolchain
 from .cache import CFLAGS, Kernel, KernelCache
 from .codegen import (
-    CTYPES, SEGMENTED_OPS, emit_fused_source, emit_gather_source, plain_fold,
-    split_fold,
+    _LANES, CTYPES, SEGMENTED_OPS, emit_fused_source, emit_gather_source,
+    plain_fold, split_fold,
 )
 
-__all__ = ["NativeEngine", "get_engine", "reset_engine"]
+__all__ = ["NativeEngine", "THREAD_FLOOR", "default_threads", "get_engine",
+           "reset_engine", "set_default_threads"]
+
+#: Elements a kernel call must give each thread before it adds one: the
+#: measured crossover of a 2-thread call against the serial kernel
+#: (docs/PARALLEL.md has the table), read also by ``--threads auto``.
+THREAD_FLOOR = 65_536
+
+_DEFAULT_THREADS: Optional[int] = None
+
+
+def set_default_threads(n: Optional[int]) -> None:
+    """Set the process's thread cap (the CLI's ``--threads`` lands here
+    so serve and fuzz flows pick it up, and a pool worker takes its share
+    of the CPUs); None restores auto-detection."""
+    global _DEFAULT_THREADS
+    _DEFAULT_THREADS = None if n is None else max(1, int(n))
+
+
+def default_threads() -> int:
+    """The most threads one call may use: the :func:`set_default_threads`
+    override, else ``$REPRO_THREADS``, else the CPUs this process may run
+    on (its affinity mask)."""
+    if _DEFAULT_THREADS is not None:
+        return _DEFAULT_THREADS
+    env = os.environ.get("REPRO_THREADS")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            pass
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
 _DTYPES = {"int": np.int64, "bool": np.bool_, "float": np.float64}
 _SCALAR_CTYPES = {"int": ctypes.c_longlong, "bool": ctypes.c_ubyte,
@@ -95,7 +137,8 @@ class _Site(NamedTuple):
     fold: Optional[str]     #: the segmented fold at the root, if any
     reduction: bool     #: ... which writes one value per segment
     strict: bool        #: ... and refuses an empty one
-    variants: dict      #: ``(kinds, hoisted) -> (kernel, out kind, dtype)``
+    #: ``(kinds, hoisted) -> [kernel, out kind, dtype, threaded kernel]``
+    variants: dict
 
 
 class NativeEngine:
@@ -106,21 +149,41 @@ class NativeEngine:
     writes — so a warm :meth:`apply_fused` hashes the tree once, takes no
     lock, walks no tree and builds no ctypes value (``argtypes`` convert).
     The records only fill, idempotently; a refusal is never recorded, so a
-    missing toolchain is asked about on every call."""
+    missing toolchain is asked about on every call.
 
-    #: OpenMP seams, overridden by the parallel backend's engine subclass
-    #: (:class:`repro.parallel.engine._OmpNative`): a thread count baked
-    #: into emitted kernels, and extra compiler flags (``-fopenmp``) that
-    #: also enter the content-address cache key.
-    _omp_threads: Optional[int] = None
-    _extra_cflags: tuple = ()
+    ``threads`` None sizes each call (:meth:`threads_for`); a count runs
+    every call on a team of that many (1: serial), as ``parallel`` does.
+    A team is the calling thread and up to ``threads - 1`` helpers: a
+    helper that has not woken by the time the pieces run out is not
+    waited for."""
 
     def __init__(self, cache: Optional[KernelCache] = None):
         self.cache = cache if cache is not None else KernelCache()
+        self.threads: Optional[int] = None
         self._lock = threading.Lock()
         self._sites: dict = {}    # tree -> _Site
         self._fused: dict = {}    # (compact tree, kinds, hoisted) -> Kernel
+        self._threaded: dict = {}  # ... -> its threaded variant
         self._gather: dict = {}   # kind -> Kernel
+
+    def at_threads(self, threads: int) -> "NativeEngine":
+        """This engine — its kernels, records and cache — with every call
+        on a team of ``threads`` threads."""
+        eng = copy.copy(self)
+        eng.threads = max(1, int(threads))
+        return eng
+
+    def threads_for(self, elems: int, nseg: Optional[int] = None) -> int:
+        """Threads for a call over ``elems`` elements (in ``nseg``
+        segments under a fold): the fixed count, else as many as give
+        each thread ``THREAD_FLOOR`` elements and a group of ``_LANES``
+        segments, at most :func:`default_threads`."""
+        if self.threads is not None:
+            return self.threads
+        t = elems // THREAD_FLOOR
+        if nseg is not None:
+            t = min(t, nseg // _LANES)
+        return 1 if t < 2 else min(t, default_threads())
 
     # -- fused trees: elementwise, or rooted at a segmented fold ----------
 
@@ -185,11 +248,11 @@ class NativeEngine:
             variant = self._variant(site, key, name)
             if variant is None:
                 return None
-        kernel, out_kind, dtype = variant
+        kernel, out_kind, dtype, threaded = variant
         if fold is None:
+            shape: tuple = (n,)
             out = np.empty(n, dtype=dtype)
-            kernel.run(out.ctypes.data, n, *argv)
-            result = _frame_result(first_vec, n, out, out_kind)
+            t = self.threads_for(n)
         else:
             counts = np.ascontiguousarray(first_vec.descs[1],
                                           dtype=INT_DTYPE)
@@ -197,9 +260,21 @@ class NativeEngine:
             if strict and nseg and int(counts.min()) == 0:
                 # same message, raised before the kernel runs
                 raise VectorError(f"{fold} of an empty sequence")
+            shape = (counts.ctypes.data, nseg)
             out = np.empty(nseg if reduction else first_vec.values.size,
                            dtype=dtype)
-            kernel.run(out.ctypes.data, counts.ctypes.data, nseg, *argv)
+            t = self.threads_for(first_vec.values.size, nseg)
+        if t >= 2 and threaded is None:
+            threaded = variant[3] = self._build(site, key, name, True)
+        if t >= 2 and threaded is not None:
+            threaded.run(out.ctypes.data, *shape, *argv, t, _TEAM[0])
+        else:
+            if kernel is None:
+                kernel = variant[0] = self._build(site, key, name, False)
+            kernel.run(out.ctypes.data, *shape, *argv)
+        if fold is None:
+            result = _frame_result(first_vec, n, out, out_kind)
+        else:
             # a reduction keeps the frame level, a scan every level
             result = NestedVector.splice(out, out_kind, first_vec,
                                          1 if reduction else 2)
@@ -211,37 +286,63 @@ class NativeEngine:
         return result
 
     def _variant(self, site: _Site, key: tuple, name: str
-                 ) -> Optional[tuple]:
-        """Bind ``site`` at leaf kinds and hoist mask ``key`` — its kernel
-        is compiled once per compact tree — or None when there is none
-        to be had: an output kind C has no loop for, no toolchain."""
-        kinds, hoisted = key
-        ctree = site.ctree
-        out_kind = tree_kind(ctree, kinds)
+                 ) -> Optional[list]:
+        """Bind ``site`` at leaf kinds and hoist mask ``key``, or None
+        when there is no kernel to be had: an output kind C has no loop
+        for, no toolchain."""
+        out_kind = tree_kind(site.ctree, key[0])
         if out_kind not in (SEGMENTED_OPS[site.fold] if site.fold
                             else CTYPES):
             return None
-        with self._lock:
-            kernel = self._fused.get((ctree, kinds, hoisted))
-        if kernel is None:
-            if not toolchain.available():
-                toolchain.warn_unavailable_once()
-                return None
-            source = emit_fused_source(ctree, kinds, hoisted, name,
-                                       omp_threads=self._omp_threads)
-            # out, then the iteration space: n, or counts and nseg
-            argtypes: list = [ctypes.c_void_p, ctypes.c_longlong]
-            if site.fold:
-                argtypes.insert(1, ctypes.c_void_p)
-            for kind, h in zip(kinds, hoisted):
-                argtypes.append(_SCALAR_CTYPES[kind] if h
-                                else ctypes.c_void_p)
-            kernel = self.cache.get(source, argtypes,
-                                    extra_flags=self._extra_cflags)
-            with self._lock:
-                self._fused[(ctree, kinds, hoisted)] = kernel
-        variant = site.variants[key] = (kernel, out_kind, _DTYPES[out_kind])
+        if not toolchain.available():
+            toolchain.warn_unavailable_once()
+            return None
+        variant = site.variants[key] = [None, out_kind, _DTYPES[out_kind],
+                                        None]
         return variant
+
+    def _build(self, site: _Site, key: tuple, name: str, threaded: bool
+               ) -> Optional[Kernel]:
+        """Compile (or load) ``site``'s kernel at ``key``, once per compact
+        tree, on the first call that runs it.  The threaded variant is
+        None where it does not build, which answers "no threads" for the
+        process (:func:`toolchain.threads_known`)."""
+        if threaded and toolchain.threads_known() is False:
+            return None
+        kinds, hoisted = key
+        ck = (site.ctree, kinds, hoisted)
+        table = self._threaded if threaded else self._fused
+        with self._lock:
+            kernel = table.get(ck)
+        if kernel is not None:
+            return kernel
+        # out, then the iteration space: n, or counts and nseg
+        argtypes: list = [ctypes.c_void_p, ctypes.c_longlong]
+        if site.fold:
+            argtypes.insert(1, ctypes.c_void_p)
+        for kind, h in zip(kinds, hoisted):
+            argtypes.append(_SCALAR_CTYPES[kind] if h else ctypes.c_void_p)
+        source = emit_fused_source(site.ctree, kinds, hoisted, name,
+                                   threaded=threaded)
+        if not threaded:
+            kernel = self.cache.get(source, argtypes)
+        else:
+            try:    # then the thread count and the team's entry
+                kernel = self.cache.get(
+                    source, [*argtypes, ctypes.c_int, ctypes.c_void_p],
+                    extra_flags=("-pthread",))
+            except NativeCompileError:
+                toolchain.note_threads(False)
+                return None
+            toolchain.note_threads(True)
+        with self._lock:
+            table[ck] = kernel
+        if threaded:
+            with _ENGINE_LOCK:
+                if not _TEAM:
+                    _TEAM[:] = [ctypes.cast(kernel.lib.team_run,
+                                            ctypes.c_void_p).value, kernel]
+        return kernel
 
     # -- shared-index gather (section 4.5 fast path) ----------------------
 
@@ -284,8 +385,7 @@ class NativeEngine:
         argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong,
                     ctypes.c_void_p, ctypes.c_longlong]
         kernel = self.cache.get(source, argtypes,
-                                restype=ctypes.c_longlong,
-                                extra_flags=self._extra_cflags)
+                                restype=ctypes.c_longlong)
         with self._lock:
             self._gather[kind] = kernel
         return kernel
@@ -310,11 +410,12 @@ class NativeEngine:
                       if tree == plain_fold(tree[1]))
             fused = len(self._fused) - seg
             gather = len(self._gather)
+            threaded = len(self._threaded)
         return {"toolchain": toolchain.toolchain_id(),
                 "cflags": " ".join(CFLAGS),
                 "available": toolchain.available(),
                 "fused_kernels": fused, "segmented_kernels": seg,
-                "gather_kernels": gather,
+                "gather_kernels": gather, "threaded_kernels": threaded,
                 "cache": self.cache.stats()}
 
 
@@ -336,6 +437,12 @@ def _remap_tree(tree, remap: dict):
 
 _ENGINE: Optional[NativeEngine] = None
 _ENGINE_LOCK = threading.Lock()
+
+#: The process's one team: the address of the ``team_run`` of the first
+#: threaded kernel any engine loaded, and that kernel, which keeps its
+#: shared object mapped.  Every threaded call of every engine passes it,
+#: so helpers are shared and bounded by the largest count ever asked for.
+_TEAM: list = []
 
 
 def get_engine() -> Optional[NativeEngine]:

@@ -20,7 +20,7 @@ import warnings
 from typing import Optional
 
 __all__ = ["find_cc", "toolchain_id", "available", "openmp_available",
-           "warn_unavailable_once", "reset"]
+           "threads_known", "note_threads", "warn_unavailable_once", "reset"]
 
 _lock = threading.Lock()
 _cc: Optional[str] = None
@@ -28,6 +28,7 @@ _cc_probed = False
 _id: Optional[str] = None
 _warned = False
 _omp: Optional[bool] = None
+_threads: Optional[bool] = None
 
 #: The probe translation unit for OpenMP support: it must *compile and
 #: link* with ``-fopenmp`` (a compiler that accepts the flag but ships no
@@ -90,13 +91,25 @@ def toolchain_id() -> str:
         return _id
 
 
+def threads_known() -> Optional[bool]:
+    """Whether a threaded kernel (``-pthread``, the team runtime inside)
+    built or loaded in this process; None until a threaded call asked."""
+    return _threads
+
+
+def note_threads(ok: bool) -> None:
+    """Record whether a threaded kernel built (or loaded)."""
+    global _threads
+    _threads = ok
+
+
 def openmp_available() -> bool:
-    """True when the toolchain can build ``-fopenmp`` shared objects —
-    the gate for the parallel backend's native-threading path (see
-    :mod:`repro.parallel` and docs/PARALLEL.md).  Probed once per process
-    by actually compiling a tiny ``#pragma omp`` translation unit, so a
-    compiler that merely *tolerates* the flag without an OpenMP runtime
-    answers False."""
+    """True when the toolchain can build ``-fopenmp`` shared objects, a
+    fact about the host that reports print; no kernel needs OpenMP (the
+    threaded kernels run on the engine's own team, docs/PARALLEL.md).
+    Probed once per process by compiling a tiny ``#pragma omp``
+    translation unit, so a compiler that merely *tolerates* the flag
+    without an OpenMP runtime answers False."""
     global _omp
     cc = find_cc()
     if cc is None:
@@ -140,10 +153,11 @@ def warn_unavailable_once() -> None:
 def reset() -> None:
     """Forget every probe result (tests only — e.g. to simulate a machine
     without a compiler by pointing $CC at a nonexistent binary)."""
-    global _cc, _cc_probed, _id, _warned, _omp
+    global _cc, _cc_probed, _id, _warned, _omp, _threads
     with _lock:
         _cc = None
         _cc_probed = False
         _id = None
         _warned = False
         _omp = None
+        _threads = None

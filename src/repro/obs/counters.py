@@ -14,7 +14,7 @@ A :class:`Profiler` accumulates two kinds of observations while active
   - ``"vm"``      — the op widths the VCODE VM charges to the machine
     model (:mod:`repro.vcode.vm`);
   - ``"native"``  — C kernel executions of the native backend
-    (:mod:`repro.native.engine`), serial or OpenMP: the parallel backend
+    (:mod:`repro.native.engine`), serial or threaded: the parallel backend
     runs the same engine and charges the same layer (docs/PARALLEL.md).
 
   Layers overlap by design: one ``seq_index`` kernel call typically

@@ -38,7 +38,7 @@ _LAYER_TITLES = {
     "kernel": "vector-model kernels (depth-1 ops)",
     "segment": "segmented CVL kernels (flat layer)",
     "vm": "VCODE VM (charged op widths)",
-    "native": "native C kernels (serial or OpenMP)",
+    "native": "native C kernels (serial or threaded)",
     "serve": "serving layer (queue, batches, tiers, pool)",
 }
 

@@ -195,6 +195,32 @@ class ServeStats:
                 else v for f in fields(self)}
 
 
+class _Key:
+    """A batch key, interned, so a take groups and shards by identity
+    instead of hashing the nested ``parts`` tuple again (a job carries
+    the tuple)."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
+
+
+#: ``parts`` -> its :class:`_Key`.  Emptied when it holds 4,096: a key
+#: interned again is a new object, grouped apart from the requests that
+#: still hold the old one.
+_KEYS: dict = {}
+
+
+def _batch_key(parts: tuple) -> _Key:
+    key = _KEYS.get(parts)
+    if key is None:
+        if len(_KEYS) >= 4096:
+            _KEYS.clear()
+        key = _KEYS.setdefault(parts, _Key(parts))
+    return key
+
+
 class _Request:
     """One unit of work, as it is queued."""
 
@@ -219,9 +245,9 @@ class _Request:
                          if deadline_s is not None else None)
         self.future = ServeFuture()
         #: what it coalesces, tiers and shards on, budgeted or not
-        self.batch_key: tuple = (
+        self.batch_key = _batch_key((
             cache_key(source, options, use_prelude), fname, self.types,
-            self.backend, self.check)
+            self.backend, self.check))
         self.attempts = 0            #: runs a worker incident cut short
 
     def key(self) -> Optional[tuple]:
@@ -259,7 +285,7 @@ def _job(group: list) -> dict:
     return {"source": lead.source, "options": lead.options,
             "use_prelude": lead.use_prelude, "fname": lead.fname,
             "types": lead.types, "check": lead.check,
-            "backend": lead.backend, "key": lead.batch_key,
+            "backend": lead.backend, "key": lead.batch_key.parts,
             "items": [(r.rid, r.args) for r in group],
             "budgets": [r.budget for r in group]}
 

@@ -181,7 +181,8 @@ def _decode_error(tup: tuple) -> BaseException:
 def _worker_main(wid: int, gen: int, conn, config: PoolConfig) -> None:
     """Entry point of one worker process.
 
-    Owns a private :class:`CompileCache` and :class:`TierPolicy`; runs
+    Owns a private :class:`CompileCache` and :class:`TierPolicy`, and
+    caps its kernel calls at its share of the CPUs; runs
     the groups of each pre-pickled job frame read from ``conn`` (the
     empty frame is stop), in order, through
     :func:`~repro.serve.batcher.run_group`; answers each group on the
@@ -228,6 +229,9 @@ def _worker_main(wid: int, gen: int, conn, config: PoolConfig) -> None:
         return (rid, ok, payload, crc)
 
     threading.Thread(target=beat, name="repro-pool-hb", daemon=True).start()
+    # the workers share the CPUs: a kernel call here sizes to its share
+    from repro.native.engine import default_threads, set_default_threads
+    set_default_threads(max(1, default_threads() // config.workers))
     cache = CompileCache(config.cache_capacity)
     tier = TierPolicy(config.native_after, config.breaker_failures,
                       config.breaker_cooldown_s)
@@ -310,7 +314,8 @@ class WorkerPool(BatchExecutor):
                         for i in range(cfg.workers)]
         self._ring = HashRing(cfg.workers)
         #: batch key -> shard, decided once: no more keys than can wait
-        self._shard = functools.lru_cache(cfg.max_queue)(self._ring.lookup)
+        self._shard = functools.lru_cache(cfg.max_queue)(
+            lambda key: self._ring.lookup(key.parts))
         self._shutdown = False
         self._supervisor = Supervisor(self)     # a reader may need it at once
         for handle in self.handles:

@@ -115,7 +115,7 @@ def _tree_leaf_count(tree) -> int:
     return max((_tree_leaf_count(c) for c in tree[2]), default=0)
 
 
-def emit_native_kernels(fusion, omp_threads=None) -> str:
+def emit_native_kernels(fusion, threads=None) -> str:
     """Real-codegen section: the C kernel the native engine compiles for
     each fused region of a :class:`~repro.transform.fuse.FusionRegistry`
     — an elementwise tree, or one rooted at a segmented fold.
@@ -125,11 +125,11 @@ def emit_native_kernels(fusion, omp_threads=None) -> str:
     emits the all-``int`` specialization, which is the shape the kernel
     cache stores (see docs/NATIVE.md for a line-by-line reading), with
     the per-call scalars of a fold-rooted region hoisted as they are when
-    it runs.  With ``omp_threads`` the kernels are the OpenMP multicore
-    variants the parallel backend compiles for that thread count
-    (docs/PARALLEL.md)."""
+    it runs.  With ``threads`` the kernels are the threaded variants a
+    call over enough elements runs; the thread count is their argument
+    ``nt`` (docs/PARALLEL.md)."""
     from repro.native.codegen import emit_fused_source, render_tree
-    tag = "" if omp_threads is None else f", OpenMP x{omp_threads}"
+    tag = "" if threads is None else f", threaded, nt = {threads}"
     parts = [
         f"/* --- native fused kernels (repro.native real codegen{tag})"
         " --- */"]
@@ -140,17 +140,17 @@ def emit_native_kernels(fusion, omp_threads=None) -> str:
         hoisted = [i not in streams for i in range(k)]
         parts.append(f"/* {name}: {render_tree(tree, hoisted)} */")
         parts.append(emit_fused_source(tree, kinds, hoisted, name=name,
-                                       omp_threads=omp_threads))
+                                       threaded=threads is not None))
     return "\n\n".join(parts)
 
 
-def emit_program(p: VProgram, fusion=None, omp_threads=None) -> str:
+def emit_program(p: VProgram, fusion=None, threads=None) -> str:
     """Full C translation unit for a compiled VCODE program.
 
     With ``fusion`` (a populated FusionRegistry), the presentation-level
     CVL section is followed by the *compilable* native kernels the fused
     ops lower to — the real-codegen mode of the emitter
-    (``omp_threads`` selects their OpenMP multicore variants)."""
+    (``threads`` selects their threaded variants)."""
     protos = []
     for f in p.functions.values():
         params = ", ".join(f"vec_p r{x}" for x in f.params)
@@ -159,5 +159,5 @@ def emit_program(p: VProgram, fusion=None, omp_threads=None) -> str:
     out = (_HEADER + "\n" + "\n".join(protos) + "\n\n"
            + "\n\n".join(bodies) + "\n")
     if fusion is not None and fusion.trees:
-        out += "\n" + emit_native_kernels(fusion, omp_threads) + "\n"
+        out += "\n" + emit_native_kernels(fusion, threads) + "\n"
     return out

@@ -94,7 +94,7 @@ class TestBudgets:
 
 class TestStepVerdictAcrossLanes:
     """Every lane runs the one fused program, and a fused region is one
-    step whoever executes it: NumPy, the C kernel or the OpenMP one.  The
+    step whoever executes it: NumPy, the C kernel or the threaded one.  The
     VM is the same evaluator and counts the same steps."""
 
     SRC = "fun f(n) = sum([i <- [1..n]: i * i + 1])"

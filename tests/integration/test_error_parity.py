@@ -104,12 +104,10 @@ class TestFusedFoldConformance:
     def _engines():
         from repro.native import toolchain
         from repro.native.engine import NativeEngine
-        from repro.parallel.engine import _OmpNative
         engines = {"vector": None}
         if toolchain.available():
             engines["native"] = NativeEngine()
-            if toolchain.openmp_available():
-                engines["parallel"] = _OmpNative(2)
+            engines["parallel"] = NativeEngine().at_threads(2)
         return engines
 
     def test_same_class_and_words_as_the_unfused_op(self):

@@ -29,16 +29,12 @@ from repro.native.codegen import (
 )
 from repro.native.engine import NativeEngine
 from repro.obs import Profiler, profiling
-from repro.parallel import engine as PE
 from repro.vector.nested import NestedVector
 from repro.vector.segments import INT_DTYPE
 from repro.vexec.evaluator import VectorEvaluator
 
 needs_cc = pytest.mark.skipif(not toolchain.available(),
                               reason="no C toolchain")
-needs_omp = pytest.mark.skipif(
-    not (toolchain.available() and toolchain.openmp_available()),
-    reason="no OpenMP toolchain")
 
 #: bench/workloads.py's FLAT_SRC and serve_source(3)
 FLAT_SRC = ("fun f(v: seq(seq(float))) = "
@@ -58,10 +54,12 @@ TWO_PRIM = ("prim", "add", (("prim", "mul", (("arg", 0), ("arg", 1))),
 @pytest.mark.parametrize("op,kind", OP_KINDS)
 def test_segmented_source_is_the_identity_fold(op, kind, omp):
     """``emit_segmented_source`` has no renderer of its own: it is the
-    fold emitter on the identity tree, serial and OpenMP."""
-    assert emit_segmented_source(op, kind, omp_threads=omp) == \
+    fold emitter on the identity tree, serial and threaded (whose variant
+    is the same for every thread count)."""
+    threaded = omp is not None
+    assert emit_segmented_source(op, kind, threaded=threaded) == \
         emit_fused_source(plain_fold(op), [kind], [False], name=op,
-                          omp_threads=omp)
+                          threaded=threaded)
     assert plain_fold(op) == ("fold", op, (IDENTITY,))
 
 
@@ -91,10 +89,8 @@ def _variants():
                          ids=[v[0] for v in _variants()])
 def test_every_variant_compiles_without_warnings(label, tree, kinds, hoisted,
                                                  omp):
-    if omp is not None and not toolchain.openmp_available():
-        pytest.skip("no OpenMP toolchain")
-    source = emit_fused_source(tree, kinds, hoisted, omp_threads=omp)
-    flags = [*CFLAGS, *(["-fopenmp"] if omp else []),
+    source = emit_fused_source(tree, kinds, hoisted, threaded=omp is not None)
+    flags = [*CFLAGS, *(["-pthread"] if omp else []),
              "-Wall", "-Wextra", "-Werror", "-fsyntax-only"]
     proc = subprocess.run([toolchain.find_cc(), *flags, "-x", "c", "-"],
                           input=source, capture_output=True, text=True,
@@ -207,12 +203,12 @@ def test_native_equals_unfused_vector(cache, label, kind, op, source):
     check_row(source, kind, op, {"native": NativeEngine(cache)})
 
 
-@needs_omp
+@needs_cc
 @pytest.mark.parametrize("label,kind,op,source", ROWS,
                          ids=[r[0] for r in ROWS])
 def test_openmp_equals_unfused_vector(cache, label, kind, op, source):
     check_row(source, kind, op, {
-        f"openmp x{t}": PE._OmpNative(t, cache) for t in (2, 3)})
+        f"threaded x{t}": NativeEngine(cache).at_threads(t) for t in (2, 3)})
 
 
 def test_fused_program_without_an_engine_equals_unfused_vector():
@@ -238,8 +234,8 @@ def test_empty_segment_under_a_fused_producer(op):
     engines = {"numpy": None}
     if toolchain.available():
         engines["native"] = NativeEngine()
-    if toolchain.available() and toolchain.openmp_available():
-        engines["openmp"] = PE._OmpNative(2)
+    if toolchain.available():
+        engines["threaded"] = NativeEngine().at_threads(2)
     for label, engine in engines.items():
         with pytest.raises(ReproError) as got:
             VectorEvaluator(tp, native=engine).call_raw(mono, args)

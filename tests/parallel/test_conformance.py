@@ -4,9 +4,9 @@ bit-identical to the serial back ends at every thread count.
 This is the acceptance battery for the multicore engine — every runnable
 example program and 200 fuzzer-generated programs, each at threads 1, 2
 and 4, compared against the vector back end (and, with a toolchain,
-against serial native).  A separate fixture takes OpenMP away, as on a
-host whose compiler has none, where the lane is the serial native
-engine.  Thread counts above the machine's CPU count are deliberate —
+against serial native).  A separate fixture takes the threaded kernels
+away, as on a host where they do not build, where the lane is the
+serial native engine.  Thread counts above the machine's CPU count are deliberate —
 oversubscription must not change a single bit.
 """
 
@@ -18,7 +18,7 @@ import pytest
 
 from repro import ReproError, compile_program
 from repro.native import toolchain
-from repro.parallel import engine as PE
+from repro.native.engine import reset_engine
 
 THREADS = (1, 2, 4)
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
@@ -26,9 +26,13 @@ EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 @pytest.fixture
 def without_openmp(monkeypatch):
-    """A host whose compiler cannot build OpenMP objects, whatever this
-    one's can."""
-    monkeypatch.setattr(PE.toolchain, "openmp_available", lambda: False)
+    """A host where threaded kernels do not build, whatever this one
+    does: the engine, and the threaded kernels it holds, are new."""
+    reset_engine()
+    monkeypatch.setattr(toolchain, "threads_known", lambda: False)
+    yield
+    monkeypatch.undo()
+    reset_engine()
 
 
 def outcome(prog, entry, args, **kw):

@@ -4,8 +4,8 @@ count, on every run.
 Floating-point addition does not associate, so the classic parallel-sum
 bug is a different answer at a different thread count.  The engine's
 contract forbids that by construction — a segment never straddles two
-OpenMP threads, so every segment folds in its serial order and no float
-operation is ever reassociated (docs/PARALLEL.md).  These tests pin the
+pieces of a threaded call, so every segment folds in its serial order and
+no float operation is ever reassociated (docs/PARALLEL.md).  These tests pin the
 contract with exact ``==`` on raw float64 bits: segmented reductions and
 scans over adversarially-scaled ragged floats, at thread counts 1
 through 8, repeated runs.
@@ -24,6 +24,9 @@ from repro.vector.nested import NestedVector
 from repro.vector.segments import INT_DTYPE
 
 THREAD_COUNTS = (2, 3, 4, 8)
+
+needs_cc = pytest.mark.skipif(not toolchain.available(),
+                              reason="no C toolchain")
 REPEATS = 3
 
 
@@ -49,9 +52,7 @@ def serial(name: str, v: NestedVector) -> np.ndarray:
     return fn(v.values, v.descs[1])
 
 
-@pytest.mark.skipif(not (toolchain.available()
-                         and toolchain.openmp_available()),
-                    reason="no OpenMP toolchain")
+@needs_cc
 @pytest.mark.parametrize("name", ["sum", "plus_scan", "max_scan"])
 def test_openmp_floats_bit_identical(name):
     """The compiled multicore kernels reproduce the serial bits at every
@@ -60,12 +61,12 @@ def test_openmp_floats_bit_identical(name):
     want = serial(name, v)
     for threads in THREAD_COUNTS:
         eng = PE.get_parallel_engine(threads)
-        assert isinstance(eng, PE._OmpNative)
+        assert eng.threads == threads
         for _ in range(REPEATS):
             got = eng.apply_segmented(name, v)
             assert got is not None
             assert np.array_equal(got.values, want), \
-                f"{name} differs at {threads} threads (OpenMP)"
+                f"{name} differs at {threads} threads"
 
 
 def test_full_program_floats_stable_across_thread_counts():
@@ -93,7 +94,8 @@ def test_one_thread_is_the_serial_native_engine():
     other) and returns the ``native`` back end's exact floats."""
     from repro.native.engine import get_engine
     from repro.obs import Profiler, profiling
-    assert PE.get_parallel_engine(1) is get_engine()
+    eng = PE.get_parallel_engine(1)
+    assert eng.threads == 1 and eng.cache is get_engine().cache
     src = ("fun f(v: seq(seq(float))) = "
            "[s <- v: sum([x <- s: (x * 3.0 + 7.0) * x - 5.0])]")
     rng = random.Random(3)
@@ -111,14 +113,12 @@ def test_one_thread_is_the_serial_native_engine():
     assert {c.layer for c in prof.counters.values()} == {"native"}
 
 
-@pytest.mark.skipif(not (toolchain.available()
-                         and toolchain.openmp_available()),
-                    reason="no OpenMP toolchain")
+@needs_cc
 @pytest.mark.parametrize("threads", THREAD_COUNTS)
 def test_openmp_fused_slices_cover_every_length(threads):
-    """The OpenMP fused kernel runs the serial loop once per thread over
-    that thread's slice: every length — shorter than the team, not a
-    multiple of it, not a multiple of the unrolling — comes back with
+    """The threaded fused kernel runs the serial loop once per piece over
+    that piece's slice: every length — shorter than the pieces, not a
+    multiple of them, not a multiple of the unrolling — comes back with
     the serial bits."""
     prog = compile_program(
         "fun f(v: seq(float), k: float) = [x <- v: (x * k + 1.0) * x]")
@@ -131,16 +131,19 @@ def test_openmp_fused_slices_cover_every_length(threads):
                         threads=threads) == want, (n, threads)
 
 
-def test_openmp_engine_defaults_idle_threads_to_sleep(monkeypatch):
-    """libgomp's default keeps idle team members spinning, which costs a
-    scheduler tick per kernel call when the team shares the caller's CPU
-    (E19 at 2 threads on 2 CPUs: 16 ms against 1.6 ms).  The engine
-    defaults the policy before any OpenMP kernel is loaded; a value the
-    user set wins."""
-    import os
-    monkeypatch.delenv("OMP_WAIT_POLICY", raising=False)
-    PE._OmpNative(2)
-    assert os.environ["OMP_WAIT_POLICY"] == "passive"
-    monkeypatch.setenv("OMP_WAIT_POLICY", "active")
-    PE._OmpNative(2)
-    assert os.environ["OMP_WAIT_POLICY"] == "active"
+@needs_cc
+def test_openmp_engine_defaults_idle_threads_to_sleep():
+    """The team's helpers sleep between calls: a helper that spun while
+    the caller runs Python would cost a scheduler tick per call whenever
+    it shared the caller's CPU (E19 at 2 threads on 2 CPUs once read
+    16 ms against 1.6 ms).  After threaded calls the process burns next
+    to no CPU while its calling thread sleeps."""
+    import time
+    from repro.native.engine import NativeEngine
+    eng = NativeEngine().at_threads(4)
+    v = ragged_floats(7)
+    for _ in range(3):
+        eng.apply_segmented("sum", v)
+    c0 = time.process_time()
+    time.sleep(0.3)
+    assert time.process_time() - c0 < 0.05

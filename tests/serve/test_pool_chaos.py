@@ -425,7 +425,12 @@ def test_frames_under_contention_lose_and_double_nothing():
                        for t in range(6)]
             for t in threads:
                 t.start()
-            time.sleep(0.02)
+            # under them: once worker 0 has a frame in flight (the whole
+            # stream can be answered in 20 ms, and a kill after its end
+            # may be noticed only after the books are read)
+            deadline = time.monotonic() + 10
+            while not pool.handles[0].inflight and time.monotonic() < deadline:
+                time.sleep(0.001)
             os.kill(pool.handles[0].proc.pid, signal.SIGKILL)
             for t in threads:
                 t.join(timeout=90)
