@@ -46,7 +46,7 @@ def e1_e2():
     for n in (5, 10, 100):
         a = prog.run("main", [n], backend="interp")
         b = prog.run("main", [n])
-        c = prog.run("main", [n], backend="vcode")
+        c = prog.vector_trace("main", [n])[0]
         print(f"  main({n:4d}) = {a:8d}   interp==vector=={a == b == c}")
 
 

@@ -39,13 +39,13 @@ class TestTable1Reproduction:
             assert prog.run_all("main", [n]) == expected(n)
 
     def test_lambda_value(self, prog):
-        assert prog.run_both("use_lambda", [6])[0] == 36
+        assert prog.run_all("use_lambda", [6]) == 36
 
     def test_let_scoping(self, prog):
-        assert prog.run_both("use_let", [4])[0] == 20
+        assert prog.run_all("use_let", [4]) == 20
 
     def test_conditional(self, prog):
-        assert prog.run_both("use_if", [-3])[0] == 3
+        assert prog.run_all("use_if", [-3]) == 3
 
     def test_application_of_value(self, prog):
         from repro import FunVal

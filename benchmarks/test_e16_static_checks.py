@@ -72,7 +72,7 @@ class TestStaticCheckOverhead:
     def test_results_identical_on_e7(self, e7_prog):
         v = list(range(2000))
         base = e7_prog.run("work", [v, 3])
-        for backend in ("vector", "vcode"):
+        for backend in ("vector", "native"):
             assert e7_prog.run("work", [v, 3], backend=backend,
                                check=True) == base
             assert e7_prog.run("work", [v, 3], backend=backend,
@@ -82,7 +82,7 @@ class TestStaticCheckOverhead:
         rng = random.Random(16)
         data = [rng.randrange(10_000) for _ in range(2048)]
         base = sorted(data)
-        for backend in ("vector", "vcode"):
+        for backend in ("vector", "native"):
             assert qsort_program.run("qsort", [data], backend=backend,
                                      check=True) == base
             assert qsort_program.run("qsort", [data], backend=backend,

@@ -61,10 +61,10 @@ def main() -> None:
     assert top == ranked[0]
     print(f"most common token: {top[0]} ({top[1]} occurrences)")
 
-    # all three back ends agree
+    # the interpreter and the traced vector run agree
     assert prog.run("histogram", [tokens], backend="interp") == hist
-    assert prog.run("histogram", [tokens], backend="vcode") == hist
-    print("interp == vector == vcode  [ok]")
+    assert prog.vector_trace("histogram", [tokens])[0] == hist
+    print("interp == vector == traced vector  [ok]")
 
 
 if __name__ == "__main__":

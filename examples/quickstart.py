@@ -37,8 +37,8 @@ def main() -> None:
 
     print("\n== back-end agreement ==")
     assert prog.run("main", [n], backend="interp") == result
-    assert prog.run("main", [n], backend="vcode") == result
-    print("interp == vector == vcode  [ok]")
+    assert prog.vector_trace("main", [n])[0] == result
+    print("interp == vector == traced vector  [ok]")
 
     print("\n== transformed, iterator-free program (section 3) ==")
     print(prog.transformed_source("main", [n]))

@@ -75,10 +75,10 @@ def main() -> None:
     assert rr == want
     print(f"running_rows over ragged {[len(r) for r in m]}: ok")
 
-    # all back ends agree
+    # the interpreter and the traced vector run agree
     assert prog.run("running_rows", [m], backend="interp") == rr
-    assert prog.run("running_rows", [m], backend="vcode") == rr
-    print("interp == vector == vcode  [ok]")
+    assert prog.vector_trace("running_rows", [m])[0] == rr
+    print("interp == vector == traced vector  [ok]")
 
 
 if __name__ == "__main__":

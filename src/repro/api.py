@@ -74,65 +74,55 @@ _RECURSION_LIMIT = 200_000
 #
 # T1 realizes every f^d through f^1, so every back end runs the one
 # transformed program of an entry; a back end is the object that executes
-# it (``call(name, pyargs)`` / ``call_raw(name, vargs)``).  Engine and VCODE
-# imports stay inside the builders: a back end costs nothing until it runs.
+# it (``call(name, pyargs)`` / ``call_raw(name, vargs)``).  The engine
+# import stays inside the builder: ``native`` costs nothing until it runs.
 
 def _native_executor(tp: TransformedProgram, threads: Optional[int]) -> Any:
     from repro.native.engine import get_engine
-    return VectorEvaluator(tp, native=get_engine())
-
-
-def _parallel_executor(tp: TransformedProgram, threads: Optional[int]) -> Any:
-    from repro.parallel.engine import get_parallel_engine
-    return VectorEvaluator(tp, native=get_parallel_engine(threads))
-
-
-def _vcode_executor(tp: TransformedProgram, threads: Optional[int]) -> Any:
-    from repro.vcode.vm import VM
-    vp = tp.vcode
-    if vp is None:  # compiled (and linted) once, kept with the program
-        from repro.vcode.compile import compile_transformed
-        with _guard.scoped_recursion_limit(_RECURSION_LIMIT), \
-                _obs.span("vcode-compile"):
-            vp = tp.vcode = compile_transformed(tp)
-    return VM(vp, fusion=tp.fusion)
+    engine = get_engine()
+    if engine is not None and threads is not None:
+        engine = engine.at_threads(threads)
+    return VectorEvaluator(tp, native=engine)
 
 
 class Backend(NamedTuple):
     """One row of :data:`BACKENDS` (the table in docs/PIPELINE.md)."""
 
-    #: ``(transformed program, thread count) -> executor``; ``None`` for the
+    #: ``(transformed program, thread count) -> executor``, built once per
+    #: entry and shared by every call that names no count; ``None`` for the
     #: reference interpreter, which runs the canonical program instead
     executor: Optional[Callable[[TransformedProgram, Optional[int]], Any]]
-    batches: bool   #: ``run_batched`` packs the requests into one ``f^1`` call
-    static: bool    #: ``check="static"`` discharges the statically proven sites
-    threads: bool   #: ``threads=`` reaches the engine
-    #: the executor keeps nothing of a call, so an entry builds it once and
-    #: every caller shares it (not the VM, which records a trace, nor an
-    #: executor whose engine depends on the call's ``threads``)
-    shared: bool
+    #: ``threads=`` reaches the engine: a count runs every kernel call on a
+    #: team of that many (an executor built per call); other rows ignore it
+    threads: bool = False
 
 
 #: Every back end, by name: what ``run``/``run_batched`` accept, the CLI's
 #: ``--backend`` choices, the fuzzer's lanes, the serving layer's ``submit``.
 BACKENDS: dict[str, Backend] = {
-    "vector": Backend(lambda tp, threads: VectorEvaluator(tp),
-                      True, True, False, True),
-    "interp": Backend(None, False, False, False, False),
-    "vcode": Backend(_vcode_executor, True, True, False, False),
-    "native": Backend(_native_executor, True, True, False, True),
-    "parallel": Backend(_parallel_executor, True, True, True, False),
+    "interp": Backend(None),
+    "vector": Backend(lambda tp, threads: VectorEvaluator(tp)),
+    "native": Backend(_native_executor, threads=True),
+}
+
+#: Names that were back ends once, with what runs their programs now.
+_RETIRED = {
+    "vcode": "use 'vector' (trace it with `repro simulate` or vector_trace)",
+    "parallel": "use 'native' with threads= (--threads N)",
 }
 
 
 def backend_row(backend: str) -> Backend:
     """The table row for ``backend``; an unknown name is a ``ValueError``
-    listing the known ones."""
+    listing the known ones (and, for a retired one, its replacement)."""
     try:
         return BACKENDS[backend]
     except KeyError:
-        raise ValueError(f"unknown backend {backend!r} (known: "
-                         f"{', '.join(BACKENDS)})") from None
+        retired = _RETIRED.get(backend)
+        raise ValueError(
+            f"unknown backend {backend!r} (known: {', '.join(BACKENDS)})"
+            + (f"; {backend!r} is retired: {retired}" if retired else "")
+        ) from None
 
 
 def _guard_scope(check: Union[bool, str], budget: Optional[Budget]
@@ -177,7 +167,7 @@ class _Bound:
     #: or None where the entry runs request by request
     cols: Optional[tuple[T.Type, ...]]
     ret_col: T.Type                 #: ``seq(result type)``
-    executor: Any = None            #: the row's, once built, if it is shared
+    executor: Any = None            #: the row's, once built (not of a thread count)
     cert: Optional["CostCertificate"] = None    #: under ``backend=None``
 
 
@@ -347,7 +337,8 @@ class CompiledProgram:
         if threads != "auto":
             assert threads is None or isinstance(threads, int)
             return threads
-        from repro.parallel.engine import default_threads, pick_threads
+        from repro.native.engine import default_threads
+        from repro.parallel.engine import pick_threads
         try:
             cert = self.cost_certificate(fname, arg_types, fun_entries)
             p = cert.predict(list(args))
@@ -364,19 +355,19 @@ class CompiledProgram:
                   args: Sequence[Any], threads: ThreadSpec) -> Any:
         """The executor for one call of ``b``: the static discharge
         installed in the active guard scope, then the row's executor —
-        the entry's own, built by its first call, where the row shares."""
-        if g is not None and check == "static" and row.static:
+        the entry's own, built by its first call, unless the call fixes a
+        thread count the row takes."""
+        if g is not None and check == "static":
             from repro.analysis.shapes import analyze_shapes
             g.discharged = analyze_shapes(b.tp).discharged
+        if threads is not None and row.threads:
+            assert row.executor is not None
+            return row.executor(b.tp, self._resolve_threads(
+                fname, args, b.arg_types, b.fun_entries, threads))
         ex = b.executor
         if ex is None:
             assert row.executor is not None
-            nthreads = (self._resolve_threads(fname, args, b.arg_types,
-                                              b.fun_entries, threads)
-                        if row.threads else None)
-            ex = row.executor(b.tp, nthreads)
-            if row.shared:
-                b.executor = ex
+            ex = b.executor = row.executor(b.tp, None)
         return ex
 
     def run(self, fname: str, args: Sequence[Any], backend: str = "vector",
@@ -386,21 +377,19 @@ class CompiledProgram:
             threads: ThreadSpec = None) -> Any:
         """Run ``fname(args)``; ``backend`` is a key of :data:`BACKENDS`
         (the capability table in docs/PIPELINE.md) — ``"vector"``,
-        ``"vcode"``, ``"native"``, ``"parallel"``, or ``"interp"``; any
-        other name is a ``ValueError``.
+        ``"native"`` or ``"interp"``; any other name is a ``ValueError``.
 
         ``"native"`` executes fused elementwise regions and segmented
         primitives as compiled C kernels (bit-identical to the NumPy
         path by contract; see docs/NATIVE.md), falling back to the NumPy
         applier — with one warning — when no C toolchain is available.
-        A kernel call over enough elements runs on several CPUs.
-        ``"parallel"`` runs those same kernels with every call on a team
-        of ``threads`` threads (default: every CPU), serially where the
-        threaded kernels do not build, still bit-identical to serial — see
-        docs/PARALLEL.md.  ``threads`` is
-        ignored by the other backends; ``threads="auto"`` picks the count
-        from the cost certificate's predicted concurrency
-        (docs/ANALYSIS.md).
+        With ``threads=None`` a kernel call over enough elements runs on
+        several CPUs; a count runs every call on a team of that many
+        threads (serially where the threaded kernels do not build), still
+        bit-identical to serial — see docs/PARALLEL.md.
+        ``threads="auto"`` picks the count from the cost certificate's
+        predicted concurrency (docs/ANALYSIS.md).  The other back ends
+        ignore ``threads``.
 
         ``check=True`` (or ``"full"``) enables strict descriptor-invariant
         checking at every kernel and backend boundary; ``check="static"``
@@ -463,9 +452,8 @@ class CompiledProgram:
         docs/SERVING.md says how a malformed request is named and how an
         untyped batch is typed: as one value, whoever leads).
 
-        Batching applies to every back end whose :data:`BACKENDS` row
-        says ``batches`` — ``vector``, ``vcode``, ``native`` and
-        ``parallel``.  The
+        Batching applies to every back end with an executor — ``vector``
+        and ``native``.  The
         reference interpreter has no vector representation to pack, so
         ``backend="interp"`` — like zero-argument or function-valued-
         argument entries — falls back to a per-request loop with the same
@@ -483,7 +471,7 @@ class CompiledProgram:
         k = len(lead)
         with _guard_scope(check, budget) as g:
             b = cols = None
-            if row.batches:
+            if row.executor is not None:
                 for args in argsets:
                     if len(args) != k:
                         raise EvalError(f"{fname} expects {k} arguments, "
@@ -531,15 +519,24 @@ class CompiledProgram:
 
     def vcode_vm(self, fname: str, args: Sequence[Any],
                  types: Optional[Sequence[TypeLike]] = None):
-        """A fresh VM (with trace recording) for an entry; returns (vm, mono)."""
+        """A fresh VM for an entry — the vector evaluator over the linted
+        VCODE program, recording the op-width trace; returns (vm, mono)."""
+        from repro.vcode.vm import VM
         mono, tp = self.prepare(fname, *self.resolve_entry(fname, args, types))
-        return _vcode_executor(tp, None), mono
+        vp = tp.vcode
+        if vp is None:  # compiled (and linted) once, kept with the program
+            from repro.vcode.compile import compile_transformed
+            with _guard.scoped_recursion_limit(_RECURSION_LIMIT), \
+                    _obs.span("vcode-compile"):
+                vp = tp.vcode = compile_transformed(tp)
+        return VM(vp, fusion=tp.fusion), mono
 
     def vector_trace(self, fname: str, args: Sequence[Any],
                      types: Optional[Sequence[TypeLike]] = None
                      ) -> tuple[Any, list[tuple[str, int]]]:
-        """Run on the VCODE VM and return (result, op-width trace) — the
-        input to the machine simulator."""
+        """Run on the VCODE VM (:meth:`vcode_vm`) and return (result,
+        op-width trace) — the input to the machine simulator; the result
+        is ``run(..., backend="vector")``'s."""
         vm, mono = self.vcode_vm(fname, args, types)
         result = vm.call(mono, list(args))
         return result, vm.trace
@@ -562,34 +559,19 @@ class CompiledProgram:
         return emit_program(vp, fusion=tp.fusion if native else None,
                             threads=threads)
 
-    def run_both(self, fname: str, args: Sequence[Any],
-                 types: Optional[Sequence[TypeLike]] = None,
-                 check: Union[bool, str] = False,
-                 budget: Optional[Budget] = None) -> tuple[Any, Any]:
-        """Run on both back ends and assert agreement (the paper's soundness
-        property); returns (value, value)."""
+    def run_all(self, fname: str, args: Sequence[Any],
+                types: Optional[Sequence[TypeLike]] = None,
+                check: Union[bool, str] = False,
+                budget: Optional[Budget] = None) -> Any:
+        """Run on the reference interpreter and the vector evaluator and
+        assert agreement (the paper's soundness property); returns the
+        common value."""
         vec = self.run(fname, args, "vector", types, check=check, budget=budget)
         ref = self.run(fname, args, "interp", types, check=check, budget=budget)
         if vec != ref:
             raise AssertionError(
                 f"back ends disagree on {fname}{tuple(args)!r}: "
                 f"vector={vec!r} interp={ref!r}")
-        return vec, ref
-
-    def run_all(self, fname: str, args: Sequence[Any],
-                types: Optional[Sequence[TypeLike]] = None,
-                check: Union[bool, str] = False,
-                budget: Optional[Budget] = None) -> Any:
-        """Run on the interpreter, the vector evaluator and the VCODE VM
-        (three of the five :data:`BACKENDS`; ``native`` and ``parallel``
-        share the vector evaluator) and assert three-way agreement;
-        returns the common value."""
-        vec, ref = self.run_both(fname, args, types, check=check, budget=budget)
-        vc = self.run(fname, args, "vcode", types, check=check, budget=budget)
-        if vc != vec:
-            raise AssertionError(
-                f"VCODE VM disagrees on {fname}{tuple(args)!r}: "
-                f"vcode={vc!r} vector={vec!r}")
         return vec
 
     def profile(self, fname: str, args: Sequence[Any],
@@ -614,17 +596,6 @@ class CompiledProgram:
     def measure(self, fname: str, args: Sequence[Any]) -> tuple[Any, CostReport]:
         """Run on the reference interpreter with work/span accounting."""
         return Interpreter(self.canonical).run(fname, list(args))
-
-    def measure_vector(self, fname: str, args: Sequence[Any],
-                       types: Optional[Sequence[TypeLike]] = None
-                       ) -> tuple[Any, CostReport]:
-        """Vector-model cost of the *flattened* execution: work = total
-        elements moved by vector ops, span = number of vector ops (each op
-        is one step in the vector model)."""
-        result, trace = self.vector_trace(fname, args, types)
-        report = CostReport(work=sum(max(0, n) for _op, n in trace),
-                            span=len(trace))
-        return result, report
 
     # -- inspection ----------------------------------------------------------------
 

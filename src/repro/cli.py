@@ -3,8 +3,8 @@
 Usage (also via ``python -m repro``):
 
     repro run FILE -e ENTRY -a ARG [-a ARG ...]
-                   [--backend vector|interp|vcode|native|parallel]
-                   [--threads N]
+                   [--backend interp|vector|native]
+                   [--threads N|auto]
                    [--profile] [--check] [--timeout S] [--max-steps N]
                    [--passes LIST] [--print-ir-after-all]
                    [--print-ir-after PASS] ...
@@ -21,7 +21,7 @@ Usage (also via ``python -m repro``):
                    [--profile]
     repro measure FILE -e ENTRY -a ARG ...
     repro profile FILE [-e ENTRY] [-a ARG ...]
-                  [--backend vector|vcode|interp|native|parallel]
+                  [--backend interp|vector|native] [--threads N|auto]
                   [-o profile.json]
     repro analyze FILE [-e ENTRY] [-a ARG ...] [-o analysis.json]
 
@@ -48,7 +48,7 @@ import sys
 from contextlib import ExitStack
 from typing import Optional
 
-from repro.api import BACKENDS, compile_program
+from repro.api import BACKENDS, backend_row, compile_program
 from repro.errors import (
     AnalysisError, InvariantError, NativeCompileError, ReproError,
     ResourceLimitError, WorkerCrashError,
@@ -188,14 +188,18 @@ def _pass_options(ns) -> Optional[TransformOptions]:
 
 
 def _backend_flags(sp, threads=None, threads_help=None) -> None:
-    """``--backend`` (one of :data:`repro.api.BACKENDS`) plus, when
-    ``threads`` names its value parser, ``--threads``."""
-    sp.add_argument("--backend", default="vector", choices=list(BACKENDS))
+    """``--backend`` (a key of :data:`repro.api.BACKENDS`, checked in
+    :func:`main`) plus, when ``threads`` names its value parser,
+    ``--threads``."""
+    sp.add_argument("--backend", default="vector",
+                    metavar="{" + ",".join(BACKENDS) + "}")
     if threads is not None:
         sp.add_argument("--threads", type=threads, default=None,
                         metavar="N|auto" if threads is _threads_arg else "N",
                         help=threads_help
-                        or "worker threads for --backend parallel")
+                        or "threads for every kernel call of --backend "
+                           "native: a count, or 'auto' (default: sized "
+                           "per call; docs/PARALLEL.md)")
 
 
 def _guard_flags(sp) -> None:
@@ -294,10 +298,11 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = common(sub.add_parser("run", help="run an entry function"))
     _backend_flags(sp, _threads_arg,
-                   "worker threads for --backend parallel: a count, or "
-                   "'auto' to size from the predicted concurrency "
-                   "(work/span) of the static cost analysis (default: all "
-                   "CPUs; docs/PARALLEL.md)")
+                   "threads for every kernel call of --backend native: a "
+                   "count, or 'auto' to size from the predicted "
+                   "concurrency (work/span) of the static cost analysis "
+                   "(default: each call sized by its elements; "
+                   "docs/PARALLEL.md)")
     sp.add_argument("--profile", action="store_true",
                     help="print the observability report after the result")
     _pass_flags(sp)
@@ -309,13 +314,13 @@ def _parser() -> argparse.ArgumentParser:
     _guard_flags(ev)
 
     ck = common(sub.add_parser(
-        "check", help="run on all three back ends with strict invariant "
+        "check", help="run on every back end with strict invariant "
                       "checking and compare the results"))
     _guard_flags(ck)
 
     fz = sub.add_parser(
-        "fuzz", help="differential fuzzing: random programs on all three "
-                     "back ends, disagreements shrunk to minimal programs")
+        "fuzz", help="differential fuzzing: random programs on several "
+                     "lanes, disagreements shrunk to minimal programs")
     fz.add_argument("--seed", type=int, default=0,
                     help="first seed (default: 0)")
     fz.add_argument("--count", type=int, default=100,
@@ -327,16 +332,14 @@ def _parser() -> argparse.ArgumentParser:
     fz.add_argument("--quiet", action="store_true",
                     help="no per-interval progress lines")
     fz.add_argument("--backends", metavar="LIST", default=None,
-                    help="comma-separated back ends to compare (default: "
-                         "interp,vector,vcode); a leading '+' appends to "
-                         "the default, e.g. '--backends +native' or "
-                         "'--backends +parallel'.  The native back end is "
+                    help="comma-separated lanes to compare (default: "
+                         "interp,vector): a back end, or native@T for "
+                         "native with every kernel call on T threads; a "
+                         "leading '+' appends to the default, e.g. "
+                         "'--backends +native,native@2'.  native lanes are "
                          "skipped cleanly when no C toolchain is "
-                         "available; parallel is skipped on single-CPU "
-                         "machines")
-    fz.add_argument("--threads", type=int, default=None, metavar="N",
-                    help="worker threads for the parallel lane "
-                         "(default: all CPUs)")
+                         "available, native@T also on single-CPU machines "
+                         "and when the threaded kernels do not build")
     fz.add_argument("--serve-pool", action="store_true",
                     help="serve the vector lane through a 2-process "
                          "worker pool, so the differential also covers "
@@ -428,8 +431,9 @@ def _parser() -> argparse.ArgumentParser:
     sv.add_argument("file", nargs="?", default=None,
                     help="P source file used when a request has no "
                          "\"source\" field")
-    _backend_flags(sv, int, "worker threads per parallel-backend execution "
-                            "(default: all CPUs; docs/PARALLEL.md)")
+    _backend_flags(sv, int, "most threads one kernel call of --backend "
+                            "native may use (default: all CPUs; "
+                            "docs/PARALLEL.md)")
     sv.add_argument("--max-batch", type=int, default=64, metavar="N",
                     help="largest coalesced batch (default: 64)")
     sv.add_argument("--max-queue", type=int, default=1024, metavar="N",
@@ -465,7 +469,12 @@ def _entry_types(ns):
 def main(argv: list[str] | None = None) -> int:
     """Parse and dispatch; every failure mode becomes a one-line
     diagnostic plus a documented exit code — never a raw traceback."""
-    ns = _parser().parse_args(argv)
+    parser = _parser()
+    ns = parser.parse_args(argv)
+    try:
+        backend_row(getattr(ns, "backend", "vector"))
+    except ValueError as e:     # a usage error, in one line
+        parser.exit(EXIT_USAGE, f"error: {e}\n")
     try:
         return _dispatch(ns)
     except ResourceLimitError as e:
@@ -526,14 +535,14 @@ def _dispatch(ns) -> int:
         prog = _load(ns.file)
         args = [_literal(a) for a in ns.arg]
         results = {}
-        for backend in ("interp", "vector", "vcode"):
+        for backend in BACKENDS:
             results[backend] = prog.run(ns.entry, args, backend=backend,
                                         types=_entry_types(ns),
                                         check=True, budget=_budget(ns))
         vals = list(results.values())
         if all(v == vals[0] for v in vals[1:]):
             print(vals[0])
-            print("back ends agree (interp, vector, vcode); "
+            print(f"back ends agree ({', '.join(BACKENDS)}); "
                   "invariants hold")
             return EXIT_OK
         print("back ends DISAGREE:", file=sys.stderr)
@@ -560,9 +569,6 @@ def _dispatch(ns) -> int:
             except ValueError as e:
                 print(f"fuzz: {e}", file=sys.stderr)
                 return EXIT_USAGE
-            if ns.threads is not None:
-                from repro.parallel import set_default_threads
-                set_default_threads(ns.threads)
             with ExitStack() as stack:
                 pool = None
                 if ns.serve_pool:
@@ -674,7 +680,7 @@ def _dispatch(ns) -> int:
                 print(f"  {op:>20}: steps={steps:>6} work={work:>10}")
         if prof is not None:
             print()
-            print(prof.report(entry=ns.entry, backend="vcode").table())
+            print(prof.report(entry=ns.entry, backend="vector").table())
         return 0
 
     if ns.cmd == "passes":
@@ -731,7 +737,7 @@ def _dispatch(ns) -> int:
 
     if ns.cmd == "serve":
         if ns.threads is not None:
-            from repro.parallel import set_default_threads
+            from repro.native.engine import set_default_threads
             set_default_threads(ns.threads)
         default_source = None
         if ns.file is not None:
@@ -952,11 +958,12 @@ def repl(backend: str = "vector", stdin=None, stdout=None) -> int:
             continue
         if line.startswith(":backend"):
             cand = line.split(None, 1)[-1]
-            if cand in BACKENDS:
+            try:
+                backend_row(cand)
                 backend = cand
                 say(f"back end: {backend}")
-            else:
-                say(f"unknown back end {cand!r}")
+            except ValueError as e:
+                say(f"error: {e}")
             continue
         if line.startswith(":transform"):
             name = line.split(None, 1)[-1].strip()

@@ -1,9 +1,10 @@
-"""Differential fuzzing of the three back ends.
+"""Differential fuzzing of the back ends.
 
 ``repro.fuzz.gen`` grows random well-typed, total P programs from a seed;
-``repro.fuzz.differ`` runs each program on the reference interpreter, the
-vector evaluator, and the VCODE VM, compares the results, and greedily
-shrinks any disagreement to a minimal failing program.  The CLI front end
+``repro.fuzz.differ`` runs each program on the reference interpreter and
+the vector evaluator (and, asked for, on ``native`` and ``native@t``),
+compares the results, and greedily shrinks any disagreement to a minimal
+failing program.  The CLI front end
 is ``repro fuzz`` (see docs/RELIABILITY.md).
 """
 

@@ -1,10 +1,11 @@
 """Differential runner and shrinker for the fuzzer.
 
-Each generated program runs on every selected back end — by default the
-reference interpreter (the paper's section-2 semantics), the vector
-evaluator, and the VCODE VM; ``backends=`` widens the set (e.g. adding
-``native``, which is skipped with a note when no C toolchain exists).
-The back ends *agree* when they all return equal values or all fail with
+Each generated program runs on every selected lane — by default the
+reference interpreter (the paper's section-2 semantics) and the vector
+evaluator; ``backends=`` widens the set to ``native`` and to ``native@t``,
+the native engine with every kernel call on ``t`` threads (a lane the
+host cannot exercise is skipped with a note, :func:`skip_reason`).
+The lanes *agree* when they all return equal values or all fail with
 the same error class; anything else is a :class:`Disagreement`, which
 the greedy shrinker then minimizes by structural replacement on the
 generated expression tree (a candidate shrink is kept only if the
@@ -13,7 +14,6 @@ smaller program still disagrees the same way).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -24,22 +24,42 @@ from repro.fuzz.gen import (
 )
 from repro.guard.runtime import Budget
 
-BACKENDS = ("interp", "vector", "vcode")
+#: The lanes the differ can drive: every back end, and ``native@2`` —
+#: ``run(..., backend="native", threads=2)``, the threaded kernels on
+#: inputs far below the size that would pick them (``--backends`` takes
+#: any ``native@t``).
+ALL_BACKENDS = (*api.BACKENDS, "native@2")
 
-#: every back end the differ can drive (the default trio plus opt-ins)
-ALL_BACKENDS = tuple(api.BACKENDS)
+#: the default lanes: the reference interpreter and the vector evaluator
+BACKENDS = ALL_BACKENDS[:2]
 
 
-def skip_reason(backend: str) -> Optional[str]:
-    """Why this machine cannot exercise a back end's lane, or None when
-    it can: ``native`` without a C toolchain is a redundant NumPy-fallback
-    lane, ``parallel`` on one CPU adds nothing over the lanes it is
-    supposed to disagree with."""
-    if backend == "native":
-        from repro.native import toolchain
-        return None if toolchain.available() else "no C toolchain"
-    if backend == "parallel" and (os.cpu_count() or 1) < 2:
+def lane_call(lane: str) -> tuple[str, Optional[int]]:
+    """``(backend, threads)`` for a lane: ``native@t`` is ``native`` at
+    ``t`` threads, any other lane is its back end with ``threads=None``.
+    An unknown lane is a ``ValueError``."""
+    backend, at, count = lane.partition("@")
+    threads = int(count) if count.isdigit() and int(count) > 0 else None
+    row = api.BACKENDS.get(backend)
+    if row is not None and (not at or (threads and row.threads)):
+        return backend, threads
+    raise ValueError(f"unknown fuzz back end: {lane!r}")
+
+
+def skip_reason(lane: str) -> Optional[str]:
+    """Why this machine cannot exercise a lane, or None when it can:
+    ``native`` without a C toolchain is a redundant NumPy-fallback lane;
+    ``native@t`` on one CPU adds nothing over the lanes it is supposed to
+    disagree with, and once a threaded kernel failed to build (asked again
+    after a run) it ran the serial kernels."""
+    from repro.native import engine, toolchain
+    backend, threads = lane_call(lane)
+    if backend == "native" and not toolchain.available():
+        return "no C toolchain"
+    if (threads or 1) > 1 and engine.default_threads() < 2:
         return "single CPU"
+    if (threads or 1) > 1 and toolchain.threads_known() is False:
+        return "threaded kernels did not build"
     return None
 
 
@@ -94,7 +114,8 @@ class FuzzReport:
     agreed: int = 0
     invalid: list[tuple[int, str]] = field(default_factory=list)
     disagreements: list[Disagreement] = field(default_factory=list)
-    skipped_backends: tuple[str, ...] = ()
+    #: lane -> why it was not exercised (:func:`skip_reason`)
+    skipped_backends: dict[str, str] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -108,9 +129,8 @@ class FuzzReport:
             seeds = ", ".join(str(s) for s, _ in self.invalid[:5])
             out += f" (invalid seeds: {seeds}…)"
         if self.skipped_backends:
-            noted = ", ".join(
-                f"{b} ({why})" if (why := skip_reason(b)) else b
-                for b in self.skipped_backends)
+            noted = ", ".join(f"{b} ({why})"
+                              for b, why in self.skipped_backends.items())
             out += f" [skipped: {noted}]"
         return out
 
@@ -119,7 +139,7 @@ def run_case(case: FuzzCase, check: bool = False,
              budget: Optional[Budget] = DEFAULT_BUDGET,
              backends: tuple[str, ...] = BACKENDS,
              pool=None) -> dict[str, Outcome]:
-    """Run one case on every selected back end; never raises for
+    """Run one case on every selected lane; never raises for
     per-backend failures (they become :class:`Outcome` errors).  Compile
     failures propagate — a generated program that does not compile is a
     generator bug, not a back-end disagreement.
@@ -132,24 +152,25 @@ def run_case(case: FuzzCase, check: bool = False,
     back-end disagreement."""
     prog = api.compile_program(case.source)
     out: dict[str, Outcome] = {}
-    for backend in backends:
+    for lane in backends:
+        backend, threads = lane_call(lane)
         try:
-            if pool is not None and backend == "vector":
+            if pool is not None and lane == "vector":
                 v = pool.submit(case.source, case.entry, list(case.args),
                                 types=list(case.types), check=check,
                                 budget=budget).result(timeout=300.0)
             else:
                 v = prog.run(case.entry, list(case.args), backend=backend,
                              types=list(case.types), check=check,
-                             budget=budget)
-            out[backend] = Outcome(value=v)
+                             budget=budget, threads=threads)
+            out[lane] = Outcome(value=v)
         except ReproError as e:
-            out[backend] = Outcome(error_type=type(e).__name__, error=str(e))
+            out[lane] = Outcome(error_type=type(e).__name__, error=str(e))
         except RecursionError as e:
-            out[backend] = Outcome(error_type="RecursionError", error=str(e))
+            out[lane] = Outcome(error_type="RecursionError", error=str(e))
         except Exception as e:  # raw leak: itself a robustness finding
-            out[backend] = Outcome(error_type=f"!{type(e).__name__}",
-                                   error=str(e))
+            out[lane] = Outcome(error_type=f"!{type(e).__name__}",
+                                error=str(e))
     return out
 
 
@@ -437,9 +458,9 @@ def fuzz_cost(seed: int, count: int, shrink: bool = True,
 
 
 def resolve_backends(spec: Optional[str]) -> tuple[str, ...]:
-    """Back-end list from a CLI spec: ``None`` → the default trio, a
-    leading ``+`` appends to the default (``+native``), otherwise a
-    comma-separated replacement list.  Unknown names raise ValueError."""
+    """Lane list from a CLI spec: ``None`` → the default lanes, a leading
+    ``+`` appends to them (``+native@2``), otherwise a comma-separated
+    replacement list.  Unknown names raise ValueError."""
     if spec is None:
         return BACKENDS
     spec = spec.strip()
@@ -450,8 +471,7 @@ def resolve_backends(spec: Optional[str]) -> tuple[str, ...]:
     out: list[str] = []
     for n in names:
         n = n.strip()
-        if n not in ALL_BACKENDS:
-            raise ValueError(f"unknown fuzz back end: {n!r}")
+        lane_call(n)
         if n not in out:
             out.append(n)
     if len(out) < 2:
@@ -465,10 +485,11 @@ def fuzz(seed: int, count: int, check: bool = False, shrink: bool = True,
     """Run ``count`` generated programs starting at ``seed``; differences
     are shrunk (unless ``shrink=False``) and collected in the report.
 
-    ``backends`` selects the back ends to differentiate; lanes a machine
-    cannot exercise (:func:`skip_reason`) are dropped up front and
-    recorded in ``report.skipped_backends``."""
-    skipped = tuple(b for b in backends if skip_reason(b))
+    ``backends`` selects the lanes to differentiate; lanes a machine
+    cannot exercise (:func:`skip_reason`) are dropped up front, and lanes
+    that turn out not to have run what they name are dropped after the
+    run; both are recorded in ``report.skipped_backends``."""
+    skipped = {b: why for b in backends if (why := skip_reason(b))}
     backends = tuple(b for b in backends if b not in skipped)
     report = FuzzReport(skipped_backends=skipped)
     for i in range(count):
@@ -491,4 +512,5 @@ def fuzz(seed: int, count: int, check: bool = False, shrink: bool = True,
             report.disagreements.append(d)
         if progress is not None:
             progress(i, report)
+    skipped.update((b, why) for b in backends if (why := skip_reason(b)))
     return report

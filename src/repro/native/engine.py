@@ -152,7 +152,7 @@ class NativeEngine:
     missing toolchain is asked about on every call.
 
     ``threads`` None sizes each call (:meth:`threads_for`); a count runs
-    every call on a team of that many (1: serial), as ``parallel`` does.
+    every call on a team of that many (1: serial): ``run(..., threads=t)``.
     A team is the calling thread and up to ``threads - 1`` helpers: a
     helper that has not woken by the time the pieces run out is not
     waited for."""
@@ -165,12 +165,19 @@ class NativeEngine:
         self._fused: dict = {}    # (compact tree, kinds, hoisted) -> Kernel
         self._threaded: dict = {}  # ... -> its threaded variant
         self._gather: dict = {}   # kind -> Kernel
+        self._views: dict = {}    # thread count -> at_threads view
 
     def at_threads(self, threads: int) -> "NativeEngine":
         """This engine — its kernels, records and cache — with every call
-        on a team of ``threads`` threads."""
-        eng = copy.copy(self)
-        eng.threads = max(1, int(threads))
+        on a team of ``threads`` threads: one view per count, so the
+        plans lowered for it are found again (``TransformedProgram.plans``
+        is keyed by engine)."""
+        t = max(1, int(threads))
+        eng = self._views.get(t)
+        if eng is None:
+            eng = copy.copy(self)
+            eng.threads = t
+            eng = self._views.setdefault(t, eng)
         return eng
 
     def threads_for(self, elems: int, nseg: Optional[int] = None) -> int:

@@ -14,8 +14,8 @@ A :class:`Profiler` accumulates two kinds of observations while active
   - ``"vm"``      — the op widths the VCODE VM charges to the machine
     model (:mod:`repro.vcode.vm`);
   - ``"native"``  — C kernel executions of the native backend
-    (:mod:`repro.native.engine`), serial or threaded: the parallel backend
-    runs the same engine and charges the same layer (docs/PARALLEL.md).
+    (:mod:`repro.native.engine`), serial or threaded at any thread count
+    (docs/PARALLEL.md).
 
   Layers overlap by design: one ``seq_index`` kernel call typically
   performs several ``segment`` observations on its behalf.  Sum within a

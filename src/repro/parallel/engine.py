@@ -1,13 +1,8 @@
-"""The engine behind ``--backend parallel``: the native engine with
-every kernel call on a fixed thread count.
-
-Parallelism is a lowering of the same loop, not a second runtime: the
-native engine runs a call over enough elements on the threaded variant
-of its kernel, whose thread count is an argument, and this lane fixes
-that count (``t = 1`` is the serial kernels, as is every count where the
+"""The native engine at a fixed thread count, and the ``--threads auto``
+pick.  ``t = 1`` is the serial kernels, as is every count where the
 threaded kernels do not build; without a C toolchain there is no engine
-and NumPy runs).  No segment straddles two pieces, so the bits are the
-serial native bits at every count (docs/PARALLEL.md; ``tests/parallel/test_determinism.py``).
+and NumPy runs.  No segment straddles two pieces, so the bits are the
+serial native bits at every count (docs/PARALLEL.md).
 """
 
 from __future__ import annotations
@@ -17,11 +12,9 @@ from typing import Optional
 from ..native.engine import THREAD_FLOOR as _THREAD_WORK_FLOOR
 from ..native.engine import (
     NativeEngine, default_threads, get_engine, reset_engine,
-    set_default_threads,
 )
 
-__all__ = ["get_parallel_engine", "pick_threads", "reset_engines",
-           "set_default_threads", "default_threads"]
+__all__ = ["get_parallel_engine", "pick_threads", "reset_engines"]
 
 
 def pick_threads(work: int, span: int, cpus: Optional[int] = None) -> int:
@@ -46,9 +39,9 @@ def pick_threads(work: int, span: int, cpus: Optional[int] = None) -> int:
 
 def get_parallel_engine(threads: Optional[int] = None
                         ) -> Optional[NativeEngine]:
-    """The applier hook for ``threads`` (default: :func:`default_threads`):
-    the process-wide native engine with every call on a team of that many
-    threads — None (plain NumPy) without a C toolchain."""
+    """The process-wide native engine with every call on a team of
+    ``threads`` threads (default: :func:`default_threads`) — None (plain
+    NumPy) without a C toolchain."""
     engine = get_engine()
     if engine is None:
         return None
@@ -57,7 +50,7 @@ def get_parallel_engine(threads: Optional[int] = None
 
 
 def reset_engines() -> None:
-    """Drop the process-wide engine the parallel lane's are views of
+    """Drop the process-wide engine the fixed-count engines are views of
     (tests only — pair with :func:`repro.native.toolchain.reset` when
     simulating machines)."""
     reset_engine()

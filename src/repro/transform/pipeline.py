@@ -109,7 +109,7 @@ class TransformedProgram:
     #: with ``dataclasses.replace`` starts empty, as its ``defs`` may differ)
     vcode_functions: dict = field(default_factory=dict, init=False,
                                   repr=False, compare=False)
-    #: and the linted VCODE program of ``backend="vcode"`` (:mod:`repro.api`)
+    #: and the linted VCODE program of the traced run (:meth:`repro.api.CompiledProgram.vcode_vm`)
     vcode: object = field(default=None, repr=False, compare=False)
 
     def __getitem__(self, name: str) -> A.FunDef:

@@ -87,7 +87,7 @@ def test_static_mode_matches_full_mode_on_examples(path):
     prog = compile_program(spec["SOURCE"])
     entry, args = spec["PROFILE_ENTRY"], list(spec["PROFILE_ARGS"])
     base = prog.run(entry, args)
-    for backend in ("vector", "vcode"):
+    for backend in ("vector", "native"):
         assert prog.run(entry, args, backend=backend, check=True) == base
         assert prog.run(entry, args, backend=backend,
                         check="static") == base
@@ -146,9 +146,10 @@ def test_fold_rooted_region_is_discharged(src, entry, args, sites):
         assert fused and all("outer descriptor level" in s.reason
                              for s in fused)
     base = prog.run(entry, args, backend="vector")
-    for backend in ("native", "parallel", "vcode"):
-        assert prog.run(entry, args, backend=backend, check=True) == base
-        assert prog.run(entry, args, backend=backend,
+    for threads in (None, 2):
+        assert prog.run(entry, args, backend="native", threads=threads,
+                        check=True) == base
+        assert prog.run(entry, args, backend="native", threads=threads,
                         check="static") == base
 
 

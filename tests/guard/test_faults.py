@@ -58,9 +58,9 @@ DRIVERS = {
     "segments.concat_levels.desc-negate":
         ("vector", "tri", [6], "segments.concat_levels"),
     # the user-call boundary every vector lane shares, driven on vector
-    # and on the VM
-    "vexec.call.desc-bump": ("vector,vcode", "main", [40], "vexec:"),
-    "vexec.call.desc-negate": ("vector,vcode", "main", [40], "vexec:"),
+    # and on native
+    "vexec.call.desc-bump": ("vector,native", "main", [40], "vexec:"),
+    "vexec.call.desc-negate": ("vector,native", "main", [40], "vexec:"),
 }
 
 #: Transform-level IR corruption is caught before anything runs: the
@@ -134,7 +134,7 @@ def test_transform_site_clean_without_injection(site):
 def test_raise_mode_surfaces_faultinjected(prog):
     with F.injecting("vexec.call.desc-bump", mode="raise") as inj:
         with pytest.raises(FaultInjected, match="vexec.call.desc-bump"):
-            prog.run("main", [40], backend="vcode")
+            prog.run("main", [40], backend="native")
     assert inj.fired
 
 

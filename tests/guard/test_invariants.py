@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import compile_program
+from repro.api import BACKENDS, compile_program
 from repro.errors import InvariantError
 from repro.guard import GuardConfig, guarded
 from repro.guard.invariants import validate_nested, validate_value
@@ -89,7 +89,7 @@ fun nest(n) = sum([i <- [1..n]: sum([j <- [1..i]: i*j])])
 class TestStrictMode:
     """check=True must not change results on healthy programs."""
 
-    @pytest.mark.parametrize("backend", ["interp", "vector", "vcode"])
+    @pytest.mark.parametrize("backend", list(BACKENDS))
     @pytest.mark.parametrize("entry,args", [("main", [12]), ("nest", [7])])
     def test_checked_run_matches_unchecked(self, backend, entry, args):
         prog = compile_program(SRC)

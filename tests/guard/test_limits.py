@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from repro.api import compile_program
+from repro.api import BACKENDS, compile_program
 from repro.errors import ResourceLimitError
 from repro.guard import Budget, GuardConfig, guarded
 from repro.guard.runtime import scoped_recursion_limit
@@ -26,7 +26,7 @@ class TestDepthGuard:
     classic flattening non-termination mode) must fail within budget, on
     every back end, with a diagnostic naming the function."""
 
-    @pytest.mark.parametrize("backend", ["interp", "vector", "vcode"])
+    @pytest.mark.parametrize("backend", list(BACKENDS))
     def test_nonterminating_recursion_diagnosed(self, prog, backend):
         budget = Budget(max_call_depth=64)
         with pytest.raises(ResourceLimitError) as ei:
@@ -39,7 +39,7 @@ class TestDepthGuard:
         assert list(e.frame_sizes) == sorted(e.frame_sizes)
         assert "non-shrinking" in str(e)
 
-    @pytest.mark.parametrize("backend", ["interp", "vector", "vcode"])
+    @pytest.mark.parametrize("backend", list(BACKENDS))
     def test_no_raw_recursionerror(self, prog, backend):
         try:
             prog.run("main", [3], backend=backend,
@@ -68,8 +68,8 @@ class TestBudgets:
     def test_steps_ceiling(self, prog):
         # the flattened `work` runs 4 vector ops regardless of n (that is
         # the point of the transformation), so the ceiling must sit below
-        # that; the VM counts a vector op as every other lane does
-        for backend in ("vector", "vcode"):
+        # that; native counts a vector op as vector does
+        for backend in ("vector", "native"):
             with pytest.raises(ResourceLimitError) as ei:
                 prog.run("work", [50], backend=backend,
                          budget=Budget(max_steps=3))
@@ -94,8 +94,7 @@ class TestBudgets:
 
 class TestStepVerdictAcrossLanes:
     """Every lane runs the one fused program, and a fused region is one
-    step whoever executes it: NumPy, the C kernel or the threaded one.  The
-    VM is the same evaluator and counts the same steps."""
+    step whoever executes it: NumPy, the C kernel or the threaded one."""
 
     SRC = "fun f(n) = sum([i <- [1..n]: i * i + 1])"
 
@@ -103,15 +102,17 @@ class TestStepVerdictAcrossLanes:
     def test_same_verdict_on_vector_native_and_parallel(self, k):
         prog = compile_program(self.SRC)
         verdict = {}
-        for backend in ("vector", "vcode", "native", "parallel"):
+        for backend, threads in (("vector", None), ("native", None),
+                                 ("native", 2)):
             try:
-                verdict[backend] = prog.run("f", [500], backend=backend,
-                                            budget=Budget(max_steps=k))
+                verdict[backend, threads] = prog.run(
+                    "f", [500], backend=backend, threads=threads,
+                    budget=Budget(max_steps=k))
             except ResourceLimitError as e:
-                verdict[backend] = e.limit
+                verdict[backend, threads] = e.limit
         assert len(set(verdict.values())) == 1, verdict
         # range1, then the region: two steps
-        assert verdict["vector"] == ("steps" if k == 1 else 41792250)
+        assert verdict["vector", None] == ("steps" if k == 1 else 41792250)
 
 
 class TestScopedRecursionLimit:
@@ -134,7 +135,7 @@ class TestScopedRecursionLimit:
         assert sys.getrecursionlimit() == before + 999
         sys.setrecursionlimit(before)
 
-    @pytest.mark.parametrize("backend", ["interp", "vector", "vcode"])
+    @pytest.mark.parametrize("backend", list(BACKENDS))
     def test_executors_do_not_leak_limit(self, prog, backend):
         before = sys.getrecursionlimit()
         prog.run("work", [5], backend=backend)

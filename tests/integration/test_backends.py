@@ -1,6 +1,7 @@
-"""One conformance battery over ``repro.api.BACKENDS``: every row of the
-table runs every example to the interpreter's answer, batched and not,
-and has exactly the capabilities its flags (and the table in
+"""One conformance battery over ``repro.api.BACKENDS``: every lane of
+the differ (every row of the table, and ``native`` at two threads) runs
+every example to the interpreter's answer, batched and not, and every
+row has exactly the capabilities its columns (and the table in
 docs/PIPELINE.md) claim."""
 
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from repro import compile_program
 from repro.api import BACKENDS, backend_row
 from repro.cli import _example_spec
-from repro.fuzz.differ import skip_reason
+from repro.fuzz.differ import ALL_BACKENDS, lane_call, skip_reason
 from repro.guard import runtime as guard
 from repro.interp.interpreter import Interpreter
 
@@ -26,7 +27,8 @@ def _lane(name):
         why is not None, reason=f"{name}: {why}"))
 
 
-LANES = [_lane(name) for name in BACKENDS]
+LANES = [_lane(name) for name in ALL_BACKENDS]
+ROWS = [_lane(name) for name in BACKENDS]
 
 
 @pytest.fixture(scope="module")
@@ -45,19 +47,20 @@ def test_every_example_names_an_entry():
     assert all("PROFILE_ENTRY" in s for s in SPECS.values())
 
 
-@pytest.mark.parametrize("backend", LANES)
+@pytest.mark.parametrize("lane", LANES)
 @pytest.mark.parametrize("stem", sorted(SPECS))
-def test_run_equals_run_batched_equals_interp(programs, stem, backend):
+def test_run_equals_run_batched_equals_interp(programs, stem, lane):
     prog, entry, args, want = programs[stem]
-    assert prog.run(entry, args, backend=backend) == want
-    assert prog.run_batched(entry, [args, args], backend=backend) \
-        == [want, want]
+    backend, threads = lane_call(lane)
+    assert prog.run(entry, args, backend=backend, threads=threads) == want
+    assert prog.run_batched(entry, [args, args], backend=backend,
+                            threads=threads) == [want, want]
 
 
-@pytest.mark.parametrize("backend", LANES)
+@pytest.mark.parametrize("backend", ROWS)
 def test_static_discharge_exactly_where_flagged(monkeypatch, backend):
     """``check="static"`` installs a non-empty discharged set in the
-    guard scope exactly for rows flagged ``static`` — on ``run`` and on
+    guard scope exactly for rows with an executor — on ``run`` and on
     the batched ``f^1`` call."""
     seen = []
     row = BACKENDS[backend]
@@ -75,23 +78,37 @@ def test_static_discharge_exactly_where_flagged(monkeypatch, backend):
                     check="static") == [1, 4]
     assert prog.run_batched("sqs", [[[1]], [[2, 3]]], backend=backend,
                             check="static") == [[1], [4, 9]]
-    assert len(seen) == (2 if row.batches else 3)
-    assert all(bool(d) == row.static for d in seen)
+    has_executor = row.executor is not None
+    assert len(seen) == (2 if has_executor else 3)
+    assert all(bool(d) == has_executor for d in seen)
 
 
-@pytest.mark.parametrize("backend", LANES)
+def _asking(monkeypatch, backend):
+    """The thread counts ``backend``'s executor is built with, as a list
+    that fills as the test runs."""
+    asked: list = []
+    row = BACKENDS[backend]
+    if row.executor is not None:
+        monkeypatch.setitem(BACKENDS, backend, row._replace(
+            executor=lambda tp, threads: (asked.append(threads),
+                                          row.executor(tp, threads))[1]))
+    return asked
+
+
+@pytest.mark.parametrize("backend", ROWS)
 def test_threads_reach_the_engine_exactly_where_flagged(monkeypatch, backend):
-    import repro.parallel.engine as pe
-    asked = []
-    real = pe.get_parallel_engine
-    monkeypatch.setattr(pe, "get_parallel_engine",
-                        lambda threads=None: (asked.append(threads),
-                                              real(threads))[1])
+    """A count reaches the executor of a row that takes threads, built
+    for its call; ``threads=None`` builds the entry's shared one, once."""
+    asked = _asking(monkeypatch, backend)
     prog = compile_program(SRC)
-    assert prog.run("sqs", [[1, 2]], backend=backend, threads=1) == [1, 4]
+    for threads in (1, None, 1, None):
+        assert prog.run("sqs", [[1, 2]], backend=backend,
+                        threads=threads) == [1, 4]
     assert prog.run_batched("sqs", [[[1]], [[2]]], backend=backend,
                             threads=1) == [[1], [4]]
-    assert asked == ([1, 1] if BACKENDS[backend].threads else [])
+    row = BACKENDS[backend]
+    assert asked == ([1, None, 1, 1] if row.threads
+                     else [None, None] if row.executor else [])
 
 
 def test_run_batched_fallback_passes_threads_like_run(monkeypatch):
@@ -99,29 +116,24 @@ def test_run_batched_fallback_passes_threads_like_run(monkeypatch):
     arguments, a function-valued argument, the interpreter) is the same
     call as ``run`` — it used to drop ``threads`` and ask the engine for
     the machine default."""
-    import repro.parallel.engine as pe
     from repro import FunVal
-    asked = []
-    real = pe.get_parallel_engine
-    monkeypatch.setattr(pe, "get_parallel_engine",
-                        lambda threads=None: (asked.append(threads),
-                                              real(threads))[1])
+    asked = _asking(monkeypatch, "native")
     prog = compile_program("""
         fun z() = [i <- [1..3]: i * i]
         fun double(x) = 2 * x
         fun mapf(f, v) = [x <- v: f(x)]
     """)
-    assert prog.run("z", [], backend="parallel", threads=1) == [1, 4, 9]
+    assert prog.run("z", [], backend="native", threads=1) == [1, 4, 9]
     assert asked == [1]
     del asked[:]
-    assert prog.run_batched("z", [[], []], backend="parallel",
+    assert prog.run_batched("z", [[], []], backend="native",
                             threads=1) == [[1, 4, 9]] * 2
     assert asked == [1, 1]
     del asked[:]
     types = ["(int) -> int", "seq(int)"]
     assert prog.run_batched(
         "mapf", [[FunVal("double"), [1]], [FunVal("double"), [2, 3]]],
-        backend="parallel", types=types, threads=1) == [[2], [4, 6]]
+        backend="native", types=types, threads=1) == [[2], [4, 6]]
     assert asked == [1, 1]
     del asked[:]
     assert prog.run_batched("z", [[], []], backend="interp",
@@ -130,20 +142,29 @@ def test_run_batched_fallback_passes_threads_like_run(monkeypatch):
 
 
 def test_unknown_backend_is_one_error_everywhere():
+    """The retired ``vcode`` and ``parallel`` are no aliases: the same
+    error, which also names what runs their programs now."""
     prog = compile_program(SRC)
-    with pytest.raises(ValueError, match="unknown backend 'bogus'") as e1:
-        prog.run("sqs", [[1]], backend="bogus")
-    with pytest.raises(ValueError) as e2:
-        prog.run_batched("sqs", [[[1]]], backend="bogus")
-    with pytest.raises(ValueError) as e3:
-        backend_row("bogus")
-    assert str(e1.value) == str(e2.value) == str(e3.value)
-    assert all(name in str(e1.value) for name in BACKENDS)
+    known = f"unknown backend {{!r}} (known: {', '.join(BACKENDS)})"
+    for name, more in [
+            ("bogus", ""),
+            ("vcode", "; 'vcode' is retired: use 'vector' (trace it with "
+                      "`repro simulate` or vector_trace)"),
+            ("parallel", "; 'parallel' is retired: use 'native' with "
+                         "threads= (--threads N)")]:
+        with pytest.raises(ValueError) as e1:
+            prog.run("sqs", [[1]], backend=name)
+        with pytest.raises(ValueError) as e2:
+            prog.run_batched("sqs", [[[1]]], backend=name)
+        with pytest.raises(ValueError) as e3:
+            backend_row(name)
+        assert str(e1.value) == str(e2.value) == str(e3.value) \
+            == known.format(name) + more
 
 
 def test_docs_capability_table_lists_every_backend():
     """docs/PIPELINE.md's back-end table: one row per BACKENDS key, in
-    order, with the flags the code has."""
+    order, with the columns the code has."""
     lines = (REPO_ROOT / "docs" / "PIPELINE.md").read_text().splitlines()
     start = next(i for i, ln in enumerate(lines)
                  if ln.startswith("| back end |"))
@@ -153,11 +174,8 @@ def test_docs_capability_table_lists_every_backend():
             break
         rows.append([c.strip().strip("`") for c in ln.strip("|").split("|")])
     assert [r[0] for r in rows] == list(BACKENDS)
-    for name, _executor, batches, static, threads, _cc in rows:
-        row = BACKENDS[name]
-        assert (batches, static, threads) == tuple(
-            "yes" if flag else "no"
-            for flag in (row.batches, row.static, row.threads)), name
+    for name, _executor, threads, _cc in rows:
+        assert threads == ("yes" if BACKENDS[name].threads else "no"), name
 
 
 def _load_lint():
@@ -182,11 +200,13 @@ def test_lint_detects_a_retyped_backend_list(tmp_path):
     pkg.mkdir(parents=True)
     (pkg / "api.py").write_text((REPO_ROOT / lint.TABLE).read_text())
     (pkg / "copy.py").write_text(
-        'TRIO = ("interp", "vector", "vcode")\n'
+        'ONE = ("native",)\n'
+        'PAIR = ["vector", "native"]\n'
         'def f(b):\n'
-        '    return b in ("vector", "vcode", "native", "parallel")\n')
+        '    return b in ("interp", "vector", "native")\n')
     assert lint.find_literals(tmp_path) == [
-        ("src/repro/copy.py", 3, ["native", "parallel", "vcode", "vector"])]
+        ("src/repro/copy.py", 2, ["native", "vector"]),
+        ("src/repro/copy.py", 4, ["interp", "native", "vector"])]
 
 
 def test_primitive_names_are_listed_once_in_src():
@@ -218,12 +238,16 @@ def test_lint_detects_a_retyped_primitive_class(tmp_path):
 
 def test_every_vector_lane_runs_one_transformed_program():
     """T1 realizes every ``f^d`` through one ``f^1``, so an entry at one
-    type is transformed once — fused — and the four vector lanes execute
-    that one object."""
+    type is transformed once — fused — and every vector lane, at every
+    thread count, and the traced run execute that one object."""
     prog = compile_program("fun f(v) = sum([x <- v: x * x + 1])")
-    for backend in ("vector", "vcode", "native", "parallel"):
-        assert prog.run("f", [[1, 2, 3]], backend=backend) == 17
+    for lane in ALL_BACKENDS:
+        backend, threads = lane_call(lane)
+        if backend != "interp":
+            assert prog.run("f", [[1, 2, 3]], backend=backend,
+                            threads=threads) == 17
+    assert prog.vector_trace("f", [[1, 2, 3]])[0] == 17
     tps = [b.tp for b in prog._bound.values()]
-    assert len(tps) == 4 and all(tp is tps[0] for tp in tps)
+    assert len(tps) == 2 and all(tp is tps[0] for tp in tps)
     assert len(prog._transformed) == 1
     assert [t[:2] for t in tps[0].fusion.trees.values()] == [("fold", "sum")]

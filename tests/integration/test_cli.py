@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import BACKENDS
 from repro.cli import main
 
 DEMO = """
@@ -29,7 +30,7 @@ class TestRun:
         assert rc == 0
         assert out.strip() == "[[1], [1, 4], [1, 4, 9]]"
 
-    @pytest.mark.parametrize("backend", ["vector", "interp", "vcode"])
+    @pytest.mark.parametrize("backend", list(BACKENDS))
     def test_run_backends(self, demo, capsys, backend):
         rc, out = run_cli(capsys, "run", demo, "-a", "2", "--backend", backend)
         assert rc == 0 and out.strip() == "[[1], [1, 4]]"

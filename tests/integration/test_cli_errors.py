@@ -67,10 +67,17 @@ class TestExitCodes:
         assert len(msg.splitlines()) == 1
         assert capsys.readouterr().out == ""
 
-    def test_usage_error_exit_2(self, demo):
-        with pytest.raises(SystemExit) as ei:
-            main(["run", demo, "--backend", "bogus"])
-        assert ei.value.code == 2
+    def test_usage_error_exit_2(self, demo, capsys):
+        """A back end ``backend_row`` refuses (the retired ``vcode`` and
+        ``parallel`` too) exits 2 with the one line ``run()`` raises."""
+        from repro.api import backend_row
+        for name in ("bogus", "vcode", "parallel"):
+            with pytest.raises(ValueError) as want:
+                backend_row(name)
+            with pytest.raises(SystemExit) as ei:
+                main(["run", demo, "--backend", name])
+            assert ei.value.code == 2
+            assert capsys.readouterr().err == f"error: {want.value}\n"
 
     def test_invariant_maps_to_exit_4(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_dispatch", lambda ns: (_ for _ in ()).throw(
@@ -114,7 +121,7 @@ class TestCheckCommand:
 
         def skew(self, fname, args, backend="vector", *a, **kw):
             v = real(self, fname, args, backend, *a, **kw)
-            return v + [0] if backend == "vcode" else v
+            return v + [0] if backend == "native" else v
         monkeypatch.setattr(CompiledProgram, "run", skew)
         rc, out, err = run_cli(capsys, "check", demo, "-a", "4")
         assert rc == EXIT_DISAGREE

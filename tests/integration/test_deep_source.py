@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from repro import compile_program
-from repro.api import BACKENDS
+from repro.fuzz.differ import ALL_BACKENDS, lane_call
 from repro.cli import main
 from repro.guard import runtime as guard_runtime
 
@@ -25,8 +25,10 @@ PARENS = "fun f(x) = " + "(" * N + "x" + " + 1)" * N + "\n"
 @pytest.mark.parametrize("src", [LET_CHAIN, PARENS], ids=["let", "parens"])
 def test_deep_source_answers_on_every_backend(src):
     prog = compile_program(src)
-    for backend in BACKENDS:
-        assert prog.run("f", [1], backend=backend) == N + 1, backend
+    for lane in ALL_BACKENDS:
+        backend, threads = lane_call(lane)
+        assert prog.run("f", [1], backend=backend,
+                        threads=threads) == N + 1, lane
 
 
 @pytest.mark.parametrize("src", [LET_CHAIN, PARENS], ids=["let", "parens"])

@@ -14,9 +14,7 @@ from repro import FunVal, compile_program
 
 
 def both(src, fname, args, types=None):
-    prog = compile_program(src)
-    vec, ref = prog.run_both(fname, args, types)
-    return vec
+    return compile_program(src).run_all(fname, args, types)
 
 
 class TestFlatIterators:

@@ -1,16 +1,20 @@
-"""Error-parity matrix: every *runtime* error class must be raised by all
-three back ends, and every *static* error must be raised before any back
-end runs.  The error class and the refusal to produce a wrong answer are
-the contract.  Some errors also read the same on all five lanes: an
-out-of-range index, update or permute target, a strict fold of an empty
-segment, and what the boundary refuses."""
+"""Error-parity matrix: every *runtime* error class must be raised on
+every lane (each back end, and ``native`` at two threads), and every
+*static* error must be raised before any back end runs.  The error class
+and the refusal to produce a wrong answer are the contract.  Some errors
+also read the same on every lane: an out-of-range index, update or
+permute target, a strict fold of an empty segment, and what the boundary
+refuses."""
 
 import numpy as np
 import pytest
 
 from repro import ReproError, compile_program
-from repro.api import BACKENDS
 from repro.errors import EvalError, ParseError, TypeCheckError, VectorError
+from repro.fuzz.differ import ALL_BACKENDS, lane_call
+
+#: every lane as ``(label, backend, threads)``
+LANES = [(lane, *lane_call(lane)) for lane in ALL_BACKENDS]
 
 RUNTIME_CASES = [
     # (description, source, entry, args)
@@ -46,9 +50,9 @@ class TestRuntimeErrorParity:
                              ids=[c[0] for c in RUNTIME_CASES])
     def test_all_backends_raise(self, desc, src, entry, args):
         prog = compile_program(src)
-        for backend in ("interp", "vector", "vcode"):
+        for _lane, backend, threads in LANES:
             with pytest.raises(ReproError):
-                prog.run(entry, args, backend=backend)
+                prog.run(entry, args, backend=backend, threads=threads)
 
 
 OUT_OF_RANGE = ["index above range", "index zero", "index into empty",
@@ -65,10 +69,10 @@ class TestOutOfRangeErrorParity:
     def test_same_class_and_message(self, desc, src, entry, args):
         prog = compile_program(src)
         said = {}
-        for backend in BACKENDS:
+        for lane, backend, threads in LANES:
             with pytest.raises(ReproError) as got:
-                prog.run(entry, args, backend=backend)
-            said[backend] = (type(got.value), str(got.value))
+                prog.run(entry, args, backend=backend, threads=threads)
+            said[lane] = (type(got.value), str(got.value))
         assert len(set(said.values())) == 1, said
         assert said["interp"][0] is EvalError
 
@@ -87,11 +91,13 @@ class TestFusedFoldErrorParity:
         with pytest.raises(ReproError) as want:
             unfused.run(entry, args, backend="vector")
         fused = compile_program(src)
-        for backend in ("vector", "vcode", "native", "parallel"):
+        for lane, backend, threads in LANES:
+            if backend == "interp":
+                continue
             with pytest.raises(ReproError) as got:
-                fused.run(entry, args, backend=backend)
+                fused.run(entry, args, backend=backend, threads=threads)
             assert (type(got.value), str(got.value)) == \
-                (type(want.value), str(want.value)), backend
+                (type(want.value), str(want.value)), lane
 
 
 class TestFusedFoldConformance:
@@ -107,7 +113,7 @@ class TestFusedFoldConformance:
         engines = {"vector": None}
         if toolchain.available():
             engines["native"] = NativeEngine()
-            engines["parallel"] = NativeEngine().at_threads(2)
+            engines["native@2"] = NativeEngine().at_threads(2)
         return engines
 
     def test_same_class_and_words_as_the_unfused_op(self):
@@ -139,9 +145,9 @@ class TestFusedFoldConformance:
         the user's ``length`` (0), on every lane."""
         prog = compile_program("fun length(a0) = 0\n"
                                "fun f(a, b) = dotp(a, b)")
-        for backend in BACKENDS:
-            assert prog.run("f", [[1, 2], [3, 4]], backend=backend) == 0, \
-                backend
+        for lane, backend, threads in LANES:
+            assert prog.run("f", [[1, 2], [3, 4]], backend=backend,
+                            threads=threads) == 0, lane
 
 
 BIG = 2 ** 70
@@ -149,7 +155,7 @@ SEQ = ("seq(int)",)
 
 #: (description, args, types, what every lane says) for ``fun f(v) = [x <-
 #: v: x + 1]``: an error class and message, or the answer.  Where the
-#: reference interpreter legitimately differs from the four vector lanes
+#: reference interpreter legitimately differs from the vector lanes
 #: the row says both: ``(interp, vector lanes)``.
 BOUNDARY_CASES = [
     ("bool among ints", [[1, True]], None,
@@ -206,21 +212,23 @@ class TestBoundaryErrorParity:
     def test_every_lane_says_the_same(self, desc, args, types, want):
         prog = compile_program("fun f(v) = [x <- v: x + 1]")
         split = isinstance(want[0], (list, tuple))
-        for backend in BACKENDS:
+        for lane, backend, threads in LANES:
             says = want if not split else want[backend != "interp"]
             for batch in (False, True):
                 try:
-                    got = prog.run_batched("f", [args, args], backend, types) \
-                        if batch else prog.run("f", args, backend, types)
+                    got = prog.run_batched("f", [args, args], backend, types,
+                                           threads=threads) \
+                        if batch else prog.run("f", args, backend, types,
+                                               threads=threads)
                     got = got[0] if batch and got[0] == got[1] else got
                 except ReproError as e:
                     got = type(e), str(e)
-                assert got == says, (backend, batch)
+                assert got == says, (lane, batch)
 
 
 #: (description, source, what the interpreter answers) on ``[1, 2]``: an
 #: int literal outside int64.  The interpreter's integers have no bound, so
-#: it answers; the four vector lanes refuse the literal where it becomes a
+#: it answers; the vector lanes refuse the literal where it becomes a
 #: kernel operand, in the boundary's words.  Which is right is ROADMAP
 #: 5(a)'s open decision (wrap, or raise on every lane).
 LITERAL_OVERFLOW_CASES = [
@@ -242,13 +250,13 @@ class TestLiteralOverflowParity:
             self, desc, src, interp):
         prog = compile_program(src)
         assert prog.run("f", [[1, 2]], backend="interp") == interp
-        for backend in BACKENDS:
+        for lane, backend, threads in LANES:
             if backend == "interp":
                 continue
             with pytest.raises(VectorError) as got:
-                prog.run("f", [[1, 2]], backend=backend)
+                prog.run("f", [[1, 2]], backend=backend, threads=threads)
             assert str(got.value) == \
-                "integer 100000000000000000000 does not fit int64", backend
+                "integer 100000000000000000000 does not fit int64", lane
 
 
 STATIC_CASES = [

@@ -16,7 +16,7 @@ import math
 import pytest
 
 from repro import compile_program
-from repro.api import BACKENDS
+from repro.fuzz.differ import ALL_BACKENDS, lane_call
 
 NAN = math.nan
 NAN_SEQS = [[NAN, 1.0, 2.0], [1.0, NAN, 2.0], [1.0, 2.0, NAN], [NAN]]
@@ -27,7 +27,9 @@ FOLDS = ["maxval(s)", "minval(s)", "reduce(max2, s)", "reduce(min2, s)",
 
 def said(src: str, args: list) -> dict:
     prog = compile_program(src)
-    return {b: repr(prog.run("f", args, backend=b)) for b in BACKENDS}
+    return {lane: repr(prog.run("f", args, backend=b, threads=t))
+            for lane, (b, t) in zip(ALL_BACKENDS,
+                                    map(lane_call, ALL_BACKENDS))}
 
 
 def assert_lanes_agree(src: str, args: list) -> None:
@@ -60,7 +62,7 @@ SIGNED_ZERO_TIES = [
     ("fun f(s: seq(float)) = minval(s)", [[0.0, -0.0]]),
     ("fun f(s: seq(float)) = minval(s)", [[-0.0, 0.0]]),
     ("fun f(s: seq(float)) = reduce(max2, s)", [[0.0, -0.0]]),
-    # -0.0 on vector / vcode, 0.0 on native / parallel: the C fold keeps
+    # -0.0 on vector, 0.0 on native at every thread count: the C fold keeps
     # the first of two equal operands, NumPy the second
     ("fun f(v: seq(seq(float))) = [s <- v: maxval(s)]", [[[0.0, -0.0]]]),
 ]

@@ -60,7 +60,7 @@ class TestKitchenSink:
               for _ in range(10)]
         want = oracle(vv, 7)
         assert prog.run("weird", [vv, 7], types=["seq(seq(int))", "int"]) == want
-        assert prog.run("weird", [vv, 7], backend="vcode",
+        assert prog.run("weird", [vv, 7], backend="native",
                         types=["seq(seq(int))", "int"]) == want
 
     def test_matches_interpreter(self):

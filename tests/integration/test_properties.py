@@ -162,7 +162,7 @@ class TestPaperLaws:
 
 
 # ---------------------------------------------------------------------------
-# Random-program soundness: interp == vector == vcode
+# Random-program soundness: interp == vector == native
 # ---------------------------------------------------------------------------
 
 _PROGRAMS = [
@@ -196,8 +196,8 @@ class TestRandomProgramSoundness:
         ref = prog.run("main", args, backend="interp")
         vec = prog.run("main", args, backend="vector")
         assert vec == ref
-        vc = prog.run("main", args, backend="vcode")
-        assert vc == ref
+        nat = prog.run("main", args, backend="native")
+        assert nat == ref
 
 
 # ---------------------------------------------------------------------------

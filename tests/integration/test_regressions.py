@@ -4,6 +4,7 @@ reproduction.  Each test documents the failure mode so it stays fixed."""
 import pytest
 
 from repro import ReproError, compile_program
+from repro.api import BACKENDS
 
 
 class TestT1DepthOffByOne:
@@ -37,7 +38,7 @@ class TestReduceOnEmpty:
 
     def test_raises_not_hangs(self):
         prog = compile_program("fun f(v) = reduce(add, v)")
-        for backend in ("interp", "vector", "vcode"):
+        for backend in BACKENDS:
             with pytest.raises(ReproError):
                 prog.run("f", [[]], backend=backend)
 

@@ -43,7 +43,7 @@ class TestRepl:
 
     def test_bad_backend(self):
         out = run_repl(":backend gpu\n:quit\n")
-        assert "unknown back end" in out
+        assert "unknown backend 'gpu'" in out
 
     def test_error_recovery(self):
         out = run_repl("nosuchvar\n1 + 1\n:quit\n")

@@ -22,10 +22,10 @@ from pathlib import Path
 import pytest
 
 from repro import FunVal, compile_program
-from repro.api import CompiledProgram
+from repro.api import BACKENDS, CompiledProgram
 from repro.errors import ReproError
 from repro.fuzz.differ import (
-    ALL_BACKENDS, compare_outcomes, run_case, skip_reason,
+    ALL_BACKENDS, compare_outcomes, lane_call, run_case, skip_reason,
 )
 from repro.fuzz.gen import gen_case
 from repro.guard.runtime import Budget
@@ -164,7 +164,7 @@ def test_shadowing_types_and_runs_like_the_oracle(name):
             if entry != name and name not in IMAGE.refs[entry] \
                     and name not in GENERATED:
                 continue
-            for backend in ("interp", "vector", "vcode"):
+            for backend in BACKENDS:
                 assert (_run_outcome(got_prog, entry, args, types, backend)
                         == _run_outcome(want_prog, entry, args, types,
                                         backend)), (name, body, entry, backend)
@@ -281,7 +281,8 @@ def test_compiling_and_running_leaves_the_image_untouched():
             spec = _example_spec(path)
             prog = compile_program(spec["SOURCE"])
             entry, args = spec["PROFILE_ENTRY"], list(spec["PROFILE_ARGS"])
-            results = [prog.run(entry, args, backend=b) for b in lanes]
+            results = [prog.run(entry, args, backend=b, threads=t)
+                       for b, t in map(lane_call, lanes)]
             assert all(r == results[0] for r in results), path.name
         for seed in range(round_ * 100, round_ * 100 + 100):
             case = gen_case(seed)

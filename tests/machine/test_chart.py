@@ -1,9 +1,19 @@
-"""Tests for the ASCII chart helpers and measure_vector."""
+"""Tests for the ASCII chart helpers and the vector-model cost of a
+traced run."""
 
 import pytest
 
 from repro import TransformOptions, compile_program
+from repro.interp.cost import CostReport
 from repro.machine.chart import hbar_chart, line_chart
+
+
+def measure_vector(prog, fname, args):
+    """Vector-model cost of the flattened run: work = elements moved by
+    its vector ops, span = their number."""
+    result, trace = prog.vector_trace(fname, args)
+    return result, CostReport(work=sum(max(0, n) for _op, n in trace),
+                              span=len(trace))
 
 
 class TestHBar:
@@ -58,7 +68,7 @@ class TestMeasureVector:
         # the unfused program: fused, mul and sum are one op
         prog = compile_program("fun f(n) = sum([i <- [1..n]: i * i])",
                                options=TransformOptions(fuse=False))
-        val, cost = prog.measure_vector("f", [100])
+        val, cost = measure_vector(prog, "f", [100])
         assert val == sum(i * i for i in range(1, 101))
         assert cost.span >= 3            # range1, mul, sum at least
         assert cost.work >= 300
@@ -67,12 +77,12 @@ class TestMeasureVector:
         # the vector-model span (#ops) must not grow with n for flat code,
         # mirroring the interpreter's parallel span
         prog = compile_program("fun f(n) = [i <- [1..n]: i + 1]")
-        _v, small = prog.measure_vector("f", [10])
-        _v, big = prog.measure_vector("f", [10_000])
+        _v, small = measure_vector(prog, "f", [10])
+        _v, big = measure_vector(prog, "f", [10_000])
         assert small.span == big.span
         assert big.work > 100 * small.work
 
     def test_concurrency_property(self):
         prog = compile_program("fun f(n) = [i <- [1..n]: i * i]")
-        _v, c = prog.measure_vector("f", [1000])
+        _v, c = measure_vector(prog, "f", [1000])
         assert c.concurrency > 100

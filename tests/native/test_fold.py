@@ -7,9 +7,9 @@ segmented op), a two-prim tree with a hoisted scalar, a comparison under
 ``anytrue``/``alltrue``, ``real`` under a float ``sum``}, on descriptors
 of 0..9 segments (every remainder of four) whose lengths mix 0, 1, 2,
 255, 256, 257 and one 10,000 outlier inside a group of four, over values
-holding NaN, +-inf, -0.0 and the int64 extremes.  ``native`` and
-``parallel`` (its OpenMP kernels, 2 and 3 threads) must equal the
-unfused ``vector`` run by ``.tobytes()``.
+holding NaN, +-inf, -0.0 and the int64 extremes.  ``native``, serial
+and threaded (2 and 3 threads), must equal the unfused ``vector`` run by
+``.tobytes()``.
 """
 
 import hashlib
@@ -248,7 +248,7 @@ def test_empty_segment_under_a_fused_producer(op):
 
 @pytest.mark.parametrize("block", range(10))
 def test_fold_programs_agree_on_every_lane(block):
-    """100 seeded ``red([x <- s: tree(x)])`` programs, all five lanes."""
+    """100 seeded ``red([x <- s: tree(x)])`` programs, every lane."""
     for seed in range(block * 10, block * 10 + 10):
         case = gen_fold_case(seed)
         outcomes = run_case(case, backends=ALL_BACKENDS)

@@ -7,7 +7,7 @@ The parity table runs each fold over each kind it folds, the scans among
 them, a fold-rooted tree and an elementwise tree with hoisted scalars,
 on 2^18 elements in a number of segments that is not a multiple of the
 lock-step width, empty segments included where the fold admits them.
-The sized engine (``native``) and fixed counts (``parallel``) must equal
+The sized engine (``native``) and fixed counts (``threads=t``) must equal
 the forced-serial engine by ``.tobytes()``.  Inputs this size are above
 the floor; the seeded fuzzer's never are.
 """
@@ -70,7 +70,7 @@ def frame(kind: str, strict: bool) -> NestedVector:
 def engines(tmp_path) -> dict:
     cache = KernelCache(tmp_path)
     return {"native": NativeEngine(cache),
-            **{f"parallel x{t}": NativeEngine(cache).at_threads(t)
+            **{f"native x{t}": NativeEngine(cache).at_threads(t)
                for t in (2, 3)}}
 
 
@@ -124,8 +124,9 @@ def test_an_elementwise_tree_with_hoisted_scalars(tmp_path, n):
 
 @needs_threads
 def test_a_program_on_native_and_parallel(tmp_path, monkeypatch):
-    """End to end through the public API: ``native`` and ``parallel``
-    return the serial floats on an input above the floor."""
+    """End to end through the public API: ``native`` sized per call and
+    at a fixed count return the serial floats on an input above the
+    floor."""
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
     prog = compile_program("fun f(v: seq(seq(float)), k: float) = "
                            "[s <- v: sum([x <- s: (x * k + 1.0) * x])]")
@@ -136,9 +137,9 @@ def test_a_program_on_native_and_parallel(tmp_path, monkeypatch):
         at += m
     def run(**kw):
         return [x.hex() for x in prog.run("f", [arg, 0.5], **kw)]
-    want = run(backend="parallel", threads=1)
+    want = run(backend="native", threads=1)
     assert run(backend="native") == want
-    assert run(backend="parallel", threads=2) == want
+    assert run(backend="native", threads=2) == want
 
 
 # -- which kernel ran ------------------------------------------------------

@@ -17,6 +17,14 @@ from repro.vector import ops as O
 from repro.vector.convert import from_python
 
 
+def traced_report(prog, entry, args):
+    """The profile of a traced ``vector`` run (``vector_trace``, what
+    ``repro simulate`` runs): the only run that fills the ``vm`` layer."""
+    with profiling() as prof:
+        prog.vector_trace(entry, args)
+    return prof.report(entry=entry, backend="vector")
+
+
 def kernel_map(report):
     return {c.op: c for c in report.layer("kernel")}
 
@@ -75,7 +83,7 @@ class TestDistGenerator:
 
     def test_replicate_charged_at_frame_width(self):
         # in the machine model's view: the vm layer and the trace
-        _r, rep = self.prog.profile("main", [[1, 2, 3, 4]], backend="vcode")
+        rep = traced_report(self.prog, "main", [[1, 2, 3, 4]])
         vm = {c.op: c for c in rep.layer("vm")}["replicate"]
         assert (vm.calls, vm.elements) == (1, 4)
 
@@ -133,7 +141,7 @@ class TestLayerAndBackendSelection:
 
     def test_vcode_backend_populates_vm_layer(self):
         prog = compile_program("fun main(k) = [i <- [1..k]: i*i]")
-        _r, rep = prog.profile("main", [6], backend="vcode")
+        rep = traced_report(prog, "main", [6])
         # charged widths mirror the machine-model trace
         assert rep.counter("mul", layer="vm").elements > 0
 

@@ -67,10 +67,16 @@ class TestProfileCommand:
         assert not (tmp_path / "profile.json").exists()
 
     def test_vcode_backend(self, demo, capsys):
-        rc, out = run_cli(capsys, "profile", demo, "-e", "main", "-a", "3",
-                          "--backend", "vcode", "--no-write")
+        """The VCODE VM's table comes from the traced run, ``repro
+        simulate --profile``; ``vcode`` is no back end to profile."""
+        rc, out = run_cli(capsys, "simulate", demo, "-e", "main", "-a", "3",
+                          "-p", "4", "--profile")
         assert rc == 0
         assert "VCODE VM" in out
+        with pytest.raises(SystemExit) as ei:
+            main(["profile", demo, "-a", "3", "--backend", "vcode",
+                  "--no-write"])
+        assert ei.value.code == 2
 
     def test_default_entry_is_main(self, demo, capsys):
         rc, out = run_cli(capsys, "profile", demo, "-a", "3", "--no-write")

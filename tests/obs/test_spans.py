@@ -137,12 +137,12 @@ class TestPipelineSpans:
         assert by_name["simplify"].depth == by_name["transform"].depth + 1
 
     def test_vcode_backend_spans(self):
+        """The traced run compiles the VCODE program once and runs the VM."""
         prof = Profiler()
         with profiling(prof):
-            compile_program(SRC).run("main", [3], backend="vcode")
+            compile_program(SRC).vector_trace("main", [3])
         names = [s.name for s in prof.spans]
         assert "vcode-compile" in names
-        assert "execute:vcode" in names
         assert any(n.startswith("vcode-vm:") for n in names)
 
     def test_cached_entry_shows_only_execution_spans(self):

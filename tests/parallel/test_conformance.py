@@ -1,27 +1,27 @@
-"""The parallel conformance suite: ``backend="parallel"`` must be
-bit-identical to the serial back ends at every thread count.
+"""The thread-count conformance suite: ``backend="native"`` at a fixed
+``threads=`` count must be bit-identical to the serial back ends at every
+count.
 
-This is the acceptance battery for the multicore engine — every runnable
+This is the acceptance battery for the threaded kernels — every runnable
 example program and 200 fuzzer-generated programs, each at threads 1, 2
 and 4, compared against the vector back end (and, with a toolchain,
-against serial native).  A separate fixture takes the threaded kernels
-away, as on a host where they do not build, where the lane is the
-serial native engine.  Thread counts above the machine's CPU count are deliberate —
+against native sized per call).  A separate fixture takes the threaded
+kernels away, as on a host where they do not build, where every count is
+the serial native engine.  The differ's ``native@t`` lane is the same run
+(``TestDifferIntegration``).  Thread counts above the machine's CPU count are deliberate —
 oversubscription must not change a single bit.
 """
 
-import ast as pyast
 import os
-from pathlib import Path
 
 import pytest
 
 from repro import ReproError, compile_program
 from repro.native import toolchain
 from repro.native.engine import reset_engine
+from tests.passes.test_equivalence import EXAMPLE_FILES, _example_spec
 
 THREADS = (1, 2, 4)
-EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
 @pytest.fixture
@@ -77,7 +77,7 @@ PROGRAMS = [
                          ids=[f"p{i}" for i in range(len(PROGRAMS))])
 def test_programs_match_vector(src, entry, args, threads):
     prog = compile_program(src)
-    assert (outcome(prog, entry, args, backend="parallel", threads=threads)
+    assert (outcome(prog, entry, args, backend="native", threads=threads)
             == outcome(prog, entry, args, backend="vector"))
 
 
@@ -87,7 +87,7 @@ def test_programs_match_vector(src, entry, args, threads):
 def test_programs_match_vector_without_openmp(without_openmp, src, entry,
                                               args, threads):
     prog = compile_program(src)
-    assert (outcome(prog, entry, args, backend="parallel", threads=threads)
+    assert (outcome(prog, entry, args, backend="native", threads=threads)
             == outcome(prog, entry, args, backend="vector"))
 
 
@@ -96,27 +96,11 @@ def test_programs_match_vector_without_openmp(without_openmp, src, entry,
                          ids=[f"p{i}" for i in range(len(PROGRAMS))])
 def test_programs_match_native(src, entry, args):
     prog = compile_program(src)
-    assert (outcome(prog, entry, args, backend="parallel", threads=4)
+    assert (outcome(prog, entry, args, backend="native", threads=4)
             == outcome(prog, entry, args, backend="native"))
 
 
 # -- every runnable example program -----------------------------------------
-
-def _example_spec(path: Path) -> dict:
-    spec = {}
-    for node in pyast.parse(path.read_text()).body:
-        if (isinstance(node, pyast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], pyast.Name)
-                and node.targets[0].id in ("SOURCE", "PROFILE_ENTRY",
-                                           "PROFILE_ARGS")):
-            spec[node.targets[0].id] = pyast.literal_eval(node.value)
-    return spec
-
-
-EXAMPLE_FILES = sorted(p for p in EXAMPLES.glob("*.py")
-                       if "SOURCE" in _example_spec(p)
-                       and "PROFILE_ENTRY" in _example_spec(p))
-
 
 @pytest.mark.parametrize("threads", THREADS)
 @pytest.mark.parametrize("path", EXAMPLE_FILES,
@@ -125,7 +109,7 @@ def test_examples_bit_identical(path, threads):
     spec = _example_spec(path)
     prog = compile_program(spec["SOURCE"])
     entry, args = spec["PROFILE_ENTRY"], list(spec["PROFILE_ARGS"])
-    assert (prog.run(entry, args, backend="parallel", threads=threads)
+    assert (prog.run(entry, args, backend="native", threads=threads)
             == prog.run(entry, args, backend="vector")), path.name
 
 
@@ -147,34 +131,80 @@ def test_fuzzed_programs_bit_identical(chunk):
             continue                  # generator bug, not a backend issue
         for threads in THREADS:
             got = outcome(prog, case.entry, list(case.args),
-                          backend="parallel", threads=threads,
+                          backend="native", threads=threads,
                           types=list(case.types))
             assert got == ref, f"seed {seed} at {threads} threads"
 
 
-# -- the differ's fifth back end --------------------------------------------
+# -- the differ's native@t lanes --------------------------------------------
 
 class TestDifferIntegration:
     def test_resolve_plus_parallel(self):
-        from repro.fuzz.differ import resolve_backends
-        assert resolve_backends("+parallel") == \
-            ("interp", "vector", "vcode", "parallel")
+        """A lane names its thread count: ``native@t``."""
+        from repro.fuzz.differ import lane_call, resolve_backends
+        assert resolve_backends("+native@2") == \
+            ("interp", "vector", "native@2")
+        assert lane_call("native@4") == ("native", 4)
 
     def test_unknown_backend_still_rejected(self):
         from repro.fuzz.differ import resolve_backends
-        with pytest.raises(ValueError, match="unknown fuzz back end"):
-            resolve_backends("+paralel")
+        for spec in ("+paralel", "+parallel", "+vcode", "+native@0",
+                     "+native@", "+vector@2", "+native@two"):
+            with pytest.raises(ValueError, match="unknown fuzz back end"):
+                resolve_backends(spec)
 
     def test_fuzz_runs_or_skips_cleanly(self):
-        """On a multi-CPU machine the parallel lane runs; on a single CPU
-        it is dropped up front and named in the summary — never an
-        error."""
+        """On a multi-CPU machine with a toolchain the native@2 lane
+        runs; otherwise it is dropped up front and named in the summary
+        — never an error."""
         from repro.fuzz.differ import fuzz
-        report = fuzz(0, 6, backends=("vector", "vcode", "parallel"),
+        from repro.native.engine import default_threads
+        report = fuzz(0, 6, backends=("vector", "native", "native@2"),
                       shrink=False)
         assert report.ok, report.summary()
-        if (os.cpu_count() or 1) < 2:
-            assert report.skipped_backends == ("parallel",)
-            assert "parallel (single CPU)" in report.summary()
+        if not toolchain.available():
+            assert report.skipped_backends == {
+                "native": "no C toolchain", "native@2": "no C toolchain"}
+        elif default_threads() < 2:
+            assert report.skipped_backends == {"native@2": "single CPU"}
+            assert "native@2 (single CPU)" in report.summary()
         else:
-            assert report.skipped_backends == ()
+            assert report.skipped_backends == {}
+
+    @pytest.mark.skipif(not toolchain.available(), reason="no C toolchain")
+    def test_one_cpu_is_read_from_the_affinity_mask(self, monkeypatch):
+        """The engine's CPUs (``default_threads``), not the machine's."""
+        from repro.fuzz.differ import fuzz
+        from repro.native import engine as NE
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(NE, "default_threads", lambda: 1)
+        report = fuzz(0, 2, backends=("vector", "native@2", "native@1"))
+        assert report.skipped_backends == {"native@2": "single CPU"}
+        assert report.agreed == 2
+
+    @pytest.mark.skipif(not toolchain.available(), reason="no C toolchain")
+    def test_a_run_whose_threaded_kernels_did_not_build_is_skipped(
+            self, monkeypatch):
+        """The lane ran the serial kernels: skipped after the run, not
+        reported as agreeing."""
+        from repro.errors import NativeCompileError
+        from repro.fuzz.differ import fuzz
+        from repro.native import engine as NE
+        from repro.native.cache import KernelCache
+        real = KernelCache.get
+
+        def no_threads(self, source, argtypes, restype=None, extra_flags=()):
+            if "-pthread" in extra_flags:
+                raise NativeCompileError("simulated", "no -pthread")
+            return real(self, source, argtypes, restype, extra_flags)
+        monkeypatch.setattr(KernelCache, "get", no_threads)
+        monkeypatch.setattr(NE, "default_threads", lambda: 2)
+        monkeypatch.setattr(toolchain, "_threads", None)   # not known yet
+        reset_engine()
+        try:
+            report = fuzz(0, 10, backends=("vector", "native@2"))
+        finally:
+            reset_engine()
+        assert report.ok and toolchain.threads_known() is False
+        assert "[skipped: native@2 (threaded kernels did not build)]" \
+            in report.summary()

@@ -83,13 +83,13 @@ def test_full_program_floats_stable_across_thread_counts():
     want = prog.run("f", [arg], backend="vector")
     for threads in (1, 2, 4, 8):
         for _ in range(2):
-            assert prog.run("f", [arg], backend="parallel",
+            assert prog.run("f", [arg], backend="native",
                             threads=threads) == want
 
 
 @pytest.mark.skipif(not toolchain.available(), reason="no C toolchain")
 def test_one_thread_is_the_serial_native_engine():
-    """``parallel`` at one thread has nothing to fan out: it runs the
+    """``native`` at one thread has nothing to fan out: it runs the
     serial native kernels (the ``native`` obs layer is charged, and no
     other) and returns the ``native`` back end's exact floats."""
     from repro.native.engine import get_engine
@@ -106,7 +106,7 @@ def test_one_thread_is_the_serial_native_engine():
     want = prog.run("f", [arg], backend="native")
     prof = Profiler()
     with profiling(prof):
-        got = prog.run("f", [arg], backend="parallel", threads=1)
+        got = prog.run("f", [arg], backend="native", threads=1)
     assert got == want
     # one kernel: the fold is the root of the fused region
     assert {c.op for c in prof.layer_counters("native")} == {"__fused0"}
@@ -127,7 +127,7 @@ def test_openmp_fused_slices_cover_every_length(threads):
         arg = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randrange(-6, 7)
                for _ in range(n)]
         want = prog.run("f", [arg, 0.3], backend="native")
-        assert prog.run("f", [arg, 0.3], backend="parallel",
+        assert prog.run("f", [arg, 0.3], backend="native",
                         threads=threads) == want, (n, threads)
 
 

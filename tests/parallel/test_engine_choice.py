@@ -1,4 +1,4 @@
-"""What ``--backend parallel`` runs on each kind of host.
+"""What ``--backend native --threads N`` runs on each kind of host.
 
 One engine, lowered three ways: the native engine at the asked thread
 count runs the threaded kernels at two or more threads where they build,
@@ -78,7 +78,7 @@ def test_without_a_compiler_it_is_numpy(host, tmp_path):
     arg = [[0.5, 1.5], [], [2.0]]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        assert prog.run("f", [arg], backend="parallel", threads=2) == \
+        assert prog.run("f", [arg], backend="native", threads=2) == \
             prog.run("f", [arg], backend="vector")
 
 
@@ -110,7 +110,7 @@ def test_a_fused_fold_is_native_bits_on_the_native_layer(host):
     want = prog.run("f", [arg], backend="native")
     prof = Profiler()
     with profiling(prof):
-        got = prog.run("f", [arg], backend="parallel", threads=2)
+        got = prog.run("f", [arg], backend="native", threads=2)
     assert [x.hex() for x in got] == [x.hex() for x in want]
     assert {(c.layer, c.op) for c in prof.counters.values()} == \
         {("native", "__fused0")}

@@ -11,9 +11,8 @@ one power-of-two step of the hand-picked thread count."""
 import pytest
 
 from repro.api import compile_program
-from repro.parallel.engine import (
-    _THREAD_WORK_FLOOR, default_threads, pick_threads,
-)
+from repro.native.engine import default_threads
+from repro.parallel.engine import _THREAD_WORK_FLOOR, pick_threads
 
 #: the E19 workload shape: fused float chain summed per segment
 E19_SRC = ("fun f(v: seq(seq(float))) = "
@@ -83,9 +82,9 @@ class TestE19Workload:
     def test_end_to_end_auto_matches_explicit(self):
         prog, _cert, arg = self._cert(nseg=8, per=4)
         want = prog.run("f", [arg])
-        assert prog.run("f", [arg], backend="parallel",
+        assert prog.run("f", [arg], backend="native",
                         threads="auto") == want
-        assert prog.run("f", [arg], backend="parallel", threads=2) == want
+        assert prog.run("f", [arg], backend="native", threads=2) == want
 
 
 class TestAutoFallback:
@@ -97,7 +96,7 @@ class TestAutoFallback:
         prog = compile_program(src)
         at = prog.entry_types("q", [[3, 1, 2]])
         assert not prog.cost_certificate("q", at).bounded
-        assert prog.run("q", [[3, 1, 2]], backend="parallel",
+        assert prog.run("q", [[3, 1, 2]], backend="native",
                         threads="auto") == [3]
 
     def test_auto_is_ignored_by_serial_backends(self):

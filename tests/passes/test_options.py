@@ -79,7 +79,7 @@ def test_combination_runs_correctly(combo):
     assert prog.run("main", [4]) == prog.run("main", [4], backend="interp")
 
 
-@pytest.mark.parametrize("backend", ["vector", "vcode"])
+@pytest.mark.parametrize("backend", ["vector", "native"])
 def test_list_and_tuple_spellings_run_alike(backend):
     """A pass list — and a dump request — given as a list is hashed into
     the entry's cache key like a tuple: both spellings run, through
@@ -143,18 +143,21 @@ def test_combination_agrees_on_folds_over_elementwise_trees(combo):
     """The shape the fuzz corpus draws once in 200 programs — a segmented
     fold directly over an elementwise tree, which ``fuse`` roots a region
     at: the phase verifier's postcondition and the VCODE lint accept the
-    call, and the evaluator and the VM return the bits of the list
-    without optional passes."""
+    call, and the evaluator, native and the traced run (the VM) return
+    the bits of the list without optional passes."""
     for seed in range(24):
         case = gen_fold_case(seed)
         want = outcome(case.source, case.entry, case.args,
                        list(case.types), COMBOS[0])
         prog = compile_program(case.source, options=combo_opts(combo))
-        for backend in ("vector", "vcode"):
+        for backend in ("vector", "native"):
             got = ("ok", exact(prog.run(case.entry, list(case.args),
                                         types=list(case.types),
                                         backend=backend)))
             assert got == want, (seed, backend)
+        traced, _trace = prog.vector_trace(case.entry, list(case.args),
+                                           list(case.types))
+        assert ("ok", exact(traced)) == want, (seed, "traced")
 
 
 def test_fuse_and_native_reduce_compose():

@@ -58,9 +58,9 @@ class TestBackends:
         for seed in seeds:
             assert_batch_matches(seed, "vector")
 
-    def test_vcode(self, seeds):
+    def test_native(self, seeds):
         for seed in seeds:
-            assert_batch_matches(seed, "vcode")
+            assert_batch_matches(seed, "native")
 
     def test_interp(self, seeds):
         for seed in seeds:

@@ -5,6 +5,7 @@ request leads it."""
 import pytest
 
 from repro import compile_program
+from repro.api import BACKENDS
 from repro.errors import VectorError
 from tests.serve.test_equivalence import SQUARES, serve, squares  # noqa: F401
 
@@ -47,7 +48,7 @@ def test_an_integer_outside_int64_fails_alone(serve, types):
 def test_a_lone_integer_outside_int64_is_a_typed_error():
     for src, args in ((TOTAL, [[HUGE]]), ("fun main(x) = x + 1", [HUGE])):
         prog = compile_program(src)
-        for backend in ("vector", "vcode", "native"):
+        for backend in ("vector", "native"):
             with pytest.raises(VectorError, match="does not fit int64"):
                 prog.run("main", args, backend=backend)
 
@@ -61,7 +62,7 @@ def test_an_untyped_batch_does_not_depend_on_request_order(order):
     element, got 1.5``: the types were the lead's alone."""
     prog = compile_program(DOUBLE)
     want = [[x + x for x in s] for s in order]
-    for backend in ("vector", "vcode", "native", "interp"):
+    for backend in BACKENDS:
         got = prog.run_batched("main", [[s] for s in order], backend=backend)
         assert got == want and repr(got) == repr(want)
     # nothing to merge with: an empty sequence alone is a seq(int)

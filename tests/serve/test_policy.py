@@ -193,7 +193,7 @@ def test_tier_stops_weighing_a_promoted_key(monkeypatch):
 
 def test_tier_leaves_everything_but_eligible_vector_requests(monkeypatch):
     tier = _tier(monkeypatch, native_after=1)
-    for requested in ("interp", "vcode", "native", "parallel"):
+    for requested in ("interp", "native"):
         assert not tier.eligible("k", requested)
         assert tier.choose("k", requested, _w(100)) == (requested, False)
     # budgeted: no key

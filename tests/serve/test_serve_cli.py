@@ -10,6 +10,8 @@ import subprocess
 import sys
 import threading
 
+import pytest
+
 from repro.cli import EXIT_CRASH, EXIT_ERROR, EXIT_OK, EXIT_USAGE, main, serve
 from repro.errors import WorkerCrashError
 
@@ -51,13 +53,18 @@ class TestProtocol:
         assert "source" in resp[0]["error"]
 
     def test_unknown_backend_is_a_request_error_and_serving_goes_on(self):
+        from repro.api import backend_row
         rc, resp, _ = run_serve(
             [{"id": 1, "source": SRC, "args": [2], "backend": "bogus"},
-             {"id": 2, "source": SRC, "args": [2], "backend": "vcode"}])
+             {"id": 2, "source": SRC, "args": [2], "backend": "parallel"},
+             {"id": 3, "source": SRC, "args": [2], "backend": "native"}])
         assert rc == EXIT_ERROR
         assert resp[0]["ok"] is False and resp[0]["kind"] == "error"
         assert "unknown backend 'bogus'" in resp[0]["error"]
-        assert resp[1] == {"id": 2, "ok": True, "result": [1, 4]}
+        with pytest.raises(ValueError) as want:   # naming its replacement
+            backend_row("parallel")
+        assert (resp[1]["ok"], resp[1]["error"]) == (False, str(want.value))
+        assert resp[2] == {"id": 3, "ok": True, "result": [1, 4]}
 
     def test_bad_json_line_is_a_request_error(self):
         rc, resp, _ = run_serve(["{not json"])
@@ -75,7 +82,7 @@ class TestProtocol:
             [{"id": 0, "source": src, "args": [[]],
               "types": ["seq(int)"], "backend": "interp"},
              {"id": 1, "source": src, "args": [[2, 3]],
-              "types": ["seq(int)"], "backend": "vcode"}])
+              "types": ["seq(int)"], "backend": "native"}])
         assert rc == EXIT_OK
         assert [r["result"] for r in resp] == [0, 5]
 

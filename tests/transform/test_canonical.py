@@ -95,7 +95,7 @@ class TestSemanticsPreserved:
 class TestBuiltinNames:
     """What R1 generates calls the builtins, whatever the program
     defines; a domain the program wrote is a range only while ``range``
-    is the builtin.  All five lanes agree (docs/LANGUAGE.md)."""
+    is the builtin.  Every lane agrees (docs/LANGUAGE.md)."""
 
     ROWS = [
         # R1's length(v) is the builtin: the iterator visits xs
@@ -118,12 +118,15 @@ class TestBuiltinNames:
     ]
 
     def test_the_five_lanes_agree(self):
+        """Every lane of the differ: each back end and ``native@2``."""
         from repro import compile_program
-        from repro.api import BACKENDS
+        from repro.fuzz.differ import ALL_BACKENDS, lane_call
         for src, want in self.ROWS:
             prog = compile_program(src)
-            got = {b: prog.run("f", [[1, 2]], backend=b) for b in BACKENDS}
-            assert got == dict.fromkeys(BACKENDS, want), src
+            got = {lane: prog.run("f", [[1, 2]], backend=b, threads=t)
+                   for lane, (b, t) in zip(ALL_BACKENDS,
+                                           map(lane_call, ALL_BACKENDS))}
+            assert got == dict.fromkeys(ALL_BACKENDS, want), src
 
     def test_generated_calls_name_the_builtins(self):
         e = canon("[x <- v | p(x): x]")

@@ -42,7 +42,7 @@ class TestFusionCorrectness:
         on, off = pair(src)
         want = off.run("f", args)
         assert on.run("f", args) == want
-        assert on.run("f", args, backend="vcode") == want
+        assert on.run("f", args, backend="native") == want
         assert on.run("f", args, backend="interp") == want
 
     def test_float_fusion(self):

@@ -72,7 +72,7 @@ class TestCheckedOpBoundary:
         assert not prims & _UNSAFE, \
             f"checked op leaked into a fused tree: {prims & _UNSAFE}"
 
-    @pytest.mark.parametrize("backend", ["vector", "vcode", "interp"])
+    @pytest.mark.parametrize("backend", ["vector", "native", "interp"])
     def test_error_byte_identical(self, op, src, args, backend):
         on = compile_program(src, options=TransformOptions(fuse=True))
         off = compile_program(src)
@@ -81,7 +81,7 @@ class TestCheckedOpBoundary:
         assert got_on[0] != "ok", "the check must fire on these args"
         assert got_on == got_off
 
-    @pytest.mark.parametrize("backend", ["vector", "vcode"])
+    @pytest.mark.parametrize("backend", ["vector", "native"])
     def test_results_identical_when_check_passes(self, op, src, args,
                                                  backend):
         on = compile_program(src, options=TransformOptions(fuse=True))

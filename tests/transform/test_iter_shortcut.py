@@ -108,7 +108,7 @@ class TestRewriteFires:
             src, options=TransformOptions(
                 passes="canonical,eliminate,simplify,fuse"))
         v = list(range(-5, 25))
-        for backend in ("vector", "vcode"):
+        for backend in ("vector", "native"):
             assert (on.run("f", [v], backend=backend)
                     == off.run("f", [v], backend=backend))
 
@@ -120,7 +120,7 @@ class TestRewriteFires:
             src, options=TransformOptions(
                 passes="canonical,eliminate,simplify,fuse"))
         want = on.run("f", [arg], backend="interp")
-        for backend in ("vector", "vcode"):
+        for backend in ("vector", "native"):
             assert on.run("f", [arg], backend=backend) == want
             assert off.run("f", [arg], backend=backend) == want
 

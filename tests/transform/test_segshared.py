@@ -81,7 +81,7 @@ class TestCorrectness:
                                   passes="canonical,eliminate,simplify,fuse"))
         want = on.run(src and "f", args, backend="interp", types=types)
         assert on.run("f", args, types=types) == want
-        assert on.run("f", args, backend="vcode", types=types) == want
+        assert on.run("f", args, backend="native", types=types) == want
         assert off.run("f", args, types=types) == want
 
     def test_index_errors_still_raised(self):

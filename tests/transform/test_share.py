@@ -7,6 +7,7 @@ when the rule is dropped."""
 import pytest
 
 from repro import ReproError, TransformOptions, compile_program
+from repro.api import BACKENDS
 from repro.lang import ast as A
 from repro.lang.pretty import pretty
 from repro.lang.types import BOOL, INT
@@ -181,7 +182,7 @@ class TestOnlyTotalCallsMove:
             with pytest.raises(ReproError) as err:
                 prog.run("f", [[1, 2, 3], 9, 0], backend=backend)
             return type(err.value), str(err.value)
-        for backend in ("interp", "vector", "vcode"):
+        for backend in BACKENDS:
             assert failure(True, backend) == failure(False, backend)
             assert "index 9" in failure(True, backend)[1]
 

@@ -1,11 +1,15 @@
-"""Tests for VCODE compilation and the VM: three-way backend agreement and
-structural properties of the compiled code."""
+"""Tests for VCODE compilation and the VM: the VM is the ``vector``
+evaluator with a trace observer, so a traced run returns what the
+``vector`` back end returns (observer parity), and structural properties
+of the compiled code."""
 
 import pytest
 
-from repro import compile_program
+from repro import ReproError, compile_program
+from repro.fuzz.gen import gen_case
 from repro.lang.types import TSeq
 from repro.vcode.instructions import Call, Jump, JumpIfNot, Prim, Ret
+from tests.passes.test_equivalence import EXAMPLE_FILES, _example_spec
 
 
 def vm_for(src, fname, arg_types):
@@ -69,7 +73,7 @@ class TestExecution:
     ])
     def test_results(self, src, fname, args, expected):
         prog = compile_program(src)
-        assert prog.run(fname, args, backend="vcode") == expected
+        assert prog.vector_trace(fname, args)[0] == expected
 
     def test_three_way_agreement(self):
         src = """
@@ -77,7 +81,9 @@ class TestExecution:
             fun oddsq(n) = [i <- [1..n] | odd(i): sqs(i)]
         """
         prog = compile_program(src)
-        assert prog.run_all("oddsq", [5]) == [[1], [1, 4, 9], [1, 4, 9, 16, 25]]
+        want = [[1], [1, 4, 9], [1, 4, 9, 16, 25]]
+        assert prog.run_all("oddsq", [5]) == want
+        assert prog.vector_trace("oddsq", [5])[0] == want
 
     def test_recursion_in_frame_on_vm(self):
         src = """
@@ -94,7 +100,7 @@ class TestExecution:
 
     def test_prelude_functions_on_vm(self):
         prog = compile_program("fun f(v) = reverse(v)")
-        assert prog.run("f", [[1, 2, 3]], backend="vcode") == [3, 2, 1]
+        assert prog.vector_trace("f", [[1, 2, 3]])[0] == [3, 2, 1]
 
 
 class TestArity:
@@ -132,7 +138,7 @@ class TestControlFlow:
 
 
 class TestCompileOnce:
-    """``backend="vcode"`` keeps its VProgram with the TransformedProgram:
+    """The traced run keeps its VProgram with the TransformedProgram:
     compiled and linted on the first run, not on every run."""
 
     SRC = "fun f(n) = [i <- [1..n]: i * i + 1]"
@@ -149,10 +155,11 @@ class TestCompileOnce:
 
     def test_two_runs_compile_once(self, compiles):
         prog = compile_program(self.SRC)
-        assert prog.run("f", [3], backend="vcode") == [2, 5, 10]
-        assert prog.run("f", [4], backend="vcode") == [2, 5, 10, 17]
+        assert prog.vector_trace("f", [3])[0] == [2, 5, 10]
+        assert prog.vector_trace("f", [4])[0] == [2, 5, 10, 17]
         assert len(compiles) == 1
-        assert prog.vector_trace("f", [3])[0] == [2, 5, 10]     # the same tp
+        vm, mono = prog.vcode_vm("f", [3])                      # the same tp
+        assert vm.call(mono, [3]) == [2, 5, 10]
         assert len(compiles) == 1
 
     def test_other_transform_options_compile_their_own(self, compiles):
@@ -162,10 +169,40 @@ class TestCompileOnce:
                               options=TransformOptions(
                                   passes="canonical,eliminate,optimize,fuse"))
         for _ in range(2):
-            assert plain.run("f", [3], backend="vcode") == [2, 5, 10]
-            assert raw.run("f", [3], backend="vcode") == [2, 5, 10]
+            assert plain.vector_trace("f", [3])[0] == [2, 5, 10]
+            assert raw.vector_trace("f", [3])[0] == [2, 5, 10]
         assert len(compiles) == 2 and compiles[0] is not compiles[1]
         assert compiles[0].options != compiles[1].options
+
+
+def _outcome(run, *args):
+    try:
+        return ("ok", run(*args))
+    except ReproError as e:
+        return (type(e).__name__, str(e))
+
+
+class TestObserverParity:
+    """The trace observes ``vector``; it computes nothing of its own:
+    ``vector_trace(...)[0] == run(..., "vector")``, failures included."""
+
+    @pytest.mark.parametrize("path", EXAMPLE_FILES,
+                             ids=[p.stem for p in EXAMPLE_FILES])
+    def test_examples(self, path):
+        spec = _example_spec(path)
+        prog = compile_program(spec["SOURCE"])
+        entry, args = spec["PROFILE_ENTRY"], list(spec["PROFILE_ARGS"])
+        assert prog.vector_trace(entry, args)[0] == \
+            prog.run(entry, args, backend="vector")
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_generated_programs(self, chunk):
+        for seed in range(chunk * 50, (chunk + 1) * 50):
+            case = gen_case(seed)
+            prog = compile_program(case.source)
+            args, types = list(case.args), list(case.types)
+            assert _outcome(lambda: prog.vector_trace(case.entry, args, types)[0]) \
+                == _outcome(prog.run, case.entry, args, "vector", types), seed
 
 
 class TestTrace:

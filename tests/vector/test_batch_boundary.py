@@ -172,7 +172,7 @@ def test_run_batched_names_the_offender_in_level_order():
     # the lead is checked by value, like a lone run's arguments
     assert raised(prog.run_batched, "main", [[[True]], good], "vector",
                   types) == (EvalError, "argument[1]: expected int, got True")
-    for backend in ("vector", "vcode", "native"):
+    for backend in ("vector", "native"):
         assert raised(prog.run_batched, "main", [good, [[True]], [5]],
                       backend, types) \
             == (VectorError, "expected a sequence, got 5")

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro import compile_program
-from repro.api import BACKENDS
+from repro.fuzz.differ import ALL_BACKENDS, lane_call
 from repro.errors import EvalError, VectorError
 from repro.fuzz.gen import gen_case
 from repro.interp import values as V
@@ -291,18 +291,21 @@ def door_rows():
 IDENTITY = compile_program("fun f(x) = x")
 
 
-@pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "interp"])
-def test_untyped_run_says_what_infer_then_convert_says(backend):
+@pytest.mark.parametrize("lane", [b for b in ALL_BACKENDS if b != "interp"])
+def test_untyped_run_says_what_infer_then_convert_says(lane):
+    backend, threads = lane_call(lane)
+
     def back(v):
         t, vec = two_walks(v)
         return exact(to_python(vec, t))
 
     for v in door_rows():
-        assert outcome(lambda: exact(IDENTITY.run("f", [v], backend))) \
-            == outcome(back, v), v
+        assert outcome(lambda: exact(IDENTITY.run(
+            "f", [v], backend, threads=threads))) == outcome(back, v), v
         column = v if isinstance(v, list) and v else [v, v]
         assert outcome(lambda: exact(IDENTITY.run_batched(
-            "f", [[x] for x in column], backend))) == outcome(back, column), v
+            "f", [[x] for x in column], backend, threads=threads))) \
+            == outcome(back, column), v
 
 
 def test_a_warm_untyped_run_scans_each_layer_once(monkeypatch):

@@ -12,7 +12,7 @@ from repro.fuzz.gen import gen_filter_case
 
 @pytest.mark.parametrize("block", range(10))
 def test_filter_programs_agree_on_every_lane(block):
-    """100 seeded programs, all five lanes; total by construction, so no
+    """100 seeded programs, every lane; total by construction, so no
     lane may fail either."""
     for seed in range(block * 10, block * 10 + 10):
         case = gen_filter_case(seed)

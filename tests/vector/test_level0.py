@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repro import ReproError, compile_program
-from repro.api import BACKENDS
+from repro.fuzz.differ import ALL_BACKENDS, lane_call
 from repro.errors import EvalError
 from repro.lang.types import parse_type
 from repro.vector import ops as O
@@ -135,14 +135,15 @@ def test_length_errors_read_the_same_at_depth_0_and_1(case):
     src, args = LENGTH_ERRORS[case]
     words, interp_words = WORDS[case.split()[0]]
     prog = compile_program(src)
-    for backend in BACKENDS:
+    for lane in ALL_BACKENDS:
+        backend, threads = lane_call(lane)
         with pytest.raises(ReproError) as got:
-            prog.run("f", args, backend=backend)
-        assert type(got.value) is EvalError, backend
+            prog.run("f", args, backend=backend, threads=threads)
+        assert type(got.value) is EvalError, lane
         if backend == "interp":
             assert str(got.value).startswith(interp_words)
         else:
-            assert str(got.value) == words, backend
+            assert str(got.value) == words, lane
 
 
 def test_a_depth_0_pack_and_merge_wrap_no_unit_frame(monkeypatch):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro import FunVal, compile_program
-from repro.api import BACKENDS
+from repro.fuzz.differ import ALL_BACKENDS, lane_call
 from repro.errors import EvalError, VectorError
 from repro.interp.interpreter import PRIM_IMPLS
 from repro.lang.types import BOOL, INT, TSeq, TTuple, seq_of
@@ -385,15 +385,18 @@ class TestReplicatedScalar:
         assert unframe(out, INT) == [0, 3, 6, 9, 12]
         assert out.values.flags.writeable and out.values.strides == (8,)
 
-    @pytest.mark.parametrize("backend", list(BACKENDS))
+    @pytest.mark.parametrize("lane", ALL_BACKENDS)
     @pytest.mark.parametrize("check", [False, True])
-    def test_end_to_end(self, backend, check):
+    def test_end_to_end(self, lane, check):
+        backend, threads = lane_call(lane)
         prog = compile_program(REPLICATED)
         for fname, args, want in REPLICATED_CASES:
-            got = prog.run(fname, args, backend=backend, check=check)
+            got = prog.run(fname, args, backend=backend, check=check,
+                           threads=threads)
             assert repr(got) == repr(want), (fname, args)
         got = prog.run("called", [[1, 2], FunVal("inc")], backend=backend,
-                       check=check, types=["seq(int)", "(int) -> int"])
+                       check=check, types=["seq(int)", "(int) -> int"],
+                       threads=threads)
         assert got == [2, 3]
 
 

@@ -7,7 +7,7 @@ replicated operand (under T1's extract/insert at depth 2)."""
 import pytest
 
 from repro import ReproError, compile_program
-from repro.api import BACKENDS
+from repro.fuzz.differ import ALL_BACKENDS, lane_call
 from repro.lang import builtins as B
 from repro.lang.types import parse_type
 from repro.vector import ops as O
@@ -114,8 +114,10 @@ def test_sqrt_of_a_negative_raises_only_on_a_non_empty_frame():
 
 def test_mod_by_a_zero_scalar_over_an_empty_frame_answers_empty():
     prog = compile_program("fun f(v, k) = [x <- v: x mod k]")
-    for backend in BACKENDS:
-        assert prog.run("f", [[], 0], backend=backend) == [], backend
+    for lane in ALL_BACKENDS:
+        backend, threads = lane_call(lane)
+        assert prog.run("f", [[], 0], backend=backend,
+                        threads=threads) == [], lane
 
 
 def test_a_non_conformable_pair_keeps_its_words():

@@ -5,13 +5,15 @@
 
 Reads each table's names out of its module (by ``ast``, nothing is
 imported) and flags every literal elsewhere under ``src/`` that spells
-out more than three of them:
+out several of them:
 
-* **back ends** — any list, tuple, set or dict literal: the
-  ``choices=[...]`` / ``ALL_BACKENDS = (...)`` / ``backend in (...)``
-  copies that used to drift apart.  Read ``BACKENDS`` instead.  (Three
-  names are allowed: the fuzzer's default trio is a real, smaller list.)
-* **primitives** — any list, tuple or set literal: a class of primitives
+* **back ends** — any list, tuple, set or dict literal that names two or
+  more: the ``choices=[...]`` / ``ALL_BACKENDS = (...)`` /
+  ``backend in (...)`` copies that used to drift apart.  Read
+  ``BACKENDS`` (or a row's columns) instead; with three back ends, any
+  list of them is most of the table.
+* **primitives** — any list, tuple or set literal that names more than
+  three: a class of primitives
   (the elementwise ones, the folds, the comparisons) restated beside the
   catalog.  Read the catalog's rows instead (``op_class``, ``fold``,
   ``result_kind``, ``elementwise``).  Dict literals are left alone: a
@@ -42,7 +44,9 @@ from pathlib import Path
 
 TABLE = Path("src/repro/api.py")
 CATALOG = Path("src/repro/lang/builtins.py")
-ALLOWED = 3
+#: the most names of each table one literal may spell out
+BACKENDS_ALLOWED = 1
+PRIMITIVES_ALLOWED = 3
 EXEMPT = {("src/repro/fuzz/gen.py", "gen_seq"),
           ("src/repro/analysis/verify.py", "_VIEW_OPS")}
 
@@ -97,7 +101,8 @@ def _owned(node: ast.AST, owner: str = ""):
 
 
 def _copies(root: Path, table: Path, names: set[str], dicts: bool,
-            exempt=frozenset()) -> list[tuple[str, int, list[str]]]:
+            allowed: int, exempt=frozenset()
+            ) -> list[tuple[str, int, list[str]]]:
     found = []
     for path in sorted((root / "src").rglob("*.py")):
         if path == root / table:
@@ -113,7 +118,7 @@ def _copies(root: Path, table: Path, names: set[str], dicts: bool,
             hit = sorted({e.value for e in items
                           if isinstance(e, ast.Constant)
                           and e.value in names})
-            if len(hit) > ALLOWED and (file, owner) not in exempt:
+            if len(hit) > allowed and (file, owner) not in exempt:
                 found.append((file, node.lineno, hit))
     return found
 
@@ -122,7 +127,8 @@ def find_literals(root: str | Path) -> list[tuple[str, int, list[str]]]:
     """``(file, line, names)`` for every back-end list literal under
     ``root/src``."""
     root = Path(root)
-    return _copies(root, TABLE, backend_names(root), dicts=True)
+    return _copies(root, TABLE, backend_names(root), dicts=True,
+                   allowed=BACKENDS_ALLOWED)
 
 
 def find_primitive_literals(root: str | Path
@@ -131,7 +137,7 @@ def find_primitive_literals(root: str | Path
     ``root/src`` that restates primitive names, exemptions aside."""
     root = Path(root)
     return _copies(root, CATALOG, primitive_names(root), dicts=False,
-                   exempt=EXEMPT)
+                   allowed=PRIMITIVES_ALLOWED, exempt=EXEMPT)
 
 
 def main(argv: list[str]) -> int:
