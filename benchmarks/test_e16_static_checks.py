@@ -3,8 +3,8 @@
 Full strict mode (``check=True``) re-validates the descriptor invariant
 on every value crossing a kernel, VM, or call boundary — most of those
 re-checks are provably redundant (an elementwise kernel reuses its
-argument's descriptor chain unchanged).  The symbolic shape analysis
-(docs/ANALYSIS.md) discharges exactly the redundant sites;
+argument's descriptor chain unchanged).  The primitive catalog's shape
+classes (docs/ANALYSIS.md) say which re-checks are redundant;
 ``check="static"`` keeps only the load-bearing runtime-class checks.
 
 Shape expected: on a check-dominated E7 workload (many kernel and call
@@ -55,7 +55,7 @@ class TestStaticCheckOverhead:
         # cost rather than by Python<->vector conversion noise.
         v = list(range(256))
         run = e7_prog.run
-        run("work", [v, 600], check="static")  # warm caches + shape analysis
+        run("work", [v, 600], check="static")  # warm caches
         run("work", [v, 600], check=True)
 
         t_off, t_static, t_full = _interleaved_min([

@@ -9,12 +9,11 @@ Three cooperating passes (see docs/ANALYSIS.md):
   :class:`~repro.errors.AnalysisError` carrying a pretty-printed minimal
   offending subterm.
 
-* :mod:`repro.analysis.shapes` — symbolic shape analysis.  An abstract
-  interpretation over symbolic descriptor chains classifies every
-  primitive application as *static* (result shape provably valid by
-  construction) or *runtime* (descriptor arithmetic only checkable on
-  concrete data), and derives the set of guard check sites the runtime
-  may skip (``check="static"`` mode).
+* :mod:`repro.analysis.shapes` — shape classes.  Lists every primitive
+  application with its class from the catalog: *static* (result shape
+  valid by construction from valid arguments) or *runtime* (descriptor
+  arithmetic only checkable on concrete data), and the guard check sites
+  ``check="static"`` skips.
 
 * :mod:`repro.analysis.vlint` — a lint over compiled VCODE: register
   discipline (use before definition), control flow (jump targets,

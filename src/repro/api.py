@@ -130,7 +130,7 @@ def _guard_scope(check: Union[bool, str], budget: Optional[Budget]
     """The guard scope of one ``run``/``run_batched`` call: a real one
     when checking or a budget is asked for, else nothing."""
     if check or (budget is not None and budget.any_set()):
-        return _guard.guarded(GuardConfig(check=bool(check),
+        return _guard.guarded(GuardConfig(check=check,
                                           budget=budget or Budget()))
     return nullcontext()
 
@@ -350,16 +350,11 @@ class CompiledProgram:
 
     # -- execution ---------------------------------------------------------------
 
-    def _executor(self, row: Backend, g: Optional[GuardState],
-                  check: Union[bool, str], b: _Bound, fname: str,
+    def _executor(self, row: Backend, b: _Bound, fname: str,
                   args: Sequence[Any], threads: ThreadSpec) -> Any:
-        """The executor for one call of ``b``: the static discharge
-        installed in the active guard scope, then the row's executor —
-        the entry's own, built by its first call, unless the call fixes a
+        """The executor for one call of ``b``: the row's executor — the
+        entry's own, built by its first call, unless the call fixes a
         thread count the row takes."""
-        if g is not None and check == "static":
-            from repro.analysis.shapes import analyze_shapes
-            g.discharged = analyze_shapes(b.tp).discharged
         if threads is not None and row.threads:
             assert row.executor is not None
             return row.executor(b.tp, self._resolve_threads(
@@ -393,20 +388,20 @@ class CompiledProgram:
 
         ``check=True`` (or ``"full"``) enables strict descriptor-invariant
         checking at every kernel and backend boundary; ``check="static"``
-        keeps only the checks the symbolic shape analysis could not
-        discharge (see docs/ANALYSIS.md — the reference interpreter has
-        no vector values to discharge, so it falls back to full
-        checking).  ``budget`` imposes resource ceilings (see
+        keeps only the checks that can fail on valid arguments, those of
+        the kernels whose catalog shape class is runtime (see
+        docs/ANALYSIS.md; the reference interpreter has no vector values
+        to check).  ``budget`` imposes resource ceilings (see
         :mod:`repro.guard` and docs/RELIABILITY.md).  All are scoped to
         this call and cost nothing when unused.
         """
-        with _guard_scope(check, budget) as g:
-            return self._run(g, fname, args, backend, types, check, threads)
+        with _guard_scope(check, budget):
+            return self._run(fname, args, backend, types, threads)
 
-    def _run(self, g: Optional[GuardState], fname: str, args: Sequence[Any],
-             backend: str, types: Optional[Sequence[TypeLike]],
-             check: Union[bool, str], threads: ThreadSpec) -> Any:
-        """:meth:`run` inside its guard scope ``g`` (also each request of
+    def _run(self, fname: str, args: Sequence[Any], backend: str,
+             types: Optional[Sequence[TypeLike]],
+             threads: ThreadSpec) -> Any:
+        """:meth:`run` inside its guard scope (also each request of
         :meth:`run_batched`'s per-request fallback, inside the batch's)."""
         row = backend_row(backend)
         if row.executor is None:
@@ -415,7 +410,7 @@ class CompiledProgram:
                 return Interpreter(self.canonical).call(fname, list(args))
         types, vargs = _converted(args, types)
         b = self._bind(fname, args, types, backend, proved=vargs is not None)
-        ex = self._executor(row, g, check, b, fname, args, threads)
+        ex = self._executor(row, b, fname, args, threads)
         if vargs is None:
             with _obs.span(f"execute:{backend}"):
                 return ex.call(b.mono, list(args))
@@ -486,9 +481,9 @@ class CompiledProgram:
                 b = self._bind(fname, lead, types, backend, batched=True,
                                proved=cols is not None)
             if b is None or b.cols is None:
-                return [self._run(g, fname, args, backend, types, check,
-                                  threads) for args in argsets]
-            ex = self._executor(row, g, check, b, fname, lead, threads)
+                return [self._run(fname, args, backend, types, threads)
+                        for args in argsets]
+            ex = self._executor(row, b, fname, lead, threads)
             with _obs.span(f"batch:pack[{n}]"):
                 if cols is None:
                     cols = [from_python([args[j] for args in argsets], t)
@@ -521,14 +516,11 @@ class CompiledProgram:
                  types: Optional[Sequence[TypeLike]] = None):
         """A fresh VM for an entry — the vector evaluator over the linted
         VCODE program, recording the op-width trace; returns (vm, mono)."""
+        from repro.vcode.compile import compile_transformed
         from repro.vcode.vm import VM
         mono, tp = self.prepare(fname, *self.resolve_entry(fname, args, types))
-        vp = tp.vcode
-        if vp is None:  # compiled (and linted) once, kept with the program
-            from repro.vcode.compile import compile_transformed
-            with _guard.scoped_recursion_limit(_RECURSION_LIMIT), \
-                    _obs.span("vcode-compile"):
-                vp = tp.vcode = compile_transformed(tp)
+        with _guard.scoped_recursion_limit(_RECURSION_LIMIT):
+            vp = compile_transformed(tp)
         return VM(vp, fusion=tp.fusion), mono
 
     def vector_trace(self, fname: str, args: Sequence[Any],

@@ -209,9 +209,10 @@ def _guard_flags(sp) -> None:
     g.add_argument("--check", nargs="?", const="full", default=None,
                    choices=["full", "static"], metavar="MODE",
                    help="validate the descriptor invariant at every kernel "
-                        "and back-end boundary; '--check static' first runs "
-                        "the symbolic shape analysis (docs/ANALYSIS.md) and "
-                        "skips every statically-discharged site")
+                        "and back-end boundary; '--check static' skips the "
+                        "re-checks of kernels whose catalog shape class is "
+                        "static and of every call boundary "
+                        "(docs/ANALYSIS.md)")
     g.add_argument("--max-elements", type=int, metavar="N",
                    help="abort after N leaf elements moved")
     g.add_argument("--max-bytes", type=int, metavar="N",
@@ -272,7 +273,8 @@ def _guard_config(ns):
     """A GuardConfig for the parsed guard flags, or None when all off."""
     b = _budget(ns)
     if getattr(ns, "check", None) or b.any_set():
-        return GuardConfig(check=bool(getattr(ns, "check", None)), budget=b)
+        return GuardConfig(check=getattr(ns, "check", None) or False,
+                           budget=b)
     return None
 
 
@@ -389,8 +391,8 @@ def _parser() -> argparse.ArgumentParser:
     an = sub.add_parser(
         "analyze",
         help="static analysis: the phase-boundary IR verifier, the "
-             "symbolic shape analysis (which guard checks are statically "
-             "discharged), and the VCODE lint (docs/ANALYSIS.md)")
+             "shape class of every primitive site (which guard checks "
+             "--check static skips), and the VCODE lint (docs/ANALYSIS.md)")
     _report_flags(an, "analysis.json", "report")
     an.add_argument("--cost", action="store_true",
                     help="also run the symbolic work/span/memory cost "

@@ -44,8 +44,8 @@ class AnalysisError(ReproError):
     """A static-analysis pass rejected the program.
 
     Raised by :mod:`repro.analysis` when a phase postcondition fails
-    (IR verifier), when the VCODE lint finds a hard error, or when the
-    shape analysis meets an inconsistent fact.  ``stage`` names the pass
+    (IR verifier) or when the VCODE lint finds a hard error.  ``stage``
+    names the pass
     and phase that failed (e.g. ``"verify:eliminate"``, ``"vlint:qsort__1"``);
     ``detail`` explains the violated rule; ``subterm`` optionally carries a
     pretty-printed minimal offending subterm.

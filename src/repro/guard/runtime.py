@@ -30,7 +30,9 @@ Two independent facilities live behind the switch:
 * **strict invariant checking** (``check=True``) — every value crossing a
   kernel or backend boundary is re-validated against the descriptor
   invariant ``#V_{i+1} = sum(V_i)`` (see :mod:`repro.guard.invariants`);
-  corruption raises a stage-named :class:`~repro.errors.InvariantError`.
+  corruption raises a stage-named :class:`~repro.errors.InvariantError`;
+  ``check="static"`` keeps only the re-checks that can fail on valid
+  arguments (:class:`GuardConfig`).
 
 * **resource budgets** (:class:`Budget`) — ceilings on elements moved,
   bytes moved, execution steps, wall-clock time, and user-function call
@@ -53,9 +55,10 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 from repro.errors import ResourceLimitError
+from repro.lang.builtins import is_static_kernel
 
 # Bound lazily on first strict check: repro.guard.invariants imports the
 # vector package, whose modules import this module at load time.
@@ -114,17 +117,17 @@ class Budget:
 class GuardConfig:
     """What a guarded scope enforces: strict checking and/or budgets.
 
-    ``discharged`` carries check-site tags proven redundant by the static
-    shape analysis (:mod:`repro.analysis.shapes`): ``kernel:<name>`` skips
-    the kernel-boundary re-validation for that kernel, ``call:<fname>``
-    skips the call-boundary re-check of a user function whose result the
-    analysis proved already validated.  An empty set (the default) is full strict
-    mode; budgets are never discharged.
+    ``check`` is ``False``, ``True`` (or ``"full"``: re-validate every
+    value crossing a kernel or call boundary) or ``"static"``: skip the
+    re-checks that prove nothing new, those of a kernel whose catalog
+    shape class is static (:func:`repro.lang.builtins.shape_class`) and
+    those of every call boundary, since a user function's result is made
+    by kernels that were checked or need not be.  Budgets are enforced
+    in every mode.
     """
 
-    check: bool = False
+    check: Union[bool, str] = False
     budget: Budget = field(default_factory=Budget)
-    discharged: frozenset = frozenset()
 
 
 class GuardState:
@@ -134,19 +137,19 @@ class GuardState:
     ``tick`` / ``enter_call`` / ``exit_call`` / ``check_value`` hooks.
     """
 
-    __slots__ = ("config", "check", "discharged", "_track_data",
+    __slots__ = ("config", "check", "static", "_track_data",
                  "track_frames", "_max_elements", "_max_bytes",
                  "_max_steps", "_max_depth", "_deadline", "_timeout",
                  "elements", "bytes_moved", "steps", "stack")
 
     def __init__(self, config: GuardConfig):
         self.config = config
-        self.check = config.check
-        self.discharged = config.discharged
+        self.check = bool(config.check)
+        self.static = config.check == "static"
         b = config.budget
         # Data-movement counters are only meaningful when a data ceiling is
         # set; skipping the per-kernel size computation otherwise keeps
-        # statically-discharged runs close to check-off cost.
+        # check="static" runs close to check-off cost.
         self._track_data = (b.max_elements is not None
                             or b.max_bytes is not None)
         self._max_elements = b.max_elements
@@ -228,10 +231,6 @@ class GuardState:
 
     # -- strict checking ---------------------------------------------------
 
-    def skip(self, tag: str) -> bool:
-        """True when the shape analysis discharged the check site ``tag``."""
-        return tag in self.discharged
-
     def check_value(self, stage: str, value) -> None:
         """Validate the descriptor invariant on ``value`` (only in
         ``check`` mode; callers test :attr:`check` first on hot paths)."""
@@ -244,10 +243,10 @@ class GuardState:
 
     def after_kernel(self, name: str, frame_len: int, result) -> None:
         """The kernel-boundary hook: validate the result (strict mode,
-        unless statically discharged) and charge its size against the
-        budgets."""
+        unless ``check="static"`` and the kernel's shape class is static)
+        and charge its size against the budgets."""
         stage = f"kernel:{name}"
-        if self.check and stage not in self.discharged:
+        if self.check and not (self.static and is_static_kernel(name)):
             self.check_value(stage, result)
         self.tick(stage)
         if self._track_data:

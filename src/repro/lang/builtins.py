@@ -10,9 +10,15 @@ inserted" — e.g. the source argument of ``seq_index``).
 The catalog is also the one place that says what kind of op a primitive
 is: its op class (a map, a reduce or scan, a gather, a replicate or a
 descriptor op — :mod:`repro.machine.opclasses`), whether it is a
-segmented fold and of which kind, and the leaf kind of its result, read
-off the scheme.  The shape and cost analyses, the fusion pass, the NumPy
-kernels, the C emitter and the machine model read these rows; each lane
+segmented fold and of which kind, the leaf kind of its result, read
+off the scheme, and its shape class: *static* when the result's
+descriptor chain is its argument's, passed through, projected or sized
+from it, so a valid argument gives a valid result, or *runtime* when the
+kernel computes new descriptors from data (a gather, a pack, a merge, a
+replication).  :func:`shape_class` answers for the internal forms the
+transformation emits without a row too.  The shape and cost analyses,
+``check="static"``, the fusion pass, the NumPy kernels, the C emitter
+and the machine model read these rows; each lane
 keeps only its *implementation* (the interpreter's ``PRIM_IMPLS``, the
 NumPy kernels, the C lowering).  A new primitive is one row here plus
 those implementations.
@@ -30,7 +36,9 @@ transformation emits.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import string
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -65,6 +73,8 @@ class Builtin:
     result_kind: Optional[str]
     kind_from: Optional[int]
     arg_kinds: tuple[str, ...]
+    #: ``(class, reason)``: "static" or "runtime" (see :func:`shape_class`)
+    shape: tuple[str, str]
 
     @property
     def elementwise(self) -> bool:
@@ -102,10 +112,22 @@ def _bb_b() -> TFun:
 
 _TABLE: dict[str, Builtin] = {}
 
+#: the shape class of a map, of each kind of fold, and of a name nothing
+#: classifies
+_MAP = ("static", "elementwise: result reuses the argument's descriptor "
+                  "chain unchanged")
+_FOLD = {"scan": ("static", "segmented scan: result reuses the argument's "
+                            "full descriptor chain"),
+         "reduce": ("static", "segmented reduction: result projects the "
+                              "argument's outer descriptor level")}
+_UNCLASSIFIED = ("runtime", "unclassified primitive: boundary check "
+                            "retained")
+
 
 def _def(name: str, scheme: Callable[[], TFun], category: str,
          op_class: str = "elementwise", shared: tuple[int, ...] = (),
-         fold: Optional[str] = None, strict: bool = False) -> None:
+         fold: Optional[str] = None, strict: bool = False,
+         shape: Optional[tuple[str, str]] = None) -> None:
     # the scheme's facts, read on a counter of its own: a row must not
     # renumber the type variables of later type errors
     ids, T._var_ids = T._var_ids, itertools.count()
@@ -118,10 +140,13 @@ def _def(name: str, scheme: Callable[[], TFun], category: str,
     arg_kinds = tuple(k for t, k in _KINDS.items()
                       if t == arg or isinstance(arg, TVar)
                       and not (arg.numeric_only and t == BOOL))
+    if shape is None:
+        shape = _FOLD[fold] if fold else \
+            _MAP if category == "scalar" else _UNCLASSIFIED
     _TABLE[name] = Builtin(name, scheme, category,
                            "scan_reduce" if fold else op_class, fold, strict,
                            frozenset(shared), _KINDS.get(out), kind_from,
-                           arg_kinds)
+                           arg_kinds, shape)
 
 
 # -- scalar functions (Table 2 row 1; arithmetic is numeric-polymorphic
@@ -197,14 +222,27 @@ def _dist_scheme() -> TFun:
     return TFun((a, INT), TSeq(a))
 
 
-_def("length", _length_scheme, "seq", "structure")
-_def("range", _range_scheme, "seq", "structure")
-_def("range1", _range1_scheme, "seq", "structure")
-_def("seq_index", _index_scheme, "seq", "gather_scatter", shared=(0,))
-_def("seq_update", _update_scheme, "seq", "gather_scatter", shared=(0,))
-_def("restrict", _restrict_scheme, "seq", "gather_scatter")
-_def("combine", _combine_scheme, "seq", "gather_scatter")
-_def("dist", _dist_scheme, "seq", "replicate")
+_IOTA = ("static", "constructed: lengths clamped non-negative and values "
+                   "sized to match")
+_def("length", _length_scheme, "seq", "structure",
+     shape=("static", "copies one validated descriptor level into values"))
+_def("range", _range_scheme, "seq", "structure", shape=_IOTA)
+_def("range1", _range1_scheme, "seq", "structure", shape=_IOTA)
+_def("seq_index", _index_scheme, "seq", "gather_scatter", shared=(0,),
+     shape=("runtime", "pool gather by flat offsets computed from index "
+                       "data"))
+_def("seq_update", _update_scheme, "seq", "gather_scatter", shared=(0,),
+     shape=("runtime", "pool scatter by flat offsets computed from index "
+                       "data"))
+_def("restrict", _restrict_scheme, "seq", "gather_scatter",
+     shape=("runtime", "pack by mask: descriptors recomputed from mask "
+                       "counts"))
+_def("combine", _combine_scheme, "seq", "gather_scatter",
+     shape=("runtime", "merge by mask: descriptors interleaved from both "
+                       "arms"))
+_def("dist", _dist_scheme, "seq", "replicate",
+     shape=("runtime", "replication: descriptors multiplied out per frame "
+                       "element"))
 
 # -- extended primitives (section 4.5: "advantageous to increase the set of
 #    predefined functions in V") -------------------------------------------
@@ -220,8 +258,10 @@ def _concat_scheme() -> TFun:
     return TFun((TSeq(a), TSeq(a)), TSeq(a))
 
 
-_def("flatten", _flatten_scheme, "extended", "structure")
-_def("concat", _concat_scheme, "extended", "gather_scatter")
+_def("flatten", _flatten_scheme, "extended", "structure",
+     shape=("runtime", "descriptor level dropped and pooled"))
+_def("concat", _concat_scheme, "extended", "gather_scatter",
+     shape=("runtime", "pairwise pooling of subsequence descriptors"))
 
 
 def _agg_scheme() -> TFun:
@@ -255,8 +295,10 @@ def _permute_scheme() -> TFun:
 
 # rank and permute are primitives of CVL itself; with them, sorting is
 # expressible in P as permute(v, rank(v)) (see the prelude)
-_def("rank", _rank_scheme, "extended", "scan_reduce")
-_def("permute", _permute_scheme, "extended", "gather_scatter")
+_def("rank", _rank_scheme, "extended", "scan_reduce",
+     shape=("runtime", "permutation vector derived from a stable sort"))
+_def("permute", _permute_scheme, "extended", "gather_scatter",
+     shape=("runtime", "pool scatter through a data-dependent permutation"))
 
 # -- internal primitives emitted by the transformation -----------------------
 # __rep(w, c): replicate depth-0 value c over the frame of witness w.
@@ -281,9 +323,41 @@ def _empty_scheme() -> TFun:
     return TFun((a,), b)
 
 
-_def("__rep", _rep_scheme, "internal", "elementwise")
-_def("__any", _any_scheme, "internal", "scan_reduce")
-_def("__empty", _empty_scheme, "internal", "structure")
+_def("__rep", _rep_scheme, "internal", "elementwise",
+     shape=("static", "identity kernel: the replicated value is returned "
+                      "unchanged"))
+_def("__any", _any_scheme, "internal", "scan_reduce",
+     shape=("static", "scalar boolean result; no descriptors"))
+_def("__empty", _empty_scheme, "internal", "structure",
+     shape=("static", "empty frame constructed from the validated mask's "
+                      "outer level"))
+
+#: the shape class of each internal form the transformation emits that has
+#: no row, by name without its numeric suffix (``__fused<k>``,
+#: ``__tuple_extract_<k>``); a fused region rooted at a segmented fold is
+#: ``__fused/<fold kind>``
+_FORM_SHAPES: dict[str, tuple[str, str]] = {
+    "__seq_index_shared": ("runtime", "gather from the shared depth-0 "
+                                      "source by per-element index data"),
+    "__seq_index_segshared": ("runtime", "segmented gather against the "
+                                         "un-replicated source"),
+    "__seq_cons": ("runtime", "transpose-gather of item frames into "
+                              "per-element sequences"),
+    "__tuple_cons": ("static", "wrapper: tuple components are kept as-is"),
+    "__tuple_extract_": ("static",
+                         "projection of a validated tuple component"),
+    "__iter": ("static", "identity view: a sequence at frame depth j "
+                         "re-viewed as the depth-(j+1) frame of its "
+                         "elements, no data touched"),
+    "__fused": ("static", "fused elementwise chain: result reuses the "
+                          "replicated first leaf's descriptors"),
+    "__fused/scan": ("static", "fused chain under a segmented fold: result "
+                               "reuses the first stream leaf's full "
+                               "descriptor chain"),
+    "__fused/reduce": ("static", "fused chain under a segmented fold: "
+                                 "result projects the first stream leaf's "
+                                 "outer descriptor level"),
+}
 
 
 #: the *checked* elementwise primitives: they raise ``PValueError`` on a
@@ -317,6 +391,27 @@ def get_builtin(name: str) -> Builtin:
 def lookup(name: str) -> Optional[Builtin]:
     """The catalog entry of ``name``, or None when it is no primitive."""
     return _TABLE.get(name)
+
+
+def shape_class(name: str, fold: Optional[str] = None) -> tuple[str, str]:
+    """``(class, reason)`` of the primitive or internal form ``name``
+    (``fold``: the fold kind a fused region is rooted at).  A kernel of
+    class "static" makes a valid result from valid arguments, so
+    ``check="static"`` does not re-validate it; a "runtime" kernel's
+    descriptors are computed from data and are always re-validated, as is
+    a name nothing classifies."""
+    row = _TABLE.get(name)
+    if row is not None:
+        return row.shape
+    form = name.rstrip(string.digits)
+    return _FORM_SHAPES.get(form if fold is None else f"{form}/{fold}",
+                            _UNCLASSIFIED)
+
+
+@functools.lru_cache(maxsize=1024)
+def is_static_kernel(name: str) -> bool:
+    """True when kernel ``name``'s shape class is "static"."""
+    return shape_class(name)[0] == "static"
 
 
 def all_builtins() -> dict[str, Builtin]:

@@ -109,8 +109,10 @@ class TransformedProgram:
     #: with ``dataclasses.replace`` starts empty, as its ``defs`` may differ)
     vcode_functions: dict = field(default_factory=dict, init=False,
                                   repr=False, compare=False)
-    #: and the linted VCODE program of the traced run (:meth:`repro.api.CompiledProgram.vcode_vm`)
-    vcode: object = field(default=None, repr=False, compare=False)
+    #: and the whole VCODE program with its lint's findings, as
+    #: ``(VProgram, LintResult)`` (:func:`repro.vcode.compile.compile_transformed`)
+    vcode: object = field(default=None, init=False, repr=False,
+                          compare=False)
 
     def __getitem__(self, name: str) -> A.FunDef:
         return self.defs[name]

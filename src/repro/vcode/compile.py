@@ -123,21 +123,22 @@ def compile_function(tp: TransformedProgram, name: str) -> VFunction:
     return fn
 
 
-def compile_transformed(tp: TransformedProgram,
-                        lint: bool = True) -> VProgram:
-    """Compile every function of a transformed program.
+def compile_transformed(tp: TransformedProgram) -> VProgram:
+    """Compile every function of a transformed program and lint the
+    result (:mod:`repro.analysis.vlint`), once: the program and the lint's
+    findings are kept with it (``tp.vcode``) for whoever asks next.
 
-    ``lint`` (default on) runs the VCODE lint (:mod:`repro.analysis.vlint`)
-    over the output and raises a stage-named
-    :class:`~repro.errors.AnalysisError` on any hard finding — register
-    use before definition, bad jump targets, missing returns, call-arity
-    mismatches.  Warnings (dead vector results, unreferenced labels) are
-    collected by ``repro analyze``, not here.
+    A hard finding (register use before definition, a bad jump target, a
+    missing return, a call-arity mismatch) raises a stage-named
+    :class:`~repro.errors.AnalysisError`; warnings (dead vector results,
+    unreferenced labels) are reported by ``repro analyze``.
     """
-    vp = VProgram({name: compile_function(tp, name) for name in tp.defs})
-    if lint:
+    if tp.vcode is None:
         from repro.analysis.vlint import check_program
         from repro.obs import runtime as _obs
-        with _obs.span("analyze:vlint"):
-            check_program(vp)
-    return vp
+        with _obs.span("vcode-compile"):
+            vp = VProgram({name: compile_function(tp, name)
+                           for name in tp.defs})
+            with _obs.span("analyze:vlint"):
+                tp.vcode = (vp, check_program(vp))
+    return tp.vcode[0]

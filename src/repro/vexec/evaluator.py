@@ -111,7 +111,7 @@ class _Lowered:
         if _flt.INJECTOR is not None:
             _flt.visit("vexec.call.desc-bump", _desc_arrays(result))
             _flt.visit("vexec.call.desc-negate", _desc_arrays(result))
-        if g is not None and g.check and not g.skip(f"call:{name}"):
+        if g is not None and g.check and not g.static:
             g.check_value(f"vexec:{name}", result)
         return result
 

@@ -1,19 +1,25 @@
-"""Symbolic shape analysis: classification facts, the discharged tag
-set, and the check="static" guard mode it drives — which must agree with
-full strict checking everywhere while keeping the load-bearing
-runtime-class checks."""
+"""Shape classes: the catalog's column, the sites ``repro analyze``
+lists (pinned byte for byte on every example), and the check="static"
+guard mode that reads the catalog — which must agree with full strict
+checking everywhere while keeping the load-bearing runtime-class
+checks."""
 
 import glob
+import json
 import os
+from pathlib import Path
 
 import pytest
 
+from repro.analysis.report import analyze_source
 from repro.analysis.shapes import analyze_shapes
 from repro.api import compile_program
+from repro.lang import builtins as B
 from repro.transform.pipeline import TransformOptions
 from repro.cli import _example_spec
 from repro.errors import InvariantError
 from repro.guard import faults as F
+from tests.guard.test_faults import DRIVERS, SRC as FAULT_SRC
 
 EXAMPLES = sorted(glob.glob(os.path.join(
     os.path.dirname(__file__), "..", "..", "examples", "*.py")))
@@ -56,11 +62,11 @@ def test_runtime_class_sites_are_never_discharged():
 
 
 def test_call_boundaries_of_valid_defs_are_discharged():
+    """Every value is valid, so is every definition's result: every
+    call boundary is discharged."""
     _prog, sa = _analysis(NEST_SRC, "nsum", [6])
-    assert any(t.startswith("call:") for t in sa.discharged)
-    for name, facts in sa.defs.items():
-        if facts.ret_valid:
-            assert f"call:{name}" in sa.discharged
+    assert {f"call:{name}" for name in sa.defs} \
+        == {t for t in sa.discharged if t.startswith("call:")}
 
 
 def test_sites_carry_reasons():
@@ -95,14 +101,20 @@ def test_static_mode_matches_full_mode_on_examples(path):
 
 def test_static_mode_still_catches_kernel_level_faults():
     """The retained runtime-class checks catch descriptor corruption in
-    the gather/scatter kernels even with every static site discharged."""
-    for site in ("extract_insert.extract.top-bump",
-                 "segments.compress_subtrees.desc-bump"):
-        prog = compile_program(NEST_SRC)
-        with F.injecting(site, seed=1) as inj:
-            with pytest.raises(InvariantError):
-                prog.run("nsum", [8], backend="vector", check="static")
-        assert inj.fired, f"site {site} never fired"
+    the gather/scatter kernels and in extract/insert even with every
+    static site discharged: every ``segments.*`` and ``extract_insert.*``
+    fault site, on both vector back ends."""
+    sites = [s for s in F.FAULT_SITES
+             if s.startswith(("segments.", "extract_insert."))]
+    assert len(sites) == 12
+    for site in sites:
+        _backends, entry, args, stage = DRIVERS[site]
+        for backend in ("vector", "native"):
+            prog = compile_program(FAULT_SRC)
+            with F.injecting(site, seed=1) as inj:
+                with pytest.raises(InvariantError, match=stage):
+                    prog.run(entry, args, backend=backend, check="static")
+            assert inj.fired, f"site {site} never fired on {backend}"
 
 
 def test_static_mode_via_run_batched():
@@ -165,3 +177,41 @@ def test_scan_rooted_region_keeps_the_chain():
     assert prog.run("f", args, backend="native", check=True) \
         == prog.run("f", args, backend="vector") \
         == [[0, 2, 7], [], [0]]
+
+
+# -- the catalog column and the pinned site lists ------------------------------
+
+def test_every_primitive_has_a_shape_class():
+    """A map or a fold keeps its argument's chain; what computes
+    descriptors from data (a gather, a pack, a merge, a replication) is
+    runtime; a name nothing classifies is runtime too."""
+    for name, row in B.all_builtins().items():
+        cls, reason = B.shape_class(name)
+        assert (cls, reason) == row.shape and reason
+        if row.elementwise or row.fold:
+            assert cls == "static", name
+        if row.op_class in ("gather_scatter", "replicate"):
+            assert cls == "runtime", name
+    assert B.shape_class("__fused7")[0] == "static"
+    assert B.shape_class("__tuple_extract_3")[0] == "static"
+    assert B.shape_class("__seq_index_shared")[0] == "runtime"
+    assert B.shape_class("no_such_kernel")[0] == "runtime"
+    assert B.shape_class("__fused2", "scan") != B.shape_class("__fused2") \
+        != B.shape_class("__fused2", "reduce")
+
+
+GOLDEN = Path(__file__).parent / "golden" / "shapes"
+
+
+@pytest.mark.parametrize("path", EXAMPLES,
+                         ids=[os.path.basename(p) for p in EXAMPLES])
+def test_sites_match_the_golden_section(path):
+    """The ``shapes`` section of ``repro analyze`` on each example, byte
+    for byte: site order (post-order: a site's arguments before it, then
+    cond / then / else), classes, reasons, counts, the discharged tags
+    and ``ret_valid``."""
+    spec = _spec(path)
+    rep = analyze_source(spec["SOURCE"], spec["PROFILE_ENTRY"],
+                         list(spec["PROFILE_ARGS"]))
+    want = (GOLDEN / (Path(path).stem + ".json")).read_text()
+    assert json.dumps(rep.to_json()["shapes"], indent=2) + "\n" == want

@@ -13,7 +13,6 @@ from repro.api import BACKENDS, backend_row
 from repro.cli import _example_spec
 from repro.fuzz.differ import ALL_BACKENDS, lane_call, skip_reason
 from repro.guard import runtime as guard
-from repro.interp.interpreter import Interpreter
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SPECS = {p.stem: _example_spec(p.read_text())
@@ -57,30 +56,44 @@ def test_run_equals_run_batched_equals_interp(programs, stem, lane):
                             threads=threads) == [want, want]
 
 
-@pytest.mark.parametrize("backend", ROWS)
-def test_static_discharge_exactly_where_flagged(monkeypatch, backend):
-    """``check="static"`` installs a non-empty discharged set in the
-    guard scope exactly for rows with an executor — on ``run`` and on
-    the batched ``f^1`` call."""
-    seen = []
-    row = BACKENDS[backend]
-    if row.executor is None:
-        real = Interpreter.call
-        monkeypatch.setattr(Interpreter, "call", lambda self, *a: (
-            seen.append(guard.current().discharged), real(self, *a))[1])
-    else:
-        monkeypatch.setitem(BACKENDS, backend, row._replace(
-            executor=lambda tp, threads: (
-                seen.append(guard.current().discharged),
-                row.executor(tp, threads))[1]))
-    prog = compile_program(SRC)
-    assert prog.run("sqs", [[1, 2]], backend=backend,
-                    check="static") == [1, 4]
-    assert prog.run_batched("sqs", [[[1]], [[2, 3]]], backend=backend,
-                            check="static") == [[1], [4, 9]]
-    has_executor = row.executor is not None
-    assert len(seen) == (2 if has_executor else 3)
-    assert all(bool(d) == has_executor for d in seen)
+NEST_SRC = """
+fun nest(n) = [i <- [1..n]: [j <- [1..i]: [k <- [1..j]: i*j + k]]]
+fun nsum(n) = sum([i <- [1..n]: sum([j <- nest(i)[1 + i / 2]: sum(j)])])
+"""
+
+
+@pytest.mark.parametrize("lane", LANES)
+def test_static_check_skips_exactly_the_static_kernels(monkeypatch, lane):
+    """``check="static"`` re-validates no static-class kernel (``neg``
+    applied by value in ``higher_order``'s ``shape`` included) and no
+    call boundary, but every ``restrict``, ``combine``, ``dist``,
+    ``seq_index``, ``extract`` and ``insert``; its results are those of
+    ``check="full"`` and of an unchecked run."""
+    stages: list = []
+    real = guard.GuardState.check_value
+    monkeypatch.setattr(guard.GuardState, "check_value", lambda self, st, v: (
+        stages.append(st) if self.check else None, real(self, st, v))[1])
+    backend, threads = lane_call(lane)
+    ho = SPECS["higher_order"]
+    seen = {}
+    for src, entry, args in [
+            (ho["SOURCE"], ho["PROFILE_ENTRY"], list(ho["PROFILE_ARGS"])),
+            (NEST_SRC, "nsum", [6])]:
+        prog = compile_program(src)
+        want = prog.run(entry, args, backend=backend, threads=threads)
+        for check in (True, "static"):
+            del stages[:]
+            assert prog.run(entry, args, backend=backend, threads=threads,
+                            check=check) == want
+            seen.setdefault(check, set()).update(stages)
+    if backend == "interp":   # no vector values, so nothing to check
+        assert seen == {True: set(), "static": set()}
+        return
+    kept = {"kernel:restrict", "kernel:combine", "kernel:dist",
+            "kernel:seq_index", "extract", "insert"}
+    assert seen["static"] == kept
+    assert {"kernel:neg", "kernel:mul", "kernel:sum", "vexec:nsum",
+            "vexec:shape^1"} | kept <= seen[True]
 
 
 def _asking(monkeypatch, backend):
@@ -231,8 +244,19 @@ def test_lint_detects_a_retyped_primitive_class(tmp_path):
     (fuzz / "gen.py").write_text(
         'def gen_seq(r):\n'
         '    return r.choice(["concat", "dist", "restrict", "permute"])\n')
+    # a primitive-keyed dict is a lane's implementation, except in the
+    # analyses and the guard, which read the catalog's classes
+    for sub in ("analysis", "guard"):
+        (tmp_path / "src" / "repro" / sub).mkdir()
+        (tmp_path / "src" / "repro" / sub / "kinds.py").write_text(
+            '_RUNTIME = {"seq_index": "gather", "restrict": "pack",\n'
+            '            "combine": "merge", "dist": "replicate"}\n')
     assert lint.find_primitive_literals(tmp_path) == [
-        ("src/repro/copy.py", 1, ["eq", "le", "lt", "ne", "not_"])]
+        ("src/repro/analysis/kinds.py", 1,
+         ["combine", "dist", "restrict", "seq_index"]),
+        ("src/repro/copy.py", 1, ["eq", "le", "lt", "ne", "not_"]),
+        ("src/repro/guard/kinds.py", 1,
+         ["combine", "dist", "restrict", "seq_index"])]
     assert lint.main(["lint", str(tmp_path)]) == 1
 
 

@@ -138,31 +138,37 @@ class TestControlFlow:
 
 
 class TestCompileOnce:
-    """The traced run keeps its VProgram with the TransformedProgram:
-    compiled and linted on the first run, not on every run."""
+    """A transformed program keeps its linted VProgram: compiled and
+    linted on the first ask, whoever asks (the traced run, ``emit_c``,
+    ``repro analyze``), not on every one."""
 
     SRC = "fun f(n) = [i <- [1..n]: i * i + 1]"
 
     @pytest.fixture
-    def compiles(self, monkeypatch):
-        import repro.vcode.compile as C
+    def lints(self, monkeypatch):
+        import repro.analysis.vlint as L
         seen = []
-        real = C.compile_transformed
-        monkeypatch.setattr(C, "compile_transformed",
-                            lambda tp, lint=True: seen.append(tp)
-                            or real(tp, lint))
+        real = L.check_program
+        monkeypatch.setattr(L, "check_program",
+                            lambda vp: seen.append(vp) or real(vp))
         return seen
 
-    def test_two_runs_compile_once(self, compiles):
+    def test_two_runs_compile_once(self, lints):
+        from repro.analysis.report import analyze_source
         prog = compile_program(self.SRC)
         assert prog.vector_trace("f", [3])[0] == [2, 5, 10]
         assert prog.vector_trace("f", [4])[0] == [2, 5, 10, 17]
-        assert len(compiles) == 1
+        assert len(lints) == 1
         vm, mono = prog.vcode_vm("f", [3])                      # the same tp
         assert vm.call(mono, [3]) == [2, 5, 10]
-        assert len(compiles) == 1
+        assert "f" in prog.emit_c("f", ["int"])
+        assert prog.compile_vcode("f", ["int"])[1] is lints[0]
+        assert len(lints) == 1
+        analyze_source(self.SRC, "f", [3])             # a program of its own
+        assert len(lints) == 2
 
-    def test_other_transform_options_compile_their_own(self, compiles):
+    def test_other_transform_options_compile_their_own(self, lints):
+        from repro.lang.types import INT
         from repro.transform.pipeline import TransformOptions
         plain = compile_program(self.SRC)
         raw = compile_program(self.SRC,
@@ -171,8 +177,18 @@ class TestCompileOnce:
         for _ in range(2):
             assert plain.vector_trace("f", [3])[0] == [2, 5, 10]
             assert raw.vector_trace("f", [3])[0] == [2, 5, 10]
-        assert len(compiles) == 2 and compiles[0] is not compiles[1]
-        assert compiles[0].options != compiles[1].options
+        assert len(lints) == 2 and lints[0] is not lints[1]
+        tps = [p.prepare("f", (INT,))[1] for p in (plain, raw)]
+        assert all(tp.vcode[0] is vp for tp, vp in zip(tps, lints))
+        assert tps[0].options != tps[1].options
+
+    def test_a_copy_does_not_inherit_the_vcode(self):
+        from dataclasses import replace
+        from repro.lang.types import INT
+        prog = compile_program(self.SRC)
+        prog.vector_trace("f", [3])
+        tp = prog.prepare("f", (INT,))[1]
+        assert tp.vcode is not None and replace(tp).vcode is None
 
 
 def _outcome(run, *args):

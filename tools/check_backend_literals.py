@@ -16,12 +16,15 @@ out several of them:
   three: a class of primitives
   (the elementwise ones, the folds, the comparisons) restated beside the
   catalog.  Read the catalog's rows instead (``op_class``, ``fold``,
-  ``result_kind``, ``elementwise``).  Dict literals are left alone: a
+  ``result_kind``, ``elementwise``, ``shape``).  Dict literals are left
+  alone outside ``repro/analysis/`` and ``repro/guard/``: there a
   primitive-keyed dict is one lane's implementation (the interpreter's
-  ``PRIM_IMPLS``, the NumPy ``UFUNCS`` and ``KERNELS``, the cost rules)
-  or surface syntax (the pretty-printer's operators).  Two literals are
-  exempt, by file and owner (the function or module-level name they sit
-  in):
+  ``PRIM_IMPLS``, the NumPy ``UFUNCS`` and ``KERNELS``) or surface syntax
+  (the pretty-printer's operators), while the analyses and the guard
+  implement no primitive, so a dict of them there is a class restated
+  (read ``shape`` for which kernels compute descriptors from data).
+  Two literals are exempt, by file and owner (the function or
+  module-level name they sit in):
 
   - ``fuzz/gen.py`` ``gen_seq``: the fuzzer's vocabulary — what a
     generated program may draw, with its weights — is a choice of test
@@ -49,6 +52,8 @@ BACKENDS_ALLOWED = 1
 PRIMITIVES_ALLOWED = 3
 EXEMPT = {("src/repro/fuzz/gen.py", "gen_seq"),
           ("src/repro/analysis/verify.py", "_VIEW_OPS")}
+#: where a primitive-keyed dict literal is a restated class too
+DICT_CHECKED = ("src/repro/analysis/", "src/repro/guard/")
 
 
 def backend_names(root: Path) -> set[str]:
@@ -100,9 +105,11 @@ def _owned(node: ast.AST, owner: str = ""):
         yield from _owned(child, name)
 
 
-def _copies(root: Path, table: Path, names: set[str], dicts: bool,
-            allowed: int, exempt=frozenset()
+def _copies(root: Path, table: Path, names: set[str],
+            dicts: tuple[str, ...], allowed: int, exempt=frozenset()
             ) -> list[tuple[str, int, list[str]]]:
+    """Literals under ``root/src`` naming more than ``allowed`` of
+    ``names``; dict literals only in files under a ``dicts`` prefix."""
     found = []
     for path in sorted((root / "src").rglob("*.py")):
         if path == root / table:
@@ -111,7 +118,7 @@ def _copies(root: Path, table: Path, names: set[str], dicts: bool,
         for node, owner in _owned(ast.parse(path.read_text(), str(path))):
             if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
                 items = node.elts
-            elif dicts and isinstance(node, ast.Dict):
+            elif file.startswith(dicts) and isinstance(node, ast.Dict):
                 items = node.keys
             else:
                 continue
@@ -127,7 +134,7 @@ def find_literals(root: str | Path) -> list[tuple[str, int, list[str]]]:
     """``(file, line, names)`` for every back-end list literal under
     ``root/src``."""
     root = Path(root)
-    return _copies(root, TABLE, backend_names(root), dicts=True,
+    return _copies(root, TABLE, backend_names(root), dicts=("src/",),
                    allowed=BACKENDS_ALLOWED)
 
 
@@ -136,7 +143,7 @@ def find_primitive_literals(root: str | Path
     """``(file, line, names)`` for every list, tuple or set literal under
     ``root/src`` that restates primitive names, exemptions aside."""
     root = Path(root)
-    return _copies(root, CATALOG, primitive_names(root), dicts=False,
+    return _copies(root, CATALOG, primitive_names(root), dicts=DICT_CHECKED,
                    allowed=PRIMITIVES_ALLOWED, exempt=EXEMPT)
 
 
