@@ -37,8 +37,8 @@ finite evaluation derivation.
 
 The exported :class:`CostCertificate` evaluates an entry's polynomials
 at concrete argument sizes (``predict``), which powers predicted-budget
-admission in ``repro.serve``, ``--threads auto`` on the parallel
-backend, and predicted-work native tiering.
+admission in ``repro.serve``, ``--threads auto`` on the native back
+end, and predicted-work native tiering.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ Usage (also via ``python -m repro``):
     repro eval "EXPR"
     repro check FILE -e ENTRY -a ARG ...      (all back ends, strict checking)
     repro fuzz [--seed N] [--count N] [--check] [--backends LIST]
+    repro fuzz --cost [--seed N] [--count N]
     repro native [--status] [FILE -e ENTRY -t TYPE ... [--threads N]]
     repro transform FILE -e ENTRY (-a ARG ... | -t TYPE ...)
                    [--passes LIST] [--print-ir-after-all]
@@ -330,7 +331,7 @@ def _parser() -> argparse.ArgumentParser:
     fz.add_argument("--check", action="store_true",
                     help="also enable strict invariant checking per run")
     fz.add_argument("--no-shrink", action="store_true",
-                    help="report disagreements without minimizing them")
+                    help="report findings without minimizing them")
     fz.add_argument("--quiet", action="store_true",
                     help="no per-interval progress lines")
     fz.add_argument("--backends", metavar="LIST", default=None,
@@ -351,7 +352,8 @@ def _parser() -> argparse.ArgumentParser:
                          "differential: check every program's measured "
                          "interp work/span stays <= the static cost "
                          "bound at the concrete input sizes; violations "
-                         "are shrunk like disagreements "
+                         "are shrunk like disagreements; takes none of "
+                         "--backends, --check, --serve-pool "
                          "(docs/ANALYSIS.md)")
 
     tr = common(sub.add_parser(
@@ -553,25 +555,32 @@ def _dispatch(ns) -> int:
         return EXIT_DISAGREE
 
     if ns.cmd == "fuzz":
-        from repro.fuzz import fuzz, fuzz_cost
-        from repro.fuzz.differ import resolve_backends
+        from repro.fuzz.differ import (
+            CostSoundness, Differential, fuzz, resolve_backends,
+        )
         interval = max(1, ns.count // 10)
 
         def progress(i: int, report) -> None:
             if not ns.quiet and (i + 1) % interval == 0:
                 print(f"  {i + 1}/{ns.count}: {report.summary()}")
 
-        if ns.cost:
-            report = fuzz_cost(ns.seed, ns.count, shrink=not ns.no_shrink,
-                               progress=progress)
-            findings = report.violations
-        else:
-            try:
-                backends = resolve_backends(ns.backends)
-            except ValueError as e:
-                print(f"fuzz: {e}", file=sys.stderr)
-                return EXIT_USAGE
-            with ExitStack() as stack:
+        with ExitStack() as stack:
+            if ns.cost:
+                lane_flags = [flag for flag, on in (
+                    ("--backends", ns.backends is not None),
+                    ("--check", ns.check), ("--serve-pool", ns.serve_pool))
+                    if on]
+                if lane_flags:
+                    print(f"fuzz: --cost does not take "
+                          f"{', '.join(lane_flags)}", file=sys.stderr)
+                    return EXIT_USAGE
+                verdict = CostSoundness()
+            else:
+                try:
+                    backends = resolve_backends(ns.backends)
+                except ValueError as e:
+                    print(f"fuzz: {e}", file=sys.stderr)
+                    return EXIT_USAGE
                 pool = None
                 if ns.serve_pool:
                     from repro.serve import PoolConfig, WorkerPool
@@ -580,18 +589,18 @@ def _dispatch(ns) -> int:
                     if not ns.quiet:
                         print("fuzz: vector lane served through a 2-process "
                               "worker pool")
-                report = fuzz(ns.seed, ns.count, check=ns.check,
-                              shrink=not ns.no_shrink, progress=progress,
-                              backends=backends, pool=pool)
-            findings = report.disagreements
+                verdict = Differential(check=ns.check, backends=backends,
+                                       pool=pool)
+            report = fuzz(verdict, ns.seed, ns.count,
+                          shrink=not ns.no_shrink, progress=progress)
         print(report.summary())
-        for d in findings:
+        for d in report.findings:
             print()
             print(d.describe())
         for seed, msg in report.invalid:
             print(f"invalid program (generator bug) at seed {seed}: {msg}",
                   file=sys.stderr)
-        if findings:
+        if report.findings:
             return EXIT_DISAGREE
         return EXIT_OK if report.ok else EXIT_ERROR
 

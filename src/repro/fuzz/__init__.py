@@ -1,24 +1,23 @@
-"""Differential fuzzing of the back ends.
+"""Seeded fuzzing: one loop, a verdict per lane.
 
 ``repro.fuzz.gen`` grows random well-typed, total P programs from a seed;
-``repro.fuzz.differ`` runs each program on the reference interpreter and
-the vector evaluator (and, asked for, on ``native`` and ``native@t``),
-compares the results, and greedily shrinks any disagreement to a minimal
-failing program.  The CLI front end
-is ``repro fuzz`` (see docs/RELIABILITY.md).
+``repro.fuzz.differ`` judges each under one verdict — :class:`Differential`
+runs it on the reference interpreter and the vector evaluator (and, asked
+for, on ``native`` and ``native@t``) and compares the results,
+:class:`CostSoundness` checks the measured interpreter cost against the
+static bound — and greedily shrinks every finding to a minimal program.
+The CLI front end is ``repro fuzz`` (see docs/RELIABILITY.md).
 """
 
 from repro.fuzz.differ import (
-    CostFuzzReport, CostViolation, Disagreement, FuzzReport, Outcome,
-    compare_outcomes, fuzz, fuzz_cost, run_case, shrink_case,
-    shrink_cost_case,
+    CostSoundness, CostViolation, Differential, Disagreement, FuzzReport,
+    Outcome, Verdict, compare_outcomes, fuzz, run_case, shrink_case,
 )
 from repro.fuzz.gen import FuzzCase, gen_case
 
 __all__ = [
     "FuzzCase", "gen_case",
-    "Outcome", "Disagreement", "FuzzReport",
-    "CostViolation", "CostFuzzReport",
+    "Verdict", "Differential", "CostSoundness",
+    "Outcome", "Disagreement", "CostViolation", "FuzzReport",
     "run_case", "compare_outcomes", "fuzz", "shrink_case",
-    "fuzz_cost", "shrink_cost_case",
 ]

@@ -1,21 +1,23 @@
-"""Differential runner and shrinker for the fuzzer.
+"""One fuzz loop: seeded programs, a verdict per program, one shrinker.
 
-Each generated program runs on every selected lane — by default the
-reference interpreter (the paper's section-2 semantics) and the vector
-evaluator; ``backends=`` widens the set to ``native`` and to ``native@t``,
-the native engine with every kernel call on ``t`` threads (a lane the
-host cannot exercise is skipped with a note, :func:`skip_reason`).
-The lanes *agree* when they all return equal values or all fail with
-the same error class; anything else is a :class:`Disagreement`, which
-the greedy shrinker then minimizes by structural replacement on the
-generated expression tree (a candidate shrink is kept only if the
-smaller program still disagrees the same way).
+:func:`fuzz` draws programs from :func:`~repro.fuzz.gen.gen_case` and
+hands each to a :class:`Verdict`, which answers with a tally word or a
+finding.  :class:`Differential` (``repro fuzz``) runs the program on
+every selected lane — by default the reference interpreter (the paper's
+section-2 semantics) and the vector evaluator, widened by ``backends=``
+to ``native`` and ``native@t`` — and finds a :class:`Disagreement`;
+:class:`CostSoundness` (``repro fuzz --cost``) finds a measured cost
+above the static bound, a :class:`CostViolation`.  Every finding is
+minimized by the one greedy shrinker, :func:`shrink_case`, which keeps a
+smaller program only if the verdict still returns a finding with the
+same ``signature``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Union
 
 from repro import api
 from repro.errors import ReproError
@@ -63,10 +65,35 @@ def skip_reason(lane: str) -> Optional[str]:
     return None
 
 
+def resolve_backends(spec: Optional[str]) -> tuple[str, ...]:
+    """Lane list from a CLI spec: ``None`` → the default lanes, a leading
+    ``+`` appends to them (``+native@2``), otherwise a comma-separated
+    replacement list.  Unknown names raise ValueError."""
+    if spec is None:
+        return BACKENDS
+    spec = spec.strip()
+    if spec.startswith("+"):
+        names = list(BACKENDS) + [s for s in spec[1:].split(",") if s]
+    else:
+        names = [s for s in spec.split(",") if s]
+    out: list[str] = []
+    for n in names:
+        n = n.strip()
+        lane_call(n)
+        if n not in out:
+            out.append(n)
+    if len(out) < 2:
+        raise ValueError("need at least two back ends to differentiate")
+    return tuple(out)
+
+
 #: Safety net so a fuzzer-found non-termination or blow-up fails fast
 #: instead of hanging the run (generated programs are total by
 #: construction; this guards against generator bugs).
 DEFAULT_BUDGET = Budget(timeout_s=30.0, max_elements=50_000_000)
+
+#: greedy shrinking stops after this many kept candidates
+MAX_ROUNDS = 20
 
 
 @dataclass(frozen=True)
@@ -85,54 +112,6 @@ class Outcome:
         if self.failed:
             return f"{self.error_type}: {self.error}"
         return repr(self.value)
-
-
-@dataclass
-class Disagreement:
-    """A program on which the back ends do not agree."""
-
-    case: FuzzCase
-    outcomes: dict[str, Outcome]
-    shrunk: Optional[FuzzCase] = None
-
-    def describe(self) -> str:
-        c = self.shrunk or self.case
-        lines = [f"seed {self.case.seed}: back ends disagree on "
-                 f"{c.entry}{tuple(c.args)!r}"]
-        for b, o in self.outcomes.items():
-            lines.append(f"  {b:8s} -> {o.brief()}")
-        lines.append("program:")
-        lines.extend("  " + ln for ln in c.source.splitlines())
-        return "\n".join(lines)
-
-
-@dataclass
-class FuzzReport:
-    """Aggregate result of one fuzzing run."""
-
-    count: int = 0
-    agreed: int = 0
-    invalid: list[tuple[int, str]] = field(default_factory=list)
-    disagreements: list[Disagreement] = field(default_factory=list)
-    #: lane -> why it was not exercised (:func:`skip_reason`)
-    skipped_backends: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.disagreements and not self.invalid
-
-    def summary(self) -> str:
-        out = (f"fuzz: {self.count} programs, {self.agreed} agreed, "
-               f"{len(self.disagreements)} disagreements, "
-               f"{len(self.invalid)} invalid")
-        if self.invalid:
-            seeds = ", ".join(str(s) for s, _ in self.invalid[:5])
-            out += f" (invalid seeds: {seeds}…)"
-        if self.skipped_backends:
-            noted = ", ".join(f"{b} ({why})"
-                              for b, why in self.skipped_backends.items())
-            out += f" [skipped: {noted}]"
-        return out
 
 
 def run_case(case: FuzzCase, check: bool = False,
@@ -186,91 +165,31 @@ def compare_outcomes(outcomes: dict[str, Outcome]) -> bool:
     return all(o.value == first for o in vals[1:])
 
 
-def _signature(outcomes: dict[str, Outcome]) -> tuple:
-    """Which back ends failed/succeeded — the shrinker preserves this so
-    it minimizes *the same* disagreement, not a different one."""
-    return tuple(o.error_type for o in outcomes.values())
+# -- findings -----------------------------------------------------------------
 
+@dataclass
+class Disagreement:
+    """A program on which the back ends do not agree."""
 
-def shrink_case(case: FuzzCase, check: bool = False,
-                max_rounds: int = 20,
-                backends: tuple[str, ...] = BACKENDS,
-                pool=None) -> tuple[FuzzCase, dict[str, Outcome]]:
-    """Greedy structural shrink: repeatedly replace subtrees of the main
-    body with same-typed atoms or descendants, and shorten argument
-    values, keeping a candidate only if the back ends still disagree with
-    the same failure signature.  Returns the minimal case found and its
-    outcomes."""
-    outcomes = run_case(case, check=check, backends=backends, pool=pool)
-    if compare_outcomes(outcomes):
-        return case, outcomes
-    want = _signature(outcomes)
+    case: FuzzCase
+    outcomes: dict[str, Outcome]
+    shrunk: Optional[FuzzCase] = None
 
-    def still_fails(c: FuzzCase) -> Optional[dict[str, Outcome]]:
-        try:
-            o = run_case(c, check=check, backends=backends, pool=pool)
-        except ReproError:
-            return None            # candidate broke scoping/typing: reject
-        if not compare_outcomes(o) and _signature(o) == want:
-            return o
-        return None
+    @property
+    def signature(self) -> tuple:
+        """Which lanes failed and with what error class — the shrinker
+        preserves it, so it minimizes *the same* disagreement."""
+        return tuple(o.error_type for o in self.outcomes.values())
 
-    best, best_out = case, outcomes
-    for _ in range(max_rounds):
-        improved = False
-        # 1. replace any subtree with a same-typed atom or descendant
-        for path, node in sorted(subnodes(best.body),
-                                 key=lambda pn: len(pn[0])):
-            if node.size() <= 1:
-                continue
-            candidates: list[Node] = [leaf(node.t, ATOMS[node.t])]
-            candidates += sorted(
-                (n for p, n in subnodes(node) if p and n.t == node.t),
-                key=Node.size)
-            for cand in candidates:
-                if cand.size() >= node.size():
-                    continue
-                trial = replace(best,
-                                body=replace_at(best.body, path, cand))
-                o = still_fails(trial)
-                if o is not None:
-                    best, best_out, improved = trial, o, True
-                    break
-            if improved:
-                break
-        if improved:
-            continue
-        # 2. drop helper definitions no longer referenced
-        body_src = best.body.render()
-        kept = tuple(h for h in best.helpers
-                     if h.split("(")[0].split()[-1] in body_src)
-        if kept != best.helpers:
-            trial = replace(best, helpers=kept)
-            o = still_fails(trial)
-            if o is not None:
-                best, best_out, improved = trial, o, True
-                continue
-        # 3. shrink argument values
-        for i, (name, t) in enumerate(best.params):
-            v = best.args[i]
-            options: list = []
-            if t == "int" and v != 0:
-                options = [0]
-            elif isinstance(v, list) and v:
-                options = [[], v[:len(v) // 2]]
-            for nv in options:
-                args = tuple(nv if j == i else a
-                             for j, a in enumerate(best.args))
-                trial = replace(best, args=args)
-                o = still_fails(trial)
-                if o is not None:
-                    best, best_out, improved = trial, o, True
-                    break
-            if improved:
-                break
-        if not improved:
-            break
-    return best, best_out
+    def describe(self) -> str:
+        c = self.shrunk or self.case
+        lines = [f"seed {self.case.seed}: back ends disagree on "
+                 f"{c.entry}{tuple(c.args)!r}"]
+        for b, o in self.outcomes.items():
+            lines.append(f"  {b:8s} -> {o.brief()}")
+        lines.append("program:")
+        lines.extend("  " + ln for ln in c.source.splitlines())
+        return "\n".join(lines)
 
 
 @dataclass
@@ -287,7 +206,7 @@ class CostViolation:
     shrunk: Optional[FuzzCase] = None
 
     @property
-    def kind(self) -> tuple[bool, bool]:
+    def signature(self) -> tuple[bool, bool]:
         """(work violated, span violated) — preserved by the shrinker."""
         return (self.measured_work > self.predicted_work,
                 self.measured_span > self.predicted_span)
@@ -305,212 +224,205 @@ class CostViolation:
         return "\n".join(lines)
 
 
-@dataclass
-class CostFuzzReport:
-    """Aggregate result of one ``fuzz --cost`` soundness run."""
+Finding = Union[Disagreement, CostViolation]
 
+
+# -- verdicts -----------------------------------------------------------------
+
+class Verdict:
+    """A fuzz lane: what one generated case is judged to be.
+
+    :meth:`judge` returns one of ``words`` (counted in the report's
+    tally) or a finding (``case``, ``shrunk``, ``describe()`` and the
+    ``signature`` the shrinker preserves).  ``title`` and ``noun`` (what
+    the summary line calls the findings) spell the report's summary."""
+
+    title: str
+    words: tuple[str, ...]
+    noun: str
+
+    def judge(self, case: FuzzCase) -> Union[str, Finding]:
+        raise NotImplementedError
+
+    def skipped(self) -> dict[str, str]:
+        """Lanes this host does not exercise, and why."""
+        return {}
+
+
+class Differential(Verdict):
+    """``repro fuzz``: the selected lanes agree, or disagree.
+
+    Lanes the machine cannot exercise (:func:`skip_reason`) are dropped
+    when the verdict is made; :meth:`skipped` names them, and, asked
+    after a run, also the lanes that turned out not to have run what they
+    name."""
+
+    title = "fuzz"
+    words = ("agreed",)
+    noun = "disagreements"
+
+    def __init__(self, check: bool = False,
+                 backends: tuple[str, ...] = BACKENDS, pool=None):
+        self.check, self.backends, self.pool = check, backends, pool
+        self.lanes = tuple(b for b in backends if not skip_reason(b))
+
+    def judge(self, case: FuzzCase) -> Union[str, Finding]:
+        outcomes = run_case(case, check=self.check, backends=self.lanes,
+                            pool=self.pool)
+        if compare_outcomes(outcomes):
+            return "agreed"
+        return Disagreement(case=case, outcomes=outcomes)
+
+    def skipped(self) -> dict[str, str]:
+        return {b: why for b in self.backends if (why := skip_reason(b))}
+
+
+class CostSoundness(Verdict):
+    """``repro fuzz --cost``: the measured interpreter cost stays within
+    the static bound (``sound``), the bound is declared ``unbounded``
+    (trivially sound), or the run failed and the bound, which covers
+    completed runs only, says nothing (``skipped``)."""
+
+    title = "fuzz --cost"
+    words = ("sound", "unbounded", "skipped")
+    noun = "violations"
+
+    def judge(self, case: FuzzCase) -> Union[str, Finding]:
+        from repro.guard.runtime import GuardConfig, guarded
+
+        prog = api.compile_program(case.source)
+        arg_types = prog.entry_types(case.entry, list(case.args),
+                                     list(case.types))
+        pred = prog.cost_certificate(case.entry,
+                                     arg_types).predict(list(case.args))
+        if not pred["bounded"]:
+            return "unbounded"
+        try:
+            with guarded(GuardConfig(budget=DEFAULT_BUDGET)):
+                _val, rep = prog.measure(case.entry, list(case.args))
+        except (ReproError, RecursionError):
+            return "skipped"
+        if rep.work > pred["work"] or rep.span > pred["span"]:
+            return CostViolation(
+                case=case, measured_work=rep.work, measured_span=rep.span,
+                predicted_work=pred["work"], predicted_span=pred["span"])
+        return "sound"
+
+
+# -- the report, the shrinker and the loop -------------------------------------
+
+@dataclass
+class FuzzReport:
+    """Aggregate result of one fuzzing run under one verdict."""
+
+    verdict: Verdict
     count: int = 0
-    sound: int = 0       #: bounded and measured <= predicted
-    unbounded: int = 0   #: declared unbounded (trivially sound)
-    skipped: int = 0     #: interpreter run failed (e.g. division by zero)
+    tally: Counter = field(default_factory=Counter)
+    findings: list = field(default_factory=list)
     invalid: list[tuple[int, str]] = field(default_factory=list)
-    violations: list[CostViolation] = field(default_factory=list)
+    #: lane -> why it was not exercised (:func:`skip_reason`)
+    skipped_backends: dict[str, str] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return not self.violations and not self.invalid
+        return not self.findings and not self.invalid
 
     def summary(self) -> str:
-        out = (f"fuzz --cost: {self.count} programs, {self.sound} sound, "
-               f"{self.unbounded} unbounded, {self.skipped} skipped, "
-               f"{len(self.violations)} violations, "
+        v = self.verdict
+        words = "".join(f"{self.tally[w]} {w}, " for w in v.words)
+        out = (f"{v.title}: {self.count} programs, {words}"
+               f"{len(self.findings)} {v.noun}, "
                f"{len(self.invalid)} invalid")
         if self.invalid:
             seeds = ", ".join(str(s) for s, _ in self.invalid[:5])
             out += f" (invalid seeds: {seeds}…)"
+        if self.skipped_backends:
+            noted = ", ".join(f"{b} ({why})"
+                              for b, why in self.skipped_backends.items())
+            out += f" [skipped: {noted}]"
         return out
 
 
-def _measure_cost(case: FuzzCase) -> tuple[str, Optional[CostViolation]]:
-    """Check one case: static prediction vs measured interpreter cost.
-    Returns a status tag plus the violation (when there is one).
-    Compile/analysis crashes propagate — those are analyzer bugs, not
-    soundness outcomes."""
-    from repro.guard.runtime import GuardConfig, guarded
+def _smaller(c: FuzzCase) -> Iterator[FuzzCase]:
+    """The shrinks of ``c`` the shrinker tries, in order: (1) a subtree of
+    the body replaced by a same-typed atom or descendant, (2) the helpers
+    the body no longer names dropped, (3) an argument zeroed, emptied or
+    halved."""
+    for path, node in sorted(subnodes(c.body), key=lambda pn: len(pn[0])):
+        if node.size() <= 1:
+            continue
+        candidates: list[Node] = [leaf(node.t, ATOMS[node.t])]
+        candidates += sorted(
+            (n for p, n in subnodes(node) if p and n.t == node.t),
+            key=Node.size)
+        for cand in candidates:
+            if cand.size() < node.size():
+                yield replace(c, body=replace_at(c.body, path, cand))
+    body = c.body.render()
+    kept = tuple(h for h in c.helpers
+                 if h.split("(")[0].split()[-1] in body)
+    if kept != c.helpers:
+        yield replace(c, helpers=kept)
+    for i, (_name, t) in enumerate(c.params):
+        v = c.args[i]
+        options: list = []
+        if t == "int" and v != 0:
+            options = [0]
+        elif isinstance(v, list) and v:
+            options = [[], v[:len(v) // 2]]
+        for nv in options:
+            yield replace(c, args=(*c.args[:i], nv, *c.args[i + 1:]))
 
-    prog = api.compile_program(case.source)
-    arg_types = prog.entry_types(case.entry, list(case.args),
-                                 list(case.types))
-    cert = prog.cost_certificate(case.entry, arg_types)
-    pred = cert.predict(list(case.args))
-    if not pred["bounded"]:
-        return "unbounded", None
-    try:
-        with guarded(GuardConfig(budget=DEFAULT_BUDGET)):
-            _val, rep = prog.measure(case.entry, list(case.args))
-    except (ReproError, RecursionError):
-        return "skipped", None      # the bound only covers completed runs
-    if rep.work > pred["work"] or rep.span > pred["span"]:
-        return "violation", CostViolation(
-            case=case, measured_work=rep.work, measured_span=rep.span,
-            predicted_work=pred["work"], predicted_span=pred["span"])
-    return "sound", None
 
-
-def shrink_cost_case(v: CostViolation,
-                     max_rounds: int = 20) -> CostViolation:
-    """Greedy structural shrink of a soundness violation, mirroring
-    :func:`shrink_case`: a candidate is kept only if it still violates
-    the same bound(s) (work/span kind preserved)."""
-    want = v.kind
-
-    def still_violates(c: FuzzCase) -> Optional[CostViolation]:
-        try:
-            status, cand = _measure_cost(c)
-        except (ReproError, RecursionError):
-            return None          # candidate broke scoping/typing: reject
-        if status == "violation" and cand is not None \
-                and cand.kind == want:
-            return cand
-        return None
-
-    best = v
-    for _ in range(max_rounds):
-        improved = False
-        bc = best.shrunk or best.case
-        # 1. replace any subtree with a same-typed atom or descendant
-        for path, node in sorted(subnodes(bc.body),
-                                 key=lambda pn: len(pn[0])):
-            if node.size() <= 1:
+def shrink_case(verdict: Verdict, case: FuzzCase) -> Union[str, Finding]:
+    """The verdict on ``case``, a finding greedily shrunk: the first
+    smaller program (:func:`_smaller`) on which the verdict returns a
+    finding with the same ``signature`` replaces the best so far, until
+    none does.  The finding returned keeps ``case`` and holds the minimal
+    program in ``shrunk``.  The verdict's errors on ``case`` itself
+    propagate; a candidate that fails to compile is rejected."""
+    found = verdict.judge(case)
+    if isinstance(found, str):
+        return found
+    want = found.signature
+    best = case
+    for _ in range(MAX_ROUNDS):
+        for trial in _smaller(best):
+            try:
+                got = verdict.judge(trial)
+            except (ReproError, RecursionError):
                 continue
-            candidates: list[Node] = [leaf(node.t, ATOMS[node.t])]
-            candidates += sorted(
-                (n for p, n in subnodes(node) if p and n.t == node.t),
-                key=Node.size)
-            for cand in candidates:
-                if cand.size() >= node.size():
-                    continue
-                trial = replace(bc, body=replace_at(bc.body, path, cand))
-                got = still_violates(trial)
-                if got is not None:
-                    got.shrunk = trial
-                    got.case = v.case
-                    best, improved = got, True
-                    break
-            if improved:
+            if not isinstance(got, str) and got.signature == want:
+                best, found = trial, got
                 break
-        if improved:
-            continue
-        # 2. shrink argument values
-        for i, (_name, t) in enumerate(bc.params):
-            av = bc.args[i]
-            options: list = []
-            if t == "int" and av != 0:
-                options = [0]
-            elif isinstance(av, list) and av:
-                options = [[], av[:len(av) // 2]]
-            for nv in options:
-                args = tuple(nv if j == i else a
-                             for j, a in enumerate(bc.args))
-                trial = replace(bc, args=args)
-                got = still_violates(trial)
-                if got is not None:
-                    got.shrunk = trial
-                    got.case = v.case
-                    best, improved = got, True
-                    break
-            if improved:
-                break
-        if not improved:
-            break
-    return best
-
-
-def fuzz_cost(seed: int, count: int, shrink: bool = True,
-              progress: Optional[Callable[[int, CostFuzzReport], None]]
-              = None) -> CostFuzzReport:
-    """The ``repro fuzz --cost`` soundness lane: for ``count`` generated
-    programs, evaluate the static work/span bound at the concrete input
-    sizes and check the measured interpreter cost never exceeds it.
-    Violations are shrunk (like back-end disagreements) and collected."""
-    report = CostFuzzReport()
-    for i in range(count):
-        case = gen_case(seed + i)
-        report.count += 1
-        try:
-            status, violation = _measure_cost(case)
-        except ReproError as e:
-            report.invalid.append((case.seed, f"{type(e).__name__}: {e}"))
-            continue
-        if status == "sound":
-            report.sound += 1
-        elif status == "unbounded":
-            report.unbounded += 1
-        elif status == "skipped":
-            report.skipped += 1
-        elif violation is not None:
-            if shrink:
-                violation = shrink_cost_case(violation)
-            report.violations.append(violation)
-        if progress is not None:
-            progress(i, report)
-    return report
-
-
-def resolve_backends(spec: Optional[str]) -> tuple[str, ...]:
-    """Lane list from a CLI spec: ``None`` → the default lanes, a leading
-    ``+`` appends to them (``+native@2``), otherwise a comma-separated
-    replacement list.  Unknown names raise ValueError."""
-    if spec is None:
-        return BACKENDS
-    spec = spec.strip()
-    if spec.startswith("+"):
-        names = list(BACKENDS) + [s for s in spec[1:].split(",") if s]
-    else:
-        names = [s for s in spec.split(",") if s]
-    out: list[str] = []
-    for n in names:
-        n = n.strip()
-        lane_call(n)
-        if n not in out:
-            out.append(n)
-    if len(out) < 2:
-        raise ValueError("need at least two back ends to differentiate")
-    return tuple(out)
-
-
-def fuzz(seed: int, count: int, check: bool = False, shrink: bool = True,
-         progress: Optional[Callable[[int, FuzzReport], None]] = None,
-         backends: tuple[str, ...] = BACKENDS, pool=None) -> FuzzReport:
-    """Run ``count`` generated programs starting at ``seed``; differences
-    are shrunk (unless ``shrink=False``) and collected in the report.
-
-    ``backends`` selects the lanes to differentiate; lanes a machine
-    cannot exercise (:func:`skip_reason`) are dropped up front, and lanes
-    that turn out not to have run what they name are dropped after the
-    run; both are recorded in ``report.skipped_backends``."""
-    skipped = {b: why for b in backends if (why := skip_reason(b))}
-    backends = tuple(b for b in backends if b not in skipped)
-    report = FuzzReport(skipped_backends=skipped)
-    for i in range(count):
-        case = gen_case(seed + i)
-        report.count += 1
-        try:
-            outcomes = run_case(case, check=check, backends=backends,
-                                pool=pool)
-        except ReproError as e:
-            report.invalid.append((case.seed, f"{type(e).__name__}: {e}"))
-            continue
-        if compare_outcomes(outcomes):
-            report.agreed += 1
         else:
-            d = Disagreement(case=case, outcomes=outcomes)
-            if shrink:
-                d.shrunk, d.outcomes = shrink_case(case, check=check,
-                                                   backends=backends,
-                                                   pool=pool)
-            report.disagreements.append(d)
+            break
+    found.case, found.shrunk = case, best
+    return found
+
+
+def fuzz(verdict: Verdict, seed: int, count: int, shrink: bool = True,
+         progress: Optional[Callable[[int, FuzzReport], None]] = None
+         ) -> FuzzReport:
+    """Judge ``count`` generated programs starting at ``seed``: words are
+    tallied, findings shrunk (unless ``shrink=False``) and collected, and
+    a program whose verdict raises a :class:`~repro.errors.ReproError` is
+    recorded as invalid (a generator or analyzer bug)."""
+    report = FuzzReport(verdict, skipped_backends=verdict.skipped())
+    for i in range(count):
+        case = gen_case(seed + i)
+        report.count += 1
+        try:
+            found = (shrink_case(verdict, case) if shrink
+                     else verdict.judge(case))
+        except ReproError as e:
+            report.invalid.append((case.seed, f"{type(e).__name__}: {e}"))
+            continue
+        if isinstance(found, str):
+            report.tally[found] += 1
+        else:
+            report.findings.append(found)
         if progress is not None:
             progress(i, report)
-    skipped.update((b, why) for b in backends if (why := skip_reason(b)))
+    report.skipped_backends.update(verdict.skipped())
     return report

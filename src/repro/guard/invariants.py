@@ -22,37 +22,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import InvariantError
-from repro.vector.nested import NestedVector, VFun, VTuple
+from repro.errors import InvariantError, VectorError
+from repro.vector.nested import (
+    NestedVector, VFun, VTuple, _check_links, _checked_sum,
+)
 
 __all__ = ["validate_value", "validate_nested"]
 
 
 def validate_nested(stage: str, v: NestedVector) -> None:
-    """Check one NestedVector against the representation invariant."""
-    if not v.descs:
-        raise InvariantError(stage, "no descriptor vectors")
-    if v.descs[0].size != 1:
-        raise InvariantError(
-            stage, f"top descriptor must be a singleton, got size {v.descs[0].size}")
-    levels = [*v.descs, v.values]
-    for i, d in enumerate(v.descs):
-        if d.ndim != 1:
-            raise InvariantError(stage, f"descriptor V{i + 1} is not 1-D")
-        if d.size and int(d.min()) < 0:
-            raise InvariantError(
-                stage, f"descriptor V{i + 1} contains a negative count "
-                       f"(min {int(d.min())})")
-    if v.values.ndim != 1:
-        raise InvariantError(stage, "value vector is not 1-D")
-    for i in range(len(levels) - 1):
-        want = int(np.asarray(levels[i]).sum())
-        got = int(np.asarray(levels[i + 1]).size)
-        if want != got:
-            what = "value vector" if i + 1 == len(v.descs) else f"V{i + 2}"
-            raise InvariantError(
-                stage, f"#V_{i + 2} = sum(V_{i + 1}) violated: "
-                       f"sum(V{i + 1}) = {want} but {what} has {got} entries")
+    """Check one NestedVector against the representation invariant, with
+    the constructor's own checks (nothing remembered is trusted)."""
+    try:
+        sums = tuple(_checked_sum(d) for d in v.descs)
+        _check_links(v.descs, sums, v.values)
+    except VectorError as e:
+        raise InvariantError(stage, str(e)) from None
 
 
 def _tuple_conformable(stage: str, t: VTuple) -> None:

@@ -291,15 +291,6 @@ class TypedProgram:
 
     # -- public API ----------------------------------------------------------
 
-    def scheme_of(self, name: str) -> TFun:
-        """The (generalized) type of top-level function or primitive
-        ``name``; a primitive's is freshly instantiated per call."""
-        if name in self.schemes:
-            return self.schemes[name]
-        if B.is_builtin(name):
-            return B.get_builtin(name).fresh_type()
-        raise TypeCheckError(f"unknown function {name!r}")
-
     def instance(self, name: str, arg_types: tuple[Type, ...]) -> str:
         """Return the mono-name of ``name`` specialized to ``arg_types``,
         creating (and recursively specializing) it on first use."""

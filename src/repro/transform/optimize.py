@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.lang import ast as A
-from repro.passes.pattern import RewritePattern, apply_patterns
+from repro.passes.pattern import RewritePattern
 
 #: reduce's builtin function argument -> native segmented reduction (§4.5)
 _NATIVE_REDUCTIONS = {"add": "sum", "max2": "maxval", "min2": "minval"}
@@ -120,22 +120,6 @@ class SegSharedIndexPattern(RewritePattern):
                              allow_length=ib_name is not None):
             return None
         return _to_segshared(e.body, name, j, j + 1, ib_name)
-
-
-def rewrite_shared_index(e: A.Expr) -> A.Expr:
-    """One bottom-up sweep of the shared-argument rewrite (§4.5 pt. 1)."""
-    return apply_patterns(e, [SharedIndexPattern()])
-
-
-def rewrite_segshared_index(e: A.Expr) -> A.Expr:
-    """One bottom-up sweep of the segment-shared-index rewrite
-    (generalized §4.5)."""
-    return apply_patterns(e, [SegSharedIndexPattern()])
-
-
-def rewrite_native_reduce(e: A.Expr) -> A.Expr:
-    """One bottom-up sweep of the native-reduction rewrite (§4.5 pt. 2)."""
-    return apply_patterns(e, [NativeReducePattern()])
 
 
 # -- iteration is a view (§4.5 direction, rule 4) ----------------------------

@@ -120,10 +120,6 @@ class TransformedProgram:
     def __contains__(self, name: str) -> bool:
         return name in self.defs
 
-    def has_ext1(self, mono_name: str) -> bool:
-        """True when the R0 depth-1 extension of ``mono_name`` exists."""
-        return ext1_name(mono_name) in self.defs
-
     def ext1(self, mono_name: str) -> A.FunDef:
         """The R0 depth-1 extension ``f^1`` of ``mono_name``."""
         return self.defs[ext1_name(mono_name)]

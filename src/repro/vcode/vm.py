@@ -33,6 +33,3 @@ class VM(VectorEvaluator):
         if p is not None:
             # the width the machine model is charged for this op
             p.count("vm", op, n, n, 0)
-
-    def reset_trace(self) -> None:
-        self.trace = []

@@ -78,12 +78,15 @@ def _checked_sum(d: np.ndarray) -> int:
     return total
 
 
-def _check_links(descs: tuple, sums: tuple, values: np.ndarray) -> None:
+def _check_links(descs: tuple, sums: tuple, values: np.ndarray,
+                 top: bool = True) -> None:
     """``descs[0]`` is a singleton and ``sums[i]`` is the size of the level
-    below ``descs[i]`` — the representation invariant, given the sums."""
-    if not descs:
+    below ``descs[i]`` — the representation invariant, given the sums.
+    With ``top`` false, ``descs`` are the levels below a top (a level list,
+    :meth:`NestedVector.levels`), which need not start with a singleton."""
+    if top and not descs:
         raise VectorError("NestedVector needs at least one descriptor")
-    if descs[0].size != 1:
+    if top and descs[0].size != 1:
         raise VectorError(
             f"top descriptor must be a singleton, got size {descs[0].size}")
     last = len(descs)

@@ -57,35 +57,22 @@ def _note(op: str, frame_len: int, arrays: tuple) -> None:
 
 def _check_level_chain(stage: str, levels: list) -> None:
     """Strict-mode consistency check of a level list (Blelloch's VCODE
-    debug-interpreter practice): every descriptor level must be
-    non-negative and sum-chain onto the next level.  Catching corruption
+    debug-interpreter practice): every descriptor level must be a 1-D
+    vector of non-negative counts that sum-chains onto the next level — the
+    constructor's checks (:mod:`repro.vector.nested`).  Catching corruption
     *here* — before ``np.repeat``/fancy indexing consume the counts —
     turns an inscrutable NumPy IndexError into a stage-named
     :class:`InvariantError`."""
     g = _guard.GUARD
     if g is None or (g := g.state) is None or not g.check:
         return
-    for i in range(len(levels) - 1):
-        d = np.asarray(levels[i])
-        if d.size and int(d.min()) < 0:
-            raise InvariantError(
-                stage, f"level {i} contains a negative count ({int(d.min())})")
-        want = int(d.sum())
-        got = int(np.asarray(levels[i + 1]).size)
-        if want != got:
-            raise InvariantError(
-                stage, f"sum(level {i}) = {want} but level {i + 1} "
-                       f"has {got} entries")
-
-
-def as_counts(a: np.ndarray) -> np.ndarray:
-    """Validate a counts (descriptor) array: 1-D, non-negative integers."""
-    a = np.asarray(a, dtype=INT_DTYPE)
-    if a.ndim != 1:
-        raise VectorError(f"descriptor must be 1-D, got shape {a.shape}")
-    if a.size and a.min() < 0:
-        raise VectorError("descriptor contains a negative count")
-    return a
+    from repro.vector.nested import _check_links, _checked_sum
+    descs = levels[:-1]
+    try:
+        sums = tuple(_checked_sum(d) for d in descs)
+        _check_links(descs, sums, levels[-1], top=False)
+    except VectorError as e:
+        raise InvariantError(stage, str(e)) from None
 
 
 def seg_starts(counts: np.ndarray) -> np.ndarray:

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.api import BACKENDS, compile_program
-from repro.errors import InvariantError
+from repro.errors import InvariantError, VectorError
 from repro.guard import GuardConfig, guarded
 from repro.guard.invariants import validate_nested, validate_value
 from repro.guard.runtime import GUARD  # noqa: F401  (import must not cycle)
 from repro.lang.types import parse_type
 from repro.vector.convert import from_python
-from repro.vector.nested import VFun, VTuple
+from repro.vector.nested import NestedVector, VFun, VTuple
 
 NESTED = parse_type("seq(seq(int))")
 
@@ -50,6 +50,25 @@ class TestValidateNested:
         v.descs[1][0] += 3
         with pytest.raises(InvariantError, match="kernel:concat"):
             validate_nested("kernel:concat", v)
+
+    @pytest.mark.parametrize("descs,values", [
+        ([[1, 1]], [1, 2]),
+        ([[1], [-1]], []),
+        ([[2], [1]], [7]),
+        ([[2], [1, 1]], [7, 8, 9]),
+    ], ids=["singleton", "negative", "sum-level-1", "sum-level-2"])
+    def test_detail_is_the_constructors(self, descs, values):
+        """One statement of the invariant: the strict check re-raises the
+        constructor's own words under its stage."""
+        from types import SimpleNamespace
+        descs = [np.array(d, dtype=np.int64) for d in descs]
+        values = np.array(values, dtype=np.int64)
+        with pytest.raises(VectorError) as want:
+            NestedVector(descs, values, "int")
+        with pytest.raises(InvariantError) as got:
+            validate_nested("t", SimpleNamespace(descs=descs, values=values))
+        assert got.value.stage == "t"
+        assert got.value.detail == str(want.value)
 
 
 class TestValidateValue:

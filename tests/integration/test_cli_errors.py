@@ -5,7 +5,8 @@ import pytest
 
 import repro.cli as cli
 from repro.cli import (
-    EXIT_DISAGREE, EXIT_ERROR, EXIT_INVARIANT, EXIT_OK, EXIT_RESOURCE, main,
+    EXIT_DISAGREE, EXIT_ERROR, EXIT_INVARIANT, EXIT_OK, EXIT_RESOURCE,
+    EXIT_USAGE, main,
 )
 from repro.errors import EvalError, InvariantError, ResourceLimitError
 
@@ -159,3 +160,23 @@ class TestFuzzCommand:
                                "--quiet")
         assert rc == EXIT_OK
         assert "5 programs, 5 agreed" in out
+
+    @pytest.mark.parametrize("flags,named", [
+        (("--backends", "bogus"), "--backends"),
+        (("--backends", "native"), "--backends"),
+        (("--check",), "--check"),
+        (("--serve-pool",), "--serve-pool"),
+    ], ids=["backends-bogus", "backends", "check", "serve-pool"])
+    def test_cost_refuses_lane_flags_exit_2(self, capsys, flags, named):
+        """The cost lane runs the interpreter only: a lane flag is a usage
+        error naming the flag, not silently dropped."""
+        rc, out, err = run_cli(capsys, "fuzz", "--cost", "--count", "3",
+                               *flags)
+        assert rc == EXIT_USAGE and out == ""
+        assert len(err.splitlines()) == 1 and named in err
+
+    def test_cost_smoke_exit_0(self, capsys):
+        rc, out, err = run_cli(capsys, "fuzz", "--cost", "--seed", "0",
+                               "--count", "5", "--quiet")
+        assert rc == EXIT_OK and err == ""
+        assert out.startswith("fuzz --cost: 5 programs, ")

@@ -49,8 +49,9 @@ def test_native_backend_falls_back_with_one_warning(no_toolchain):
 
 
 def test_fuzzer_skips_native_cleanly(no_toolchain):
-    from repro.fuzz.differ import fuzz
-    report = fuzz(seed=0, count=3, backends=("interp", "vector", "native"))
+    from repro.fuzz.differ import Differential, fuzz
+    report = fuzz(Differential(backends=("interp", "vector", "native")),
+                  seed=0, count=3)
     assert report.skipped_backends == {"native": "no C toolchain"}
     assert report.ok
     assert "skipped: native" in report.summary()

@@ -157,10 +157,10 @@ class TestDifferIntegration:
         """On a multi-CPU machine with a toolchain the native@2 lane
         runs; otherwise it is dropped up front and named in the summary
         — never an error."""
-        from repro.fuzz.differ import fuzz
+        from repro.fuzz.differ import Differential, fuzz
         from repro.native.engine import default_threads
-        report = fuzz(0, 6, backends=("vector", "native", "native@2"),
-                      shrink=False)
+        report = fuzz(Differential(backends=("vector", "native", "native@2")),
+                      0, 6, shrink=False)
         assert report.ok, report.summary()
         if not toolchain.available():
             assert report.skipped_backends == {
@@ -174,13 +174,14 @@ class TestDifferIntegration:
     @pytest.mark.skipif(not toolchain.available(), reason="no C toolchain")
     def test_one_cpu_is_read_from_the_affinity_mask(self, monkeypatch):
         """The engine's CPUs (``default_threads``), not the machine's."""
-        from repro.fuzz.differ import fuzz
+        from repro.fuzz.differ import Differential, fuzz
         from repro.native import engine as NE
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(NE, "default_threads", lambda: 1)
-        report = fuzz(0, 2, backends=("vector", "native@2", "native@1"))
+        report = fuzz(Differential(backends=("vector", "native@2", "native@1")),
+                      0, 2)
         assert report.skipped_backends == {"native@2": "single CPU"}
-        assert report.agreed == 2
+        assert report.tally["agreed"] == 2
 
     @pytest.mark.skipif(not toolchain.available(), reason="no C toolchain")
     def test_a_run_whose_threaded_kernels_did_not_build_is_skipped(
@@ -188,7 +189,7 @@ class TestDifferIntegration:
         """The lane ran the serial kernels: skipped after the run, not
         reported as agreeing."""
         from repro.errors import NativeCompileError
-        from repro.fuzz.differ import fuzz
+        from repro.fuzz.differ import Differential, fuzz
         from repro.native import engine as NE
         from repro.native.cache import KernelCache
         real = KernelCache.get
@@ -202,7 +203,7 @@ class TestDifferIntegration:
         monkeypatch.setattr(toolchain, "_threads", None)   # not known yet
         reset_engine()
         try:
-            report = fuzz(0, 10, backends=("vector", "native@2"))
+            report = fuzz(Differential(backends=("vector", "native@2")), 0, 10)
         finally:
             reset_engine()
         assert report.ok and toolchain.threads_known() is False

@@ -24,14 +24,6 @@ class TestBasics:
     def test_seg_iota_all_empty(self):
         assert S.seg_iota(arr([0, 0])).tolist() == []
 
-    def test_as_counts_rejects_negative(self):
-        with pytest.raises(VectorError):
-            S.as_counts(arr([1, -1]))
-
-    def test_as_counts_rejects_2d(self):
-        with pytest.raises(VectorError):
-            S.as_counts(np.zeros((2, 2), dtype=np.int64))
-
 
 class TestReductions:
     def test_seg_sum(self):
